@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation error (bad parameters, supports, grids,
 infeasible classes), 2 numerical failure (non-convergence, lost positivity,
-singular systems). The JSON record always carries an "error" field naming the
-failure category when one occurs.
+singular systems). The record is strict JSON, with no NaN or infinity, and
+always carries an "error" field naming the failure category when one occurs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import densities, interpolate, minimax, oracle, patterns
-from .errors import GapInterpError, NumericalError, ValidationError
+from .errors import GapInterpError, NumericalError, PositivityLost, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,23 @@ def parse_class(spec: dict):
     raise ValidationError(f"unknown uncertainty class {kind!r}")
 
 
+SECTIONS = {
+    "density": parse_density,
+    "pattern": parse_pattern,
+    "weights": parse_weights,
+    "class": parse_class,
+}
+
+
+def parse_config(config: dict, *names) -> list:
+    """Parse the named config sections. A missing key, a value of the wrong
+    type or an unparsable scalar is a ValidationError."""
+    try:
+        return [SECTIONS[name](config[name]) for name in names]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid config: {type(exc).__name__}: {exc}") from exc
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -117,7 +134,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str | None, record: dict) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True)
+    """Write the record as strict JSON; a NaN or infinity raises ValueError."""
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -139,7 +157,7 @@ def write_csv(path: str, header: list, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_minimality(config: dict, args) -> dict:
-    f = parse_density(config["density"])
+    (f,) = parse_config(config, "density")
     value = densities.minimality_value(f, grid_size=args.grid)
     return {"value": value, "minimal": bool(np.isfinite(value))}
 
@@ -150,9 +168,7 @@ def _grid_csv_rows(grid_size, *columns):
 
 
 def cmd_interpolate(config: dict, args) -> dict:
-    f = parse_density(config["density"])
-    pattern = parse_pattern(config["pattern"])
-    weights = parse_weights(config["weights"])
+    f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if pattern.is_infinite:
         schedule = args.truncation or interpolate.TRUNCATION_SCHEDULE
         sol = interpolate.solve_truncated(pattern, weights, f, schedule=schedule,
@@ -175,15 +191,16 @@ def cmd_interpolate(config: dict, args) -> dict:
 
 
 def cmd_least_favourable(config: dict, args) -> dict:
-    f_pattern = parse_pattern(config["pattern"])
-    weights = parse_weights(config["weights"])
-    cls = parse_class(config["class"])
+    f_pattern, weights, cls = parse_config(config, "pattern", "weights", "class")
     if isinstance(cls, minimax.D0Minus):
         result = minimax.lf_d0minus(f_pattern, weights, cls, grid_size=args.grid)
     elif isinstance(cls, minimax.DW):
         result = minimax.lf_dW(f_pattern, weights, cls, grid_size=args.grid)
     else:
         result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid, seed=args.seed)
+    if result.mechanism == "closed_form_invalid":
+        raise PositivityLost("the anchored closed form is not a valid density for these weights",
+                             diagnostics=result.diagnostics)
     record = {
         "b0": {str(m): _complex_out(result.b0[m])
                for m in range(-result.b0.half_length, result.b0.half_length + 1)
@@ -194,25 +211,21 @@ def cmd_least_favourable(config: dict, args) -> dict:
                      if isinstance(v, (int, float, str, list))},
         "mechanism": result.mechanism,
     }
-    if result.f0 is not None and result.h0_grid is not None:
-        report = minimax.saddle_check(result, f_pattern, weights, cls,
-                                      n_samples=args.samples, seed=args.seed)
-        record["saddle_report"] = report
-        if args.out and args.format in ("csv", "both"):
-            f0_vals = result.f0.on_grid(result.grid_size)
-            write_csv(
-                os.path.join(args.out, "least_favourable.csv"),
-                ["lambda", "f0", "h0_re", "h0_im"],
-                _grid_csv_rows(result.grid_size, f0_vals,
-                               result.h0_grid.real, result.h0_grid.imag),
-            )
+    record["saddle_report"] = minimax.saddle_check(result, f_pattern, weights, cls,
+                                                   n_samples=args.samples, seed=args.seed)
+    if args.out and args.format in ("csv", "both"):
+        f0_vals = result.f0.on_grid(result.grid_size)
+        write_csv(
+            os.path.join(args.out, "least_favourable.csv"),
+            ["lambda", "f0", "h0_re", "h0_im"],
+            _grid_csv_rows(result.grid_size, f0_vals,
+                           result.h0_grid.real, result.h0_grid.imag),
+        )
     return record
 
 
 def cmd_verify(config: dict, args) -> dict:
-    f = parse_density(config["density"])
-    pattern = parse_pattern(config["pattern"])
-    weights = parse_weights(config["weights"])
+    f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if pattern.is_infinite:
         sol = interpolate.solve_truncated(pattern, weights, f, grid_size=args.grid)
         pattern = pattern.with_truncation(max(sol.convergence["schedule"]))
@@ -239,9 +252,7 @@ def cmd_verify(config: dict, args) -> dict:
 
 
 def cmd_simulate(config: dict, args) -> dict:
-    f = parse_density(config["density"])
-    pattern = parse_pattern(config["pattern"])
-    weights = parse_weights(config["weights"])
+    f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
     est = {j: v.real for j, v in
            oracle.estimate_weights_from_characteristic(sol, window=args.window).items()}
@@ -308,11 +319,10 @@ def main(argv=None) -> int:
         status = 1
     except NumericalError as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "category": "numerical"}
-        if hasattr(exc, "diagnostics"):
-            record["diagnostics"] = {
-                k: v for k, v in exc.diagnostics.items()
-                if isinstance(v, (int, float, str, bool, list))
-            }
+        record["diagnostics"] = {
+            k: v for k, v in exc.diagnostics.items()
+            if isinstance(v, (int, float, str, bool, list))
+        }
         status = 2
     except GapInterpError as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "category": "other"}
@@ -320,7 +330,12 @@ def main(argv=None) -> int:
     out_path = os.path.join(args.out, "result.json") if args.out else None
     if out_path and args.format == "csv":
         out_path = None
-    write_json(out_path, record)
+    try:
+        write_json(out_path, record)
+    except ValueError as exc:
+        write_json(out_path, {"error": "NonFiniteValue", "category": "numerical",
+                              "message": f"the record holds a NaN or infinity: {exc}"})
+        status = 2
     return status
 
 

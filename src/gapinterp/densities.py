@@ -9,7 +9,6 @@ of degree < G/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -129,10 +128,14 @@ class RationalAR(SpectralDensity):
         object.__setattr__(self, "alpha", alpha)
         if self.sigma2 <= 0:
             raise InvalidParameters("sigma2 must be positive")
-        # reject roots of 1 - sum alpha_k z^k on the unit circle
-        lam = angular_grid(max(DEFAULT_GRID, 16 * alpha.size))
-        phi = self._phi_on_grid(lam)
-        if np.min(np.abs(phi)) < 1e-8:
+        # reject roots of phi(z) = 1 - sum alpha_k z^k on the unit circle; a
+        # root of multiplicity m is computed only to about eps^(1/m), so phi
+        # is also tested where each root projects onto the circle
+        poly = np.concatenate((-alpha[::-1], [1.0]))
+        roots = np.roots(poly)
+        off_circle = np.abs(np.abs(roots) - 1.0)
+        phi_on_circle = np.abs(np.polyval(poly, roots / np.abs(roots)))
+        if np.any(off_circle < 1e-8) or np.any(phi_on_circle < 1e-8):
             raise InvalidParameters("AR polynomial has a (near-)root on the unit circle")
 
     def _phi_on_grid(self, lam: np.ndarray) -> np.ndarray:
@@ -213,9 +216,6 @@ class Tabulated(SpectralDensity):
         coeffs = grid_fourier_coefficients(self.values, half)
         out = evaluate_trig_poly(coeffs, grid_size)
         return out.real
-
-
-Density = Union[RationalAR, InversePolynomial, Tabulated]
 
 
 def _check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:

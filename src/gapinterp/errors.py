@@ -10,7 +10,12 @@ class ValidationError(GapInterpError):
 
 
 class NumericalError(GapInterpError):
-    """A computation failed for numerical reasons."""
+    """A computation failed for numerical reasons; diagnostics holds the
+    values that show why."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 # -- validation ---------------------------------------------------------------
@@ -70,9 +75,7 @@ class NotPositiveDefinite(NumericalError):
 
 
 class NotConverged(NumericalError):
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    pass
 
 
 class NewtonNotConverged(NotConverged):

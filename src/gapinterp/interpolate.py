@@ -8,11 +8,17 @@ observations on S = Z \\ K is characterized in the spectral domain by
 where C carries coefficients c solving the Gram system B c = a with
 B[u][v] = b(t_u - t_v), b = Fourier coefficients of 1/f. The error is
 Delta = <c, a> = sum_j c(j) conj(a(j)).
+
+The Fourier coefficients of h are the finite convolution
+h(j) = a(j) - sum_k c(k) b(j - k). They are exact whenever 1/f is a finite
+trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
+`h_coeffs` and the grid values `h_grid` on first access, not in `solve`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -22,9 +28,7 @@ from .densities import (
     FourierCoeffs,
     SpectralDensity,
     Tabulated,
-    angular_grid,
     evaluate_trig_poly,
-    grid_fourier_coefficients,
     inverse_fourier_coeffs,
 )
 from .errors import (
@@ -38,6 +42,8 @@ from .patterns import FunctionalWeights, ObservationPattern, missing_indices, we
 
 TRUNCATION_SCHEDULE = (25, 50, 100, 200, 400)
 PLATEAU_RTOL = 1e-8
+# lags of 1/f held beyond the gap span: h_coeffs covers [min K - 64, max K + 64]
+CHARACTERISTIC_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -52,24 +58,13 @@ class GramMatrix:
 
 
 def solve_hermitian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a Hermitian positive-definite system; LDL fallback guards against
-    marginal Cholesky failures, singularity surfaces as NotPositiveDefinite."""
+    """Solve a Hermitian positive-definite system by Cholesky; a failed
+    factorization surfaces as NotPositiveDefinite."""
     try:
         cf = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        lu, d, perm = scipy.linalg.ldl(matrix, lower=True)
-        # d may contain non-positive pivots; treat as a diagnostic failure
-        pivots = np.diag(d).real
-        if np.min(pivots) <= 0:
-            raise NotPositiveDefinite(
-                f"coefficient matrix is not positive definite (min pivot {np.min(pivots):.3e})"
-            )
-        return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+        raise NotPositiveDefinite(f"coefficient matrix is not positive definite: {exc}") from exc
+    return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
 
 
 def build_gram(pattern: ObservationPattern, b: FourierCoeffs) -> GramMatrix:
@@ -87,18 +82,44 @@ def build_gram(pattern: ObservationPattern, b: FourierCoeffs) -> GramMatrix:
 
 @dataclass(frozen=True)
 class InterpolationSolution:
+    """Solved coefficients c and error delta for the density f, whose 1/f has
+    the Fourier coefficients b (lags -L..L). The spectral characteristic is
+    derived from these fields on first access."""
+
     indices: tuple
     c: np.ndarray
     a: np.ndarray
-    h_grid: np.ndarray
-    h_coeffs: dict
     delta: float
     grid_size: int
+    f: SpectralDensity
+    b: FourierCoeffs
     convergence: dict = field(default_factory=dict)
 
     def coefficient(self, j: int) -> complex:
         pos = self.indices.index(j)
         return complex(self.c[pos])
+
+    @cached_property
+    def h_coeffs(self) -> dict:
+        """h(j) = a(j) - sum_k c(k) b(j - k) on the lags j in
+        [max K - L, min K + L], where every b(j - k) is held. When 1/f is a
+        trigonometric polynomial of degree p <= L - span, every nonzero h(j)
+        is among them."""
+        idx = np.asarray(self.indices)
+        lo, hi, half = int(idx.min()), int(idx.max()), self.b.half_length
+        c_spread = np.zeros(hi - lo + 1, dtype=complex)
+        c_spread[idx - lo] = self.c
+        conv = np.convolve(c_spread, self.b.values)[hi - lo: 2 * half + 1]
+        a_spread = np.zeros_like(conv)
+        a_spread[idx - hi + half] = self.a
+        return dict(zip(range(hi - half, lo + half + 1), (a_spread - conv).tolist()))
+
+    @cached_property
+    def h_grid(self) -> np.ndarray:
+        """h = A - C / f on the angular grid of grid_size points."""
+        a_grid = _poly_on_grid(self.indices, self.a, self.grid_size)
+        c_grid = _poly_on_grid(self.indices, self.c, self.grid_size)
+        return a_grid - c_grid / self.f.on_grid(self.grid_size)
 
 
 def _poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
@@ -114,41 +135,22 @@ def solve(
     weights: FunctionalWeights,
     f: SpectralDensity,
     grid_size: int = DEFAULT_GRID,
-    b: FourierCoeffs | None = None,
 ) -> InterpolationSolution:
-    """Solve B c = a and assemble the spectral characteristic and error."""
+    """Solve B c = a for the coefficients and the error."""
     idx = missing_indices(pattern)
     a = weight_vector(weights, pattern)
-    max_lag = (max(idx) - min(idx)) if idx else 0
-    if b is None:
-        b = inverse_fourier_coeffs(
-            f, half_length=max(max_lag, 1), grid_size=grid_size, check_tail=False
-        )
+    max_lag = max(max(idx) - min(idx), 1)
+    half = max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
+    b = inverse_fourier_coeffs(f, half_length=half, grid_size=grid_size, check_tail=False)
     gram = build_gram(pattern, b)
     c = gram.solve(a)
     inner = complex(np.sum(c * np.conj(a)))
     scale = max(float(np.max(np.abs(a))) ** 2 * len(idx), 1e-300)
     if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
         raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
-    delta = float(inner.real)
-
-    a_grid = _poly_on_grid(idx, a, grid_size)
-    c_grid = _poly_on_grid(idx, c, grid_size)
-    f_grid = f.on_grid(grid_size)
-    h_grid = a_grid - c_grid / f_grid
-    h_coeffs = characteristic_coeffs(h_grid, idx)
     return InterpolationSolution(
-        indices=tuple(idx), c=c, a=a, h_grid=h_grid, h_coeffs=h_coeffs,
-        delta=delta, grid_size=grid_size,
+        indices=tuple(idx), c=c, a=a, delta=float(inner.real), grid_size=grid_size, f=f, b=b,
     )
-
-
-def characteristic_coeffs(h_grid: np.ndarray, idx) -> dict:
-    """Fourier coefficients of h on the window [-L_h, L_h], L_h = 2 max|t| + 64."""
-    window = 2 * max((abs(j) for j in idx), default=0) + 64
-    window = min(window, h_grid.size // 2 - 1)
-    vals = grid_fourier_coefficients(h_grid, window)
-    return {m: complex(vals[m + window]) for m in range(-window, window + 1)}
 
 
 def mse_of_characteristic(
@@ -204,8 +206,4 @@ def solve_truncated(
     }
     if not converged:
         raise NotConverged("truncated error sequence did not plateau", diagnostics=report)
-    return InterpolationSolution(
-        indices=solution.indices, c=solution.c, a=solution.a,
-        h_grid=solution.h_grid, h_coeffs=solution.h_coeffs,
-        delta=solution.delta, grid_size=solution.grid_size, convergence=report,
-    )
+    return replace(solution, convergence=report)

@@ -25,10 +25,9 @@ form, where the projected gradient vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .densities import (
     DEFAULT_GRID,
@@ -238,20 +237,17 @@ def lf_d0minus(
     anchor = anchor_index(pattern)
     a_anchor = float(a[idx.index(anchor)])
     b0 = _closed_form_b0(pattern, a, cls.p)
-    assert abs(b0[0] - cls.p) == 0.0
 
     inv_vals = b0.evaluate(grid_size).real
     positivity_ok = bool(np.min(inv_vals) > _FLOOR * np.max(inv_vals))
 
     factorization_ok = False
-    gamma = None
     if positivity_ok:
         try:
-            fact = factorize_inverse(b0, mask=_gamma_mask(pattern, b0), grid_size=grid_size)
-            gamma = fact.gamma
+            factorize_inverse(b0, mask=_gamma_mask(pattern, b0), grid_size=grid_size)
             factorization_ok = True
         except (NotPositive, MaskViolation):
-            factorization_ok = False
+            pass
 
     validity = {
         "closed_form_applicable": positivity_ok,
@@ -494,16 +490,7 @@ def lf_dvu(
         tol = 1e-12 * float(np.max(u))
         bounds_ok = bool(np.all(f0_vals >= v - tol) and np.all(f0_vals <= u + tol))
         if bounds_ok:
-            validity = dict(base.validity)
-            validity["bounds_ok"] = True
-            lagrange = dict(base.lagrange)
-            lagrange["lower_active"] = []
-            lagrange["upper_active"] = []
-            return LeastFavourableResult(
-                f0=base.f0, b0=base.b0, h0_grid=base.h0_grid, delta0=base.delta0,
-                validity=validity, lagrange=lagrange, solution=base.solution,
-                mechanism="closed_form", grid_size=grid_size,
-            )
+            return replace(base, lagrange={**base.lagrange, "lower_active": [], "upper_active": []})
 
     result = numerical_lf(pattern, weights, cls, seed=seed)
     f0_vals = result.f0.on_grid(result.grid_size)
@@ -513,12 +500,7 @@ def lf_dvu(
     lagrange = dict(result.lagrange)
     lagrange["lower_active"] = np.flatnonzero(f0_vals <= v_opt + rtol).tolist()
     lagrange["upper_active"] = np.flatnonzero(f0_vals >= u_opt - rtol).tolist()
-    return LeastFavourableResult(
-        f0=result.f0, b0=result.b0, h0_grid=result.h0_grid, delta0=result.delta0,
-        validity=result.validity, lagrange=lagrange, solution=result.solution,
-        mechanism="numerical", grid_size=result.grid_size,
-        diagnostics=result.diagnostics,
-    )
+    return replace(result, lagrange=lagrange)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +508,10 @@ def lf_dvu(
 # ---------------------------------------------------------------------------
 
 def _project_d0minus(g: np.ndarray, p: float, floor: float) -> np.ndarray:
+    # scipy.optimize is imported on first use, so that importing the package
+    # does not load it for callers that never project
+    from scipy.optimize import brentq
+
     g = np.maximum(g, floor)
     if np.mean(g) >= p:
         return g
@@ -534,17 +520,19 @@ def _project_d0minus(g: np.ndarray, p: float, floor: float) -> np.ndarray:
     def gap(s):
         return np.mean(np.maximum(g + s, floor)) - p
 
-    s = scipy.optimize.brentq(gap, 0.0, hi)
+    s = brentq(gap, 0.0, hi)
     return np.maximum(g + s, floor)
 
 
 def _project_dvu(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float) -> np.ndarray:
+    from scipy.optimize import brentq
+
     def gap(s):
         return np.mean(np.clip(g + s, lo, hi)) - p
 
     smin = float(np.min(lo - g)) - 1.0
     smax = float(np.max(hi - g)) + 1.0
-    s = scipy.optimize.brentq(gap, smin, smax)
+    s = brentq(gap, smin, smax)
     return np.clip(g + s, lo, hi)
 
 

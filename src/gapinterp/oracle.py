@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .densities import DEFAULT_GRID, RationalAR, SpectralDensity, covariances
 from .errors import (
@@ -32,18 +31,6 @@ class TimeDomainProblem:
     target_weights: np.ndarray
     observed_indices: tuple
     r: np.ndarray  # r[n] for n = 0..max_lag; r(-n) = conj(r(n))
-
-    def cov(self, lag: int) -> complex:
-        if abs(lag) >= self.r.size:
-            raise InvalidParameters(f"lag {lag} beyond tabulated covariances")
-        val = self.r[abs(lag)]
-        return np.conj(val) if lag < 0 else val
-
-    def cov_matrix(self, rows, cols) -> np.ndarray:
-        lags = np.subtract.outer(cols, rows)  # entry [i,j] = r(col_j - row_i) transposed below
-        signs = np.sign(lags)
-        vals = self.r[np.abs(lags)]
-        return np.where(signs < 0, np.conj(vals), vals).T
 
 
 def build_problem(
@@ -74,24 +61,24 @@ def build_problem(
 def project(tp: TimeDomainProblem) -> dict:
     """Linear projection of the target functional onto the observed values.
 
-    Solves R_OO w = R_OK a; the residual error is a^H R_KK a - rho^H w with
-    rho = R_OK a. Returns the observation weights and the mean-square error.
+    The estimate sum_o w(o) xi(o) leaves an error orthogonal to every
+    observation, E conj(xi(o')) (A - estimate) = 0, which gives
+    R_OO w = R_OK a for R[i][j] = E conj(xi(s_i)) xi(t_j) = r(t_j - s_i).
+    The residual error is a^H R_KK a - rho^H w with rho = R_OK a. Returns the
+    observation weights and the mean-square error.
     """
     obs = np.asarray(tp.observed_indices)
     tgt = np.asarray(tp.target_indices)
     a = tp.target_weights
-    # R[i][j] = E xi(t_i) conj(xi(t_j)) = r(t_i - t_j)
-    lags_oo = np.subtract.outer(obs, obs)
-    lags_ok = np.subtract.outer(obs, tgt)
-    lags_kk = np.subtract.outer(tgt, tgt)
 
-    def cov_of(lags):
+    def cov(rows, cols):
+        lags = np.subtract.outer(cols, rows).T  # [i][j] = cols_j - rows_i
         vals = tp.r[np.abs(lags)]
         return np.where(lags < 0, np.conj(vals), vals)
 
-    R_oo = cov_of(lags_oo)
-    R_ok = cov_of(lags_ok)
-    R_kk = cov_of(lags_kk)
+    R_oo = cov(obs, obs)
+    R_ok = cov(obs, tgt)
+    R_kk = cov(tgt, tgt)
     rho = R_ok @ a
     try:
         cf = scipy.linalg.cho_factor(R_oo, lower=True, check_finite=False)
@@ -134,7 +121,11 @@ def _simulate_ar(f: RationalAR, length: int, n_replicates: int, seed: int) -> np
         rng = np.random.default_rng([seed, rep])
         eps[rep] = rng.standard_normal(total)
     denom = np.concatenate(([1.0], -alpha))
-    x = scipy.signal.lfilter([1.0], denom, sigma * eps, axis=1)
+    # scipy.signal is imported on first use: it weighs about as much as all
+    # the package's other imports together, and only simulation needs it
+    from scipy.signal import lfilter
+
+    x = lfilter([1.0], denom, sigma * eps, axis=1)
     return x[:, warmup:]
 
 

@@ -176,20 +176,6 @@ def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np
     return np.array([weights(j) for j in missing_indices(pattern)], dtype=complex)
 
 
-def geometric_tail_bound(c: float, rho: float, first_index: int) -> float:
-    """l2 mass of a geometric profile beyond first_index (one-sided)."""
-    q = rho ** 2
-    return c ** 2 * q ** first_index / (1 - q)
-
-
-def strictly_positive_weights(weights: FunctionalWeights, pattern: ObservationPattern,
-                              tol: float = 0.0) -> bool:
-    vec = weight_vector(weights, pattern)
-    if np.max(np.abs(vec.imag)) > 1e-14 * max(np.max(np.abs(vec)), 1.0):
-        return False
-    return bool(np.all(vec.real > tol))
-
-
 def span(pattern: ObservationPattern) -> int:
     """Largest lag difference between two missing indices."""
     k = missing_indices(pattern)

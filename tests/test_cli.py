@@ -21,6 +21,14 @@ LF_CONFIG = {
 }
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity constants that Python emits."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(tmp_path, record, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(record))
@@ -31,7 +39,7 @@ def run(tmp_path, command, config, *extra):
     out_dir = tmp_path / "out"
     code = cli.main([command, write_config(tmp_path, config), "--out",
                      str(out_dir), *extra])
-    result = json.loads((out_dir / "result.json").read_text())
+    result = strict_json((out_dir / "result.json").read_text())
     return code, result, out_dir
 
 
@@ -129,6 +137,37 @@ class TestLeastFavourable:
         code, rec, _ = run(tmp_path, "least-favourable", config)
         assert code == 1
         assert rec["error"] == "InfeasibleClass"
+
+
+class TestFailureRecords:
+    @pytest.mark.parametrize("config", [
+        {k: v for k, v in EX_CONFIG.items() if k != "weights"},                 # KeyError
+        {**EX_CONFIG, "density": {"type": "rational_ar", "alpha": ["half"]}},   # ValueError
+        {**EX_CONFIG, "pattern": 5},                                            # TypeError
+        {**EX_CONFIG, "weights": {"values": [1, 1, 1, 1, 1]}},                  # AttributeError
+        [EX_CONFIG],                                                            # not an object
+    ])
+    def test_bad_config_is_validation_error(self, tmp_path, config):
+        code, rec, _ = run(tmp_path, "interpolate", config)
+        assert code == 1
+        assert rec["error"] == "ValidationError"
+        assert rec["category"] == "validation"
+
+    def test_invalid_closed_form_is_numerical_error(self, tmp_path):
+        config = {**EX_CONFIG, "class": {"type": "d0minus", "p": 1.0}}  # all-ones S4
+        code, rec, _ = run(tmp_path, "least-favourable", config)
+        assert code == 2
+        assert rec["error"] == "PositivityLost"
+        assert rec["category"] == "numerical"
+        assert rec["diagnostics"]["inv_min"] < 0
+
+    def test_non_finite_value_is_numerical_error(self, tmp_path):
+        # with no samples the worst saddle excess is -inf, which JSON cannot hold
+        code, rec, _ = run(tmp_path, "least-favourable", LF_CONFIG, "--samples", "0")
+        assert code == 2
+        assert rec["error"] == "NonFiniteValue"
+        with pytest.raises(ValueError):
+            cli.write_json(None, {"delta": float("nan")})
 
 
 class TestVerify:

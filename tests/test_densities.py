@@ -190,6 +190,20 @@ class TestRationalAR:
         with pytest.raises(InvalidParameters):
             RationalAR(alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", [
+        [np.exp(1e-4j)],                  # simple root between grid points
+        [2.0, -1.0],                      # double root at z = 1
+        [3.0, -3.0, 1.0],                 # triple root at z = 1
+        [2 * np.cos(0.3), -1.0],          # conjugate pair on the circle
+    ])
+    def test_off_grid_and_multiple_unit_roots_rejected(self, alpha):
+        with pytest.raises(InvalidParameters):
+            RationalAR(alpha=np.array(alpha))
+
+    def test_roots_near_circle_accepted(self):
+        RationalAR(alpha=0.999)
+        RationalAR(alpha=0.999 * np.exp(1e-4j))
+
     def test_bad_sigma(self):
         with pytest.raises(InvalidParameters):
             RationalAR(alpha=0.5, sigma2=0.0)

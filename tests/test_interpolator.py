@@ -1,5 +1,7 @@
 """Gram assembly, coefficient solves, spectral characteristics, and errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,16 @@ from gapinterp.densities import (
     Tabulated,
     angular_grid,
     covariance,
+    evaluate_trig_poly,
+    grid_fourier_coefficients,
     inverse_fourier_coeffs,
 )
-from gapinterp.errors import GridMismatch, LagOutOfRange, NotConverged
+from gapinterp.errors import GridMismatch, LagOutOfRange, NotConverged, NotPositiveDefinite
 from gapinterp.interpolate import (
     build_gram,
     mse_of_characteristic,
     solve,
+    solve_hermitian,
     solve_truncated,
 )
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
@@ -273,3 +278,101 @@ class TestSolveTruncated:
         w = FunctionalWeights(geometric=(1.0, 0.5))
         with pytest.raises(NotConverged):
             solve_truncated(p, w, f, schedule=(2, 3))
+
+
+class TestSolveHermitian:
+    def test_indefinite_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            solve_hermitian(np.diag([1.0, -1.0]).astype(complex), np.ones(2, dtype=complex))
+
+
+def grid_route(sol, f):
+    """The characteristic by the grid-and-FFT route: h = A - C/f on the grid
+    of sol.grid_size points, then its Fourier coefficients by FFT on the lag
+    window |m| <= 2 max|t| + 64. Returns (h on the grid, {lag: coefficient})."""
+    half = max(abs(j) for j in sol.indices)
+
+    def on_grid(values):
+        spread = np.zeros(2 * half + 1, dtype=complex)
+        for j, v in zip(sol.indices, values):
+            spread[j + half] += v
+        return evaluate_trig_poly(spread, sol.grid_size)
+
+    h_grid = on_grid(sol.a) - on_grid(sol.c) / f.on_grid(sol.grid_size)
+    window = min(2 * half + 64, sol.grid_size // 2 - 1)
+    vals = grid_fourier_coefficients(h_grid, window)
+    return h_grid, {m: complex(vals[m + window]) for m in range(-window, window + 1)}
+
+
+def draw_density(kind, rng):
+    """(density, degree p of 1/f as a trigonometric polynomial, or None)."""
+    if kind == "ar1_real":
+        return RationalAR(alpha=rng.uniform(0.1, 0.8) * rng.choice([-1, 1]),
+                          sigma2=rng.uniform(0.5, 2.0)), 1
+    if kind == "ar1_complex":
+        return RationalAR(alpha=rng.uniform(0.1, 0.8) * np.exp(1j * rng.uniform(0, 2 * np.pi))), 1
+    if kind == "ar2":
+        return RationalAR(alpha=np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4)])), 2
+    if kind == "inverse_poly":
+        q = int(rng.integers(1, 4))
+        return InversePolynomial(random_coeffs(rng, q)), q
+    f = RationalAR(alpha=np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.2, 0.2)]))
+    return Tabulated(f.on_grid(4096)), None
+
+
+class TestCharacteristic:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["S4", "S5", "S6"]),
+        density=st.sampled_from(["ar1_real", "ar1_complex", "ar2", "inverse_poly", "tabulated"]),
+        N=st.integers(0, 4), M1=st.integers(1, 6), N1=st.integers(0, 8),
+        M2=st.integers(1, 6), N2=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_coefficients_match_grid_route(self, kind, density, N, M1, N1, M2, N2, seed):
+        rng = np.random.default_rng(seed)
+        left = {"M1": M1, "N1": N1} if kind in ("S4", "S6") else {}
+        right = {"M2": M2, "N2": N2} if kind in ("S5", "S6") else {}
+        p = ObservationPattern(kind, N=N, **left, **right)
+        idx = missing_indices(p)
+        w = FunctionalWeights(values={j: complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
+                                      for j in idx})
+        f, degree = draw_density(density, rng)
+        sol = solve(p, w, f)
+        h_grid, reference = grid_route(sol, f)
+        assert np.array_equal(sol.h_grid, h_grid)
+
+        h = sol.h_coeffs
+        tol = 1e-12 * float(np.linalg.norm(sol.a))
+        assert max(abs(h[j]) for j in idx) <= tol
+        for j in set(h) & set(reference):
+            assert abs(h[j] - reference[j]) <= tol
+        lo, hi = min(idx), max(idx)
+        reach = 64 if degree is None else degree
+        assert set(range(lo - reach, hi + reach + 1)) <= set(h)
+        if degree is not None:
+            assert all(lo - degree <= j <= hi + degree for j, v in h.items() if v != 0)
+
+    def test_replace_recomputes_from_c(self):
+        f = RationalAR(alpha=np.array([0.3 + 0.2j, -0.1]))
+        p = ObservationPattern("S6", N=1, M1=2, N1=2, M2=1, N2=3)
+        sol = solve(p, ones_weights(p), f)
+        h, h_grid = dict(sol.h_coeffs), sol.h_grid
+        doubled = dataclasses.replace(sol, c=2 * sol.c)
+        # h = a - c*b is affine in c: doubling c gives 2h - a
+        a = dict(zip(sol.indices, sol.a))
+        for j, v in doubled.h_coeffs.items():
+            assert abs(v - (2 * h[j] - a.get(j, 0.0))) < 1e-12
+        lam = angular_grid(sol.grid_size)
+        a_grid = sum(v * np.exp(1j * j * lam) for j, v in a.items())
+        assert np.allclose(doubled.h_grid, 2 * h_grid - a_grid, atol=1e-12)
+        assert dataclasses.replace(sol).h_coeffs == h
+
+    def test_truncated_keeps_deepest_solution(self):
+        f = RationalAR(alpha=0.5)
+        p = ObservationPattern("S2", N=1, M2=1, T=1)
+        w = FunctionalWeights(geometric=(1.0, 0.5))
+        sol = solve_truncated(p, w, f, schedule=(10, 20, 40, 60, 120))
+        deepest = solve(p.with_truncation(120), w, f)
+        assert np.array_equal(sol.c, deepest.c)
+        assert sol.h_coeffs == deepest.h_coeffs
+        assert np.array_equal(sol.h_grid, deepest.h_grid)

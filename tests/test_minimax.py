@@ -53,6 +53,15 @@ class TestD0Minus:
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         assert res.b0[0] == 1.0  # exact, not approximate
 
+    def test_mean_constraint_off_by_rounding(self):
+        # b0(0) = p a(n*) / a(n*) rounds away from p in the last bit here
+        p_val, anchor = 0.1, 3.0
+        assert p_val * anchor / anchor != p_val
+        w = FunctionalWeights(values={0: anchor, 2: 0.6})
+        res = lf_d0minus(S5_SMALL, w, D0Minus(p=p_val))
+        assert res.mechanism == "closed_form"
+        assert abs(res.delta0 - anchor ** 2 / p_val) < 1e-10 * anchor ** 2 / p_val
+
     def test_support_and_symmetry(self):
         p = ObservationPattern("S5", N=1, M2=1, N2=1)  # K = {0, 1, 3}
         w = FunctionalWeights(values={0: 1.0, 1: 0.3, 3: 0.1})

@@ -57,6 +57,16 @@ class TestProjection:
         proj = project(build_problem(p, w, f, window=400))
         assert abs(sol.delta - proj["mse"]) < 1e-6 * proj["mse"]
 
+    def test_matches_spectral_solver_complex(self):
+        # with a complex density and complex weights the normal equations
+        # must be conjugated consistently; real cases cannot tell
+        f = RationalAR(alpha=0.5 * np.exp(0.7j))
+        p = ObservationPattern("S5", N=1, M2=2, N2=2)
+        w = FunctionalWeights(values={0: 1 + 0.5j, 1: 0.3 - 1j, 4: 2.0, 5: -0.5 + 0.2j})
+        sol = solve(p, w, f)
+        proj = project(build_problem(p, w, f, window=100))
+        assert abs(sol.delta - proj["mse"]) < 1e-8 * proj["mse"]
+
     def test_window_monotone_decreasing(self):
         mses = [project(build_problem(EX_PATTERN, EX_WEIGHTS, EX_DENSITY,
                                       window=wn))["mse"]
