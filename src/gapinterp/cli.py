@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import densities, interpolate, minimax, oracle, patterns
-from .errors import GapInterpError, NumericalError, PositivityLost, ValidationError
+from .errors import GapInterpError, NumericalError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +198,9 @@ def cmd_least_favourable(config: dict, args) -> dict:
         result = minimax.lf_dW(f_pattern, weights, cls, grid_size=args.grid)
     else:
         result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid, seed=args.seed)
-    if result.mechanism == "closed_form_invalid":
-        raise PositivityLost("the anchored closed form is not a valid density for these weights",
-                             diagnostics=result.diagnostics)
+    # saddle_check refuses a closed_form_invalid result with PositivityLost
+    report = minimax.saddle_check(result, f_pattern, weights, cls,
+                                  n_samples=args.samples, seed=args.seed)
     record = {
         "b0": {str(m): _complex_out(result.b0[m])
                for m in range(-result.b0.half_length, result.b0.half_length + 1)
@@ -210,9 +210,8 @@ def cmd_least_favourable(config: dict, args) -> dict:
         "lagrange": {k: v for k, v in result.lagrange.items()
                      if isinstance(v, (int, float, str, list))},
         "mechanism": result.mechanism,
+        "saddle_report": report,
     }
-    record["saddle_report"] = minimax.saddle_check(result, f_pattern, weights, cls,
-                                                   n_samples=args.samples, seed=args.seed)
     if args.out and args.format in ("csv", "both"):
         f0_vals = result.f0.on_grid(result.grid_size)
         write_csv(
@@ -298,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--grid", type=int, default=densities.DEFAULT_GRID)
-    parser.add_argument("--truncation", type=int, nargs="+", default=None)
+    parser.add_argument("--truncation", type=int, nargs="+", default=None,
+                        help="truncation depths for S1-S3 (default 25, 50, ..., 6400); "
+                             "the solver stops at the first plateau")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for artifacts")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")

@@ -236,15 +236,13 @@ def inverse_fourier_coeffs(
     m = -half_length..half_length.
 
     For RationalAR and InversePolynomial inputs the exact finite expansion is
-    returned (padded with zeros); Tabulated inputs go through FFT quadrature
-    with a tail check.
+    returned (padded with zeros) at any half_length; Tabulated inputs go
+    through FFT quadrature with a tail check and need grid_size >= 4 * half_length.
 
     check_tail=False skips the truncation guards; the returned coefficients
     at lags within half_length are still exact quadrature values, which is
     all that matrix assembly over a bounded lag set needs.
     """
-    if grid_size < 4 * half_length:
-        raise InvalidParameters("grid_size must be at least 4 * half_length")
     if isinstance(f, RationalAR):
         exact = f.exact_inverse_coeffs()
         if exact.half_length > half_length:
@@ -269,6 +267,8 @@ def inverse_fourier_coeffs(
         # validate positivity on the grid as a precondition
         f.inverse_on_grid(grid_size)
         return _pad(b, half_length)
+    if grid_size < 4 * half_length:
+        raise InvalidParameters("grid_size must be at least 4 * half_length")
     inv = f.inverse_on_grid(grid_size)
     b = FourierCoeffs(grid_fourier_coefficients(inv, half_length)).symmetrized()
     if check_tail and abs(b[half_length]) > TAIL_RTOL * max(abs(b[0]), 1e-300):

@@ -7,12 +7,19 @@ observations on S = Z \\ K is characterized in the spectral domain by
 
 where C carries coefficients c solving the Gram system B c = a with
 B[u][v] = b(t_u - t_v), b = Fourier coefficients of 1/f. The error is
-Delta = <c, a> = sum_j c(j) conj(a(j)).
+Delta = <c, a> = sum_j c(j) conj(a(j)). Over the sorted gap set B is a band
+matrix of half-bandwidth at most p when 1/f has degree p (RationalAR,
+InversePolynomial; p = n - 1 for Tabulated), and one banded Cholesky solves
+it in O(n p^2).
 
 The Fourier coefficients of h are the finite convolution
 h(j) = a(j) - sum_k c(k) b(j - k). They are exact whenever 1/f is a finite
 trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
-`h_coeffs` and the grid values `h_grid` on first access, not in `solve`.
+`h_coeffs` and the grid values `h_grid` on first access, not in `solve`;
+`h_grid` needs 2 max|j| < grid_size and raises InvalidParameters otherwise.
+
+Infinite gaps (S1-S3) are cut at depths T = 25, 50, ..., 6400, doubling
+until the error plateaus and the weights beyond T are negligible.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
 )
 from .patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
 
-TRUNCATION_SCHEDULE = (25, 50, 100, 200, 400)
+TRUNCATION_SCHEDULE = tuple(25 * 2 ** k for k in range(9))  # 25, 50, ..., 6400
 PLATEAU_RTOL = 1e-8
 # lags of 1/f held beyond the gap span: h_coeffs covers [min K - 64, max K + 64]
 CHARACTERISTIC_MARGIN = 64
@@ -53,22 +60,10 @@ class GramMatrix:
     matrix: np.ndarray
     indices: tuple
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_hermitian(self.matrix, rhs)
-
-
-def solve_hermitian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a Hermitian positive-definite system by Cholesky; a failed
-    factorization surfaces as NotPositiveDefinite."""
-    try:
-        cf = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"coefficient matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-
 
 def build_gram(pattern: ObservationPattern, b: FourierCoeffs) -> GramMatrix:
-    """Assemble B over the canonical missing-index order."""
+    """Assemble the dense B over the canonical missing-index order; the
+    reference form of the entry rule that `solve_gram` applies to a band."""
     idx = missing_indices(pattern)
     lags = np.subtract.outer(idx, idx)
     if np.max(np.abs(lags)) > b.half_length:
@@ -78,6 +73,35 @@ def build_gram(pattern: ObservationPattern, b: FourierCoeffs) -> GramMatrix:
     half = b.half_length
     matrix = b.values[lags + half]
     return GramMatrix(matrix=np.asarray(matrix, dtype=complex), indices=tuple(idx))
+
+
+def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
+    """Solve B c = a, B[u][v] = b(t_u - t_v), by a banded Cholesky over the
+    sorted indices, and return c in the order of `indices`.
+
+    Sorted distinct integers satisfy |u - v| <= |t_u - t_v|, so the
+    half-bandwidth is at most p, the largest lag with b(p) != 0, and the solve
+    costs O(n p^2). A failed factorization raises NotPositiveDefinite.
+    """
+    t = np.asarray(indices)
+    order = np.argsort(t)
+    t = t[order]
+    n, half = t.size, b.half_length
+    if t[-1] - t[0] > half:
+        raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
+    support = np.flatnonzero(b.values[half:])
+    u = min(int(support[-1]) if support.size else 0, n - 1)
+    # lower band ab[k, j] = B[j + k, j]; LAPACK reads no entry past row n - 1,
+    # so clipping those rows into range only fills the unread corner
+    rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
+    ab = b.values[t[rows] - t + half]
+    try:
+        c_sorted = scipy.linalg.solveh_banded(ab, a[order], lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"coefficient matrix is not positive definite: {exc}") from exc
+    c = np.empty_like(c_sorted)
+    c[order] = c_sorted
+    return c
 
 
 @dataclass(frozen=True)
@@ -142,8 +166,7 @@ def solve(
     max_lag = max(max(idx) - min(idx), 1)
     half = max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
     b = inverse_fourier_coeffs(f, half_length=half, grid_size=grid_size, check_tail=False)
-    gram = build_gram(pattern, b)
-    c = gram.solve(a)
+    c = solve_gram(idx, a, b)
     inner = complex(np.sum(c * np.conj(a)))
     scale = max(float(np.max(np.abs(a))) ** 2 * len(idx), 1e-300)
     if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
@@ -183,22 +206,26 @@ def solve_truncated(
     grid_size: int = DEFAULT_GRID,
 ) -> InterpolationSolution:
     """Solve an infinite-pattern problem at increasing truncation depths and
-    require a relative plateau of the error sequence."""
+    stop at the first depth whose error matches the previous depth's within
+    PLATEAU_RTOL while the weights beyond it carry less than 1e-10 of their
+    l2 mass. NotConverged is raised only when the schedule is exhausted."""
     if not pattern.is_infinite:
         raise InvalidParameters("truncation schedule applies to infinite patterns only")
     schedule = sorted(set(int(t) for t in schedule))
     if len(schedule) < 2:
         raise InvalidParameters("schedule needs at least two depths")
     deltas = []
-    solution = None
     for depth in schedule:
-        solution = solve(pattern.with_truncation(depth), weights, f, grid_size=grid_size)
+        truncated = pattern.with_truncation(depth)
+        solution = solve(truncated, weights, f, grid_size=grid_size)
+        gap = abs(solution.delta - deltas[-1]) if deltas else np.inf
         deltas.append(solution.delta)
-    tail = weights.tail_fraction(pattern.with_truncation(schedule[-1]))
-    gap = abs(deltas[-1] - deltas[-2])
-    converged = gap <= PLATEAU_RTOL * max(abs(deltas[-1]), 1e-300) and tail < 1e-10
+        tail = weights.tail_fraction(truncated)
+        converged = gap <= PLATEAU_RTOL * max(abs(solution.delta), 1e-300) and tail < 1e-10
+        if converged:
+            break
     report = {
-        "schedule": schedule,
+        "schedule": schedule[: len(deltas)],
         "deltas": deltas,
         "final_gap": gap,
         "tail_fraction": tail,

@@ -55,12 +55,10 @@ from .errors import (
     WeightsNotPositive,
 )
 from .interpolate import (
-    GramMatrix,
     InterpolationSolution,
-    build_gram,
     mse_of_characteristic,
     solve,
-    solve_hermitian,
+    solve_gram,
 )
 from .patterns import (
     FunctionalWeights,
@@ -611,12 +609,8 @@ def numerical_lf(
     exps = np.exp(1j * np.outer(idx, lam))  # C(lambda) = c @ exps
 
     def objective(gv):
-        b = FourierCoeffs(grid_fourier_coefficients(gv, span)).symmetrized() if span else None
-        if span:
-            B = build_gram(pattern, b).matrix
-        else:
-            B = np.array([[np.mean(gv)]])
-        c = solve_hermitian(B, a)
+        b = FourierCoeffs(grid_fourier_coefficients(gv, span)).symmetrized()
+        c = solve_gram(idx, a, b)
         delta = float(np.real(np.sum(c * np.conj(a))))
         grad = -np.abs(c @ exps) ** 2 / G
         return delta, grad
@@ -732,7 +726,11 @@ def saddle_check(
     guaranteed sub-family for D0Minus), how often the classical error under f
     stays below delta0 (least-favourability), and whether perturbing h0 in
     admissible directions can only increase the error under f0.
+    A `closed_form_invalid` result has no f0 to probe: PositivityLost.
     """
+    if result.f0 is None:
+        raise PositivityLost("the anchored closed form is not a valid density for these weights",
+                             diagnostics=result.diagnostics)
     rng = np.random.default_rng(seed)
     G = result.grid_size
     tol = 1e-8 * max(result.delta0, 1.0)

@@ -20,10 +20,12 @@ from gapinterp.densities import (
 )
 from gapinterp.errors import GridMismatch, LagOutOfRange, NotConverged, NotPositiveDefinite
 from gapinterp.interpolate import (
+    PLATEAU_RTOL,
+    TRUNCATION_SCHEDULE,
     build_gram,
     mse_of_characteristic,
     solve,
-    solve_hermitian,
+    solve_gram,
     solve_truncated,
 )
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
@@ -279,11 +281,65 @@ class TestSolveTruncated:
         with pytest.raises(NotConverged):
             solve_truncated(p, w, f, schedule=(2, 3))
 
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    def test_doubling_converges_near_unit_decay(self, kind):
+        # rho = 0.97 plateaus only past T = 400, where a fixed 25..400
+        # schedule stopped with NotConverged
+        f = RationalAR(alpha=0.5)
+        p = ObservationPattern(kind, N=1, M1=2, M2=3, T=1)
+        w = FunctionalWeights(geometric=(1.0, 0.97))
+        sol = solve_truncated(p, w, f)
+        deep = solve(p.with_truncation(TRUNCATION_SCHEDULE[-1]), w, f)
+        assert abs(sol.delta - deep.delta) <= 1e-7 * deep.delta
 
-class TestSolveHermitian:
+        depths = sol.convergence["schedule"]
+        assert tuple(depths) == TRUNCATION_SCHEDULE[:len(depths)]
+        assert 400 < depths[-1] < TRUNCATION_SCHEDULE[-1]
+        deltas = sol.convergence["deltas"]
+        stops = [abs(d - prev) <= PLATEAU_RTOL * abs(d)
+                 and w.tail_fraction(p.with_truncation(t)) < 1e-10
+                 for t, prev, d in zip(depths[1:], deltas, deltas[1:])]
+        assert stops[-1] and not any(stops[:-1])
+
+
+class TestSolveGram:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["S1", "S2", "S3", "S4", "S5", "S6"]),
+        density=st.sampled_from(["ar1_real", "ar1_complex", "ar2", "inverse_poly", "tabulated"]),
+        N=st.integers(0, 4), M1=st.integers(1, 6), N1=st.integers(0, 8),
+        M2=st.integers(1, 6), N2=st.integers(0, 8), T=st.integers(1, 40),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_dense_solve(self, kind, density, N, M1, N1, M2, N2, T, seed):
+        rng = np.random.default_rng(seed)
+        # each kind reads only its own fields; S1-S3 are cut at depth T
+        p = ObservationPattern(kind, N=N, M1=M1, N1=N1, M2=M2, N2=N2, T=T)
+        idx = missing_indices(p)
+        w = FunctionalWeights(values={j: complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
+                                      for j in idx})
+        f, _ = draw_density(density, rng)
+        sol = solve(p, w, f)
+        dense = np.linalg.solve(build_gram(p, sol.b).matrix, sol.a)
+        dense_delta = float(np.real(np.sum(dense * np.conj(sol.a))))
+        assert sol.indices == tuple(idx)
+        assert np.linalg.norm(sol.c - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert abs(sol.delta - dense_delta) <= 1e-12 * dense_delta
+
+        # any input order comes back in that order
+        perm = rng.permutation(len(idx))
+        shuffled = solve_gram(np.asarray(idx)[perm], sol.a[perm], sol.b)
+        assert np.linalg.norm(shuffled - sol.c[perm]) <= 1e-12 * np.linalg.norm(dense)
+
     def test_indefinite_raises(self):
+        b = FourierCoeffs.from_dict({0: 1.0, 1: 1.0, -1: 1.0}, half_length=2)
         with pytest.raises(NotPositiveDefinite):
-            solve_hermitian(np.diag([1.0, -1.0]).astype(complex), np.ones(2, dtype=complex))
+            solve_gram([0, 1, 2], np.ones(3, dtype=complex), b)
+
+    def test_lag_out_of_range(self):
+        b = FourierCoeffs.from_dict({0: 1.25, 1: -0.5, -1: -0.5})
+        with pytest.raises(LagOutOfRange):
+            solve_gram([0, 2], np.ones(2, dtype=complex), b)
 
 
 def grid_route(sol, f):
@@ -372,7 +428,7 @@ class TestCharacteristic:
         p = ObservationPattern("S2", N=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
         sol = solve_truncated(p, w, f, schedule=(10, 20, 40, 60, 120))
-        deepest = solve(p.with_truncation(120), w, f)
+        deepest = solve(p.with_truncation(sol.convergence["schedule"][-1]), w, f)
         assert np.array_equal(sol.c, deepest.c)
         assert sol.h_coeffs == deepest.h_coeffs
         assert np.array_equal(sol.h_grid, deepest.h_grid)

@@ -141,6 +141,15 @@ class TestD0Minus:
                               n_samples=60, seed=7)
         assert not report["all_pass"]
 
+    def test_saddle_check_refuses_invalid_closed_form(self):
+        p = ObservationPattern("S4", N=1, M1=2, N1=3)
+        w = FunctionalWeights(values={j: 1.0 for j in missing_indices(p)})
+        res = lf_d0minus(p, w, D0Minus(p=1.0))
+        assert res.mechanism == "closed_form_invalid"
+        with pytest.raises(PositivityLost) as info:
+            saddle_check(res, p, w, D0Minus(p=1.0), n_samples=5)
+        assert info.value.diagnostics["inv_min"] == res.diagnostics["inv_min"] < 0
+
 
 class TestDW:
     def test_degenerate_constant_error(self):
