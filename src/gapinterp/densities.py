@@ -34,30 +34,33 @@ def angular_grid(n: int) -> np.ndarray:
 
 def grid_fourier_coefficients(values: np.ndarray, max_lag: int) -> np.ndarray:
     """Quadrature values of (1/2pi) * integral of values(lambda) e^{-im lambda}
-    for m = -max_lag .. max_lag, computed by FFT on the angular grid."""
+    for m = -max_lag .. max_lag, computed by FFT on the angular grid along the
+    last axis (one row of coefficients per row of values)."""
     values = np.asarray(values, dtype=complex)
-    n = values.size
+    n = values.shape[-1]
     if 2 * max_lag >= n:
         raise InvalidParameters(f"grid of {n} points resolves lags < {n // 2}, got {max_lag}")
-    spec = np.fft.fft(values) / n
+    spec = np.fft.fft(values, axis=-1)
     m = np.arange(-max_lag, max_lag + 1)
-    # phase factor e^{i m pi} from the grid starting at -pi
-    return np.where(m % 2 == 0, 1.0, -1.0) * spec[m % n]
+    # phase factor e^{i m pi} from the grid starting at -pi; only the kept
+    # lags are divided by n
+    return np.where(m % 2 == 0, 1.0, -1.0) * spec[..., m % n] / n
 
 
 def evaluate_trig_poly(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Evaluate sum_m c(m) e^{im lambda} on the angular grid of n points.
 
-    coeffs is indexed m = -L..L with L = (len(coeffs)-1)//2.
+    coeffs is indexed m = -L..L along the last axis, L = (coeffs.shape[-1]-1)//2;
+    each row of coefficients gives one row of grid values.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    half = (coeffs.size - 1) // 2
+    half = (coeffs.shape[-1] - 1) // 2
     if 2 * half >= n:
         raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
     m = np.arange(-half, half + 1)
-    spread = np.zeros(n, dtype=complex)
-    spread[m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
-    return n * np.fft.ifft(spread)
+    spread = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    spread[..., m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
+    return n * np.fft.ifft(spread, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class SpectralDensity:
 
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         f = self.on_grid(grid_size)
-        _check_positive(f)
+        check_positive(f)
         return 1.0 / f
 
 
@@ -186,7 +189,7 @@ class InversePolynomial(SpectralDensity):
         if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals)), 1.0):
             raise InvalidParameters("inverse polynomial is not real on the grid")
         inv = vals.real
-        _check_positive(inv)
+        check_positive(inv)
         return inv
 
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
@@ -218,11 +221,16 @@ class Tabulated(SpectralDensity):
         return out.real
 
 
-def _check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
-    top = np.max(values)
-    if top <= 0 or np.min(values) <= rtol * top:
+def check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
+    """Raise NonPositiveDensity unless every row of values (along the last
+    axis) is strictly positive relative to its maximum."""
+    top = np.max(values, axis=-1)
+    low = np.min(values, axis=-1)
+    bad = np.flatnonzero((top <= 0) | (low <= rtol * top))
+    if bad.size:
+        low, top = np.ravel(low)[bad[0]], np.ravel(top)[bad[0]]
         raise NonPositiveDensity(
-            f"density not strictly positive on grid (min {np.min(values):.3e}, max {top:.3e})"
+            f"density not strictly positive on grid (min {low:.3e}, max {top:.3e})"
         )
 
 
@@ -297,7 +305,7 @@ def covariance(f: SpectralDensity, lag: int, grid_size: int = DEFAULT_GRID) -> c
     if abs(lag) > grid_size // 4:
         raise InvalidParameters("lag too large for the grid")
     vals = f.on_grid(grid_size)
-    _check_positive(vals)
+    check_positive(vals)
     return complex(grid_fourier_coefficients(vals, abs(lag))[-lag + abs(lag)])
 
 
@@ -305,7 +313,7 @@ def covariances(f: SpectralDensity, max_lag: int, grid_size: int | None = None) 
     """r(n) for n = 0..max_lag (r(-n) = conj r(n))."""
     g = grid_size if grid_size is not None else max(DEFAULT_GRID, 8 * max_lag)
     vals = f.on_grid(g)
-    _check_positive(vals)
+    check_positive(vals)
     coeffs = grid_fourier_coefficients(vals, max_lag)
     return coeffs[max_lag::-1].copy()  # index n -> coefficient at e^{+in}
 

@@ -49,7 +49,8 @@ from .patterns import FunctionalWeights, ObservationPattern, missing_indices, we
 
 TRUNCATION_SCHEDULE = tuple(25 * 2 ** k for k in range(9))  # 25, 50, ..., 6400
 PLATEAU_RTOL = 1e-8
-# lags of 1/f held beyond the gap span: h_coeffs covers [min K - 64, max K + 64]
+# lags of 1/f held beyond the gap span: for Tabulated input h_coeffs covers
+# [min K - 64, max K + 64]
 CHARACTERISTIC_MARGIN = 64
 
 
@@ -125,28 +126,34 @@ class InterpolationSolution:
 
     @cached_property
     def h_coeffs(self) -> dict:
-        """h(j) = a(j) - sum_k c(k) b(j - k) on the lags j in
-        [max K - L, min K + L], where every b(j - k) is held. When 1/f is a
-        trigonometric polynomial of degree p <= L - span, every nonzero h(j)
-        is among them."""
+        """h(j) = a(j) - sum_k c(k) b(j - k), with b cut to its support
+        [-p, p], p the largest lag with b(p) != 0. When p < L, 1/f is a
+        trigonometric polynomial of degree p and the lags [min K - p, max K + p]
+        hold every nonzero h(j). When p = L (Tabulated), only the lags
+        [max K - L, min K + L], where every b(j - k) is held, are returned."""
         idx = np.asarray(self.indices)
         lo, hi, half = int(idx.min()), int(idx.max()), self.b.half_length
+        support = np.flatnonzero(self.b.values[half:])
+        p = int(support[-1]) if support.size else 0
         c_spread = np.zeros(hi - lo + 1, dtype=complex)
         c_spread[idx - lo] = self.c
-        conv = np.convolve(c_spread, self.b.values)[hi - lo: 2 * half + 1]
+        conv = np.convolve(c_spread, self.b.values[half - p: half + p + 1])
+        cut = hi - lo if p == half else 0
+        conv = conv[cut: conv.size - cut]
+        first = lo - p + cut
         a_spread = np.zeros_like(conv)
-        a_spread[idx - hi + half] = self.a
-        return dict(zip(range(hi - half, lo + half + 1), (a_spread - conv).tolist()))
+        a_spread[idx - first] = self.a
+        return dict(zip(range(first, first + conv.size), (a_spread - conv).tolist()))
 
     @cached_property
     def h_grid(self) -> np.ndarray:
         """h = A - C / f on the angular grid of grid_size points."""
-        a_grid = _poly_on_grid(self.indices, self.a, self.grid_size)
-        c_grid = _poly_on_grid(self.indices, self.c, self.grid_size)
+        a_grid = poly_on_grid(self.indices, self.a, self.grid_size)
+        c_grid = poly_on_grid(self.indices, self.c, self.grid_size)
         return a_grid - c_grid / self.f.on_grid(self.grid_size)
 
 
-def _poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
+def poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
     half = max(abs(j) for j in indices) if indices else 0
     spread = np.zeros(2 * half + 1, dtype=complex)
     for j, v in zip(indices, coeffs):
@@ -167,13 +174,19 @@ def solve(
     half = max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
     b = inverse_fourier_coeffs(f, half_length=half, grid_size=grid_size, check_tail=False)
     c = solve_gram(idx, a, b)
+    return InterpolationSolution(
+        indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
+    )
+
+
+def error_value(c: np.ndarray, a: np.ndarray) -> float:
+    """Delta = <c, a> = sum_j c(j) conj(a(j)). B is Hermitian positive
+    definite, so an imaginary part beyond rounding raises NotPositiveDefinite."""
     inner = complex(np.sum(c * np.conj(a)))
-    scale = max(float(np.max(np.abs(a))) ** 2 * len(idx), 1e-300)
+    scale = max(float(np.max(np.abs(a))) ** 2 * a.size, 1e-300)
     if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
         raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
-    return InterpolationSolution(
-        indices=tuple(idx), c=c, a=a, delta=float(inner.real), grid_size=grid_size, f=f, b=b,
-    )
+    return float(inner.real)
 
 
 def mse_of_characteristic(
@@ -184,6 +197,16 @@ def mse_of_characteristic(
 ) -> float:
     """Delta(h; f) = (1/2pi) int |A - h|^2 f dlambda for an arbitrary pair."""
     grid_size = h_grid.size
+    f_grid = density_on_grid(f, grid_size)
+    idx = missing_indices(pattern)
+    a = weight_vector(weights, pattern)
+    a_grid = poly_on_grid(idx, a, grid_size)
+    return float(np.mean(np.abs(a_grid - h_grid) ** 2 * f_grid))
+
+
+def density_on_grid(f: SpectralDensity, grid_size: int) -> np.ndarray:
+    """Values of f on the grid of a characteristic; a Tabulated density finer
+    than that grid is refused rather than downsampled."""
     if isinstance(f, Tabulated) and f.values.size > grid_size:
         raise GridMismatch(
             "tabulated density is finer than the characteristic grid; "
@@ -192,10 +215,7 @@ def mse_of_characteristic(
     f_grid = f.on_grid(grid_size)
     if f_grid.size != grid_size:
         raise GridMismatch("density grid does not match the characteristic grid")
-    idx = missing_indices(pattern)
-    a = weight_vector(weights, pattern)
-    a_grid = _poly_on_grid(idx, a, grid_size)
-    return float(np.mean(np.abs(a_grid - h_grid) ** 2 * f_grid))
+    return f_grid
 
 
 def solve_truncated(

@@ -37,6 +37,7 @@ from .densities import (
     SpectralDensity,
     Tabulated,
     angular_grid,
+    check_positive,
     evaluate_trig_poly,
     factorize_inverse,
     grid_fourier_coefficients,
@@ -56,7 +57,9 @@ from .errors import (
 )
 from .interpolate import (
     InterpolationSolution,
-    mse_of_characteristic,
+    density_on_grid,
+    error_value,
+    poly_on_grid,
     solve,
     solve_gram,
 )
@@ -71,6 +74,9 @@ OPT_GRID = 512
 PG_TOL = 1e-7
 MAX_ITERS = 10000
 _FLOOR = 1e-9
+# sampled class members that saddle_check holds on the grid at once; its
+# memory stays O(SADDLE_BLOCK * grid size) for any number of samples
+SADDLE_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +531,21 @@ def _project_d0minus(g: np.ndarray, p: float, floor: float) -> np.ndarray:
 def _project_dvu(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float) -> np.ndarray:
     from scipy.optimize import brentq
 
+    clipped = np.empty_like(g)
+
+    def clip_shifted(s):
+        # np.clip(g + s, lo, hi) in one reused buffer; the mean below is
+        # np.mean's sum and division, so the root is the same to the bit
+        np.add(g, s, out=clipped)
+        return np.minimum(np.maximum(clipped, lo, out=clipped), hi, out=clipped)
+
     def gap(s):
-        return np.mean(np.clip(g + s, lo, hi)) - p
+        return np.add.reduce(clip_shifted(s)) / g.size - p
 
     smin = float(np.min(lo - g)) - 1.0
     smax = float(np.max(hi - g)) + 1.0
     s = brentq(gap, smin, smax)
-    return np.clip(g + s, lo, hi)
+    return clip_shifted(s).copy()
 
 
 def _project_dw(g: np.ndarray, moment_rows: np.ndarray, b_given: np.ndarray,
@@ -665,50 +679,68 @@ def numerical_lf(
 # sampling and saddle verification
 # ---------------------------------------------------------------------------
 
-def sample_density(cls, result: LeastFavourableResult, rng: np.random.Generator,
-                   grid_size: int | None = None) -> SpectralDensity:
-    """Draw a random class member.
+def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
+    """Return draw(rng), which gives g = 1/f of one random class member on the
+    grid of grid_size points. Everything that does not depend on the draw is
+    computed here, once per sampler.
 
     For D0Minus the draw stays in the sub-family 1/f = 1/f0 + (nonnegative
     random trig polynomial), on which the saddle inequality is guaranteed;
     the class as a whole is non-convex and contains members with larger
     error against the robust characteristic.
     """
-    G = grid_size or result.grid_size
+    G = grid_size
     lam = angular_grid(G)
     if isinstance(cls, D0Minus):
         base = result.f0.inverse_on_grid(G)
-        deg = rng.integers(1, 6)
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        poly = np.zeros(G, dtype=complex)
-        for n, cc in enumerate(coeffs):
-            poly += cc * np.exp(-1j * n * lam)
-        bump = np.abs(poly) ** 2
-        bump *= rng.uniform(0.0, 1.0) * np.mean(base) / max(np.mean(bump), 1e-300)
-        return Tabulated(1.0 / (base + bump))
+        base_mean = np.mean(base)
+        waves = [np.exp(-1j * n * lam) for n in range(6)]
+
+        def draw(rng):
+            deg = rng.integers(1, 6)
+            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            poly = np.zeros(G, dtype=complex)
+            for cc, wave in zip(coeffs, waves):
+                poly += cc * wave
+            bump = np.abs(poly) ** 2
+            bump *= rng.uniform(0.0, 1.0) * base_mean / max(np.mean(bump), 1e-300)
+            return base + bump
+
+        return draw
     if isinstance(cls, DW):
         moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
         g = cls.inverse_poly().evaluate(G).real
-        direction = rng.normal(size=G)
-        # keep the draw an even function of lambda: the class pins cosine
-        # moments only, and the degeneracy statements live in the even family
-        direction = 0.5 * (direction + direction[(-np.arange(G)) % G])
-        direction /= max(np.max(np.abs(direction)), 1e-300)
         base_min = float(np.min(g))
-        amp = 0.5 * base_min
-        while amp > 1e-6 * base_min:
-            trial = _project_dw(g + amp * direction, moment_rows, cls.b_given, _FLOOR)
-            if np.min(trial) >= 0.1 * base_min:
-                return Tabulated(1.0 / trial)
-            amp *= 0.5
-        return Tabulated(1.0 / g)
+        mirror = (-np.arange(G)) % G
+
+        def draw(rng):
+            direction = rng.normal(size=G)
+            # keep the draw an even function of lambda: the class pins cosine
+            # moments only, and the degeneracy statements live in the even family
+            direction = 0.5 * (direction + direction[mirror])
+            direction /= max(np.max(np.abs(direction)), 1e-300)
+            amp = 0.5 * base_min
+            while amp > 1e-6 * base_min:
+                trial = _project_dw(g + amp * direction, moment_rows, cls.b_given, _FLOOR)
+                if np.min(trial) >= 0.1 * base_min:
+                    return trial
+                amp *= 0.5
+            return g
+
+        return draw
     if isinstance(cls, DVU):
         lo = 1.0 / cls.u.on_grid(G)
         hi = 1.0 / cls.v.on_grid(G)
-        g = rng.uniform(lo, hi)
-        g = _project_dvu(g, lo, hi, cls.p)
-        return Tabulated(1.0 / g)
+        return lambda rng: _project_dvu(rng.uniform(lo, hi), lo, hi, cls.p)
     raise InvalidParameters(f"unsupported class {type(cls).__name__}")
+
+
+def sample_density(cls, result: LeastFavourableResult, rng: np.random.Generator,
+                   grid_size: int | None = None) -> SpectralDensity:
+    """Draw a random class member: the member that saddle_check draws next
+    from the same rng (see _member_sampler)."""
+    draw = _member_sampler(cls, result, grid_size or result.grid_size)
+    return Tabulated(1.0 / draw(rng))
 
 
 def saddle_check(
@@ -726,52 +758,73 @@ def saddle_check(
     guaranteed sub-family for D0Minus), how often the classical error under f
     stays below delta0 (least-favourability), and whether perturbing h0 in
     admissible directions can only increase the error under f0.
-    A `closed_form_invalid` result has no f0 to probe: PositivityLost.
+
+    The members are drawn first, SADDLE_BLOCK at a time, as rows of f on the
+    grid (the same draws as sample_density from the same rng). Each block is
+    then checked together: Delta(h0; f) for every row is one weighted row
+    mean of f against |A - h0|^2, and the coefficients b of every 1/f come
+    from one FFT along the rows, followed by one banded solve_gram per
+    member. The perturbations of h0 are likewise evaluated on the grid by one
+    batched inverse FFT and weighed against f0 in one row mean.
+    n_samples < 1 raises InvalidParameters. A `closed_form_invalid` result
+    has no f0 to probe: PositivityLost.
     """
+    if n_samples < 1:
+        raise InvalidParameters(f"saddle check needs at least one sample, got {n_samples}")
     if result.f0 is None:
         raise PositivityLost("the anchored closed form is not a valid density for these weights",
                              diagnostics=result.diagnostics)
     rng = np.random.default_rng(seed)
     G = result.grid_size
-    tol = 1e-8 * max(result.delta0, 1.0)
+    delta0 = result.delta0
+    tol = 1e-8 * max(delta0, 1.0)
+    idx = missing_indices(pattern)
+    a = weight_vector(weights, pattern)
+    a_grid = poly_on_grid(idx, a, G)
+    upper_weight = np.abs(a_grid - result.h0_grid) ** 2
+    span = max(max(idx) - min(idx), 1)
+    if 4 * span > G:
+        # the quadrature guard of inverse_fourier_coeffs for tabulated densities
+        raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
 
-    upper_pass = 0
-    dominance_pass = 0
-    worst_excess = -np.inf
-    for _ in range(n_samples):
-        f = sample_density(cls, result, rng, grid_size=G)
-        val = mse_of_characteristic(result.h0_grid, pattern, weights, f)
-        excess = val - result.delta0
-        worst_excess = max(worst_excess, excess)
-        if excess <= tol:
-            upper_pass += 1
-        if solve(pattern, weights, f, grid_size=G).delta <= result.delta0 + tol:
-            dominance_pass += 1
+    draw = _member_sampler(cls, result, G)
+    excess = np.empty(n_samples)
+    deltas = np.empty(n_samples)
+    for start in range(0, n_samples, SADDLE_BLOCK):
+        rows = range(start, min(start + SADDLE_BLOCK, n_samples))
+        f = 1.0 / np.stack([draw(rng) for _ in rows])
+        if np.min(f) < 0:
+            raise InvalidParameters("tabulated density has negative values")
+        check_positive(f)
+        excess[rows.start: rows.stop] = np.mean(upper_weight * f, axis=-1) - delta0
+        b = grid_fourier_coefficients(1.0 / f, span)
+        for k, b_row in zip(rows, 0.5 * (b + np.conj(b[:, ::-1]))):
+            deltas[k] = error_value(solve_gram(idx, a, FourierCoeffs(b_row)), a)
 
-    # perturb h0 by trig polynomials supported on observed indices
-    idx = set(missing_indices(pattern))
-    lam = angular_grid(G)
-    observed = [j for j in range(-(max(abs(min(idx)), abs(max(idx))) + 10),
-                                 max(abs(min(idx)), abs(max(idx))) + 11) if j not in idx]
-    lower_pass = 0
+    # perturb h0 by trig polynomials supported on observed indices (at most
+    # the degree the grid resolves)
+    reach = min(max(abs(min(idx)), abs(max(idx))) + 10, (G - 1) // 2)
+    missing = set(idx)
+    observed = [j for j in range(-reach, reach + 1) if j not in missing]
     n_pert = min(n_samples, 50)
-    scale = np.sqrt(float(np.sum(np.abs(weight_vector(weights, pattern)) ** 2)))
-    for _ in range(n_pert):
-        picks = rng.choice(observed, size=min(5, len(observed)), replace=False)
-        dh = np.zeros(G, dtype=complex)
-        for j in picks:
-            dh += (rng.normal() + 1j * rng.normal()) * np.exp(1j * j * lam)
-        dh *= 0.1 * scale / max(float(np.max(np.abs(dh))), 1e-300)
-        val = mse_of_characteristic(result.h0_grid + dh, pattern, weights, result.f0)
-        if val >= result.delta0 - 1e-10 * max(result.delta0, 1.0):
-            lower_pass += 1
+    dh_coeffs = np.zeros((n_pert, 2 * reach + 1), dtype=complex)
+    for row in dh_coeffs:
+        for j in rng.choice(observed, size=min(5, len(observed)), replace=False):
+            row[j + reach] = rng.normal() + 1j * rng.normal()
+    dh = evaluate_trig_poly(dh_coeffs, G)
+    scale = np.sqrt(float(np.sum(np.abs(a) ** 2)))
+    dh *= 0.1 * scale / np.maximum(np.max(np.abs(dh), axis=-1, keepdims=True), 1e-300)
+    f0_grid = density_on_grid(result.f0, G)
+    vals = np.mean(np.abs(a_grid - (result.h0_grid + dh)) ** 2 * f0_grid, axis=-1)
 
+    upper_pass = int(np.count_nonzero(excess <= tol))
+    lower_pass = int(np.count_nonzero(vals >= delta0 - 1e-10 * max(delta0, 1.0)))
     return {
         "n_samples": n_samples,
         "upper_pass": upper_pass,
-        "dominance_pass": dominance_pass,
+        "dominance_pass": int(np.count_nonzero(deltas <= delta0 + tol)),
         "lower_pass": lower_pass,
         "n_perturbations": n_pert,
-        "worst_upper_excess": float(worst_excess),
+        "worst_upper_excess": float(np.max(excess)),
         "all_pass": upper_pass == n_samples and lower_pass == n_pert,
     }

@@ -173,7 +173,11 @@ class FunctionalWeights:
 def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
     """Weights stacked in the canonical order of missing_indices(pattern)."""
     weights.check_support(pattern)
-    return np.array([weights(j) for j in missing_indices(pattern)], dtype=complex)
+    idx = missing_indices(pattern)
+    if weights.is_geometric:
+        c, rho = weights._geometric
+        return (c * rho ** np.abs(np.array(idx, dtype=float))).astype(complex)
+    return np.array([weights(j) for j in idx], dtype=complex)
 
 
 def span(pattern: ObservationPattern) -> int:

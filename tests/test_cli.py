@@ -161,13 +161,21 @@ class TestFailureRecords:
         assert rec["category"] == "numerical"
         assert rec["diagnostics"]["inv_min"] < 0
 
-    def test_non_finite_value_is_numerical_error(self, tmp_path):
-        # with no samples the worst saddle excess is -inf, which JSON cannot hold
-        code, rec, _ = run(tmp_path, "least-favourable", LF_CONFIG, "--samples", "0")
+    def test_non_finite_value_is_numerical_error(self, tmp_path, monkeypatch):
+        # a command whose record holds an infinity, which JSON cannot hold
+        monkeypatch.setitem(cli.COMMANDS, "least-favourable",
+                            lambda config, args: {"worst_upper_excess": float("-inf")})
+        code, rec, _ = run(tmp_path, "least-favourable", LF_CONFIG)
         assert code == 2
         assert rec["error"] == "NonFiniteValue"
         with pytest.raises(ValueError):
             cli.write_json(None, {"delta": float("nan")})
+
+    def test_no_saddle_samples_is_validation_error(self, tmp_path):
+        code, rec, _ = run(tmp_path, "least-favourable", LF_CONFIG, "--samples", "0")
+        assert code == 1
+        assert rec["error"] == "InvalidParameters"
+        assert rec["category"] == "validation"
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from gapinterp.densities import (
     RationalAR,
     Tabulated,
     angular_grid,
+    check_positive,
     covariance,
     covariances,
     evaluate_trig_poly,
@@ -53,6 +54,23 @@ class TestGridQuadrature:
     def test_lag_too_large(self):
         with pytest.raises(InvalidParameters):
             grid_fourier_coefficients(np.ones(16), 8)
+
+    def test_positivity_checked_per_row(self):
+        rows = np.ones((3, 16))
+        check_positive(rows)
+        rows[1, 5] = 1e-12  # positive, but not relative to the row maximum
+        with pytest.raises(NonPositiveDensity, match="min 1.000e-12, max 1.000e"):
+            check_positive(rows)
+
+    def test_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(4)
+        values = rng.uniform(0.5, 2.0, size=(3, 64))
+        coeffs = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
+        batch_coeffs = grid_fourier_coefficients(values, 5)
+        batch_values = evaluate_trig_poly(coeffs, 64)
+        for k in range(3):
+            assert np.array_equal(batch_coeffs[k], grid_fourier_coefficients(values[k], 5))
+            assert np.array_equal(batch_values[k], evaluate_trig_poly(coeffs[k], 64))
 
 
 class TestFourierCoeffs:

@@ -423,6 +423,25 @@ class TestCharacteristic:
         assert np.allclose(doubled.h_grid, 2 * h_grid - a_grid, atol=1e-12)
         assert dataclasses.replace(sol).h_coeffs == h
 
+    def test_coefficients_reach_past_the_grid_cap(self):
+        # span > G/4 - 64: b is fetched at half-length span, and h must still
+        # reach one lag past each end of K, where AR(1) makes it nonzero
+        f = RationalAR(alpha=0.5)
+        p = ObservationPattern("S3", N=0, M1=1, M2=1, T=3000)
+        w = FunctionalWeights(geometric=(1.0, 0.9))
+        sol = solve(p, w, f, grid_size=4096)
+        b = f.exact_inverse_coeffs()
+        a, c = dict(zip(sol.indices, sol.a)), dict(zip(sol.indices, sol.c))
+        h = sol.h_coeffs
+        lo, hi = min(sol.indices), max(sol.indices)
+        assert sorted(h) == list(range(lo - 1, hi + 2))
+        assert h[lo - 1] != 0 and h[hi + 1] != 0
+        tol = 1e-12 * float(np.linalg.norm(sol.a))
+        for j, v in h.items():
+            # b(m) = 0 for |m| > 1, so only k = j - 1, j, j + 1 contribute
+            direct = a.get(j, 0.0) - sum(c[k] * b[j - k] for k in (j - 1, j, j + 1) if k in c)
+            assert abs(v - direct) <= tol
+
     def test_truncated_keeps_deepest_solution(self):
         f = RationalAR(alpha=0.5)
         p = ObservationPattern("S2", N=1, M2=1, T=1)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gapinterp.densities import (
     FourierCoeffs,
@@ -20,11 +21,13 @@ from gapinterp.errors import (
     PositivityLost,
     WeightsNotPositive,
 )
+from gapinterp import minimax
 from gapinterp.interpolate import mse_of_characteristic, solve
 from gapinterp.minimax import (
     D0Minus,
     DVU,
     DW,
+    _project_dw,
     anchor_index,
     lf_d0minus,
     lf_dvu,
@@ -33,7 +36,7 @@ from gapinterp.minimax import (
     saddle_check,
     sample_density,
 )
-from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
+from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
 
 
 S5_SMALL = ObservationPattern("S5", N=0, M2=1, N2=1)  # K = {0, 2}
@@ -337,3 +340,167 @@ class TestNumerical:
             f = sample_density(cls, res, rng)
             g = f.inverse_on_grid(res.grid_size)
             assert np.mean(g) >= 1.0 - 1e-10
+
+
+def loop_sample_density(cls, result, rng, G):
+    """One class member drawn as the per-sample saddle check drew it, with
+    every grid invariant recomputed on each draw."""
+    lam = angular_grid(G)
+    if isinstance(cls, D0Minus):
+        base = result.f0.inverse_on_grid(G)
+        deg = rng.integers(1, 6)
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        poly = np.zeros(G, dtype=complex)
+        for n, cc in enumerate(coeffs):
+            poly += cc * np.exp(-1j * n * lam)
+        bump = np.abs(poly) ** 2
+        bump *= rng.uniform(0.0, 1.0) * np.mean(base) / max(np.mean(bump), 1e-300)
+        return Tabulated(1.0 / (base + bump))
+    if isinstance(cls, DW):
+        moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
+        g = cls.inverse_poly().evaluate(G).real
+        direction = rng.normal(size=G)
+        direction = 0.5 * (direction + direction[(-np.arange(G)) % G])
+        direction /= max(np.max(np.abs(direction)), 1e-300)
+        base_min = float(np.min(g))
+        amp = 0.5 * base_min
+        while amp > 1e-6 * base_min:
+            trial = _project_dw(g + amp * direction, moment_rows, cls.b_given, 1e-9)
+            if np.min(trial) >= 0.1 * base_min:
+                return Tabulated(1.0 / trial)
+            amp *= 0.5
+        return Tabulated(1.0 / g)
+    lo = 1.0 / cls.u.on_grid(G)
+    hi = 1.0 / cls.v.on_grid(G)
+    g = rng.uniform(lo, hi)
+
+    def gap(s):
+        return np.mean(np.clip(g + s, lo, hi)) - cls.p
+
+    s = brentq(gap, float(np.min(lo - g)) - 1.0, float(np.max(hi - g)) + 1.0)
+    return Tabulated(1.0 / np.clip(g + s, lo, hi))
+
+
+def loop_saddle_check(result, pattern, weights, cls, n_samples, seed):
+    """The saddle check one member at a time: loop_sample_density,
+    mse_of_characteristic and solve per member, and one grid sum of complex
+    exponentials per perturbation of h0. The reference for the batch."""
+    rng = np.random.default_rng(seed)
+    G = result.grid_size
+    tol = 1e-8 * max(result.delta0, 1.0)
+    upper = dominance = 0
+    worst = -np.inf
+    for _ in range(n_samples):
+        f = loop_sample_density(cls, result, rng, G)
+        excess = mse_of_characteristic(result.h0_grid, pattern, weights, f) - result.delta0
+        worst = max(worst, excess)
+        upper += int(excess <= tol)
+        dominance += int(solve(pattern, weights, f, grid_size=G).delta <= result.delta0 + tol)
+    idx = set(missing_indices(pattern))
+    reach = max(abs(min(idx)), abs(max(idx))) + 10
+    observed = [j for j in range(-reach, reach + 1) if j not in idx]
+    lam = angular_grid(G)
+    scale = np.sqrt(float(np.sum(np.abs(weight_vector(weights, pattern)) ** 2)))
+    lower = 0
+    n_pert = min(n_samples, 50)
+    for _ in range(n_pert):
+        picks = rng.choice(observed, size=min(5, len(observed)), replace=False)
+        dh = np.zeros(G, dtype=complex)
+        for j in picks:
+            dh += (rng.normal() + 1j * rng.normal()) * np.exp(1j * j * lam)
+        dh *= 0.1 * scale / max(float(np.max(np.abs(dh))), 1e-300)
+        val = mse_of_characteristic(result.h0_grid + dh, pattern, weights, result.f0)
+        lower += int(val >= result.delta0 - 1e-10 * max(result.delta0, 1.0))
+    return {
+        "n_samples": n_samples, "upper_pass": upper, "dominance_pass": dominance,
+        "lower_pass": lower, "n_perturbations": n_pert, "worst_upper_excess": worst,
+        "all_pass": upper == n_samples and lower == n_pert,
+    }
+
+
+SADDLE_PATTERNS = {
+    "S4": ObservationPattern("S4", N=1, M1=2, N1=2),             # K = {0, 1, -3, -4}
+    "S5": ObservationPattern("S5", N=1, M2=2, N2=2),             # K = {0, 1, 4, 5}
+    "S6": ObservationPattern("S6", N=1, M1=2, N1=1, M2=2, N2=2),  # K = {0, 1, -3, 4, 5}
+}
+
+
+def saddle_problem(kind, family):
+    """(pattern, anchor-dominated weights, class, least-favourable result)."""
+    pattern = SADDLE_PATTERNS[kind]
+    idx = missing_indices(pattern)
+    anchor = anchor_index(pattern)
+    weights = FunctionalWeights(values={j: 1.0 if j == anchor else 0.1 + 0.02 * j for j in idx})
+    if family == "d0minus":
+        cls = D0Minus(p=1.3)
+        return pattern, weights, cls, lf_d0minus(pattern, weights, cls)
+    if family == "dw":
+        span = max(idx) - min(idx)
+        cls = DW(b_given=np.array([1.25, -0.5] + [0.0] * (span - 1)))
+        return pattern, weights, cls, lf_dW(pattern, weights, cls)
+    box = (0.5, 1.2) if kind == "S5" else (0.05, 20.0)  # numerical on S5, closed form else
+    cls = DVU(v=Tabulated(np.full(512, box[0])), u=Tabulated(np.full(512, box[1])), p=1.0)
+    return pattern, weights, cls, lf_dvu(pattern, weights, cls)
+
+
+class TestSaddleBatch:
+    # raising delta0 by 0.3% makes the pass counts partial, so that a count
+    # that differs between batch and loop can show
+    @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("kind", ["S4", "S5", "S6"])
+    @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
+    def test_matches_per_sample_loop(self, family, kind, seed, raise_delta0, monkeypatch):
+        pattern, weights, cls, res = saddle_problem(kind, family)
+        res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
+        # 40 members in blocks of 16, 16 and 8
+        monkeypatch.setattr(minimax, "SADDLE_BLOCK", 16)
+        batch = saddle_check(res, pattern, weights, cls, n_samples=40, seed=seed)
+        loop = loop_saddle_check(res, pattern, weights, cls, n_samples=40, seed=seed)
+        worst_batch = batch.pop("worst_upper_excess")
+        worst_loop = loop.pop("worst_upper_excess")
+        assert batch == loop
+        assert abs(worst_batch - worst_loop) <= 1e-12 * abs(worst_loop)
+
+    @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
+    def test_sample_density_gives_the_batch_members(self, family, monkeypatch):
+        pattern, weights, cls, res = saddle_problem("S6", family)
+        blocks = []
+        check = minimax.check_positive
+
+        def capture(values):
+            blocks.append(np.array(values))
+            check(values)
+
+        monkeypatch.setattr(minimax, "SADDLE_BLOCK", 4)
+        monkeypatch.setattr(minimax, "check_positive", capture)
+        saddle_check(res, pattern, weights, cls, n_samples=10, seed=5)
+        batch = np.concatenate(blocks)
+        assert batch.shape == (10, res.grid_size)
+        rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for row in batch[:7]:
+            tol = 1e-14 * np.max(np.abs(row))
+            assert np.max(np.abs(sample_density(cls, res, rng).values - row)) <= tol
+            member = loop_sample_density(cls, res, loop_rng, res.grid_size).values
+            assert np.max(np.abs(member - row)) <= tol
+
+    def test_no_per_sample_calls(self, monkeypatch):
+        pattern, weights, cls, res = saddle_problem("S5", "dvu")
+        calls = []
+        for name in ("solve", "mse_of_characteristic", "sample_density"):
+            original = getattr(minimax, name, None)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(minimax, name, counted, raising=False)
+        report = saddle_check(res, pattern, weights, cls, n_samples=20, seed=1)
+        assert report["n_samples"] == 20
+        assert calls == []
+
+    def test_no_samples_refused(self):
+        res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
+        for n in (0, -3):
+            with pytest.raises(InvalidParameters):
+                saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0), n_samples=n)

@@ -115,6 +115,16 @@ class TestWeights:
         assert abs(vec[0] - 1.0) < 1e-15
         assert abs(vec[1] - 0.5 ** 2) < 1e-15  # index -2
 
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    def test_geometric_matches_per_index_values(self, kind):
+        for T in (25, 800, 6400):
+            p = ObservationPattern(kind, N=2, M1=1, M2=3, T=T)
+            for rho in (0.3, 0.97):
+                w = FunctionalWeights(geometric=(1.7, rho))
+                per_index = np.array([w(j) for j in missing_indices(p)])
+                # one numpy power against Python's: equal to a few ulp
+                assert np.allclose(weight_vector(w, p), per_index, rtol=1e-15, atol=0.0)
+
     def test_geometric_tail_fraction_decreases(self):
         w = FunctionalWeights(geometric=(1.0, 0.5))
         shallow = w.tail_fraction(ObservationPattern("S1", N=0, M1=1, T=5))
