@@ -164,7 +164,7 @@ def cmd_minimality(config: dict, args) -> dict:
 
 def _grid_csv_rows(grid_size, *columns):
     lam = densities.angular_grid(grid_size)
-    return [[lam[i]] + [col[i] for col in columns] for i in range(grid_size)]
+    return zip(lam.tolist(), *(col.tolist() for col in columns))
 
 
 def cmd_interpolate(config: dict, args) -> dict:

@@ -154,10 +154,10 @@ class InterpolationSolution:
 
 
 def poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
-    half = max(abs(j) for j in indices) if indices else 0
+    idx = np.asarray(indices, dtype=int)
+    half = int(np.abs(idx).max()) if idx.size else 0
     spread = np.zeros(2 * half + 1, dtype=complex)
-    for j, v in zip(indices, coeffs):
-        spread[j + half] += v
+    spread[idx + half] += coeffs  # K holds no index twice
     return evaluate_trig_poly(spread, grid_size)
 
 

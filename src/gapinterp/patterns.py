@@ -10,12 +10,16 @@ The missing set K is always emitted in the canonical order
     central {0..N}, left {-M1-1, -M1-2, ...}, right {N+M2+1, N+M2+2, ...},
 
 which matches the stacked coefficient-vector layout used by the Gram systems.
+Each block is a `range` (step -1 on the left) and K joins the three in one
+list. `weight_vector` checks an explicit map against K with one set
+difference and gathers it with `np.fromiter`; `tail_fraction` is closed form.
+No per-index Python runs on the solve path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -82,12 +86,12 @@ class ObservationPattern:
             return 0
         return self.T if self.is_infinite else self.N2
 
-    def blocks(self) -> tuple[list[int], list[int], list[int]]:
+    def blocks(self) -> tuple[range, range, range]:
         """(central, left, right) index blocks in canonical internal order."""
-        central = list(range(0, self.N + 1))
-        left = [-self.M1 - 1 - i for i in range(self.left_depth())] if self.has_left else []
-        right = [self.N + self.M2 + 1 + i for i in range(self.right_depth())] if self.has_right else []
-        return central, left, right
+        left = -self.M1 - 1 if self.has_left else 0
+        right = self.N + self.M2 + 1 if self.has_right else 0
+        return (range(self.N + 1), range(left, left - self.left_depth(), -1),
+                range(right, right + self.right_depth()))
 
     def with_truncation(self, T: int) -> "ObservationPattern":
         if not self.is_infinite:
@@ -100,7 +104,7 @@ def missing_indices(pattern: ObservationPattern) -> list[int]:
     """The missing set K in canonical order: central, then left descending,
     then right ascending."""
     central, left, right = pattern.blocks()
-    return central + left + right
+    return [*central, *left, *right]
 
 
 def observed_indices(pattern: ObservationPattern, lo: int, hi: int) -> list[int]:
@@ -124,14 +128,15 @@ class FunctionalWeights:
                  geometric: tuple[float, float] | None = None):
         if (values is None) == (geometric is None):
             raise InvalidParameters("provide exactly one of values or geometric")
-        self._values = {int(k): complex(v) for k, v in values.items()} if values is not None else None
-        if geometric is not None:
+        self._values = self._geometric = None
+        if values is not None:
+            values = dict(values)  # one iteration: its keys and values agree
+            self._values = dict(zip(map(int, values), map(complex, values.values())))
+        else:
             c, rho = geometric
             if not (0 < rho < 1):
                 raise InvalidParameters("geometric decay requires 0 < rho < 1")
             self._geometric = (float(c), float(rho))
-        else:
-            self._geometric = None
 
     @property
     def is_geometric(self) -> bool:
@@ -145,39 +150,35 @@ class FunctionalWeights:
 
     def tail_fraction(self, pattern: ObservationPattern) -> float:
         """Fraction of the l2 mass of a carried by tail indices beyond the
-        truncation depth T (zero for explicit maps and finite kinds)."""
+        truncation depth T (zero for explicit maps and finite kinds).
+
+        A block of K with |j| from s to e holds (q^s - q^{e+1}) / (1 - q) of
+        the mass of a / C (q = rho^2), the tail past a side block q^{e+1} / (1 - q)."""
         if self._geometric is None or not pattern.is_infinite:
             return 0.0
-        c, rho = self._geometric
-        a_vec = weight_vector(self, pattern)
-        mass = float(np.sum(np.abs(a_vec) ** 2))
-        q = rho ** 2
-        tail = 0.0
-        if pattern.has_left:
-            first = pattern.M1 + 1 + pattern.T
-            tail += c ** 2 * q ** first / (1 - q)
-        if pattern.has_right:
-            first = pattern.N + pattern.M2 + 1 + pattern.T
-            tail += c ** 2 * q ** first / (1 - q)
+        q = self._geometric[1] ** 2
+        ends = [(abs(block[0]), abs(block[-1]) + 1) for block in pattern.blocks() if block]
+        mass = sum(q ** s - q ** e for s, e in ends)
+        tail = sum(q ** e for _, e in ends[1:])
         return tail / (mass + tail)
 
-    def check_support(self, pattern: ObservationPattern) -> None:
+    def check_support(self, indices) -> None:
+        """Refuse explicit weights at indices outside the missing set K."""
         if self._values is None:
             return
-        allowed = set(missing_indices(pattern))
-        outside = sorted(set(self._values) - allowed)
+        outside = sorted(self._values.keys() - indices)
         if outside:
             raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
 
 
 def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
     """Weights stacked in the canonical order of missing_indices(pattern)."""
-    weights.check_support(pattern)
     idx = missing_indices(pattern)
+    weights.check_support(idx)
     if weights.is_geometric:
         c, rho = weights._geometric
         return (c * rho ** np.abs(np.array(idx, dtype=float))).astype(complex)
-    return np.array([weights(j) for j in idx], dtype=complex)
+    return np.fromiter(map(weights._values.get, idx, repeat(0j)), complex, count=len(idx))
 
 
 def span(pattern: ObservationPattern) -> int:

@@ -205,6 +205,21 @@ class TestSimulate:
         assert len(lines) == 51  # header plus capped dump
 
 
+def per_index_grid_rows(grid_size, *columns):
+    """CSV rows built by indexing each numpy column per row."""
+    from gapinterp import densities
+
+    lam = densities.angular_grid(grid_size)
+    return [[lam[i]] + [col[i] for col in columns] for i in range(grid_size)]
+
+
+COMPLEX_CONFIG = {
+    "density": {"type": "rational_ar", "alpha": [[0.3, 0.4], -0.2]},
+    "pattern": {"kind": "S6", "N": 1, "M1": 2, "N1": 2, "M2": 1, "N2": 3},
+    "weights": {"values": {"0": [1, 0.5], "1": 1, "-3": [0, -1], "4": 0.3}},
+}
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         _, _, out_dir = run(tmp_path, "simulate", EX_CONFIG,
@@ -221,6 +236,25 @@ class TestDeterminism:
                             "--format", "both")
         leftovers = [p for p in os.listdir(out_dir) if p.endswith(".tmp")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("command, config, extra, name", [
+        ("interpolate", EX_CONFIG, (), "characteristic.csv"),
+        ("interpolate", COMPLEX_CONFIG, ("--grid", "1024"), "characteristic.csv"),
+        ("least-favourable", LF_CONFIG, ("--samples", "5"), "least_favourable.csv"),
+        ("least-favourable", {**LF_CONFIG, "class": {"type": "dw", "b": [1.25, -0.5, 0.0]}},
+         ("--samples", "5"), "least_favourable.csv"),
+    ])
+    def test_csv_bytes_match_per_index_rows(self, tmp_path, monkeypatch, command, config,
+                                            extra, name):
+        written = {}
+        for label in ("rows", "per_index"):
+            if label == "per_index":
+                monkeypatch.setattr(cli, "_grid_csv_rows", per_index_grid_rows)
+            (tmp_path / label).mkdir()
+            code, _, out_dir = run(tmp_path / label, command, config, "--format", "both", *extra)
+            assert code == 0
+            written[label] = (out_dir / name).read_bytes()
+        assert written["rows"] == written["per_index"]
 
     def test_stdout_json_when_no_out(self, tmp_path, capsys):
         code = cli.main(["interpolate", write_config(tmp_path, EX_CONFIG)])

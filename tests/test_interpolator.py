@@ -24,6 +24,7 @@ from gapinterp.interpolate import (
     TRUNCATION_SCHEDULE,
     build_gram,
     mse_of_characteristic,
+    poly_on_grid,
     solve,
     solve_gram,
     solve_truncated,
@@ -451,3 +452,74 @@ class TestCharacteristic:
         assert np.array_equal(sol.c, deepest.c)
         assert sol.h_coeffs == deepest.h_coeffs
         assert np.array_equal(sol.h_grid, deepest.h_grid)
+
+
+def test_poly_on_grid_matches_per_index_loop():
+    rng = np.random.default_rng(5)
+    p = ObservationPattern("S6", N=2, M1=3, N1=5, M2=1, N2=4)
+    idx = missing_indices(p)
+    coeffs = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    coeffs[3] = complex(-0.0, -0.0)
+    half = max(abs(j) for j in idx)
+    spread = np.zeros(2 * half + 1, dtype=complex)
+    for j, v in zip(idx, coeffs):
+        spread[j + half] += v
+    expected = evaluate_trig_poly(spread, 256)
+    assert np.array_equal(poly_on_grid(idx, coeffs, 256), expected)
+    assert np.array_equal(poly_on_grid(tuple(idx), coeffs, 256), expected)
+    assert np.array_equal(poly_on_grid([], np.zeros(0, dtype=complex), 64), np.zeros(64))
+
+
+FINITE_DENSITIES = ["ar1_real", "ar1_complex", "ar2", "inverse_poly"]
+
+
+def random_weights(rng, idx):
+    return {j: complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0)) for j in idx}
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        density=st.sampled_from(FINITE_DENSITIES),
+        N=st.integers(0, 4), M1=st.integers(1, 6), N1=st.integers(0, 8),
+        M2=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_s6_without_right_block_is_s4(self, density, N, M1, N1, M2, seed):
+        rng = np.random.default_rng(seed)
+        f, _ = draw_density(density, rng)
+        s6 = ObservationPattern("S6", N=N, M1=M1, N1=N1, M2=M2, N2=0)
+        s4 = ObservationPattern("S4", N=N, M1=M1, N1=N1)
+        w = FunctionalWeights(values=random_weights(rng, missing_indices(s4)))
+        sol6, sol4 = solve(s6, w, f), solve(s4, w, f)
+        assert sol6.indices == sol4.indices
+        assert np.array_equal(sol6.c, sol4.c)
+        assert sol6.delta == sol4.delta
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["S1", "S2", "S3", "S4", "S5", "S6"]),
+        density=st.sampled_from(FINITE_DENSITIES),
+        N=st.integers(0, 4), M1=st.integers(1, 6), N1=st.integers(0, 8),
+        M2=st.integers(1, 6), N2=st.integers(0, 8), T=st.integers(1, 30),
+        grow_left=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_zero_weight_index_never_lowers_delta(self, kind, density, N, M1, N1, M2, N2, T,
+                                                  grow_left, seed):
+        rng = np.random.default_rng(seed)
+        f, _ = draw_density(density, rng)
+        p = ObservationPattern(kind, N=N, M1=M1, N1=N1, M2=M2, N2=N2, T=T)
+        # one block one index longer: deeper truncation for S1-S3
+        if p.is_infinite:
+            q = p.with_truncation(T + 1)
+        elif (grow_left and p.has_left) or not p.has_right:
+            q = dataclasses.replace(p, N1=N1 + 1)
+        else:
+            q = dataclasses.replace(p, N2=N2 + 1)
+        small = missing_indices(p)
+        added = sorted(set(missing_indices(q)) - set(small))
+        assert added
+        values = random_weights(rng, small)
+        d_small = solve(p, FunctionalWeights(values=values), f).delta
+        zeros = dict.fromkeys(added, 0.0)
+        d_large = solve(q, FunctionalWeights(values={**values, **zeros}), f).delta
+        assert d_large >= d_small * (1 - 1e-12)

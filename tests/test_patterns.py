@@ -1,9 +1,15 @@
 """Gap geometries and functional weights."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapinterp.densities import RationalAR
 from gapinterp.errors import InvalidParameters, SupportMismatch
+from gapinterp.interpolate import solve, solve_truncated
 from gapinterp.patterns import (
     FunctionalWeights,
     ObservationPattern,
@@ -156,3 +162,110 @@ class TestWeights:
         w = FunctionalWeights(values={0: 1 + 2j, 2: [3, 4][0]})
         vec = weight_vector(w, p)
         assert vec[0] == 1 + 2j
+
+
+def per_index_missing(p):
+    """K built one index at a time: central, left descending, right ascending."""
+    left = [-p.M1 - 1 - i for i in range(p.left_depth())] if p.has_left else []
+    right = [p.N + p.M2 + 1 + i for i in range(p.right_depth())] if p.has_right else []
+    return list(range(p.N + 1)) + left + right
+
+
+def per_index_weight_vector(values, p):
+    """The weight vector through a per-index dict lookup, with the support
+    check on sets."""
+    table = {int(k): complex(v) for k, v in values.items()}
+    k = per_index_missing(p)
+    outside = sorted(set(table) - set(k))
+    if outside:
+        raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
+    return np.array([table.get(j, 0j) for j in k], dtype=complex)
+
+
+class TestWeightGather:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["S1", "S2", "S3", "S4", "S5", "S6"]),
+        N=st.integers(0, 4), M1=st.integers(1, 6), N1=st.integers(0, 8),
+        M2=st.integers(1, 6), N2=st.integers(0, 8), T=st.integers(1, 60),
+        key_type=st.sampled_from(["int", "numpy", "float"]),
+        share=st.sampled_from([0.0, 0.3, 1.0]), n_outside=st.integers(0, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_per_index_reference(self, kind, N, M1, N1, M2, N2, T, key_type,
+                                         share, n_outside, seed):
+        rng = np.random.default_rng(seed)
+        p = ObservationPattern(kind, N=N, M1=M1, N1=N1, M2=M2, N2=N2, T=T)
+        k = missing_indices(p)
+        assert k == per_index_missing(p)
+
+        chosen = [j for j in k if rng.uniform() < share]
+        observed = [j for j in range(min(k) - 5, max(k) + 6) if j not in set(k)]
+        chosen += list(rng.choice(observed, size=min(n_outside, len(observed)), replace=False))
+        chosen = [chosen[i] for i in rng.permutation(len(chosen))]  # insertion order
+        convert = {"int": int, "numpy": np.int64, "float": float}[key_type]
+        values = {convert(j): complex(rng.normal(), rng.normal()) for j in chosen}
+        w = FunctionalWeights(values=values)
+
+        try:
+            expected = per_index_weight_vector(values, p)
+        except SupportMismatch as exc:
+            with pytest.raises(SupportMismatch) as got:
+                weight_vector(w, p)
+            assert str(got.value) == str(exc)
+            with pytest.raises(SupportMismatch) as got:
+                w.check_support(k)
+            assert str(got.value) == str(exc)
+        else:
+            w.check_support(k)
+            vec = weight_vector(w, p)
+            assert vec.dtype == complex
+            assert np.array_equal(vec, expected)
+
+    def test_empty_map(self):
+        p = ObservationPattern("S6", N=1, M1=2, N1=3, M2=1, N2=2)
+        vec = weight_vector(FunctionalWeights(values={}), p)
+        assert vec.dtype == complex
+        assert np.array_equal(vec, np.zeros(len(missing_indices(p))))
+
+
+class TestTailFraction:
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    def test_matches_summed_definition(self, kind):
+        for rho in (0.3, 0.7, 0.97, 0.999):
+            for T in (1, 25, 400, 6400):
+                C = -1.7
+                p = ObservationPattern(kind, N=2, M1=1, M2=3, T=T)
+                w = FunctionalWeights(geometric=(C, rho))
+                mass = math.fsum(abs(w(j)) ** 2 for j in missing_indices(p))
+                q = rho ** 2
+                firsts = [abs(b[-1]) + 1 for b in p.blocks()[1:] if b]
+                tail = sum(C ** 2 * q ** first / (1 - q) for first in firsts)
+                expected = tail / (mass + tail)
+                assert abs(w.tail_fraction(p) - expected) <= 1e-13 * expected
+
+    def test_zero_scale_converges(self):
+        # a = 0 has no mass; the fraction is a property of the profile alone
+        p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
+        w = FunctionalWeights(geometric=(0.0, 0.5))
+        assert w.tail_fraction(p) == FunctionalWeights(geometric=(2.0, 0.5)).tail_fraction(p)
+        sol = solve_truncated(p, w, RationalAR(alpha=0.5))
+        assert sol.delta == 0.0
+
+
+def test_solve_path_makes_no_per_index_calls(monkeypatch):
+    calls = []
+    original = FunctionalWeights.__call__
+
+    def counting(self, j):
+        calls.append(j)
+        return original(self, j)
+
+    monkeypatch.setattr(FunctionalWeights, "__call__", counting)
+    f = RationalAR(alpha=np.array([0.3, -0.2]))
+    p6 = ObservationPattern("S6", N=2, M1=3, N1=40, M2=2, N2=30)
+    solve(p6, FunctionalWeights(values={j: 1.0 for j in missing_indices(p6)}), f)
+    for kind in ("S1", "S2", "S3"):
+        p = ObservationPattern(kind, N=1, M1=2, M2=3, T=1)
+        solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.9)), f)
+    assert calls == []
