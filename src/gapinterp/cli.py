@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -170,8 +171,7 @@ def _grid_csv_rows(grid_size, *columns):
 def cmd_interpolate(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if pattern.is_infinite:
-        schedule = args.truncation or interpolate.TRUNCATION_SCHEDULE
-        sol = interpolate.solve_truncated(pattern, weights, f, schedule=schedule,
+        sol = interpolate.solve_truncated(pattern, weights, f, schedule=args.truncation,
                                           grid_size=args.grid)
     else:
         sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
@@ -226,8 +226,9 @@ def cmd_least_favourable(config: dict, args) -> dict:
 def cmd_verify(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if pattern.is_infinite:
+        # the projection observes everything past the depth the solution holds
         sol = interpolate.solve_truncated(pattern, weights, f, grid_size=args.grid)
-        pattern = pattern.with_truncation(max(sol.convergence["schedule"]))
+        pattern = pattern.with_truncation(sol.convergence["depth"])
     else:
         sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
     window = args.window
@@ -262,12 +263,17 @@ def cmd_simulate(config: dict, args) -> dict:
     target = {j: complex(v).real for j, v in
               zip(idx, patterns.weight_vector(weights, pattern))}
     em = oracle.empirical_mse(paths, est, target, origin=margin)
+    gap = em["mean"] - sol.delta
+    if em["stderr"] > 0:
+        z_score = gap / em["stderr"]
+    else:  # every replicate has the same error: equal errors agree, others cannot
+        z_score = 0.0 if gap == 0.0 else math.copysign(math.inf, gap)  # a NonFiniteValue record
     record = {
         "empirical_mse": em["mean"],
         "stderr": em["stderr"],
         "n_replicates": em["n_replicates"],
         "theoretical_mse": sol.delta,
-        "z_score": (em["mean"] - sol.delta) / em["stderr"],
+        "z_score": z_score,
     }
     if args.out and args.format in ("csv", "both"):
         n_dump = min(paths.shape[0], 100)
@@ -298,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--grid", type=int, default=densities.DEFAULT_GRID)
     parser.add_argument("--truncation", type=int, nargs="+", default=None,
-                        help="truncation depths for S1-S3 (default 25, 50, ..., 6400); "
-                             "the solver stops at the first plateau")
+                        help="truncation depths for S1-S3, solved in turn until the error "
+                             "plateaus. By default AR and inverse-polynomial densities "
+                             "are solved exactly, with no truncation, and tabulated ones "
+                             "at 25, 50, ..., 6400")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for artifacts")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")

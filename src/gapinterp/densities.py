@@ -135,7 +135,10 @@ class RationalAR(SpectralDensity):
         # root of multiplicity m is computed only to about eps^(1/m), so phi
         # is also tested where each root projects onto the circle
         poly = np.concatenate((-alpha[::-1], [1.0]))
-        roots = np.roots(poly)
+        try:
+            roots = np.roots(poly)
+        except np.linalg.LinAlgError as exc:  # a subnormal lead overflows the companion
+            raise InvalidParameters(f"AR polynomial roots cannot be computed: {exc}") from exc
         off_circle = np.abs(np.abs(roots) - 1.0)
         phi_on_circle = np.abs(np.polyval(poly, roots / np.abs(roots)))
         if np.any(off_circle < 1e-8) or np.any(phi_on_circle < 1e-8):

@@ -18,12 +18,20 @@ trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
 `h_coeffs` and the grid values `h_grid` on first access, not in `solve`;
 `h_grid` needs 2 max|j| < grid_size and raises InvalidParameters otherwise.
 
-Infinite gaps (S1-S3) are cut at depths T = 25, 50, ..., 6400, doubling
-until the error plateaus and the weights beyond T are negligible.
+Infinite gaps (S1-S3) go through `solve_truncated`. When 1/f has degree p
+(RationalAR, InversePolynomial) each infinite block is solved exactly: its
+l2 solutions span the stable subspace of a (2p + 1)-dimensional companion
+pencil, the block folds into a p x p Schur-complement correction of the
+banded Gram system, and the returned K, c and a reach the depth D past which
+every |c| and |a| is below TAIL_RTOL of its largest value; `h_grid` then
+needs about 2 D < grid_size. Tabulated densities, and any density given a
+schedule, are cut at depths T = 25, 50, ..., 6400, doubling until the error
+plateaus and the weights beyond T are negligible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -33,6 +41,8 @@ import scipy.linalg
 from .densities import (
     DEFAULT_GRID,
     FourierCoeffs,
+    InversePolynomial,
+    RationalAR,
     SpectralDensity,
     Tabulated,
     evaluate_trig_poly,
@@ -45,13 +55,29 @@ from .errors import (
     NotConverged,
     NotPositiveDefinite,
 )
-from .patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
+from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 
 TRUNCATION_SCHEDULE = tuple(25 * 2 ** k for k in range(9))  # 25, 50, ..., 6400
 PLATEAU_RTOL = 1e-8
 # lags of 1/f held beyond the gap span: for Tabulated input h_coeffs covers
 # [min K - 64, max K + 64]
 CHARACTERISTIC_MARGIN = 64
+# an exact tail is held until every |c| and |a| is below TAIL_RTOL of its
+# largest value, and solved as part of the band until |c| is below BAND_RTOL,
+# or whole when that takes at most SHORT_TAIL unknowns over the blocks (past
+# about 500 the chunked powers cost less than the band: 2-CPU measurement,
+# AR(2), S1 and S3)
+TAIL_RTOL = 1e-17
+BAND_RTOL = 1e-3
+SHORT_TAIL = 500
+# the deepest tail held per block: decays slower than 0.9996 per step are
+# refused, as the doubling refuses tails past its last depth
+MAX_DEPTH = 100_000
+# the Cholesky routines scipy.linalg.solveh_banded picks for complex input
+# (?ptsv for a tridiagonal band, ?pbsv otherwise), the ordered QZ form and
+# the LU solve of small square systems
+_PTSV, _PBSV, _GGES, _GESV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv", "gges", "gesv"),
+                                                            (np.empty(1, dtype=complex),))
 
 
 @dataclass(frozen=True)
@@ -86,23 +112,44 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     """
     t = np.asarray(indices)
     order = np.argsort(t)
-    t = t[order]
-    n, half = t.size, b.half_length
-    if t[-1] - t[0] > half:
-        raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
-    support = np.flatnonzero(b.values[half:])
-    u = min(int(support[-1]) if support.size else 0, n - 1)
-    # lower band ab[k, j] = B[j + k, j]; LAPACK reads no entry past row n - 1,
-    # so clipping those rows into range only fills the unread corner
-    rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
-    ab = b.values[t[rows] - t + half]
-    try:
-        c_sorted = scipy.linalg.solveh_banded(ab, a[order], lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"coefficient matrix is not positive definite: {exc}") from exc
+    c_sorted = _cholesky_solve(_lower_band(t[order], b), a[order])
     c = np.empty_like(c_sorted)
     c[order] = c_sorted
     return c
+
+
+def _degree(b: FourierCoeffs) -> int:
+    """The largest lag p with b(p) != 0."""
+    support = np.flatnonzero(b.values[b.half_length:])
+    return int(support[-1]) if support.size else 0
+
+
+def _lower_band(t: np.ndarray, b: FourierCoeffs) -> np.ndarray:
+    """Lower band ab[k, j] = B[j + k, j] over the sorted indices t, with
+    half-bandwidth min(p, n - 1)."""
+    n, half = t.size, b.half_length
+    if t[-1] - t[0] > half:
+        raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
+    u = min(_degree(b), n - 1)
+    # LAPACK reads no entry past row n - 1, so clipping those rows into range
+    # only fills the unread corner
+    rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
+    return b.values[t[rows] - t + half]
+
+
+def _cholesky_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Hermitian positive definite band system held in the lower
+    form ab, with the LAPACK routine scipy.linalg.solveh_banded would pick."""
+    if ab.shape[0] == 2:
+        _, _, x, info = _PTSV(ab[0].real, ab[1, :-1], rhs)
+    else:
+        _, x, info = _PBSV(ab, rhs, lower=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"coefficient matrix is not positive definite: {info}th leading minor "
+            "not positive definite"
+        )
+    return x
 
 
 @dataclass(frozen=True)
@@ -133,8 +180,7 @@ class InterpolationSolution:
         [max K - L, min K + L], where every b(j - k) is held, are returned."""
         idx = np.asarray(self.indices)
         lo, hi, half = int(idx.min()), int(idx.max()), self.b.half_length
-        support = np.flatnonzero(self.b.values[half:])
-        p = int(support[-1]) if support.size else 0
+        p = _degree(self.b)
         c_spread = np.zeros(hi - lo + 1, dtype=complex)
         c_spread[idx - lo] = self.c
         conv = np.convolve(c_spread, self.b.values[half - p: half + p + 1])
@@ -169,14 +215,20 @@ def solve(
 ) -> InterpolationSolution:
     """Solve B c = a for the coefficients and the error."""
     idx = missing_indices(pattern)
-    a = weight_vector(weights, pattern)
-    max_lag = max(max(idx) - min(idx), 1)
-    half = max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
-    b = inverse_fourier_coeffs(f, half_length=half, grid_size=grid_size, check_tail=False)
+    a = weights.on(idx)
+    b = inverse_fourier_coeffs(f, half_length=_half_length(idx, grid_size),
+                               grid_size=grid_size, check_tail=False)
     c = solve_gram(idx, a, b)
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
     )
+
+
+def _half_length(idx, grid_size: int) -> int:
+    """Lags of 1/f a solution holds: the span of K plus a margin, capped at
+    a quarter of the grid unless the span itself is larger."""
+    max_lag = max(max(idx) - min(idx), 1)
+    return max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
 
 
 def error_value(c: np.ndarray, a: np.ndarray) -> float:
@@ -199,7 +251,7 @@ def mse_of_characteristic(
     grid_size = h_grid.size
     f_grid = density_on_grid(f, grid_size)
     idx = missing_indices(pattern)
-    a = weight_vector(weights, pattern)
+    a = weights.on(idx)
     a_grid = poly_on_grid(idx, a, grid_size)
     return float(np.mean(np.abs(a_grid - h_grid) ** 2 * f_grid))
 
@@ -222,16 +274,29 @@ def solve_truncated(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
     f: SpectralDensity,
-    schedule=TRUNCATION_SCHEDULE,
+    schedule=None,
     grid_size: int = DEFAULT_GRID,
 ) -> InterpolationSolution:
-    """Solve an infinite-pattern problem at increasing truncation depths and
-    stop at the first depth whose error matches the previous depth's within
-    PLATEAU_RTOL while the weights beyond it carry less than 1e-10 of their
-    l2 mass. NotConverged is raised only when the schedule is exhausted."""
+    """Solve an infinite-pattern problem (S1-S3).
+
+    When 1/f has finite degree (RationalAR, InversePolynomial) and no
+    schedule is given, the problem is solved exactly, with no truncation:
+    each infinite block is one small stable-subspace solve (see
+    `_exact_tail`). The solution holds K, c and a to the depth D past which
+    every |c| and |a| is below TAIL_RTOL of its largest value, and
+    `convergence` is {"method": "exact_tail", "converged": True, "depth": D}.
+
+    Otherwise (Tabulated densities, or an explicit schedule, default
+    TRUNCATION_SCHEDULE) the problem is solved at increasing truncation
+    depths and stops at the first depth whose error matches the previous
+    depth's within PLATEAU_RTOL while the weights beyond it carry less than
+    1e-10 of their l2 mass. NotConverged is raised only when the schedule is
+    exhausted."""
     if not pattern.is_infinite:
         raise InvalidParameters("truncation schedule applies to infinite patterns only")
-    schedule = sorted(set(int(t) for t in schedule))
+    if schedule is None and isinstance(f, (RationalAR, InversePolynomial)):
+        return _exact_tail(pattern, weights, f, grid_size)
+    schedule = sorted(set(int(t) for t in (TRUNCATION_SCHEDULE if schedule is None else schedule)))
     if len(schedule) < 2:
         raise InvalidParameters("schedule needs at least two depths")
     deltas = []
@@ -245,6 +310,8 @@ def solve_truncated(
         if converged:
             break
     report = {
+        "method": "doubling",
+        "depth": depth,
         "schedule": schedule[: len(deltas)],
         "deltas": deltas,
         "final_gap": gap,
@@ -254,3 +321,219 @@ def solve_truncated(
     if not converged:
         raise NotConverged("truncated error sequence did not plateau", diagnostics=report)
     return replace(solution, convergence=report)
+
+
+def _exact_tail(
+    pattern: ObservationPattern,
+    weights: FunctionalWeights,
+    f: SpectralDensity,
+    grid_size: int,
+) -> InterpolationSolution:
+    """Exact solve of an S1-S3 problem whose 1/f has degree p.
+
+    K is held to a depth past the explicit weights; each infinite block
+    continues beyond it. Read outward, a block's rows s >= p involve only
+    block unknowns and are forced by C rho^|j| (0 for explicit weights), so
+    c(s) = V[0] T^s x there (`_stable_tail`). The block's p edge rows and its
+    first interior row fix x from the p unknowns of K next to the block;
+    eliminating x leaves the banded Gram system over K with a p x p
+    Schur-complement correction in that corner, and one banded Cholesky
+    solves it. The left block reads the lags reversed, which conjugates its
+    rows, V, T and the map to x. The block values are then materialized by
+    chunked powers of T (`_tail_values`) until |c| and |a| fall below
+    TAIL_RTOL, and Delta sums c conj(a) over them: what lies beyond is below
+    TAIL_RTOL^2 relative.
+
+    The recurrence the powers follow turns rounding into an error of about
+    eps cond(B) / (1 - rho) in c (with powers from K's edge on, h reached
+    1.4e-11 |a| for AR(2) with a double root 0.9, rho = 0.9, cond 1.3e5).
+    The banded part therefore reaches until |c| next to each block is below
+    BAND_RTOL of its largest value (the depth doubles until it is), and past
+    it that error shrinks with c.
+    """
+    nominal = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
+    b = inverse_fourier_coeffs(f, half_length=nominal, grid_size=grid_size, check_tail=False)
+    p = _degree(b)
+    core = b.values[b.half_length - p: b.half_length + p + 1]
+    # b(-p..p) from the lags m >= 0 that the band reads: Hermitian by construction
+    beta = np.concatenate([np.conj(core[:p:-1]), core[p:]])
+    C, rho = weights.geometric or (0.0, 0.0)
+    V, T = _stable_tail(beta, rho)
+    # the right block, outward from K: rows s = -p..p (the p unknowns of K
+    # next to it, its p edge rows, its first interior row) hold b(s - v) at
+    # columns v = -p..2p
+    lag = np.arange(2 * p + 1)[:, None] - np.arange(3 * p + 1)
+    rows = np.concatenate([np.zeros(2 * p), beta, np.zeros(p)])[lag + 3 * p]
+    # its rows give x = scale Y[:, p] - Y[:, :p] c(-p..-1), scale = C rho^|r|
+    _, _, Y, info = _GESV(rows[p:, p:] @ V,
+                          np.column_stack([rows[p:, :p], rho ** np.arange(p + 1)]))
+    if info != 0:
+        raise NotPositiveDefinite(f"the rows of an infinite block are singular (LAPACK info {info})")
+    D = rows[:p, p:] @ V
+    corr, shift = D @ Y[:, :p], D @ Y[:, p]
+    radius = float(np.max(np.abs(np.diag(T))))
+    # a short decay to TAIL_RTOL is held in the band whole; a longer one only
+    # to BAND_RTOL, and powers of T carry the rest
+    tail = (pattern.has_left + pattern.has_right) * _decay(TAIL_RTOL, radius)
+    level = TAIL_RTOL if tail <= SHORT_TAIL else BAND_RTOL
+    reach = weights.reach(pattern)
+    if reach > TRUNCATION_SCHEDULE[-1]:
+        raise InvalidParameters(f"explicit weights reach {reach} indices into an infinite "
+                                f"block; at most {TRUNCATION_SCHEDULE[-1]} are supported")
+    # a tenth of the level leaves room for the constants of the slowest mode
+    depth = max(reach, p, 1) + _decay(0.1 * level, radius)
+    while True:
+        _check_depth(depth)
+        idx = missing_indices(pattern.with_truncation(depth))
+        t = np.asarray(idx)
+        a = weights.on(t)
+        order = np.argsort(t)
+        t = t[order]
+        ab = _lower_band(t, _held(core, t[-1] - t[0]))
+        rhs = a[order]
+        n = t.size
+        # (|r| for the block's first index r, sorted positions of K's unknowns
+        # at s = -p..-1, conjugation into the right block's frame); at s >= 0
+        # the block holds a = C rho^(|r| + s)
+        blocks = []
+        if pattern.has_left:
+            blocks.append((pattern.M1 + 1 + depth, np.arange(p - 1, -1, -1), np.conj))
+        if pattern.has_right:
+            blocks.append((pattern.N + pattern.M2 + 1 + depth, np.arange(n - p, n), np.asarray))
+        for first, pos, cj in blocks:
+            scale = C * rho ** first
+            rhs[pos] -= scale * cj(shift)
+            i, j = np.nonzero(pos[:, None] >= pos)  # the lower band
+            ab[pos[i] - pos[j], pos[j]] -= cj(corr[i, j])
+        c_sorted = _cholesky_solve(ab, rhs)
+        top = float(np.max(np.abs(c_sorted)))
+        edge = max(float(np.max(np.abs(c_sorted[pos]), initial=0.0)) for _, pos, _ in blocks)
+        if edge <= level * top:
+            break
+        depth *= 2
+    c = np.empty_like(c_sorted)
+    c[order] = c_sorted
+    if level == BAND_RTOL:
+        # x of each block in the right block's frame; the left block's values
+        # are the conjugates of V[0] T^s x there
+        x = np.stack([C * rho ** first * Y[:, p] - Y[:, :p] @ cj(c_sorted[pos])
+                      for first, pos, cj in blocks], axis=1)
+        # a = C rho^|j| on a block must also fall below TAIL_RTOL * C
+        nearest = min(first for first, _, _ in blocks)
+        at_least = _decay(TAIL_RTOL, rho) - nearest if C != 0.0 else 0
+        values = _tail_values(V[0], T, x, radius, top, at_least)
+        powers = rho ** np.arange(values.shape[1])
+        c_parts, a_parts = [c[: pattern.N + 1]], [a[: pattern.N + 1]]
+        for k, (first, _, cj) in enumerate(blocks):
+            held = slice(pattern.N + 1 + k * depth, pattern.N + 1 + (k + 1) * depth)
+            c_parts += [c[held], cj(values[k])]
+            a_parts += [a[held], C * rho ** first * powers]
+        c, a = np.concatenate(c_parts), np.concatenate(a_parts)
+        depth += values.shape[1]
+        idx = missing_indices(pattern.with_truncation(depth))
+    return InterpolationSolution(
+        indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
+        b=_held(core, _half_length(idx, grid_size)),
+        convergence={"method": "exact_tail", "converged": True, "depth": depth},
+    )
+
+
+def _held(core: np.ndarray, half: int) -> FourierCoeffs:
+    """Coefficients b(-p..p) held at the lags -half..half (half >= p)."""
+    p = (core.size - 1) // 2
+    values = np.zeros(2 * half + 1, dtype=complex)
+    values[half - p: half + p + 1] = core
+    return FourierCoeffs(values)
+
+
+def _check_depth(depth: int) -> None:
+    """Refuse a tail that needs more than MAX_DEPTH indices per block, or
+    whose values never fall below the level (a NaN never does)."""
+    if depth > MAX_DEPTH:
+        raise NotConverged(f"the exact tail needs more than {MAX_DEPTH} indices per block",
+                           diagnostics={"depth": depth})
+
+
+def _decay(level: float, radius: float) -> int:
+    """Steps after which radius^s falls below level (1 for radius 0)."""
+    return math.ceil(math.log(level) / math.log(radius)) if radius > 0 else 1
+
+
+def _inside(alpha, beta) -> bool:
+    return abs(alpha) < abs(beta)
+
+
+def _stable_tail(beta: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Basis of the l2 sequences c(s), s >= 0, whose rows s >= p read
+    sum_{|m|<=p} beta(m) c(s - m) = kappa rho^s for some kappa.
+
+    Applying (E - rho) removes the right side, so c solves the recurrence
+    with characteristic polynomial P(z) = (z - rho) sum_m beta(m) z^(p-m) of
+    degree 2p + 1. As beta is positive on the unit circle, p of its roots
+    and rho lie inside, and the l2 solutions span the (p + 1)-dimensional
+    stable subspace of the companion matrix M: (c(0), ..., c(2p)) = V x and
+    c(s) = V[0] T^s x with M V = V T. The ordered complex QZ form of the
+    companion pencil (A, B), B = diag(1, ..., 1, lead of P), gives it as
+    V = Z[:, :p+1] and the triangular T = BB11^-1 AA11 without dividing by
+    the lead of P, which may be tiny (LAPACK ?gges; the Schur form of M
+    itself loses the small roots when it is). Resonance (rho a root) and
+    repeated roots only make T non-diagonal.
+    """
+    p = (beta.size - 1) // 2
+    # V and T depend on the ratios of beta only; at its own scale (1/f of
+    # 1e93, say) the last row would swamp the unit rows of the shift
+    poly = np.convolve([-rho, 1.0], beta[::-1] / np.max(np.abs(beta)))  # ascending powers
+    A = np.eye(2 * p + 1, k=1, dtype=complex)
+    A[-1] = -poly[:-1]
+    B = np.eye(2 * p + 1, dtype=complex)
+    B[-1, -1] = poly[-1]
+    AA, BB, sdim, _, _, _, Z, _, info = _GGES(_inside, A, B, jobvsl=0, sort_t=1)
+    if info != 0 or sdim != p + 1:
+        raise NotPositiveDefinite(
+            f"{sdim} of {2 * p + 1} characteristic roots lie inside the unit circle, "
+            f"expected {p + 1} (LAPACK info {info}): 1/f is not finite and positive on "
+            "the circle",
+            diagnostics={"stable_roots": int(sdim), "degree": p, "info": int(info)},
+        )
+    q = p + 1
+    # BB11 is triangular with |beta| > |alpha| >= 0 on its diagonal: nonsingular
+    return Z[:, :q], _GESV(BB[:q, :q], AA[:q, :q])[2]
+
+
+def _tail_values(v0: np.ndarray, T: np.ndarray, x: np.ndarray, radius: float, scale: float,
+                 at_least: int) -> np.ndarray:
+    """Rows v0 T^s x[:, k], s < D, one per column of x. D covers `at_least`
+    and the decay of the slowest mode from BAND_RTOL to TAIL_RTOL, and
+    doubles until the last values of every row are below TAIL_RTOL * scale."""
+    q = T.shape[0]
+    count = max(_decay(TAIL_RTOL / BAND_RTOL, radius), at_least, 1) + q
+    while True:
+        _check_depth(count)
+        values = _powers(v0, T, x, count)
+        if np.max(np.abs(values[:, -q:])) <= TAIL_RTOL * scale:
+            return values
+        count *= 2
+
+
+def _powers(v0: np.ndarray, T: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """v0 T^s x[:, k] for s < count, one row per column of x, by chunked
+    powers: rows v0 T^i, i < m ~ sqrt(count), and columns T^(jm) x, each
+    grown by doubling, then one product. Only powers of the stable T are
+    formed, never a forward recurrence of the characteristic polynomial,
+    whose outside roots would grow."""
+    q, k = x.shape
+    m = 1 << (int(count - 1).bit_length() + 1) // 2
+    rows = np.empty((m, q), dtype=complex)
+    rows[0], done, step = v0, 1, T
+    while done < m:
+        rows[done: 2 * done] = rows[:done] @ step
+        done, step = 2 * done, step @ step
+    chunks = -(-count // m)
+    cols = np.empty((q, chunks * k), dtype=complex)  # chunk j of column l at j * k + l
+    cols[:, :k], done = x, 1
+    while done < chunks:
+        width = min(done, chunks - done)
+        cols[:, done * k: (done + width) * k] = step @ cols[:, : width * k]
+        done, step = 2 * done, step @ step
+    out = (rows @ cols).reshape(m, chunks, k)
+    return out.transpose(2, 1, 0).reshape(k, chunks * m)[:, :count]

@@ -2,8 +2,9 @@
 
 A pattern describes which time indices are *missing*: a central block {0..N},
 optionally a left block ending at -M1-1, optionally a right block starting at
-N+M2+1. Kinds S1-S3 have (one or two) infinite missing tails and are handled
-through an explicit truncation depth T.
+N+M2+1. Kinds S1-S3 have (one or two) infinite missing tails; a pattern
+holds them to a depth T (`with_truncation`), which `solve_truncated` either
+grows or, for finite-degree 1/f, sets to where the exact tail is negligible.
 
 The missing set K is always emitted in the canonical order
 
@@ -139,8 +140,9 @@ class FunctionalWeights:
             self._geometric = (float(c), float(rho))
 
     @property
-    def is_geometric(self) -> bool:
-        return self._geometric is not None
+    def geometric(self) -> tuple[float, float] | None:
+        """(C, rho) of a geometric profile; None for an explicit map."""
+        return self._geometric
 
     def __call__(self, j: int) -> complex:
         if self._geometric is not None:
@@ -162,6 +164,19 @@ class FunctionalWeights:
         tail = sum(q ** e for _, e in ends[1:])
         return tail / (mass + tail)
 
+    def reach(self, pattern: ObservationPattern) -> int:
+        """The smallest depth T at which the side blocks of an infinite
+        pattern hold every explicit weight index that lies in them (0 for a
+        geometric profile or an empty map)."""
+        if not self._values:
+            return 0
+        reach = 0
+        if pattern.has_left:  # index j <= -M1-1 sits at depth -M1 - j
+            reach = max(reach, -pattern.M1 - min(self._values))
+        if pattern.has_right:  # index j >= N+M2+1 sits at depth j - N - M2
+            reach = max(reach, max(self._values) - pattern.N - pattern.M2)
+        return reach
+
     def check_support(self, indices) -> None:
         """Refuse explicit weights at indices outside the missing set K."""
         if self._values is None:
@@ -170,15 +185,19 @@ class FunctionalWeights:
         if outside:
             raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
 
+    def on(self, indices) -> np.ndarray:
+        """The weights at the listed indices of K, after the support check."""
+        self.check_support(indices)
+        if self._geometric is not None:
+            c, rho = self._geometric
+            return (c * rho ** np.abs(np.array(indices, dtype=float))).astype(complex)
+        return np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
+                           count=len(indices))
+
 
 def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
     """Weights stacked in the canonical order of missing_indices(pattern)."""
-    idx = missing_indices(pattern)
-    weights.check_support(idx)
-    if weights.is_geometric:
-        c, rho = weights._geometric
-        return (c * rho ** np.abs(np.array(idx, dtype=float))).astype(complex)
-    return np.fromiter(map(weights._values.get, idx, repeat(0j)), complex, count=len(idx))
+    return weights.on(missing_indices(pattern))
 
 
 def span(pattern: ObservationPattern) -> int:

@@ -196,6 +196,22 @@ class TestSimulate:
         assert abs(rec["z_score"]) < 4.0
         assert rec["n_replicates"] == 20000
 
+    def test_zero_weights(self, tmp_path):
+        # every replicate estimates 0 by 0 exactly: stderr 0 and equal errors
+        config = {**EX_CONFIG, "pattern": {"kind": "S4", "N": 0, "M1": 1, "N1": 1},
+                  "weights": {"values": {"0": 0, "-2": 0}}}
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "50", "--window", "10")
+        assert code == 0
+        assert rec["stderr"] == 0.0 and rec["empirical_mse"] == rec["theoretical_mse"] == 0.0
+        assert rec["z_score"] == 0.0
+
+    def test_zero_stderr_with_unequal_errors_is_numerical_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.oracle, "empirical_mse",
+                            lambda *args, **kwargs: {"mean": 1.0, "stderr": 0.0, "n_replicates": 50})
+        code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", "50", "--window", "10")
+        assert code == 2
+        assert rec["error"] == "NonFiniteValue"
+
     def test_paths_artifact(self, tmp_path):
         code, rec, out_dir = run(tmp_path, "simulate", EX_CONFIG,
                                  "--replicates", "50", "--window", "10",

@@ -285,11 +285,12 @@ class TestSolveTruncated:
     @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
     def test_doubling_converges_near_unit_decay(self, kind):
         # rho = 0.97 plateaus only past T = 400, where a fixed 25..400
-        # schedule stopped with NotConverged
+        # schedule stopped with NotConverged; an AR density takes the
+        # doubling loop only when a schedule is passed
         f = RationalAR(alpha=0.5)
         p = ObservationPattern(kind, N=1, M1=2, M2=3, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.97))
-        sol = solve_truncated(p, w, f)
+        sol = solve_truncated(p, w, f, schedule=TRUNCATION_SCHEDULE)
         deep = solve(p.with_truncation(TRUNCATION_SCHEDULE[-1]), w, f)
         assert abs(sol.delta - deep.delta) <= 1e-7 * deep.delta
 
