@@ -19,14 +19,14 @@ trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
 `h_grid` needs 2 max|j| < grid_size and raises InvalidParameters otherwise.
 
 Infinite gaps (S1-S3) go through `solve_truncated`. When 1/f has degree p
-(RationalAR, InversePolynomial) each infinite block is solved exactly: its
-l2 solutions span the stable subspace of a (2p + 1)-dimensional companion
-pencil, the block folds into a p x p Schur-complement correction of the
-banded Gram system, and the returned K, c and a reach the depth D past which
-every |c| and |a| is below TAIL_RTOL of its largest value; `h_grid` then
-needs about 2 D < grid_size. Tabulated densities, and any density given a
-schedule, are cut at depths T = 25, 50, ..., 6400, doubling until the error
-plateaus and the weights beyond T are negligible.
+(RationalAR, InversePolynomial) the infinite blocks are cut once, at the
+depth D where the cut moves Delta by about TAIL_RTOL relative: the exact
+solution decays there like max(rho, |z|)^s over the roots z of 1/f inside
+the unit circle, so D follows from that rate and is checked on the solved c.
+The solution's grid doubles until it holds K (2 max|j| < grid_size).
+Tabulated densities, and any density given a schedule, are cut at depths
+T = 25, 50, ..., 6400, doubling until the error plateaus and the weights
+beyond T are negligible.
 """
 
 from __future__ import annotations
@@ -62,22 +62,15 @@ PLATEAU_RTOL = 1e-8
 # lags of 1/f held beyond the gap span: for Tabulated input h_coeffs covers
 # [min K - 64, max K + 64]
 CHARACTERISTIC_MARGIN = 64
-# an exact tail is held until every |c| and |a| is below TAIL_RTOL of its
-# largest value, and solved as part of the band until |c| is below BAND_RTOL,
-# or whole when that takes at most SHORT_TAIL unknowns over the blocks (past
-# about 500 the chunked powers cost less than the band: 2-CPU measurement,
-# AR(2), S1 and S3)
+# the exact path cuts an infinite block where the cut moves Delta by about
+# TAIL_RTOL relative (times max f / min f), far below rounding
 TAIL_RTOL = 1e-17
-BAND_RTOL = 1e-3
-SHORT_TAIL = 500
-# the deepest tail held per block: decays slower than 0.9996 per step are
-# refused, as the doubling refuses tails past its last depth
+# the deepest cut per block: decays slower than 0.9998 per step are refused,
+# as the doubling refuses tails past its last depth
 MAX_DEPTH = 100_000
-# the Cholesky routines scipy.linalg.solveh_banded picks for complex input
-# (?ptsv for a tridiagonal band, ?pbsv otherwise), the ordered QZ form and
-# the LU solve of small square systems
-_PTSV, _PBSV, _GGES, _GESV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv", "gges", "gesv"),
-                                                            (np.empty(1, dtype=complex),))
+# the Cholesky routines scipy.linalg.solveh_banded picks for complex input:
+# ?ptsv for a tridiagonal band, ?pbsv otherwise
+_PTSV, _PBSV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(1, dtype=complex),))
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,25 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     """
     t = np.asarray(indices)
     order = np.argsort(t)
-    c_sorted = _cholesky_solve(_lower_band(t[order], b), a[order])
+    t = t[order]
+    n, half = t.size, b.half_length
+    if t[-1] - t[0] > half:
+        raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
+    u = min(_degree(b), n - 1)
+    # lower band ab[k, j] = B[j + k, j]; LAPACK reads no entry past row n - 1,
+    # so clipping those rows into range only fills the unread corner
+    rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
+    ab = b.values[t[rows] - t + half]
+    # the routine scipy.linalg.solveh_banded would pick
+    if u == 1:
+        _, _, c_sorted, info = _PTSV(ab[0].real, ab[1, :-1], a[order])
+    else:
+        _, c_sorted, info = _PBSV(ab, a[order], lower=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"coefficient matrix is not positive definite: {info}th leading minor "
+            "not positive definite"
+        )
     c = np.empty_like(c_sorted)
     c[order] = c_sorted
     return c
@@ -122,34 +133,6 @@ def _degree(b: FourierCoeffs) -> int:
     """The largest lag p with b(p) != 0."""
     support = np.flatnonzero(b.values[b.half_length:])
     return int(support[-1]) if support.size else 0
-
-
-def _lower_band(t: np.ndarray, b: FourierCoeffs) -> np.ndarray:
-    """Lower band ab[k, j] = B[j + k, j] over the sorted indices t, with
-    half-bandwidth min(p, n - 1)."""
-    n, half = t.size, b.half_length
-    if t[-1] - t[0] > half:
-        raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
-    u = min(_degree(b), n - 1)
-    # LAPACK reads no entry past row n - 1, so clipping those rows into range
-    # only fills the unread corner
-    rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
-    return b.values[t[rows] - t + half]
-
-
-def _cholesky_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Hermitian positive definite band system held in the lower
-    form ab, with the LAPACK routine scipy.linalg.solveh_banded would pick."""
-    if ab.shape[0] == 2:
-        _, _, x, info = _PTSV(ab[0].real, ab[1, :-1], rhs)
-    else:
-        _, x, info = _PBSV(ab, rhs, lower=1)
-    if info > 0:
-        raise NotPositiveDefinite(
-            f"coefficient matrix is not positive definite: {info}th leading minor "
-            "not positive definite"
-        )
-    return x
 
 
 @dataclass(frozen=True)
@@ -276,15 +259,17 @@ def solve_truncated(
     f: SpectralDensity,
     schedule=None,
     grid_size: int = DEFAULT_GRID,
+    rtol: float = TAIL_RTOL,
 ) -> InterpolationSolution:
     """Solve an infinite-pattern problem (S1-S3).
 
     When 1/f has finite degree (RationalAR, InversePolynomial) and no
-    schedule is given, the problem is solved exactly, with no truncation:
-    each infinite block is one small stable-subspace solve (see
-    `_exact_tail`). The solution holds K, c and a to the depth D past which
-    every |c| and |a| is below TAIL_RTOL of its largest value, and
-    `convergence` is {"method": "exact_tail", "converged": True, "depth": D}.
+    schedule is given, the blocks are cut once, where the cut moves Delta by
+    about rtol (max f / min f) relative, and one banded solve gives the
+    result (see `_single_cut`): with the default rtol it equals the infinite
+    problem's to rounding. `convergence` is {"method": "exact_tail",
+    "converged": True, "depth": D}, and `grid_size` is doubled as often as K
+    needs (2 max|j| < grid_size).
 
     Otherwise (Tabulated densities, or an explicit schedule, default
     TRUNCATION_SCHEDULE) the problem is solved at increasing truncation
@@ -294,8 +279,10 @@ def solve_truncated(
     exhausted."""
     if not pattern.is_infinite:
         raise InvalidParameters("truncation schedule applies to infinite patterns only")
+    if not 0 < rtol < 1:
+        raise InvalidParameters(f"rtol must lie in (0, 1), got {rtol}")
     if schedule is None and isinstance(f, (RationalAR, InversePolynomial)):
-        return _exact_tail(pattern, weights, f, grid_size)
+        return _single_cut(pattern, weights, f, grid_size, rtol)
     schedule = sorted(set(int(t) for t in (TRUNCATION_SCHEDULE if schedule is None else schedule)))
     if len(schedule) < 2:
         raise InvalidParameters("schedule needs at least two depths")
@@ -323,127 +310,90 @@ def solve_truncated(
     return replace(solution, convergence=report)
 
 
-def _exact_tail(
+def _single_cut(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
     f: SpectralDensity,
     grid_size: int,
+    rtol: float,
 ) -> InterpolationSolution:
-    """Exact solve of an S1-S3 problem whose 1/f has degree p.
+    """Solve an S1-S3 problem whose 1/f has degree p, cut where the cut no
+    longer matters.
 
-    K is held to a depth past the explicit weights; each infinite block
-    continues beyond it. Read outward, a block's rows s >= p involve only
-    block unknowns and are forced by C rho^|j| (0 for explicit weights), so
-    c(s) = V[0] T^s x there (`_stable_tail`). The block's p edge rows and its
-    first interior row fix x from the p unknowns of K next to the block;
-    eliminating x leaves the banded Gram system over K with a p x p
-    Schur-complement correction in that corner, and one banded Cholesky
-    solves it. The left block reads the lags reversed, which conjugates its
-    rows, V, T and the map to x. The block values are then materialized by
-    chunked powers of T (`_tail_values`) until |c| and |a| fall below
-    TAIL_RTOL, and Delta sums c conj(a) over them: what lies beyond is below
-    TAIL_RTOL^2 relative.
-
-    The recurrence the powers follow turns rounding into an error of about
-    eps cond(B) / (1 - rho) in c (with powers from K's edge on, h reached
-    1.4e-11 |a| for AR(2) with a double root 0.9, rho = 0.9, cond 1.3e5).
-    The banded part therefore reaches until |c| next to each block is below
-    BAND_RTOL of its largest value (the depth doubles until it is), and past
-    it that error shrinks with c.
+    Cutting the blocks at depth D moves Delta by <w, a_w - B_wK c> over the
+    dropped tail w of the exact c, that is by about c(D) (a(D) + c(D))
+    relative to max|c| max|a|, times a factor below
+    (max f / min f) / (1 - radius^2). Both decay past the explicit weights
+    like radius^s, radius = max(rho, |z|) over the roots z of 1/f inside the
+    unit circle, so D starts at decay(rtol / 10, radius^2) past them and
+    doubles until the shares of c and a at the p outermost indices of each
+    block, c_D and a_D, satisfy c_D max(c_D, a_D) <= rtol. The cut solution's edge understates the
+    exact c there by about 1 - radius^2 (measured: Delta within 1.5e-15 of a
+    solve at depth 20000 for alpha = rho = 0.995, where that factor is 1e-2),
+    which the default rtol, well below rounding, absorbs. One banded
+    Cholesky over the cut K then gives c, and h vanishes on K to rounding;
+    the grid grows by doubling until it holds h (2 max|j| < grid_size).
     """
-    nominal = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
-    b = inverse_fourier_coeffs(f, half_length=nominal, grid_size=grid_size, check_tail=False)
-    p = _degree(b)
-    core = b.values[b.half_length - p: b.half_length + p + 1]
-    # b(-p..p) from the lags m >= 0 that the band reads: Hermitian by construction
-    beta = np.concatenate([np.conj(core[:p:-1]), core[p:]])
+    if isinstance(f, InversePolynomial):
+        f.inverse_on_grid(grid_size)  # refuse a 1/f that is not positive before its roots
     C, rho = weights.geometric or (0.0, 0.0)
-    V, T = _stable_tail(beta, rho)
-    # the right block, outward from K: rows s = -p..p (the p unknowns of K
-    # next to it, its p edge rows, its first interior row) hold b(s - v) at
-    # columns v = -p..2p
-    lag = np.arange(2 * p + 1)[:, None] - np.arange(3 * p + 1)
-    rows = np.concatenate([np.zeros(2 * p), beta, np.zeros(p)])[lag + 3 * p]
-    # its rows give x = scale Y[:, p] - Y[:, :p] c(-p..-1), scale = C rho^|r|
-    _, _, Y, info = _GESV(rows[p:, p:] @ V,
-                          np.column_stack([rows[p:, :p], rho ** np.arange(p + 1)]))
-    if info != 0:
-        raise NotPositiveDefinite(f"the rows of an infinite block are singular (LAPACK info {info})")
-    D = rows[:p, p:] @ V
-    corr, shift = D @ Y[:, :p], D @ Y[:, p]
-    radius = float(np.max(np.abs(np.diag(T))))
-    # a short decay to TAIL_RTOL is held in the band whole; a longer one only
-    # to BAND_RTOL, and powers of T carry the rest
-    tail = (pattern.has_left + pattern.has_right) * _decay(TAIL_RTOL, radius)
-    level = TAIL_RTOL if tail <= SHORT_TAIL else BAND_RTOL
+    radius = max(rho, _slowest_root(f))
+    # b(m) vanishes past the nominal degree p
+    p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
     reach = weights.reach(pattern)
     if reach > TRUNCATION_SCHEDULE[-1]:
         raise InvalidParameters(f"explicit weights reach {reach} indices into an infinite "
                                 f"block; at most {TRUNCATION_SCHEDULE[-1]} are supported")
-    # a tenth of the level leaves room for the constants of the slowest mode
-    depth = max(reach, p, 1) + _decay(0.1 * level, radius)
+    # a tenth of rtol leaves room for the constants of the slowest mode
+    depth = max(reach, p, 1) + _decay(0.1 * rtol, radius ** 2)
+    q = max(p, 1)
     while True:
         _check_depth(depth)
         idx = missing_indices(pattern.with_truncation(depth))
-        t = np.asarray(idx)
-        a = weights.on(t)
-        order = np.argsort(t)
-        t = t[order]
-        ab = _lower_band(t, _held(core, t[-1] - t[0]))
-        rhs = a[order]
-        n = t.size
-        # (|r| for the block's first index r, sorted positions of K's unknowns
-        # at s = -p..-1, conjugation into the right block's frame); at s >= 0
-        # the block holds a = C rho^(|r| + s)
-        blocks = []
-        if pattern.has_left:
-            blocks.append((pattern.M1 + 1 + depth, np.arange(p - 1, -1, -1), np.conj))
-        if pattern.has_right:
-            blocks.append((pattern.N + pattern.M2 + 1 + depth, np.arange(n - p, n), np.asarray))
-        for first, pos, cj in blocks:
-            scale = C * rho ** first
-            rhs[pos] -= scale * cj(shift)
-            i, j = np.nonzero(pos[:, None] >= pos)  # the lower band
-            ab[pos[i] - pos[j], pos[j]] -= cj(corr[i, j])
-        c_sorted = _cholesky_solve(ab, rhs)
-        top = float(np.max(np.abs(c_sorted)))
-        edge = max(float(np.max(np.abs(c_sorted[pos]), initial=0.0)) for _, pos, _ in blocks)
-        if edge <= level * top:
+        a = weights.on(idx)
+        b = inverse_fourier_coeffs(f, half_length=_half_length(idx, grid_size),
+                                   grid_size=grid_size, check_tail=False)
+        c = solve_gram(idx, a, b)
+        # canonical order: central, then each held block with its outermost
+        # q indices last
+        ends = pattern.N + 1 + depth * np.arange(1, pattern.has_left + pattern.has_right + 1)
+        edge = (ends[:, None] - np.arange(1, q + 1)).ravel()
+        c_edge, a_edge = _edge_share(c, edge), _edge_share(a, edge)
+        if c_edge * max(c_edge, a_edge) <= rtol:
             break
         depth *= 2
-    c = np.empty_like(c_sorted)
-    c[order] = c_sorted
-    if level == BAND_RTOL:
-        # x of each block in the right block's frame; the left block's values
-        # are the conjugates of V[0] T^s x there
-        x = np.stack([C * rho ** first * Y[:, p] - Y[:, :p] @ cj(c_sorted[pos])
-                      for first, pos, cj in blocks], axis=1)
-        # a = C rho^|j| on a block must also fall below TAIL_RTOL * C
-        nearest = min(first for first, _, _ in blocks)
-        at_least = _decay(TAIL_RTOL, rho) - nearest if C != 0.0 else 0
-        values = _tail_values(V[0], T, x, radius, top, at_least)
-        powers = rho ** np.arange(values.shape[1])
-        c_parts, a_parts = [c[: pattern.N + 1]], [a[: pattern.N + 1]]
-        for k, (first, _, cj) in enumerate(blocks):
-            held = slice(pattern.N + 1 + k * depth, pattern.N + 1 + (k + 1) * depth)
-            c_parts += [c[held], cj(values[k])]
-            a_parts += [a[held], C * rho ** first * powers]
-        c, a = np.concatenate(c_parts), np.concatenate(a_parts)
-        depth += values.shape[1]
-        idx = missing_indices(pattern.with_truncation(depth))
+    extent = max(pattern.M1 + depth if pattern.has_left else 0,
+                 pattern.N + pattern.M2 + depth if pattern.has_right else pattern.N)
+    while 2 * extent >= grid_size:
+        grid_size *= 2
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
-        b=_held(core, _half_length(idx, grid_size)),
-        convergence={"method": "exact_tail", "converged": True, "depth": depth},
+        b=b, convergence={"method": "exact_tail", "converged": True, "depth": depth},
     )
 
 
-def _held(core: np.ndarray, half: int) -> FourierCoeffs:
-    """Coefficients b(-p..p) held at the lags -half..half (half >= p)."""
-    p = (core.size - 1) // 2
-    values = np.zeros(2 * half + 1, dtype=complex)
-    values[half - p: half + p + 1] = core
-    return FourierCoeffs(values)
+def _slowest_root(f: SpectralDensity) -> float:
+    """The largest modulus of a root of 1/f inside the unit circle; a start
+    for the depth, which `_single_cut` checks. For RationalAR these are the
+    roots of the monic z^p - alpha_1 z^(p-1) - ... - alpha_p (or their
+    reflections 1/conj(z)), which stay accurate when alpha_p is tiny; the
+    polynomial of b would then have a tiny lead and lose them."""
+    if isinstance(f, RationalAR):
+        r = np.abs(np.roots(np.concatenate(([1.0], -f.alpha))))
+        outside = r > 1.0
+        r[outside] = 1.0 / r[outside]
+        return float(np.max(r, initial=0.0))
+    b = f.inv_coeffs
+    p = _degree(b)
+    # roots pair as (z, 1/conj(z)): p lie inside
+    roots = np.roots(b.values[b.half_length - p: b.half_length + p + 1])
+    return float(np.sort(np.abs(roots))[p - 1]) if p else 0.0
+
+
+def _edge_share(v: np.ndarray, edge: np.ndarray) -> float:
+    """max |v| over the edge positions, relative to max |v| (0 for v = 0)."""
+    top = float(np.max(np.abs(v)))
+    return float(np.max(np.abs(v[edge]))) / top if top > 0 else 0.0
 
 
 def _check_depth(depth: int) -> None:
@@ -455,85 +405,10 @@ def _check_depth(depth: int) -> None:
 
 
 def _decay(level: float, radius: float) -> int:
-    """Steps after which radius^s falls below level (1 for radius 0)."""
-    return math.ceil(math.log(level) / math.log(radius)) if radius > 0 else 1
-
-
-def _inside(alpha, beta) -> bool:
-    return abs(alpha) < abs(beta)
-
-
-def _stable_tail(beta: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Basis of the l2 sequences c(s), s >= 0, whose rows s >= p read
-    sum_{|m|<=p} beta(m) c(s - m) = kappa rho^s for some kappa.
-
-    Applying (E - rho) removes the right side, so c solves the recurrence
-    with characteristic polynomial P(z) = (z - rho) sum_m beta(m) z^(p-m) of
-    degree 2p + 1. As beta is positive on the unit circle, p of its roots
-    and rho lie inside, and the l2 solutions span the (p + 1)-dimensional
-    stable subspace of the companion matrix M: (c(0), ..., c(2p)) = V x and
-    c(s) = V[0] T^s x with M V = V T. The ordered complex QZ form of the
-    companion pencil (A, B), B = diag(1, ..., 1, lead of P), gives it as
-    V = Z[:, :p+1] and the triangular T = BB11^-1 AA11 without dividing by
-    the lead of P, which may be tiny (LAPACK ?gges; the Schur form of M
-    itself loses the small roots when it is). Resonance (rho a root) and
-    repeated roots only make T non-diagonal.
-    """
-    p = (beta.size - 1) // 2
-    # V and T depend on the ratios of beta only; at its own scale (1/f of
-    # 1e93, say) the last row would swamp the unit rows of the shift
-    poly = np.convolve([-rho, 1.0], beta[::-1] / np.max(np.abs(beta)))  # ascending powers
-    A = np.eye(2 * p + 1, k=1, dtype=complex)
-    A[-1] = -poly[:-1]
-    B = np.eye(2 * p + 1, dtype=complex)
-    B[-1, -1] = poly[-1]
-    AA, BB, sdim, _, _, _, Z, _, info = _GGES(_inside, A, B, jobvsl=0, sort_t=1)
-    if info != 0 or sdim != p + 1:
-        raise NotPositiveDefinite(
-            f"{sdim} of {2 * p + 1} characteristic roots lie inside the unit circle, "
-            f"expected {p + 1} (LAPACK info {info}): 1/f is not finite and positive on "
-            "the circle",
-            diagnostics={"stable_roots": int(sdim), "degree": p, "info": int(info)},
-        )
-    q = p + 1
-    # BB11 is triangular with |beta| > |alpha| >= 0 on its diagonal: nonsingular
-    return Z[:, :q], _GESV(BB[:q, :q], AA[:q, :q])[2]
-
-
-def _tail_values(v0: np.ndarray, T: np.ndarray, x: np.ndarray, radius: float, scale: float,
-                 at_least: int) -> np.ndarray:
-    """Rows v0 T^s x[:, k], s < D, one per column of x. D covers `at_least`
-    and the decay of the slowest mode from BAND_RTOL to TAIL_RTOL, and
-    doubles until the last values of every row are below TAIL_RTOL * scale."""
-    q = T.shape[0]
-    count = max(_decay(TAIL_RTOL / BAND_RTOL, radius), at_least, 1) + q
-    while True:
-        _check_depth(count)
-        values = _powers(v0, T, x, count)
-        if np.max(np.abs(values[:, -q:])) <= TAIL_RTOL * scale:
-            return values
-        count *= 2
-
-
-def _powers(v0: np.ndarray, T: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
-    """v0 T^s x[:, k] for s < count, one row per column of x, by chunked
-    powers: rows v0 T^i, i < m ~ sqrt(count), and columns T^(jm) x, each
-    grown by doubling, then one product. Only powers of the stable T are
-    formed, never a forward recurrence of the characteristic polynomial,
-    whose outside roots would grow."""
-    q, k = x.shape
-    m = 1 << (int(count - 1).bit_length() + 1) // 2
-    rows = np.empty((m, q), dtype=complex)
-    rows[0], done, step = v0, 1, T
-    while done < m:
-        rows[done: 2 * done] = rows[:done] @ step
-        done, step = 2 * done, step @ step
-    chunks = -(-count // m)
-    cols = np.empty((q, chunks * k), dtype=complex)  # chunk j of column l at j * k + l
-    cols[:, :k], done = x, 1
-    while done < chunks:
-        width = min(done, chunks - done)
-        cols[:, done * k: (done + width) * k] = step @ cols[:, : width * k]
-        done, step = 2 * done, step @ step
-    out = (rows @ cols).reshape(m, chunks, k)
-    return out.transpose(2, 1, 0).reshape(k, chunks * m)[:, :count]
+    """Steps after which radius^s falls below level (1 for radius 0, past
+    MAX_DEPTH for radius 1, which a root on the unit circle would give)."""
+    if radius <= 0:
+        return 1
+    if radius >= 1:
+        return MAX_DEPTH + 1
+    return math.ceil(math.log(level) / math.log(radius))

@@ -90,6 +90,21 @@ class TestInterpolate:
         assert code == 0
         assert rec["convergence"]["converged"] is True
 
+    def test_slow_decay_grows_the_grid(self, tmp_path):
+        # at rho = 0.99 the cut lies about 2000 indices out, so the default
+        # grid of 4096 points cannot hold h; the solution doubles it
+        config = {
+            "density": {"type": "rational_ar", "alpha": [0.5]},
+            "pattern": {"kind": "S3", "N": 2, "M1": 2, "M2": 3, "T": 1},
+            "weights": {"geometric": {"C": 1.0, "rho": 0.99}},
+        }
+        code, rec, out_dir = run(tmp_path, "interpolate", config, "--format", "both")
+        assert code == 0
+        extent = max(abs(j) for j in rec["indices"])
+        rows = (out_dir / "characteristic.csv").read_text().splitlines()[1:]
+        assert len(rows) > 2 * extent
+        assert len(rows) & (len(rows) - 1) == 0 and len(rows) >= 4096
+
     def test_bad_truncation_is_numerical_error(self, tmp_path):
         config = {
             "density": {"type": "rational_ar", "alpha": [0.5]},
@@ -186,6 +201,30 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "spectral_vs_projection: PASS" in err
         assert "characteristic_vanishes_on_gaps: PASS" in err
+
+
+    def test_infinite_pattern_passes(self, tmp_path, capsys):
+        config = {
+            "density": {"type": "rational_ar", "alpha": [0.5]},
+            "pattern": {"kind": "S3", "N": 1, "M1": 2, "M2": 1, "T": 1},
+            "weights": {"geometric": {"C": 1.0, "rho": 0.97}},
+        }
+        code, rec, _ = run(tmp_path, "verify", config, "--window", "80")
+        assert code == 0
+        assert rec["all_pass"] is True
+
+    def test_projection_past_the_supported_depth_refused(self, tmp_path):
+        # a root at 0.9995 decays so slowly that the dense projection would
+        # need more than 6400 indices per block: a record, not a MemoryError
+        config = {
+            "density": {"type": "rational_ar", "alpha": [0.9995]},
+            "pattern": {"kind": "S2", "N": 0, "M2": 1, "T": 1},
+            "weights": {"geometric": {"C": 1.0, "rho": 0.5}},
+        }
+        code, rec, _ = run(tmp_path, "verify", config)
+        assert code == 2
+        assert rec["error"] == "NotConverged"
+        assert rec["diagnostics"]["depth"] > 6400
 
 
 class TestSimulate:
