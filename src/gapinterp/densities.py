@@ -35,16 +35,24 @@ def angular_grid(n: int) -> np.ndarray:
 def grid_fourier_coefficients(values: np.ndarray, max_lag: int) -> np.ndarray:
     """Quadrature values of (1/2pi) * integral of values(lambda) e^{-im lambda}
     for m = -max_lag .. max_lag, computed by FFT on the angular grid along the
-    last axis (one row of coefficients per row of values)."""
-    values = np.asarray(values, dtype=complex)
+    last axis (one row of coefficients per row of values).
+
+    Real values go through one real FFT, which gives the lags m >= 0; the
+    lags m < 0 are their conjugates, so the result is exactly Hermitian,
+    b(-m) = conj(b(m)). Complex values go through the full FFT."""
+    values = np.asarray(values)
     n = values.shape[-1]
     if 2 * max_lag >= n:
         raise InvalidParameters(f"grid of {n} points resolves lags < {n // 2}, got {max_lag}")
-    spec = np.fft.fft(values, axis=-1)
-    m = np.arange(-max_lag, max_lag + 1)
     # phase factor e^{i m pi} from the grid starting at -pi; only the kept
     # lags are divided by n
-    return np.where(m % 2 == 0, 1.0, -1.0) * spec[..., m % n] / n
+    if np.iscomplexobj(values):
+        m = np.arange(-max_lag, max_lag + 1)
+        spec = np.fft.fft(values, axis=-1)
+        return np.where(m % 2 == 0, 1.0, -1.0) * spec[..., m % n] / n
+    m = np.arange(max_lag + 1)
+    right = np.where(m % 2 == 0, 1.0, -1.0) * np.fft.rfft(values, axis=-1)[..., : max_lag + 1] / n
+    return np.concatenate((np.conj(right[..., :0:-1]), right), axis=-1)
 
 
 def evaluate_trig_poly(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -281,7 +289,7 @@ def inverse_fourier_coeffs(
     if grid_size < 4 * half_length:
         raise InvalidParameters("grid_size must be at least 4 * half_length")
     inv = f.inverse_on_grid(grid_size)
-    b = FourierCoeffs(grid_fourier_coefficients(inv, half_length)).symmetrized()
+    b = FourierCoeffs(grid_fourier_coefficients(inv, half_length))
     if check_tail and abs(b[half_length]) > TAIL_RTOL * max(abs(b[0]), 1e-300):
         raise TruncationTooShort(
             f"|b(L)|/b(0) = {abs(b[half_length]) / abs(b[0]):.3e} exceeds tail threshold"

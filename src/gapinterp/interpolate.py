@@ -384,7 +384,10 @@ def _slowest_root(f: SpectralDensity) -> float:
         r[outside] = 1.0 / r[outside]
         return float(np.max(r, initial=0.0))
     b = f.inv_coeffs
-    p = _degree(b)
+    # a lead below rounding of b(0) only adds a root pair near 0 and infinity
+    # (a subnormal one overflows the companion matrix), so it is dropped
+    lags = np.flatnonzero(np.abs(b.values[b.half_length:]) > 1e-16 * abs(b[0]))
+    p = int(lags[-1]) if lags.size else 0
     # roots pair as (z, 1/conj(z)): p lie inside
     roots = np.roots(b.values[b.half_length - p: b.half_length + p + 1])
     return float(np.sort(np.abs(roots))[p - 1]) if p else 0.0

@@ -31,7 +31,6 @@ import numpy as np
 
 from .densities import (
     DEFAULT_GRID,
-    Factorization,
     FourierCoeffs,
     InversePolynomial,
     SpectralDensity,
@@ -48,17 +47,16 @@ from .errors import (
     InvalidParameters,
     MaskViolation,
     NewtonNotConverged,
-    NonPositiveDensity,
     NotConverged,
     NotCovered,
     NotPositive,
+    NotPositiveDefinite,
     PositivityLost,
     WeightsNotPositive,
 )
 from .interpolate import (
     InterpolationSolution,
     density_on_grid,
-    error_value,
     poly_on_grid,
     solve,
     solve_gram,
@@ -195,12 +193,8 @@ def _closed_form_b0(pattern: ObservationPattern, a: np.ndarray, p: float) -> Fou
     idx = missing_indices(pattern)
     anchor = anchor_index(pattern)
     a_anchor = a[idx.index(anchor)]
-    entries: dict[int, complex] = {}
-    for n, a_n in zip(idx, a):
-        lag = anchor - n
-        entries[lag] = p * a_n / a_anchor
-        entries[-lag] = p * a_n / a_anchor
-    return FourierCoeffs.from_dict(entries)
+    return FourierCoeffs.from_dict({sign * (anchor - n): p * a_n / a_anchor
+                                    for n, a_n in zip(idx, a) for sign in (1, -1)})
 
 
 def _gamma_mask(pattern: ObservationPattern, b0: FourierCoeffs) -> frozenset:
@@ -253,12 +247,8 @@ def lf_d0minus(
         except (NotPositive, MaskViolation):
             pass
 
-    validity = {
-        "closed_form_applicable": positivity_ok,
-        "positivity_ok": positivity_ok,
-        "bounds_ok": True,
-        "factorization_ok": factorization_ok,
-    }
+    validity = {"closed_form_applicable": positivity_ok, "positivity_ok": positivity_ok,
+                "bounds_ok": True, "factorization_ok": factorization_ok}
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
     if not positivity_ok:
         # diagnostic result: the constructed trig polynomial is not a valid
@@ -316,12 +306,11 @@ def _dw_b0_coeffs(b_given: np.ndarray, unknown_lags, x: np.ndarray, half: int) -
     values at the unknown lags, zero elsewhere."""
     W = b_given.size - 1
     vals = np.zeros(2 * half + 1)
-    for m in range(-min(W, half), min(W, half) + 1):
-        vals[m + half] = b_given[abs(m)]
-    for l, xv in zip(unknown_lags, x):
-        if l <= half:
-            vals[l + half] = xv
-            vals[-l + half] = xv
+    m = np.arange(-min(W, half), min(W, half) + 1)
+    vals[m + half] = b_given[np.abs(m)]
+    lags = np.asarray(unknown_lags, dtype=int)
+    held = lags <= half
+    vals[half + lags[held]] = vals[half - lags[held]] = np.asarray(x)[held]
     return vals
 
 
@@ -356,20 +345,14 @@ def lf_dW(
         if np.min(vals) <= _FLOOR * np.max(vals):
             raise PositivityLost("given moments define a non-positive inverse density")
         f0 = InversePolynomial(b0)
-        validity = {
-            "closed_form_applicable": True,
-            "positivity_ok": True,
-            "bounds_ok": True,
-            "degenerate": True,
-        }
+        validity = {"closed_form_applicable": True, "positivity_ok": True,
+                    "bounds_ok": True, "degenerate": True}
         return _result_from_density(
             pattern, weights, f0, b0, validity, lagrange, "degenerate", grid_size
         )
 
     idx, anchor, support, unknown_lags = _dw_structure(pattern, W)
-    n_idx = len(idx)
-    n_p = len(support)
-    n_x = len(unknown_lags)
+    n_idx, n_p, n_x = len(idx), len(support), len(unknown_lags)
     half = span
     pos = {n: k for k, n in enumerate(idx)}
     support_slots = [pos[n] for n in support]
@@ -378,6 +361,10 @@ def lf_dW(
         vals = _dw_b0_coeffs(cls.b_given, unknown_lags, x, half)
         lagmat = np.subtract.outer(idx, idx)
         return vals[lagmat + half]
+
+    # d(B c)_u / d x_l sums c over the support indices at distance l from t_u
+    lag_hits = (np.abs(np.subtract.outer(idx, support))[:, None, :]
+                == np.asarray(unknown_lags)[:, None]).astype(float)
 
     def residual(p_vec, x):
         B = assemble(x)
@@ -397,15 +384,7 @@ def lf_dW(
     iters = 0
     while best > 1e-12 and iters < max_newton:
         iters += 1
-        jac = np.zeros((n_idx, n_p + n_x))
-        jac[:, :n_p] = B[:, support_slots]
-        for col, l in enumerate(unknown_lags):
-            for u in range(n_idx):
-                acc = 0.0
-                for slot, n in zip(support_slots, support):
-                    if abs(idx[u] - n) == l:
-                        acc += c[slot]
-                jac[u, n_p + col] = acc
+        jac = np.hstack((B[:, support_slots], lag_hits @ c[support_slots]))
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -440,18 +419,11 @@ def lf_dW(
             "stationary point is not a valid density for these inputs"
         )
     f0 = InversePolynomial(b0)
-    validity = {
-        "closed_form_applicable": True,
-        "positivity_ok": True,
-        "bounds_ok": True,
-        "degenerate": False,
-    }
-    lagrange = {
-        "p": dict(zip(support, p_vec.tolist())),
-        "solved_lags": dict(zip(unknown_lags, x.tolist())),
-        "newton_residual": best,
-        "newton_iterations": iters,
-    }
+    validity = {"closed_form_applicable": True, "positivity_ok": True,
+                "bounds_ok": True, "degenerate": False}
+    lagrange = {"p": dict(zip(support, p_vec.tolist())),
+                "solved_lags": dict(zip(unknown_lags, x.tolist())),
+                "newton_residual": best, "newton_iterations": iters}
     return _result_from_density(
         pattern, weights, f0, b0, validity, lagrange, "newton", grid_size,
         diagnostics={"support": support, "unknown_lags": unknown_lags},
@@ -479,11 +451,9 @@ def lf_dvu(
             raise InfeasibleClass("pinned class does not meet the inverse-mean constraint")
         b0 = FourierCoeffs(
             grid_fourier_coefficients(f_star.inverse_on_grid(grid_size), min(256, grid_size // 4))
-        ).symmetrized()
-        validity = {
-            "closed_form_applicable": True, "positivity_ok": True,
-            "bounds_ok": True, "pinned": True,
-        }
+        )
+        validity = {"closed_form_applicable": True, "positivity_ok": True,
+                    "bounds_ok": True, "pinned": True}
         return _result_from_density(
             pattern, weights, f_star, b0, validity, {}, "pinned", grid_size
         )
@@ -511,41 +481,45 @@ def lf_dvu(
 # numerical maximizer
 # ---------------------------------------------------------------------------
 
-def _project_d0minus(g: np.ndarray, p: float, floor: float) -> np.ndarray:
-    # scipy.optimize is imported on first use, so that importing the package
-    # does not load it for callers that never project
-    from scipy.optimize import brentq
+def _shift_clip(g: np.ndarray, lo, hi, p: float) -> np.ndarray:
+    """clip(g + s, lo, hi) for the shift s that gives it mean p; lo <= hi
+    (hi may be +inf) and mean(lo) <= p <= mean(hi).
 
-    g = np.maximum(g, floor)
-    if np.mean(g) >= p:
-        return g
-    hi = p - np.min(g) + 1.0
-
-    def gap(s):
-        return np.mean(np.maximum(g + s, floor)) - p
-
-    s = brentq(gap, 0.0, hi)
-    return np.maximum(g + s, floor)
-
-
-def _project_dvu(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float) -> np.ndarray:
-    from scipy.optimize import brentq
-
-    clipped = np.empty_like(g)
-
-    def clip_shifted(s):
-        # np.clip(g + s, lo, hi) in one reused buffer; the mean below is
-        # np.mean's sum and division, so the root is the same to the bit
-        np.add(g, s, out=clipped)
-        return np.minimum(np.maximum(clipped, lo, out=clipped), hi, out=clipped)
-
-    def gap(s):
-        return np.add.reduce(clip_shifted(s)) / g.size - p
-
-    smin = float(np.min(lo - g)) - 1.0
-    smax = float(np.max(hi - g)) + 1.0
-    s = brentq(gap, smin, smax)
-    return clip_shifted(s).copy()
+    sum clip(g + s, lo, hi) is nondecreasing and piecewise linear in s, with
+    slope the number of entries strictly inside (lo, hi). A Newton step
+    s + (p G - sum) / n_free lands on the root of the piece it starts from,
+    so the root is exact once a step keeps the active set (Cominetti,
+    Mascarenhas & Silva 2014); a step from a flat piece, or out of the
+    bracket of the root, bisects instead.
+    """
+    target = p * g.size
+    dlo = lo - g
+    # the sum is sum(lo) <= target at the left end and >= target at the right
+    left = float(np.minimum.reduce(dlo))
+    right = (float(np.maximum.reduce(dlo)) + target
+             - float(np.add.reduce(np.broadcast_to(lo, g.shape))))
+    left, right = left - 1e-15 * abs(left), right + 1e-15 * abs(right)
+    s = min(max(p - float(np.add.reduce(g)) / g.size, left), right)
+    x = np.empty_like(g)
+    newton_from = None
+    for _ in range(200):
+        np.add(g, s, out=x)
+        above, below = x > lo, x < hi
+        np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+        r = target - float(np.add.reduce(x))
+        counts = (np.count_nonzero(above), np.count_nonzero(below))
+        # membership moves one way with s, so equal counts mean the Newton
+        # step stayed on its piece
+        if r == 0.0 or counts == newton_from:
+            return x
+        left, right = (s, right) if r > 0 else (left, s)
+        n_free = np.count_nonzero(np.logical_and(above, below, out=above))
+        step = s + r / n_free if n_free else left
+        newton_from = counts if left < step < right else None
+        s = step if newton_from is not None else 0.5 * (left + right)
+        if not left < s < right:  # the bracket holds no float between its ends
+            return x
+    raise NotConverged("shift-clip projection did not converge", diagnostics={"shift": s})
 
 
 def _project_dw(g: np.ndarray, moment_rows: np.ndarray, b_given: np.ndarray,
@@ -573,7 +547,9 @@ def numerical_lf(
     ascent on the grid values of g = 1/f.
 
     The error Delta(g) = <B(g)^{-1} a, a> has gradient -|C(lambda_j)|^2 / G
-    with respect to g_j, where C carries the solved coefficients. For D0Minus
+    with respect to g_j, where C carries the solved coefficients. Each step
+    is projected back onto the class: D0Minus and DVU by the exact shift and
+    clip of _shift_clip, DW by alternating moment fits and floors. For D0Minus
     the ascent is warm-started at the anchored closed form whenever that form
     is a valid density: the projected gradient vanishes there exactly, and
     starting elsewhere can drift toward unbounded ridges of the non-convex
@@ -590,7 +566,10 @@ def numerical_lf(
 
     degenerate = False
     if isinstance(cls, D0Minus):
-        project = lambda g: _project_d0minus(g, cls.p, floor)
+        def project(g):
+            g = np.maximum(g, floor)
+            return g if np.mean(g) >= cls.p else _shift_clip(g, floor, np.inf, cls.p)
+
         g = np.full(G, cls.p)
         try:
             base = lf_d0minus(pattern, weights, cls, grid_size=G)
@@ -609,7 +588,7 @@ def numerical_lf(
         cls.validate(G)
         lo = 1.0 / cls.u.on_grid(G)
         hi = 1.0 / cls.v.on_grid(G)
-        project = lambda g: _project_dvu(g, lo, hi, cls.p)
+        project = lambda g: _shift_clip(g, lo, hi, cls.p)
         g = 0.5 * (lo + hi)
     else:
         raise InvalidParameters(f"unsupported class {type(cls).__name__}")
@@ -623,7 +602,7 @@ def numerical_lf(
     exps = np.exp(1j * np.outer(idx, lam))  # C(lambda) = c @ exps
 
     def objective(gv):
-        b = FourierCoeffs(grid_fourier_coefficients(gv, span)).symmetrized()
+        b = FourierCoeffs(grid_fourier_coefficients(gv, span))
         c = solve_gram(idx, a, b)
         delta = float(np.real(np.sum(c * np.conj(a))))
         grad = -np.abs(c @ exps) ** 2 / G
@@ -649,30 +628,17 @@ def numerical_lf(
                 break
 
     converged = pg_norm * step < pg_tol * scale or degenerate or it == 0
-    diagnostics = {
-        "iterations": it,
-        "projected_gradient": pg_norm * step / scale,
-        "degenerate": degenerate,
-        "converged": bool(converged),
-    }
+    diagnostics = {"iterations": it, "projected_gradient": pg_norm * step / scale,
+                   "degenerate": degenerate, "converged": bool(converged)}
     if not converged:
         raise NotConverged("projected gradient ascent did not converge", diagnostics=diagnostics)
 
     half = min(span + 64, G // 2 - 1)
-    b0 = FourierCoeffs(grid_fourier_coefficients(g, half)).symmetrized()
-    f0 = Tabulated(1.0 / g)
-    sol = solve(pattern, weights, f0, grid_size=G)
-    validity = {
-        "closed_form_applicable": False,
-        "positivity_ok": True,
-        "bounds_ok": True,
-        "degenerate": degenerate,
-    }
-    return LeastFavourableResult(
-        f0=f0, b0=b0, h0_grid=sol.h_grid, delta0=sol.delta,
-        validity=validity, lagrange={}, solution=sol,
-        mechanism="numerical", grid_size=G, diagnostics=diagnostics,
-    )
+    b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
+    validity = {"closed_form_applicable": False, "positivity_ok": True,
+                "bounds_ok": True, "degenerate": degenerate}
+    return _result_from_density(pattern, weights, Tabulated(1.0 / g), b0, validity, {},
+                                "numerical", G, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -680,30 +646,34 @@ def numerical_lf(
 # ---------------------------------------------------------------------------
 
 def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
-    """Return draw(rng), which gives g = 1/f of one random class member on the
-    grid of grid_size points. Everything that does not depend on the draw is
-    computed here, once per sampler.
+    """Return draw(rng, rows), which gives g = 1/f of the next `rows` random
+    class members as the rows of a (rows, grid_size) array. Everything that
+    does not depend on the draws is computed here, once per sampler.
 
-    For D0Minus the draw stays in the sub-family 1/f = 1/f0 + (nonnegative
-    random trig polynomial), on which the saddle inequality is guaranteed;
-    the class as a whole is non-convex and contains members with larger
-    error against the robust characteristic.
+    For D0Minus the draw stays in the sub-family 1/f = 1/f0 + s |P|^2 with
+    deg P <= 5, on which the saddle inequality is guaranteed; the class as a
+    whole is non-convex and contains members with larger error against the
+    robust characteristic. Each member's degree, coefficients and amplitude
+    are drawn in turn, then one (rows, 6) @ (6, G) product gives every P.
+    DW members are projected one at a time. DVU members are one uniform
+    block (the numbers of row-by-row draws), shifted and clipped row by row.
     """
     G = grid_size
     lam = angular_grid(G)
     if isinstance(cls, D0Minus):
         base = result.f0.inverse_on_grid(G)
         base_mean = np.mean(base)
-        waves = [np.exp(-1j * n * lam) for n in range(6)]
+        waves = np.exp(-1j * np.outer(np.arange(6), lam))
 
-        def draw(rng):
-            deg = rng.integers(1, 6)
-            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            poly = np.zeros(G, dtype=complex)
-            for cc, wave in zip(coeffs, waves):
-                poly += cc * wave
-            bump = np.abs(poly) ** 2
-            bump *= rng.uniform(0.0, 1.0) * base_mean / max(np.mean(bump), 1e-300)
+        def draw(rng, rows):
+            coeffs = np.zeros((rows, 6), dtype=complex)
+            amp = np.empty(rows)
+            for k in range(rows):
+                deg = rng.integers(1, 6)
+                coeffs[k, : deg + 1] = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+                amp[k] = rng.uniform(0.0, 1.0)
+            bump = np.abs(coeffs @ waves) ** 2
+            bump *= (amp * base_mean / np.maximum(np.mean(bump, axis=-1), 1e-300))[:, None]
             return base + bump
 
         return draw
@@ -713,7 +683,7 @@ def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
         base_min = float(np.min(g))
         mirror = (-np.arange(G)) % G
 
-        def draw(rng):
+        def draw_one(rng):
             direction = rng.normal(size=G)
             # keep the draw an even function of lambda: the class pins cosine
             # moments only, and the degeneracy statements live in the even family
@@ -727,11 +697,12 @@ def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
                 amp *= 0.5
             return g
 
-        return draw
+        return lambda rng, rows: np.stack([draw_one(rng) for _ in range(rows)])
     if isinstance(cls, DVU):
         lo = 1.0 / cls.u.on_grid(G)
         hi = 1.0 / cls.v.on_grid(G)
-        return lambda rng: _project_dvu(rng.uniform(lo, hi), lo, hi, cls.p)
+        return lambda rng, rows: np.stack([_shift_clip(g, lo, hi, cls.p)
+                                           for g in rng.uniform(lo, hi, size=(rows, G))])
     raise InvalidParameters(f"unsupported class {type(cls).__name__}")
 
 
@@ -740,7 +711,28 @@ def sample_density(cls, result: LeastFavourableResult, rng: np.random.Generator,
     """Draw a random class member: the member that saddle_check draws next
     from the same rng (see _member_sampler)."""
     draw = _member_sampler(cls, result, grid_size or result.grid_size)
-    return Tabulated(1.0 / draw(rng))
+    return Tabulated(1.0 / draw(rng, 1)[0])
+
+
+def _gram_errors(indices, a: np.ndarray, b: np.ndarray, grid_size: int) -> np.ndarray:
+    """Delta = a^H B^{-1} a, the error of solve_gram, for every row of
+    coefficients b (rows, 2L + 1), B[u, v] = b(t_u - t_v): one stacked
+    Cholesky B = L L^H and one stacked solve of L y = a give Delta = |y|^2.
+    The stack is cut into chunks of at most SADDLE_BLOCK * grid_size matrix
+    entries, the memory bound of saddle_check. A failed factorization raises
+    NotPositiveDefinite."""
+    t = np.asarray(indices)
+    lags = np.subtract.outer(t, t) + (b.shape[-1] - 1) // 2
+    step = max(1, SADDLE_BLOCK * grid_size // t.size ** 2)
+    out = np.empty(b.shape[0])
+    for k in range(0, b.shape[0], step):
+        try:
+            chol = np.linalg.cholesky(b[k: k + step, lags])
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(f"coefficient matrix is not positive definite: {exc}") from exc
+        y = np.linalg.solve(chol, a[:, None])[..., 0]
+        out[k: k + step] = np.sum(y.real ** 2 + y.imag ** 2, axis=-1)
+    return out
 
 
 def saddle_check(
@@ -759,13 +751,15 @@ def saddle_check(
     stays below delta0 (least-favourability), and whether perturbing h0 in
     admissible directions can only increase the error under f0.
 
-    The members are drawn first, SADDLE_BLOCK at a time, as rows of f on the
-    grid (the same draws as sample_density from the same rng). Each block is
-    then checked together: Delta(h0; f) for every row is one weighted row
-    mean of f against |A - h0|^2, and the coefficients b of every 1/f come
-    from one FFT along the rows, followed by one banded solve_gram per
-    member. The perturbations of h0 are likewise evaluated on the grid by one
-    batched inverse FFT and weighed against f0 in one row mean.
+    The members are drawn first, SADDLE_BLOCK at a time, as rows of g = 1/f
+    on the grid (the same draws as sample_density from the same rng). Each
+    block is then checked together: Delta(h0; f) for every row is one
+    weighted row mean of f against |A - h0|^2, the coefficients b of every g
+    come from one real FFT along the rows, and the classical errors from one
+    stacked Cholesky solve (_gram_errors). The perturbations dh of h0 are
+    evaluated on the grid by one batched inverse FFT, and each error
+    |e - dh|^2 f0, e = A - h0, is scored as the quadratic form
+    <|e|^2, f0> - 2 Re<dh, conj(e) f0> + <|dh|^2, f0>: two products against f0.
     n_samples < 1 raises InvalidParameters. A `closed_form_invalid` result
     has no f0 to probe: PositivityLost.
     """
@@ -781,7 +775,8 @@ def saddle_check(
     idx = missing_indices(pattern)
     a = weight_vector(weights, pattern)
     a_grid = poly_on_grid(idx, a, G)
-    upper_weight = np.abs(a_grid - result.h0_grid) ** 2
+    e = a_grid - result.h0_grid
+    upper_weight = np.abs(e) ** 2
     span = max(max(idx) - min(idx), 1)
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
@@ -791,15 +786,14 @@ def saddle_check(
     excess = np.empty(n_samples)
     deltas = np.empty(n_samples)
     for start in range(0, n_samples, SADDLE_BLOCK):
-        rows = range(start, min(start + SADDLE_BLOCK, n_samples))
-        f = 1.0 / np.stack([draw(rng) for _ in rows])
+        stop = min(start + SADDLE_BLOCK, n_samples)
+        g = draw(rng, stop - start)
+        f = 1.0 / g
         if np.min(f) < 0:
             raise InvalidParameters("tabulated density has negative values")
         check_positive(f)
-        excess[rows.start: rows.stop] = np.mean(upper_weight * f, axis=-1) - delta0
-        b = grid_fourier_coefficients(1.0 / f, span)
-        for k, b_row in zip(rows, 0.5 * (b + np.conj(b[:, ::-1]))):
-            deltas[k] = error_value(solve_gram(idx, a, FourierCoeffs(b_row)), a)
+        excess[start:stop] = np.mean(upper_weight * f, axis=-1) - delta0
+        deltas[start:stop] = _gram_errors(idx, a, grid_fourier_coefficients(g, span), G)
 
     # perturb h0 by trig polynomials supported on observed indices (at most
     # the degree the grid resolves)
@@ -815,7 +809,9 @@ def saddle_check(
     scale = np.sqrt(float(np.sum(np.abs(a) ** 2)))
     dh *= 0.1 * scale / np.maximum(np.max(np.abs(dh), axis=-1, keepdims=True), 1e-300)
     f0_grid = density_on_grid(result.f0, G)
-    vals = np.mean(np.abs(a_grid - (result.h0_grid + dh)) ** 2 * f0_grid, axis=-1)
+    vals = (np.mean(upper_weight * f0_grid)
+            - 2.0 * (dh @ (np.conj(e) * f0_grid)).real / G
+            + (dh.real ** 2 + dh.imag ** 2) @ f0_grid / G)
 
     upper_pass = int(np.count_nonzero(excess <= tol))
     lower_pass = int(np.count_nonzero(vals >= delta0 - 1e-10 * max(delta0, 1.0)))

@@ -1,8 +1,12 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
 
+import csv
+import io
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from gapinterp import cli
@@ -226,8 +230,34 @@ class TestVerify:
         assert rec["error"] == "NotConverged"
         assert rec["diagnostics"]["depth"] > 6400
 
+    def test_tiny_weight_norm_does_not_underflow(self, tmp_path, capsys):
+        # |a|^2 = 7e-514 underflows to 0, so the unscaled norm failed the check
+        config = {
+            "density": {"type": "rational_ar", "alpha": [0.5]},
+            "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+            "weights": {"values": {"-2": [0, 2.7e-257]}},
+        }
+        code, rec, _ = run(tmp_path, "verify", config)
+        assert code == 0
+        assert "characteristic_vanishes_on_gaps: PASS" in capsys.readouterr().err
+
 
 class TestSimulate:
+    def test_complex_weights(self, tmp_path):
+        # the empirical error of the complex functional against its delta
+        config = {**EX_CONFIG, "weights": {"values": {"0": [1, 0.5], "1": 1, "-3": [0, -1],
+                                                      "-4": 0.3}}}
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--window", "40")
+        assert code == 0
+        assert abs(rec["z_score"]) <= 5.0
+
+    def test_tiny_imaginary_weight(self, tmp_path):
+        # taking the real part left an empirical error of exactly 0
+        config = {**EX_CONFIG, "weights": {"values": {"-3": [0, 1.2e-38]}}}
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--window", "40")
+        assert code == 0
+        assert math.isfinite(rec["z_score"]) and rec["empirical_mse"] > 0
+
     def test_z_score_small(self, tmp_path):
         code, rec, _ = run(tmp_path, "simulate", EX_CONFIG,
                            "--replicates", "20000", "--window", "40")
@@ -310,6 +340,38 @@ class TestDeterminism:
             assert code == 0
             written[label] = (out_dir / name).read_bytes()
         assert written["rows"] == written["per_index"]
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        header = ["replicate", "t-1", "t0", "t1", "t2"]
+        rows = [[0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308],
+                [1, np.float64(-1.5e-7), np.float64(0.1), -2.0, float("inf")],
+                [12, 1e16, 123456789.0, 2.5e-308, 3]]
+        cli.write_csv(str(tmp_path / "paths.csv"), header, rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert (tmp_path / "paths.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_cached_parser_gives_each_call_its_arguments(self, tmp_path):
+        calls = {"grid": ("--grid", "1024", "--format", "both"), "default": ()}
+
+        def call(label, extra):
+            (tmp_path / label).mkdir()
+            _, rec, out_dir = run(tmp_path / label, "interpolate", COMPLEX_CONFIG, *extra)
+            return rec, sorted(os.listdir(out_dir)), [
+                len((out_dir / name).read_text().splitlines()) for name in sorted(os.listdir(out_dir))]
+
+        alone = {}
+        for label, extra in calls.items():
+            cli.build_parser.cache_clear()
+            alone[label] = call(f"alone_{label}", extra)
+        in_turn = {label: call(f"turn_{label}", extra) for label, extra in calls.items()}
+        assert in_turn == alone
+        assert alone["grid"][1] == ["characteristic.csv", "result.json"]
+        assert alone["grid"][2][0] == 1025
+        assert alone["default"][1] == ["result.json"]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_stdout_json_when_no_out(self, tmp_path, capsys):
         code = cli.main(["interpolate", write_config(tmp_path, EX_CONFIG)])

@@ -62,6 +62,15 @@ class TestGridQuadrature:
         with pytest.raises(NonPositiveDensity, match="min 1.000e-12, max 1.000e"):
             check_positive(rows)
 
+    @pytest.mark.parametrize("shape", [(4096,), (32, 4096), (3, 64)])
+    def test_real_input_matches_the_complex_path(self, shape):
+        values = np.random.default_rng(8).uniform(0.05, 20.0, size=shape)
+        real = grid_fourier_coefficients(values, 20)
+        full = grid_fourier_coefficients(values.astype(complex), 20)
+        assert np.max(np.abs(real - full)) <= 1e-15 * np.max(np.abs(full))
+        # exactly Hermitian: b(-m) = conj(b(m)) to the bit
+        assert np.array_equal(real, np.conj(real[..., ::-1]))
+
     def test_rows_match_one_dimensional_calls(self):
         rng = np.random.default_rng(4)
         values = rng.uniform(0.5, 2.0, size=(3, 64))

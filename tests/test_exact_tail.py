@@ -127,6 +127,13 @@ class TestAgainstDeepTruncation:
         sol = check_against_deep(p, FunctionalWeights(geometric=(1.0, 0.6)), f)
         assert np.allclose(sol.c, sol.a / 2.0, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    def test_subnormal_lead(self, kind):
+        # b(1) = 2.2e-308 i: dividing by it overflowed the companion matrix
+        f = positive_inverse_poly(np.array([2.0, 1.1125369292536007e-308j]))
+        p = ObservationPattern(kind, N=0, M1=1, M2=1, T=1)
+        check_against_deep(p, FunctionalWeights(geometric=(1.0, 0.5)), f)
+
     @pytest.mark.parametrize("sigma2", [1e-90, 1e90])
     def test_scale_of_the_density(self, sigma2):
         # Delta = a^H B^-1 a scales with f; the depth of the cut does not

@@ -1,9 +1,13 @@
 """Least-favourable densities, robust characteristics, saddle probes."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gapinterp.densities import (
@@ -12,6 +16,7 @@ from gapinterp.densities import (
     RationalAR,
     Tabulated,
     angular_grid,
+    grid_fourier_coefficients,
     minimality_value,
 )
 from gapinterp.errors import (
@@ -22,7 +27,7 @@ from gapinterp.errors import (
     WeightsNotPositive,
 )
 from gapinterp import minimax
-from gapinterp.interpolate import mse_of_characteristic, solve
+from gapinterp.interpolate import error_value, mse_of_characteristic, solve, solve_gram
 from gapinterp.minimax import (
     D0Minus,
     DVU,
@@ -377,7 +382,9 @@ def loop_sample_density(cls, result, rng, G):
     def gap(s):
         return np.mean(np.clip(g + s, lo, hi)) - cls.p
 
-    s = brentq(gap, float(np.min(lo - g)) - 1.0, float(np.max(hi - g)) + 1.0)
+    # brentq's tightest setting, so that the reference root is exact too
+    s = brentq(gap, float(np.min(lo - g)) - 1.0, float(np.max(hi - g)) + 1.0,
+               xtol=1e-300, rtol=4 * np.finfo(float).eps)
     return Tabulated(1.0 / np.clip(g + s, lo, hi))
 
 
@@ -482,12 +489,17 @@ class TestSaddleBatch:
             tol = 1e-14 * np.max(np.abs(row))
             assert np.max(np.abs(sample_density(cls, res, rng).values - row)) <= tol
             member = loop_sample_density(cls, res, loop_rng, res.grid_size).values
+            if family == "dvu":
+                # two exact roots agree to ~1e-14 in the shift of g; near
+                # g = 1/u the map g -> 1/g magnifies that 400-fold in f
+                member, row = 1.0 / member, 1.0 / row
+                tol = 1e-14 * np.max(np.abs(row))
             assert np.max(np.abs(member - row)) <= tol
 
     def test_no_per_sample_calls(self, monkeypatch):
         pattern, weights, cls, res = saddle_problem("S5", "dvu")
         calls = []
-        for name in ("solve", "mse_of_characteristic", "sample_density"):
+        for name in ("solve", "solve_gram", "mse_of_characteristic", "sample_density"):
             original = getattr(minimax, name, None)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -499,8 +511,144 @@ class TestSaddleBatch:
         assert report["n_samples"] == 20
         assert calls == []
 
+    @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
+    def test_split_stack_matches_per_sample_loop(self, raise_delta0, monkeypatch):
+        # n = 60 at G = 512: 32 * 60^2 > SADDLE_BLOCK * G, so each block's
+        # Gram systems are solved in chunks of 4
+        pattern = ObservationPattern("S6", N=19, M1=1, N1=20, M2=1, N2=20)
+        idx = missing_indices(pattern)
+        anchor = anchor_index(pattern)
+        weights = FunctionalWeights(values={j: 1.0 if j == anchor else 0.01 for j in idx})
+        cls = D0Minus(p=1.3)
+        res = lf_d0minus(pattern, weights, cls, grid_size=512)
+        res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
+        chunks = []
+        cholesky = np.linalg.cholesky
+
+        def counted(matrices):
+            chunks.append(matrices.shape)
+            return cholesky(matrices)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        batch = saddle_check(res, pattern, weights, cls, n_samples=40, seed=2)
+        monkeypatch.undo()
+        assert chunks == [(4, 60, 60)] * 10
+        loop = loop_saddle_check(res, pattern, weights, cls, n_samples=40, seed=2)
+        worst_batch = batch.pop("worst_upper_excess")
+        worst_loop = loop.pop("worst_upper_excess")
+        assert batch == loop
+        assert abs(worst_batch - worst_loop) <= 1e-12 * abs(worst_loop)
+
     def test_no_samples_refused(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         for n in (0, -3):
             with pytest.raises(InvalidParameters):
                 saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0), n_samples=n)
+
+
+class TestStackedGramSolve:
+    @pytest.mark.parametrize("pattern, grid, chunks", [
+        (SADDLE_PATTERNS["S6"], 4096, 1),
+        # n = 60: 32 * 60^2 > SADDLE_BLOCK * 512, so chunks of 4 rows
+        (ObservationPattern("S6", N=19, M1=1, N1=20, M2=1, N2=20), 512, 8),
+    ])
+    def test_matches_solve_gram(self, pattern, grid, chunks, monkeypatch):
+        idx = missing_indices(pattern)
+        span = max(idx) - min(idx)
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+        b = grid_fourier_coefficients(rng.uniform(0.05, 20.0, size=(32, grid)), span)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
+        stacked = minimax._gram_errors(idx, a, b, grid)
+        monkeypatch.undo()
+        assert len(calls) == chunks
+        single = [error_value(solve_gram(idx, a, FourierCoeffs(row)), a) for row in b]
+        assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-13
+
+
+def breakpoint_roots(g, lo, hi, p):
+    """The interval [s1, s2] of shifts s with sum clip(g + s, lo, hi) = p G,
+    in exact rational arithmetic: each entry is free between its breakpoints
+    lo - g and hi - g, and a sweep over the sorted breakpoints finds the
+    pieces that hold p G (s1 < s2 only on a flat piece)."""
+    events = sorted([(Fraction(l) - Fraction(x), 1) for l, x in zip(lo, g)]
+                    + [(Fraction(h) - Fraction(x), -1) for h, x in zip(hi, g) if np.isfinite(h)])
+    target = Fraction(p) * g.size
+    value = sum(Fraction(l) for l in lo)  # every entry at lo, left of every breakpoint
+    prev, slope, first = events[0][0], 0, None
+    for point, change in events + [(None, 0)]:
+        if point is None or point > prev:
+            if value == target and first is None:
+                first = prev
+            if slope > 0 and first is not None:
+                return first, prev
+            if slope > 0 and (point is None or value + slope * (point - prev) > target):
+                root = prev + (target - value) / slope
+                return root, root
+            if point is None:  # flat past every breakpoint: every entry at hi
+                return first, math.inf
+            value += slope * (point - prev)
+            prev = point
+        slope += change
+
+
+@st.composite
+def shift_clip_problems(draw):
+    size = draw(st.integers(8, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    g = scale * rng.normal(size=size) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    lo = scale * rng.uniform(-1.0, 1.0, size)
+    if draw(st.booleans()):  # one floor for every entry, as D0Minus projects
+        lo[:] = lo[0]
+    hi = lo + scale * rng.exponential(size=size)
+    pinned = rng.random(size) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    hi[pinned] = lo[pinned]
+    unbounded = draw(st.sampled_from(["none", "some", "all"]))
+    if unbounded == "all":
+        hi[:] = np.inf
+    elif unbounded == "some":
+        hi[rng.random(size) < 0.5] = np.inf
+    t = draw(st.floats(0.0, 1.0))
+    top = float(np.mean(hi)) if np.all(np.isfinite(hi)) else float(np.mean(lo)) + 3 * scale
+    p = float(np.mean(lo)) + t * (top - float(np.mean(lo)))
+    # mean lo <= p <= mean hi exactly, not only in rounded means
+    while Fraction(p) * size < sum(Fraction(l) for l in lo):
+        p = np.nextafter(p, np.inf)
+    while np.all(np.isfinite(hi)) and Fraction(p) * size > sum(Fraction(h) for h in hi):
+        p = np.nextafter(p, -np.inf)
+    # with every entry pinned, p G may fall between two floats
+    assume(Fraction(p) * size >= sum(Fraction(l) for l in lo))
+    return g, lo, hi, float(p)
+
+
+class TestShiftClip:
+    @settings(max_examples=60, deadline=None)
+    @given(shift_clip_problems())
+    def test_matches_the_breakpoint_root(self, problem):
+        g, lo, hi, p = problem
+        out = minimax._shift_clip(g, lo, hi, p)
+        first, last = (float(v) for v in breakpoint_roots(g, lo, hi, p))
+        # out is clip(g + s') for one s' within tol of a root s: clipped
+        # entries sit on their bounds and free ones share the shift s'
+        assert np.all((lo <= out) & (out <= hi))
+        free = (out > lo) & (out < hi)
+        shift = out[free] - g[free]
+        s = min(max(float(np.median(shift)) if free.any() else first, first), last)
+        # on top of 1e-13 relative, s carries the rounding of the G-term sum
+        # (pairwise: log2(G) eps sum|x|) and of p G, shared by the k free
+        # entries; with k = 1 that alone reaches ~1e-13
+        eps = np.finfo(float).eps
+        rounding = eps * (np.log2(g.size) * np.sum(np.abs(out)) + abs(p) * g.size)
+        tol = 1e-13 * (abs(s) + float(np.max(np.abs(g)))) + rounding / max(shift.size, 1)
+        assert np.all(np.abs(shift - s) <= tol)
+        assert np.all(np.abs(out - np.clip(g + s, lo, hi)) <= tol)
+        # the mean holds p to rounding, plus the rounding of s and g + s that
+        # each free entry carries
+        finite = np.concatenate([np.abs(lo), np.abs(hi[np.isfinite(hi)]), np.abs(out)])
+        shift_rounding = eps * shift.size * (abs(s) + float(np.max(np.abs(g)))) / g.size
+        assert abs(np.mean(out) - p) <= 8 * eps * np.max(finite) + shift_rounding
+        if np.all(lo == lo[0]):
+            assert np.array_equal(minimax._shift_clip(g, float(lo[0]), hi, p), out)
