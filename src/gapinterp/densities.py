@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import zgeev
 
 from .errors import (
     InvalidParameters,
@@ -55,16 +56,19 @@ def grid_fourier_coefficients(values: np.ndarray, max_lag: int) -> np.ndarray:
     return np.concatenate((np.conj(right[..., :0:-1]), right), axis=-1)
 
 
-def evaluate_trig_poly(coeffs: np.ndarray, n: int) -> np.ndarray:
+def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.ndarray:
     """Evaluate sum_m c(m) e^{im lambda} on the angular grid of n points.
 
     coeffs is indexed m = -L..L along the last axis, L = (coeffs.shape[-1]-1)//2;
-    each row of coefficients gives one row of grid values.
+    each row of coefficients gives one row of grid values; real=True keeps their real part.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     half = (coeffs.shape[-1] - 1) // 2
     if 2 * half >= n:
         raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
+    if real:  # twice the Hermitian part (c(m) + conj c(-m)) / 2, m >= 0, to one real inverse FFT
+        right = coeffs[..., half:] + np.conj(coeffs[..., half::-1])
+        return 0.5 * n * np.fft.irfft((-1.0) ** np.arange(half + 1) * right, n, axis=-1)
     m = np.arange(-half, half + 1)
     spread = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
     spread[..., m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
@@ -111,8 +115,17 @@ class FourierCoeffs:
         return bool(np.max(np.abs(self.values - np.conj(self.values[::-1]))) <= tol * scale)
 
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        """Values of sum b(m) e^{im lambda} on the angular grid (complex array)."""
-        return evaluate_trig_poly(self.values, grid_size)
+        """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
+        return evaluate_trig_poly(self.values, grid_size, real=True)
+
+    def is_real_on_grid(self, values: np.ndarray, rtol: float) -> bool:
+        """Whether the imaginary part left out of `values` is within rtol max(max |value|, 1):
+        it is at most sum |b(m) - conj b(-m)| / 2, and evaluated only when that bound is not."""
+        skew = np.sum(np.abs(self.values - np.conj(self.values[::-1])))
+        if skew <= 2.0 * rtol * max(np.max(np.abs(values)), 1.0):
+            return True
+        full = evaluate_trig_poly(self.values, values.size)
+        return bool(np.max(np.abs(full.imag)) <= rtol * max(np.max(np.abs(full)), 1.0))
 
 
 class SpectralDensity:
@@ -129,28 +142,36 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class RationalAR(SpectralDensity):
-    """f(lambda) = sigma2 / |1 - sum_k alpha_k e^{-ik lambda}|^2."""
+    """f(lambda) = sigma2 / |1 - sum_k alpha_k e^{-ik lambda}|^2, refused when a root
+    r = 1/w of phi(z) = 1 - sum alpha_k z^k lies within 1e-8 of the unit circle, w the
+    eigenvalues of the monic companion of z^p - alpha_1 z^(p-1) - ... - alpha_p (one ?geev).
+    A root of multiplicity m is computed only to about eps^(1/m), so phi is also tested at
+    r/|r| = conj(w)/|w|."""
 
     alpha: np.ndarray
     sigma2: float = 1.0
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)  # w: S1-S3 decay
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "alpha", alpha)
         if self.sigma2 <= 0:
             raise InvalidParameters("sigma2 must be positive")
-        # reject roots of phi(z) = 1 - sum alpha_k z^k on the unit circle; a
-        # root of multiplicity m is computed only to about eps^(1/m), so phi
-        # is also tested where each root projects onto the circle
-        poly = np.concatenate((-alpha[::-1], [1.0]))
-        try:
-            roots = np.roots(poly)
-        except np.linalg.LinAlgError as exc:  # a subnormal lead overflows the companion
-            raise InvalidParameters(f"AR polynomial roots cannot be computed: {exc}") from exc
-        off_circle = np.abs(np.abs(roots) - 1.0)
-        phi_on_circle = np.abs(np.polyval(poly, roots / np.abs(roots)))
-        if np.any(off_circle < 1e-8) or np.any(phi_on_circle < 1e-8):
-            raise InvalidParameters("AR polynomial has a (near-)root on the unit circle")
+        if not np.isfinite(alpha).all():
+            raise InvalidParameters("AR polynomial roots cannot be computed: "
+                                    "Array must not contain infs or NaNs")
+        companion = np.eye(max(alpha.size, 1), k=-1, dtype=complex)  # [[0]] for white noise
+        companion[0, :alpha.size] = alpha
+        w, _, _, info = zgeev(companion, compute_vl=0, compute_vr=0)
+        if info:  # where np.roots raised LinAlgError
+            raise InvalidParameters("AR polynomial roots cannot be computed: no convergence")
+        object.__setattr__(self, "_eigenvalues", w)
+        for z in w.tolist():
+            size = abs(z)
+            z = z.conjugate() / (size or 1.0)  # r/|r|; w = 0 (alpha_p = 0) passes both tests
+            phi = 1.0 - sum(a * z ** k for k, a in enumerate(alpha.tolist(), 1))
+            if abs(1.0 - size) < 1e-8 * size or abs(phi) < 1e-8:
+                raise InvalidParameters("AR polynomial has a (near-)root on the unit circle")
 
     def _phi_on_grid(self, lam: np.ndarray) -> np.ndarray:
         phi = np.ones_like(lam, dtype=complex)
@@ -196,10 +217,10 @@ class InversePolynomial(SpectralDensity):
             raise InvalidParameters("inverse-polynomial coefficients must be Hermitian")
 
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        vals = self.inv_coeffs.evaluate(grid_size)
-        if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals)), 1.0):
+        """1/f by one real FFT of b; refused unless real and positive on the grid."""
+        inv = self.inv_coeffs.evaluate(grid_size)
+        if not self.inv_coeffs.is_real_on_grid(inv, 1e-10):
             raise InvalidParameters("inverse polynomial is not real on the grid")
-        inv = vals.real
         check_positive(inv)
         return inv
 
@@ -235,11 +256,11 @@ class Tabulated(SpectralDensity):
 def check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
     """Raise NonPositiveDensity unless every row of values (along the last
     axis) is strictly positive relative to its maximum."""
-    top = np.max(values, axis=-1)
-    low = np.min(values, axis=-1)
-    bad = np.flatnonzero((top <= 0) | (low <= rtol * top))
-    if bad.size:
-        low, top = np.ravel(low)[bad[0]], np.ravel(top)[bad[0]]
+    top = values.max(axis=-1)
+    low = values.min(axis=-1)
+    bad = (top <= 0) | (low <= rtol * top)
+    if np.count_nonzero(bad):  # the message names the first failing row
+        low, top = np.ravel(low)[bad.argmax()], np.ravel(top)[bad.argmax()]
         raise NonPositiveDensity(
             f"density not strictly positive on grid (min {low:.3e}, max {top:.3e})"
         )
@@ -357,9 +378,8 @@ def factorize_inverse(
     """
     mask = frozenset(mask or ())
     target = b.evaluate(grid_size)
-    if np.max(np.abs(target.imag)) > 1e-9 * max(np.max(np.abs(target)), 1.0):
+    if not b.is_real_on_grid(target, 1e-9):
         raise NotPositive("trig polynomial is not real on the grid")
-    target = target.real
     if np.min(target) <= POSITIVITY_RTOL * np.max(target):
         raise NotPositive(f"trig polynomial dips to {np.min(target):.3e} on the grid")
 

@@ -217,7 +217,7 @@ def _half_length(idx, grid_size: int) -> int:
 def error_value(c: np.ndarray, a: np.ndarray) -> float:
     """Delta = <c, a> = sum_j c(j) conj(a(j)). B is Hermitian positive
     definite, so an imaginary part beyond rounding raises NotPositiveDefinite."""
-    inner = complex(np.sum(c * np.conj(a)))
+    inner = complex(np.vdot(a, c))
     scale = max(float(np.max(np.abs(a))) ** 2 * a.size, 1e-300)
     if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
         raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
@@ -376,10 +376,10 @@ def _slowest_root(f: SpectralDensity) -> float:
     """The largest modulus of a root of 1/f inside the unit circle; a start
     for the depth, which `_single_cut` checks. For RationalAR these are the
     roots of the monic z^p - alpha_1 z^(p-1) - ... - alpha_p (or their
-    reflections 1/conj(z)), which stay accurate when alpha_p is tiny; the
-    polynomial of b would then have a tiny lead and lose them."""
+    reflections 1/conj(z)), kept by its constructor; they stay accurate when
+    alpha_p is tiny, where the polynomial of b (a tiny lead) would lose them."""
     if isinstance(f, RationalAR):
-        r = np.abs(np.roots(np.concatenate(([1.0], -f.alpha))))
+        r = np.abs(f._eigenvalues)
         outside = r > 1.0
         r[outside] = 1.0 / r[outside]
         return float(np.max(r, initial=0.0))

@@ -236,7 +236,7 @@ def lf_d0minus(
     a_anchor = float(a[idx.index(anchor)])
     b0 = _closed_form_b0(pattern, a, cls.p)
 
-    inv_vals = b0.evaluate(grid_size).real
+    inv_vals = b0.evaluate(grid_size)
     positivity_ok = bool(np.min(inv_vals) > _FLOOR * np.max(inv_vals))
 
     factorization_ok = False
@@ -341,7 +341,7 @@ def lf_dW(
         # every needed coefficient lag is pinned by the moment constraints,
         # so the error is constant over the class
         b0 = cls.inverse_poly()
-        vals = b0.evaluate(grid_size).real
+        vals = b0.evaluate(grid_size)
         if np.min(vals) <= _FLOOR * np.max(vals):
             raise PositivityLost("given moments define a non-positive inverse density")
         f0 = InversePolynomial(b0)
@@ -412,7 +412,7 @@ def lf_dW(
         )
 
     b0 = FourierCoeffs(_dw_b0_coeffs(cls.b_given, unknown_lags, x, half).astype(complex))
-    vals = b0.evaluate(grid_size).real
+    vals = b0.evaluate(grid_size)
     if np.min(vals) <= _FLOOR * np.max(vals):
         raise PositivityLost(
             f"solved inverse density dips to {np.min(vals):.3e}; the structured "
@@ -580,7 +580,7 @@ def numerical_lf(
     elif isinstance(cls, DW):
         moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
         project = lambda g: _project_dw(g, moment_rows, cls.b_given, floor)
-        g = cls.inverse_poly().evaluate(G).real
+        g = cls.inverse_poly().evaluate(G)
         if np.min(g) <= 0:
             raise InfeasibleClass("given moments define a non-positive inverse density")
         degenerate = cls.W >= span
@@ -679,7 +679,7 @@ def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
         return draw
     if isinstance(cls, DW):
         moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
-        g = cls.inverse_poly().evaluate(G).real
+        g = cls.inverse_poly().evaluate(G)
         base_min = float(np.min(g))
         mirror = (-np.arange(G)) % G
 

@@ -192,12 +192,9 @@ def estimate_weights_from_characteristic(
     window: int = 60,
 ) -> dict:
     """Observation weights of the solved estimate: the Fourier coefficients of
-    the spectral characteristic restricted to observed indices."""
+    the spectral characteristic restricted to observed indices within the
+    window, without those at most 1e-12 of the largest of them."""
     missing = set(solution.indices)
-    out = {}
-    for j, v in solution.h_coeffs.items():
-        if j in missing or abs(j) > window:
-            continue
-        if abs(v) > 1e-12:
-            out[j] = v
-    return out
+    kept = {j: v for j, v in solution.h_coeffs.items() if j not in missing and abs(j) <= window}
+    cut = 1e-12 * max(map(abs, kept.values()), default=0.0)
+    return {j: v for j, v in kept.items() if abs(v) > cut}

@@ -258,6 +258,14 @@ class TestSimulate:
         assert code == 0
         assert math.isfinite(rec["z_score"]) and rec["empirical_mse"] > 0
 
+    def test_tiny_weight_keeps_its_estimate(self, tmp_path):
+        # an absolute cut-off on h dropped every weight of the estimate, so the
+        # naive error (z = 7.25) was compared with the optimal one
+        config = {**EX_CONFIG, "weights": {"values": {"-3": [0, 1.2e-38]}}}
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--window", "40")
+        assert code == 0
+        assert abs(rec["z_score"]) <= 5.0
+
     def test_z_score_small(self, tmp_path):
         code, rec, _ = run(tmp_path, "simulate", EX_CONFIG,
                            "--replicates", "20000", "--window", "40")

@@ -65,9 +65,10 @@ def positive_inverse_poly(gamma):
 
 complex_unit = st.tuples(st.floats(0.05, 0.9), st.floats(-np.pi, np.pi)).map(
     lambda rt: rt[0] * np.exp(1j * rt[1]))
-# RationalAR refuses subnormal coefficients (InvalidParameters), so a
-# product of two roots must stay normal; tiny roots give a tiny b(p)
-real_root = st.floats(-0.9, 0.9).filter(lambda r: r == 0.0 or abs(r) >= 1e-100)
+# RationalAR takes its roots from the monic companion matrix, so tiny and
+# subnormal roots, and products of two that underflow, are accepted; tiny
+# roots give a tiny b(p)
+real_root = st.floats(-0.9, 0.9)
 
 densities = st.one_of(
     real_root.map(lambda a: RationalAR(alpha=np.array([a]))),
@@ -133,6 +134,15 @@ class TestAgainstDeepTruncation:
         f = positive_inverse_poly(np.array([2.0, 1.1125369292536007e-308j]))
         p = ObservationPattern(kind, N=0, M1=1, M2=1, T=1)
         check_against_deep(p, FunctionalWeights(geometric=(1.0, 0.5)), f)
+
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    @pytest.mark.parametrize("alpha", [[5e-324], [0.5, 5e-324], [0.9, -2.2e-310]])
+    def test_subnormal_ar_coefficient(self, kind, alpha):
+        # np.roots of phi divided by the subnormal lead and overflowed; the
+        # monic companion keeps the root near 0
+        p = ObservationPattern(kind, N=2, M1=2, M2=3, T=1)
+        check_against_deep(p, FunctionalWeights(geometric=(1.0, 0.7)),
+                           RationalAR(alpha=np.array(alpha)))
 
     @pytest.mark.parametrize("sigma2", [1e-90, 1e90])
     def test_scale_of_the_density(self, sigma2):
