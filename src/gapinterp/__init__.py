@@ -16,9 +16,7 @@ from .densities import (
 )
 from .errors import GapInterpError, NumericalError, ValidationError
 from .interpolate import (
-    GramMatrix,
     InterpolationSolution,
-    build_gram,
     mse_of_characteristic,
     solve,
     solve_truncated,
@@ -46,13 +44,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "D0Minus", "DVU", "DW", "Factorization", "FourierCoeffs",
-    "FunctionalWeights", "GapInterpError", "GramMatrix",
-    "InterpolationSolution", "InversePolynomial", "LeastFavourableResult",
-    "NumericalError", "ObservationPattern", "RationalAR", "SpectralDensity",
-    "Tabulated", "ValidationError", "build_gram", "build_problem",
-    "covariance", "covariances", "empirical_mse", "factorize_inverse",
-    "inverse_fourier_coeffs", "lf_d0minus", "lf_dW", "lf_dvu",
-    "minimality_value", "missing_indices", "mse_of_characteristic",
-    "numerical_lf", "project", "saddle_check", "simulate", "solve",
-    "solve_truncated", "weight_vector",
+    "FunctionalWeights", "GapInterpError", "InterpolationSolution",
+    "InversePolynomial", "LeastFavourableResult", "NumericalError",
+    "ObservationPattern", "RationalAR", "SpectralDensity", "Tabulated",
+    "ValidationError", "build_problem", "covariance", "covariances",
+    "empirical_mse", "factorize_inverse", "inverse_fourier_coeffs",
+    "lf_d0minus", "lf_dW", "lf_dvu", "minimality_value", "missing_indices",
+    "mse_of_characteristic", "numerical_lf", "project", "saddle_check",
+    "simulate", "solve", "solve_truncated", "weight_vector",
 ]

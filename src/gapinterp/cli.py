@@ -173,8 +173,7 @@ def _grid_csv_rows(grid_size, *columns):
 def cmd_interpolate(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if pattern.is_infinite:
-        sol = interpolate.solve_truncated(pattern, weights, f, schedule=args.truncation,
-                                          grid_size=args.grid)
+        sol = interpolate.solve_truncated(pattern, weights, f, grid_size=args.grid)
     else:
         sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
     record = {
@@ -317,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--grid", type=int, default=densities.DEFAULT_GRID)
-    parser.add_argument("--truncation", type=int, nargs="+", default=None,
-                        help="truncation depths for S1-S3, solved in turn until the error "
-                             "plateaus. By default AR and inverse-polynomial densities "
-                             "are cut once, where the cut moves the error below rounding, "
-                             "and tabulated ones at 25, 50, ..., 6400")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for artifacts")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")

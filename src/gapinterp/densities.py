@@ -8,7 +8,7 @@ of degree < G/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import zgeev
@@ -18,13 +18,10 @@ from .errors import (
     MaskViolation,
     NonPositiveDensity,
     NotPositive,
-    TruncationTooShort,
 )
 
 DEFAULT_GRID = 4096
-DEFAULT_HALF_LENGTH = 256
 POSITIVITY_RTOL = 1e-9
-TAIL_RTOL = 1e-10
 ROOT_PAIRING_TOL = 1e-8
 
 
@@ -75,11 +72,21 @@ def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.nda
     return n * np.fft.ifft(spread, axis=-1)
 
 
+def _fields_equal(self, other) -> bool:
+    """Dataclass equality that compares array fields by value; fields with
+    compare=False are left out."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class FourierCoeffs:
     """Hermitian-symmetric coefficients b(m), m = -L..L, of a real function."""
 
     values: np.ndarray  # complex, length 2L+1, entry k holds b(k - L)
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -151,12 +158,13 @@ class RationalAR(SpectralDensity):
     alpha: np.ndarray
     sigma2: float = 1.0
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)  # w: S1-S3 decay
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "alpha", alpha)
-        if self.sigma2 <= 0:
-            raise InvalidParameters("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:  # refuses nan
+            raise InvalidParameters(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not np.isfinite(alpha).all():
             raise InvalidParameters("AR polynomial roots cannot be computed: "
                                     "Array must not contain infs or NaNs")
@@ -193,17 +201,9 @@ class RationalAR(SpectralDensity):
 
     def exact_inverse_coeffs(self) -> FourierCoeffs:
         """Finite expansion of 1/f: b(m) = (1/sigma2) sum_j d_j conj(d_{j+m})
-        with d = (1, -alpha_1, ..., -alpha_p)."""
+        with d = (1, -alpha_1, ..., -alpha_p), one convolution."""
         d = np.concatenate(([1.0 + 0j], -self.alpha))
-        p = self.order
-        vals = np.zeros(2 * p + 1, dtype=complex)
-        for m in range(-p, p + 1):
-            acc = 0.0 + 0j
-            for j in range(p + 1):
-                if 0 <= j + m <= p:
-                    acc += d[j] * np.conj(d[j + m])
-            vals[m + p] = acc / self.sigma2
-        return FourierCoeffs(vals)
+        return FourierCoeffs(np.convolve(np.conj(d), d[::-1]) / self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,7 @@ class InversePolynomial(SpectralDensity):
     """1/f(lambda) = sum_m b(m) e^{im lambda} with finite Hermitian b."""
 
     inv_coeffs: FourierCoeffs
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if not self.inv_coeffs.is_hermitian():
@@ -234,6 +235,7 @@ class Tabulated(SpectralDensity):
     grid sizes by trigonometric interpolation."""
 
     values: np.ndarray
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -249,8 +251,7 @@ class Tabulated(SpectralDensity):
             return self.values.copy()
         half = min((n - 1) // 2, (grid_size - 1) // 2)
         coeffs = grid_fourier_coefficients(self.values, half)
-        out = evaluate_trig_poly(coeffs, grid_size)
-        return out.real
+        return evaluate_trig_poly(coeffs, grid_size, real=True)
 
 
 def check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
@@ -268,61 +269,36 @@ def check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
 
 def inverse_fourier_coeffs(
     f: SpectralDensity,
-    half_length: int = DEFAULT_HALF_LENGTH,
+    half_length: int,
     grid_size: int = DEFAULT_GRID,
-    check_tail: bool = True,
 ) -> FourierCoeffs:
     """Fourier coefficients b(m) = (1/2pi) int e^{-im lambda} / f dlambda,
     m = -half_length..half_length.
 
-    For RationalAR and InversePolynomial inputs the exact finite expansion is
-    returned (padded with zeros) at any half_length; Tabulated inputs go
-    through FFT quadrature with a tail check and need grid_size >= 4 * half_length.
-
-    check_tail=False skips the truncation guards; the returned coefficients
-    at lags within half_length are still exact quadrature values, which is
-    all that matrix assembly over a bounded lag set needs.
+    RationalAR and InversePolynomial inputs give their exact finite
+    expansion, cut or padded with zeros to half_length; an InversePolynomial
+    is first refused unless 1/f is real and positive on the grid. Tabulated
+    inputs go through FFT quadrature and need grid_size >= 4 * half_length.
     """
     if isinstance(f, RationalAR):
-        exact = f.exact_inverse_coeffs()
-        if exact.half_length > half_length:
-            if not check_tail:
-                c = exact.values
-                mid = exact.half_length
-                return FourierCoeffs(c[mid - half_length: mid + half_length + 1])
-            raise TruncationTooShort(
-                f"inverse expansion has support {exact.half_length} > {half_length}"
-            )
-        return _pad(exact, half_length)
+        return _resize(f.exact_inverse_coeffs(), half_length)
     if isinstance(f, InversePolynomial):
-        b = f.inv_coeffs
-        if b.half_length > half_length:
-            tail = np.max(np.abs(np.concatenate([
-                b.values[: b.half_length - half_length],
-                b.values[b.half_length + half_length + 1:],
-            ])))
-            if check_tail and tail > TAIL_RTOL * max(abs(b[0]), 1e-300):
-                raise TruncationTooShort("requested half-length drops nonzero coefficients")
-            return FourierCoeffs(b.values[b.half_length - half_length: b.half_length + half_length + 1])
-        # validate positivity on the grid as a precondition
         f.inverse_on_grid(grid_size)
-        return _pad(b, half_length)
+        return _resize(f.inv_coeffs, half_length)
     if grid_size < 4 * half_length:
         raise InvalidParameters("grid_size must be at least 4 * half_length")
-    inv = f.inverse_on_grid(grid_size)
-    b = FourierCoeffs(grid_fourier_coefficients(inv, half_length))
-    if check_tail and abs(b[half_length]) > TAIL_RTOL * max(abs(b[0]), 1e-300):
-        raise TruncationTooShort(
-            f"|b(L)|/b(0) = {abs(b[half_length]) / abs(b[0]):.3e} exceeds tail threshold"
-        )
-    return b
+    return FourierCoeffs(grid_fourier_coefficients(f.inverse_on_grid(grid_size), half_length))
 
 
-def _pad(b: FourierCoeffs, half_length: int) -> FourierCoeffs:
-    if b.half_length == half_length:
+def _resize(b: FourierCoeffs, half_length: int) -> FourierCoeffs:
+    """b at the lags -half_length..half_length: cut, or padded with zeros."""
+    extra = half_length - b.half_length
+    if extra < 0:
+        return FourierCoeffs(b.values[-extra: extra])
+    if extra == 0:
         return b
-    pad = half_length - b.half_length
-    return FourierCoeffs(np.concatenate([np.zeros(pad), b.values, np.zeros(pad)]))
+    zeros = np.zeros(extra, dtype=complex)
+    return FourierCoeffs(np.concatenate((zeros, b.values, zeros)))
 
 
 def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float:

@@ -54,10 +54,6 @@ class NonPositiveDensity(NumericalError):
     pass
 
 
-class TruncationTooShort(NumericalError):
-    pass
-
-
 class NotPositive(NumericalError):
     pass
 

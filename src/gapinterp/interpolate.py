@@ -24,9 +24,9 @@ depth D where the cut moves Delta by about TAIL_RTOL relative: the exact
 solution decays there like max(rho, |z|)^s over the roots z of 1/f inside
 the unit circle, so D follows from that rate and is checked on the solved c.
 The solution's grid doubles until it holds K (2 max|j| < grid_size).
-Tabulated densities, and any density given a schedule, are cut at depths
-T = 25, 50, ..., 6400, doubling until the error plateaus and the weights
-beyond T are negligible.
+Tabulated densities are cut at depths T = 25, 50, ..., 6400, doubling until
+the error plateaus and the weights beyond T are negligible, and at most as
+deep as the grid's quadrature reaches (a span of K up to grid_size / 4).
 """
 
 from __future__ import annotations
@@ -71,28 +71,6 @@ MAX_DEPTH = 100_000
 # the Cholesky routines scipy.linalg.solveh_banded picks for complex input:
 # ?ptsv for a tridiagonal band, ?pbsv otherwise
 _PTSV, _PBSV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(1, dtype=complex),))
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian matrix B[u][v] = b(t_u - t_v) over the ordered missing set t."""
-
-    matrix: np.ndarray
-    indices: tuple
-
-
-def build_gram(pattern: ObservationPattern, b: FourierCoeffs) -> GramMatrix:
-    """Assemble the dense B over the canonical missing-index order; the
-    reference form of the entry rule that `solve_gram` applies to a band."""
-    idx = missing_indices(pattern)
-    lags = np.subtract.outer(idx, idx)
-    if np.max(np.abs(lags)) > b.half_length:
-        raise LagOutOfRange(
-            f"needed lag {np.max(np.abs(lags))} exceeds coefficient half-length {b.half_length}"
-        )
-    half = b.half_length
-    matrix = b.values[lags + half]
-    return GramMatrix(matrix=np.asarray(matrix, dtype=complex), indices=tuple(idx))
 
 
 def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
@@ -199,8 +177,7 @@ def solve(
     """Solve B c = a for the coefficients and the error."""
     idx = missing_indices(pattern)
     a = weights.on(idx)
-    b = inverse_fourier_coeffs(f, half_length=_half_length(idx, grid_size),
-                               grid_size=grid_size, check_tail=False)
+    b = inverse_fourier_coeffs(f, _half_length(idx, grid_size), grid_size)
     c = solve_gram(idx, a, b)
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
@@ -257,56 +234,60 @@ def solve_truncated(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
     f: SpectralDensity,
-    schedule=None,
     grid_size: int = DEFAULT_GRID,
     rtol: float = TAIL_RTOL,
 ) -> InterpolationSolution:
-    """Solve an infinite-pattern problem (S1-S3).
+    """Solve an infinite-pattern problem (S1-S3); the density type picks the path.
 
-    When 1/f has finite degree (RationalAR, InversePolynomial) and no
-    schedule is given, the blocks are cut once, where the cut moves Delta by
-    about rtol (max f / min f) relative, and one banded solve gives the
-    result (see `_single_cut`): with the default rtol it equals the infinite
-    problem's to rounding. `convergence` is {"method": "exact_tail",
-    "converged": True, "depth": D}, and `grid_size` is doubled as often as K
-    needs (2 max|j| < grid_size).
+    When 1/f has finite degree (RationalAR, InversePolynomial), the blocks
+    are cut once, where the cut moves Delta by about rtol (max f / min f)
+    relative, and one banded solve gives the result (see `_single_cut`):
+    with the default rtol it equals the infinite problem's to rounding.
+    `convergence` is {"method": "exact_tail", "converged": True, "depth": D},
+    and `grid_size` is doubled as often as K needs (2 max|j| < grid_size).
 
-    Otherwise (Tabulated densities, or an explicit schedule, default
-    TRUNCATION_SCHEDULE) the problem is solved at increasing truncation
-    depths and stops at the first depth whose error matches the previous
-    depth's within PLATEAU_RTOL while the weights beyond it carry less than
-    1e-10 of their l2 mass. NotConverged is raised only when the schedule is
-    exhausted."""
+    A Tabulated density is solved at the depths T = 25, 50, ..., 6400 and
+    stops at the first whose error matches the previous depth's within
+    PLATEAU_RTOL while the weights beyond it carry less than 1e-10 of their
+    l2 mass. Its quadrature of 1/f holds a span of K up to grid_size / 4, so
+    no deeper cut is tried: NotConverged is raised, with the depths, errors,
+    last gap and tail fraction, when no depth the grid holds has converged.
+    `convergence` records the "doubling" method and the same values.
+    """
     if not pattern.is_infinite:
-        raise InvalidParameters("truncation schedule applies to infinite patterns only")
+        raise InvalidParameters("solve_truncated applies to infinite patterns only")
     if not 0 < rtol < 1:
         raise InvalidParameters(f"rtol must lie in (0, 1), got {rtol}")
-    if schedule is None and isinstance(f, (RationalAR, InversePolynomial)):
+    if isinstance(f, (RationalAR, InversePolynomial)):
         return _single_cut(pattern, weights, f, grid_size, rtol)
-    schedule = sorted(set(int(t) for t in (TRUNCATION_SCHEDULE if schedule is None else schedule)))
-    if len(schedule) < 2:
-        raise InvalidParameters("schedule needs at least two depths")
-    deltas = []
-    for depth in schedule:
+    depths, deltas, gap, tail, converged = [], [], None, None, False
+    for depth in TRUNCATION_SCHEDULE:
         truncated = pattern.with_truncation(depth)
+        idx = missing_indices(truncated)
+        if 4 * (max(idx) - min(idx)) > grid_size:
+            break
         solution = solve(truncated, weights, f, grid_size=grid_size)
-        gap = abs(solution.delta - deltas[-1]) if deltas else np.inf
+        if deltas:
+            gap = abs(solution.delta - deltas[-1])
+        depths.append(depth)
         deltas.append(solution.delta)
         tail = weights.tail_fraction(truncated)
-        converged = gap <= PLATEAU_RTOL * max(abs(solution.delta), 1e-300) and tail < 1e-10
+        converged = (gap is not None and tail < 1e-10
+                     and gap <= PLATEAU_RTOL * max(abs(solution.delta), 1e-300))
         if converged:
             break
     report = {
         "method": "doubling",
-        "depth": depth,
-        "schedule": schedule[: len(deltas)],
+        "depth": depths[-1] if depths else None,
+        "schedule": depths,
         "deltas": deltas,
         "final_gap": gap,
         "tail_fraction": tail,
         "converged": converged,
     }
     if not converged:
-        raise NotConverged("truncated error sequence did not plateau", diagnostics=report)
+        raise NotConverged(f"truncated error sequence did not plateau at depths a grid of "
+                           f"{grid_size} points holds", diagnostics=report)
     return replace(solution, convergence=report)
 
 
@@ -351,8 +332,7 @@ def _single_cut(
         _check_depth(depth)
         idx = missing_indices(pattern.with_truncation(depth))
         a = weights.on(idx)
-        b = inverse_fourier_coeffs(f, half_length=_half_length(idx, grid_size),
-                                   grid_size=grid_size, check_tail=False)
+        b = inverse_fourier_coeffs(f, _half_length(idx, grid_size), grid_size)
         c = solve_gram(idx, a, b)
         # canonical order: central, then each held block with its outermost
         # q indices last

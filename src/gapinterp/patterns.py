@@ -108,16 +108,6 @@ def missing_indices(pattern: ObservationPattern) -> list[int]:
     return [*central, *left, *right]
 
 
-def observed_indices(pattern: ObservationPattern, lo: int, hi: int) -> list[int]:
-    """S intersected with [lo, hi] (inclusive), ascending.
-
-    For the infinite kinds the truncated tail indices count as observed beyond
-    depth T, consistent with solving the truncated system.
-    """
-    missing = set(missing_indices(pattern))
-    return [t for t in range(lo, hi + 1) if t not in missing]
-
-
 class FunctionalWeights:
     """Weights a(j) of the target functional, supported on the missing set.
 
@@ -199,8 +189,3 @@ def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np
     """Weights stacked in the canonical order of missing_indices(pattern)."""
     return weights.on(missing_indices(pattern))
 
-
-def span(pattern: ObservationPattern) -> int:
-    """Largest lag difference between two missing indices."""
-    k = missing_indices(pattern)
-    return max(k) - min(k) if k else 0

@@ -292,8 +292,9 @@ class TestCriterion8:
         ]
         worst_plateau = 0.0
         worst_proj = 0.0
+        tabulated = Tabulated(f.on_grid(4096))  # solved by the doubling loop
         for pattern in cases:
-            sol = solve_truncated(pattern, w, f, schedule=(25, 50, 100, 200))
+            sol = solve_truncated(pattern, w, tabulated)
             d = sol.convergence["deltas"]
             worst_plateau = max(worst_plateau, abs(d[-1] - d[-2]) / d[-1])
             deep = pattern.with_truncation(200)

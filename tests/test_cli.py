@@ -110,14 +110,19 @@ class TestInterpolate:
         assert len(rows) & (len(rows) - 1) == 0 and len(rows) >= 4096
 
     def test_bad_truncation_is_numerical_error(self, tmp_path):
+        # a tabulated density at rho = 0.97 plateaus past T = 400, where the
+        # span of K outgrows the quadrature of the 4096-point grid
+        lam = -np.pi + 2 * np.pi * np.arange(4096) / 4096
         config = {
-            "density": {"type": "rational_ar", "alpha": [0.5]},
-            "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
-            "weights": {"geometric": {"C": 1.0, "rho": 0.5}},
+            "density": {"type": "tabulated",
+                        "values": (1.0 / np.abs(1 - 0.5 * np.exp(-1j * lam)) ** 2).tolist()},
+            "pattern": {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+            "weights": {"geometric": {"C": 1.0, "rho": 0.97}},
         }
-        code, rec, _ = run(tmp_path, "interpolate", config, "--truncation", "2", "3")
+        code, rec, _ = run(tmp_path, "interpolate", config)
         assert code == 2
-        assert rec["category"] == "numerical"
+        assert rec["category"] == "numerical" and rec["error"] == "NotConverged"
+        assert rec["diagnostics"]["schedule"] == [25, 50, 100, 200, 400]
 
     def test_weights_on_observed_rejected(self, tmp_path):
         config = dict(EX_CONFIG)

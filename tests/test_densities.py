@@ -26,8 +26,9 @@ from gapinterp.errors import (
     MaskViolation,
     NonPositiveDensity,
     NotPositive,
-    TruncationTooShort,
 )
+from gapinterp.interpolate import solve
+from gapinterp.patterns import FunctionalWeights, ObservationPattern
 
 
 def quad_coefficient(func, m):
@@ -132,21 +133,36 @@ class TestInverseCoefficients:
         for m in range(4):
             assert abs(b[m] - quad_coefficient(inv, m)) < 1e-8 * abs(b[0])
 
-    def test_truncation_too_short(self):
-        with pytest.raises(TruncationTooShort):
-            inverse_fourier_coeffs(RationalAR(alpha=np.array([0.3, 0.2, 0.1])), half_length=2)
-
     def test_inverse_poly_round_trip(self):
         b = FourierCoeffs.from_dict({0: 2.0, 1: 0.3 - 0.2j, -1: 0.3 + 0.2j})
         back = inverse_fourier_coeffs(InversePolynomial(b), half_length=1)
         assert np.allclose(back.values, b.values, atol=1e-12)
 
     def test_nonpositive_rejected(self):
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
+        for half_length in (1, 4):  # 1 cuts the degree-2 coefficients, 4 pads them
+            with pytest.raises(NonPositiveDensity):
+                inverse_fourier_coeffs(f, half_length=half_length)
+
+    @pytest.mark.parametrize("degree", [3, 100])
+    def test_nonpositive_refused_by_solve(self, degree):
+        # 1 + 1.2 cos(degree lambda) dips to -0.2; at degree 100 the span 6
+        # of K cuts the coefficients
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, degree: 0.6, -degree: 0.6}))
         with pytest.raises(NonPositiveDensity):
-            inverse_fourier_coeffs(
-                InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0})),
-                half_length=4,
-            )
+            solve(ObservationPattern("S4", N=1, M1=2, N1=3), FunctionalWeights({0: 1, 1: 1}), f)
+
+    def test_degree_past_the_grid_refused(self):
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
+        with pytest.raises(InvalidParameters):
+            inverse_fourier_coeffs(f, half_length=4, grid_size=64)
+
+    @pytest.mark.parametrize("half_length", [0, 1, 2, 5])
+    def test_ar_cut_or_padded(self, half_length):
+        exact = RationalAR(alpha=np.array([0.3, 0.2])).exact_inverse_coeffs()
+        b = inverse_fourier_coeffs(RationalAR(alpha=np.array([0.3, 0.2])), half_length)
+        assert b.half_length == half_length
+        assert all(b[m] == exact[m] for m in range(-half_length, half_length + 1))
 
 
 class TestMinimality:

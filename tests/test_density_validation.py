@@ -130,6 +130,27 @@ class TestUnitRootDecision:
         assert f == RationalAR(alpha=0.5, sigma2=2.0)
         assert "_eigenvalues" not in repr(f)
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+    def test_sigma2_outside_positive_finite_refused(self, sigma2):
+        with pytest.raises(InvalidParameters, match="sigma2"):
+            RationalAR(alpha=0.5, sigma2=sigma2)
+
+
+@pytest.mark.parametrize("make, value, other", [
+    (lambda v: RationalAR(alpha=v), [0.5, -0.2], [0.5, -0.3]),
+    (lambda v: RationalAR(alpha=[0.5, -0.2], sigma2=float(v[0])), [1.0], [2.0]),
+    (FourierCoeffs, [0.3, 2.0, 0.3], [0.4, 2.0, 0.4]),
+    (lambda v: InversePolynomial(FourierCoeffs(v)), [0.3, 2.0, 0.3], [0.4, 2.0, 0.4]),
+    (Tabulated, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0]),
+    (Tabulated, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+], ids=["ar_alpha", "ar_sigma2", "coeffs", "inverse_poly", "tabulated", "tabulated_size"])
+def test_array_fields_compared_by_value(make, value, other):
+    # the generated dataclass __eq__ raised on arrays of more than one value
+    f = make(np.array(value))
+    assert f == make(np.array(value))
+    assert f != make(np.array(other))
+    assert f != object()
+
 
 # --- real evaluation --------------------------------------------------------
 
@@ -287,3 +308,36 @@ def test_delta_matches_elementwise_reference():
             for j in idx})
         sol = solve(pattern, weights, f)
         assert abs(sol.delta - delta_reference(sol.c, sol.a)) <= 1e-14 * abs(sol.delta)
+
+
+# --- exact coefficients of 1/f ----------------------------------------------
+
+
+def inverse_coeffs_reference(alpha, sigma2):
+    """b(m) = (1/sigma2) sum_j d_j conj(d_{j+m}), d = (1, -alpha), summed term by term."""
+    d = np.concatenate(([1.0 + 0j], -np.asarray(alpha, dtype=complex)))
+    p = d.size - 1
+    vals = np.zeros(2 * p + 1, dtype=complex)
+    for m in range(-p, p + 1):
+        acc = 0.0 + 0j
+        for j in range(p + 1):
+            if 0 <= j + m <= p:
+                acc += d[j] * np.conj(d[j + m])
+        vals[m + p] = acc / sigma2
+    return vals, float(np.sum(np.abs(d) ** 2) / sigma2)
+
+
+def test_exact_inverse_coeffs_match_termwise_sum():
+    # one convolution sums in another order: each b(m) is a sum of at most
+    # p + 1 <= 5 products, so it may move by 8 eps sum |d_j|^2 / sigma2
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        order = int(rng.integers(1, 5))
+        alpha = 0.4 * rng.normal(size=order) + 0.4j * rng.normal(size=order) * rng.integers(0, 2)
+        try:
+            f = RationalAR(alpha=alpha, sigma2=float(rng.uniform(0.1, 10.0)))
+        except InvalidParameters:
+            continue
+        expected, scale = inverse_coeffs_reference(f.alpha, f.sigma2)
+        got = f.exact_inverse_coeffs().values
+        assert np.max(np.abs(got - expected)) <= 8 * np.finfo(float).eps * scale

@@ -185,18 +185,12 @@ class TestPathChoice:
         p = ObservationPattern("S3", N=1, M1=2, M2=2, T=1)
         solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.97)), RationalAR(alpha=0.5))
 
-    def test_schedule_runs_the_doubling_loop(self):
-        p = ObservationPattern("S2", N=1, M2=2, T=1)
-        w = FunctionalWeights(geometric=(1.0, 0.5))
-        sol = solve_truncated(p, w, RationalAR(alpha=0.5), schedule=(25, 50, 100))
-        assert sol.convergence["method"] == "doubling"
-        assert sol.convergence["depth"] == sol.convergence["schedule"][-1]
-
     def test_tabulated_runs_the_doubling_loop(self):
         p = ObservationPattern("S1", N=0, M1=1, T=1)
         sol = solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)),
                               Tabulated(RationalAR(alpha=0.4).on_grid(4096)))
         assert sol.convergence["method"] == "doubling"
+        assert sol.convergence["depth"] == sol.convergence["schedule"][-1]
         assert sol.convergence["schedule"] == list(TRUNCATION_SCHEDULE[: len(
             sol.convergence["schedule"])])
 

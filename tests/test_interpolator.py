@@ -22,7 +22,6 @@ from gapinterp.errors import GridMismatch, LagOutOfRange, NotConverged, NotPosit
 from gapinterp.interpolate import (
     PLATEAU_RTOL,
     TRUNCATION_SCHEDULE,
-    build_gram,
     mse_of_characteristic,
     poly_on_grid,
     solve,
@@ -30,6 +29,22 @@ from gapinterp.interpolate import (
     solve_truncated,
 )
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
+
+
+def build_gram(pattern, b):
+    """The dense B[u][v] = b(t_u - t_v) over the canonical missing-index
+    order: the reference that `solve_gram` is checked against."""
+    idx = missing_indices(pattern)
+    lags = np.subtract.outer(idx, idx)
+    if np.max(np.abs(lags)) > b.half_length:
+        raise LagOutOfRange(f"needed lag {np.max(np.abs(lags))} exceeds {b.half_length}")
+    return b.values[lags + b.half_length]
+
+
+def tabulated_ar(alpha, grid_size=4096):
+    """An AR density given by its grid values, which solve_truncated solves
+    by the doubling loop."""
+    return Tabulated(RationalAR(alpha=alpha).on_grid(grid_size))
 
 
 def ones_weights(pattern):
@@ -52,20 +67,20 @@ class TestBuildGram:
     def test_entry_rule_simple(self):
         p = ObservationPattern("S4", N=0, M1=2, N1=1)  # K = [0, -3]
         b = inverse_fourier_coeffs(RationalAR(alpha=0.5), half_length=3)
-        g = build_gram(p, b).matrix
+        g = build_gram(p, b)
         assert np.allclose(g, [[1.25, 0.0], [0.0, 1.25]])
 
     def test_entry_rule_s5(self):
         p = ObservationPattern("S5", N=1, M2=1, N2=1)  # K = [0, 1, 3]
         b = inverse_fourier_coeffs(RationalAR(alpha=0.5), half_length=3)
-        g = build_gram(p, b).matrix
+        g = build_gram(p, b)
         expected = [[1.25, -0.5, 0.0], [-0.5, 1.25, 0.0], [0.0, 0.0, 1.25]]
         assert np.allclose(g, expected)
 
     def test_white_noise_identity(self):
         p = ObservationPattern("S6", N=1, M1=2, N1=2, M2=1, N2=2)
         b = FourierCoeffs.from_dict({0: 1.0}, half_length=10)
-        g = build_gram(p, b).matrix
+        g = build_gram(p, b)
         assert np.allclose(g, np.eye(len(missing_indices(p))))
 
     def test_lag_out_of_range(self):
@@ -78,7 +93,7 @@ class TestBuildGram:
         rng = np.random.default_rng(5)
         b = random_coeffs(rng, 12)
         p = ObservationPattern("S6", N=1, M1=2, N1=2, M2=2, N2=1)
-        g = build_gram(p, b).matrix
+        g = build_gram(p, b)
         assert np.allclose(g, g.conj().T)
 
     @settings(max_examples=20, deadline=None)
@@ -96,7 +111,7 @@ class TestBuildGram:
         rng = np.random.default_rng(seed)
         b = random_coeffs(rng, N + M1 + N1 + M2 + N2 + 2)
         p = ObservationPattern("S6", N=N, M1=M1, N1=N1, M2=M2, N2=N2)
-        G = build_gram(p, b).matrix
+        G = build_gram(p, b)
 
         B1 = np.array([[b[i - j] for j in range(N + 1)] for i in range(N + 1)])
         B2 = np.array([[b[M1 + 1 + i + j] for j in range(N1)] for i in range(N + 1)])
@@ -242,10 +257,10 @@ class TestSolve:
 
 class TestSolveTruncated:
     def test_plateau_and_convergence(self):
-        f = RationalAR(alpha=0.5)
+        f = tabulated_ar(0.5)
         p = ObservationPattern("S2", N=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
-        sol = solve_truncated(p, w, f, schedule=(10, 20, 40, 60, 120))
+        sol = solve_truncated(p, w, f)
         deltas = sol.convergence["deltas"]
         assert sol.convergence["converged"]
         assert abs(deltas[-1] - deltas[-2]) <= 1e-8 * deltas[-1]
@@ -262,7 +277,7 @@ class TestSolveTruncated:
         f = Tabulated(np.ones(4096))
         p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
-        sol = solve_truncated(p, w, f, schedule=(25, 50, 100, 200))
+        sol = solve_truncated(p, w, f)
         expected = sum(0.25 ** abs(j) for j in missing_indices(p.with_truncation(200)))
         assert abs(sol.delta - expected) < 1e-10
 
@@ -276,22 +291,38 @@ class TestSolveTruncated:
         assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(deltas, deltas[1:]))
 
     def test_not_converged_raises(self):
-        f = RationalAR(alpha=0.5)
-        p = ObservationPattern("S2", N=0, M2=1, T=1)
-        w = FunctionalWeights(geometric=(1.0, 0.5))
-        with pytest.raises(NotConverged):
-            solve_truncated(p, w, f, schedule=(2, 3))
+        # rho = 0.97 plateaus only past T = 400; at T = 800 the span of K,
+        # 1602, is past the 1024 a 4096-point grid's quadrature reaches
+        p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
+        w = FunctionalWeights(geometric=(1.0, 0.97))
+        with pytest.raises(NotConverged) as err:
+            solve_truncated(p, w, tabulated_ar(0.5))
+        report = err.value.diagnostics
+        assert report["schedule"] == [25, 50, 100, 200, 400]
+        assert report["depth"] == 400 and len(report["deltas"]) == 5
+        assert report["final_gap"] > PLATEAU_RTOL * report["deltas"][-1]
+        assert 0 < report["tail_fraction"] < 1e-10
+        assert report["converged"] is False
+
+    def test_no_depth_within_the_grid(self):
+        # at T = 25 the span of K, 52, is past the 16 a 64-point grid reaches
+        p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
+        with pytest.raises(NotConverged) as err:
+            solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)), Tabulated(np.ones(64)),
+                            grid_size=64)
+        report = err.value.diagnostics
+        assert report["schedule"] == report["deltas"] == []
+        assert report["depth"] is report["final_gap"] is report["tail_fraction"] is None
 
     @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
     def test_doubling_converges_near_unit_decay(self, kind):
-        # rho = 0.97 plateaus only past T = 400, where a fixed 25..400
-        # schedule stopped with NotConverged; an AR density takes the
-        # doubling loop only when a schedule is passed
-        f = RationalAR(alpha=0.5)
+        # rho = 0.97 plateaus only past T = 400; on 8192 points the
+        # quadrature reaches the span of S3 at T = 800, 1606
+        grid = 8192
         p = ObservationPattern(kind, N=1, M1=2, M2=3, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.97))
-        sol = solve_truncated(p, w, f, schedule=TRUNCATION_SCHEDULE)
-        deep = solve(p.with_truncation(TRUNCATION_SCHEDULE[-1]), w, f)
+        sol = solve_truncated(p, w, tabulated_ar(0.5, grid), grid_size=grid)
+        deep = solve_truncated(p, w, RationalAR(alpha=0.5))
         assert abs(sol.delta - deep.delta) <= 1e-7 * deep.delta
 
         depths = sol.convergence["schedule"]
@@ -322,7 +353,7 @@ class TestSolveGram:
                                       for j in idx})
         f, _ = draw_density(density, rng)
         sol = solve(p, w, f)
-        dense = np.linalg.solve(build_gram(p, sol.b).matrix, sol.a)
+        dense = np.linalg.solve(build_gram(p, sol.b), sol.a)
         dense_delta = float(np.real(np.sum(dense * np.conj(sol.a))))
         assert sol.indices == tuple(idx)
         assert np.linalg.norm(sol.c - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -445,10 +476,10 @@ class TestCharacteristic:
             assert abs(v - direct) <= tol
 
     def test_truncated_keeps_deepest_solution(self):
-        f = RationalAR(alpha=0.5)
+        f = tabulated_ar(0.5)
         p = ObservationPattern("S2", N=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
-        sol = solve_truncated(p, w, f, schedule=(10, 20, 40, 60, 120))
+        sol = solve_truncated(p, w, f)
         deepest = solve(p.with_truncation(sol.convergence["schedule"][-1]), w, f)
         assert np.array_equal(sol.c, deepest.c)
         assert sol.h_coeffs == deepest.h_coeffs

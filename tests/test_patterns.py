@@ -14,8 +14,6 @@ from gapinterp.patterns import (
     FunctionalWeights,
     ObservationPattern,
     missing_indices,
-    observed_indices,
-    span,
     weight_vector,
 )
 
@@ -81,14 +79,6 @@ class TestMissingIndices:
             ObservationPattern("S1", N=0, M1=1)  # missing T
         with pytest.raises(InvalidParameters):
             ObservationPattern("S9", N=0)
-
-    def test_observed_indices(self):
-        p = ObservationPattern("S5", N=0, M2=1, N2=1)
-        assert observed_indices(p, -2, 4) == [-2, -1, 1, 3, 4]
-
-    def test_span(self):
-        assert span(ObservationPattern("S5", N=1, M2=1, N2=1)) == 3
-        assert span(ObservationPattern("S4", N=1, M1=2, N1=3)) == 6
 
 
 class TestWeights:
