@@ -26,7 +26,9 @@ ROOT_PAIRING_TOL = 1e-8
 
 
 def angular_grid(n: int) -> np.ndarray:
-    """Uniform grid of n points on [-pi, pi)."""
+    """Uniform grid of n >= 1 points on [-pi, pi)."""
+    if n < 1:
+        raise InvalidParameters(f"a grid needs at least one point, got {n}")
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
@@ -231,8 +233,8 @@ class InversePolynomial(SpectralDensity):
 
 @dataclass(frozen=True)
 class Tabulated(SpectralDensity):
-    """Nonnegative values on a uniform grid over [-pi, pi); resampled to other
-    grid sizes by trigonometric interpolation."""
+    """Finite nonnegative values on a uniform grid over [-pi, pi); resampled
+    to other grid sizes by trigonometric interpolation."""
 
     values: np.ndarray
     __eq__ = _fields_equal
@@ -241,14 +243,16 @@ class Tabulated(SpectralDensity):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 4:
             raise InvalidParameters("tabulated density needs at least 4 grid values")
-        if np.min(vals) < 0:
-            raise InvalidParameters("tabulated density has negative values")
+        if not (vals.min() >= 0 and vals.max() < np.inf):  # NaN fails both
+            raise InvalidParameters("tabulated density needs finite nonnegative values")
         object.__setattr__(self, "values", vals)
 
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         n = self.values.size
         if grid_size == n:
             return self.values.copy()
+        if grid_size < 1:
+            raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
         half = min((n - 1) // 2, (grid_size - 1) // 2)
         coeffs = grid_fourier_coefficients(self.values, half)
         return evaluate_trig_poly(coeffs, grid_size, real=True)
@@ -256,10 +260,11 @@ class Tabulated(SpectralDensity):
 
 def check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
     """Raise NonPositiveDensity unless every row of values (along the last
-    axis) is strictly positive relative to its maximum."""
+    axis) is strictly positive relative to its maximum; a row holding NaN
+    fails."""
     top = values.max(axis=-1)
     low = values.min(axis=-1)
-    bad = (top <= 0) | (low <= rtol * top)
+    bad = ~((top > 0) & (low > rtol * top))
     if np.count_nonzero(bad):  # the message names the first failing row
         low, top = np.ravel(low)[bad.argmax()], np.ravel(top)[bad.argmax()]
         raise NonPositiveDensity(

@@ -175,6 +175,8 @@ def solve(
     grid_size: int = DEFAULT_GRID,
 ) -> InterpolationSolution:
     """Solve B c = a for the coefficients and the error."""
+    if grid_size < 1:  # a finite-degree 1/f needs no grid until h is asked for
+        raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     idx = missing_indices(pattern)
     a = weights.on(idx)
     b = inverse_fourier_coeffs(f, _half_length(idx, grid_size), grid_size)
@@ -258,6 +260,8 @@ def solve_truncated(
         raise InvalidParameters("solve_truncated applies to infinite patterns only")
     if not 0 < rtol < 1:
         raise InvalidParameters(f"rtol must lie in (0, 1), got {rtol}")
+    if grid_size < 1:  # the grid doubling below would never end
+        raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     if isinstance(f, (RationalAR, InversePolynomial)):
         return _single_cut(pattern, weights, f, grid_size, rtol)
     depths, deltas, gap, tail, converged = [], [], None, None, False

@@ -441,6 +441,8 @@ def lf_dvu(
     grid_size: int = DEFAULT_GRID,
     seed: int = 0,
 ) -> LeastFavourableResult:
+    if seed < 0:
+        raise InvalidParameters(f"seed must be non-negative, got {seed}")
     cls.validate(grid_size)
     v = cls.v.on_grid(grid_size)
     u = cls.u.on_grid(grid_size)
@@ -760,11 +762,13 @@ def saddle_check(
     evaluated on the grid by one batched inverse FFT, and each error
     |e - dh|^2 f0, e = A - h0, is scored as the quadratic form
     <|e|^2, f0> - 2 Re<dh, conj(e) f0> + <|dh|^2, f0>: two products against f0.
-    n_samples < 1 raises InvalidParameters. A `closed_form_invalid` result
-    has no f0 to probe: PositivityLost.
+    n_samples < 1 or seed < 0 raises InvalidParameters. A `closed_form_invalid`
+    result has no f0 to probe: PositivityLost.
     """
     if n_samples < 1:
         raise InvalidParameters(f"saddle check needs at least one sample, got {n_samples}")
+    if seed < 0:
+        raise InvalidParameters(f"seed must be non-negative, got {seed}")
     if result.f0 is None:
         raise PositivityLost("the anchored closed form is not a valid density for these weights",
                              diagnostics=result.diagnostics)

@@ -3,6 +3,9 @@ covariances alone, and Monte Carlo simulation of Gaussian stationary paths.
 
 Nothing here touches the spectral-characteristic machinery, so agreement with
 the frequency-domain solver is a genuine cross-check rather than a tautology.
+The projection is a dense Cholesky solve of the normal equations (in real
+arithmetic for a real covariance sequence), and simulation draws every
+replicate from one random stream, at most CHUNK_VALUES draws at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from .errors import (
     SingularCovariance,
 )
 from .patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
+
+# project solves in real arithmetic when max |Im r| <= REAL_RTOL r(0)
+REAL_RTOL = 1e-13
+# normal draws generated at a time by simulate
+CHUNK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,9 @@ def build_problem(
     grid_size: int | None = None,
 ) -> TimeDomainProblem:
     """Covariance data for the projection of the target functional onto the
-    observations within +-window of the gap region."""
+    observations within +-window of the gap region; window >= 0."""
+    if window < 0:
+        raise InvalidParameters(f"window must be non-negative, got {window}")
     k_idx = missing_indices(pattern)
     missing = set(k_idx)
     lo = min(k_idx) - window
@@ -66,26 +76,34 @@ def project(tp: TimeDomainProblem) -> dict:
     R_OO w = R_OK a for R[i][j] = E conj(xi(s_i)) xi(t_j) = r(t_j - s_i).
     The residual error is a^H R_KK a - rho^H w with rho = R_OK a. Returns the
     observation weights and the mean-square error.
+
+    Every entry is gathered from the two-sided sequence r(-L..L) in one
+    lookup, and R_OO is factored by a dense Cholesky. A covariance sequence
+    real to rounding (max |Im r| <= REAL_RTOL r(0)) is solved in real
+    arithmetic, the real and imaginary parts of rho as two right-hand sides;
+    any other goes through the complex Hermitian factor.
     """
-    obs = np.asarray(tp.observed_indices)
+    obs = np.asarray(tp.observed_indices, dtype=int)  # empty when window = 0 sees none
     tgt = np.asarray(tp.target_indices)
     a = tp.target_weights
+    real = np.max(np.abs(tp.r.imag)) <= REAL_RTOL * tp.r[0].real
+    r = tp.r.real if real else tp.r
+    two_sided = np.concatenate((np.conj(r[:0:-1]), r))  # index lag + L
 
-    def cov(rows, cols):
-        lags = np.subtract.outer(cols, rows).T  # [i][j] = cols_j - rows_i
-        vals = tp.r[np.abs(lags)]
-        return np.where(lags < 0, np.conj(vals), vals)
+    def cov(rows, cols):  # [i][j] = r(cols_j - rows_i), in Fortran order for LAPACK
+        return two_sided[cols[:, None] - rows + r.size - 1].T
 
-    R_oo = cov(obs, obs)
-    R_ok = cov(obs, tgt)
-    R_kk = cov(tgt, tgt)
-    rho = R_ok @ a
+    rho = cov(obs, tgt) @ a
     try:
-        cf = scipy.linalg.cho_factor(R_oo, lower=True, check_finite=False)
-        w = scipy.linalg.cho_solve(cf, rho, check_finite=False)
+        cf = scipy.linalg.cho_factor(cov(obs, obs), lower=True, overwrite_a=True,
+                                     check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(str(exc)) from exc
-    target_var = float(np.real(np.conj(a) @ (R_kk @ a)))
+    rhs = np.column_stack((rho.real, rho.imag)) if real else rho
+    w = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+    if real:
+        w = w[:, 0] + 1j * w[:, 1]
+    target_var = float(np.real(np.conj(a) @ (cov(tgt, tgt) @ a)))
     mse = target_var - float(np.real(np.conj(rho) @ w))
     return {"weights": w, "mse": max(mse, 0.0), "target_variance": target_var}
 
@@ -96,61 +114,74 @@ def simulate(
     n_replicates: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Real Gaussian stationary paths with spectral density f.
+    """Real Gaussian stationary paths with spectral density f, one per row.
 
-    RationalAR with real coefficients uses the AR recursion with a warm-up
-    run-in; everything else goes through circulant embedding. Replicates are
-    generated from per-replicate child seeds, so results do not depend on
-    how the loop is scheduled.
+    All normal draws come from the one stream np.random.default_rng(seed):
+    replicate r is the r-th block of consecutive draws, so the first j rows
+    of a call with n_replicates >= j are the rows of the call with j, and a
+    replicate cannot be drawn without those before it. Rows are generated
+    CHUNK_VALUES draws at a time, which bounds the working memory beyond the
+    (n_replicates, length) output.
+
+    RationalAR with real coefficients uses the AR recursion (one lfilter per
+    chunk) after a warm-up run-in. Everything else goes through circulant
+    embedding of r(0..m/2), which is exact whenever the embedding is
+    non-negative definite: m starts at the smallest power of two
+    >= 2 (length - 1) and doubles while an eigenvalue lies below -1e-10 times
+    the largest, and EmbeddingNotPSD is raised past the first power of two
+    >= 8 length. A replicate takes 2m draws, the real and imaginary parts of
+    the m-point FFT input, and each chunk is one FFT along the rows.
     """
     if length < 1 or n_replicates < 1:
         raise InvalidParameters("length and n_replicates must be positive")
-    if isinstance(f, RationalAR) and np.max(np.abs(f.alpha.imag)) == 0.0:
-        return _simulate_ar(f, length, n_replicates, seed)
-    return _simulate_circulant(f, length, n_replicates, seed)
+    if seed < 0:
+        raise InvalidParameters(f"seed must be non-negative, got {seed}")
+    real_ar = isinstance(f, RationalAR) and np.max(np.abs(f.alpha.imag)) == 0.0
+    draw, width = (_ar_sampler if real_ar else _circulant_sampler)(f, length)
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_replicates, length))
+    rows = max(1, CHUNK_VALUES // width)
+    for start in range(0, n_replicates, rows):
+        out[start:start + rows] = draw(rng, min(rows, n_replicates - start))
+    return out
 
 
-def _simulate_ar(f: RationalAR, length: int, n_replicates: int, seed: int) -> np.ndarray:
-    alpha = f.alpha.real
-    p = alpha.size
-    sigma = np.sqrt(f.sigma2)
-    warmup = max(200, 20 * p)
-    total = length + warmup
-    eps = np.empty((n_replicates, total))
-    for rep in range(n_replicates):
-        rng = np.random.default_rng([seed, rep])
-        eps[rep] = rng.standard_normal(total)
-    denom = np.concatenate(([1.0], -alpha))
+def _ar_sampler(f: RationalAR, length: int):
+    """draw(rng, rows) giving rows AR paths, and the draws per path."""
+    warmup = max(200, 20 * f.alpha.size)
+    denom = np.concatenate(([1.0], -f.alpha.real))
     # scipy.signal is imported on first use: it weighs about as much as all
     # the package's other imports together, and only simulation needs it
     from scipy.signal import lfilter
 
-    x = lfilter([1.0], denom, sigma * eps, axis=1)
-    return x[:, warmup:]
+    def draw(rng, rows):
+        eps = rng.standard_normal((rows, length + warmup))
+        return lfilter([np.sqrt(f.sigma2)], denom, eps, axis=1)[:, warmup:]
+
+    return draw, length + warmup
 
 
-def _simulate_circulant(f: SpectralDensity, length: int, n_replicates: int, seed: int) -> np.ndarray:
-    m = 1
-    while m < 8 * length:
+def _circulant_sampler(f: SpectralDensity, length: int):
+    """draw(rng, rows) giving rows circulant-embedding paths, and the draws
+    per path."""
+    m = 1 << max(2 * length - 3, 0).bit_length()  # the least power of two >= 2 (length - 1)
+    while True:
+        r = covariances(f, m // 2, grid_size=max(DEFAULT_GRID, 4 * m))
+        if np.max(np.abs(r.imag)) > 1e-10 * max(float(np.max(np.abs(r))), 1e-300):
+            raise InvalidParameters("real-path simulation requires a real covariance sequence")
+        eig = np.fft.fft(np.concatenate((r.real, r.real[-2:0:-1]))).real
+        if np.min(eig) >= -1e-10 * np.max(eig):
+            break
+        if m >= 1 << (8 * length - 1).bit_length():  # the least power of two >= 8 length
+            raise EmbeddingNotPSD(f"circulant embedding eigenvalue {np.min(eig):.3e}, size {m}")
         m *= 2
-    r = covariances(f, m // 2, grid_size=max(DEFAULT_GRID, 4 * m))
-    if np.max(np.abs(r.imag)) > 1e-10 * max(float(np.max(np.abs(r))), 1e-300):
-        raise InvalidParameters("real-path simulation requires a real covariance sequence")
-    rr = r.real
-    circ = np.concatenate([rr[: m // 2 + 1], rr[m // 2 - 1: 0: -1]])
-    eig = np.fft.fft(circ).real
-    if np.min(eig) < -1e-10 * np.max(eig):
-        raise EmbeddingNotPSD(
-            f"circulant embedding eigenvalue {np.min(eig):.3e}; increase the embedding size"
-        )
-    eig = np.maximum(eig, 0.0)
-    out = np.empty((n_replicates, length))
-    for rep in range(n_replicates):
-        rng = np.random.default_rng([seed, rep])
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        path = np.fft.fft(np.sqrt(eig / m) * z)
-        out[rep] = path.real[:length]
-    return out
+    scale = np.sqrt(np.maximum(eig, 0.0) / m)
+
+    def draw(rng, rows):
+        z = rng.standard_normal((rows, 2, m))
+        return np.fft.fft(scale * (z[:, 0] + 1j * z[:, 1]), axis=1).real[:, :length]
+
+    return draw, 2 * m
 
 
 def empirical_mse(

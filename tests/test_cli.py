@@ -201,6 +201,34 @@ class TestFailureRecords:
         assert rec["error"] == "InvalidParameters"
         assert rec["category"] == "validation"
 
+    DVU_CONFIG = {**LF_CONFIG, "class": {
+        "type": "dvu", "p": 1.0,
+        "v": {"type": "tabulated", "values": [0.05] * 512},
+        "u": {"type": "tabulated", "values": [20.0] * 512},
+    }}
+
+    # each of these escaped as a numpy/scipy traceback with no record written,
+    # except the last two: interpolate succeeded on a grid of -8 points, and
+    # hung doubling a grid of 0 points on S1-S3
+    @pytest.mark.parametrize("command, config, extra", [
+        ("simulate", EX_CONFIG, ("--seed", "-1", "--replicates", "10")),
+        ("least-favourable", LF_CONFIG, ("--seed", "-1")),
+        ("verify", EX_CONFIG, ("--window", "-5")),
+        ("least-favourable", DVU_CONFIG, ("--grid", "0")),
+        ("least-favourable", DVU_CONFIG, ("--grid", "-8")),
+        ("minimality", {"density": {"type": "tabulated", "values": [1.0] * 8}}, ("--grid", "0")),
+        ("minimality", {"density": {"type": "rational_ar", "alpha": [0.5]}}, ("--grid", "-8")),
+        ("interpolate", EX_CONFIG, ("--grid", "-8")),
+        ("interpolate", {**EX_CONFIG, "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+                         "weights": {"values": {"0": 1}}}, ("--grid", "0")),
+    ], ids=["simulate_seed", "lf_seed", "verify_window", "dvu_grid_0", "dvu_grid_-8",
+            "tabulated_grid_0", "ar_grid_-8", "solve_grid_-8", "exact_tail_grid_0"])
+    def test_bad_integer_flag_is_validation_error(self, tmp_path, command, config, extra):
+        code, rec, _ = run(tmp_path, command, config, *extra)
+        assert code == 1
+        assert rec["error"] == "InvalidParameters"
+        assert rec["category"] == "validation"
+
 
 class TestVerify:
     def test_example_passes(self, tmp_path, capsys):

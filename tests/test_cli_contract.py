@@ -27,6 +27,11 @@ densities = st.one_of(
                            "values": st.lists(st.floats(0.0, 3.0), min_size=4, max_size=16)}),
 )
 
+# integer flags, negative and zero included: each is a validation record
+grids = st.sampled_from([-8, 0, 16, 512, 512])
+seeds = st.sampled_from([-1, 0, 3])
+windows = st.sampled_from([-5, 0, 12, 12])
+
 patterns = st.fixed_dictionaries({
     "kind": st.sampled_from(["S1", "S2", "S3", "S4", "S5", "S6"]),
     "N": small, "M1": positive, "M2": positive, "N1": small, "N2": small, "T": positive,
@@ -85,16 +90,18 @@ def damaged(config, data):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(sorted(cli.COMMANDS)), density=densities, pattern=patterns,
-       cls=classes, data=st.data())
-def test_every_run_writes_a_strict_json_record(command, density, pattern, cls, data):
+       cls=classes, grid=grids, seed=seeds, window=windows, data=st.data())
+def test_every_run_writes_a_strict_json_record(command, density, pattern, cls, grid, seed,
+                                               window, data):
     config = damaged({"density": density, "pattern": pattern,
                       "weights": data.draw(weights(pattern)), "class": cls}, data)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
-        code = cli.main([command, str(path), "--out", str(out), "--grid", "512",
-                         "--window", "12", "--replicates", "40", "--samples", "8"])
+        code = cli.main([command, str(path), "--out", str(out), "--grid", str(grid),
+                         "--seed", str(seed), "--window", str(window),
+                         "--replicates", "40", "--samples", "8"])
         assert code in (0, 1, 2)
 
         def reject(name):

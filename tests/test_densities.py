@@ -63,6 +63,16 @@ class TestGridQuadrature:
         with pytest.raises(NonPositiveDensity, match="min 1.000e-12, max 1.000e"):
             check_positive(rows)
 
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_nan_row_fails_positivity(self, where):
+        # (top <= 0) | (low <= rtol * top) is False for a NaN row
+        rows = np.ones((3, 16))
+        rows[1, where] = np.nan
+        with pytest.raises(NonPositiveDensity):
+            check_positive(rows)
+        with pytest.raises(NonPositiveDensity):
+            check_positive(rows[1])
+
     @pytest.mark.parametrize("shape", [(4096,), (32, 4096), (3, 64)])
     def test_real_input_matches_the_complex_path(self, shape):
         values = np.random.default_rng(8).uniform(0.05, 20.0, size=shape)
@@ -271,6 +281,22 @@ class TestTabulated:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameters):
             Tabulated(np.array([1.0, -0.1, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN passed the old `min < 0` test, and solve then returned delta = nan
+        values = np.ones(64)
+        values[3] = bad
+        with pytest.raises(InvalidParameters, match="finite nonnegative"):
+            Tabulated(values)
+
+    @pytest.mark.parametrize("grid", [0, -8])
+    def test_nonpositive_grid_rejected(self, grid):
+        for f in (Tabulated(np.ones(8)), RationalAR(alpha=0.5)):
+            with pytest.raises(InvalidParameters):
+                f.on_grid(grid)
+            with pytest.raises(InvalidParameters):
+                minimality_value(f, grid_size=grid)
 
 
 class TestFactorization:

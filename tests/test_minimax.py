@@ -158,6 +158,12 @@ class TestD0Minus:
             saddle_check(res, p, w, D0Minus(p=1.0), n_samples=5)
         assert info.value.diagnostics["inv_min"] == res.diagnostics["inv_min"] < 0
 
+    def test_saddle_check_negative_seed_refused(self):
+        # default_rng raised numpy's ValueError, which the CLI did not record
+        res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
+        with pytest.raises(InvalidParameters, match="seed"):
+            saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0), n_samples=5, seed=-1)
+
 
 class TestDW:
     def test_degenerate_constant_error(self):
@@ -312,6 +318,18 @@ class TestDVU:
                   p=1.0)
         with pytest.raises(InvalidParameters):
             lf_dvu(S5_SMALL, W_SMALL, cls)
+
+    def test_negative_seed_refused(self):
+        cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        with pytest.raises(InvalidParameters, match="seed"):
+            lf_dvu(S5_SMALL, W_SMALL, cls, seed=-1)
+
+    @pytest.mark.parametrize("grid", [0, -8])
+    def test_nonpositive_grid_refused(self, grid):
+        # the FFT and broadcasting code raised ValueError
+        cls = DVU(v=Tabulated(np.full(512, 0.1)), u=Tabulated(np.full(512, 10.0)), p=1.0)
+        with pytest.raises(InvalidParameters):
+            lf_dvu(S5_SMALL, W_SMALL, cls, grid_size=grid)
 
 
 class TestNumerical:

@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import cho_factor, cho_solve
+from scipy.signal import lfilter
 
-from gapinterp.densities import RationalAR, Tabulated, angular_grid, covariance
-from gapinterp.errors import IndexOutOfPath, InvalidParameters
+from gapinterp import oracle
+from gapinterp.densities import (
+    DEFAULT_GRID,
+    RationalAR,
+    Tabulated,
+    angular_grid,
+    covariance,
+    covariances,
+)
+from gapinterp.errors import EmbeddingNotPSD, IndexOutOfPath, InvalidParameters
 from gapinterp.interpolate import solve
 from gapinterp.oracle import (
     build_problem,
@@ -24,6 +35,60 @@ from gapinterp.patterns import (
 EX_PATTERN = ObservationPattern("S4", N=1, M1=2, N1=3)
 EX_WEIGHTS = FunctionalWeights(values={j: 1.0 for j in [0, 1, -3, -4, -5]})
 EX_DENSITY = RationalAR(alpha=0.5)
+
+
+def reference_projection(tp):
+    """The complex Hermitian projection: every covariance looked up through
+    |lag| and conjugated for negative lags, one complex Cholesky solve.
+    Returns the weights and the error."""
+    obs = np.asarray(tp.observed_indices)
+    tgt = np.asarray(tp.target_indices)
+    a = tp.target_weights
+
+    def cov(rows, cols):
+        lags = np.subtract.outer(cols, rows).T  # [i][j] = cols_j - rows_i
+        vals = tp.r[np.abs(lags)]
+        return np.where(lags < 0, np.conj(vals), vals)
+
+    rho = cov(obs, tgt) @ a
+    w = cho_solve(cho_factor(cov(obs, obs), lower=True), rho)
+    target_var = float(np.real(np.conj(a) @ (cov(tgt, tgt) @ a)))
+    return w, target_var - float(np.real(np.conj(rho) @ w))
+
+
+def random_real_ar(rng):
+    """AR(1-3) with real coefficients: real roots or a conjugate pair, inverse
+    roots of modulus at most 0.8."""
+    order = int(rng.integers(1, 4))
+    inv_roots = list(rng.uniform(-0.8, 0.8, size=order % 2))
+    for _ in range(order // 2):
+        inv_roots += [rng.uniform(0.1, 0.8) * np.exp(1j * rng.uniform(0, np.pi))]
+        inv_roots += [np.conj(inv_roots[-1])]
+    alpha = -np.poly(inv_roots)[1:]  # 1 - sum alpha_k z^k = prod (1 - w z)
+    return RationalAR(alpha=np.real(alpha))
+
+
+def random_finite_pattern(rng):
+    kind = str(rng.choice(["S4", "S5", "S6"]))
+    N = int(rng.integers(0, 3))
+    left = dict(M1=int(rng.integers(1, 4)), N1=int(rng.integers(0, 4)))
+    right = dict(M2=int(rng.integers(1, 4)), N2=int(rng.integers(0, 4)))
+    sides = {"S4": left, "S5": right, "S6": {**left, **right}}[kind]
+    return ObservationPattern(kind, N=N, **sides)
+
+
+def factor_dtypes(monkeypatch):
+    """The dtypes of the matrices handed to scipy.linalg.cho_factor (the
+    reference above holds its own binding)."""
+    seen = []
+    factor = scipy.linalg.cho_factor
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    return seen
 
 
 class TestProjection:
@@ -78,6 +143,51 @@ class TestProjection:
         proj = project(tp)
         assert 0 <= proj["mse"] <= proj["target_variance"]
 
+    def test_real_path_matches_complex_reference(self, monkeypatch):
+        dtypes = factor_dtypes(monkeypatch)
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            pattern = random_finite_pattern(rng)
+            k = missing_indices(pattern)
+            values = rng.normal(size=len(k)) + 1j * rng.normal(size=len(k)) * rng.integers(0, 2)
+            weights = FunctionalWeights(values=dict(zip(k, values)))
+            tp = build_problem(pattern, weights, random_real_ar(rng), window=int(rng.integers(5, 40)))
+            assert np.max(np.abs(tp.r.imag)) <= oracle.REAL_RTOL * tp.r[0].real
+            w_ref, mse_ref = reference_projection(tp)
+            proj = project(tp)
+            assert abs(proj["mse"] - mse_ref) <= 1e-12 * mse_ref
+            assert np.max(np.abs(proj["weights"] - w_ref)) <= 1e-12 * max(np.max(np.abs(w_ref)), 1.0)
+        assert dtypes == [np.float64] * 200
+
+    @pytest.mark.parametrize("alpha", [0.5 * np.exp(0.7j), 0.5 + 1e-9j])
+    def test_complex_covariance_keeps_complex_path(self, monkeypatch, alpha):
+        # an imaginary part of 1e-9 in alpha is far above the 1e-13 rule
+        dtypes = factor_dtypes(monkeypatch)
+        f = RationalAR(alpha=alpha)
+        p = ObservationPattern("S6", N=1, M1=2, N1=2, M2=1, N2=2)
+        w = FunctionalWeights(values={0: 1 + 0.5j, 1: 0.3 - 1j, -4: 2.0, 4: -0.5 + 0.2j})
+        tp = build_problem(p, w, f, window=100)
+        proj = project(tp)
+        assert dtypes == [np.complex128]
+        assert abs(proj["mse"] - reference_projection(tp)[1]) <= 1e-12 * proj["mse"]
+        assert abs(solve(p, w, f).delta - proj["mse"]) < 1e-8 * proj["mse"]
+
+    def test_no_observations(self):
+        # window 0 around a gap without inner observations sees nothing; the
+        # empty index tuple became a float array that could not index r
+        p = ObservationPattern("S4", N=2, M1=2, N1=0)
+        tp = build_problem(p, FunctionalWeights(values={0: 1.0, 2: 0.5}), EX_DENSITY, window=0)
+        assert tp.observed_indices == ()
+        proj = project(tp)
+        assert proj["weights"].size == 0
+        assert abs(proj["mse"] - 2.0) < 1e-12  # (4/3) (1 + 0.25) + 2 * 0.5 * (4/3) / 4
+        assert proj["mse"] == proj["target_variance"]
+
+    def test_negative_window_refused(self):
+        # the observed range came out empty and build_problem raised IndexError
+        with pytest.raises(InvalidParameters, match="window"):
+            build_problem(EX_PATTERN, EX_WEIGHTS, EX_DENSITY, window=-5)
+
 
 class TestSimulate:
     def test_reproducible(self):
@@ -116,6 +226,89 @@ class TestSimulate:
             simulate(EX_DENSITY, length=0)
         with pytest.raises(InvalidParameters):
             simulate(EX_DENSITY, length=10, n_replicates=0)
+
+    def test_negative_seed_refused(self):
+        # default_rng raised numpy's ValueError, which the CLI did not record
+        with pytest.raises(InvalidParameters, match="seed"):
+            simulate(EX_DENSITY, length=10, seed=-1)
+
+    @pytest.mark.parametrize("chunk", [None, 3 * 2 * 32 + 1])
+    def test_chunks_equal_one_draw(self, monkeypatch, chunk):
+        # replicate r is the r-th block of one stream, however the rows are
+        # chunked: three chunks of the default 1 << 20 draws (4832 AR rows of
+        # 217 draws, 16384 circulant rows of 64), or chunks of 193 draws (one
+        # AR row, the least a chunk holds, or three circulant rows)
+        f = RationalAR(alpha=np.array([0.5, -0.3]), sigma2=2.0)
+        g = Tabulated(2.0 + np.cos(angular_grid(4096)))
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk)
+        n_ar, n_circ = (10, 10) if chunk else (12000, 40000)
+
+        rng = np.random.default_rng(4)
+        eps = rng.standard_normal((n_ar, 17 + 200))
+        ar = lfilter([np.sqrt(2.0)], [1.0, -0.5, 0.3], eps, axis=1)[:, 200:]
+        assert np.array_equal(simulate(f, 17, n_ar, seed=4), ar)
+
+        # 2 (17 - 1) = 32 points embed r(0..16); replicate r takes 2 * 32 draws
+        r = covariances(g, 16, grid_size=DEFAULT_GRID).real
+        eig = np.fft.fft(np.concatenate((r, r[15:0:-1]))).real
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal((n_circ, 2, 32))
+        circ = np.fft.fft(np.sqrt(np.maximum(eig, 0) / 32) * (z[:, 0] + 1j * z[:, 1]), axis=1)
+        assert np.array_equal(simulate(g, 17, n_circ, seed=4), circ.real[:, :17])
+
+    def test_prefix_of_a_longer_run(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", 3 * (20 + 200))
+        full = simulate(EX_DENSITY, length=20, n_replicates=11, seed=8)
+        for j in (1, 3, 4, 10):
+            assert np.array_equal(full[:j], simulate(EX_DENSITY, length=20, n_replicates=j, seed=8))
+
+
+def embedding_sizes(monkeypatch):
+    """The embedding sizes 2 * max_lag at which simulate looks up covariances."""
+    sizes = []
+    lookup = oracle.covariances
+
+    def recording(f, max_lag, grid_size=None):
+        sizes.append(2 * max_lag)
+        return lookup(f, max_lag, grid_size=grid_size)
+
+    monkeypatch.setattr(oracle, "covariances", recording)
+    return sizes
+
+
+# a slowly decaying oscillating covariance, r(n) ~ 0.95^n cos(0.3 n)
+SLOW = Tabulated(RationalAR(alpha=np.array([2 * 0.95 * np.cos(0.3), -0.95 ** 2])).on_grid(4096))
+
+
+class TestEmbedding:
+    def test_fast_decay_uses_the_smallest_size(self, monkeypatch):
+        sizes = embedding_sizes(monkeypatch)
+        simulate(Tabulated(2.0 + np.cos(angular_grid(4096))), length=40, n_replicates=2)
+        assert sizes == [128]  # the least power of two >= 2 (40 - 1)
+
+    def test_grows_from_the_smallest_size(self, monkeypatch):
+        sizes = embedding_sizes(monkeypatch)
+        simulate(SLOW, length=20, n_replicates=2)
+        assert sizes == [64, 128, 256]  # 256: the least power of two >= 8 * 20
+
+    def test_refused_past_eight_times_the_length(self, monkeypatch):
+        # 8 * 10 = 80 rounds up to 128, where the embedding still has a
+        # negative eigenvalue
+        sizes = embedding_sizes(monkeypatch)
+        with pytest.raises(EmbeddingNotPSD, match="size 128"):
+            simulate(SLOW, length=10, n_replicates=2)
+        assert sizes == [32, 64, 128]
+
+    def test_autocovariance_at_every_lag(self):
+        # every lag the paths hold, through an embedding grown to 256 points
+        length = 20
+        paths = simulate(SLOW, length=length, n_replicates=40000, seed=3)
+        for lag in range(length):
+            prods = paths[:, 0] * paths[:, lag]
+            se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
+            truth = covariance(SLOW, lag).real
+            assert abs(np.mean(prods) - truth) < 4 * se
 
 
 class TestEmpiricalMse:
