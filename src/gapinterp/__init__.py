@@ -32,7 +32,7 @@ from .minimax import (
     numerical_lf,
     saddle_check,
 )
-from .oracle import build_problem, empirical_mse, project, simulate
+from .oracle import build_problem, empirical_mse, project, simulate, simulate_chunks
 from .patterns import (
     FunctionalWeights,
     ObservationPattern,
@@ -51,5 +51,5 @@ __all__ = [
     "empirical_mse", "factorize_inverse", "inverse_fourier_coeffs",
     "lf_d0minus", "lf_dW", "lf_dvu", "minimality_value", "missing_indices",
     "mse_of_characteristic", "numerical_lf", "project", "saddle_check",
-    "simulate", "solve", "solve_truncated", "weight_vector",
+    "simulate", "simulate_chunks", "solve", "solve_truncated", "weight_vector",
 ]

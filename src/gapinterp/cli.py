@@ -19,7 +19,13 @@ import tempfile
 import numpy as np
 
 from . import densities, interpolate, minimax, oracle, patterns
-from .errors import GapInterpError, NotConverged, NumericalError, ValidationError
+from .errors import (
+    GapInterpError,
+    InvalidParameters,
+    NotConverged,
+    NumericalError,
+    ValidationError,
+)
 
 # `verify` cuts S1-S3 where the cut moves the error by about this much
 VERIFY_RTOL = 1e-12
@@ -198,7 +204,7 @@ def cmd_least_favourable(config: dict, args) -> dict:
     elif isinstance(cls, minimax.DW):
         result = minimax.lf_dW(f_pattern, weights, cls, grid_size=args.grid)
     else:
-        result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid, seed=args.seed)
+        result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid)
     # saddle_check refuses a closed_form_invalid result with PositivityLost
     report = minimax.saddle_check(result, f_pattern, weights, cls,
                                   n_samples=args.samples, seed=args.seed)
@@ -264,15 +270,28 @@ def cmd_verify(config: dict, args) -> dict:
 
 def cmd_simulate(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
+    if args.replicates < 2:  # the standard error of one replicate is infinite
+        raise InvalidParameters(f"simulate needs at least 2 replicates, got {args.replicates}")
     sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
     est = oracle.estimate_weights_from_characteristic(sol, window=args.window)
     idx = patterns.missing_indices(pattern)
     margin = max(abs(min(idx)), abs(max(idx))) + args.window
     length = 2 * margin + 1
-    paths = oracle.simulate(f, length=length, n_replicates=args.replicates, seed=args.seed)
+    chunks = oracle.simulate_chunks(f, length=length, n_replicates=args.replicates,
+                                    seed=args.seed)
+    n_dump = 100 if args.out and args.format in ("csv", "both") else 0
+    dumped = []  # the first n_dump paths, for paths.csv
+
+    def dumping(chunks):
+        for rows in chunks:
+            dumped.extend(rows[:n_dump - len(dumped)].tolist())
+            yield rows
+
     # the complex functional, whose error sol.delta is
     target = dict(zip(idx, patterns.weight_vector(weights, pattern)))
-    em = oracle.empirical_mse(paths, est, target, origin=margin)
+    # each chunk is reduced to its errors as it is drawn: memory stays
+    # O(CHUNK_VALUES + replicates)
+    em = oracle.empirical_mse(dumping(chunks), est, target, origin=margin)
     gap = em["mean"] - sol.delta
     if em["stderr"] > 0:
         z_score = gap / em["stderr"]
@@ -285,12 +304,11 @@ def cmd_simulate(config: dict, args) -> dict:
         "theoretical_mse": sol.delta,
         "z_score": z_score,
     }
-    if args.out and args.format in ("csv", "both"):
-        n_dump = min(paths.shape[0], 100)
+    if n_dump:
         write_csv(
             os.path.join(args.out, "paths.csv"),
             ["replicate"] + [f"t{t - margin}" for t in range(length)],
-            [[r] + paths[r].tolist() for r in range(n_dump)],
+            [[r] + row for r, row in enumerate(dumped)],
         )
     return record
 

@@ -119,6 +119,16 @@ class FourierCoeffs:
         sym = 0.5 * (self.values + np.conj(self.values[::-1]))
         return FourierCoeffs(sym)
 
+    def resized(self, half_length: int) -> "FourierCoeffs":
+        """b at the lags -half_length..half_length: cut, or padded with zeros."""
+        extra = half_length - self.half_length
+        if extra < 0:
+            return FourierCoeffs(self.values[-extra: extra])
+        if extra == 0:
+            return self
+        zeros = np.zeros(extra, dtype=complex)
+        return FourierCoeffs(np.concatenate((zeros, self.values, zeros)))
+
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         scale = max(np.max(np.abs(self.values)), 1.0)
         return bool(np.max(np.abs(self.values - np.conj(self.values[::-1]))) <= tol * scale)
@@ -286,24 +296,13 @@ def inverse_fourier_coeffs(
     inputs go through FFT quadrature and need grid_size >= 4 * half_length.
     """
     if isinstance(f, RationalAR):
-        return _resize(f.exact_inverse_coeffs(), half_length)
+        return f.exact_inverse_coeffs().resized(half_length)
     if isinstance(f, InversePolynomial):
         f.inverse_on_grid(grid_size)
-        return _resize(f.inv_coeffs, half_length)
+        return f.inv_coeffs.resized(half_length)
     if grid_size < 4 * half_length:
         raise InvalidParameters("grid_size must be at least 4 * half_length")
     return FourierCoeffs(grid_fourier_coefficients(f.inverse_on_grid(grid_size), half_length))
-
-
-def _resize(b: FourierCoeffs, half_length: int) -> FourierCoeffs:
-    """b at the lags -half_length..half_length: cut, or padded with zeros."""
-    extra = half_length - b.half_length
-    if extra < 0:
-        return FourierCoeffs(b.values[-extra: extra])
-    if extra == 0:
-        return b
-    zeros = np.zeros(extra, dtype=complex)
-    return FourierCoeffs(np.concatenate((zeros, b.values, zeros)))
 
 
 def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float:

@@ -319,12 +319,12 @@ def _single_cut(
     Cholesky over the cut K then gives c, and h vanishes on K to rounding;
     the grid grows by doubling until it holds h (2 max|j| < grid_size).
     """
-    if isinstance(f, InversePolynomial):
-        f.inverse_on_grid(grid_size)  # refuse a 1/f that is not positive before its roots
+    # b(m) vanishes past the nominal degree p; an InversePolynomial's 1/f is
+    # checked here, once per solve and before its roots are sought
+    p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
+    exact = inverse_fourier_coeffs(f, p, grid_size)
     C, rho = weights.geometric or (0.0, 0.0)
     radius = max(rho, _slowest_root(f))
-    # b(m) vanishes past the nominal degree p
-    p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
     reach = weights.reach(pattern)
     if reach > TRUNCATION_SCHEDULE[-1]:
         raise InvalidParameters(f"explicit weights reach {reach} indices into an infinite "
@@ -336,7 +336,7 @@ def _single_cut(
         _check_depth(depth)
         idx = missing_indices(pattern.with_truncation(depth))
         a = weights.on(idx)
-        b = inverse_fourier_coeffs(f, _half_length(idx, grid_size), grid_size)
+        b = exact.resized(_half_length(idx, grid_size))
         c = solve_gram(idx, a, b)
         # canonical order: central, then each held block with its outermost
         # q indices last

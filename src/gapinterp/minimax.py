@@ -439,10 +439,7 @@ def lf_dvu(
     weights: FunctionalWeights,
     cls: DVU,
     grid_size: int = DEFAULT_GRID,
-    seed: int = 0,
 ) -> LeastFavourableResult:
-    if seed < 0:
-        raise InvalidParameters(f"seed must be non-negative, got {seed}")
     cls.validate(grid_size)
     v = cls.v.on_grid(grid_size)
     u = cls.u.on_grid(grid_size)
@@ -468,7 +465,7 @@ def lf_dvu(
         if bounds_ok:
             return replace(base, lagrange={**base.lagrange, "lower_active": [], "upper_active": []})
 
-    result = numerical_lf(pattern, weights, cls, seed=seed)
+    result = numerical_lf(pattern, weights, cls)
     f0_vals = result.f0.on_grid(result.grid_size)
     v_opt = cls.v.on_grid(result.grid_size)
     u_opt = cls.u.on_grid(result.grid_size)
@@ -542,7 +539,6 @@ def numerical_lf(
     grid_size: int = OPT_GRID,
     max_iters: int = MAX_ITERS,
     pg_tol: float = PG_TOL,
-    seed: int = 0,
     warm_start: np.ndarray | None = None,
 ) -> LeastFavourableResult:
     """Maximize the interpolation error over the class by projected gradient

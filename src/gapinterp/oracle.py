@@ -5,7 +5,8 @@ Nothing here touches the spectral-characteristic machinery, so agreement with
 the frequency-domain solver is a genuine cross-check rather than a tautology.
 The projection is a dense Cholesky solve of the normal equations (in real
 arithmetic for a real covariance sequence), and simulation draws every
-replicate from one random stream, at most CHUNK_VALUES draws at a time.
+replicate from one random stream, at most CHUNK_VALUES draws at a time, which
+`empirical_mse` can reduce chunk by chunk as they are drawn.
 """
 
 from __future__ import annotations
@@ -114,23 +115,42 @@ def simulate(
     n_replicates: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Real Gaussian stationary paths with spectral density f, one per row.
+    """Real Gaussian stationary paths with spectral density f, one per row:
+    the blocks of simulate_chunks(f, length, n_replicates, seed) stacked.
 
     All normal draws come from the one stream np.random.default_rng(seed):
     replicate r is the r-th block of consecutive draws, so the first j rows
     of a call with n_replicates >= j are the rows of the call with j, and a
-    replicate cannot be drawn without those before it. Rows are generated
-    CHUNK_VALUES draws at a time, which bounds the working memory beyond the
-    (n_replicates, length) output.
+    replicate cannot be drawn without those before it.
 
-    RationalAR with real coefficients uses the AR recursion (one lfilter per
-    chunk) after a warm-up run-in. Everything else goes through circulant
+    RationalAR with real coefficients runs its AR recursion after a warm-up
+    run-in (see `_ar_sampler`). Everything else goes through circulant
     embedding of r(0..m/2), which is exact whenever the embedding is
     non-negative definite: m starts at the smallest power of two
     >= 2 (length - 1) and doubles while an eigenvalue lies below -1e-10 times
     the largest, and EmbeddingNotPSD is raised past the first power of two
     >= 8 length. A replicate takes 2m draws, the real and imaginary parts of
     the m-point FFT input, and each chunk is one FFT along the rows.
+    """
+    chunks = simulate_chunks(f, length, n_replicates, seed)  # checks n_replicates
+    out = np.empty((n_replicates, length))
+    start = 0
+    for rows in chunks:
+        out[start:start + len(rows)] = rows
+        start += len(rows)
+    return out
+
+
+def simulate_chunks(
+    f: SpectralDensity,
+    length: int,
+    n_replicates: int = 1,
+    seed: int = 0,
+):
+    """The rows of `simulate` as an iterator of consecutive blocks of at most
+    CHUNK_VALUES draws each (one row when a row takes more), each drawn when
+    it is asked for. Memory stays O(CHUNK_VALUES) whatever n_replicates is;
+    the arguments are checked and the sampler is built before this returns.
     """
     if length < 1 or n_replicates < 1:
         raise InvalidParameters("length and n_replicates must be positive")
@@ -139,26 +159,41 @@ def simulate(
     real_ar = isinstance(f, RationalAR) and np.max(np.abs(f.alpha.imag)) == 0.0
     draw, width = (_ar_sampler if real_ar else _circulant_sampler)(f, length)
     rng = np.random.default_rng(seed)
-    out = np.empty((n_replicates, length))
     rows = max(1, CHUNK_VALUES // width)
-    for start in range(0, n_replicates, rows):
-        out[start:start + rows] = draw(rng, min(rows, n_replicates - start))
-    return out
+    return (draw(rng, min(rows, n_replicates - start)) for start in range(0, n_replicates, rows))
 
 
 def _ar_sampler(f: RationalAR, length: int):
-    """draw(rng, rows) giving rows AR paths, and the draws per path."""
-    warmup = max(200, 20 * f.alpha.size)
-    denom = np.concatenate(([1.0], -f.alpha.real))
-    # scipy.signal is imported on first use: it weighs about as much as all
-    # the package's other imports together, and only simulation needs it
-    from scipy.signal import lfilter
+    """draw(rng, rows) giving rows AR paths, and the draws per path.
+
+    The recursion y(t) = s e(t) + sum_k alpha_k y(t - k), s = sqrt(sigma2),
+    starts from y = 0 and runs over the time steps of a chunk, each step one
+    vector over its rows. It adds in the order of the direct form II
+    transposed filter, y(t) = ((alpha_p y(t-p) + alpha_(p-1) y(t-p+1)) + ...
+    + alpha_1 y(t-1)) + s e(t), so the paths equal those of
+    scipy.signal.lfilter([s], [1, -alpha_1, ..., -alpha_p], e) bit for bit,
+    without importing scipy.signal. The Python cost is per time step: a
+    long path with few rows per chunk is the slowest case.
+    """
+    alpha = f.alpha.real.tolist()
+    p = len(alpha)
+    warmup = max(200, 20 * p)
+    width = length + warmup
+    scale = np.sqrt(f.sigma2)
 
     def draw(rng, rows):
-        eps = rng.standard_normal((rows, length + warmup))
-        return lfilter([np.sqrt(f.sigma2)], denom, eps, axis=1)[:, warmup:]
+        y = np.zeros((p + width, rows))  # time-major, after p zero steps
+        np.multiply(scale, rng.standard_normal((rows, width)).T, out=y[p:])
+        steps = list(y)
+        acc, term = np.empty(rows), np.empty(rows)
+        for t in range(p, p + width):
+            np.multiply(alpha[p - 1], steps[t - p], out=acc)
+            for k in range(p - 1, 0, -1):
+                acc += np.multiply(alpha[k - 1], steps[t - k], out=term)
+            steps[t] += acc
+        return y[p + warmup:].T
 
-    return draw, length + warmup
+    return draw, width
 
 
 def _circulant_sampler(f: SpectralDensity, length: int):
@@ -185,37 +220,48 @@ def _circulant_sampler(f: SpectralDensity, length: int):
 
 
 def empirical_mse(
-    paths: np.ndarray,
+    paths,
     estimate_weights: dict,
     target_weights: dict,
     origin: int = 0,
 ) -> dict:
     """Mean and standard error of |A - A_hat|^2 over replicate paths.
 
-    Weight dictionaries map time indices to coefficients; origin gives the
-    path position of time index 0.
+    `paths` holds one path per row: an array, or an iterable of row blocks
+    such as `simulate_chunks` gives, read one block at a time. Weight
+    dictionaries map time indices to coefficients; origin gives the path
+    position of time index 0. A and A_hat are each summed over their indices
+    in order, in real arithmetic, so a replicate's error does not depend on
+    the rows it is blocked with (a matrix product's last bits can).
     """
-    paths = np.atleast_2d(paths)
-    n_rep, length = paths.shape
 
-    def gather(wmap):
-        cols, coefs = [], []
-        for t, v in wmap.items():
-            pos = origin + int(t)
-            if pos < 0 or pos >= length:
-                raise IndexOutOfPath(f"index {t} falls outside the simulated path")
-            cols.append(pos)
-            coefs.append(v)
-        return np.asarray(cols), np.asarray(coefs)
+    def errors(block):  # |A - A_hat|^2 for each row
+        (t_re, t_im), (e_re, e_im) = (_weighted_sum(block, w, origin)
+                                      for w in (target_weights, estimate_weights))
+        return (t_re - e_re) ** 2 + (t_im - e_im) ** 2
 
-    t_cols, t_coefs = gather(target_weights)
-    e_cols, e_coefs = gather(estimate_weights) if estimate_weights else (np.array([], int), np.array([]))
-    target = paths[:, t_cols] @ t_coefs
-    estimate = paths[:, e_cols] @ e_coefs if e_cols.size else np.zeros(n_rep)
-    err = np.abs(target - estimate) ** 2
+    blocks = (paths,) if isinstance(paths, np.ndarray) else paths
+    err = np.concatenate([errors(np.atleast_2d(block)) for block in blocks])
+    n_rep = err.size
     mean = float(np.mean(err))
     stderr = float(np.std(err, ddof=1) / np.sqrt(n_rep)) if n_rep > 1 else float("inf")
     return {"mean": mean, "stderr": stderr, "n_replicates": n_rep}
+
+
+def _weighted_sum(paths: np.ndarray, wmap: dict, origin: int) -> tuple:
+    """Real and imaginary parts of sum_t w(t) x(origin + t) for each row x,
+    each a running sum over the map's indices in order."""
+    if not wmap:
+        zero = np.zeros(paths.shape[0])
+        return zero, zero
+    pos = origin + np.array([int(t) for t in wmap])
+    outside = (pos < 0) | (pos >= paths.shape[1])
+    if outside.any():
+        raise IndexOutOfPath(f"index {list(wmap)[np.argmax(outside)]} falls outside the "
+                             "simulated path")
+    x = paths[:, pos]
+    coefs = np.array(list(wmap.values()), dtype=complex)
+    return tuple(np.cumsum(x * part, axis=1)[:, -1] for part in (coefs.real, coefs.imag))
 
 
 def estimate_weights_from_characteristic(

@@ -266,7 +266,7 @@ class TestCriterion7:
 
         tight = DVU(v=Tabulated(np.full(512, 0.5)),
                     u=Tabulated(np.full(512, 1.2)), p=1.0)
-        res_t = lf_dvu(LF_PATTERN, LF_WEIGHTS, tight, seed=1)
+        res_t = lf_dvu(LF_PATTERN, LF_WEIGHTS, tight)
         f0 = res_t.f0.on_grid(res_t.grid_size)
         bounds_ok = bool(np.all(f0 >= 0.5 - 1e-9) and np.all(f0 <= 1.2 + 1e-9))
         rng = np.random.default_rng(7)

@@ -5,11 +5,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapinterp import cli
+from gapinterp import cli, oracle
 
 
 EX_CONFIG = {
@@ -213,6 +217,7 @@ class TestFailureRecords:
     @pytest.mark.parametrize("command, config, extra", [
         ("simulate", EX_CONFIG, ("--seed", "-1", "--replicates", "10")),
         ("least-favourable", LF_CONFIG, ("--seed", "-1")),
+        ("least-favourable", DVU_CONFIG, ("--seed", "-1", "--samples", "5")),
         ("verify", EX_CONFIG, ("--window", "-5")),
         ("least-favourable", DVU_CONFIG, ("--grid", "0")),
         ("least-favourable", DVU_CONFIG, ("--grid", "-8")),
@@ -221,7 +226,7 @@ class TestFailureRecords:
         ("interpolate", EX_CONFIG, ("--grid", "-8")),
         ("interpolate", {**EX_CONFIG, "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
                          "weights": {"values": {"0": 1}}}, ("--grid", "0")),
-    ], ids=["simulate_seed", "lf_seed", "verify_window", "dvu_grid_0", "dvu_grid_-8",
+    ], ids=["simulate_seed", "lf_seed", "dvu_seed", "verify_window", "dvu_grid_0", "dvu_grid_-8",
             "tabulated_grid_0", "ar_grid_-8", "solve_grid_-8", "exact_tail_grid_0"])
     def test_bad_integer_flag_is_validation_error(self, tmp_path, command, config, extra):
         code, rec, _ = run(tmp_path, command, config, *extra)
@@ -329,6 +334,57 @@ class TestSimulate:
         assert code == 0
         lines = (out_dir / "paths.csv").read_text().splitlines()
         assert len(lines) == 51  # header plus capped dump
+
+    @pytest.mark.parametrize("replicates", ["1", "0"])
+    def test_too_few_replicates_refused(self, tmp_path, monkeypatch, replicates):
+        # one replicate has an infinite standard error: refused before simulating
+        monkeypatch.setattr(oracle, "simulate_chunks", None)
+        code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", replicates)
+        assert code == 1
+        assert rec["error"] == "InvalidParameters" and rec["category"] == "validation"
+
+    def test_record_and_paths_do_not_depend_on_the_chunks(self, tmp_path, monkeypatch):
+        config = {**EX_CONFIG, "weights": {"values": {"0": [1, 0.5], "1": 1, "-3": [0, -1],
+                                                      "-4": 0.3}}}
+        written = []
+        for label, chunk in (("default", None), ("rows", 7 * (2 * 15 + 1 + 200)), ("one", 1)):
+            if chunk is not None:
+                monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk)
+            (tmp_path / label).mkdir()
+            code, rec, out_dir = run(tmp_path / label, "simulate", config, "--replicates", "300",
+                                     "--window", "10", "--format", "both")
+            assert code == 0
+            written.append((rec, (out_dir / "paths.csv").read_bytes()))
+        assert written[0] == written[1] == written[2]
+        assert written[0][1].count(b"\r\n") == 101  # header and the first 100 paths
+
+    def test_memory_bounded_by_the_chunk(self, tmp_path):
+        # the 20000 paths of 1011 points alone would take 162 MB
+        tracemalloc.start()
+        try:
+            code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", "20000",
+                               "--window", "500", "--format", "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and rec["n_replicates"] == 20000
+        assert peak < 64 << 20
+
+    def test_no_scipy_signal_import(self, tmp_path):
+        # a fresh interpreter: scipy.signal (and scipy.stats, which it pulls
+        # in) cost more start-up than the rest of the package
+        config = write_config(tmp_path, EX_CONFIG)
+        script = ("import json, sys\n"
+                  "from gapinterp import cli\n"
+                  "code = cli.main(['simulate', sys.argv[1], '--replicates', '50', "
+                  "'--window', '10', '--out', sys.argv[2]])\n"
+                  "print(json.dumps([code, sorted(m for m in sys.modules\n"
+                  "    if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats']))]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, config, str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
 
 def per_index_grid_rows(grid_size, *columns):

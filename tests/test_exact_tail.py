@@ -2,13 +2,21 @@
 degree, cut once where the cut no longer matters, checked against deep
 truncations and the projection oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapinterp import interpolate
-from gapinterp.densities import FourierCoeffs, InversePolynomial, RationalAR, Tabulated
+from gapinterp.densities import (
+    DEFAULT_GRID,
+    FourierCoeffs,
+    InversePolynomial,
+    RationalAR,
+    Tabulated,
+)
 from gapinterp.errors import InvalidParameters, SupportMismatch
 from gapinterp.interpolate import TRUNCATION_SCHEDULE, solve, solve_truncated
 from gapinterp.oracle import build_problem, project
@@ -83,6 +91,38 @@ patterns = st.builds(
     lambda kind, n, m1, m2: ObservationPattern(kind, N=n, M1=m1, M2=m2, T=1),
     st.sampled_from(["S1", "S2", "S3"]), st.integers(0, 3), st.integers(1, 4), st.integers(1, 4),
 )
+
+
+class TestOneInverseCheck:
+    @settings(max_examples=40, deadline=None)
+    @given(pattern=patterns, f=densities, rho=st.floats(0.3, 0.99))
+    def test_same_bytes_as_solve_at_the_depth(self, pattern, f, rho):
+        # `solve` builds b through inverse_fourier_coeffs; the cut loop
+        # resizes one exact expansion per depth and must give the same bytes
+        weights = FunctionalWeights(geometric=(1.0, rho))
+        sol = solve_truncated(pattern, weights, f)
+        ref = solve(pattern.with_truncation(sol.convergence["depth"]), weights, f,
+                    grid_size=DEFAULT_GRID)
+        assert sol.indices == ref.indices
+        assert sol.c.tobytes() == ref.c.tobytes()
+        assert sol.delta == ref.delta
+
+    @settings(max_examples=20, deadline=None)
+    @given(pattern=patterns, rho=st.floats(0.3, 0.99),
+           gamma=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                          min_size=1, max_size=3))
+    def test_inverse_polynomial_checked_once_per_solve(self, pattern, rho, gamma):
+        f = positive_inverse_poly(np.array([2.0] + [complex(*z) for z in gamma]))
+        grids = []
+        check = InversePolynomial.inverse_on_grid
+
+        def counting(self, grid_size=DEFAULT_GRID):
+            grids.append(grid_size)
+            return check(self, grid_size)
+
+        with mock.patch.object(InversePolynomial, "inverse_on_grid", counting):
+            solve_truncated(pattern, FunctionalWeights(geometric=(1.0, rho)), f)
+        assert grids == [DEFAULT_GRID]
 
 
 class TestAgainstDeepTruncation:

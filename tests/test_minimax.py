@@ -287,7 +287,7 @@ class TestDVU:
     def test_active_upper_bound(self):
         cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)),
                   p=1.0)
-        res = lf_dvu(S5_SMALL, W_SMALL, cls, seed=2)
+        res = lf_dvu(S5_SMALL, W_SMALL, cls)
         assert res.mechanism == "numerical"
         f0 = res.f0.on_grid(res.grid_size)
         assert np.all(f0 >= 0.5 - 1e-9)
@@ -318,11 +318,6 @@ class TestDVU:
                   p=1.0)
         with pytest.raises(InvalidParameters):
             lf_dvu(S5_SMALL, W_SMALL, cls)
-
-    def test_negative_seed_refused(self):
-        cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
-        with pytest.raises(InvalidParameters, match="seed"):
-            lf_dvu(S5_SMALL, W_SMALL, cls, seed=-1)
 
     @pytest.mark.parametrize("grid", [0, -8])
     def test_nonpositive_grid_refused(self, grid):

@@ -1,8 +1,12 @@
 """Time-domain projection and Monte Carlo cross-checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.signal import lfilter
 
@@ -23,6 +27,7 @@ from gapinterp.oracle import (
     estimate_weights_from_characteristic,
     project,
     simulate,
+    simulate_chunks,
 )
 from gapinterp.patterns import (
     FunctionalWeights,
@@ -264,6 +269,40 @@ class TestSimulate:
             assert np.array_equal(full[:j], simulate(EX_DENSITY, length=20, n_replicates=j, seed=8))
 
 
+@st.composite
+def stationary_alpha(draw):
+    """alpha of a stationary real AR(1-4): real roots and conjugate pairs of
+    modulus up to 0.99, or tiny, which gives tiny coefficients."""
+    order = draw(st.integers(1, 4))
+    moduli = st.floats(0.0, 0.99) | st.sampled_from([0.99, 1e-5, 1e-30, 1e-100])
+    roots = []
+    while len(roots) < order:
+        r = draw(moduli)
+        if len(roots) + 2 <= order and draw(st.booleans()):
+            z = r * np.exp(1j * draw(st.floats(0.01, np.pi - 0.01)))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(r * draw(st.sampled_from([-1.0, 1.0])))
+    return np.real(-np.poly(np.array(roots))[1:])
+
+
+class TestARRecursion:
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=stationary_alpha(), sigma2=st.floats(0.1, 10.0), length=st.integers(1, 40),
+           n=st.integers(1, 7), chunk=st.sampled_from([1, 250, 997, 1 << 20]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_lfilter(self, alpha, sigma2, length, n, chunk, seed):
+        # the recursion adds in lfilter's order, so the paths are the same
+        # bits for every chunk size (a chunk of 1 or 250 draws holds one row)
+        f = RationalAR(alpha=alpha, sigma2=sigma2)
+        warmup = max(200, 20 * alpha.size)
+        eps = np.random.default_rng(seed).standard_normal((n, length + warmup))
+        expected = lfilter([np.sqrt(sigma2)], np.concatenate(([1.0], -alpha)), eps,
+                           axis=1)[:, warmup:]
+        with mock.patch.object(oracle, "CHUNK_VALUES", chunk):
+            assert np.array_equal(simulate(f, length, n, seed=seed), expected)
+
+
 def embedding_sizes(monkeypatch):
     """The embedding sizes 2 * max_lag at which simulate looks up covariances."""
     sizes = []
@@ -354,3 +393,45 @@ class TestEmpiricalMse:
         paths = np.ones((3, 5))
         em = empirical_mse(paths, {}, {0: 2.0}, origin=2)
         assert abs(em["mean"] - 4.0) < 1e-14
+
+    def blocked_problem(self):
+        """AR(3) paths with 14 complex estimate weights and 3 target weights:
+        a matrix product over a block's rows can round a row differently
+        with the block size."""
+        f = RationalAR(alpha=np.array([0.6, -0.3, 0.1]))
+        rng = np.random.default_rng(11)
+        est = {j: complex(*rng.normal(size=2)) for j in [*range(-9, -2), *range(3, 10)]}
+        target = {-2: 1.0, 0: 0.5 - 0.2j, 2: -0.7j}
+        return f, est, target
+
+    def test_errors_do_not_depend_on_the_blocks(self, monkeypatch):
+        f, est, target = self.blocked_problem()
+        length, n = 21, 60
+        rows = simulate(f, length, n, seed=3)
+        errors = np.array([empirical_mse(row, est, target, origin=10)["mean"] for row in rows])
+        expected = {"mean": float(np.mean(errors)), "n_replicates": n,
+                    "stderr": float(np.std(errors, ddof=1) / np.sqrt(n))}
+        for size in (1, 7, n):
+            blocks = (rows[i:i + size] for i in range(0, n, size))
+            assert empirical_mse(blocks, est, target, origin=10) == expected
+        # streamed from the sampler in chunks of all rows, 3 rows and 1 row
+        for chunk in (None, 3 * (length + 200), 1):
+            if chunk is not None:
+                monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk)
+            chunks = simulate_chunks(f, length, n, seed=3)
+            assert empirical_mse(chunks, est, target, origin=10) == expected
+
+    def test_matches_the_matrix_product(self):
+        # the matrix-product form of the errors sums in another order: the
+        # two agree to rounding
+        f, est, target = self.blocked_problem()
+        paths = simulate(f, 21, 500, seed=4)
+
+        def combination(wmap):
+            return paths[:, [10 + j for j in wmap]] @ np.array(list(wmap.values()))
+
+        errors = np.abs(combination(target) - combination(est)) ** 2
+        em = empirical_mse(paths, est, target, origin=10)
+        assert abs(em["mean"] - np.mean(errors)) <= 1e-12 * np.mean(errors)
+        stderr = np.std(errors, ddof=1) / np.sqrt(500)
+        assert abs(em["stderr"] - stderr) <= 1e-12 * stderr
