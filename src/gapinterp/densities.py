@@ -180,6 +180,12 @@ class RationalAR(SpectralDensity):
         if not np.isfinite(alpha).all():
             raise InvalidParameters("AR polynomial roots cannot be computed: "
                                     "Array must not contain infs or NaNs")
+        # 1/f = |phi|^2 / sigma2 <= (1 + sum |alpha_k|)^2 / sigma2 must stay a finite
+        # float (a subnormal sigma2 overflows it); compared in logs, which cannot overflow
+        bound = 1.0 + float(np.abs(alpha).sum())
+        if 2.0 * np.log(bound) - np.log(self.sigma2) >= np.log(np.finfo(float).max):
+            raise InvalidParameters(f"sigma2 = {self.sigma2} is too small for 1/f to be "
+                                    f"a finite float")
         companion = np.eye(max(alpha.size, 1), k=-1, dtype=complex)  # [[0]] for white noise
         companion[0, :alpha.size] = alpha
         w, _, _, info = zgeev(companion, compute_vl=0, compute_vr=0)

@@ -135,6 +135,17 @@ class TestUnitRootDecision:
         with pytest.raises(InvalidParameters, match="sigma2"):
             RationalAR(alpha=0.5, sigma2=sigma2)
 
+    @pytest.mark.parametrize("alpha, sigma2", [([0.0], 5e-324), ([1.5, 1.5j], 2.2250738585072014e-308)])
+    def test_sigma2_too_small_for_finite_inverse_refused(self, alpha, sigma2):
+        # 1/sigma2 overflowed in the exact coefficients of 1/f
+        with pytest.raises(InvalidParameters, match="sigma2"):
+            RationalAR(alpha=np.array(alpha), sigma2=sigma2)
+
+    def test_tiny_normal_sigma2_accepted(self):
+        f = RationalAR(alpha=0.5, sigma2=1e-300)
+        assert np.all(np.isfinite(f.exact_inverse_coeffs().values))
+        assert np.all(np.isfinite(f.inverse_on_grid(64)))
+
 
 @pytest.mark.parametrize("make, value, other", [
     (lambda v: RationalAR(alpha=v), [0.5, -0.2], [0.5, -0.3]),
