@@ -74,6 +74,19 @@ def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.nda
     return n * np.fft.ifft(spread, axis=-1)
 
 
+def _causal_on_grid(d: np.ndarray, n: int) -> np.ndarray:
+    """sum_{k=0}^{L} d_k e^{-ik lambda} on the angular grid of n >= 1 points by one FFT:
+    e^{-ik lambda_g} = (-1)^k e^{-2 pi i k g / n}, so the signed d_k are summed mod n,
+    which keeps the values exact for any degree L on any grid."""
+    if n < 1:
+        raise InvalidParameters(f"a grid needs at least one point, got {n}")
+    d = np.asarray(d, dtype=complex)
+    spread = np.zeros(-(-d.size // n) * n, dtype=complex)
+    spread[: d.size] = d
+    spread[1::2] *= -1.0
+    return np.fft.fft(spread.reshape(-1, n).sum(axis=0))
+
+
 def _fields_equal(self, other) -> bool:
     """Dataclass equality that compares array fields by value; fields with
     compare=False are left out."""
@@ -161,11 +174,11 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class RationalAR(SpectralDensity):
-    """f(lambda) = sigma2 / |1 - sum_k alpha_k e^{-ik lambda}|^2, refused when a root
-    r = 1/w of phi(z) = 1 - sum alpha_k z^k lies within 1e-8 of the unit circle, w the
-    eigenvalues of the monic companion of z^p - alpha_1 z^(p-1) - ... - alpha_p (one ?geev).
-    A root of multiplicity m is computed only to about eps^(1/m), so phi is also tested at
-    r/|r| = conj(w)/|w|."""
+    """f(lambda) = sigma2 / |phi(e^{-i lambda})|^2, on the grid from one FFT of the coefficients
+    of phi(z) = 1 - sum alpha_k z^k (_causal_on_grid); refused when a root r = 1/w of phi lies
+    within 1e-8 of the unit circle, w the eigenvalues of the monic companion of z^p - alpha_1
+    z^(p-1) - ... - alpha_p (one ?geev). A root of multiplicity m is computed only to about
+    eps^(1/m), so phi is also tested at r/|r| = conj(w)/|w|."""
 
     alpha: np.ndarray
     sigma2: float = 1.0
@@ -199,23 +212,18 @@ class RationalAR(SpectralDensity):
             if abs(1.0 - size) < 1e-8 * size or abs(phi) < 1e-8:
                 raise InvalidParameters("AR polynomial has a (near-)root on the unit circle")
 
-    def _phi_on_grid(self, lam: np.ndarray) -> np.ndarray:
-        phi = np.ones_like(lam, dtype=complex)
-        for k, a in enumerate(self.alpha, start=1):
-            phi -= a * np.exp(-1j * k * lam)
-        return phi
+    def _phi_squared(self, grid_size: int) -> np.ndarray:
+        return np.abs(_causal_on_grid(np.concatenate(([1.0], -self.alpha)), grid_size)) ** 2
 
     @property
     def order(self) -> int:
         return self.alpha.size
 
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        phi = self._phi_on_grid(angular_grid(grid_size))
-        return self.sigma2 / np.abs(phi) ** 2
+        return self.sigma2 / self._phi_squared(grid_size)
 
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        phi = self._phi_on_grid(angular_grid(grid_size))
-        return np.abs(phi) ** 2 / self.sigma2
+        return self._phi_squared(grid_size) / self.sigma2
 
     def exact_inverse_coeffs(self) -> FourierCoeffs:
         """Finite expansion of 1/f: b(m) = (1/sigma2) sum_j d_j conj(d_{j+m})
@@ -342,14 +350,10 @@ class Factorization:
     source trigonometric polynomial."""
 
     gamma: np.ndarray
-    mask: frozenset = field(default_factory=frozenset)
 
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        lam = angular_grid(grid_size)
-        acc = np.zeros(grid_size, dtype=complex)
-        for n, g in enumerate(self.gamma):
-            acc += g * np.exp(-1j * n * lam)
-        return np.abs(acc) ** 2
+        """|sum gamma_n e^{-in lambda}|^2 on the grid, from one FFT (_causal_on_grid)."""
+        return np.abs(_causal_on_grid(self.gamma, grid_size)) ** 2
 
 
 def factorize_inverse(
@@ -386,11 +390,7 @@ def factorize_inverse(
         coeffs = np.array([1.0 + 0j])
         for r in inside:
             coeffs = np.convolve(coeffs, np.array([1.0, -r]))  # product of (1 - r w)
-        lam = angular_grid(grid_size)
-        base = np.zeros(grid_size, dtype=complex)
-        for n, c in enumerate(coeffs):
-            base += c * np.exp(-1j * n * lam)
-        ratio = target / np.abs(base) ** 2
+        ratio = target / np.abs(_causal_on_grid(coeffs, grid_size)) ** 2
         gamma = np.sqrt(np.mean(ratio)) * coeffs
     # fix the unimodular phase
     phase = gamma[np.argmax(np.abs(gamma))]
@@ -399,7 +399,7 @@ def factorize_inverse(
         gamma = gamma.copy()
         gamma[0] = gamma[0].real
 
-    fact = Factorization(gamma=gamma, mask=mask)
+    fact = Factorization(gamma=gamma)
     recon = fact.evaluate(grid_size)
     err = np.max(np.abs(recon - target)) / np.max(np.abs(target))
     if err > 1e-8:

@@ -71,6 +71,7 @@ from .patterns import (
 OPT_GRID = 512
 PG_TOL = 1e-7
 MAX_ITERS = 10000
+_MAX_NEWTON = 200
 _FLOOR = 1e-9
 # sampled class members that saddle_check holds on the grid at once; its
 # memory stays O(SADDLE_BLOCK * grid size) for any number of samples
@@ -105,8 +106,7 @@ class DW:
             raise InvalidParameters("moment sequence must start with b(0) > 0")
         # strict positivity of the sequence: the associated trig polynomial
         # must be positive on the grid
-        coeffs = np.concatenate([b[:0:-1], b])
-        vals = evaluate_trig_poly(coeffs.astype(complex), max(DEFAULT_GRID, 8 * b.size)).real
+        vals = evaluate_trig_poly(self.inverse_poly().values, max(DEFAULT_GRID, 8 * b.size)).real
         if np.min(vals) <= 0:
             raise InvalidParameters("moment sequence is not strictly positive")
 
@@ -131,9 +131,13 @@ class DVU:
         if self.p <= 0:
             raise InvalidParameters("p must be positive")
 
-    def validate(self, grid_size: int = DEFAULT_GRID) -> None:
+    def validate(self, grid_size: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
+        """The grid values (v, u) of the bounds, once checked: 0 < v <= u (a v that is zero
+        somewhere raises InvalidParameters) and p within the range of mean(1/f)."""
         v = self.v.on_grid(grid_size)
         u = self.u.on_grid(grid_size)
+        if not np.min(v) > 0:
+            raise InvalidParameters(f"lower density must be positive, its minimum is {np.min(v):.3e}")
         if np.any(v > u * (1 + 1e-12)):
             raise InvalidParameters("lower density exceeds upper density")
         lo, hi = float(np.mean(1.0 / u)), float(np.mean(1.0 / v))
@@ -141,11 +145,7 @@ class DVU:
             raise InfeasibleClass(
                 f"p={self.p} outside the attainable inverse-mean range [{lo:.6g}, {hi:.6g}]"
             )
-
-    def is_pinned(self, grid_size: int = DEFAULT_GRID) -> bool:
-        v = self.v.on_grid(grid_size)
-        u = self.u.on_grid(grid_size)
-        return bool(np.max(np.abs(u - v)) <= 1e-12 * np.max(u))
+        return v, u
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def lf_d0minus(
     grid_size: int = DEFAULT_GRID,
 ) -> LeastFavourableResult:
     if pattern.kind == "S3":
-        raise NotCovered("two-sided infinite gaps have no anchored closed form; use numerical_lf")
+        raise NotCovered("two-sided infinite gaps have no anchored closed form")
     a = _real_positive_weights(weights, pattern)
     idx = missing_indices(pattern)
     anchor = anchor_index(pattern)
@@ -319,8 +319,10 @@ def lf_dW(
     weights: FunctionalWeights,
     cls: DW,
     grid_size: int = DEFAULT_GRID,
-    max_newton: int = 200,
 ) -> LeastFavourableResult:
+    """Least favourable density of DW for S4-S6: the coefficient vector on the missing indices
+    within W of the anchor and the unknown lags of 1/f beyond W by damped Newton, at most
+    _MAX_NEWTON steps to a residual of 1e-10; W >= span gives the `degenerate` result."""
     if pattern.kind not in ("S4", "S5", "S6"):
         raise NotCovered("moment-constrained analysis is implemented for finite gap patterns")
     if pattern.kind in ("S4", "S6") and pattern.M1 < pattern.N:
@@ -382,7 +384,7 @@ def lf_dW(
     res, B, c = residual(p_vec, x)
     best = float(np.linalg.norm(res))
     iters = 0
-    while best > 1e-12 and iters < max_newton:
+    while best > 1e-12 and iters < _MAX_NEWTON:
         iters += 1
         jac = np.hstack((B[:, support_slots], lag_hits @ c[support_slots]))
         try:
@@ -440,11 +442,9 @@ def lf_dvu(
     cls: DVU,
     grid_size: int = DEFAULT_GRID,
 ) -> LeastFavourableResult:
-    cls.validate(grid_size)
-    v = cls.v.on_grid(grid_size)
-    u = cls.u.on_grid(grid_size)
+    v, u = cls.validate(grid_size)
 
-    if cls.is_pinned(grid_size):
+    if np.max(np.abs(u - v)) <= 1e-12 * np.max(u):  # pinned: the class holds v alone
         f_star = cls.v
         if abs(minimality_value(f_star, grid_size) - cls.p) > 1e-8 * cls.p:
             raise InfeasibleClass("pinned class does not meet the inverse-mean constraint")
@@ -465,15 +465,7 @@ def lf_dvu(
         if bounds_ok:
             return replace(base, lagrange={**base.lagrange, "lower_active": [], "upper_active": []})
 
-    result = numerical_lf(pattern, weights, cls)
-    f0_vals = result.f0.on_grid(result.grid_size)
-    v_opt = cls.v.on_grid(result.grid_size)
-    u_opt = cls.u.on_grid(result.grid_size)
-    rtol = 1e-6 * float(np.max(u_opt))
-    lagrange = dict(result.lagrange)
-    lagrange["lower_active"] = np.flatnonzero(f0_vals <= v_opt + rtol).tolist()
-    lagrange["upper_active"] = np.flatnonzero(f0_vals >= u_opt - rtol).tolist()
-    return replace(result, lagrange=lagrange)
+    return numerical_lf(pattern, weights, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +515,13 @@ def _shift_clip(g: np.ndarray, lo, hi, p: float) -> np.ndarray:
 
 def _project_dw(g: np.ndarray, moment_rows: np.ndarray, b_given: np.ndarray,
                 floor: float) -> np.ndarray:
-    gram = moment_rows @ moment_rows.T
+    """Alternate the least-squares fit of rows @ g = b_given with the floor, at most 50
+    times. The rows cos(n lambda)/G, n = 0..W, are orthogonal when 2W < G, with squared
+    norms 1/G (n = 0) and 1/(2G), so the fit needs no Gram solve. Every caller first
+    evaluates the moment polynomial on the same grid, which refuses 2W >= G."""
+    inv_norms = g.size * np.minimum(np.arange(1, b_given.size + 1), 2.0)
     for _ in range(50):
-        g = g - moment_rows.T @ np.linalg.solve(gram, moment_rows @ g - b_given)
+        g = g - moment_rows.T @ (inv_norms * (moment_rows @ g - b_given))
         if np.min(g) >= floor:
             break
         g = np.maximum(g, floor)
@@ -536,13 +532,10 @@ def numerical_lf(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
     cls,
-    grid_size: int = OPT_GRID,
-    max_iters: int = MAX_ITERS,
-    pg_tol: float = PG_TOL,
-    warm_start: np.ndarray | None = None,
 ) -> LeastFavourableResult:
     """Maximize the interpolation error over the class by projected gradient
-    ascent on the grid values of g = 1/f.
+    ascent on the grid values of g = 1/f, on max(OPT_GRID, 4 span) points, until
+    the projected step is below PG_TOL mean(g) or for at most MAX_ITERS steps.
 
     The error Delta(g) = <B(g)^{-1} a, a> has gradient -|C(lambda_j)|^2 / G
     with respect to g_j, where C carries the solved coefficients. Each step
@@ -551,22 +544,22 @@ def numerical_lf(
     the ascent is warm-started at the anchored closed form whenever that form
     is a valid density: the projected gradient vanishes there exactly, and
     starting elsewhere can drift toward unbounded ridges of the non-convex
-    feasible set.
+    feasible set. D0Minus on S3 is not covered (NotCovered): the error has no
+    finite supremum there, and an ascent from a constant stops at a value set by
+    the floor on g. DVU results list in lagrange the grid points where f0 is
+    within 1e-6 max(u) of v (lower_active) or of u (upper_active).
     """
     idx = missing_indices(pattern)
     a = weight_vector(weights, pattern)
     span = (max(idx) - min(idx)) if idx else 0
-    if grid_size < 4 * max(span, 1):
-        grid_size = 4 * span
-    G = grid_size
+    G = max(OPT_GRID, 4 * span)
     lam = angular_grid(G)
-    floor = _FLOOR
 
     degenerate = False
     if isinstance(cls, D0Minus):
         def project(g):
-            g = np.maximum(g, floor)
-            return g if np.mean(g) >= cls.p else _shift_clip(g, floor, np.inf, cls.p)
+            g = np.maximum(g, _FLOOR)
+            return g if np.mean(g) >= cls.p else _shift_clip(g, _FLOOR, np.inf, cls.p)
 
         g = np.full(G, cls.p)
         try:
@@ -577,24 +570,19 @@ def numerical_lf(
             pass
     elif isinstance(cls, DW):
         moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
-        project = lambda g: _project_dw(g, moment_rows, cls.b_given, floor)
+        project = lambda g: _project_dw(g, moment_rows, cls.b_given, _FLOOR)
         g = cls.inverse_poly().evaluate(G)
         if np.min(g) <= 0:
             raise InfeasibleClass("given moments define a non-positive inverse density")
         degenerate = cls.W >= span
     elif isinstance(cls, DVU):
-        cls.validate(G)
-        lo = 1.0 / cls.u.on_grid(G)
-        hi = 1.0 / cls.v.on_grid(G)
+        v, u = cls.validate(G)
+        lo, hi = 1.0 / u, 1.0 / v
         project = lambda g: _shift_clip(g, lo, hi, cls.p)
         g = 0.5 * (lo + hi)
     else:
         raise InvalidParameters(f"unsupported class {type(cls).__name__}")
 
-    if warm_start is not None:
-        g = np.asarray(warm_start, dtype=float)
-        if g.size != G:
-            raise InvalidParameters("warm start size does not match the optimization grid")
     g = project(g)
 
     exps = np.exp(1j * np.outer(idx, lam))  # C(lambda) = c @ exps
@@ -611,10 +599,10 @@ def numerical_lf(
     scale = max(float(np.mean(g)), 1e-12)
     pg_norm = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         g_trial = project(g + step * grad)
         pg_norm = float(np.max(np.abs(g_trial - g))) / max(step, 1e-300)
-        if pg_norm * step < pg_tol * scale:
+        if pg_norm * step < PG_TOL * scale:
             break
         delta_trial, grad_trial = objective(g_trial)
         if delta_trial >= delta - 1e-14 * max(abs(delta), 1.0):
@@ -625,17 +613,23 @@ def numerical_lf(
             if step < 1e-16 * scale:
                 break
 
-    converged = pg_norm * step < pg_tol * scale or degenerate or it == 0
+    converged = pg_norm * step < PG_TOL * scale or degenerate or it == 0
     diagnostics = {"iterations": it, "projected_gradient": pg_norm * step / scale,
                    "degenerate": degenerate, "converged": bool(converged)}
     if not converged:
         raise NotConverged("projected gradient ascent did not converge", diagnostics=diagnostics)
 
+    f0 = Tabulated(1.0 / g)
+    lagrange = {}
+    if isinstance(cls, DVU):
+        rtol = 1e-6 * float(np.max(u))
+        lagrange = {"lower_active": np.flatnonzero(f0.values <= v + rtol).tolist(),
+                    "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
     half = min(span + 64, G // 2 - 1)
     b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
     validity = {"closed_form_applicable": False, "positivity_ok": True,
                 "bounds_ok": True, "degenerate": degenerate}
-    return _result_from_density(pattern, weights, Tabulated(1.0 / g), b0, validity, {},
+    return _result_from_density(pattern, weights, f0, b0, validity, lagrange,
                                 "numerical", G, diagnostics)
 
 

@@ -166,6 +166,19 @@ class TestLeastFavourable:
         assert code == 1
         assert rec["error"] == "InfeasibleClass"
 
+    def test_dvu_lower_bound_zero_is_validation_error(self, tmp_path):
+        # the ascent went NaN from 1/v = inf, which made a NonFiniteValue record (exit 2)
+        config = {
+            "pattern": {"kind": "S6", "N": 1, "M1": 2, "N1": 2, "M2": 2, "N2": 2},
+            "weights": {"values": {str(j): 0.5 for j in (-4, -3, 0, 1, 4, 5)}},
+            "class": {"type": "dvu", "v": {"type": "tabulated", "values": [0.0] * 512},
+                      "u": {"type": "tabulated", "values": [1.2] * 512}, "p": 1.0},
+        }
+        code, rec, _ = run(tmp_path, "least-favourable", config)
+        assert code == 1
+        assert rec["error"] == "InvalidParameters"
+        assert rec["category"] == "validation"
+
 
 class TestFailureRecords:
     @pytest.mark.parametrize("config", [

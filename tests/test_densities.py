@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapinterp.densities import (
+    Factorization,
     FourierCoeffs,
     InversePolynomial,
     RationalAR,
@@ -269,6 +270,95 @@ class TestRationalAR:
         grid = grid_fourier_coefficients(f.inverse_on_grid(1024), 1)
         assert abs(exact[0] - grid[1]) < 1e-12
         assert abs(exact[1] - grid[2]) < 1e-12
+
+
+def loop_causal_on_grid(d, grid_size):
+    """sum_k d_k e^{-ik lambda} on the grid, one full-grid exp per coefficient:
+    the reference for the FFT evaluation."""
+    lam = angular_grid(grid_size)
+    acc = np.zeros(grid_size, dtype=complex)
+    for k, c in enumerate(d):
+        acc += c * np.exp(-1j * k * lam)
+    return acc
+
+
+def ar_near_the_circle(order, is_complex, seed):
+    """alpha with phi(z) = 1 - sum alpha_k z^k = prod (1 - w_k z), the first w at
+    modulus 1 - 1e-6; conjugate pairs of w plus a real one when alpha is real."""
+    rng = np.random.default_rng(seed)
+    mod = np.concatenate(([1.0 - 1e-6], rng.uniform(0.0, 1.0 - 1e-6, size=order)))
+    ang = rng.uniform(-np.pi, np.pi, size=order + 1)
+    if is_complex:
+        return -np.poly((mod * np.exp(1j * ang))[:order])[1:]
+    pairs = [m * np.exp(s * 1j * a) for m, a in zip(mod[: order // 2], ang) for s in (1, -1)]
+    alpha = -np.poly(pairs + [mod[-1] * np.sign(ang[-1])] * (order % 2))[1:]
+    assert np.max(np.abs(alpha.imag)) < 1e-12
+    return alpha.real
+
+
+class TestCausalOnGrid:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_phi_squared_matches_per_lag_loop(self, order, is_complex, seed):
+        alpha = ar_near_the_circle(order, is_complex, seed)
+        f = RationalAR(alpha=alpha, sigma2=1.0)
+        d = np.concatenate(([1.0], -np.atleast_1d(alpha)))
+        for grid in (1, 2, 3, 2 * order + 1, 33, 4096):
+            ref = np.abs(loop_causal_on_grid(d, grid)) ** 2
+            got = f.inverse_on_grid(grid)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref), grid
+            assert np.array_equal(f.on_grid(grid), 1.0 / got)
+
+    @pytest.mark.parametrize("grid", [1, 2, 5, 64, 2048])
+    def test_factorization_evaluate_matches_per_lag_loop(self, grid):
+        rng = np.random.default_rng(grid)
+        gamma = rng.normal(size=7) + 1j * rng.normal(size=7)
+        ref = np.abs(loop_causal_on_grid(gamma, grid)) ** 2
+        got = Factorization(gamma=gamma).evaluate(grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+
+def loop_factorize_gamma(b, grid_size):
+    """gamma of factorize_inverse with its candidate factor summed one
+    full-grid exp per coefficient: the reference for the FFT evaluation."""
+    target = b.evaluate(grid_size)
+    half = b.half_length
+    scale = np.max(np.abs(b.values))
+    while half > 0 and abs(b[half]) <= 1e-14 * scale:
+        half -= 1
+    poly = np.array([b[m] for m in range(half, -half - 1, -1)])
+    roots = np.roots(poly)
+    inside = roots[np.abs(roots) < 1.0 - 1e-8]
+    if inside.size != half:
+        inside = roots[np.argsort(np.abs(roots))][:half]
+    coeffs = np.array([1.0 + 0j])
+    for r in inside:
+        coeffs = np.convolve(coeffs, np.array([1.0, -r]))
+    ratio = target / np.abs(loop_causal_on_grid(coeffs, grid_size)) ** 2
+    gamma = np.sqrt(np.mean(ratio)) * coeffs
+    phase = gamma[np.argmax(np.abs(gamma))]
+    gamma = gamma * np.conj(phase / abs(phase))
+    if abs(gamma[0].imag) < 1e-12 * max(np.max(np.abs(gamma)), 1.0):
+        gamma[0] = gamma[0].real
+    return gamma
+
+
+class TestFactorizeAgainstLoop:
+    @pytest.mark.parametrize("gamma_true, grid", [
+        ([1.0, -0.5], 4096),
+        ([1.0, 0.0, 0.45], 512),
+        ([1.0, 0.0, 0.0, 0.4 - 0.1j], 2048),
+        ([2.0, 0.3 + 0.2j, -0.5, 0.1j, 0.05], 64),
+        ([1.0, -(1 - 1e-4)], 4096),  # near the positivity floor of factorize_inverse
+    ])
+    def test_gamma_matches_per_lag_loop(self, gamma_true, grid):
+        gamma_true = np.asarray(gamma_true, dtype=complex)
+        b = FourierCoeffs(np.convolve(np.conj(gamma_true), gamma_true[::-1]))
+        got = factorize_inverse(b, grid_size=grid).gamma
+        ref = loop_factorize_gamma(b, grid)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestTabulated:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -124,8 +125,12 @@ class TestD0Minus:
     def test_two_sided_infinite_not_covered(self):
         p = ObservationPattern("S3", N=0, M1=1, M2=1, T=5)
         w = FunctionalWeights(geometric=(1.0, 0.5))
-        with pytest.raises(NotCovered):
+        with pytest.raises(NotCovered) as exc:
             lf_d0minus(p, w, D0Minus(p=1.0))
+        # numerical_lf raises the same error, so the message points nowhere
+        assert "numerical_lf" not in str(exc.value)
+        with pytest.raises(NotCovered):
+            numerical_lf(p, w, D0Minus(p=1.0))
 
     def test_truncated_one_sided_supported(self):
         p = ObservationPattern("S2", N=0, M2=1, T=6)
@@ -313,6 +318,28 @@ class TestDVU:
         with pytest.raises(InfeasibleClass):
             lf_dvu(S5_SMALL, W_SMALL, cls)
 
+    @pytest.mark.parametrize("zeros", [slice(None), slice(0, 256), slice(7, 8)],
+                             ids=["all", "half", "one"])
+    def test_lower_bound_zero_somewhere_refused(self, zeros):
+        # 1/v was inf: the ascent started at inf, went NaN and ended in NotConverged
+        v = np.full(512, 0.5)
+        v[zeros] = 0.0
+        cls = DVU(v=Tabulated(v), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        pattern = ObservationPattern("S6", N=1, M1=2, N1=2, M2=2, N2=2)
+        weights = FunctionalWeights(values={j: 0.5 for j in missing_indices(pattern)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match="lower density must be positive"):
+                lf_dvu(pattern, weights, cls)
+            with pytest.raises(InvalidParameters, match="lower density must be positive"):
+                numerical_lf(pattern, weights, cls)
+
+    def test_validate_returns_the_checked_grid_values(self):
+        cls = DVU(v=RationalAR(alpha=0.3, sigma2=0.5), u=Tabulated(np.full(64, 20.0)), p=1.0)
+        v, u = cls.validate(256)
+        assert np.array_equal(v, cls.v.on_grid(256))
+        assert np.array_equal(u, cls.u.on_grid(256))
+
     def test_crossed_bounds(self):
         cls = DVU(v=Tabulated(np.full(512, 2.0)), u=Tabulated(np.full(512, 1.0)),
                   p=1.0)
@@ -349,6 +376,19 @@ class TestNumerical:
         f0 = res.f0.on_grid(res.grid_size)
         assert np.all(f0 >= 0.5 - 1e-9)
         assert np.all(f0 <= 1.2 + 1e-9)
+        assert res.lagrange["lower_active"] == np.flatnonzero(f0 <= 0.5 + 1.2e-6).tolist()
+        assert res.lagrange["upper_active"] == np.flatnonzero(f0 >= 1.2 - 1.2e-6).tolist()
+
+    @pytest.mark.parametrize("W, grid", [(0, 1), (0, 64), (1, 3), (3, 64), (5, 512), (20, 41)])
+    def test_dw_projection_matches_gram_solve(self, W, grid):
+        rng = np.random.default_rng(W + grid)
+        lam = angular_grid(grid)
+        moment_rows = np.stack([np.cos(n * lam) / grid for n in range(W + 1)])
+        b_given = np.concatenate(([2.0], 0.3 * rng.normal(size=W)))
+        g = 2.0 + rng.normal(size=grid)
+        ref = gram_project_dw(g, moment_rows, b_given, 1e-9)
+        got = _project_dw(g, moment_rows, b_given, 1e-9)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_sampled_members_stay_in_class(self):
         cls = D0Minus(p=1.0)
@@ -358,6 +398,18 @@ class TestNumerical:
             f = sample_density(cls, res, rng)
             g = f.inverse_on_grid(res.grid_size)
             assert np.mean(g) >= 1.0 - 1e-10
+
+
+def gram_project_dw(g, moment_rows, b_given, floor):
+    """_project_dw with each moment fit solved against the Gram matrix of the
+    rows: the reference for the orthogonal-rows projection."""
+    gram = moment_rows @ moment_rows.T
+    for _ in range(50):
+        g = g - moment_rows.T @ np.linalg.solve(gram, moment_rows @ g - b_given)
+        if np.min(g) >= floor:
+            break
+        g = np.maximum(g, floor)
+    return g
 
 
 def loop_sample_density(cls, result, rng, G):
@@ -383,7 +435,7 @@ def loop_sample_density(cls, result, rng, G):
         base_min = float(np.min(g))
         amp = 0.5 * base_min
         while amp > 1e-6 * base_min:
-            trial = _project_dw(g + amp * direction, moment_rows, cls.b_given, 1e-9)
+            trial = gram_project_dw(g + amp * direction, moment_rows, cls.b_given, 1e-9)
             if np.min(trial) >= 0.1 * base_min:
                 return Tabulated(1.0 / trial)
             amp *= 0.5
