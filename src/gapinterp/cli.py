@@ -205,7 +205,6 @@ def cmd_least_favourable(config: dict, args) -> dict:
         result = minimax.lf_dW(f_pattern, weights, cls, grid_size=args.grid)
     else:
         result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid)
-    # saddle_check refuses a closed_form_invalid result with PositivityLost
     report = minimax.saddle_check(result, f_pattern, weights, cls,
                                   n_samples=args.samples, seed=args.seed)
     record = {

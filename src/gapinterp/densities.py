@@ -279,6 +279,11 @@ class Tabulated(SpectralDensity):
             raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
         half = min((n - 1) // 2, (grid_size - 1) // 2)
         coeffs = grid_fourier_coefficients(self.values, half)
+        if n % 2 == 0 and grid_size > n:
+            # the Nyquist term b(n/2) cos(n lambda / 2), half at each of +-n/2, which
+            # grid_fourier_coefficients does not give: without it the nodes are not reproduced
+            top = (-1) ** (n // 2) * np.fft.rfft(self.values)[n // 2].real / (2 * n)
+            coeffs = np.concatenate(([top], coeffs, [top]))
         return evaluate_trig_poly(coeffs, grid_size, real=True)
 
 

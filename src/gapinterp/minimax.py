@@ -19,8 +19,10 @@ not convex in f and the error functional can grow without bound along
 directions where 1/f approaches zero on part of the circle. The closed form is
 a KKT point; the saddle inequality Delta(h0; f) <= delta0 is guaranteed on the
 sub-family 1/f = 1/f0 + (nonnegative trig polynomial), which is what
-saddle_check samples, and the numerical maximizer warm-starts at the closed
-form, where the projected gradient vanishes identically.
+saddle_check samples. No numerical maximizer runs over D0Minus or DW: their
+suprema on the grid are unbounded, so an ascent stops at a value set by the
+grid and the floor on g. numerical_lf covers DVU only, whose bounds keep g in a
+box; lf_dvu calls it wherever the closed form does not apply.
 """
 
 from __future__ import annotations
@@ -189,23 +191,6 @@ def _real_positive_weights(weights: FunctionalWeights, pattern: ObservationPatte
     return a.real
 
 
-def _closed_form_b0(pattern: ObservationPattern, a: np.ndarray, p: float) -> FourierCoeffs:
-    idx = missing_indices(pattern)
-    anchor = anchor_index(pattern)
-    a_anchor = a[idx.index(anchor)]
-    return FourierCoeffs.from_dict({sign * (anchor - n): p * a_n / a_anchor
-                                    for n, a_n in zip(idx, a) for sign in (1, -1)})
-
-
-def _gamma_mask(pattern: ObservationPattern, b0: FourierCoeffs) -> frozenset:
-    """Indices of the one-sided factorization forced to zero by the gap
-    structure: gamma may live only on the anchor-relative lags of K."""
-    idx = missing_indices(pattern)
-    anchor = anchor_index(pattern)
-    allowed = {abs(anchor - n) for n in idx}
-    return frozenset(n for n in range(b0.half_length + 1) if n not in allowed)
-
-
 def _result_from_density(
     pattern, weights, f0, b0, validity, lagrange, mechanism, grid_size, diagnostics=None
 ):
@@ -228,38 +213,34 @@ def lf_d0minus(
     cls: D0Minus,
     grid_size: int = DEFAULT_GRID,
 ) -> LeastFavourableResult:
+    """The anchored closed form (module docstring). Weights that are not real and positive
+    raise WeightsNotPositive, and a form whose 1/f is not positive on the grid raises
+    PositivityLost with the minimum of 1/f as diagnostics["inv_min"]."""
     if pattern.kind == "S3":
         raise NotCovered("two-sided infinite gaps have no anchored closed form")
     a = _real_positive_weights(weights, pattern)
     idx = missing_indices(pattern)
     anchor = anchor_index(pattern)
     a_anchor = float(a[idx.index(anchor)])
-    b0 = _closed_form_b0(pattern, a, cls.p)
+    b0 = FourierCoeffs.from_dict({sign * (anchor - n): cls.p * a_n / a_anchor
+                                  for n, a_n in zip(idx, a) for sign in (1, -1)})
 
     inv_vals = b0.evaluate(grid_size)
-    positivity_ok = bool(np.min(inv_vals) > _FLOOR * np.max(inv_vals))
+    if not np.min(inv_vals) > _FLOOR * np.max(inv_vals):
+        raise PositivityLost("the anchored closed form is not a valid density for these weights",
+                             diagnostics={"inv_min": float(np.min(inv_vals))})
+    # gamma of the one-sided factorization may live only on the anchor-relative lags of K
+    allowed = {abs(anchor - n) for n in idx}
+    mask = frozenset(n for n in range(b0.half_length + 1) if n not in allowed)
+    try:
+        factorize_inverse(b0, mask=mask, grid_size=grid_size)
+        factorization_ok = True
+    except (NotPositive, MaskViolation):
+        factorization_ok = False
 
-    factorization_ok = False
-    if positivity_ok:
-        try:
-            factorize_inverse(b0, mask=_gamma_mask(pattern, b0), grid_size=grid_size)
-            factorization_ok = True
-        except (NotPositive, MaskViolation):
-            pass
-
-    validity = {"closed_form_applicable": positivity_ok, "positivity_ok": positivity_ok,
+    validity = {"closed_form_applicable": True, "positivity_ok": True,
                 "bounds_ok": True, "factorization_ok": factorization_ok}
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
-    if not positivity_ok:
-        # diagnostic result: the constructed trig polynomial is not a valid
-        # inverse density, so no error value or characteristic is attached
-        return LeastFavourableResult(
-            f0=None, b0=b0, h0_grid=None,
-            delta0=float("nan"), validity=validity, lagrange=lagrange,
-            solution=None, mechanism="closed_form_invalid", grid_size=grid_size,
-            diagnostics={"inv_min": float(np.min(inv_vals))},
-        )
-
     f0 = InversePolynomial(b0)
     result = _result_from_density(
         pattern, weights, f0, b0, validity, lagrange, "closed_form", grid_size
@@ -457,14 +438,14 @@ def lf_dvu(
             pattern, weights, f_star, b0, validity, {}, "pinned", grid_size
         )
 
-    base = lf_d0minus(pattern, weights, D0Minus(p=cls.p), grid_size=grid_size)
-    if base.validity["positivity_ok"]:
+    try:
+        base = lf_d0minus(pattern, weights, D0Minus(p=cls.p), grid_size=grid_size)
         f0_vals = base.f0.on_grid(grid_size)
         tol = 1e-12 * float(np.max(u))
-        bounds_ok = bool(np.all(f0_vals >= v - tol) and np.all(f0_vals <= u + tol))
-        if bounds_ok:
+        if np.all(f0_vals >= v - tol) and np.all(f0_vals <= u + tol):
             return replace(base, lagrange={**base.lagrange, "lower_active": [], "upper_active": []})
-
+    except (WeightsNotPositive, PositivityLost):  # no closed form for these weights
+        pass
     return numerical_lf(pattern, weights, cls)
 
 
@@ -473,8 +454,8 @@ def lf_dvu(
 # ---------------------------------------------------------------------------
 
 def _shift_clip(g: np.ndarray, lo, hi, p: float) -> np.ndarray:
-    """clip(g + s, lo, hi) for the shift s that gives it mean p; lo <= hi
-    (hi may be +inf) and mean(lo) <= p <= mean(hi).
+    """clip(g + s, lo, hi) for the shift s that gives it mean p; lo <= hi,
+    both finite, and mean(lo) <= p <= mean(hi).
 
     sum clip(g + s, lo, hi) is nondecreasing and piecewise linear in s, with
     slope the number of entries strictly inside (lo, hi). A Newton step
@@ -531,61 +512,32 @@ def _project_dw(g: np.ndarray, moment_rows: np.ndarray, b_given: np.ndarray,
 def numerical_lf(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
-    cls,
+    cls: DVU,
 ) -> LeastFavourableResult:
-    """Maximize the interpolation error over the class by projected gradient
-    ascent on the grid values of g = 1/f, on max(OPT_GRID, 4 span) points, until
-    the projected step is below PG_TOL mean(g) or for at most MAX_ITERS steps.
+    """Maximize the interpolation error over DVU by projected gradient ascent
+    on the grid values of g = 1/f, on max(OPT_GRID, 4 span) points, until the
+    projected step is below PG_TOL mean(g) or for at most MAX_ITERS steps.
 
     The error Delta(g) = <B(g)^{-1} a, a> has gradient -|C(lambda_j)|^2 / G
     with respect to g_j, where C carries the solved coefficients. Each step
-    is projected back onto the class: D0Minus and DVU by the exact shift and
-    clip of _shift_clip, DW by alternating moment fits and floors. For D0Minus
-    the ascent is warm-started at the anchored closed form whenever that form
-    is a valid density: the projected gradient vanishes there exactly, and
-    starting elsewhere can drift toward unbounded ridges of the non-convex
-    feasible set. D0Minus on S3 is not covered (NotCovered): the error has no
-    finite supremum there, and an ascent from a constant stops at a value set by
-    the floor on g. DVU results list in lagrange the grid points where f0 is
+    is projected back onto the class by the exact shift and clip of
+    _shift_clip, and the ascent starts at the projected midpoint of the box
+    [1/u, 1/v]. Any other class raises NotCovered: the suprema over D0Minus
+    and DW are unbounded on the grid, and their closed forms are lf_d0minus
+    and lf_dW. The result lists in lagrange the grid points where f0 is
     within 1e-6 max(u) of v (lower_active) or of u (upper_active).
     """
+    if not isinstance(cls, DVU):
+        raise NotCovered(f"numerical_lf maximizes over DVU only, not {type(cls).__name__}")
     idx = missing_indices(pattern)
     a = weight_vector(weights, pattern)
     span = (max(idx) - min(idx)) if idx else 0
     G = max(OPT_GRID, 4 * span)
-    lam = angular_grid(G)
+    v, u = cls.validate(G)
+    lo, hi = 1.0 / u, 1.0 / v
+    g = _shift_clip(0.5 * (lo + hi), lo, hi, cls.p)
 
-    degenerate = False
-    if isinstance(cls, D0Minus):
-        def project(g):
-            g = np.maximum(g, _FLOOR)
-            return g if np.mean(g) >= cls.p else _shift_clip(g, _FLOOR, np.inf, cls.p)
-
-        g = np.full(G, cls.p)
-        try:
-            base = lf_d0minus(pattern, weights, cls, grid_size=G)
-            if base.validity["positivity_ok"]:
-                g = base.f0.inverse_on_grid(G)
-        except WeightsNotPositive:
-            pass
-    elif isinstance(cls, DW):
-        moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
-        project = lambda g: _project_dw(g, moment_rows, cls.b_given, _FLOOR)
-        g = cls.inverse_poly().evaluate(G)
-        if np.min(g) <= 0:
-            raise InfeasibleClass("given moments define a non-positive inverse density")
-        degenerate = cls.W >= span
-    elif isinstance(cls, DVU):
-        v, u = cls.validate(G)
-        lo, hi = 1.0 / u, 1.0 / v
-        project = lambda g: _shift_clip(g, lo, hi, cls.p)
-        g = 0.5 * (lo + hi)
-    else:
-        raise InvalidParameters(f"unsupported class {type(cls).__name__}")
-
-    g = project(g)
-
-    exps = np.exp(1j * np.outer(idx, lam))  # C(lambda) = c @ exps
+    exps = np.exp(1j * np.outer(idx, angular_grid(G)))  # C(lambda) = c @ exps
 
     def objective(gv):
         b = FourierCoeffs(grid_fourier_coefficients(gv, span))
@@ -597,10 +549,8 @@ def numerical_lf(
     delta, grad = objective(g)
     step = 0.1 * max(np.mean(g), 1e-6) / max(float(np.max(np.abs(grad))), 1e-300)
     scale = max(float(np.mean(g)), 1e-12)
-    pg_norm = np.inf
-    it = 0
     for it in range(1, MAX_ITERS + 1):
-        g_trial = project(g + step * grad)
+        g_trial = _shift_clip(g + step * grad, lo, hi, cls.p)
         pg_norm = float(np.max(np.abs(g_trial - g))) / max(step, 1e-300)
         if pg_norm * step < PG_TOL * scale:
             break
@@ -613,22 +563,20 @@ def numerical_lf(
             if step < 1e-16 * scale:
                 break
 
-    converged = pg_norm * step < PG_TOL * scale or degenerate or it == 0
+    converged = pg_norm * step < PG_TOL * scale
     diagnostics = {"iterations": it, "projected_gradient": pg_norm * step / scale,
-                   "degenerate": degenerate, "converged": bool(converged)}
+                   "converged": bool(converged)}
     if not converged:
         raise NotConverged("projected gradient ascent did not converge", diagnostics=diagnostics)
 
     f0 = Tabulated(1.0 / g)
-    lagrange = {}
-    if isinstance(cls, DVU):
-        rtol = 1e-6 * float(np.max(u))
-        lagrange = {"lower_active": np.flatnonzero(f0.values <= v + rtol).tolist(),
-                    "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
+    rtol = 1e-6 * float(np.max(u))
+    lagrange = {"lower_active": np.flatnonzero(f0.values <= v + rtol).tolist(),
+                "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
     half = min(span + 64, G // 2 - 1)
     b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
     validity = {"closed_form_applicable": False, "positivity_ok": True,
-                "bounds_ok": True, "degenerate": degenerate}
+                "bounds_ok": True, "degenerate": False}
     return _result_from_density(pattern, weights, f0, b0, validity, lagrange,
                                 "numerical", G, diagnostics)
 
@@ -752,16 +700,12 @@ def saddle_check(
     evaluated on the grid by one batched inverse FFT, and each error
     |e - dh|^2 f0, e = A - h0, is scored as the quadratic form
     <|e|^2, f0> - 2 Re<dh, conj(e) f0> + <|dh|^2, f0>: two products against f0.
-    n_samples < 1 or seed < 0 raises InvalidParameters. A `closed_form_invalid`
-    result has no f0 to probe: PositivityLost.
+    n_samples < 1 or seed < 0 raises InvalidParameters.
     """
     if n_samples < 1:
         raise InvalidParameters(f"saddle check needs at least one sample, got {n_samples}")
     if seed < 0:
         raise InvalidParameters(f"seed must be non-negative, got {seed}")
-    if result.f0 is None:
-        raise PositivityLost("the anchored closed form is not a valid density for these weights",
-                             diagnostics=result.diagnostics)
     rng = np.random.default_rng(seed)
     G = result.grid_size
     delta0 = result.delta0

@@ -123,8 +123,11 @@ def simulate(
     of a call with n_replicates >= j are the rows of the call with j, and a
     replicate cannot be drawn without those before it.
 
-    RationalAR with real coefficients runs its AR recursion after a warm-up
-    run-in (see `_ar_sampler`). Everything else goes through circulant
+    A causal RationalAR of order p >= 1 with real coefficients, every root w
+    of z^p - alpha_1 z^(p-1) - ... - alpha_p inside the unit circle, runs
+    its AR recursion after a warm-up run-in (see `_ar_sampler`); a
+    non-causal one would run an explosive recursion. Everything else,
+    white noise RationalAR(alpha=[]) included, goes through circulant
     embedding of r(0..m/2), which is exact whenever the embedding is
     non-negative definite: m starts at the smallest power of two
     >= 2 (length - 1) and doubles while an eigenvalue lies below -1e-10 times
@@ -156,8 +159,9 @@ def simulate_chunks(
         raise InvalidParameters("length and n_replicates must be positive")
     if seed < 0:
         raise InvalidParameters(f"seed must be non-negative, got {seed}")
-    real_ar = isinstance(f, RationalAR) and np.max(np.abs(f.alpha.imag)) == 0.0
-    draw, width = (_ar_sampler if real_ar else _circulant_sampler)(f, length)
+    causal_ar = (isinstance(f, RationalAR) and f.order > 0
+                 and np.max(np.abs(f.alpha.imag)) == 0.0 and np.max(np.abs(f._eigenvalues)) < 1.0)
+    draw, width = (_ar_sampler if causal_ar else _circulant_sampler)(f, length)
     rng = np.random.default_rng(seed)
     rows = max(1, CHUNK_VALUES // width)
     return (draw(rng, min(rows, n_replicates - start)) for start in range(0, n_replicates, rows))

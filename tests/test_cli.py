@@ -179,6 +179,20 @@ class TestLeastFavourable:
         assert rec["error"] == "InvalidParameters"
         assert rec["category"] == "validation"
 
+    def test_dvu_weights_without_closed_form(self, tmp_path):
+        # a negative or complex weight made lf_dvu exit 1 with WeightsNotPositive
+        config = {
+            "pattern": {"kind": "S6", "N": 1, "M1": 2, "N1": 2, "M2": 2, "N2": 2},
+            "weights": {"values": {"-4": 0.5, "-3": -0.3, "0": 1, "1": 0.5, "4": [0.5, 0.2],
+                                   "5": 0.5}},
+            "class": {"type": "dvu", "v": {"type": "tabulated", "values": [0.5] * 512},
+                      "u": {"type": "tabulated", "values": [1.2] * 512}, "p": 1.0},
+        }
+        code, rec, _ = run(tmp_path, "least-favourable", config)
+        assert code == 0
+        assert rec["mechanism"] == "numerical"
+        assert rec["saddle_report"]["all_pass"] is True
+
 
 class TestFailureRecords:
     @pytest.mark.parametrize("config", [
@@ -294,6 +308,16 @@ class TestVerify:
 
 
 class TestSimulate:
+    def test_non_causal_ar(self, tmp_path):
+        # alpha = 2 ran the explosive recursion: empirical_mse 2.15e116, z = 17.6
+        config = {**EX_CONFIG, "density": {"type": "rational_ar", "alpha": [2.0]},
+                  "weights": {"values": {"0": 0.1, "1": 1, "-3": 0.1, "-4": 0.1, "-5": 0.1}}}
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--seed", "7",
+                           "--window", "40")
+        assert code == 0
+        assert math.isfinite(rec["empirical_mse"])
+        assert abs(rec["z_score"]) <= 5.0
+
     def test_complex_weights(self, tmp_path):
         # the empirical error of the complex functional against its delta
         config = {**EX_CONFIG, "weights": {"values": {"0": [1, 0.5], "1": 1, "-3": [0, -1],

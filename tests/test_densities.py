@@ -368,6 +368,27 @@ class TestTabulated:
         big = f.on_grid(1024)
         assert np.allclose(big, 2.0 + np.cos(angular_grid(1024)), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 6, 512])
+    def test_even_table_reproduced_at_its_nodes(self, n):
+        # the Nyquist term was dropped, so a finer grid missed the table's own values
+        values = 1.2 + 0.1 * (-1.0) ** np.arange(n) + 0.05 * np.cos(angular_grid(n))
+        f = Tabulated(values)
+        for grid in (2 * n, 8 * n):
+            assert np.max(np.abs(f.on_grid(grid)[:: grid // n] - values)) <= 1e-14
+
+    def test_alternating_table_keeps_its_maximum(self):
+        # 1.2 + 0.1 (-1)^k, k < 512, resampled to 4096 points had max 1.2
+        f = Tabulated(1.2 + 0.1 * (-1.0) ** np.arange(512))
+        assert abs(np.max(f.on_grid(4096)) - 1.3) <= 1e-14
+
+    @pytest.mark.parametrize("n, grid", [(5, 64), (7, 4096), (511, 4096), (512, 100)])
+    def test_odd_tables_and_downsampling_unchanged(self, n, grid):
+        # no Nyquist term: the trigonometric interpolant of the kept lags, bit for bit
+        values = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        half = min((n - 1) // 2, (grid - 1) // 2)
+        expected = evaluate_trig_poly(grid_fourier_coefficients(values, half), grid, real=True)
+        assert np.array_equal(Tabulated(values).on_grid(grid), expected)
+
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameters):
             Tabulated(np.array([1.0, -0.1, 1.0, 1.0]))

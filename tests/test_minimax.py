@@ -107,12 +107,11 @@ class TestD0Minus:
         assert abs(val - res.delta0) < 1e-8 * res.delta0
 
     def test_positivity_failure_flagged(self):
+        # a half-empty result with delta0 = nan was returned
         w = FunctionalWeights(values={0: 1.0, 2: 1.0})
-        res = lf_d0minus(S5_SMALL, w, D0Minus(p=1.0))
-        assert not res.validity["positivity_ok"]
-        assert res.mechanism == "closed_form_invalid"
-        assert res.f0 is None
-        assert np.isnan(res.delta0)
+        with pytest.raises(PositivityLost) as info:
+            lf_d0minus(S5_SMALL, w, D0Minus(p=1.0))
+        assert info.value.diagnostics["inv_min"] < 0
 
     def test_weights_must_be_real_positive(self):
         with pytest.raises(WeightsNotPositive):
@@ -155,13 +154,12 @@ class TestD0Minus:
         assert not report["all_pass"]
 
     def test_saddle_check_refuses_invalid_closed_form(self):
+        # refused before any result reaches saddle_check
         p = ObservationPattern("S4", N=1, M1=2, N1=3)
         w = FunctionalWeights(values={j: 1.0 for j in missing_indices(p)})
-        res = lf_d0minus(p, w, D0Minus(p=1.0))
-        assert res.mechanism == "closed_form_invalid"
-        with pytest.raises(PositivityLost) as info:
-            saddle_check(res, p, w, D0Minus(p=1.0), n_samples=5)
-        assert info.value.diagnostics["inv_min"] == res.diagnostics["inv_min"] < 0
+        with pytest.raises(PositivityLost, match="not a valid density") as info:
+            lf_d0minus(p, w, D0Minus(p=1.0))
+        assert info.value.diagnostics["inv_min"] < 0
 
     def test_saddle_check_negative_seed_refused(self):
         # default_rng raised numpy's ValueError, which the CLI did not record
@@ -334,6 +332,20 @@ class TestDVU:
             with pytest.raises(InvalidParameters, match="lower density must be positive"):
                 numerical_lf(pattern, weights, cls)
 
+    @pytest.mark.parametrize("odd", [-0.3, 0.5 + 0.2j], ids=["negative", "complex"])
+    def test_weights_without_closed_form_go_numerical(self, odd):
+        # lf_d0minus's WeightsNotPositive escaped lf_dvu
+        cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        pattern = ObservationPattern("S6", N=1, M1=2, N1=2, M2=2, N2=2)
+        weights = FunctionalWeights(values={j: odd if j == -3 else 0.5
+                                            for j in missing_indices(pattern)})
+        res = lf_dvu(pattern, weights, cls)
+        assert res.mechanism == "numerical"
+        assert res.delta0 == numerical_lf(pattern, weights, cls).delta0
+        f0 = res.f0.on_grid(res.grid_size)
+        assert np.all(f0 >= 0.5 - 1e-9)
+        assert np.all(f0 <= 1.2 + 1e-9)
+
     def test_validate_returns_the_checked_grid_values(self):
         cls = DVU(v=RationalAR(alpha=0.3, sigma2=0.5), u=Tabulated(np.full(64, 20.0)), p=1.0)
         v, u = cls.validate(256)
@@ -355,19 +367,15 @@ class TestDVU:
 
 
 class TestNumerical:
-    def test_warm_start_recovers_closed_form(self):
-        closed = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        num = numerical_lf(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        assert abs(num.delta0 - closed.delta0) <= 1e-4 * closed.delta0
-        assert num.diagnostics["converged"]
+    def test_d0minus_not_covered(self):
+        # the D0Minus supremum is unbounded on the grid; the closed form is lf_d0minus
+        with pytest.raises(NotCovered, match="DVU only"):
+            numerical_lf(S5_SMALL, W_SMALL, D0Minus(p=1.0))
 
-    def test_dw_degenerate_flag(self):
-        cls = DW(b_given=np.array([1.25, -0.5, 0.0]))
-        res = numerical_lf(S5_SMALL, W_SMALL, cls)
-        assert res.diagnostics["degenerate"]
-        direct = solve(S5_SMALL, W_SMALL, InversePolynomial(cls.inverse_poly()),
-                       grid_size=res.grid_size)
-        assert abs(res.delta0 - direct.delta) < 1e-10
+    def test_dw_not_covered(self):
+        # likewise for DW; its closed forms are lf_dW's
+        with pytest.raises(NotCovered, match="DVU only"):
+            numerical_lf(S5_SMALL, W_SMALL, DW(b_given=np.array([1.25, -0.5, 0.0])))
 
     def test_dvu_respects_box(self):
         cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)),

@@ -226,6 +226,25 @@ class TestSimulate:
             truth = covariance(f, lag).real
             assert abs(np.mean(prods) - truth) < 4 * se
 
+    def test_non_causal_ar_autocovariance(self, monkeypatch):
+        # 1/(1 + 1.6 z) has its pole inside the unit disc: the paths go
+        # through circulant embedding, with r(0) = 1/(1.6^2 - 1) and r(1) = -r(0)/1.6
+        sizes = embedding_sizes(monkeypatch)
+        f = RationalAR(alpha=[-1.6])
+        paths = simulate(f, length=16, n_replicates=40000, seed=4)
+        assert sizes == [32]
+        for lag, truth in ((0, 1 / 1.56), (1, -1 / 1.56 / 1.6), (2, 1 / 1.56 / 2.56)):
+            prods = paths[:, 5] * paths[:, 5 + lag]
+            se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
+            assert abs(truth - covariance(f, lag).real) < 1e-12
+            assert abs(np.mean(prods) - truth) < 4 * se
+
+    def test_order_zero_ar(self):
+        # alpha = [] raised numpy's ValueError from the routing test, with no CLI record
+        paths = simulate(RationalAR(alpha=[], sigma2=2.0), length=4, n_replicates=20000, seed=6)
+        se = np.std(paths[:, 1] ** 2, ddof=1) / np.sqrt(paths.shape[0])
+        assert abs(np.mean(paths[:, 1] ** 2) - 2.0) < 4 * se
+
     def test_bad_arguments(self):
         with pytest.raises(InvalidParameters):
             simulate(EX_DENSITY, length=0)
