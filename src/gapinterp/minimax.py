@@ -497,16 +497,25 @@ def _shift_clip(g: np.ndarray, lo, hi, p: float) -> np.ndarray:
 def _project_dw(g: np.ndarray, moment_rows: np.ndarray, b_given: np.ndarray,
                 floor: float) -> np.ndarray:
     """Alternate the least-squares fit of rows @ g = b_given with the floor, at most 50
-    times. The rows cos(n lambda)/G, n = 0..W, are orthogonal when 2W < G, with squared
-    norms 1/G (n = 0) and 1/(2G), so the fit needs no Gram solve. Every caller first
-    evaluates the moment polynomial on the same grid, which refuses 2W >= G."""
-    inv_norms = g.size * np.minimum(np.arange(1, b_given.size + 1), 2.0)
+    times, for each row of g (a 1-D g is one row). A row leaves the loop at the first fit
+    whose minimum is at least floor; the rows still below it are clipped and fitted again.
+    The rows cos(n lambda)/G, n = 0..W, are orthogonal when 2W < G, with squared norms
+    1/G (n = 0) and 1/(2G), so the fit needs no Gram solve. Every caller first evaluates
+    the moment polynomial on the same grid, which refuses 2W >= G."""
+    out = np.array(g, dtype=float, ndmin=2)
+    inv_norms = out.shape[-1] * np.minimum(np.arange(1, b_given.size + 1), 2.0)
+    todo, rows = np.arange(out.shape[0]), out  # rows: the rows of out still fitted
     for _ in range(50):
-        g = g - moment_rows.T @ (inv_norms * (moment_rows @ g - b_given))
-        if np.min(g) >= floor:
+        rows -= (inv_norms * (rows @ moment_rows.T - b_given)) @ moment_rows
+        low = np.min(rows, axis=-1) < floor
+        if rows is not out:
+            out[todo] = rows
+        if not np.any(low):
             break
-        g = np.maximum(g, floor)
-    return g
+        todo, rows = todo[low], np.maximum(rows[low], floor)
+    else:
+        out[todo] = rows
+    return out.reshape(np.shape(g))
 
 
 def numerical_lf(
@@ -585,25 +594,44 @@ def numerical_lf(
 # sampling and saddle verification
 # ---------------------------------------------------------------------------
 
-def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
-    """Return draw(rng, rows), which gives g = 1/f of the next `rows` random
-    class members as the rows of a (rows, grid_size) array. Everything that
-    does not depend on the draws is computed here, once per sampler.
+def _member_sampler(cls, result: LeastFavourableResult, grid_size: int, max_lag: int):
+    """Return draw(rng, rows), which gives the next `rows` random class members as
+    (g, b): g = 1/f of each member as a row of a (rows, grid_size) array, and b the grid
+    Fourier coefficients of g at lags -max_lag..max_lag, one row per member, or None
+    where only an FFT of g gives them. Everything that does not depend on the draws is
+    computed here, once per sampler.
 
     For D0Minus the draw stays in the sub-family 1/f = 1/f0 + s |P|^2 with
     deg P <= 5, on which the saddle inequality is guaranteed; the class as a
     whole is non-convex and contains members with larger error against the
     robust characteristic. Each member's degree, coefficients and amplitude
-    are drawn in turn, then one (rows, 6) @ (6, G) product gives every P.
-    DW members are projected one at a time. DVU members are one uniform
-    block (the numbers of row-by-row draws), shifted and clipped row by row.
+    are drawn in turn. |P|^2 is then known by its coefficients r(m), |m| <= 5:
+    its grid values come from one real (rows, 11) @ (11, G) product against the
+    table [1, 2 cos m lambda, 2 sin m lambda], and its grid coefficients are r
+    summed over the lags congruent mod G with the sign (-1)^(k - m) of the grid
+    starting at -pi, which keeps them exact on any grid. s sets mean(s |P|^2)
+    to the drawn fraction of mean(1/f0), and b = b0 + s r, with b0 of the result
+    taken as the coefficients of 1/f0, as every least-favourable function
+    returns it.
+
+    DW members are one block of normal draws (the numbers of row-by-row
+    draws), made even in lambda and projected together by _project_dw; the
+    amplitude is halved only for the rows whose projection dips below a tenth
+    of the least moment polynomial value. DVU members are one uniform block,
+    shifted and clipped row by row.
     """
     G = grid_size
     lam = angular_grid(G)
     if isinstance(cls, D0Minus):
         base = result.f0.inverse_on_grid(G)
         base_mean = np.mean(base)
-        waves = np.exp(-1j * np.outer(np.arange(6), lam))
+        waves = np.arange(1, 6)[:, None] * lam
+        table = np.concatenate((np.ones((1, G)), 2.0 * np.cos(waves), 2.0 * np.sin(waves)))
+        # fold[m + 5, k] = (-1)^(k - m) where k = m (mod G), for k = 0..max_lag
+        m = np.arange(-5, 6)[:, None]
+        diff = np.arange(max_lag + 1) - m
+        fold = np.where(diff % G == 0, np.where(diff % 2 == 0, 1.0, -1.0), 0.0)
+        b0 = result.b0.resized(max_lag).values
 
         def draw(rng, rows):
             coeffs = np.zeros((rows, 6), dtype=complex)
@@ -612,46 +640,80 @@ def _member_sampler(cls, result: LeastFavourableResult, grid_size: int):
                 deg = rng.integers(1, 6)
                 coeffs[k, : deg + 1] = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
                 amp[k] = rng.uniform(0.0, 1.0)
-            bump = np.abs(coeffs @ waves) ** 2
-            bump *= (amp * base_mean / np.maximum(np.mean(bump, axis=-1), 1e-300))[:, None]
-            return base + bump
+            # r(m) = sum_k p_k conj(p_{k+m}), the coefficient of e^{im lambda} in |P|^2
+            r = np.stack([np.sum(coeffs[:, : 6 - n] * np.conj(coeffs[:, n:]), axis=-1)
+                          for n in range(6)], axis=-1)
+            right = np.concatenate((np.conj(r[:, :0:-1]), r), axis=-1) @ fold
+            scale = amp * base_mean / np.maximum(right[:, 0].real, 1e-300)
+            bump = np.concatenate((r.real, -r[:, 1:].imag), axis=-1) @ table
+            b = np.concatenate((np.conj(right[:, :0:-1]), right), axis=-1)
+            return base + scale[:, None] * bump, b0 + scale[:, None] * b
 
         return draw
     if isinstance(cls, DW):
         moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
         g = cls.inverse_poly().evaluate(G)
         base_min = float(np.min(g))
-        mirror = (-np.arange(G)) % G
 
-        def draw_one(rng):
-            direction = rng.normal(size=G)
+        def draw(rng, rows):
+            direction = rng.standard_normal(size=(rows, G))  # the numbers of rng.normal
             # keep the draw an even function of lambda: the class pins cosine
             # moments only, and the degeneracy statements live in the even family
-            direction = 0.5 * (direction + direction[mirror])
-            direction /= max(np.max(np.abs(direction)), 1e-300)
+            half = (G + 1) // 2
+            even = 0.5 * (direction[:, 1:half] + direction[:, : G - half: -1])
+            direction[:, 1:half] = even
+            direction[:, : G - half: -1] = even
+            top = np.maximum(np.max(direction, axis=-1), -np.min(direction, axis=-1))
+            direction /= np.maximum(top, 1e-300)[:, None]
             amp = 0.5 * base_min
-            while amp > 1e-6 * base_min:
-                trial = _project_dw(g + amp * direction, moment_rows, cls.b_given, _FLOOR)
-                if np.min(trial) >= 0.1 * base_min:
-                    return trial
+            out = _project_dw(g + amp * direction, moment_rows, cls.b_given, _FLOOR)
+            todo = np.flatnonzero(np.min(out, axis=-1) < 0.1 * base_min)
+            while todo.size:  # halve the amplitude of the rows that dip
                 amp *= 0.5
-            return g
+                if amp <= 1e-6 * base_min:
+                    out[todo] = g
+                    break
+                trial = _project_dw(g + amp * direction[todo], moment_rows, cls.b_given, _FLOOR)
+                kept = np.min(trial, axis=-1) >= 0.1 * base_min
+                out[todo[kept]] = trial[kept]
+                todo = todo[~kept]
+            return out, None
 
-        return lambda rng, rows: np.stack([draw_one(rng) for _ in range(rows)])
+        return draw
     if isinstance(cls, DVU):
         lo = 1.0 / cls.u.on_grid(G)
         hi = 1.0 / cls.v.on_grid(G)
-        return lambda rng, rows: np.stack([_shift_clip(g, lo, hi, cls.p)
-                                           for g in rng.uniform(lo, hi, size=(rows, G))])
+        return lambda rng, rows: (np.stack([_shift_clip(g, lo, hi, cls.p)
+                                            for g in rng.uniform(lo, hi, size=(rows, G))]), None)
     raise InvalidParameters(f"unsupported class {type(cls).__name__}")
 
 
 def sample_density(cls, result: LeastFavourableResult, rng: np.random.Generator,
                    grid_size: int | None = None) -> SpectralDensity:
-    """Draw a random class member: the member that saddle_check draws next
-    from the same rng (see _member_sampler)."""
-    draw = _member_sampler(cls, result, grid_size or result.grid_size)
-    return Tabulated(1.0 / draw(rng, 1)[0])
+    """Draw a random class member on grid_size points (by default the result's grid):
+    the member that saddle_check draws next from the same rng (see _member_sampler)."""
+    G = result.grid_size if grid_size is None else grid_size
+    g, _ = _member_sampler(cls, result, G, 0)(rng, 1)
+    return Tabulated(1.0 / g[0])
+
+
+def _perturbed_errors(e: np.ndarray, f_grid: np.ndarray, lags: np.ndarray,
+                      coeffs: np.ndarray) -> np.ndarray:
+    """Delta(h0 + dh; f) = mean(|e - dh|^2 f), e = A - h0 on the grid of f, for each row
+    dh = sum_j coeffs[:, j] e^{i lags[:, j] lambda}, as a quadratic form in the
+    coefficients: mean(|e|^2 f) - 2 Re sum_j c_j Q(-j) + sum_{j,k} c_j conj(c_k) F(k - j),
+    with Q and F the grid Fourier coefficients of conj(e) f and of f. They come from
+    one FFT each, at lags taken mod G, so the form is exact on every grid."""
+    G = f_grid.size
+    spectra = np.fft.fft(np.stack((np.conj(e) * f_grid, f_grid)), axis=-1) / G
+
+    def at(spectrum, m):  # e^{i m pi} from the grid starting at -pi
+        return np.where(m % 2 == 0, 1.0, -1.0) * spectrum[m % G]
+
+    linear = np.sum(coeffs * at(spectra[0], -lags), axis=-1).real
+    quad = np.einsum("ra,rab,rb->r", coeffs, at(spectra[1], lags[:, None, :] - lags[:, :, None]),
+                     np.conj(coeffs)).real
+    return np.mean((e.real ** 2 + e.imag ** 2) * f_grid) - 2.0 * linear + quad
 
 
 def _gram_errors(indices, a: np.ndarray, b: np.ndarray, grid_size: int) -> np.ndarray:
@@ -695,12 +757,14 @@ def saddle_check(
     on the grid (the same draws as sample_density from the same rng). Each
     block is then checked together: Delta(h0; f) for every row is one
     weighted row mean of f against |A - h0|^2, the coefficients b of every g
-    come from one real FFT along the rows, and the classical errors from one
-    stacked Cholesky solve (_gram_errors). The perturbations dh of h0 are
-    evaluated on the grid by one batched inverse FFT, and each error
-    |e - dh|^2 f0, e = A - h0, is scored as the quadratic form
-    <|e|^2, f0> - 2 Re<dh, conj(e) f0> + <|dh|^2, f0>: two products against f0.
-    n_samples < 1 or seed < 0 raises InvalidParameters.
+    are those _member_sampler gives (D0Minus) or come from one real FFT along
+    the rows (DW, DVU), and the classical errors from one stacked Cholesky
+    solve (_gram_errors). Each perturbation dh of h0 has min(5, #observed)
+    random coefficients at observed lags j, |j| <= max|K| + 10 (at most the
+    degree the grid resolves), scaled to rms 0.1 ||a|| (by Parseval, the root
+    of the sum of their squared moduli); its error under f0 is the quadratic
+    form of _perturbed_errors in those coefficients, with no grid pass per
+    perturbation. n_samples < 1 or seed < 0 raises InvalidParameters.
     """
     if n_samples < 1:
         raise InvalidParameters(f"saddle check needs at least one sample, got {n_samples}")
@@ -712,44 +776,42 @@ def saddle_check(
     tol = 1e-8 * max(delta0, 1.0)
     idx = missing_indices(pattern)
     a = weight_vector(weights, pattern)
-    a_grid = poly_on_grid(idx, a, G)
-    e = a_grid - result.h0_grid
+    e = poly_on_grid(idx, a, G) - result.h0_grid
     upper_weight = np.abs(e) ** 2
     span = max(max(idx) - min(idx), 1)
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
         raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
 
-    draw = _member_sampler(cls, result, G)
+    draw = _member_sampler(cls, result, G, span)
     excess = np.empty(n_samples)
     deltas = np.empty(n_samples)
     for start in range(0, n_samples, SADDLE_BLOCK):
         stop = min(start + SADDLE_BLOCK, n_samples)
-        g = draw(rng, stop - start)
+        g, b = draw(rng, stop - start)
         f = 1.0 / g
         if np.min(f) < 0:
             raise InvalidParameters("tabulated density has negative values")
         check_positive(f)
         excess[start:stop] = np.mean(upper_weight * f, axis=-1) - delta0
-        deltas[start:stop] = _gram_errors(idx, a, grid_fourier_coefficients(g, span), G)
+        if b is None:
+            b = grid_fourier_coefficients(g, span)
+        deltas[start:stop] = _gram_errors(idx, a, b, G)
 
-    # perturb h0 by trig polynomials supported on observed indices (at most
-    # the degree the grid resolves)
     reach = min(max(abs(min(idx)), abs(max(idx))) + 10, (G - 1) // 2)
-    missing = set(idx)
-    observed = [j for j in range(-reach, reach + 1) if j not in missing]
+    lags = np.arange(-reach, reach + 1)
+    observed = lags[~np.isin(lags, idx)]
     n_pert = min(n_samples, 50)
-    dh_coeffs = np.zeros((n_pert, 2 * reach + 1), dtype=complex)
-    for row in dh_coeffs:
-        for j in rng.choice(observed, size=min(5, len(observed)), replace=False):
-            row[j + reach] = rng.normal() + 1j * rng.normal()
-    dh = evaluate_trig_poly(dh_coeffs, G)
+    n_pick = min(5, observed.size)
+    picks = np.empty((n_pert, n_pick), dtype=int)
+    coeffs = np.empty((n_pert, n_pick), dtype=complex)
+    for k in range(n_pert):
+        picks[k] = rng.choice(observed, size=n_pick, replace=False)
+        coeffs[k] = rng.normal(size=2 * n_pick).view(complex)  # (re, im) pairs
     scale = np.sqrt(float(np.sum(np.abs(a) ** 2)))
-    dh *= 0.1 * scale / np.maximum(np.max(np.abs(dh), axis=-1, keepdims=True), 1e-300)
-    f0_grid = density_on_grid(result.f0, G)
-    vals = (np.mean(upper_weight * f0_grid)
-            - 2.0 * (dh @ (np.conj(e) * f0_grid)).real / G
-            + (dh.real ** 2 + dh.imag ** 2) @ f0_grid / G)
+    rms = np.sqrt(np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=-1, keepdims=True))
+    coeffs *= 0.1 * scale / np.maximum(rms, 1e-300)
+    vals = _perturbed_errors(e, density_on_grid(result.f0, G), picks, coeffs)
 
     upper_pass = int(np.count_nonzero(excess <= tol))
     lower_pass = int(np.count_nonzero(vals >= delta0 - 1e-10 * max(delta0, 1.0)))

@@ -28,7 +28,13 @@ from gapinterp.errors import (
     WeightsNotPositive,
 )
 from gapinterp import minimax
-from gapinterp.interpolate import error_value, mse_of_characteristic, solve, solve_gram
+from gapinterp.interpolate import (
+    error_value,
+    mse_of_characteristic,
+    poly_on_grid,
+    solve,
+    solve_gram,
+)
 from gapinterp.minimax import (
     D0Minus,
     DVU,
@@ -407,6 +413,14 @@ class TestNumerical:
             g = f.inverse_on_grid(res.grid_size)
             assert np.mean(g) >= 1.0 - 1e-10
 
+    @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
+    def test_sample_density_refuses_empty_grids(self, family):
+        # grid_size=0 drew on the result's own grid, -3 was refused
+        _, _, cls, res = saddle_problem("S6", family)
+        for grid in (0, -3):
+            with pytest.raises(InvalidParameters):
+                sample_density(cls, res, np.random.default_rng(0), grid_size=grid)
+
 
 def gram_project_dw(g, moment_rows, b_given, floor):
     """_project_dw with each moment fit solved against the Gram matrix of the
@@ -488,7 +502,7 @@ def loop_saddle_check(result, pattern, weights, cls, n_samples, seed):
         dh = np.zeros(G, dtype=complex)
         for j in picks:
             dh += (rng.normal() + 1j * rng.normal()) * np.exp(1j * j * lam)
-        dh *= 0.1 * scale / max(float(np.max(np.abs(dh))), 1e-300)
+        dh *= 0.1 * scale / max(float(np.sqrt(np.mean(np.abs(dh) ** 2))), 1e-300)  # grid rms
         val = mse_of_characteristic(result.h0_grid + dh, pattern, weights, result.f0)
         lower += int(val >= result.delta0 - 1e-10 * max(result.delta0, 1.0))
     return {
@@ -570,9 +584,11 @@ class TestSaddleBatch:
             assert np.max(np.abs(member - row)) <= tol
 
     def test_no_per_sample_calls(self, monkeypatch):
-        pattern, weights, cls, res = saddle_problem("S5", "dvu")
+        # no grid pass per perturbation of h0, and no FFT for the coefficients
+        # of a D0Minus block, which are known from its draws
         calls = []
-        for name in ("solve", "solve_gram", "mse_of_characteristic", "sample_density"):
+        for name in ("solve", "solve_gram", "mse_of_characteristic", "sample_density",
+                     "evaluate_trig_poly", "grid_fourier_coefficients"):
             original = getattr(minimax, name, None)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -580,9 +596,13 @@ class TestSaddleBatch:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(minimax, name, counted, raising=False)
-        report = saddle_check(res, pattern, weights, cls, n_samples=20, seed=1)
-        assert report["n_samples"] == 20
-        assert calls == []
+        for family in ("dvu", "dw", "d0minus"):
+            pattern, weights, cls, res = saddle_problem("S5", family)
+            calls.clear()
+            report = saddle_check(res, pattern, weights, cls, n_samples=20, seed=1)
+            assert report["n_samples"] == 20
+            # DW and DVU blocks take one FFT each
+            assert calls == ([] if family == "d0minus" else ["grid_fourier_coefficients"])
 
     @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
     def test_split_stack_matches_per_sample_loop(self, raise_delta0, monkeypatch):
@@ -611,6 +631,65 @@ class TestSaddleBatch:
         worst_loop = loop.pop("worst_upper_excess")
         assert batch == loop
         assert abs(worst_batch - worst_loop) <= 1e-12 * abs(worst_loop)
+
+    @pytest.mark.parametrize("grid", [*range(4, 13), 4096])
+    def test_d0minus_block_coefficients(self, grid):
+        pattern, _, cls, res = saddle_problem("S6", "d0minus")
+        idx = missing_indices(pattern)
+        max_lag = max(idx) - min(idx)
+        if grid < 4096:
+            # 1/f0 = 1.2 + 0.6 cos(lambda) on grids too coarse for the S6 result;
+            # the lags of |P|^2 (up to 5) fold onto -max_lag..max_lag for G <= 10
+            b0 = FourierCoeffs(np.array([0.3, 1.2, 0.3]))
+            res = dataclasses.replace(res, f0=InversePolynomial(b0), b0=b0, grid_size=grid)
+            max_lag = (grid - 1) // 2
+        draw = minimax._member_sampler(cls, res, grid, max_lag)
+        g, b = draw(np.random.default_rng(grid), 12)
+        ref = grid_fourier_coefficients(g, max_lag)
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [32, 4096])
+    def test_perturbation_scores(self, grid):
+        # lags up to 20 on 32 points: the differences of lags fold mod G
+        pattern, weights, cls, _ = saddle_problem("S6", "d0minus")
+        res = lf_d0minus(pattern, weights, cls, grid_size=grid)
+        rng = np.random.default_rng(grid)
+        lags = np.stack([rng.choice(np.arange(-20, 21), size=5, replace=False) for _ in range(6)])
+        coeffs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        e = poly_on_grid(missing_indices(pattern), weight_vector(weights, pattern), grid) - res.h0_grid
+        got = minimax._perturbed_errors(e, res.f0.on_grid(grid), lags, coeffs)
+        lam = angular_grid(grid)
+        for score, lag_row, c_row in zip(got, lags, coeffs):
+            dh = np.exp(1j * np.outer(lam, lag_row)) @ c_row
+            ref = mse_of_characteristic(res.h0_grid + dh, pattern, weights, res.f0)
+            assert abs(score - ref) <= 1e-12 * ref
+
+    # full reports of saddle_check(n_samples=100, seed=0) as recorded before the
+    # members were built from their coefficients: the draws are the same, so the
+    # counts must be too. Each problem has its own grid: 4096, and 512 for the
+    # numerical DVU S5 result. Tuples are (upper, dominance, lower, worst excess).
+    PINNED = {
+        ("d0minus", "S4"): (100, 100, 50, -0.003742025958937356),
+        ("d0minus", "S5"): (100, 100, 50, -0.00373859299685253),
+        ("d0minus", "S6"): (100, 100, 50, -0.003742066899356078),
+        ("dw", "S4"): (0, 100, 50, 0.003832518526738715),
+        ("dw", "S5"): (0, 100, 50, 0.004634273784443588),
+        ("dw", "S6"): (0, 100, 50, 0.004647226616854461),
+        ("dvu", "S4"): (0, 0, 50, 13.61149644008335),
+        ("dvu", "S5"): (99, 100, 50, 0.0030086050968773925),
+        ("dvu", "S6"): (0, 0, 50, 15.009436589740623),
+    }
+
+    @pytest.mark.parametrize("family, kind", sorted(PINNED))
+    def test_reports_pinned(self, family, kind):
+        pattern, weights, cls, res = saddle_problem(kind, family)
+        report = saddle_check(res, pattern, weights, cls, n_samples=100, seed=0)
+        upper, dominance, lower, worst = self.PINNED[family, kind]
+        assert res.grid_size == (512 if (family, kind) == ("dvu", "S5") else 4096)
+        assert abs(report.pop("worst_upper_excess") - worst) <= 1e-12 * abs(worst)
+        assert report == {"n_samples": 100, "upper_pass": upper, "dominance_pass": dominance,
+                          "lower_pass": lower, "n_perturbations": 50,
+                          "all_pass": upper == 100 and lower == 50}
 
     def test_no_samples_refused(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
