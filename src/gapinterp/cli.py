@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 
-# `verify` cuts S1-S3 where the cut moves the error by about this much
+# `verify` and `simulate` cut S1-S3 where the cut moves the error by about this much
 VERIFY_RTOL = 1e-12
 
 
@@ -229,23 +229,27 @@ def cmd_least_favourable(config: dict, args) -> dict:
     return record
 
 
+def _oracle_problem(f, pattern, weights, grid_size):
+    """The solution a time-domain oracle (`verify`, `simulate`) checks, and the
+    pattern the oracle works on. The oracles are dense in |K|, so S1-S3 are
+    cut where the cut moves Delta by about VERIFY_RTOL, far inside their
+    tolerances; the cut solution's h vanishes on its own K, and the oracle
+    observes everything past it."""
+    if not pattern.is_infinite:
+        return interpolate.solve(pattern, weights, f, grid_size=grid_size), pattern
+    sol = interpolate.solve_truncated(pattern, weights, f, grid_size=grid_size,
+                                      rtol=VERIFY_RTOL)
+    depth = sol.convergence["depth"]
+    if depth > interpolate.TRUNCATION_SCHEDULE[-1]:
+        raise NotConverged(f"the oracle would need depth {depth}, past the "
+                           f"{interpolate.TRUNCATION_SCHEDULE[-1]} it supports",
+                           diagnostics={"depth": depth})
+    return sol, pattern.with_truncation(depth)
+
+
 def cmd_verify(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
-    if pattern.is_infinite:
-        # the projection is dense in |K|, so the blocks are cut where the cut
-        # moves Delta by about VERIFY_RTOL, far inside the check's 1e-6; the
-        # cut solution's h vanishes on its own K, and the projection observes
-        # everything past it
-        sol = interpolate.solve_truncated(pattern, weights, f, grid_size=args.grid,
-                                          rtol=VERIFY_RTOL)
-        depth = sol.convergence["depth"]
-        if depth > interpolate.TRUNCATION_SCHEDULE[-1]:
-            raise NotConverged(f"the projection would need depth {depth}, past the "
-                               f"{interpolate.TRUNCATION_SCHEDULE[-1]} it supports",
-                               diagnostics={"depth": depth})
-        pattern = pattern.with_truncation(depth)
-    else:
-        sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
+    sol, pattern = _oracle_problem(f, pattern, weights, args.grid)
     window = args.window
     tp = oracle.build_problem(pattern, weights, f, window=window)
     proj = oracle.project(tp)
@@ -271,7 +275,7 @@ def cmd_simulate(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if args.replicates < 2:  # the standard error of one replicate is infinite
         raise InvalidParameters(f"simulate needs at least 2 replicates, got {args.replicates}")
-    sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
+    sol, pattern = _oracle_problem(f, pattern, weights, args.grid)
     est = oracle.estimate_weights_from_characteristic(sol, window=args.window)
     idx = patterns.missing_indices(pattern)
     margin = max(abs(min(idx)), abs(max(idx))) + args.window

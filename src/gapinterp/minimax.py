@@ -73,7 +73,6 @@ from .patterns import (
 OPT_GRID = 512
 PG_TOL = 1e-7
 MAX_ITERS = 10000
-_MAX_NEWTON = 200
 _FLOOR = 1e-9
 # sampled class members that saddle_check holds on the grid at once; its
 # memory stays O(SADDLE_BLOCK * grid size) for any number of samples
@@ -259,40 +258,40 @@ def lf_d0minus(
 # ---------------------------------------------------------------------------
 
 def _dw_structure(pattern: ObservationPattern, W: int):
-    """Support of the stationary coefficient vector and the unknown
-    coefficient lags for the moment-constrained class.
+    """Split K for the moment-constrained class: the support of the stationary
+    coefficient vector and the unknown coefficient lags of 1/f.
 
     The coefficient vector must concentrate on missing indices within W of
     the anchor (so that the squared coefficient polynomial has degree <= W),
     and the inverse density carries unknown coefficients at the missing-index
-    magnitudes beyond W. The construction yields a square system only for
-    part of the parameter range; outside it we refuse rather than guess.
+    magnitudes beyond W. Geometries whose system is singular for any weights
+    are refused: a non-square system, an unknown lag that is no distance from
+    a row outside the support to a support index (a zero column), and such a
+    row none of whose distances to the support is an unknown lag (a zero row).
+    Returns K, the support mask, the unknown lags and the distances from the
+    rows outside the support to the support indices.
     """
-    idx = missing_indices(pattern)
-    anchor = anchor_index(pattern)
-    support = [n for n in idx if abs(n - anchor) <= W]
-    k_abs = sorted({abs(n) for n in idx})
-    unknown_lags = [l for l in k_abs if l > W]
-    if len(support) + len(unknown_lags) != len(idx):
+    idx = np.asarray(missing_indices(pattern))
+    on_support = np.abs(idx - anchor_index(pattern)) <= W
+    k_abs = np.unique(np.abs(idx))
+    unknown_lags = k_abs[k_abs > W]
+    n_p = int(np.count_nonzero(on_support))
+    if n_p + unknown_lags.size != idx.size:
         raise NotCovered(
             f"moment order W={W} leaves a non-square coefficient system "
-            f"({len(support)} + {len(unknown_lags)} unknowns for {len(idx)} equations) "
+            f"({n_p} + {unknown_lags.size} unknowns for {idx.size} equations) "
             "for this gap geometry"
         )
-    return idx, anchor, support, unknown_lags
-
-
-def _dw_b0_coeffs(b_given: np.ndarray, unknown_lags, x: np.ndarray, half: int) -> np.ndarray:
-    """Full coefficient array b0(-half..half): given moments up to W, solved
-    values at the unknown lags, zero elsewhere."""
-    W = b_given.size - 1
-    vals = np.zeros(2 * half + 1)
-    m = np.arange(-min(W, half), min(W, half) + 1)
-    vals[m + half] = b_given[np.abs(m)]
-    lags = np.asarray(unknown_lags, dtype=int)
-    held = lags <= half
-    vals[half + lags[held]] = vals[half - lags[held]] = np.asarray(x)[held]
-    return vals
+    dist = np.abs(np.subtract.outer(idx[~on_support], idx[on_support]))
+    idle_lags = np.setdiff1d(unknown_lags, dist)
+    idle_rows = idx[~on_support][~np.isin(dist, unknown_lags).any(axis=1)]
+    if idle_lags.size or idle_rows.size:
+        raise NotCovered(
+            f"moment order W={W} leaves a coefficient system that is singular for any "
+            f"weights (unknown lags in no equation: {idle_lags.tolist()}; equations "
+            f"with no unknown lag, by index: {idle_rows.tolist()}) for this gap geometry"
+        )
+    return idx, on_support, unknown_lags, dist
 
 
 def lf_dW(
@@ -301,9 +300,20 @@ def lf_dW(
     cls: DW,
     grid_size: int = DEFAULT_GRID,
 ) -> LeastFavourableResult:
-    """Least favourable density of DW for S4-S6: the coefficient vector on the missing indices
-    within W of the anchor and the unknown lags of 1/f beyond W by damped Newton, at most
-    _MAX_NEWTON steps to a residual of 1e-10; W >= span gives the `degenerate` result."""
+    """Least favourable density of DW for S4-S6: the coefficient vector c on the
+    missing indices within W of the anchor, and the unknown lags x of 1/f beyond W
+    (_dw_structure), that solve B(x) c = a.
+
+    The system is block-triangular, so two linear solves give it exactly. The
+    anchor is the extreme missing index on its side, so two support indices are
+    at most W apart: the support rows hold given moments only, and c solves them
+    alone. The other rows are then linear in x, each unknown lag l weighted by
+    the sum of c over the support indices at distance l from the row. W >= span
+    is the same solve with no unknown lags (mechanism `degenerate`: the error is
+    the same for every member of the class); otherwise the mechanism is `newton`.
+    lagrange["newton_residual"] is max|B c - a| / max|a|; a singular block or a
+    residual above 1e-10 raises NewtonNotConverged, and a 1/f that is not
+    positive on the grid raises PositivityLost."""
     if pattern.kind not in ("S4", "S5", "S6"):
         raise NotCovered("moment-constrained analysis is implemented for finite gap patterns")
     if pattern.kind in ("S4", "S6") and pattern.M1 < pattern.N:
@@ -315,102 +325,46 @@ def lf_dW(
         raise NotCovered("moment-constrained solver handles real weights only")
     a = a_vec.real
 
-    idx = missing_indices(pattern)
     W = cls.W
-    span = max(idx) - min(idx)
-    lagrange: dict = {}
+    idx, on, unknown_lags, dist = _dw_structure(pattern, W)
+    span = int(idx.max() - idx.min())
+    half = max(span, W)
+    vals = np.zeros(2 * half + 1)  # b0(-half..half): given moments, zero elsewhere
+    m = np.arange(-W, W + 1)
+    vals[m + half] = cls.b_given[np.abs(m)]
+    lags = np.subtract.outer(idx, idx) + half
+    B = vals[lags]
+    # hits[u, l]: the sum of c over the support indices at distance l from row u
+    hits = np.zeros((dist.shape[0], half + 1))
+    try:
+        c = np.linalg.solve(B[np.ix_(on, on)], a[on])
+        np.add.at(hits, (np.arange(dist.shape[0])[:, None], dist), c)
+        x = np.linalg.solve(hits[:, unknown_lags], a[~on] - B[np.ix_(~on, on)] @ c)
+    except np.linalg.LinAlgError as exc:
+        raise NewtonNotConverged("singular coefficient system") from exc
+    vals[half + unknown_lags] = vals[half - unknown_lags] = x
+    # relative to the largest weight, so that the test does not depend on the scale of a
+    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
+    residual = float(np.max(np.abs(vals[lags[:, on]] @ c - a))) / scale
+    if not residual <= 1e-10:
+        raise NewtonNotConverged(f"coefficient system residual {residual:.3e} above 1e-10",
+                                 diagnostics={"residual": residual})
 
-    if W >= span:
-        # every needed coefficient lag is pinned by the moment constraints,
-        # so the error is constant over the class
-        b0 = cls.inverse_poly()
-        vals = b0.evaluate(grid_size)
-        if np.min(vals) <= _FLOOR * np.max(vals):
-            raise PositivityLost("given moments define a non-positive inverse density")
-        f0 = InversePolynomial(b0)
-        validity = {"closed_form_applicable": True, "positivity_ok": True,
-                    "bounds_ok": True, "degenerate": True}
-        return _result_from_density(
-            pattern, weights, f0, b0, validity, lagrange, "degenerate", grid_size
-        )
-
-    idx, anchor, support, unknown_lags = _dw_structure(pattern, W)
-    n_idx, n_p, n_x = len(idx), len(support), len(unknown_lags)
-    half = span
-    pos = {n: k for k, n in enumerate(idx)}
-    support_slots = [pos[n] for n in support]
-
-    def assemble(x):
-        vals = _dw_b0_coeffs(cls.b_given, unknown_lags, x, half)
-        lagmat = np.subtract.outer(idx, idx)
-        return vals[lagmat + half]
-
-    # d(B c)_u / d x_l sums c over the support indices at distance l from t_u
-    lag_hits = (np.abs(np.subtract.outer(idx, support))[:, None, :]
-                == np.asarray(unknown_lags)[:, None]).astype(float)
-
-    def residual(p_vec, x):
-        B = assemble(x)
-        c = np.zeros(n_idx)
-        c[support_slots] = p_vec
-        return B @ c - a, B, c
-
-    # initial guess: coefficients from the leading block (whose lags are all
-    # known), unknown high-lag coefficients at zero
-    B_init = assemble(np.zeros(n_x))
-    lead = np.ix_(support_slots, support_slots)
-    p_vec = np.linalg.solve(B_init[lead], a[support_slots])
-    x = np.zeros(n_x)
-
-    res, B, c = residual(p_vec, x)
-    best = float(np.linalg.norm(res))
-    iters = 0
-    while best > 1e-12 and iters < _MAX_NEWTON:
-        iters += 1
-        jac = np.hstack((B[:, support_slots], lag_hits @ c[support_slots]))
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonNotConverged(
-                f"singular Jacobian at residual {best:.3e}",
-                diagnostics={"residual": best, "iterations": iters},
-            ) from exc
-        damping = 1.0
-        while damping > 1e-8:
-            p_try = p_vec + damping * step[:n_p]
-            x_try = x + damping * step[n_p:]
-            res_try, B_try, c_try = residual(p_try, x_try)
-            if np.linalg.norm(res_try) < best:
-                p_vec, x, res, B, c = p_try, x_try, res_try, B_try, c_try
-                best = float(np.linalg.norm(res))
-                break
-            damping *= 0.5
-        else:
-            break
-
-    if best > 1e-10:
-        raise NewtonNotConverged(
-            f"coefficient system residual {best:.3e} above 1e-10",
-            diagnostics={"residual": best, "iterations": iters},
-        )
-
-    b0 = FourierCoeffs(_dw_b0_coeffs(cls.b_given, unknown_lags, x, half).astype(complex))
-    vals = b0.evaluate(grid_size)
-    if np.min(vals) <= _FLOOR * np.max(vals):
+    b0 = FourierCoeffs(vals.astype(complex))
+    inv_vals = b0.evaluate(grid_size)
+    if np.min(inv_vals) <= _FLOOR * np.max(inv_vals):
         raise PositivityLost(
-            f"solved inverse density dips to {np.min(vals):.3e}; the structured "
+            f"solved inverse density dips to {np.min(inv_vals):.3e}; the structured "
             "stationary point is not a valid density for these inputs"
         )
-    f0 = InversePolynomial(b0)
+    degenerate = W >= span
     validity = {"closed_form_applicable": True, "positivity_ok": True,
-                "bounds_ok": True, "degenerate": False}
-    lagrange = {"p": dict(zip(support, p_vec.tolist())),
-                "solved_lags": dict(zip(unknown_lags, x.tolist())),
-                "newton_residual": best, "newton_iterations": iters}
-    return _result_from_density(
-        pattern, weights, f0, b0, validity, lagrange, "newton", grid_size,
-        diagnostics={"support": support, "unknown_lags": unknown_lags},
-    )
+                "bounds_ok": True, "degenerate": degenerate}
+    lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
+                "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),
+                "newton_residual": residual}
+    return _result_from_density(pattern, weights, InversePolynomial(b0), b0, validity, lagrange,
+                                "degenerate" if degenerate else "newton", grid_size)
 
 
 # ---------------------------------------------------------------------------

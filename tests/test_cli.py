@@ -348,6 +348,23 @@ class TestSimulate:
         assert abs(rec["z_score"]) < 4.0
         assert rec["n_replicates"] == 20000
 
+    @pytest.mark.parametrize("pattern", [
+        {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+        {"kind": "S2", "N": 0, "M2": 1, "T": 1},
+        {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+    ], ids=["S1", "S2", "S3"])
+    def test_infinite_pattern_answers_the_infinite_problem(self, tmp_path, pattern):
+        # simulate solved the config's own cut T = 1: theoretical_mse 1.32488
+        # on S1, where interpolate and verify give 12.2154
+        config = {"density": {"type": "rational_ar", "alpha": [0.5]}, "pattern": pattern,
+                  "weights": {"geometric": {"C": 1.0, "rho": 0.9}}}
+        code, interp, _ = run(tmp_path, "interpolate", config)
+        assert code == 0
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "4000")
+        assert code == 0
+        assert abs(rec["theoretical_mse"] - interp["delta"]) <= 1e-12 * interp["delta"]
+        assert abs(rec["z_score"]) <= 4.0
+
     def test_zero_weights(self, tmp_path):
         # every replicate estimates 0 by 0 exactly: stderr 0 and equal errors
         config = {**EX_CONFIG, "pattern": {"kind": "S4", "N": 0, "M1": 1, "N1": 1},

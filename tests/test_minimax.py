@@ -21,6 +21,7 @@ from gapinterp.densities import (
     minimality_value,
 )
 from gapinterp.errors import (
+    GapInterpError,
     InfeasibleClass,
     InvalidParameters,
     NotCovered,
@@ -272,6 +273,96 @@ class TestDW:
     def test_nonpositive_moments_rejected_at_construction(self):
         with pytest.raises(InvalidParameters):
             DW(b_given=np.array([1.0, 0.0, 1.0]))
+
+    def test_structurally_singular_geometry_refused(self):
+        # K = {0, 1, -6}, anchor 1, W = 0: lags 1 and 6 are unknown, but the
+        # rows outside the support (0 and -6) sit 1 and 7 from the support
+        # index 1, so lag 6 enters no equation whatever the weights
+        p = ObservationPattern("S4", N=1, M1=5, N1=1)
+        w = FunctionalWeights(values={0: 1.0, 1: 1.0, -6: 1.0})
+        with pytest.raises(NotCovered, match=r"in no equation: \[6\]"):
+            lf_dW(p, w, DW(b_given=np.array([2.0])))
+        # K = {0, -2, 3, 4}, anchor 4, W = 2: the row -2 sits 5 and 6 from the
+        # support {3, 4}, and neither is an unknown lag (3 and 4)
+        q = ObservationPattern("S6", N=0, M1=1, N1=1, M2=2, N2=2)
+        wq = FunctionalWeights(values={0: 1.0, -2: 1.0, 3: 1.0, 4: 1.0})
+        with pytest.raises(NotCovered, match=r"no unknown lag, by index: \[-2\]"):
+            lf_dW(q, wq, DW(b_given=np.array([2.0, 0.3, -0.2])))
+
+    # (pattern, weights, b_given, mechanism, delta0, b0(0..half))
+    PINNED = [
+        ({"kind": "S5", "N": 0, "M2": 2, "N2": 1}, {0: 1.0, 3: 0.15}, [2.0],
+         "newton", 0.5, [2.0, 0.0, 0.0, 0.3]),
+        ({"kind": "S5", "N": 0, "M2": 2, "N2": 1}, {0: 1.0, 3: 0.15}, [1.25, -0.5],
+         "newton", 0.8, [1.25, -0.5, 0.0, 0.18749999999999997]),
+        ({"kind": "S5", "N": 0, "M2": 2, "N2": 1}, {0: 1.0, 3: 0.15}, [2.0, 0.3, -0.2, 0.1],
+         "degenerate", 0.5050125313283208, [2.0, 0.3, -0.2, 0.1]),
+        ({"kind": "S5", "N": 1, "M2": 1, "N2": 1}, {0: 1.0, 1: 0.15, 3: 0.2}, [1.25, -0.5],
+         "newton", 1.0880952380952378, [1.25, -0.5, 0.0, 0.19811320754716982]),
+        ({"kind": "S5", "N": 2, "M2": 3, "N2": 1}, {0: 1.0, 1: 0.15, 2: 0.2, 6: 0.25},
+         [2.0, 0.3, -0.2],
+         "newton", 0.5467703349282296, [2.0, 0.3, -0.2, 0.0, 0.0, 0.0, 0.48119723714504986]),
+        ({"kind": "S5", "N": 0, "M2": 1, "N2": 1}, {0: 0.3, 2: 0.4}, [2.0, 0.3, -0.2],
+         "degenerate", 0.13838383838383841, [2.0, 0.3, -0.2]),
+        ({"kind": "S4", "N": 0, "M1": 2, "N1": 2}, {0: 1.0, -3: 0.15, -4: 0.2}, [2.0, 0.3, -0.2],
+         "newton", 0.4999999999999999, [2.0, 0.3, -0.2, 0.3, 0.4]),
+        ({"kind": "S4", "N": 0, "M1": 2, "N1": 2}, {0: 1.0, -3: 0.15, -4: 0.2},
+         [2.0, 0.3, -0.2, 0.1],
+         "newton", 0.5050125313283208, [2.0, 0.3, -0.2, 0.1, 0.3717884130982368]),
+        ({"kind": "S4", "N": 1, "M1": 1, "N1": 1}, {0: 0.1, 1: 1.0, -2: 0.2}, [1.25, -0.5],
+         "newton", 1.0380952380952382, [1.25, -0.5, 0.42000000000000004, 0.0]),
+        ({"kind": "S4", "N": 1, "M1": 1, "N1": 1}, {0: 0.3, 1: 0.4, -2: 0.5},
+         [1.25, -0.5, 0.0, 0.0],
+         "degenerate", 0.5295238095238095, [1.25, -0.5, 0.0, 0.0]),
+        ({"kind": "S6", "N": 1, "M1": 2, "N1": 0, "M2": 2, "N2": 2},
+         {0: 0.1, 1: 0.15, 4: 0.2, 5: 1.0}, [2.0],
+         "newton", 0.49999999999999994, [2.0, 0.4, 0.0, 0.0, 0.3, 0.2]),
+        ({"kind": "S6", "N": 1, "M1": 2, "N1": 0, "M2": 2, "N2": 2},
+         {0: 0.1, 1: 0.15, 4: 0.2, 5: 1.0}, [2.0, 0.3, -0.2, 0.1],
+         "newton", 0.5012787723785167,
+         [2.0, 0.3, -0.2, 0.1, 0.29716494845360825, 0.1862286109044532]),
+        ({"kind": "S6", "N": 0, "M1": 1, "N1": 0, "M2": 1, "N2": 1}, {0: 0.2, 2: 1.0},
+         [2.0, 0.3, -0.2],
+         "degenerate", 0.5454545454545454, [2.0, 0.3, -0.2]),
+    ]
+
+    def test_outputs_pinned(self):
+        # values of the damped Newton solver this one replaced
+        for pattern, weights, b_given, mechanism, delta0, b0 in self.PINNED:
+            res = lf_dW(ObservationPattern(**pattern), FunctionalWeights(values=weights),
+                        DW(b_given=np.array(b_given)))
+            assert res.mechanism == mechanism
+            assert abs(res.delta0 - delta0) <= 1e-14 * delta0
+            half = len(b0) - 1
+            assert res.b0.half_length == half
+            got = np.array([res.b0[m] for m in range(-half, half + 1)])
+            want = np.array(b0[:0:-1] + b0)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_result_or_library_error(self, data):
+        kind = data.draw(st.sampled_from(["S4", "S5", "S6"]))
+        dims = {"N": data.draw(st.integers(0, 3))}
+        if kind in ("S4", "S6"):
+            dims.update(M1=data.draw(st.integers(1, 5)), N1=data.draw(st.integers(0, 4)))
+        if kind in ("S5", "S6"):
+            dims.update(M2=data.draw(st.integers(1, 5)), N2=data.draw(st.integers(0, 4)))
+        pattern = ObservationPattern(kind, **dims)
+        idx = missing_indices(pattern)
+        weights = FunctionalWeights(values={
+            j: data.draw(st.floats(0.02, 2.0)) for j in idx})
+        tail = data.draw(st.lists(st.floats(-1.0, 1.0), max_size=4))
+        # b(0) above the sum of |b(m)|: the moment sequence is strictly positive
+        b_given = np.array([1.0 + data.draw(st.floats(0.01, 2.0)) + sum(map(abs, tail)), *tail])
+        try:
+            res = lf_dW(pattern, weights, DW(b_given=b_given))
+        except GapInterpError:
+            return
+        W = b_given.size - 1
+        assert (res.mechanism == "degenerate") == (W >= max(idx) - min(idx))
+        assert res.lagrange["newton_residual"] <= 1e-10
+        assert all(res.b0[m] == b_given[m] for m in range(W + 1))
 
 
 class TestDVU:
