@@ -205,8 +205,7 @@ def cmd_least_favourable(config: dict, args) -> dict:
         result = minimax.lf_dW(f_pattern, weights, cls, grid_size=args.grid)
     else:
         result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid)
-    report = minimax.saddle_check(result, f_pattern, weights, cls,
-                                  n_samples=args.samples, seed=args.seed)
+    report = minimax.saddle_check(result, f_pattern, weights, cls)
     record = {
         "b0": {str(m): _complex_out(result.b0[m])
                for m in range(-result.b0.half_length, result.b0.half_length + 1)
@@ -342,13 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
     parser.add_argument("--window", type=int, default=500)
     parser.add_argument("--replicates", type=int, default=10000)
-    parser.add_argument("--samples", type=int, default=100)
+    # accepted and ignored: saddle_check certifies without sampling members
+    parser.add_argument("--samples", type=int, default=0, help=argparse.SUPPRESS)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # refused whether or not the command draws
+            raise InvalidParameters(f"seed must be non-negative, got {args.seed}")
         config = load_config(args.config)
         record = COMMANDS[args.command](config, args)
         status = 0

@@ -70,6 +70,10 @@ class NotPositiveDefinite(NumericalError):
     pass
 
 
+class NonFiniteSolution(NumericalError):
+    """A solve gave coefficients or an error that are not finite."""
+
+
 class NotConverged(NumericalError):
     pass
 

@@ -31,6 +31,7 @@ deep as the grid's quadrature reaches (a span of K up to grid_size / 4).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -52,6 +53,7 @@ from .errors import (
     GridMismatch,
     InvalidParameters,
     LagOutOfRange,
+    NonFiniteSolution,
     NotConverged,
     NotPositiveDefinite,
 )
@@ -195,8 +197,16 @@ def _half_length(idx, grid_size: int) -> int:
 
 def error_value(c: np.ndarray, a: np.ndarray) -> float:
     """Delta = <c, a> = sum_j c(j) conj(a(j)). B is Hermitian positive
-    definite, so an imaginary part beyond rounding raises NotPositiveDefinite."""
+    definite, so an imaginary part beyond rounding raises NotPositiveDefinite.
+    A Delta that is not finite raises NonFiniteSolution; it is whenever some
+    c(j) is (a 1/f near the float underflow overflows c), since a 0 * inf
+    term is NaN."""
     inner = complex(np.vdot(a, c))
+    if not cmath.isfinite(inner):
+        bad = int(np.count_nonzero(~np.isfinite(c)))
+        raise NonFiniteSolution(
+            f"the error value is not finite ({bad} of {c.size} coefficients are not)",
+            diagnostics={"non_finite": bad, "unknowns": c.size})
     scale = max(float(np.max(np.abs(a))) ** 2 * a.size, 1e-300)
     if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
         raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")

@@ -17,12 +17,14 @@ A caution that shapes the numerics here: the stationary point need not be the
 global maximizer over D0Minus, because the constraint set {mean(1/f) >= p} is
 not convex in f and the error functional can grow without bound along
 directions where 1/f approaches zero on part of the circle. The closed form is
-a KKT point; the saddle inequality Delta(h0; f) <= delta0 is guaranteed on the
-sub-family 1/f = 1/f0 + (nonnegative trig polynomial), which is what
-saddle_check samples. No numerical maximizer runs over D0Minus or DW: their
-suprema on the grid are unbounded, so an ascent stops at a value set by the
-grid and the floor on g. numerical_lf covers DVU only, whose bounds keep g in a
-box; lf_dvu calls it wherever the closed form does not apply.
+a KKT point. The saddle inequality Delta(h0; f) <= delta0 holds on the
+sub-family 1/f >= 1/f0 by monotonicity, and over D0Minus and DW as a whole the
+supremum of Delta(h0; f) is unbounded: saddle_check states the first and gives
+a witness family for the second, and bounds the DVU supremum exactly by a
+vertex of its polytope, without sampling any member. No numerical maximizer
+runs over D0Minus or DW, since an ascent would stop at a value set by the
+grid and the floor on g. numerical_lf covers DVU only, whose bounds keep g in
+a box; lf_dvu calls it wherever the closed form does not apply.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .densities import (
     SpectralDensity,
     Tabulated,
     angular_grid,
-    check_positive,
     evaluate_trig_poly,
     factorize_inverse,
     grid_fourier_coefficients,
@@ -52,13 +53,13 @@ from .errors import (
     NotConverged,
     NotCovered,
     NotPositive,
-    NotPositiveDefinite,
     PositivityLost,
     WeightsNotPositive,
 )
 from .interpolate import (
     InterpolationSolution,
     density_on_grid,
+    error_value,
     poly_on_grid,
     solve,
     solve_gram,
@@ -74,9 +75,6 @@ OPT_GRID = 512
 PG_TOL = 1e-7
 MAX_ITERS = 10000
 _FLOOR = 1e-9
-# sampled class members that saddle_check holds on the grid at once; its
-# memory stays O(SADDLE_BLOCK * grid size) for any number of samples
-SADDLE_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +263,10 @@ def _dw_structure(pattern: ObservationPattern, W: int):
     the anchor (so that the squared coefficient polynomial has degree <= W),
     and the inverse density carries unknown coefficients at the missing-index
     magnitudes beyond W. Geometries whose system is singular for any weights
-    are refused: a non-square system, an unknown lag that is no distance from
-    a row outside the support to a support index (a zero column), and such a
-    row none of whose distances to the support is an unknown lag (a zero row).
+    are refused: a non-square system, and rows outside the support whose
+    distances to the support indices hold fewer unknown lags than there are
+    rows (_hall_violation; an unknown lag at no such distance, a zero column,
+    is one case).
     Returns K, the support mask, the unknown lags and the distances from the
     rows outside the support to the support indices.
     """
@@ -283,15 +282,42 @@ def _dw_structure(pattern: ObservationPattern, W: int):
             "for this gap geometry"
         )
     dist = np.abs(np.subtract.outer(idx[~on_support], idx[on_support]))
-    idle_lags = np.setdiff1d(unknown_lags, dist)
-    idle_rows = idx[~on_support][~np.isin(dist, unknown_lags).any(axis=1)]
-    if idle_lags.size or idle_rows.size:
+    rows, lags = _hall_violation([np.intersect1d(d, unknown_lags) for d in dist])
+    if rows:
         raise NotCovered(
             f"moment order W={W} leaves a coefficient system that is singular for any "
-            f"weights (unknown lags in no equation: {idle_lags.tolist()}; equations "
-            f"with no unknown lag, by index: {idle_rows.tolist()}) for this gap geometry"
+            f"weights (unknown lags in no equation: {np.setdiff1d(unknown_lags, dist).tolist()}; "
+            f"the equations at indices {idx[~on_support][rows].tolist()} hold only the "
+            f"unknown lags {lags}) for this gap geometry"
         )
     return idx, on_support, unknown_lags, dist
+
+
+def _hall_violation(adjacency) -> tuple[list, list]:
+    """Match every row to a column of its own, adjacency[u] holding the columns
+    of row u, by augmenting paths found breadth-first (Kuhn 1955). Returns
+    ([], []) when all rows match, and otherwise a set of rows and their
+    columns, one fewer than the rows: Hall's condition fails there, so any
+    square matrix with this pattern of nonzeros is singular."""
+    owner, matched = {}, {}  # column -> row, row -> column
+    for root in range(len(adjacency)):
+        parent, rows, free = {}, [root], None  # parent: column -> row it was reached from
+        for row in rows:  # rows grows as the search reaches matched columns
+            for col in map(int, adjacency[row]):
+                if col not in parent:
+                    parent[col] = row
+                    if col not in owner:
+                        free = col
+                        break
+                    rows.append(owner[col])
+            if free is not None:
+                break
+        if free is None:
+            return sorted(rows), sorted(parent)
+        while free is not None:  # flip the path from the root to the free column
+            row = parent[free]
+            owner[free], free, matched[row] = row, matched.get(row), free
+    return [], []
 
 
 def lf_dW(
@@ -312,8 +338,9 @@ def lf_dW(
     is the same solve with no unknown lags (mechanism `degenerate`: the error is
     the same for every member of the class); otherwise the mechanism is `newton`.
     lagrange["newton_residual"] is max|B c - a| / max|a|; a singular block or a
-    residual above 1e-10 raises NewtonNotConverged, and a 1/f that is not
-    positive on the grid raises PositivityLost."""
+    residual that is not at most 1e-10 (NaN when moments near the underflow
+    overflow c) raises NewtonNotConverged, and a 1/f that is not positive on
+    the grid raises PositivityLost."""
     if pattern.kind not in ("S4", "S5", "S6"):
         raise NotCovered("moment-constrained analysis is implemented for finite gap patterns")
     if pattern.kind in ("S4", "S6") and pattern.M1 < pattern.N:
@@ -336,19 +363,20 @@ def lf_dW(
     B = vals[lags]
     # hits[u, l]: the sum of c over the support indices at distance l from row u
     hits = np.zeros((dist.shape[0], half + 1))
-    try:
-        c = np.linalg.solve(B[np.ix_(on, on)], a[on])
-        np.add.at(hits, (np.arange(dist.shape[0])[:, None], dist), c)
-        x = np.linalg.solve(hits[:, unknown_lags], a[~on] - B[np.ix_(~on, on)] @ c)
-    except np.linalg.LinAlgError as exc:
-        raise NewtonNotConverged("singular coefficient system") from exc
-    vals[half + unknown_lags] = vals[half - unknown_lags] = x
     # relative to the largest weight, so that the test does not depend on the scale of a
     scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
-    residual = float(np.max(np.abs(vals[lags[:, on]] @ c - a))) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            c = np.linalg.solve(B[np.ix_(on, on)], a[on])
+            np.add.at(hits, (np.arange(dist.shape[0])[:, None], dist), c)
+            x = np.linalg.solve(hits[:, unknown_lags], a[~on] - B[np.ix_(~on, on)] @ c)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonNotConverged("singular coefficient system") from exc
+        vals[half + unknown_lags] = vals[half - unknown_lags] = x
+        residual = float(np.max(np.abs(vals[lags[:, on]] @ c - a))) / scale
     if not residual <= 1e-10:
         raise NewtonNotConverged(f"coefficient system residual {residual:.3e} above 1e-10",
-                                 diagnostics={"residual": residual})
+                                 diagnostics={"residual": residual} if np.isfinite(residual) else {})
 
     b0 = FourierCoeffs(vals.astype(complex))
     inv_vals = b0.evaluate(grid_size)
@@ -448,30 +476,6 @@ def _shift_clip(g: np.ndarray, lo, hi, p: float) -> np.ndarray:
     raise NotConverged("shift-clip projection did not converge", diagnostics={"shift": s})
 
 
-def _project_dw(g: np.ndarray, moment_rows: np.ndarray, b_given: np.ndarray,
-                floor: float) -> np.ndarray:
-    """Alternate the least-squares fit of rows @ g = b_given with the floor, at most 50
-    times, for each row of g (a 1-D g is one row). A row leaves the loop at the first fit
-    whose minimum is at least floor; the rows still below it are clipped and fitted again.
-    The rows cos(n lambda)/G, n = 0..W, are orthogonal when 2W < G, with squared norms
-    1/G (n = 0) and 1/(2G), so the fit needs no Gram solve. Every caller first evaluates
-    the moment polynomial on the same grid, which refuses 2W >= G."""
-    out = np.array(g, dtype=float, ndmin=2)
-    inv_norms = out.shape[-1] * np.minimum(np.arange(1, b_given.size + 1), 2.0)
-    todo, rows = np.arange(out.shape[0]), out  # rows: the rows of out still fitted
-    for _ in range(50):
-        rows -= (inv_norms * (rows @ moment_rows.T - b_given)) @ moment_rows
-        low = np.min(rows, axis=-1) < floor
-        if rows is not out:
-            out[todo] = rows
-        if not np.any(low):
-            break
-        todo, rows = todo[low], np.maximum(rows[low], floor)
-    else:
-        out[todo] = rows
-    return out.reshape(np.shape(g))
-
-
 def numerical_lf(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
@@ -545,150 +549,25 @@ def numerical_lf(
 
 
 # ---------------------------------------------------------------------------
-# sampling and saddle verification
+# saddle certificates
 # ---------------------------------------------------------------------------
 
-def _member_sampler(cls, result: LeastFavourableResult, grid_size: int, max_lag: int):
-    """Return draw(rng, rows), which gives the next `rows` random class members as
-    (g, b): g = 1/f of each member as a row of a (rows, grid_size) array, and b the grid
-    Fourier coefficients of g at lags -max_lag..max_lag, one row per member, or None
-    where only an FFT of g gives them. Everything that does not depend on the draws is
-    computed here, once per sampler.
-
-    For D0Minus the draw stays in the sub-family 1/f = 1/f0 + s |P|^2 with
-    deg P <= 5, on which the saddle inequality is guaranteed; the class as a
-    whole is non-convex and contains members with larger error against the
-    robust characteristic. Each member's degree, coefficients and amplitude
-    are drawn in turn. |P|^2 is then known by its coefficients r(m), |m| <= 5:
-    its grid values come from one real (rows, 11) @ (11, G) product against the
-    table [1, 2 cos m lambda, 2 sin m lambda], and its grid coefficients are r
-    summed over the lags congruent mod G with the sign (-1)^(k - m) of the grid
-    starting at -pi, which keeps them exact on any grid. s sets mean(s |P|^2)
-    to the drawn fraction of mean(1/f0), and b = b0 + s r, with b0 of the result
-    taken as the coefficients of 1/f0, as every least-favourable function
-    returns it.
-
-    DW members are one block of normal draws (the numbers of row-by-row
-    draws), made even in lambda and projected together by _project_dw; the
-    amplitude is halved only for the rows whose projection dips below a tenth
-    of the least moment polynomial value. DVU members are one uniform block,
-    shifted and clipped row by row.
-    """
-    G = grid_size
-    lam = angular_grid(G)
-    if isinstance(cls, D0Minus):
-        base = result.f0.inverse_on_grid(G)
-        base_mean = np.mean(base)
-        waves = np.arange(1, 6)[:, None] * lam
-        table = np.concatenate((np.ones((1, G)), 2.0 * np.cos(waves), 2.0 * np.sin(waves)))
-        # fold[m + 5, k] = (-1)^(k - m) where k = m (mod G), for k = 0..max_lag
-        m = np.arange(-5, 6)[:, None]
-        diff = np.arange(max_lag + 1) - m
-        fold = np.where(diff % G == 0, np.where(diff % 2 == 0, 1.0, -1.0), 0.0)
-        b0 = result.b0.resized(max_lag).values
-
-        def draw(rng, rows):
-            coeffs = np.zeros((rows, 6), dtype=complex)
-            amp = np.empty(rows)
-            for k in range(rows):
-                deg = rng.integers(1, 6)
-                coeffs[k, : deg + 1] = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-                amp[k] = rng.uniform(0.0, 1.0)
-            # r(m) = sum_k p_k conj(p_{k+m}), the coefficient of e^{im lambda} in |P|^2
-            r = np.stack([np.sum(coeffs[:, : 6 - n] * np.conj(coeffs[:, n:]), axis=-1)
-                          for n in range(6)], axis=-1)
-            right = np.concatenate((np.conj(r[:, :0:-1]), r), axis=-1) @ fold
-            scale = amp * base_mean / np.maximum(right[:, 0].real, 1e-300)
-            bump = np.concatenate((r.real, -r[:, 1:].imag), axis=-1) @ table
-            b = np.concatenate((np.conj(right[:, :0:-1]), right), axis=-1)
-            return base + scale[:, None] * bump, b0 + scale[:, None] * b
-
-        return draw
-    if isinstance(cls, DW):
-        moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
-        g = cls.inverse_poly().evaluate(G)
-        base_min = float(np.min(g))
-
-        def draw(rng, rows):
-            direction = rng.standard_normal(size=(rows, G))  # the numbers of rng.normal
-            # keep the draw an even function of lambda: the class pins cosine
-            # moments only, and the degeneracy statements live in the even family
-            half = (G + 1) // 2
-            even = 0.5 * (direction[:, 1:half] + direction[:, : G - half: -1])
-            direction[:, 1:half] = even
-            direction[:, : G - half: -1] = even
-            top = np.maximum(np.max(direction, axis=-1), -np.min(direction, axis=-1))
-            direction /= np.maximum(top, 1e-300)[:, None]
-            amp = 0.5 * base_min
-            out = _project_dw(g + amp * direction, moment_rows, cls.b_given, _FLOOR)
-            todo = np.flatnonzero(np.min(out, axis=-1) < 0.1 * base_min)
-            while todo.size:  # halve the amplitude of the rows that dip
-                amp *= 0.5
-                if amp <= 1e-6 * base_min:
-                    out[todo] = g
-                    break
-                trial = _project_dw(g + amp * direction[todo], moment_rows, cls.b_given, _FLOOR)
-                kept = np.min(trial, axis=-1) >= 0.1 * base_min
-                out[todo[kept]] = trial[kept]
-                todo = todo[~kept]
-            return out, None
-
-        return draw
-    if isinstance(cls, DVU):
-        lo = 1.0 / cls.u.on_grid(G)
-        hi = 1.0 / cls.v.on_grid(G)
-        return lambda rng, rows: (np.stack([_shift_clip(g, lo, hi, cls.p)
-                                            for g in rng.uniform(lo, hi, size=(rows, G))]), None)
-    raise InvalidParameters(f"unsupported class {type(cls).__name__}")
-
-
-def sample_density(cls, result: LeastFavourableResult, rng: np.random.Generator,
-                   grid_size: int | None = None) -> SpectralDensity:
-    """Draw a random class member on grid_size points (by default the result's grid):
-    the member that saddle_check draws next from the same rng (see _member_sampler)."""
-    G = result.grid_size if grid_size is None else grid_size
-    g, _ = _member_sampler(cls, result, G, 0)(rng, 1)
-    return Tabulated(1.0 / g[0])
-
-
-def _perturbed_errors(e: np.ndarray, f_grid: np.ndarray, lags: np.ndarray,
-                      coeffs: np.ndarray) -> np.ndarray:
-    """Delta(h0 + dh; f) = mean(|e - dh|^2 f), e = A - h0 on the grid of f, for each row
-    dh = sum_j coeffs[:, j] e^{i lags[:, j] lambda}, as a quadratic form in the
-    coefficients: mean(|e|^2 f) - 2 Re sum_j c_j Q(-j) + sum_{j,k} c_j conj(c_k) F(k - j),
-    with Q and F the grid Fourier coefficients of conj(e) f and of f. They come from
-    one FFT each, at lags taken mod G, so the form is exact on every grid."""
-    G = f_grid.size
-    spectra = np.fft.fft(np.stack((np.conj(e) * f_grid, f_grid)), axis=-1) / G
-
-    def at(spectrum, m):  # e^{i m pi} from the grid starting at -pi
-        return np.where(m % 2 == 0, 1.0, -1.0) * spectrum[m % G]
-
-    linear = np.sum(coeffs * at(spectra[0], -lags), axis=-1).real
-    quad = np.einsum("ra,rab,rb->r", coeffs, at(spectra[1], lags[:, None, :] - lags[:, :, None]),
-                     np.conj(coeffs)).real
-    return np.mean((e.real ** 2 + e.imag ** 2) * f_grid) - 2.0 * linear + quad
-
-
-def _gram_errors(indices, a: np.ndarray, b: np.ndarray, grid_size: int) -> np.ndarray:
-    """Delta = a^H B^{-1} a, the error of solve_gram, for every row of
-    coefficients b (rows, 2L + 1), B[u, v] = b(t_u - t_v): one stacked
-    Cholesky B = L L^H and one stacked solve of L y = a give Delta = |y|^2.
-    The stack is cut into chunks of at most SADDLE_BLOCK * grid_size matrix
-    entries, the memory bound of saddle_check. A failed factorization raises
-    NotPositiveDefinite."""
-    t = np.asarray(indices)
-    lags = np.subtract.outer(t, t) + (b.shape[-1] - 1) // 2
-    step = max(1, SADDLE_BLOCK * grid_size // t.size ** 2)
-    out = np.empty(b.shape[0])
-    for k in range(0, b.shape[0], step):
-        try:
-            chol = np.linalg.cholesky(b[k: k + step, lags])
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"coefficient matrix is not positive definite: {exc}") from exc
-        y = np.linalg.solve(chol, a[:, None])[..., 0]
-        out[k: k + step] = np.sum(y.real ** 2 + y.imag ** 2, axis=-1)
-    return out
+def _dvu_vertex(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float):
+    """Maximize the mean of the chord of w/g on [lo, hi] over lo <= g <= hi,
+    mean(g) = p. The chord is linear in g, so this is a fractional knapsack
+    (Dantzig 1957): from g = hi, lower points to lo in decreasing order of
+    w / (lo hi) = w u v, the last one part of the way. Returns the vertex g
+    and the chord's mean there, which bounds mean(w/g) over the class since
+    the chord lies above the convex w/g; the two agree at every point of the
+    vertex but the one off its bounds."""
+    gain = w / (lo * hi)
+    order = np.argsort(-gain, kind="stable")
+    cap = (hi - lo)[order]
+    need = min(max(float(np.sum(hi)) - p * hi.size, 0.0), float(np.sum(cap)))
+    drop = np.clip(need - (np.cumsum(cap) - cap), 0.0, cap)
+    g = np.empty_like(hi)
+    g[order] = np.where(drop >= cap, lo[order], hi[order] - drop)
+    return g, (float(np.sum(w / hi)) + float(gain[order] @ drop)) / hi.size
 
 
 def saddle_check(
@@ -696,85 +575,75 @@ def saddle_check(
     pattern: ObservationPattern,
     weights: FunctionalWeights,
     cls,
-    n_samples: int = 100,
-    seed: int = 0,
 ) -> dict:
-    """Numerically probe the saddle inequalities around (h0, f0).
+    """Certify the saddle inequalities around (h0, f0) on the result's grid of
+    G points, with e = A - h0 and w = |e|^2. No member is drawn (n_samples 0).
 
-    Reports, over n_samples random class members f: how often
-    Delta(h0; f) <= delta0 (robustness of the characteristic, checked on the
-    guaranteed sub-family for D0Minus), how often the classical error under f
-    stays below delta0 (least-favourability), and whether perturbing h0 in
-    admissible directions can only increase the error under f0.
+    Lower side: for dh on the observed lags, Delta(h0 + dh; f0) =
+    Delta(h0; f0) + mean(|dh|^2 f0) - 2 Re sum_j conj(dh_j) r_j, with r the
+    grid Fourier coefficients of e f0. lower_residual = max_{j not in K}
+    |r_j| / ||a||_2, from one FFT, passes at 1e-10.
 
-    The members are drawn first, SADDLE_BLOCK at a time, as rows of g = 1/f
-    on the grid (the same draws as sample_density from the same rng). Each
-    block is then checked together: Delta(h0; f) for every row is one
-    weighted row mean of f against |A - h0|^2, the coefficients b of every g
-    are those _member_sampler gives (D0Minus) or come from one real FFT along
-    the rows (DW, DVU), and the classical errors from one stacked Cholesky
-    solve (_gram_errors). Each perturbation dh of h0 has min(5, #observed)
-    random coefficients at observed lags j, |j| <= max|K| + 10 (at most the
-    degree the grid resolves), scaled to rms 0.1 ||a|| (by Parseval, the root
-    of the sum of their squared moduli); its error under f0 is the quadratic
-    form of _perturbed_errors in those coefficients, with no grid pass per
-    perturbation. n_samples < 1 or seed < 0 raises InvalidParameters.
+    Upper side: sup_f Delta(h0; f) = sup mean(w f) is at most upper_bound.
+    - D0Minus, sub-family 1/f >= 1/f0: mean(w f0), attained at f0, by
+      monotonicity, which bounds the classical error there too.
+    - DVU, whole class: mean(w/g) is convex in g = 1/f, so the maximum sits at
+      a vertex of {1/u <= g <= 1/v, mean g = p} (Rockafellar 1970, Cor.
+      32.3.2); upper_bound is the chord bound of _dvu_vertex. Its vertex member
+      has the error vertex_error and the classical error vertex_classical
+      (one Gram solve), so minimax_bracket = [max(delta0, vertex_classical),
+      upper_bound] holds min_h sup_f Delta(h; f).
+    - D0Minus and DW, whole class: unbounded (upper_bound None for DW). The
+      witness g0 - t cos(m (lambda - lambda*)), g0 = 1/f0, m = 1 (D0Minus) or
+      W + 1 (DW), keeps every constrained moment; with lambda* where g0 is
+      least on the grid, it is positive for t < t_max = g0(lambda*) and its
+      error is at least growth / (t_max - t), growth = w(lambda*) / G
+      (class_bounded is None if growth is 0).
+
+    upper_pass is upper_bound <= delta0 + 1e-8 max(delta0, 1): it covers the
+    sub-family for D0Minus and the whole class for DVU and DW (which never
+    passes). all_pass is upper_pass and lower_pass. A grid of fewer than
+    4 span(K) points raises InvalidParameters.
     """
-    if n_samples < 1:
-        raise InvalidParameters(f"saddle check needs at least one sample, got {n_samples}")
-    if seed < 0:
-        raise InvalidParameters(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
     G = result.grid_size
     delta0 = result.delta0
-    tol = 1e-8 * max(delta0, 1.0)
     idx = missing_indices(pattern)
     a = weight_vector(weights, pattern)
-    e = poly_on_grid(idx, a, G) - result.h0_grid
-    upper_weight = np.abs(e) ** 2
     span = max(max(idx) - min(idx), 1)
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
         raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
-
-    draw = _member_sampler(cls, result, G, span)
-    excess = np.empty(n_samples)
-    deltas = np.empty(n_samples)
-    for start in range(0, n_samples, SADDLE_BLOCK):
-        stop = min(start + SADDLE_BLOCK, n_samples)
-        g, b = draw(rng, stop - start)
-        f = 1.0 / g
-        if np.min(f) < 0:
-            raise InvalidParameters("tabulated density has negative values")
-        check_positive(f)
-        excess[start:stop] = np.mean(upper_weight * f, axis=-1) - delta0
-        if b is None:
-            b = grid_fourier_coefficients(g, span)
-        deltas[start:stop] = _gram_errors(idx, a, b, G)
-
-    reach = min(max(abs(min(idx)), abs(max(idx))) + 10, (G - 1) // 2)
-    lags = np.arange(-reach, reach + 1)
-    observed = lags[~np.isin(lags, idx)]
-    n_pert = min(n_samples, 50)
-    n_pick = min(5, observed.size)
-    picks = np.empty((n_pert, n_pick), dtype=int)
-    coeffs = np.empty((n_pert, n_pick), dtype=complex)
-    for k in range(n_pert):
-        picks[k] = rng.choice(observed, size=n_pick, replace=False)
-        coeffs[k] = rng.normal(size=2 * n_pick).view(complex)  # (re, im) pairs
-    scale = np.sqrt(float(np.sum(np.abs(a) ** 2)))
-    rms = np.sqrt(np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=-1, keepdims=True))
-    coeffs *= 0.1 * scale / np.maximum(rms, 1e-300)
-    vals = _perturbed_errors(e, density_on_grid(result.f0, G), picks, coeffs)
-
-    upper_pass = int(np.count_nonzero(excess <= tol))
-    lower_pass = int(np.count_nonzero(vals >= delta0 - 1e-10 * max(delta0, 1.0)))
-    return {
-        "n_samples": n_samples,
-        "upper_pass": upper_pass,
-        "dominance_pass": int(np.count_nonzero(deltas <= delta0 + tol)),
-        "lower_pass": lower_pass,
-        "n_perturbations": n_pert,
-        "worst_upper_excess": float(np.max(excess)),
-        "all_pass": upper_pass == n_samples and lower_pass == n_pert,
-    }
+    e = poly_on_grid(idx, a, G) - result.h0_grid
+    w = e.real ** 2 + e.imag ** 2
+    f0 = density_on_grid(result.f0, G)
+    r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G
+    r[np.mod(idx, G)] = 0.0
+    lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)), np.finfo(float).tiny))
+    report = {"n_samples": 0, "lower_residual": lower_residual,
+              "lower_pass": lower_residual <= 1e-10}
+    if isinstance(cls, DVU):
+        v, u = cls.validate(G)
+        g, bound = _dvu_vertex(w, 1.0 / u, 1.0 / v, cls.p)
+        b = FourierCoeffs(grid_fourier_coefficients(g, span))
+        classical = error_value(solve_gram(idx, a, b), a)
+        report.update(upper_set="class", class_bounded=True, upper_bound=bound,
+                      vertex_error=float(np.mean(w / g)), vertex_classical=classical,
+                      minimax_bracket=[max(delta0, classical), bound])
+    elif isinstance(cls, (D0Minus, DW)):
+        g0 = 1.0 / f0
+        j = int(np.argmin(g0))
+        growth = float(w[j]) / G
+        sub_family = isinstance(cls, D0Minus)
+        report.update(
+            upper_set="sub_family" if sub_family else "class",
+            class_bounded=False if growth > 0 else None,
+            upper_bound=float(np.mean(w * f0)) if sub_family else None,
+            witness={"m": 1 if sub_family else cls.W + 1, "lambda": float(angular_grid(G)[j]),
+                     "t_max": float(g0[j]), "growth": growth},
+        )
+    else:
+        raise InvalidParameters(f"unsupported class {type(cls).__name__}")
+    bound = report["upper_bound"]
+    report["upper_pass"] = bound is not None and bound <= delta0 + 1e-8 * max(delta0, 1.0)
+    report["all_pass"] = report["upper_pass"] and report["lower_pass"]
+    return report

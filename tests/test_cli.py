@@ -191,7 +191,13 @@ class TestLeastFavourable:
         code, rec, _ = run(tmp_path, "least-favourable", config)
         assert code == 0
         assert rec["mechanism"] == "numerical"
-        assert rec["saddle_report"]["all_pass"] is True
+        # the vertex member of the class has an error above delta0 under h0,
+        # which the 100 uniform members sampled before this record missed
+        report = rec["saddle_report"]
+        assert report["lower_pass"] is True
+        assert report["vertex_error"] > rec["delta0"] * (1 + 1e-3)
+        assert report["vertex_error"] <= report["upper_bound"]
+        assert report["all_pass"] is False
 
 
 class TestFailureRecords:
@@ -226,11 +232,19 @@ class TestFailureRecords:
         with pytest.raises(ValueError):
             cli.write_json(None, {"delta": float("nan")})
 
-    def test_no_saddle_samples_is_validation_error(self, tmp_path):
-        code, rec, _ = run(tmp_path, "least-favourable", LF_CONFIG, "--samples", "0")
-        assert code == 1
-        assert rec["error"] == "InvalidParameters"
-        assert rec["category"] == "validation"
+    def test_saddle_samples_flag_ignored(self, tmp_path, capsys):
+        # saddle_check draws no members: --samples is accepted, hidden and ignored
+        records = []
+        for n in ("0", "-3", "100"):
+            code, rec, _ = run(tmp_path, "least-favourable", LF_CONFIG, "--samples", n)
+            assert code == 0
+            records.append(rec)
+        assert records[0] == records[1] == records[2]
+        assert records[0]["saddle_report"]["n_samples"] == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert "--samples" not in capsys.readouterr().out
 
     DVU_CONFIG = {**LF_CONFIG, "class": {
         "type": "dvu", "p": 1.0,

@@ -20,8 +20,16 @@ from gapinterp.densities import (
     evaluate_trig_poly,
     factorize_inverse,
 )
-from gapinterp.errors import InvalidParameters, NotPositive, NotPositiveDefinite
+from gapinterp.errors import (
+    GapInterpError,
+    InvalidParameters,
+    NonFiniteSolution,
+    NotPositive,
+    NotPositiveDefinite,
+    NumericalError,
+)
 from gapinterp.interpolate import solve
+from gapinterp.minimax import DW, lf_dW
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
 
 # --- unit roots -------------------------------------------------------------
@@ -319,6 +327,45 @@ def test_delta_matches_elementwise_reference():
             for j in idx})
         sol = solve(pattern, weights, f)
         assert abs(sol.delta - delta_reference(sol.c, sol.a)) <= 1e-14 * abs(sol.delta)
+
+
+# a 1/f near the underflow: its Gram system solves to coefficients that overflow
+TINY_PATTERN = ObservationPattern("S5", N=0, M2=1, N2=1)  # K = {0, 2}
+TINY_WEIGHTS = FunctionalWeights(values={0: 1.0, 2: 0.2})
+
+
+@pytest.mark.parametrize("b0", [6e-313, 1e-320])
+def test_solve_with_non_finite_coefficients_refused(b0):
+    # solve returned delta = nan, with c = inf
+    f = InversePolynomial(FourierCoeffs([b0]))
+    with pytest.raises(NonFiniteSolution) as info:
+        solve(TINY_PATTERN, TINY_WEIGHTS, f)
+    assert isinstance(info.value, NumericalError)
+    assert info.value.diagnostics == {"non_finite": 2, "unknowns": 2}
+
+
+def test_solve_with_overflowing_error_refused():
+    # each coefficient is finite, their inner product with the weights is not
+    f = InversePolynomial(FourierCoeffs([1e-290]))
+    weights = FunctionalWeights(values={0: 1e10, 2: 1e10})
+    with pytest.raises(NonFiniteSolution) as info:
+        solve(TINY_PATTERN, weights, f)
+    assert info.value.diagnostics == {"non_finite": 0, "unknowns": 2}
+
+
+def test_solve_near_the_underflow_still_finite():
+    sol = solve(TINY_PATTERN, TINY_WEIGHTS, InversePolynomial(FourierCoeffs([1e-300])))
+    assert sol.delta == pytest.approx(1.04e300, rel=1e-14)
+
+
+@pytest.mark.parametrize("b_given", [[6e-313], [6e-313, 0.0], [6e-313, 0.0, 0.0]],
+                         ids=["W0", "W1", "W2"])
+def test_moment_class_near_the_underflow_refused(b_given):
+    # numpy's "invalid value encountered in matmul" escaped as a RuntimeWarning
+    # under -W error, and the refusal carried a NaN residual
+    with pytest.raises(GapInterpError) as info:
+        lf_dW(TINY_PATTERN, TINY_WEIGHTS, DW(b_given=b_given))
+    assert all(np.isfinite(v) for v in info.value.diagnostics.values())
 
 
 # --- exact coefficients of 1/f ----------------------------------------------

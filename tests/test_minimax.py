@@ -1,6 +1,7 @@
-"""Least-favourable densities, robust characteristics, saddle probes."""
+"""Least-favourable densities, robust characteristics, saddle certificates."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -9,10 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from gapinterp.densities import (
-    FourierCoeffs,
     InversePolynomial,
     RationalAR,
     Tabulated,
@@ -29,27 +28,21 @@ from gapinterp.errors import (
     WeightsNotPositive,
 )
 from gapinterp import minimax
-from gapinterp.interpolate import (
-    error_value,
-    mse_of_characteristic,
-    poly_on_grid,
-    solve,
-    solve_gram,
-)
+from gapinterp.interpolate import mse_of_characteristic, poly_on_grid, solve
 from gapinterp.minimax import (
     D0Minus,
     DVU,
     DW,
-    _project_dw,
     anchor_index,
     lf_d0minus,
     lf_dvu,
     lf_dW,
     numerical_lf,
     saddle_check,
-    sample_density,
 )
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
+
+from class_members import loop_sample_density
 
 
 S5_SMALL = ObservationPattern("S5", N=0, M2=1, N2=1)  # K = {0, 2}
@@ -147,18 +140,19 @@ class TestD0Minus:
 
     def test_saddle_check_passes(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        report = saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0),
-                              n_samples=60, seed=7)
+        report = saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0))
         assert report["all_pass"]
-        assert report["upper_pass"] == 60
-        assert report["dominance_pass"] == 60
+        assert report["upper_set"] == "sub_family" and report["upper_pass"]
+        # the sub-family supremum is Delta(h0; f0) = delta0, attained at f0
+        assert abs(report["upper_bound"] - res.delta0) <= 1e-12 * res.delta0
+        assert report["lower_residual"] <= 1e-15
 
     def test_saddle_check_rejects_corrupted_characteristic(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
-        report = saddle_check(bad, S5_SMALL, W_SMALL, D0Minus(p=1.0),
-                              n_samples=60, seed=7)
+        report = saddle_check(bad, S5_SMALL, W_SMALL, D0Minus(p=1.0))
         assert not report["all_pass"]
+        assert not report["lower_pass"] and report["lower_residual"] > 0.1
 
     def test_saddle_check_refuses_invalid_closed_form(self):
         # refused before any result reaches saddle_check
@@ -167,12 +161,6 @@ class TestD0Minus:
         with pytest.raises(PositivityLost, match="not a valid density") as info:
             lf_d0minus(p, w, D0Minus(p=1.0))
         assert info.value.diagnostics["inv_min"] < 0
-
-    def test_saddle_check_negative_seed_refused(self):
-        # default_rng raised numpy's ValueError, which the CLI did not record
-        res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        with pytest.raises(InvalidParameters, match="seed"):
-            saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0), n_samples=5, seed=-1)
 
 
 class TestDW:
@@ -183,7 +171,7 @@ class TestDW:
         assert res.validity["degenerate"]
         rng = np.random.default_rng(3)
         for _ in range(10):
-            f = sample_density(cls, res, rng)
+            f = loop_sample_density(cls, res, rng, res.grid_size)
             d = solve(S5_SMALL, W_SMALL, f, grid_size=res.grid_size).delta
             assert abs(d - res.delta0) < 1e-8 * res.delta0
 
@@ -286,8 +274,32 @@ class TestDW:
         # support {3, 4}, and neither is an unknown lag (3 and 4)
         q = ObservationPattern("S6", N=0, M1=1, N1=1, M2=2, N2=2)
         wq = FunctionalWeights(values={0: 1.0, -2: 1.0, 3: 1.0, 4: 1.0})
-        with pytest.raises(NotCovered, match=r"no unknown lag, by index: \[-2\]"):
+        with pytest.raises(NotCovered, match=r"indices \[-2\] hold only the unknown lags \[\]"):
             lf_dW(q, wq, DW(b_given=np.array([2.0, 0.3, -0.2])))
+
+    def test_hall_violation_refused(self):
+        # K = {0, 1, 2, 7, 8, 9, 10}, anchor 10, W = 1: every row and every
+        # unknown lag enters some equation, but the rows 7 and 8 sit 2 and 3, 1
+        # and 2 from the support {9, 10}, and only lag 2 is unknown among
+        # those; this exited 2 with "singular coefficient system"
+        p = ObservationPattern("S6", N=2, M1=5, N1=0, M2=4, N2=4)
+        w = FunctionalWeights(values={j: 1.0 for j in missing_indices(p)})
+        with pytest.raises(NotCovered, match=r"indices \[7, 8\] hold only the unknown lags \[2\]"):
+            lf_dW(p, w, DW(b_given=np.array([2.0, 0.3])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.2, 0.4, 0.7]))
+    def test_hall_violation_against_permutations(self, n, seed, density):
+        rng = np.random.default_rng(seed)
+        links = rng.random((n, n)) < density
+        rows, cols = minimax._hall_violation([np.flatnonzero(r) for r in links])
+        perfect = any(all(links[u, v] for u, v in enumerate(perm))
+                      for perm in itertools.permutations(range(n)))
+        assert (rows == []) == perfect
+        if rows:
+            # the rows reach exactly those columns, one fewer than themselves
+            assert cols == np.flatnonzero(links[rows].any(axis=0)).tolist()
+            assert len(cols) == len(rows) - 1
 
     # (pattern, weights, b_given, mechanism, delta0, b0(0..half))
     PINNED = [
@@ -396,7 +408,7 @@ class TestDVU:
         assert len(res.lagrange["upper_active"]) > 0
         rng = np.random.default_rng(5)
         for _ in range(40):
-            f = sample_density(cls, res, rng, grid_size=res.grid_size)
+            f = loop_sample_density(cls, res, rng, res.grid_size)
             d = solve(S5_SMALL, W_SMALL, f, grid_size=res.grid_size).delta
             assert d <= res.delta0 * (1 + 1e-6)
 
@@ -484,123 +496,51 @@ class TestNumerical:
         assert res.lagrange["lower_active"] == np.flatnonzero(f0 <= 0.5 + 1.2e-6).tolist()
         assert res.lagrange["upper_active"] == np.flatnonzero(f0 >= 1.2 - 1.2e-6).tolist()
 
-    @pytest.mark.parametrize("W, grid", [(0, 1), (0, 64), (1, 3), (3, 64), (5, 512), (20, 41)])
-    def test_dw_projection_matches_gram_solve(self, W, grid):
-        rng = np.random.default_rng(W + grid)
-        lam = angular_grid(grid)
-        moment_rows = np.stack([np.cos(n * lam) / grid for n in range(W + 1)])
-        b_given = np.concatenate(([2.0], 0.3 * rng.normal(size=W)))
-        g = 2.0 + rng.normal(size=grid)
-        ref = gram_project_dw(g, moment_rows, b_given, 1e-9)
-        got = _project_dw(g, moment_rows, b_given, 1e-9)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
     def test_sampled_members_stay_in_class(self):
         cls = D0Minus(p=1.0)
         res = lf_d0minus(S5_SMALL, W_SMALL, cls)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            f = sample_density(cls, res, rng)
+            f = loop_sample_density(cls, res, rng, res.grid_size)
             g = f.inverse_on_grid(res.grid_size)
             assert np.mean(g) >= 1.0 - 1e-10
 
-    @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
-    def test_sample_density_refuses_empty_grids(self, family):
-        # grid_size=0 drew on the result's own grid, -3 was refused
-        _, _, cls, res = saddle_problem("S6", family)
-        for grid in (0, -3):
-            with pytest.raises(InvalidParameters):
-                sample_density(cls, res, np.random.default_rng(0), grid_size=grid)
 
-
-def gram_project_dw(g, moment_rows, b_given, floor):
-    """_project_dw with each moment fit solved against the Gram matrix of the
-    rows: the reference for the orthogonal-rows projection."""
-    gram = moment_rows @ moment_rows.T
-    for _ in range(50):
-        g = g - moment_rows.T @ np.linalg.solve(gram, moment_rows @ g - b_given)
-        if np.min(g) >= floor:
-            break
-        g = np.maximum(g, floor)
-    return g
-
-
-def loop_sample_density(cls, result, rng, G):
-    """One class member drawn as the per-sample saddle check drew it, with
-    every grid invariant recomputed on each draw."""
-    lam = angular_grid(G)
-    if isinstance(cls, D0Minus):
-        base = result.f0.inverse_on_grid(G)
-        deg = rng.integers(1, 6)
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        poly = np.zeros(G, dtype=complex)
-        for n, cc in enumerate(coeffs):
-            poly += cc * np.exp(-1j * n * lam)
-        bump = np.abs(poly) ** 2
-        bump *= rng.uniform(0.0, 1.0) * np.mean(base) / max(np.mean(bump), 1e-300)
-        return Tabulated(1.0 / (base + bump))
-    if isinstance(cls, DW):
-        moment_rows = np.stack([np.cos(n * lam) / G for n in range(cls.W + 1)])
-        g = cls.inverse_poly().evaluate(G).real
-        direction = rng.normal(size=G)
-        direction = 0.5 * (direction + direction[(-np.arange(G)) % G])
-        direction /= max(np.max(np.abs(direction)), 1e-300)
-        base_min = float(np.min(g))
-        amp = 0.5 * base_min
-        while amp > 1e-6 * base_min:
-            trial = gram_project_dw(g + amp * direction, moment_rows, cls.b_given, 1e-9)
-            if np.min(trial) >= 0.1 * base_min:
-                return Tabulated(1.0 / trial)
-            amp *= 0.5
-        return Tabulated(1.0 / g)
-    lo = 1.0 / cls.u.on_grid(G)
-    hi = 1.0 / cls.v.on_grid(G)
-    g = rng.uniform(lo, hi)
-
-    def gap(s):
-        return np.mean(np.clip(g + s, lo, hi)) - cls.p
-
-    # brentq's tightest setting, so that the reference root is exact too
-    s = brentq(gap, float(np.min(lo - g)) - 1.0, float(np.max(hi - g)) + 1.0,
-               xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    return Tabulated(1.0 / np.clip(g + s, lo, hi))
-
-
-def loop_saddle_check(result, pattern, weights, cls, n_samples, seed):
-    """The saddle check one member at a time: loop_sample_density,
-    mse_of_characteristic and solve per member, and one grid sum of complex
-    exponentials per perturbation of h0. The reference for the batch."""
+def loop_members(result, pattern, weights, cls, n_samples, seed):
+    """The sampled counterpart of saddle_check, one member at a time: for
+    n_samples members of cls from the test-side sampler, Delta(h0; f) by
+    mse_of_characteristic and the classical error by solve; for
+    min(n_samples, 50) perturbations dh of h0, each with 5 random
+    coefficients at observed lags within max|K| + 10 and grid rms
+    0.1 ||a||, Delta(h0 + dh; f0). Returns the three arrays."""
     rng = np.random.default_rng(seed)
     G = result.grid_size
-    tol = 1e-8 * max(result.delta0, 1.0)
-    upper = dominance = 0
-    worst = -np.inf
+    upper, classical = [], []
     for _ in range(n_samples):
         f = loop_sample_density(cls, result, rng, G)
-        excess = mse_of_characteristic(result.h0_grid, pattern, weights, f) - result.delta0
-        worst = max(worst, excess)
-        upper += int(excess <= tol)
-        dominance += int(solve(pattern, weights, f, grid_size=G).delta <= result.delta0 + tol)
+        upper.append(mse_of_characteristic(result.h0_grid, pattern, weights, f))
+        classical.append(solve(pattern, weights, f, grid_size=G).delta)
     idx = set(missing_indices(pattern))
     reach = max(abs(min(idx)), abs(max(idx))) + 10
     observed = [j for j in range(-reach, reach + 1) if j not in idx]
     lam = angular_grid(G)
     scale = np.sqrt(float(np.sum(np.abs(weight_vector(weights, pattern)) ** 2)))
-    lower = 0
-    n_pert = min(n_samples, 50)
-    for _ in range(n_pert):
+    lower = []
+    for _ in range(min(n_samples, 50)):
         picks = rng.choice(observed, size=min(5, len(observed)), replace=False)
         dh = np.zeros(G, dtype=complex)
         for j in picks:
             dh += (rng.normal() + 1j * rng.normal()) * np.exp(1j * j * lam)
         dh *= 0.1 * scale / max(float(np.sqrt(np.mean(np.abs(dh) ** 2))), 1e-300)  # grid rms
-        val = mse_of_characteristic(result.h0_grid + dh, pattern, weights, result.f0)
-        lower += int(val >= result.delta0 - 1e-10 * max(result.delta0, 1.0))
-    return {
-        "n_samples": n_samples, "upper_pass": upper, "dominance_pass": dominance,
-        "lower_pass": lower, "n_perturbations": n_pert, "worst_upper_excess": worst,
-        "all_pass": upper == n_samples and lower == n_pert,
-    }
+        lower.append(mse_of_characteristic(result.h0_grid + dh, pattern, weights, result.f0))
+    return np.array(upper), np.array(classical), np.array(lower)
+
+
+def witness_member(result, witness, t):
+    """g0 - t cos(m (lambda - lambda*)) on the result's grid, from a report's witness."""
+    G = result.grid_size
+    lam = angular_grid(G)
+    return result.f0.inverse_on_grid(G) - t * np.cos(witness["m"] * (lam - witness["lambda"]))
 
 
 SADDLE_PATTERNS = {
@@ -629,56 +569,107 @@ def saddle_problem(kind, family):
 
 
 class TestSaddleBatch:
-    # raising delta0 by 0.3% makes the pass counts partial, so that a count
-    # that differs between batch and loop can show
+    """saddle_check's certificates against the members and perturbations of
+    h0 that the test-side sampler draws one at a time (loop_members)."""
+
+    # raising delta0 by 0.3% moves the sampled members across delta0, so that
+    # a member above it which the certificate passed would show
     @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("kind", ["S4", "S5", "S6"])
     @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
-    def test_matches_per_sample_loop(self, family, kind, seed, raise_delta0, monkeypatch):
+    def test_matches_per_sample_loop(self, family, kind, seed, raise_delta0):
         pattern, weights, cls, res = saddle_problem(kind, family)
         res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
-        # 40 members in blocks of 16, 16 and 8
-        monkeypatch.setattr(minimax, "SADDLE_BLOCK", 16)
-        batch = saddle_check(res, pattern, weights, cls, n_samples=40, seed=seed)
-        loop = loop_saddle_check(res, pattern, weights, cls, n_samples=40, seed=seed)
-        worst_batch = batch.pop("worst_upper_excess")
-        worst_loop = loop.pop("worst_upper_excess")
-        assert batch == loop
-        assert abs(worst_batch - worst_loop) <= 1e-12 * abs(worst_loop)
+        report = saddle_check(res, pattern, weights, cls)
+        upper, classical, lower = loop_members(res, pattern, weights, cls, 40, seed)
+        tol = 1e-8 * max(res.delta0, 1.0)
+        # D0Minus members are drawn from the sub-family, so every sampled
+        # member lies in the set that upper_pass covers
+        if np.any(upper > res.delta0 + tol):
+            assert not report["upper_pass"]
+        bound = report["upper_bound"]
+        if bound is not None:
+            # no member exceeds the bound of its set, nor does its classical
+            # error, which is at most Delta(h0; f)
+            assert np.max(upper) <= bound * (1 + 1e-12)
+            assert np.max(classical) <= bound * (1 + 1e-12)
+        if family == "dvu":
+            assert report["minimax_bracket"][0] <= report["minimax_bracket"][1]
+            assert report["vertex_error"] <= bound
+        else:
+            # the witness family reaches twice the largest sampled error
+            assert report["class_bounded"] is False
+            witness = report["witness"]
+            t = witness["t_max"] - witness["growth"] / (2 * np.max(upper))
+            assert 0 < t < witness["t_max"]
+            f = Tabulated(1.0 / witness_member(res, witness, t))
+            reached = mse_of_characteristic(res.h0_grid, pattern, weights, f)
+            assert reached >= 2 * np.max(upper) * (1 - 1e-12)
+        # the lower side: no perturbation of h0 lowers Delta(h0; f0)
+        base = mse_of_characteristic(res.h0_grid, pattern, weights, res.f0)
+        assert report["lower_pass"]
+        assert np.min(lower) >= base * (1 - 1e-12)
+
+    @pytest.mark.parametrize("t_frac", [0.5, 1 - 1e-3])
+    @pytest.mark.parametrize("kind", ["S4", "S5", "S6"])
+    @pytest.mark.parametrize("family", ["d0minus", "dw"])
+    def test_witness_stays_in_class(self, family, kind, t_frac):
+        pattern, weights, cls, res = saddle_problem(kind, family)
+        witness = saddle_check(res, pattern, weights, cls)["witness"]
+        t = t_frac * witness["t_max"]
+        g = witness_member(res, witness, t)
+        assert np.min(g) > 0
+        if family == "d0minus":
+            assert witness["m"] == 1
+            assert np.mean(g) >= cls.p * (1 - 1e-12)
+        else:
+            assert witness["m"] == cls.W + 1
+            moments = grid_fourier_coefficients(g, cls.W)[cls.W:]
+            assert np.max(np.abs(moments - cls.b_given)) <= 1e-12 * np.max(np.abs(cls.b_given))
+        # the error under the witness is at least growth / (t_max - t)
+        value = mse_of_characteristic(res.h0_grid, pattern, weights, Tabulated(1.0 / g))
+        assert value >= witness["growth"] / (witness["t_max"] - t) * (1 - 1e-12)
+        if t_frac > 0.9:
+            assert value > res.delta0
 
     @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
-    def test_sample_density_gives_the_batch_members(self, family, monkeypatch):
+    def test_zeroed_characteristic_fails_lower_side(self, family):
         pattern, weights, cls, res = saddle_problem("S6", family)
-        blocks = []
-        check = minimax.check_positive
+        report = saddle_check(res, pattern, weights, cls)
+        assert report["lower_residual"] <= 1e-10
+        bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
+        report = saddle_check(bad, pattern, weights, cls)
+        assert report["lower_residual"] > 1e-3
+        assert not report["lower_pass"] and not report["all_pass"]
+        # a perturbation of the zero characteristic that the residual points
+        # to does lower the error under f0
+        lam = angular_grid(res.grid_size)
+        e = poly_on_grid(missing_indices(pattern), weight_vector(weights, pattern),
+                         res.grid_size)
+        r = grid_fourier_coefficients(e * res.f0.on_grid(res.grid_size), 20)
+        lags = np.arange(-20, 21)
+        off = ~np.isin(lags, missing_indices(pattern))
+        j = lags[off][np.argmax(np.abs(r[off]))]
+        step = r[lags == j][0] / np.mean(res.f0.on_grid(res.grid_size))
+        better = mse_of_characteristic(0.5 * step * np.exp(1j * j * lam), pattern, weights, res.f0)
+        assert better < mse_of_characteristic(bad.h0_grid, pattern, weights, res.f0)
 
-        def capture(values):
-            blocks.append(np.array(values))
-            check(values)
-
-        monkeypatch.setattr(minimax, "SADDLE_BLOCK", 4)
-        monkeypatch.setattr(minimax, "check_positive", capture)
-        saddle_check(res, pattern, weights, cls, n_samples=10, seed=5)
-        batch = np.concatenate(blocks)
-        assert batch.shape == (10, res.grid_size)
-        rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
-        for row in batch[:7]:
-            tol = 1e-14 * np.max(np.abs(row))
-            assert np.max(np.abs(sample_density(cls, res, rng).values - row)) <= tol
-            member = loop_sample_density(cls, res, loop_rng, res.grid_size).values
-            if family == "dvu":
-                # two exact roots agree to ~1e-14 in the shift of g; near
-                # g = 1/u the map g -> 1/g magnifies that 400-fold in f
-                member, row = 1.0 / member, 1.0 / row
-                tol = 1e-14 * np.max(np.abs(row))
-            assert np.max(np.abs(member - row)) <= tol
+    def test_pinned_class_passes(self):
+        # u = v: the class is one member, so the chord bound is delta0 itself
+        f = RationalAR(alpha=0.5)
+        cls = DVU(v=f, u=f, p=minimality_value(f))
+        res = lf_dvu(S5_SMALL, W_SMALL, cls)
+        report = saddle_check(res, S5_SMALL, W_SMALL, cls)
+        assert abs(report["upper_bound"] - res.delta0) <= 1e-12 * res.delta0
+        assert report["minimax_bracket"][0] == res.delta0
+        assert report["all_pass"]
 
     def test_no_per_sample_calls(self, monkeypatch):
-        # no grid pass per perturbation of h0, and no FFT for the coefficients
-        # of a D0Minus block, which are known from its draws
+        # no solve or grid pass per member; DVU takes one FFT and one Gram
+        # solve, for its vertex member's classical error
         calls = []
-        for name in ("solve", "solve_gram", "mse_of_characteristic", "sample_density",
+        for name in ("solve", "solve_gram", "mse_of_characteristic",
                      "evaluate_trig_poly", "grid_fourier_coefficients"):
             original = getattr(minimax, name, None)
 
@@ -690,125 +681,115 @@ class TestSaddleBatch:
         for family in ("dvu", "dw", "d0minus"):
             pattern, weights, cls, res = saddle_problem("S5", family)
             calls.clear()
-            report = saddle_check(res, pattern, weights, cls, n_samples=20, seed=1)
-            assert report["n_samples"] == 20
-            # DW and DVU blocks take one FFT each
-            assert calls == ([] if family == "d0minus" else ["grid_fourier_coefficients"])
-
-    @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
-    def test_split_stack_matches_per_sample_loop(self, raise_delta0, monkeypatch):
-        # n = 60 at G = 512: 32 * 60^2 > SADDLE_BLOCK * G, so each block's
-        # Gram systems are solved in chunks of 4
-        pattern = ObservationPattern("S6", N=19, M1=1, N1=20, M2=1, N2=20)
-        idx = missing_indices(pattern)
-        anchor = anchor_index(pattern)
-        weights = FunctionalWeights(values={j: 1.0 if j == anchor else 0.01 for j in idx})
-        cls = D0Minus(p=1.3)
-        res = lf_d0minus(pattern, weights, cls, grid_size=512)
-        res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
-        chunks = []
-        cholesky = np.linalg.cholesky
-
-        def counted(matrices):
-            chunks.append(matrices.shape)
-            return cholesky(matrices)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
-        batch = saddle_check(res, pattern, weights, cls, n_samples=40, seed=2)
-        monkeypatch.undo()
-        assert chunks == [(4, 60, 60)] * 10
-        loop = loop_saddle_check(res, pattern, weights, cls, n_samples=40, seed=2)
-        worst_batch = batch.pop("worst_upper_excess")
-        worst_loop = loop.pop("worst_upper_excess")
-        assert batch == loop
-        assert abs(worst_batch - worst_loop) <= 1e-12 * abs(worst_loop)
-
-    @pytest.mark.parametrize("grid", [*range(4, 13), 4096])
-    def test_d0minus_block_coefficients(self, grid):
-        pattern, _, cls, res = saddle_problem("S6", "d0minus")
-        idx = missing_indices(pattern)
-        max_lag = max(idx) - min(idx)
-        if grid < 4096:
-            # 1/f0 = 1.2 + 0.6 cos(lambda) on grids too coarse for the S6 result;
-            # the lags of |P|^2 (up to 5) fold onto -max_lag..max_lag for G <= 10
-            b0 = FourierCoeffs(np.array([0.3, 1.2, 0.3]))
-            res = dataclasses.replace(res, f0=InversePolynomial(b0), b0=b0, grid_size=grid)
-            max_lag = (grid - 1) // 2
-        draw = minimax._member_sampler(cls, res, grid, max_lag)
-        g, b = draw(np.random.default_rng(grid), 12)
-        ref = grid_fourier_coefficients(g, max_lag)
-        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+            report = saddle_check(res, pattern, weights, cls)
+            assert report["n_samples"] == 0
+            assert calls == (["grid_fourier_coefficients", "solve_gram"] if family == "dvu" else [])
 
     @pytest.mark.parametrize("grid", [32, 4096])
     def test_perturbation_scores(self, grid):
-        # lags up to 20 on 32 points: the differences of lags fold mod G
+        # lags up to 20 on 32 points: none of the observed ones folds onto K
         pattern, weights, cls, _ = saddle_problem("S6", "d0minus")
         res = lf_d0minus(pattern, weights, cls, grid_size=grid)
+        assert saddle_check(res, pattern, weights, cls)["lower_residual"] <= 1e-10
         rng = np.random.default_rng(grid)
-        lags = np.stack([rng.choice(np.arange(-20, 21), size=5, replace=False) for _ in range(6)])
+        observed = np.setdiff1d(np.arange(-20, 21), missing_indices(pattern))
+        lags = np.stack([rng.choice(observed, size=5, replace=False) for _ in range(6)])
         coeffs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        e = poly_on_grid(missing_indices(pattern), weight_vector(weights, pattern), grid) - res.h0_grid
-        got = minimax._perturbed_errors(e, res.f0.on_grid(grid), lags, coeffs)
         lam = angular_grid(grid)
-        for score, lag_row, c_row in zip(got, lags, coeffs):
+        f0 = res.f0.on_grid(grid)
+        base = mse_of_characteristic(res.h0_grid, pattern, weights, res.f0)
+        for lag_row, c_row in zip(lags, coeffs):
             dh = np.exp(1j * np.outer(lam, lag_row)) @ c_row
-            ref = mse_of_characteristic(res.h0_grid + dh, pattern, weights, res.f0)
-            assert abs(score - ref) <= 1e-12 * ref
+            score = mse_of_characteristic(res.h0_grid + dh, pattern, weights, res.f0)
+            # r vanishes off K, so the cross term is gone
+            assert abs(score - base - np.mean(np.abs(dh) ** 2 * f0)) <= 1e-12 * score
 
-    # full reports of saddle_check(n_samples=100, seed=0) as recorded before the
-    # members were built from their coefficients: the draws are the same, so the
-    # counts must be too. Each problem has its own grid: 4096, and 512 for the
-    # numerical DVU S5 result. Tuples are (upper, dominance, lower, worst excess).
+    # saddle_check's reports as first recorded: (upper_bound, then the DVU
+    # vertex error and classical error, or the witness t_max, lambda and growth).
+    # Each problem has its own grid: 4096, and 512 for the numerical DVU S5 result.
     PINNED = {
-        ("d0minus", "S4"): (100, 100, 50, -0.003742025958937356),
-        ("d0minus", "S5"): (100, 100, 50, -0.00373859299685253),
-        ("d0minus", "S6"): (100, 100, 50, -0.003742066899356078),
-        ("dw", "S4"): (0, 100, 50, 0.003832518526738715),
-        ("dw", "S5"): (0, 100, 50, 0.004634273784443588),
-        ("dw", "S6"): (0, 100, 50, 0.004647226616854461),
-        ("dvu", "S4"): (0, 0, 50, 13.61149644008335),
-        ("dvu", "S5"): (99, 100, 50, 0.0030086050968773925),
-        ("dvu", "S6"): (0, 0, 50, 15.009436589740623),
+        ("d0minus", "S4"): (0.7692307692307696, 1.0489217895131981, -2.356194490192345,
+                            0.000158942325102217),
+        ("d0minus", "S5"): (0.7692307692307692, 0.610532449739527, 0.6948932969121953,
+                            5.384815784846351e-05),
+        ("d0minus", "S6"): (0.7692307692307689, 0.7214752067716445, 2.0586022173425302,
+                            7.519624774439876e-05),
+        ("dvu", "S4"): (19.860513513660862, 19.857630558801745, 9.628807912601502),
+        ("dvu", "S5"): (1.3328619750405248, 1.332746318565404, 1.1661719449094865),
+        ("dvu", "S6"): (22.035073216811945, 22.033600441797585, 10.417536498116235),
+        ("dw", "S4"): (None, 0.25, 0.0, 3.650173611111112e-05),
+        ("dw", "S5"): (None, 0.25, 0.0, 6.103515625e-05),
+        ("dw", "S6"): (None, 0.25, 0.0, 5.5006944444444446e-05),
     }
 
     @pytest.mark.parametrize("family, kind", sorted(PINNED))
     def test_reports_pinned(self, family, kind):
         pattern, weights, cls, res = saddle_problem(kind, family)
-        report = saddle_check(res, pattern, weights, cls, n_samples=100, seed=0)
-        upper, dominance, lower, worst = self.PINNED[family, kind]
+        report = saddle_check(res, pattern, weights, cls)
         assert res.grid_size == (512 if (family, kind) == ("dvu", "S5") else 4096)
-        assert abs(report.pop("worst_upper_excess") - worst) <= 1e-12 * abs(worst)
-        assert report == {"n_samples": 100, "upper_pass": upper, "dominance_pass": dominance,
-                          "lower_pass": lower, "n_perturbations": 50,
-                          "all_pass": upper == 100 and lower == 50}
+        bound, *rest = self.PINNED[family, kind]
+        assert report.pop("lower_residual") <= 1e-15
+        got = report.pop("upper_bound")
+        if bound is None:
+            assert got is None
+        else:
+            assert abs(got - bound) <= 1e-12 * bound
+        if family == "dvu":
+            vertex_error, vertex_classical = rest
+            assert abs(report.pop("vertex_error") - vertex_error) <= 1e-12 * vertex_error
+            assert abs(report.pop("vertex_classical") - vertex_classical) <= 1e-12 * vertex_classical
+            low, high = report.pop("minimax_bracket")
+            assert low == max(res.delta0, vertex_classical) and high == got
+            assert report == {"n_samples": 0, "lower_pass": True, "upper_set": "class",
+                              "class_bounded": True, "upper_pass": False, "all_pass": False}
+        else:
+            t_max, lam, growth = rest
+            witness = report.pop("witness")
+            assert witness["m"] == (1 if family == "d0minus" else cls.W + 1)
+            assert witness["lambda"] == lam
+            assert abs(witness["t_max"] - t_max) <= 1e-12 * t_max
+            assert abs(witness["growth"] - growth) <= 1e-12 * growth
+            upper = family == "d0minus"
+            assert report == {"n_samples": 0, "lower_pass": True,
+                              "upper_set": "sub_family" if upper else "class",
+                              "class_bounded": False, "upper_pass": upper, "all_pass": upper}
 
-    def test_no_samples_refused(self):
-        res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        for n in (0, -3):
-            with pytest.raises(InvalidParameters):
-                saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0), n_samples=n)
 
-
-class TestStackedGramSolve:
-    @pytest.mark.parametrize("pattern, grid, chunks", [
-        (SADDLE_PATTERNS["S6"], 4096, 1),
-        # n = 60: 32 * 60^2 > SADDLE_BLOCK * 512, so chunks of 4 rows
-        (ObservationPattern("S6", N=19, M1=1, N1=20, M2=1, N2=20), 512, 8),
-    ])
-    def test_matches_solve_gram(self, pattern, grid, chunks, monkeypatch):
-        idx = missing_indices(pattern)
-        span = max(idx) - min(idx)
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-        b = grid_fourier_coefficients(rng.uniform(0.05, 20.0, size=(32, grid)), span)
-        calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
-        stacked = minimax._gram_errors(idx, a, b, grid)
-        monkeypatch.undo()
-        assert len(calls) == chunks
-        single = [error_value(solve_gram(idx, a, FourierCoeffs(row)), a) for row in b]
-        assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-13
+class TestDVUVertex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+    def test_chord_bound_against_vertex_enumeration(self, G, seed, t):
+        rng = np.random.default_rng(seed)
+        w = rng.exponential(size=G) * (rng.random(G) < 0.8)
+        lo = rng.uniform(0.05, 1.0, G)
+        hi = lo + rng.exponential(size=G) * (rng.random(G) < 0.8)
+        p = float(np.mean(lo) + t * (np.mean(hi) - np.mean(lo)))
+        g, bound = minimax._dvu_vertex(w, lo, hi, p)
+        # the vertex: a class member with at most one point off its bounds
+        assert np.all((lo <= g) & (g <= hi))
+        assert abs(np.mean(g) - p) <= 1e-12 * max(p, 1.0)
+        assert np.count_nonzero((g > lo) & (g < hi)) <= 1
+        vertex = float(np.mean(w / g))
+        # every vertex of {lo <= g <= hi, mean g = p}: all points on a bound
+        # but at most one, which takes what the mean leaves
+        best = -np.inf
+        for free in range(G):
+            others = np.delete(np.arange(G), free)
+            picks = np.array(list(itertools.product((0, 1), repeat=G - 1)),
+                             dtype=bool).reshape(2 ** (G - 1), G - 1)
+            rest = np.where(picks, hi[others], lo[others])
+            value = p * G - rest.sum(axis=1)
+            ok = (value >= lo[free] - 1e-12) & (value <= hi[free] + 1e-12)
+            if ok.any():
+                scores = (np.sum(w[others] / rest[ok], axis=1)
+                          + w[free] / np.clip(value[ok], lo[free], hi[free])) / G
+                best = max(best, float(np.max(scores)))
+        assert bound * (1 + 1e-12) >= best >= vertex * (1 - 1e-12)
+        # the bound exceeds the vertex by the chord's gap at its one free point
+        free = (g > lo) & (g < hi)
+        gap = np.sum(w[free] / hi[free] + w[free] * (hi[free] - g[free]) / (lo[free] * hi[free])
+                     - w[free] / g[free]) / G
+        assert abs(bound - vertex - gap) <= 1e-12 * max(bound, 1e-300)
 
 
 def breakpoint_roots(g, lo, hi, p):
