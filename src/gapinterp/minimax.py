@@ -618,7 +618,7 @@ def saddle_check(
     f0 = density_on_grid(result.f0, G)
     r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G
     r[np.mod(idx, G)] = 0.0
-    lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)), np.finfo(float).tiny))
+    lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)), float(np.finfo(float).tiny)))
     report = {"n_samples": 0, "lower_residual": lower_residual,
               "lower_pass": lower_residual <= 1e-10}
     if isinstance(cls, DVU):
@@ -644,6 +644,7 @@ def saddle_check(
     else:
         raise InvalidParameters(f"unsupported class {type(cls).__name__}")
     bound = report["upper_bound"]
-    report["upper_pass"] = bound is not None and bound <= delta0 + 1e-8 * max(delta0, 1.0)
+    # plain bools and floats only: the report is written as strict JSON
+    report["upper_pass"] = bound is not None and bool(bound <= delta0 + 1e-8 * max(delta0, 1.0))
     report["all_pass"] = report["upper_pass"] and report["lower_pass"]
     return report

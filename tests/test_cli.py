@@ -199,6 +199,22 @@ class TestLeastFavourable:
         assert report["vertex_error"] <= report["upper_bound"]
         assert report["all_pass"] is False
 
+    def test_zero_weights_saddle_report_is_strict_json(self, tmp_path):
+        # with a = 0 the lower residual was divided by numpy's tiny, a numpy
+        # float, whose comparison gave a numpy bool that json could not write
+        config = {
+            "density": {"type": "inverse_poly", "coeffs": {"0": 1.0}},
+            "pattern": {"kind": "S6", "N": 0, "M1": 2, "N1": 0, "M2": 2, "N2": 0},
+            "weights": {"values": {"0": 0}},
+            "class": {"type": "dvu", "p": 1.0, "v": {"type": "tabulated", "values": [0.1] * 8},
+                      "u": {"type": "tabulated", "values": [10.0] * 8}},
+        }
+        code, rec, _ = run(tmp_path, "least-favourable", config, "--grid", "16")
+        assert code == 0
+        report = rec["saddle_report"]
+        assert report["lower_residual"] == 0.0
+        assert report["lower_pass"] is True and report["all_pass"] is True
+
 
 class TestFailureRecords:
     @pytest.mark.parametrize("config", [

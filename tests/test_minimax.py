@@ -505,6 +505,16 @@ class TestNumerical:
             g = f.inverse_on_grid(res.grid_size)
             assert np.mean(g) >= 1.0 - 1e-10
 
+    @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
+    def test_sample_density_refuses_empty_grids(self, family):
+        # the members the certificates name live on the result's grid, which
+        # must hold 4 span(K) points: an empty grid is refused, not drawn on
+        pattern, weights, cls, res = saddle_problem("S6", family)
+        idx = missing_indices(pattern)
+        for grid in (0, -3, 4 * (max(idx) - min(idx)) - 1):
+            with pytest.raises(InvalidParameters, match="too coarse"):
+                saddle_check(dataclasses.replace(res, grid_size=grid), pattern, weights, cls)
+
 
 def loop_members(result, pattern, weights, cls, n_samples, seed):
     """The sampled counterpart of saddle_check, one member at a time: for
@@ -654,6 +664,58 @@ class TestSaddleBatch:
         step = r[lags == j][0] / np.mean(res.f0.on_grid(res.grid_size))
         better = mse_of_characteristic(0.5 * step * np.exp(1j * j * lam), pattern, weights, res.f0)
         assert better < mse_of_characteristic(bad.h0_grid, pattern, weights, res.f0)
+
+    @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
+    def test_split_stack_matches_per_sample_loop(self, raise_delta0, monkeypatch):
+        # n = 60 at G = 512, where the sampled check split its stack of Gram
+        # systems into chunks: the D0Minus certificate solves none of them
+        pattern = ObservationPattern("S6", N=19, M1=1, N1=20, M2=1, N2=20)
+        idx = missing_indices(pattern)
+        anchor = anchor_index(pattern)
+        weights = FunctionalWeights(values={j: 1.0 if j == anchor else 0.01 for j in idx})
+        cls = D0Minus(p=1.3)
+        res = lf_d0minus(pattern, weights, cls, grid_size=512)
+        res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
+        chunks = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: chunks.append(m.shape) or cholesky(m))
+        report = saddle_check(res, pattern, weights, cls)
+        monkeypatch.undo()
+        assert chunks == []
+        upper, classical, lower = loop_members(res, pattern, weights, cls, 40, 2)
+        # the sub-family bound is Delta(h0; f0), attained at f0, so it passes
+        # at delta0 and above, and no sampled member of the sub-family exceeds it
+        base = mse_of_characteristic(res.h0_grid, pattern, weights, res.f0)
+        assert abs(report["upper_bound"] - base) <= 1e-12 * base
+        assert report["upper_pass"] and report["lower_pass"] and report["all_pass"]
+        assert np.max(upper) <= report["upper_bound"] * (1 + 1e-12)
+        assert np.max(classical) <= report["upper_bound"] * (1 + 1e-12)
+        assert np.min(lower) >= base * (1 - 1e-12)
+
+    @pytest.mark.parametrize("grid", [*range(4, 13), 4096])
+    def test_d0minus_block_coefficients(self, grid):
+        # the D0Minus member the report names, g0 - t cos(lambda - lambda*):
+        # its coefficients are b0's with -t e^{-+i lambda*} / 2 added at lags
+        # +-1, so its mean is g0's; they match an FFT of its grid values
+        if grid < 4096:
+            # K = {0, 1}: grids of 4 points up pass the coarseness guard
+            pattern = ObservationPattern("S5", N=1, M2=1, N2=0)
+            weights = FunctionalWeights(values={0: 1.0, 1: 0.3})
+            cls = D0Minus(p=1.3)
+            res = lf_d0minus(pattern, weights, cls, grid_size=grid)
+            max_lag = (grid - 1) // 2
+        else:
+            pattern, weights, cls, res = saddle_problem("S6", "d0minus")
+            max_lag = res.b0.half_length + 2
+        witness = saddle_check(res, pattern, weights, cls)["witness"]
+        assert witness["m"] == 1
+        t = 0.5 * witness["t_max"]
+        ref = res.b0.resized(max_lag).values.copy()
+        ref[max_lag + 1] -= 0.5 * t * np.exp(-1j * witness["lambda"])
+        ref[max_lag - 1] -= 0.5 * t * np.exp(1j * witness["lambda"])
+        got = grid_fourier_coefficients(witness_member(res, witness, t), max_lag)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert got[max_lag].real >= cls.p * (1 - 1e-13)
 
     def test_pinned_class_passes(self):
         # u = v: the class is one member, so the chord bound is delta0 itself
