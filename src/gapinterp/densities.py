@@ -242,6 +242,12 @@ class InversePolynomial(SpectralDensity):
     def __post_init__(self):
         if not self.inv_coeffs.is_hermitian():
             raise InvalidParameters("inverse-polynomial coefficients must be Hermitian")
+        # b(0) is the mean of 1/f, so max f >= 1/b(0): past the float range when b(0) is
+        # below 1/max float (b(0) <= 0 and NaN are left to the positivity check on the grid)
+        b0 = self.inv_coeffs[0].real
+        if 0 < b0 < 1.0 / np.finfo(float).max:
+            raise InvalidParameters(f"b(0) = {b0} is too small for f = 1/(1/f) to be "
+                                    f"a finite float")
 
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """1/f by one real FFT of b; refused unless real and positive on the grid."""

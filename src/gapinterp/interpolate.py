@@ -83,7 +83,7 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     half-bandwidth is at most p, the largest lag with b(p) != 0, and the solve
     costs O(n p^2). A failed factorization raises NotPositiveDefinite.
     """
-    t = np.asarray(indices)
+    t = np.fromiter(indices, int, count=len(indices))
     order = np.argsort(t)
     t = t[order]
     n, half = t.size, b.half_length
@@ -179,19 +179,22 @@ def solve(
     """Solve B c = a for the coefficients and the error."""
     if grid_size < 1:  # a finite-degree 1/f needs no grid until h is asked for
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
-    idx = missing_indices(pattern)
+    central, left, right = blocks = pattern.blocks()
+    idx = [*central, *left, *right]
     a = weights.on(idx)
-    b = inverse_fourier_coeffs(f, _half_length(idx, grid_size), grid_size)
+    b = inverse_fourier_coeffs(f, _half_length(blocks, grid_size), grid_size)
     c = solve_gram(idx, a, b)
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
     )
 
 
-def _half_length(idx, grid_size: int) -> int:
-    """Lags of 1/f a solution holds: the span of K plus a margin, capped at
-    a quarter of the grid unless the span itself is larger."""
-    max_lag = max(max(idx) - min(idx), 1)
+def _half_length(blocks, grid_size: int) -> int:
+    """Lags of 1/f a solution holds: the span of K, read off the pattern's
+    (central, left, right) blocks, plus a margin, capped at a quarter of the
+    grid unless the span itself is larger."""
+    central, left, right = blocks
+    max_lag = max((right[-1] if right else central[-1]) - (left[-1] if left else 0), 1)
     return max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
 
 
@@ -344,9 +347,10 @@ def _single_cut(
     q = max(p, 1)
     while True:
         _check_depth(depth)
-        idx = missing_indices(pattern.with_truncation(depth))
+        central, left, right = blocks = pattern.with_truncation(depth).blocks()
+        idx = [*central, *left, *right]
         a = weights.on(idx)
-        b = exact.resized(_half_length(idx, grid_size))
+        b = exact.resized(_half_length(blocks, grid_size))
         c = solve_gram(idx, a, b)
         # canonical order: central, then each held block with its outermost
         # q indices last
@@ -356,8 +360,7 @@ def _single_cut(
         if c_edge * max(c_edge, a_edge) <= rtol:
             break
         depth *= 2
-    extent = max(pattern.M1 + depth if pattern.has_left else 0,
-                 pattern.N + pattern.M2 + depth if pattern.has_right else pattern.N)
+    extent = max(-left[-1] if left else 0, right[-1] if right else central[-1])
     while 2 * extent >= grid_size:
         grid_size *= 2
     return InterpolationSolution(

@@ -14,13 +14,17 @@ which matches the stacked coefficient-vector layout used by the Gram systems.
 Each block is a `range` (step -1 on the left) and K joins the three in one
 list. `weight_vector` checks an explicit map against K with one set
 difference and gathers it with `np.fromiter`; `tail_fraction` is closed form.
-No per-index Python runs on the solve path.
+An explicit map is kept as the caller gave it, after one `dict()` copy: its
+keys pass through `int()` only when some key is not an `int`, and its values
+become complex only where `on()` gathers them. No per-index Python runs on
+the solve path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import is_
 from typing import Mapping
 
 import numpy as np
@@ -113,6 +117,14 @@ class FunctionalWeights:
 
     Either an explicit index->value map, or a geometric profile
     a(j) = C * rho^{|j|} for the infinite kinds.
+
+    Construction keeps one `dict()` copy of the map. Its keys go through
+    `int()` (2.0 and np.int64(2) mean 2) only when some key is not an `int`;
+    its values are not converted: `on()` (and so `weight_vector` and `solve`)
+    turns them into complex numbers as it gathers them, with the values
+    `complex()` would give. A value numpy cannot convert (the string "x")
+    raises ValueError there, not here; a None value, which numpy would read
+    as NaN, raises TypeError at construction.
     """
 
     def __init__(self, values: Mapping[int, complex] | None = None,
@@ -121,8 +133,12 @@ class FunctionalWeights:
             raise InvalidParameters("provide exactly one of values or geometric")
         self._values = self._geometric = None
         if values is not None:
-            values = dict(values)  # one iteration: its keys and values agree
-            self._values = dict(zip(map(int, values), map(complex, values.values())))
+            values = dict(values)
+            if not {int}.issuperset(map(type, values)):
+                values = dict(zip(map(int, values), values.values()))
+            if any(map(is_, values.values(), repeat(None))):  # numpy would read None as NaN
+                raise TypeError("a weight value is None, not a number")
+            self._values = values
         else:
             c, rho = geometric
             if not (0 < rho < 1):
@@ -138,7 +154,7 @@ class FunctionalWeights:
         if self._geometric is not None:
             c, rho = self._geometric
             return complex(c * rho ** abs(j))
-        return self._values.get(int(j), 0.0 + 0.0j)
+        return complex(self._values.get(int(j), 0j))
 
     def tail_fraction(self, pattern: ObservationPattern) -> float:
         """Fraction of the l2 mass of a carried by tail indices beyond the
@@ -180,7 +196,7 @@ class FunctionalWeights:
         self.check_support(indices)
         if self._geometric is not None:
             c, rho = self._geometric
-            return (c * rho ** np.abs(np.array(indices, dtype=float))).astype(complex)
+            return (c * rho ** np.abs(np.fromiter(indices, float, len(indices)))).astype(complex)
         return np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
                            count=len(indices))
 

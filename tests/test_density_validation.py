@@ -335,11 +335,19 @@ TINY_WEIGHTS = FunctionalWeights(values={0: 1.0, 2: 0.2})
 
 
 @pytest.mark.parametrize("b0", [6e-313, 1e-320])
-def test_solve_with_non_finite_coefficients_refused(b0):
-    # solve returned delta = nan, with c = inf
-    f = InversePolynomial(FourierCoeffs([b0]))
+def test_overflowing_inverse_polynomial_refused_at_construction(b0):
+    # solve on TINY_PATTERN returned delta = nan (c = inf), and later raised
+    # NonFiniteSolution only after solving: max f >= 1/b(0) is past the float range
+    with pytest.raises(InvalidParameters, match="too small for f"):
+        InversePolynomial(FourierCoeffs([b0]))
+
+
+def test_solve_with_non_finite_coefficients_refused():
+    # a 1/f the constructor accepts, with weights for which c = a / b(0) overflows
+    f = InversePolynomial(FourierCoeffs([1e-299]))
+    weights = FunctionalWeights(values={0: 1e10, 2: 1e10})
     with pytest.raises(NonFiniteSolution) as info:
-        solve(TINY_PATTERN, TINY_WEIGHTS, f)
+        solve(TINY_PATTERN, weights, f)
     assert isinstance(info.value, NumericalError)
     assert info.value.diagnostics == {"non_finite": 2, "unknowns": 2}
 

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapinterp.densities import RationalAR
+from gapinterp.densities import DEFAULT_GRID, RationalAR, inverse_fourier_coeffs
 from gapinterp.errors import InvalidParameters, SupportMismatch
-from gapinterp.interpolate import solve, solve_truncated
+from gapinterp.interpolate import (
+    CHARACTERISTIC_MARGIN,
+    error_value,
+    solve,
+    solve_gram,
+    solve_truncated,
+)
 from gapinterp.patterns import (
     FunctionalWeights,
     ObservationPattern,
@@ -217,6 +223,82 @@ class TestWeightGather:
         vec = weight_vector(FunctionalWeights(values={}), p)
         assert vec.dtype == complex
         assert np.array_equal(vec, np.zeros(len(missing_indices(p))))
+
+
+def reference_half_length(k, grid_size):
+    """The lags of 1/f a solution holds, from Python's max and min over K."""
+    span = max(max(k) - min(k), 1)
+    return max(min(span + CHARACTERISTIC_MARGIN, grid_size // 4), span)
+
+
+class TestLargeGather:
+    """The large-solve path against per-index references, bit for bit."""
+
+    AR2 = RationalAR(alpha=np.array([0.3, -0.2]), sigma2=1.3)
+
+    @pytest.mark.parametrize("key_type", ["int", "numpy", "float"])
+    def test_s6_explicit_map(self, key_type):
+        rng = np.random.default_rng(17)
+        p = ObservationPattern("S6", N=3, M1=5, N1=998, M2=4, N2=998)
+        k = per_index_missing(p)
+        assert len(k) == 2000
+        convert = {"int": int, "numpy": np.int64, "float": float}[key_type]
+        order = rng.permutation(len(k))
+        values = {convert(k[i]): complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
+                  for i in order}
+        w = FunctionalWeights(values=values)
+        expected = per_index_weight_vector(values, p)
+        assert np.array_equal(weight_vector(w, p), expected)
+
+        grid = 8192
+        sol = solve(p, w, self.AR2, grid_size=grid)
+        b = inverse_fourier_coeffs(self.AR2, reference_half_length(k, grid), grid)
+        c = solve_gram(k, expected, b)
+        assert sol.indices == tuple(k)
+        assert sol.b.half_length == b.half_length
+        assert np.array_equal(sol.a, expected)
+        assert np.array_equal(sol.c, c)
+        assert sol.delta == error_value(c, expected)
+
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    def test_geometric_at_depth_682(self, kind):
+        p = ObservationPattern(kind, N=2, M1=3, M2=1, T=1)
+        C, rho = 1.7, 0.97
+        f = RationalAR(alpha=0.5)
+        sol = solve_truncated(p, FunctionalWeights(geometric=(C, rho)), f)
+        depth = sol.convergence["depth"]
+        assert depth == 682
+        cut = p.with_truncation(depth)
+        k = per_index_missing(cut)
+        # the expression the gather used before it took K through np.fromiter
+        expected = (C * rho ** np.abs(np.array(k, dtype=float))).astype(complex)
+        assert np.array_equal(weight_vector(FunctionalWeights(geometric=(C, rho)), cut),
+                              expected)
+        # the cut is solved on the default grid, which the solution may then double
+        b = inverse_fourier_coeffs(f, 1).resized(reference_half_length(k, DEFAULT_GRID))
+        c = solve_gram(k, expected, b)
+        assert sol.indices == tuple(k)
+        assert sol.b.half_length == b.half_length
+        assert np.array_equal(sol.a, expected)
+        assert np.array_equal(sol.c, c)
+        assert sol.delta == error_value(c, expected)
+
+    def test_values_are_converted_where_they_are_gathered(self):
+        # construction keeps the values as given; the gather in on() makes
+        # them complex, so a string complex() refuses is refused there, with
+        # ValueError, by weight_vector and by solve alike
+        p = ObservationPattern("S5", N=0, M2=1, N2=1)
+        w = FunctionalWeights(values={0: 1.0, 2: "x"})
+        with pytest.raises(ValueError, match="malformed string"):
+            weight_vector(w, p)
+        with pytest.raises(ValueError, match="malformed string"):
+            solve(p, w, self.AR2)
+        # numpy reads None as NaN, so a None value is refused at construction
+        with pytest.raises(TypeError, match="None"):
+            FunctionalWeights(values={0: 1.0, 2: None})
+        # values complex() accepts give complex() of themselves
+        w = FunctionalWeights(values={0: "1+2j", np.int64(2): np.float64(0.5)})
+        assert np.array_equal(weight_vector(w, p), [1 + 2j, 0.5 + 0j])
 
 
 class TestTailFraction:
