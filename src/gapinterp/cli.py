@@ -29,6 +29,8 @@ from .errors import (
 
 # `verify` and `simulate` cut S1-S3 where the cut moves the error by about this much
 VERIFY_RTOL = 1e-12
+# and refuse a cut deeper than this, per block: their oracles are dense in |K|
+ORACLE_MAX_DEPTH = 6400
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +241,9 @@ def _oracle_problem(f, pattern, weights, grid_size):
     sol = interpolate.solve_truncated(pattern, weights, f, grid_size=grid_size,
                                       rtol=VERIFY_RTOL)
     depth = sol.convergence["depth"]
-    if depth > interpolate.TRUNCATION_SCHEDULE[-1]:
+    if depth > ORACLE_MAX_DEPTH:
         raise NotConverged(f"the oracle would need depth {depth}, past the "
-                           f"{interpolate.TRUNCATION_SCHEDULE[-1]} it supports",
-                           diagnostics={"depth": depth})
+                           f"{ORACLE_MAX_DEPTH} it supports", diagnostics={"depth": depth})
     return sol, pattern.with_truncation(depth)
 
 

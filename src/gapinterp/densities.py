@@ -250,11 +250,15 @@ class InversePolynomial(SpectralDensity):
                                     f"a finite float")
 
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        """1/f by one real FFT of b; refused unless real and positive on the grid."""
+        """1/f by one real FFT of b; refused unless real and positive on the
+        grid, and unless f = 1/(1/f) stays a finite float there."""
         inv = self.inv_coeffs.evaluate(grid_size)
         if not self.inv_coeffs.is_real_on_grid(inv, 1e-10):
             raise InvalidParameters("inverse polynomial is not real on the grid")
         check_positive(inv)
+        if inv.min() < 1.0 / np.finfo(float).max:
+            raise InvalidParameters(f"1/f falls to {inv.min()} on the grid, too small for "
+                                    f"f = 1/(1/f) to be a finite float")
         return inv
 
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:

@@ -18,23 +18,23 @@ trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
 `h_coeffs` and the grid values `h_grid` on first access, not in `solve`;
 `h_grid` needs 2 max|j| < grid_size and raises InvalidParameters otherwise.
 
-Infinite gaps (S1-S3) go through `solve_truncated`. When 1/f has degree p
-(RationalAR, InversePolynomial) the infinite blocks are cut once, at the
-depth D where the cut moves Delta by about TAIL_RTOL relative: the exact
-solution decays there like max(rho, |z|)^s over the roots z of 1/f inside
-the unit circle, so D follows from that rate and is checked on the solved c.
-The solution's grid doubles until it holds K (2 max|j| < grid_size).
-Tabulated densities are cut at depths T = 25, 50, ..., 6400, doubling until
-the error plateaus and the weights beyond T are negligible, and at most as
-deep as the grid's quadrature reaches (a span of K up to grid_size / 4).
+Infinite gaps (S1-S3) go through `solve_truncated`, one loop for every
+density: the infinite blocks are cut at a depth D where the cut moves Delta
+by about TAIL_RTOL relative, started from the decay of the weights and of
+the roots of 1/f, and doubled until the solved c and the weights are small
+enough at the block edges. The density changes only the loop's inputs: a
+RationalAR or InversePolynomial gives the exact 1/f, its roots and a grid
+that doubles until it holds K (2 max|j| < grid_size); a Tabulated density
+gives the grid quadrature of 1/f at each depth, no roots, and a deepest
+depth, where the span of K reaches grid_size / 4.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -59,17 +59,16 @@ from .errors import (
 )
 from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 
-TRUNCATION_SCHEDULE = tuple(25 * 2 ** k for k in range(9))  # 25, 50, ..., 6400
-PLATEAU_RTOL = 1e-8
 # lags of 1/f held beyond the gap span: for Tabulated input h_coeffs covers
 # [min K - 64, max K + 64]
 CHARACTERISTIC_MARGIN = 64
 # the exact path cuts an infinite block where the cut moves Delta by about
 # TAIL_RTOL relative (times max f / min f), far below rounding
 TAIL_RTOL = 1e-17
-# the deepest cut per block: decays slower than 0.9998 per step are refused,
-# as the doubling refuses tails past its last depth
+# the deepest cut per block: decays slower than 0.9998 per step are refused
 MAX_DEPTH = 100_000
+# explicit weights may lie at most this many indices deep in an infinite block
+MAX_REACH = 6400
 # the Cholesky routines scipy.linalg.solveh_banded picks for complex input:
 # ?ptsv for a tridiagonal band, ?pbsv otherwise
 _PTSV, _PBSV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(1, dtype=complex),))
@@ -252,71 +251,8 @@ def solve_truncated(
     grid_size: int = DEFAULT_GRID,
     rtol: float = TAIL_RTOL,
 ) -> InterpolationSolution:
-    """Solve an infinite-pattern problem (S1-S3); the density type picks the path.
-
-    When 1/f has finite degree (RationalAR, InversePolynomial), the blocks
-    are cut once, where the cut moves Delta by about rtol (max f / min f)
-    relative, and one banded solve gives the result (see `_single_cut`):
-    with the default rtol it equals the infinite problem's to rounding.
-    `convergence` is {"method": "exact_tail", "converged": True, "depth": D},
-    and `grid_size` is doubled as often as K needs (2 max|j| < grid_size).
-
-    A Tabulated density is solved at the depths T = 25, 50, ..., 6400 and
-    stops at the first whose error matches the previous depth's within
-    PLATEAU_RTOL while the weights beyond it carry less than 1e-10 of their
-    l2 mass. Its quadrature of 1/f holds a span of K up to grid_size / 4, so
-    no deeper cut is tried: NotConverged is raised, with the depths, errors,
-    last gap and tail fraction, when no depth the grid holds has converged.
-    `convergence` records the "doubling" method and the same values.
-    """
-    if not pattern.is_infinite:
-        raise InvalidParameters("solve_truncated applies to infinite patterns only")
-    if not 0 < rtol < 1:
-        raise InvalidParameters(f"rtol must lie in (0, 1), got {rtol}")
-    if grid_size < 1:  # the grid doubling below would never end
-        raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
-    if isinstance(f, (RationalAR, InversePolynomial)):
-        return _single_cut(pattern, weights, f, grid_size, rtol)
-    depths, deltas, gap, tail, converged = [], [], None, None, False
-    for depth in TRUNCATION_SCHEDULE:
-        truncated = pattern.with_truncation(depth)
-        idx = missing_indices(truncated)
-        if 4 * (max(idx) - min(idx)) > grid_size:
-            break
-        solution = solve(truncated, weights, f, grid_size=grid_size)
-        if deltas:
-            gap = abs(solution.delta - deltas[-1])
-        depths.append(depth)
-        deltas.append(solution.delta)
-        tail = weights.tail_fraction(truncated)
-        converged = (gap is not None and tail < 1e-10
-                     and gap <= PLATEAU_RTOL * max(abs(solution.delta), 1e-300))
-        if converged:
-            break
-    report = {
-        "method": "doubling",
-        "depth": depths[-1] if depths else None,
-        "schedule": depths,
-        "deltas": deltas,
-        "final_gap": gap,
-        "tail_fraction": tail,
-        "converged": converged,
-    }
-    if not converged:
-        raise NotConverged(f"truncated error sequence did not plateau at depths a grid of "
-                           f"{grid_size} points holds", diagnostics=report)
-    return replace(solution, convergence=report)
-
-
-def _single_cut(
-    pattern: ObservationPattern,
-    weights: FunctionalWeights,
-    f: SpectralDensity,
-    grid_size: int,
-    rtol: float,
-) -> InterpolationSolution:
-    """Solve an S1-S3 problem whose 1/f has degree p, cut where the cut no
-    longer matters.
+    """Solve an infinite-pattern problem (S1-S3), cut where the cut moves
+    Delta by about rtol (max f / min f) relative, whatever the density.
 
     Cutting the blocks at depth D moves Delta by <w, a_w - B_wK c> over the
     dropped tail w of the exact c, that is by about c(D) (a(D) + c(D))
@@ -324,55 +260,92 @@ def _single_cut(
     (max f / min f) / (1 - radius^2). Both decay past the explicit weights
     like radius^s, radius = max(rho, |z|) over the roots z of 1/f inside the
     unit circle, so D starts at decay(rtol / 10, radius^2) past them and
-    doubles until the shares of c and a at the p outermost indices of each
-    block, c_D and a_D, satisfy c_D max(c_D, a_D) <= rtol. The cut solution's edge understates the
-    exact c there by about 1 - radius^2 (measured: Delta within 1.5e-15 of a
-    solve at depth 20000 for alpha = rho = 0.995, where that factor is 1e-2),
-    which the default rtol, well below rounding, absorbs. One banded
-    Cholesky over the cut K then gives c, and h vanishes on K to rounding;
-    the grid grows by doubling until it holds h (2 max|j| < grid_size).
+    doubles until the shares of c and a at the q = max(p, 1) outermost
+    indices of each block, c_D and a_D, satisfy c_D max(c_D, a_D) <= rtol.
+    The cut solution's edge understates the exact c there by about
+    1 - radius^2 (measured: Delta within 1.5e-15 of a solve at depth 20000
+    for alpha = rho = 0.995, where that factor is 1e-2), which the default
+    rtol, well below rounding, absorbs. Each depth is one banded Cholesky
+    over the cut K, and h vanishes on K to rounding.
+
+    Only the loop's inputs depend on the density. When 1/f has degree p
+    (RationalAR, InversePolynomial), b is its exact expansion, the roots are
+    those of 1/f, and `grid_size` doubles as often as h needs
+    (2 max|j| < grid_size). Any other density (Tabulated) takes b from the
+    grid quadrature at each depth, as `solve` does, has no roots (D starts
+    from the weights' decay alone) and p = 0. Its quadrature holds a span of
+    K up to grid_size / 4, so D doubles at most to the deepest such depth,
+    which is tried once; NotConverged is raised there with that depth and
+    `grid_size` in its diagnostics. Explicit weights may reach at most
+    MAX_REACH indices into a block, and no further than that deepest depth
+    (InvalidParameters); a cut past MAX_DEPTH raises NotConverged.
+    `convergence` is {"converged": True, "depth": D}.
     """
-    # b(m) vanishes past the nominal degree p; an InversePolynomial's 1/f is
-    # checked here, once per solve and before its roots are sought
-    p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
-    exact = inverse_fourier_coeffs(f, p, grid_size)
+    if not pattern.is_infinite:
+        raise InvalidParameters("solve_truncated applies to infinite patterns only")
+    if not 0 < rtol < 1:
+        raise InvalidParameters(f"rtol must lie in (0, 1), got {rtol}")
+    if grid_size < 1:  # the grid doubling below would never end
+        raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
+    sides = pattern.has_left + pattern.has_right
+    if isinstance(f, (RationalAR, InversePolynomial)):
+        # b(m) vanishes past the nominal degree p; an InversePolynomial's 1/f is
+        # checked here, once per solve and before its roots are sought
+        p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
+        coeffs = inverse_fourier_coeffs(f, p, grid_size).resized
+        root, deepest = _slowest_root(f), math.inf
+    else:  # 4 * span <= grid_size, span = N + M1 + M2 + sides * D over the held blocks
+        p, root = 0, 0.0
+        coeffs = partial(inverse_fourier_coeffs, f, grid_size=grid_size)
+        deepest = (grid_size // 4 - pattern.N - (pattern.M1 if pattern.has_left else 0)
+                   - (pattern.M2 if pattern.has_right else 0)) // sides
     C, rho = weights.geometric or (0.0, 0.0)
-    radius = max(rho, _slowest_root(f))
+    radius = max(rho, root)
     reach = weights.reach(pattern)
-    if reach > TRUNCATION_SCHEDULE[-1]:
+    if reach > MAX_REACH:
         raise InvalidParameters(f"explicit weights reach {reach} indices into an infinite "
-                                f"block; at most {TRUNCATION_SCHEDULE[-1]} are supported")
+                                f"block; at most {MAX_REACH} are supported")
+    if max(reach, 1) > deepest:
+        raise InvalidParameters(f"a grid of {grid_size} points holds at most {deepest} indices "
+                                f"per infinite block; the weights need {max(reach, 1)}")
     # a tenth of rtol leaves room for the constants of the slowest mode
     depth = max(reach, p, 1) + _decay(0.1 * rtol, radius ** 2)
     q = max(p, 1)
     while True:
-        _check_depth(depth)
+        depth = min(depth, deepest)
+        if depth > MAX_DEPTH:  # also ends an edge that never passes (a NaN one)
+            raise NotConverged(f"the tail needs more than {MAX_DEPTH} indices per block",
+                               diagnostics={"depth": depth})
         central, left, right = blocks = pattern.with_truncation(depth).blocks()
         idx = [*central, *left, *right]
         a = weights.on(idx)
-        b = exact.resized(_half_length(blocks, grid_size))
+        b = coeffs(_half_length(blocks, grid_size))
         c = solve_gram(idx, a, b)
         # canonical order: central, then each held block with its outermost
         # q indices last
-        ends = pattern.N + 1 + depth * np.arange(1, pattern.has_left + pattern.has_right + 1)
+        ends = pattern.N + 1 + depth * np.arange(1, sides + 1)
         edge = (ends[:, None] - np.arange(1, q + 1)).ravel()
         c_edge, a_edge = _edge_share(c, edge), _edge_share(a, edge)
         if c_edge * max(c_edge, a_edge) <= rtol:
             break
+        if depth == deepest:
+            raise NotConverged(f"the cut has not converged at depth {depth}, the deepest a "
+                               f"grid of {grid_size} points holds",
+                               diagnostics={"depth": depth, "grid_size": grid_size})
         depth *= 2
     extent = max(-left[-1] if left else 0, right[-1] if right else central[-1])
     while 2 * extent >= grid_size:
         grid_size *= 2
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
-        b=b, convergence={"method": "exact_tail", "converged": True, "depth": depth},
+        b=b, convergence={"converged": True, "depth": depth},
     )
 
 
 def _slowest_root(f: SpectralDensity) -> float:
     """The largest modulus of a root of 1/f inside the unit circle; a start
-    for the depth, which `_single_cut` checks. For RationalAR these are the
-    roots of the monic z^p - alpha_1 z^(p-1) - ... - alpha_p (or their
+    for the depth, which `solve_truncated` checks. For RationalAR these are
+    the roots of the monic z^p - alpha_1 z^(p-1) - ... - alpha_p (or their
     reflections 1/conj(z)), kept by its constructor; they stay accurate when
     alpha_p is tiny, where the polynomial of b (a tiny lead) would lose them."""
     if isinstance(f, RationalAR):
@@ -394,14 +367,6 @@ def _edge_share(v: np.ndarray, edge: np.ndarray) -> float:
     """max |v| over the edge positions, relative to max |v| (0 for v = 0)."""
     top = float(np.max(np.abs(v)))
     return float(np.max(np.abs(v[edge]))) / top if top > 0 else 0.0
-
-
-def _check_depth(depth: int) -> None:
-    """Refuse a tail that needs more than MAX_DEPTH indices per block, or
-    whose values never fall below the level (a NaN never does)."""
-    if depth > MAX_DEPTH:
-        raise NotConverged(f"the exact tail needs more than {MAX_DEPTH} indices per block",
-                           diagnostics={"depth": depth})
 
 
 def _decay(level: float, radius: float) -> int:

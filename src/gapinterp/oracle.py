@@ -123,17 +123,24 @@ def simulate(
     of a call with n_replicates >= j are the rows of the call with j, and a
     replicate cannot be drawn without those before it.
 
-    A causal RationalAR of order p >= 1 with real coefficients, every root w
-    of z^p - alpha_1 z^(p-1) - ... - alpha_p inside the unit circle, runs
-    its AR recursion after a warm-up run-in (see `_ar_sampler`); a
-    non-causal one would run an explosive recursion. Everything else,
-    white noise RationalAR(alpha=[]) included, goes through circulant
-    embedding of r(0..m/2), which is exact whenever the embedding is
-    non-negative definite: m starts at the smallest power of two
+    A RationalAR of order p >= 1 with real coefficients whose roots w of
+    z^p - alpha_1 z^(p-1) - ... - alpha_p satisfy max|w|^(2 warmup) <= 1e-16,
+    warmup = max(200, 20 p) (so |w| below about 0.91), runs its AR recursion
+    after that warm-up run-in (see `_ar_sampler`), whose variance is then
+    stationary to rounding. Everything else goes through circulant embedding
+    of r(0..m/2): white noise RationalAR(alpha=[]), a non-causal AR (which
+    would run an explosive recursion), and an AR with a root nearer the unit
+    circle, which the fixed run-in would leave short of stationary (about
+    0.86 of the variance at alpha = 0.995). The embedding is exact whenever
+    it is non-negative definite: m starts at the smallest power of two
     >= 2 (length - 1) and doubles while an eigenvalue lies below -1e-10 times
     the largest, and EmbeddingNotPSD is raised past the first power of two
-    >= 8 length. A replicate takes 2m draws, the real and imaginary parts of
-    the m-point FFT input, and each chunk is one FFT along the rows.
+    >= 8 length. Slowly decaying covariances can reach that: an AR(2) with
+    roots of modulus 0.99 on a path of length 41 does. The covariances come
+    from the grid, so a density below 1e-9 of its maximum there (an AR(2)
+    with a double root at 0.99) raises NonPositiveDensity. A replicate takes
+    2m draws, the real and imaginary parts of the m-point FFT input, and each
+    chunk is one FFT along the rows.
     """
     chunks = simulate_chunks(f, length, n_replicates, seed)  # checks n_replicates
     out = np.empty((n_replicates, length))
@@ -160,11 +167,19 @@ def simulate_chunks(
     if seed < 0:
         raise InvalidParameters(f"seed must be non-negative, got {seed}")
     causal_ar = (isinstance(f, RationalAR) and f.order > 0
-                 and np.max(np.abs(f.alpha.imag)) == 0.0 and np.max(np.abs(f._eigenvalues)) < 1.0)
+                 and np.max(np.abs(f.alpha.imag)) == 0.0
+                 and min(float(np.max(np.abs(f._eigenvalues))), 1.0) ** (2 * _warmup(f)) <= 1e-16)
     draw, width = (_ar_sampler if causal_ar else _circulant_sampler)(f, length)
     rng = np.random.default_rng(seed)
     rows = max(1, CHUNK_VALUES // width)
     return (draw(rng, min(rows, n_replicates - start)) for start in range(0, n_replicates, rows))
+
+
+def _warmup(f: RationalAR) -> int:
+    """Steps the AR recursion runs before a path starts. It forgets its zero
+    start like max|w|^s, so the path's variance is short of stationary by
+    about max|w|^(2 warmup) relative."""
+    return max(200, 20 * f.order)
 
 
 def _ar_sampler(f: RationalAR, length: int):
@@ -181,7 +196,7 @@ def _ar_sampler(f: RationalAR, length: int):
     """
     alpha = f.alpha.real.tolist()
     p = len(alpha)
-    warmup = max(200, 20 * p)
+    warmup = _warmup(f)
     width = length + warmup
     scale = np.sqrt(f.sigma2)
 

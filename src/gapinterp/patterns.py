@@ -3,8 +3,8 @@
 A pattern describes which time indices are *missing*: a central block {0..N},
 optionally a left block ending at -M1-1, optionally a right block starting at
 N+M2+1. Kinds S1-S3 have (one or two) infinite missing tails; a pattern
-holds them to a depth T (`with_truncation`), which `solve_truncated` either
-grows or, for finite-degree 1/f, sets to where the exact tail is negligible.
+holds them to a depth T (`with_truncation`), which `solve_truncated` sets,
+for every density, to where the cut tail is negligible.
 
 The missing set K is always emitted in the canonical order
 
@@ -13,18 +13,18 @@ The missing set K is always emitted in the canonical order
 which matches the stacked coefficient-vector layout used by the Gram systems.
 Each block is a `range` (step -1 on the left) and K joins the three in one
 list. `weight_vector` checks an explicit map against K with one set
-difference and gathers it with `np.fromiter`; `tail_fraction` is closed form.
-An explicit map is kept as the caller gave it, after one `dict()` copy: its
-keys pass through `int()` only when some key is not an `int`, and its values
-become complex only where `on()` gathers them. No per-index Python runs on
-the solve path.
+difference and gathers it with `np.fromiter`. An explicit map is kept as the
+caller gave it, after one `dict()` copy: its keys pass through `int()` only
+when some key is not an `int`, and its values become complex, and are
+checked, only where `on()` gathers them. No per-index Python runs on the
+solve path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import is_
 from typing import Mapping
 
 import numpy as np
@@ -122,9 +122,10 @@ class FunctionalWeights:
     `int()` (2.0 and np.int64(2) mean 2) only when some key is not an `int`;
     its values are not converted: `on()` (and so `weight_vector` and `solve`)
     turns them into complex numbers as it gathers them, with the values
-    `complex()` would give. A value numpy cannot convert (the string "x")
-    raises ValueError there, not here; a None value, which numpy would read
-    as NaN, raises TypeError at construction.
+    `complex()` would give. A value numpy cannot convert (the string "x") or
+    that is not finite (NaN, inf, and None, which numpy reads as NaN) raises
+    InvalidParameters there, not here. A geometric C that is not finite is
+    refused at construction.
     """
 
     def __init__(self, values: Mapping[int, complex] | None = None,
@@ -136,13 +137,13 @@ class FunctionalWeights:
             values = dict(values)
             if not {int}.issuperset(map(type, values)):
                 values = dict(zip(map(int, values), values.values()))
-            if any(map(is_, values.values(), repeat(None))):  # numpy would read None as NaN
-                raise TypeError("a weight value is None, not a number")
             self._values = values
         else:
             c, rho = geometric
             if not (0 < rho < 1):
                 raise InvalidParameters("geometric decay requires 0 < rho < 1")
+            if not math.isfinite(float(c)):
+                raise InvalidParameters(f"geometric scale C must be finite, got {c}")
             self._geometric = (float(c), float(rho))
 
     @property
@@ -155,20 +156,6 @@ class FunctionalWeights:
             c, rho = self._geometric
             return complex(c * rho ** abs(j))
         return complex(self._values.get(int(j), 0j))
-
-    def tail_fraction(self, pattern: ObservationPattern) -> float:
-        """Fraction of the l2 mass of a carried by tail indices beyond the
-        truncation depth T (zero for explicit maps and finite kinds).
-
-        A block of K with |j| from s to e holds (q^s - q^{e+1}) / (1 - q) of
-        the mass of a / C (q = rho^2), the tail past a side block q^{e+1} / (1 - q)."""
-        if self._geometric is None or not pattern.is_infinite:
-            return 0.0
-        q = self._geometric[1] ** 2
-        ends = [(abs(block[0]), abs(block[-1]) + 1) for block in pattern.blocks() if block]
-        mass = sum(q ** s - q ** e for s, e in ends)
-        tail = sum(q ** e for _, e in ends[1:])
-        return tail / (mass + tail)
 
     def reach(self, pattern: ObservationPattern) -> int:
         """The smallest depth T at which the side blocks of an infinite
@@ -192,13 +179,20 @@ class FunctionalWeights:
             raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
 
     def on(self, indices) -> np.ndarray:
-        """The weights at the listed indices of K, after the support check."""
+        """The weights at the listed indices of K, after the support check;
+        an explicit value that is not a finite number raises InvalidParameters."""
         self.check_support(indices)
         if self._geometric is not None:
             c, rho = self._geometric
             return (c * rho ** np.abs(np.fromiter(indices, float, len(indices)))).astype(complex)
-        return np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
-                           count=len(indices))
+        try:
+            a = np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
+                            count=len(indices))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameters(f"a weight value is not a number: {exc}") from None
+        if not np.isfinite(a).all():  # NaN, inf, or a None that numpy read as NaN
+            raise InvalidParameters(f"weight values must be finite, got {a[~np.isfinite(a)][0]}")
+        return a
 
 
 def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:

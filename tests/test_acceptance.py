@@ -291,15 +291,16 @@ class TestCriterion8:
             ObservationPattern("S2", N=1, M2=2, T=1),
             ObservationPattern("S3", N=0, M1=1, M2=1, T=1),
         ]
-        worst_plateau = 0.0
+        worst_exact = 0.0
         worst_proj = 0.0
-        tabulated = Tabulated(f.on_grid(4096))  # solved by the doubling loop
+        f_grid = f.on_grid(4096)
+        tabulated = Tabulated(f_grid)  # solved on the quadrature of 1/f
         for pattern in cases:
             sol = solve_truncated(pattern, w, tabulated)
-            d = sol.convergence["deltas"]
-            worst_plateau = max(worst_plateau, abs(d[-1] - d[-2]) / d[-1])
+            exact = solve_truncated(pattern, w, f)
+            worst_exact = max(worst_exact, abs(sol.delta - exact.delta) / exact.delta)
             deep = pattern.with_truncation(200)
             proj = project(build_problem(deep, w, f, window=1000))
             worst_proj = max(worst_proj, abs(sol.delta - proj["mse"]) / proj["mse"])
-        ok = worst_plateau <= 1e-8 and worst_proj <= 1e-5
-        report(8, ok, f"plateau {worst_plateau:.2e}, projection gap {worst_proj:.2e}")
+        ok = worst_exact <= 1e-12 * f_grid.max() / f_grid.min() and worst_proj <= 1e-5
+        report(8, ok, f"exact gap {worst_exact:.2e}, projection gap {worst_proj:.2e}")

@@ -114,8 +114,8 @@ class TestInterpolate:
         assert len(rows) & (len(rows) - 1) == 0 and len(rows) >= 4096
 
     def test_bad_truncation_is_numerical_error(self, tmp_path):
-        # a tabulated density at rho = 0.97 plateaus past T = 400, where the
-        # span of K outgrows the quadrature of the 4096-point grid
+        # a tabulated density at rho = 0.97 needs a cut at D = 682, where the
+        # span of K outgrows the quadrature of the 4096-point grid (D = 511)
         lam = -np.pi + 2 * np.pi * np.arange(4096) / 4096
         config = {
             "density": {"type": "tabulated",
@@ -126,7 +126,7 @@ class TestInterpolate:
         code, rec, _ = run(tmp_path, "interpolate", config)
         assert code == 2
         assert rec["category"] == "numerical" and rec["error"] == "NotConverged"
-        assert rec["diagnostics"]["schedule"] == [25, 50, 100, 200, 400]
+        assert rec["diagnostics"] == {"depth": 511, "grid_size": 4096}
 
     def test_weights_on_observed_rejected(self, tmp_path):
         config = dict(EX_CONFIG)

@@ -5,6 +5,8 @@ the grid" refusals against the complex imaginary part, and Delta against the
 elementwise inner product. Each reference is kept here, independent of the
 library code it checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -340,6 +342,18 @@ def test_overflowing_inverse_polynomial_refused_at_construction(b0):
     # NonFiniteSolution only after solving: max f >= 1/b(0) is past the float range
     with pytest.raises(InvalidParameters, match="too small for f"):
         InversePolynomial(FourierCoeffs([b0]))
+
+
+def test_inverse_polynomial_overflowing_on_the_grid_refused():
+    # b(0) = 1e-308 passes construction, but 1/f falls to 1e-311 at lambda = pi,
+    # where f = 1/(1/f) overflows
+    f = InversePolynomial(FourierCoeffs([0.4995e-308, 1e-308, 0.4995e-308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameters, match="too small for f"):
+            f.on_grid(64)
+        with pytest.raises(InvalidParameters, match="too small for f"):
+            solve(TINY_PATTERN, TINY_WEIGHTS, f)
 
 
 def test_solve_with_non_finite_coefficients_refused():

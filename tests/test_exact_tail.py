@@ -1,6 +1,7 @@
-"""Solves of the infinite gap sets S1-S3 for densities whose 1/f has finite
-degree, cut once where the cut no longer matters, checked against deep
-truncations and the projection oracle."""
+"""Solves of the infinite gap sets S1-S3, cut where the cut no longer
+matters: for densities whose 1/f has finite degree checked against deep
+truncations and the projection oracle, for tabulated ones against the AR
+density the table was sampled from."""
 
 from unittest import mock
 
@@ -17,12 +18,12 @@ from gapinterp.densities import (
     RationalAR,
     Tabulated,
 )
-from gapinterp.errors import InvalidParameters, SupportMismatch
-from gapinterp.interpolate import TRUNCATION_SCHEDULE, solve, solve_truncated
+from gapinterp.errors import InvalidParameters, NotConverged, SupportMismatch
+from gapinterp.interpolate import solve, solve_truncated
 from gapinterp.oracle import build_problem, project
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
 
-DEEP = TRUNCATION_SCHEDULE[-1]  # 6400
+DEEP = 6400  # the reference depth
 
 
 def cond(f):
@@ -35,9 +36,8 @@ def check_against_deep(pattern, weights, f, rtol=1e-13):
     held to the reported depth; h within 1e-12 |a| on K."""
     sol = solve_truncated(pattern, weights, f)
     deep = solve(pattern.with_truncation(DEEP), weights, f)
-    assert sol.convergence["method"] == "exact_tail"
-    assert sol.convergence["converged"] is True
     depth = sol.convergence["depth"]
+    assert sol.convergence == {"converged": True, "depth": depth}
     assert sol.indices == tuple(missing_indices(pattern.with_truncation(depth)))
     assert sol.c.shape == sol.a.shape == (len(sol.indices),)
     scale = max(abs(deep.delta), 1e-300)
@@ -225,14 +225,24 @@ class TestPathChoice:
         p = ObservationPattern("S3", N=1, M1=2, M2=2, T=1)
         solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.97)), RationalAR(alpha=0.5))
 
-    def test_tabulated_runs_the_doubling_loop(self):
+    def test_tabulated_runs_the_doubling_loop(self, monkeypatch):
+        # the same loop on quadrature b: it starts from the weights' decay
+        # alone (1 + 30, 0.5^60 < 1e-18), blind to the AR root 0.8, and
+        # doubles twice to 124, where the edge rule holds; its solve there is
+        # the one `solve` gives on the cut pattern
         p = ObservationPattern("S1", N=0, M1=1, T=1)
-        sol = solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)),
-                              Tabulated(RationalAR(alpha=0.4).on_grid(4096)))
-        assert sol.convergence["method"] == "doubling"
-        assert sol.convergence["depth"] == sol.convergence["schedule"][-1]
-        assert sol.convergence["schedule"] == list(TRUNCATION_SCHEDULE[: len(
-            sol.convergence["schedule"])])
+        w = FunctionalWeights(geometric=(1.0, 0.5))
+        f = Tabulated(RationalAR(alpha=0.8).on_grid(4096))
+        cuts = []
+        gram = interpolate.solve_gram
+        monkeypatch.setattr(interpolate, "solve_gram",
+                            lambda idx, a, b: cuts.append(len(idx)) or gram(idx, a, b))
+        sol = solve_truncated(p, w, f)
+        assert cuts == [1 + 31, 1 + 62, 1 + 124]
+        assert sol.convergence == {"converged": True, "depth": 124}
+        ref = solve(p.with_truncation(124), w, f)
+        assert np.array_equal(sol.c, ref.c) and sol.delta == ref.delta
+        assert sol.grid_size == 4096
 
     def test_looser_rtol_cuts_shallower(self):
         p = ObservationPattern("S3", N=1, M1=2, M2=1, T=1)
@@ -261,3 +271,55 @@ class TestPathChoice:
         solve_truncated(p, FunctionalWeights(values={0: 1.0, 5 + 6399: 1.0}), f)
         with pytest.raises(InvalidParameters):
             solve_truncated(p, FunctionalWeights(values={0: 1.0, 5 + 6400: 1.0}), f)
+
+
+tabulated_roots = st.one_of(
+    st.tuples(st.floats(-0.95, 0.95)),
+    st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95)),
+    st.tuples(st.floats(0.05, 0.95), st.floats(0.01, np.pi - 0.01)).map(
+        lambda rt: (rt[0] * np.exp(1j * rt[1]), rt[0] * np.exp(-1j * rt[1]))),
+)
+
+
+@st.composite
+def tabulated_weights(draw, pattern):
+    """Geometric weights, or explicit ones on the central block and up to 60
+    indices deep into each infinite block."""
+    if draw(st.booleans()):
+        return FunctionalWeights(geometric=(draw(st.floats(0.5, 2.0)),
+                                            draw(st.floats(0.3, 0.97))))
+    held = missing_indices(pattern.with_truncation(60))
+    picked = draw(st.lists(st.sampled_from(held), min_size=1, max_size=6, unique=True))
+    return FunctionalWeights(values={j: draw(st.floats(0.5, 2.0)) for j in picked})
+
+
+class TestTabulated:
+    """Tabulated S1-S3 through the same cut loop, on the quadrature of 1/f,
+    against the exact answer of the AR density the table was sampled from."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=patterns, roots=tabulated_roots, grid=st.sampled_from([2048, 4096, 8192]),
+           data=st.data())
+    def test_matches_the_sampled_ar_or_refuses(self, pattern, roots, grid, data):
+        f = RationalAR(alpha=np.real(-np.poly(np.array(roots))[1:]))
+        weights = data.draw(tabulated_weights(pattern))
+        exact = solve_truncated(pattern, weights, f)
+        f_grid = f.on_grid(grid)
+        try:
+            sol = solve_truncated(pattern, weights, Tabulated(f_grid), grid_size=grid)
+        except NotConverged as err:
+            assert err.diagnostics["grid_size"] == grid
+            return
+        assert sol.convergence["converged"] is True
+        assert 4 * (max(sol.indices) - min(sol.indices)) <= grid
+        assert abs(sol.delta - exact.delta) <= 1e-12 * f_grid.max() / f_grid.min() * exact.delta
+
+    def test_weights_deeper_than_25(self):
+        # weights 32 deep into the right block: the cut starts past them,
+        # on the quadrature as on the exact 1/f
+        p = ObservationPattern("S2", N=1, M2=3, T=1)
+        w = FunctionalWeights(values={0: 1.0, 35: 1.0})
+        exact = solve_truncated(p, w, RationalAR(alpha=0.5))
+        sol = solve_truncated(p, w, Tabulated(RationalAR(alpha=0.5).on_grid(4096)))
+        assert exact.delta == pytest.approx(16 / 7, rel=1e-14)
+        assert abs(sol.delta - exact.delta) <= 1e-13 * exact.delta

@@ -18,10 +18,15 @@ from gapinterp.densities import (
     grid_fourier_coefficients,
     inverse_fourier_coeffs,
 )
-from gapinterp.errors import GridMismatch, LagOutOfRange, NotConverged, NotPositiveDefinite
+from gapinterp import interpolate
+from gapinterp.errors import (
+    GridMismatch,
+    InvalidParameters,
+    LagOutOfRange,
+    NotConverged,
+    NotPositiveDefinite,
+)
 from gapinterp.interpolate import (
-    PLATEAU_RTOL,
-    TRUNCATION_SCHEDULE,
     mse_of_characteristic,
     poly_on_grid,
     solve,
@@ -43,8 +48,14 @@ def build_gram(pattern, b):
 
 def tabulated_ar(alpha, grid_size=4096):
     """An AR density given by its grid values, which solve_truncated solves
-    by the doubling loop."""
+    on the quadrature of 1/f."""
     return Tabulated(RationalAR(alpha=alpha).on_grid(grid_size))
+
+
+def cond(f, grid_size=4096):
+    """max f / min f on the grid."""
+    g = f.on_grid(grid_size)
+    return float(g.max() / g.min())
 
 
 def ones_weights(pattern):
@@ -255,15 +266,30 @@ class TestSolve:
         assert abs(d6 - (d4 + d5 - dc)) < 1e-10
 
 
+def depths_tried(monkeypatch, pattern):
+    """The depths at which solve_truncated solves, read off the sizes of its
+    Gram systems (the central block holds N + 1 indices)."""
+    sizes = []
+    gram = interpolate.solve_gram
+    monkeypatch.setattr(interpolate, "solve_gram",
+                        lambda idx, a, b: sizes.append(len(idx)) or gram(idx, a, b))
+    sides = pattern.has_left + pattern.has_right
+    return lambda: [(n - pattern.N - 1) // sides for n in sizes]
+
+
 class TestSolveTruncated:
     def test_plateau_and_convergence(self):
+        # the cut error no longer moves with the depth, and it is the
+        # infinite problem's: the AR density the table was sampled from
         f = tabulated_ar(0.5)
         p = ObservationPattern("S2", N=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
         sol = solve_truncated(p, w, f)
-        deltas = sol.convergence["deltas"]
-        assert sol.convergence["converged"]
-        assert abs(deltas[-1] - deltas[-2]) <= 1e-8 * deltas[-1]
+        assert sol.convergence == {"converged": True, "depth": 31}
+        deeper = solve(p.with_truncation(2 * 31), w, f)
+        assert abs(sol.delta - deeper.delta) <= 1e-15 * sol.delta
+        exact = solve_truncated(p, w, RationalAR(alpha=0.5))
+        assert abs(sol.delta - exact.delta) <= 1e-12 * cond(RationalAR(alpha=0.5)) * exact.delta
 
     def test_zero_tail_weights_stable_in_depth(self):
         f = RationalAR(alpha=0.5)
@@ -290,49 +316,51 @@ class TestSolveTruncated:
         deltas = [solve(p.with_truncation(t), w, f).delta for t in (5, 10, 20, 40)]
         assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(deltas, deltas[1:]))
 
-    def test_not_converged_raises(self):
-        # rho = 0.97 plateaus only past T = 400; at T = 800 the span of K,
-        # 1602, is past the 1024 a 4096-point grid's quadrature reaches
+    def test_not_converged_raises(self, monkeypatch):
+        # rho = 0.97 needs D = 682; a 4096-point grid's quadrature holds a
+        # span of K up to 1024, 2 + 2 D at D = 511, which is tried once
         p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.97))
+        tried = depths_tried(monkeypatch, p)
         with pytest.raises(NotConverged) as err:
             solve_truncated(p, w, tabulated_ar(0.5))
-        report = err.value.diagnostics
-        assert report["schedule"] == [25, 50, 100, 200, 400]
-        assert report["depth"] == 400 and len(report["deltas"]) == 5
-        assert report["final_gap"] > PLATEAU_RTOL * report["deltas"][-1]
-        assert 0 < report["tail_fraction"] < 1e-10
-        assert report["converged"] is False
+        assert err.value.diagnostics == {"depth": 511, "grid_size": 4096}
+        assert tried() == [511]
+        # the same grid holds D = 682 for S1, whose span is 1 + D
+        s1 = ObservationPattern("S1", N=0, M1=1, T=1)
+        assert solve_truncated(s1, w, tabulated_ar(0.5)).convergence["depth"] == 682
 
     def test_no_depth_within_the_grid(self):
-        # at T = 25 the span of K, 52, is past the 16 a 64-point grid reaches
+        # a 64-point grid holds a span of 16: D = 7 for this S3, tried once;
+        # an 8-point grid holds a span of 2, no depth at all
         p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
+        w = FunctionalWeights(geometric=(1.0, 0.5))
         with pytest.raises(NotConverged) as err:
-            solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)), Tabulated(np.ones(64)),
-                            grid_size=64)
-        report = err.value.diagnostics
-        assert report["schedule"] == report["deltas"] == []
-        assert report["depth"] is report["final_gap"] is report["tail_fraction"] is None
+            solve_truncated(p, w, Tabulated(np.ones(64)), grid_size=64)
+        assert err.value.diagnostics == {"depth": 7, "grid_size": 64}
+        with pytest.raises(InvalidParameters, match="at most 0 indices"):
+            solve_truncated(p, w, Tabulated(np.ones(64)), grid_size=8)
+        # explicit weights 8 deep need a span of 18, past the 16 of 64 points
+        with pytest.raises(InvalidParameters, match="the weights need 8"):
+            solve_truncated(p, FunctionalWeights(values={0: 1.0, 9: 1.0}),
+                            Tabulated(np.ones(64)), grid_size=64)
 
     @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
-    def test_doubling_converges_near_unit_decay(self, kind):
-        # rho = 0.97 plateaus only past T = 400; on 8192 points the
-        # quadrature reaches the span of S3 at T = 800, 1606
+    def test_doubling_converges_near_unit_decay(self, kind, monkeypatch):
+        # fast weights start the cut at D = 31 (0.5^62 < 1e-18), which the
+        # table's root 0.95 does not show; the edge rule doubles it to 496,
+        # which an 8192-point grid's quadrature holds for S3 (span 998)
         grid = 8192
         p = ObservationPattern(kind, N=1, M1=2, M2=3, T=1)
-        w = FunctionalWeights(geometric=(1.0, 0.97))
-        sol = solve_truncated(p, w, tabulated_ar(0.5, grid), grid_size=grid)
-        deep = solve_truncated(p, w, RationalAR(alpha=0.5))
-        assert abs(sol.delta - deep.delta) <= 1e-7 * deep.delta
-
-        depths = sol.convergence["schedule"]
-        assert tuple(depths) == TRUNCATION_SCHEDULE[:len(depths)]
-        assert 400 < depths[-1] < TRUNCATION_SCHEDULE[-1]
-        deltas = sol.convergence["deltas"]
-        stops = [abs(d - prev) <= PLATEAU_RTOL * abs(d)
-                 and w.tail_fraction(p.with_truncation(t)) < 1e-10
-                 for t, prev, d in zip(depths[1:], deltas, deltas[1:])]
-        assert stops[-1] and not any(stops[:-1])
+        w = FunctionalWeights(geometric=(1.0, 0.5))
+        tried = depths_tried(monkeypatch, p)
+        sol = solve_truncated(p, w, tabulated_ar(0.95, grid), grid_size=grid)
+        assert tried() == [31, 62, 124, 248, 496]
+        assert sol.convergence == {"converged": True, "depth": 496}
+        monkeypatch.undo()
+        f = RationalAR(alpha=0.95)
+        exact = solve_truncated(p, w, f)
+        assert abs(sol.delta - exact.delta) <= 1e-12 * cond(f) * exact.delta
 
 
 class TestSolveGram:
@@ -480,7 +508,7 @@ class TestCharacteristic:
         p = ObservationPattern("S2", N=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
         sol = solve_truncated(p, w, f)
-        deepest = solve(p.with_truncation(sol.convergence["schedule"][-1]), w, f)
+        deepest = solve(p.with_truncation(sol.convergence["depth"]), w, f)
         assert np.array_equal(sol.c, deepest.c)
         assert sol.h_coeffs == deepest.h_coeffs
         assert np.array_equal(sol.h_grid, deepest.h_grid)

@@ -315,6 +315,15 @@ class TestARRecursion:
         # bits for every chunk size (a chunk of 1 or 250 draws holds one row)
         f = RationalAR(alpha=alpha, sigma2=sigma2)
         warmup = max(200, 20 * alpha.size)
+        top = np.max(np.abs(np.roots(np.concatenate(([1.0], -alpha)))))
+        if top ** (2 * warmup) > 1e-16:
+            # the warm-up would leave the paths short of stationary: such a
+            # density goes to circulant embedding, stubbed out here
+            with mock.patch.object(oracle, "_circulant_sampler",
+                                   side_effect=EmbeddingNotPSD("embedded")):
+                with pytest.raises(EmbeddingNotPSD, match="embedded"):
+                    simulate(f, length, n, seed=seed)
+            return
         eps = np.random.default_rng(seed).standard_normal((n, length + warmup))
         expected = lfilter([np.sqrt(sigma2)], np.concatenate(([1.0], -alpha)), eps,
                            axis=1)[:, warmup:]
@@ -357,6 +366,20 @@ class TestEmbedding:
         with pytest.raises(EmbeddingNotPSD, match="size 128"):
             simulate(SLOW, length=10, n_replicates=2)
         assert sizes == [32, 64, 128]
+
+    def test_near_unit_root_is_stationary(self):
+        # a 200-step warm-up would leave var x(0) at 0.86 of r(0) for this
+        # AR(1), so its paths are embedded (standard error of the ratio 0.007)
+        f = RationalAR(alpha=0.995)
+        x0 = simulate(f, length=2, n_replicates=40000, seed=11)[:, 0]
+        assert abs(np.var(x0) / covariance(f, 0).real - 1) < 0.035
+
+    def test_near_unit_ar2_can_be_refused(self):
+        # roots 0.99 e^{+-i pi/3}: the covariance of a path of 41 decays too
+        # slowly for an embedding of 8 * 41 points
+        f = RationalAR(alpha=np.array([0.99, -0.99 ** 2]))
+        with pytest.raises(EmbeddingNotPSD):
+            simulate(f, length=41, n_replicates=2)
 
     def test_autocovariance_at_every_lag(self):
         # every lag the paths hold, through an embedding grown to 256 points

@@ -1,13 +1,11 @@
 """Gap geometries and functional weights."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapinterp.densities import DEFAULT_GRID, RationalAR, inverse_fourier_coeffs
+from gapinterp.densities import DEFAULT_GRID, RationalAR, Tabulated, inverse_fourier_coeffs
 from gapinterp.errors import InvalidParameters, SupportMismatch
 from gapinterp.interpolate import (
     CHARACTERISTIC_MARGIN,
@@ -16,6 +14,7 @@ from gapinterp.interpolate import (
     solve_gram,
     solve_truncated,
 )
+from gapinterp.minimax import D0Minus, lf_d0minus
 from gapinterp.patterns import (
     FunctionalWeights,
     ObservationPattern,
@@ -127,25 +126,14 @@ class TestWeights:
                 # one numpy power against Python's: equal to a few ulp
                 assert np.allclose(weight_vector(w, p), per_index, rtol=1e-15, atol=0.0)
 
-    def test_geometric_tail_fraction_decreases(self):
-        w = FunctionalWeights(geometric=(1.0, 0.5))
-        shallow = w.tail_fraction(ObservationPattern("S1", N=0, M1=1, T=5))
-        deep = w.tail_fraction(ObservationPattern("S1", N=0, M1=1, T=30))
-        assert deep < shallow
-        assert w.tail_fraction(ObservationPattern("S1", N=0, M1=1, T=200)) < 1e-10
-
-    def test_geometric_tail_matches_series(self):
-        w = FunctionalWeights(geometric=(1.0, 0.5))
-        p = ObservationPattern("S1", N=0, M1=1, T=5)
-        q = 0.25
-        first = 1 + 1 + 5  # first dropped index magnitude
-        tail = q ** first / (1 - q)
-        mass = sum(0.25 ** abs(j) for j in [0, -2, -3, -4, -5, -6])
-        assert abs(w.tail_fraction(p) - tail / (mass + tail)) < 1e-12
-
     def test_bad_rho(self):
         with pytest.raises(InvalidParameters):
             FunctionalWeights(geometric=(1.0, 1.0))
+
+    @pytest.mark.parametrize("C", [float("nan"), float("inf")])
+    def test_scale_that_is_not_finite_refused(self, C):
+        with pytest.raises(InvalidParameters, match="finite"):
+            FunctionalWeights(geometric=(C, 0.5))
 
     def test_exactly_one_spec(self):
         with pytest.raises(InvalidParameters):
@@ -286,43 +274,44 @@ class TestLargeGather:
     def test_values_are_converted_where_they_are_gathered(self):
         # construction keeps the values as given; the gather in on() makes
         # them complex, so a string complex() refuses is refused there, with
-        # ValueError, by weight_vector and by solve alike
+        # InvalidParameters, by weight_vector and by solve alike
         p = ObservationPattern("S5", N=0, M2=1, N2=1)
         w = FunctionalWeights(values={0: 1.0, 2: "x"})
-        with pytest.raises(ValueError, match="malformed string"):
+        with pytest.raises(InvalidParameters, match="malformed string"):
             weight_vector(w, p)
-        with pytest.raises(ValueError, match="malformed string"):
+        with pytest.raises(InvalidParameters, match="malformed string"):
             solve(p, w, self.AR2)
-        # numpy reads None as NaN, so a None value is refused at construction
-        with pytest.raises(TypeError, match="None"):
-            FunctionalWeights(values={0: 1.0, 2: None})
+        with pytest.raises(InvalidParameters, match="not a number"):
+            weight_vector(FunctionalWeights(values={0: 1.0, 2: [1.0]}), p)
+        # numpy reads None as NaN: refused with the other values that are not finite
+        for bad in (None, float("nan"), float("inf"), complex(1.0, float("nan"))):
+            w = FunctionalWeights(values={0: 1.0, 2: bad})
+            with pytest.raises(InvalidParameters, match="finite"):
+                weight_vector(w, p)
         # values complex() accepts give complex() of themselves
         w = FunctionalWeights(values={0: "1+2j", np.int64(2): np.float64(0.5)})
         assert np.array_equal(weight_vector(w, p), [1 + 2j, 0.5 + 0j])
 
 
-class TestTailFraction:
-    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
-    def test_matches_summed_definition(self, kind):
-        for rho in (0.3, 0.7, 0.97, 0.999):
-            for T in (1, 25, 400, 6400):
-                C = -1.7
-                p = ObservationPattern(kind, N=2, M1=1, M2=3, T=T)
-                w = FunctionalWeights(geometric=(C, rho))
-                mass = math.fsum(abs(w(j)) ** 2 for j in missing_indices(p))
-                q = rho ** 2
-                firsts = [abs(b[-1]) + 1 for b in p.blocks()[1:] if b]
-                tail = sum(C ** 2 * q ** first / (1 - q) for first in firsts)
-                expected = tail / (mass + tail)
-                assert abs(w.tail_fraction(p) - expected) <= 1e-13 * expected
+def test_nan_weight_refused_before_any_solve():
+    # refused where the weights are gathered, before the D0Minus closed form
+    # could read it as a density failure and before any Gram solve
+    p = ObservationPattern("S4", N=1, M1=2, N1=3)
+    w = FunctionalWeights(values={0: 0.1, 1: 1.0, -3: float("nan"), -4: 0.1, -5: 0.1})
+    with pytest.raises(InvalidParameters, match="finite"):
+        lf_d0minus(p, w, D0Minus(p=1.0))
+    with pytest.raises(InvalidParameters, match="finite"):
+        solve(p, w, RationalAR(alpha=0.5))
 
+
+class TestTailFraction:
     def test_zero_scale_converges(self):
-        # a = 0 has no mass; the fraction is a property of the profile alone
+        # a = 0 has an empty tail: c = 0 at the first depth, whatever the density
         p = ObservationPattern("S3", N=0, M1=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(0.0, 0.5))
-        assert w.tail_fraction(p) == FunctionalWeights(geometric=(2.0, 0.5)).tail_fraction(p)
-        sol = solve_truncated(p, w, RationalAR(alpha=0.5))
-        assert sol.delta == 0.0
+        for f in (RationalAR(alpha=0.5), Tabulated(RationalAR(alpha=0.5).on_grid(4096))):
+            sol = solve_truncated(p, w, f)
+            assert sol.delta == 0.0 and not np.any(sol.c)
 
 
 def test_solve_path_makes_no_per_index_calls(monkeypatch):
