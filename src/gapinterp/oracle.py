@@ -3,10 +3,10 @@ covariances alone, and Monte Carlo simulation of Gaussian stationary paths.
 
 Nothing here touches the spectral-characteristic machinery, so agreement with
 the frequency-domain solver is a genuine cross-check rather than a tautology.
-The projection is a dense Cholesky solve of the normal equations (in real
-arithmetic for a real covariance sequence), and simulation draws every
-replicate from one random stream, at most CHUNK_VALUES draws at a time, which
-`empirical_mse` can reduce chunk by chunk as they are drawn.
+The projection error is a Schur complement of the inverse Toeplitz covariance,
+from one Levinson solve and FFT products (real arithmetic for real covariances),
+and simulation draws every replicate from one random stream, CHUNK_VALUES
+draws at a time, which `empirical_mse` reduces chunk by chunk as they come.
 """
 
 from __future__ import annotations
@@ -75,38 +75,70 @@ def project(tp: TimeDomainProblem) -> dict:
     The estimate sum_o w(o) xi(o) leaves an error orthogonal to every
     observation, E conj(xi(o')) (A - estimate) = 0, which gives
     R_OO w = R_OK a for R[i][j] = E conj(xi(s_i)) xi(t_j) = r(t_j - s_i).
-    The residual error is a^H R_KK a - rho^H w with rho = R_OK a. Returns the
-    observation weights and the mean-square error.
+    Returns the observation weights, the mean-square error and a^H R_KK a.
 
-    Every entry is gathered from the two-sided sequence r(-L..L) in one
-    lookup, and R_OO is factored by a dense Cholesky. A covariance sequence
-    real to rounding (max |Im r| <= REAL_RTOL r(0)) is solved in real
-    arithmetic, the real and imaginary parts of rho as two right-hand sides;
-    any other goes through the complex Hermitian factor.
+    R is the Toeplitz covariance T of the window of all the indices, K takes
+    every unobserved point (weight 0 off the targets), and with P = T^-1 the
+    error is the Schur complement a^H P_KK^-1 a, the weights -P_OK P_KK^-1 a.
+    One Levinson solve gives x = T^-1 e_0; the Gohberg-Semencul formula
+    T^-1 = (L(x) L(x)^H - L(z) L(z)^H) / x_0, z = (0, conj x_(n-1), ...,
+    conj x_1), L(v) lower-triangular Toeplitz with first column v, gives P at
+    K by FFT products, CHUNK_VALUES FFT entries at a time. Real covariances
+    (max |Im r| <= REAL_RTOL r(0)) are solved in real arithmetic. A Levinson
+    breakdown, an x_0 not positive and finite, |T x - e_0| > 1e-6 or a P_KK
+    not positive definite raises SingularCovariance.
     """
     obs = np.asarray(tp.observed_indices, dtype=int)  # empty when window = 0 sees none
-    tgt = np.asarray(tp.target_indices)
-    a = tp.target_weights
+    tgt = np.asarray(tp.target_indices, dtype=int)
     real = np.max(np.abs(tp.r.imag)) <= REAL_RTOL * tp.r[0].real
-    r = tp.r.real if real else tp.r
-    two_sided = np.concatenate((np.conj(r[:0:-1]), r))  # index lag + L
+    lo = min(tgt.min(), obs.min(initial=tgt.min()))
+    n = int(max(tgt.max(), obs.max(initial=tgt.max())) - lo + 1)
+    r = (tp.r.real if real else tp.r)[:n]
+    m = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2 n - 1
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
 
-    def cov(rows, cols):  # [i][j] = r(cols_j - rows_i), in Fortran order for LAPACK
-        return two_sided[cols[:, None] - rows + r.size - 1].T
+    def toeplitz(v):  # T v, T embedded in an m-point circulant
+        circulant = np.concatenate((np.conj(r), np.zeros(m - 2 * n + 1), r[:0:-1]))
+        return inv(fwd(circulant)[:, None] * fwd(v, m, axis=0), m, axis=0)[:n]
 
-    rho = cov(obs, tgt) @ a
+    a = np.zeros((n, 2 if real else 1), r.dtype)
+    a[tgt - lo] = np.column_stack((tp.target_weights.real, tp.target_weights.imag)) if real \
+        else tp.target_weights[:, None]
+    target_var = float(np.vdot(a, toeplitz(a)).real)
+    if not obs.size:
+        return {"weights": np.zeros(0, complex), "mse": target_var, "target_variance": target_var}
     try:
-        cf = scipy.linalg.cho_factor(cov(obs, obs), lower=True, overwrite_a=True,
-                                     check_finite=False)
+        x = scipy.linalg.solve_toeplitz((np.conj(r), r), np.eye(n, 1)[:, 0], check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    rhs = np.column_stack((rho.real, rho.imag)) if real else rho
-    w = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-    if real:
-        w = w[:, 0] + 1j * w[:, 1]
-    target_var = float(np.real(np.conj(a) @ (cov(tgt, tgt) @ a)))
-    mse = target_var - float(np.real(np.conj(rho) @ w))
-    return {"weights": w, "mse": max(mse, 0.0), "target_variance": target_var}
+        raise SingularCovariance(f"Levinson recursion: {exc}") from exc
+    residual = np.linalg.norm(toeplitz(x[:, None]) - np.eye(n, 1))
+    if not (0 < x[0].real < np.inf and residual <= 1e-6):
+        raise SingularCovariance(f"Levinson solution x_0 = {x[0].real:.3e}, "
+                                 f"residual |T x - e_0| = {residual:.3e} (at most 1e-6)")
+    z = np.concatenate(([0], np.conj(x[:0:-1])))
+    fx, fxc, fz, fzc = (fwd(c, m)[:, None] for c in (x, np.conj(x), z, np.conj(z)))
+
+    def inverse(v):  # T^-1 v; L(c)^H v = J L(conj c) J v for J the reversal
+        fv = fwd(v[::-1], m, axis=0)
+        xh, zh = (fwd(inv(fc * fv, m, axis=0)[:n][::-1], m, axis=0) for fc in (fxc, fzc))
+        return inv(fx * xh - fz * zh, m, axis=0)[:n] / x[0].real
+
+    kk = np.setdiff1d(np.arange(n), obs - lo)
+    p_kk = np.empty((kk.size, kk.size), r.dtype)
+    step = max(1, CHUNK_VALUES // m)
+    for s in range(0, kk.size, step):
+        unit = (np.arange(n)[:, None] == kk[s:s + step]).astype(float)  # columns e_k, k in K
+        p_kk[:, s:s + unit.shape[1]] = inverse(unit)[kk]
+    try:
+        chol = np.linalg.cholesky(p_kk)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance(f"P_KK: {exc}") from exc
+    y = scipy.linalg.solve_triangular(chol, a[kk], lower=True, check_finite=False)
+    spread = np.zeros_like(a)
+    spread[kk] = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C", check_finite=False)
+    # an observed target keeps its own weight; (Re, Im) columns are joined
+    w = (a - inverse(spread))[obs - lo] @ ([1, 1j] if real else [1])
+    return {"weights": w, "mse": float(np.sum(np.abs(y) ** 2)), "target_variance": target_var}
 
 
 def simulate(
@@ -123,24 +155,21 @@ def simulate(
     of a call with n_replicates >= j are the rows of the call with j, and a
     replicate cannot be drawn without those before it.
 
-    A RationalAR of order p >= 1 with real coefficients whose roots w of
-    z^p - alpha_1 z^(p-1) - ... - alpha_p satisfy max|w|^(2 warmup) <= 1e-16,
-    warmup = max(200, 20 p) (so |w| below about 0.91), runs its AR recursion
-    after that warm-up run-in (see `_ar_sampler`), whose variance is then
-    stationary to rounding. Everything else goes through circulant embedding
-    of r(0..m/2): white noise RationalAR(alpha=[]), a non-causal AR (which
-    would run an explosive recursion), and an AR with a root nearer the unit
-    circle, which the fixed run-in would leave short of stationary (about
-    0.86 of the variance at alpha = 0.995). The embedding is exact whenever
+    A RationalAR with real coefficients whose roots w of z^p - alpha_1
+    z^(p-1) - ... - alpha_p all lie inside the unit circle (white noise,
+    p = 0, included) runs its AR recursion from a stationary initial state
+    (see `_ar_sampler`): a replicate takes `length` draws. Everything else
+    goes through circulant embedding of r(0..m/2), a non-causal AR (which
+    would run an explosive recursion) too. The embedding is exact whenever
     it is non-negative definite: m starts at the smallest power of two
     >= 2 (length - 1) and doubles while an eigenvalue lies below -1e-10 times
     the largest, and EmbeddingNotPSD is raised past the first power of two
-    >= 8 length. Slowly decaying covariances can reach that: an AR(2) with
-    roots of modulus 0.99 on a path of length 41 does. The covariances come
-    from the grid, so a density below 1e-9 of its maximum there (an AR(2)
-    with a double root at 0.99) raises NonPositiveDensity. A replicate takes
-    2m draws, the real and imaginary parts of the m-point FFT input, and each
-    chunk is one FFT along the rows.
+    >= 8 length. Slowly decaying covariances can reach that: the tabulated
+    values of an AR(2) with roots of modulus 0.99 on a path of length 41 do.
+    The covariances come from the grid, so a density below 1e-9 of its
+    maximum there raises NonPositiveDensity. A replicate takes 2m draws, the
+    real and imaginary parts of the m-point FFT input, and each chunk is one
+    FFT along the rows.
     """
     chunks = simulate_chunks(f, length, n_replicates, seed)  # checks n_replicates
     out = np.empty((n_replicates, length))
@@ -166,53 +195,49 @@ def simulate_chunks(
         raise InvalidParameters("length and n_replicates must be positive")
     if seed < 0:
         raise InvalidParameters(f"seed must be non-negative, got {seed}")
-    causal_ar = (isinstance(f, RationalAR) and f.order > 0
-                 and np.max(np.abs(f.alpha.imag)) == 0.0
-                 and min(float(np.max(np.abs(f._eigenvalues))), 1.0) ** (2 * _warmup(f)) <= 1e-16)
+    causal_ar = (isinstance(f, RationalAR) and not f.alpha.imag.any()
+                 and np.max(np.abs(f._eigenvalues), initial=0.0) < 1.0)
     draw, width = (_ar_sampler if causal_ar else _circulant_sampler)(f, length)
     rng = np.random.default_rng(seed)
     rows = max(1, CHUNK_VALUES // width)
     return (draw(rng, min(rows, n_replicates - start)) for start in range(0, n_replicates, rows))
 
 
-def _warmup(f: RationalAR) -> int:
-    """Steps the AR recursion runs before a path starts. It forgets its zero
-    start like max|w|^s, so the path's variance is short of stationary by
-    about max|w|^(2 warmup) relative."""
-    return max(200, 20 * f.order)
-
-
 def _ar_sampler(f: RationalAR, length: int):
     """draw(rng, rows) giving rows AR paths, and the draws per path.
 
-    The recursion y(t) = s e(t) + sum_k alpha_k y(t - k), s = sqrt(sigma2),
-    starts from y = 0 and runs over the time steps of a chunk, each step one
-    vector over its rows. It adds in the order of the direct form II
-    transposed filter, y(t) = ((alpha_p y(t-p) + alpha_(p-1) y(t-p+1)) + ...
-    + alpha_1 y(t-1)) + s e(t), so the paths equal those of
-    scipy.signal.lfilter([s], [1, -alpha_1, ..., -alpha_p], e) bit for bit,
-    without importing scipy.signal. The Python cost is per time step: a
-    long path with few rows per chunk is the slowest case.
+    A path starts stationary: y(0..p-1) = L e, L the Cholesky factor of the
+    Yule-Walker covariances [r(j - i)], is y(m) = sum_k a_m,k y(m - k) +
+    sqrt(v_m) e(m) with the order-m predictors a_m and error variances v_m
+    that the Levinson step-down takes from alpha. From t = p on it is
+    lfilter's recursion y(t) = sum_k alpha_k y(t - k) + sqrt(sigma2) e(t).
+    Each step is one vector over a chunk's rows, summed in the direct form II
+    transposed order ((a_m y(t-m) + a_(m-1) y(t-m+1)) + ...) + sqrt(v_m) e(t),
+    so a row does not depend on its chunk. The Python cost is per time step.
     """
-    alpha = f.alpha.real.tolist()
-    p = len(alpha)
-    warmup = _warmup(f)
-    width = length + warmup
-    scale = np.sqrt(f.sigma2)
+    p = f.order
+    coefs, var = [f.alpha.real], [f.sigma2]
+    for _ in range(p):  # step down from order m to m - 1
+        a, k = coefs[0][:-1], coefs[0][-1]  # |k| < 1 for every root inside the circle
+        coefs.insert(0, (a + k * a[::-1]) / (1 - k * k))
+        var.insert(0, var[0] / (1 - k * k))
+    coefs = [c.tolist() for c in coefs]
+    scale = np.sqrt(np.array(var)[np.minimum(np.arange(length), p)])
 
     def draw(rng, rows):
-        y = np.zeros((p + width, rows))  # time-major, after p zero steps
-        np.multiply(scale, rng.standard_normal((rows, width)).T, out=y[p:])
+        y = np.empty((length, rows))  # time-major
+        np.multiply(scale[:, None], rng.standard_normal((rows, length)).T, out=y)
         steps = list(y)
         acc, term = np.empty(rows), np.empty(rows)
-        for t in range(p, p + width):
-            np.multiply(alpha[p - 1], steps[t - p], out=acc)
-            for k in range(p - 1, 0, -1):
-                acc += np.multiply(alpha[k - 1], steps[t - k], out=term)
+        for t in range(1, length if p else 1):  # y(0) and white noise are e scaled
+            a = coefs[min(t, p)]
+            np.multiply(a[-1], steps[t - len(a)], out=acc)
+            for k in range(len(a) - 1, 0, -1):
+                acc += np.multiply(a[k - 1], steps[t - k], out=term)
             steps[t] += acc
-        return y[p + warmup:].T
+        return y.T
 
-    return draw, width
+    return draw, length
 
 
 def _circulant_sampler(f: SpectralDensity, length: int):

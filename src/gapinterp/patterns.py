@@ -124,8 +124,8 @@ class FunctionalWeights:
     turns them into complex numbers as it gathers them, with the values
     `complex()` would give. A value numpy cannot convert (the string "x") or
     that is not finite (NaN, inf, and None, which numpy reads as NaN) raises
-    InvalidParameters there, not here. A geometric C that is not finite is
-    refused at construction.
+    InvalidParameters there, not here. A geometric (C, rho) that is not two
+    numbers with C finite and 0 < rho < 1 is refused at construction.
     """
 
     def __init__(self, values: Mapping[int, complex] | None = None,
@@ -139,23 +139,20 @@ class FunctionalWeights:
                 values = dict(zip(map(int, values), values.values()))
             self._values = values
         else:
-            c, rho = geometric
+            try:
+                c, rho = map(float, geometric)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameters(f"geometric (C, rho) must be two numbers: {exc}") from None
             if not (0 < rho < 1):
                 raise InvalidParameters("geometric decay requires 0 < rho < 1")
-            if not math.isfinite(float(c)):
+            if not math.isfinite(c):
                 raise InvalidParameters(f"geometric scale C must be finite, got {c}")
-            self._geometric = (float(c), float(rho))
+            self._geometric = (c, rho)
 
     @property
     def geometric(self) -> tuple[float, float] | None:
         """(C, rho) of a geometric profile; None for an explicit map."""
         return self._geometric
-
-    def __call__(self, j: int) -> complex:
-        if self._geometric is not None:
-            c, rho = self._geometric
-            return complex(c * rho ** abs(j))
-        return complex(self._values.get(int(j), 0j))
 
     def reach(self, pattern: ObservationPattern) -> int:
         """The smallest depth T at which the side blocks of an infinite

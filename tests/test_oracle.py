@@ -19,9 +19,15 @@ from gapinterp.densities import (
     covariance,
     covariances,
 )
-from gapinterp.errors import EmbeddingNotPSD, IndexOutOfPath, InvalidParameters
+from gapinterp.errors import (
+    EmbeddingNotPSD,
+    IndexOutOfPath,
+    InvalidParameters,
+    SingularCovariance,
+)
 from gapinterp.interpolate import solve
 from gapinterp.oracle import (
+    TimeDomainProblem,
     build_problem,
     empirical_mse,
     estimate_weights_from_characteristic,
@@ -83,17 +89,41 @@ def random_finite_pattern(rng):
 
 
 def factor_dtypes(monkeypatch):
-    """The dtypes of the matrices handed to scipy.linalg.cho_factor (the
-    reference above holds its own binding)."""
+    """The dtypes of the covariance rows handed to scipy.linalg.solve_toeplitz,
+    the one Levinson solve of a projection."""
     seen = []
-    factor = scipy.linalg.cho_factor
+    levinson = scipy.linalg.solve_toeplitz
 
-    def recording(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return factor(a, *args, **kwargs)
+    def recording(c_or_cr, *args, **kwargs):
+        seen.append(c_or_cr[1].dtype)
+        return levinson(c_or_cr, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    monkeypatch.setattr(scipy.linalg, "solve_toeplitz", recording)
     return seen
+
+
+def yule_walker(alpha, sigma2):
+    """r(0..p) of the real AR(p) from the p + 1 Yule-Walker equations
+    r(k) - sum_j alpha_j r(|k - j|) = sigma2 [k = 0], one dense solve."""
+    p = len(alpha)
+    eqs = np.eye(p + 1)
+    for k in range(p + 1):
+        for j in range(1, p + 1):
+            eqs[k, abs(k - j)] -= alpha[j - 1]
+    return np.linalg.solve(eqs, sigma2 * np.eye(p + 1)[:, 0])
+
+
+# densities for the sweep against the dense reference: AR(1) and AR(2) roots
+# up to 0.99, complex covariances, white noise
+SWEEP_DENSITIES = {
+    "ar1_0.99": RationalAR(alpha=0.99),
+    "ar1_-0.99": RationalAR(alpha=-0.99),
+    "ar2_0.99_0.9": RationalAR(alpha=[1.89, -0.891]),
+    "ar2_pair_0.99": RationalAR(alpha=[0.99, -0.99 ** 2]),
+    "ar1_complex_0.9": RationalAR(alpha=0.9 * np.exp(0.7j)),
+    "ar2_complex": RationalAR(alpha=[0.5 + 0.3j, -0.2]),
+    "white": Tabulated(np.ones(4096)),
+}
 
 
 class TestProjection:
@@ -193,6 +223,57 @@ class TestProjection:
         with pytest.raises(InvalidParameters, match="window"):
             build_problem(EX_PATTERN, EX_WEIGHTS, EX_DENSITY, window=-5)
 
+    @pytest.mark.parametrize("window", [0, 3, 40, 500])
+    @pytest.mark.parametrize("name", list(SWEEP_DENSITIES))
+    def test_sweep_against_dense_reference(self, name, window):
+        # the Levinson and Gohberg-Semencul path agrees with the dense
+        # Cholesky solve to 1e-12 relative, times max f / min f where larger
+        f = SWEEP_DENSITIES[name]
+        values = f.on_grid(DEFAULT_GRID)
+        tol = 1e-12 * max(1.0, np.max(values) / np.min(values))
+        rng = np.random.default_rng(window)
+        for pattern in (EX_PATTERN, ObservationPattern("S6", N=2, M1=3, N1=4, M2=3, N2=4)):
+            k = missing_indices(pattern)
+            a = rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))
+            tp = build_problem(pattern, FunctionalWeights(values=dict(zip(k, a))), f, window=window)
+            w_ref, mse_ref = reference_projection(tp)
+            proj = project(tp)
+            assert abs(proj["mse"] - mse_ref) <= tol * mse_ref
+            scale = max(np.max(np.abs(w_ref), initial=0.0), np.max(np.abs(a)))
+            assert np.max(np.abs(proj["weights"] - w_ref), initial=0.0) <= tol * scale
+
+    def test_unobserved_window_points(self):
+        # window points that are neither observed nor targets are projected
+        # out with weight 0, and an observed target is its own estimate, as
+        # in the dense solve over the observed points
+        rng = np.random.default_rng(7)
+        r = covariances(RationalAR(alpha=[0.6, -0.3]), 60, grid_size=DEFAULT_GRID)
+        for k in range(20):
+            points = rng.permutation(61)
+            first = 4 + k % 2  # the fifth target is observed in every other draw
+            tgt, obs = points[:5], np.sort(points[first:first + int(rng.integers(1, 50))])
+            tp = TimeDomainProblem(target_indices=tuple(tgt.tolist()),
+                                   target_weights=rng.normal(size=5) + 0j,
+                                   observed_indices=tuple(obs.tolist()), r=r)
+            w_ref, mse_ref = reference_projection(tp)
+            proj = project(tp)
+            assert abs(proj["mse"] - mse_ref) <= 1e-12 * mse_ref
+            assert np.max(np.abs(proj["weights"] - w_ref)) <= 1e-12 * max(np.max(np.abs(w_ref)), 1)
+
+    @pytest.mark.parametrize("r, target, observed, reason", [
+        (np.ones(6), (2,), (0, 1, 3, 4, 5), "Levinson recursion"),  # rank one
+        (np.array([1.0, 2.0]), (0,), (1,), "x_0 = -3"),  # indefinite
+        # a Gaussian covariance, positive definite but singular to rounding
+        (np.exp(-np.arange(50) ** 2 / 30), (25,), (*range(25), *range(26, 50)),
+         r"x_0 = \d.*e_0\| = 6"),
+        (np.array([1.0, 0.6, -0.5, -0.9]), (1,), (0, 2, 3), "P_KK"),  # x_0 > 0, P_11 < 0
+    ], ids=["levinson", "x0", "residual", "cholesky"])
+    def test_singular_covariance(self, r, target, observed, reason):
+        tp = TimeDomainProblem(target_indices=target, target_weights=np.ones(1, complex),
+                               observed_indices=observed, r=r + 0j)
+        with pytest.raises(SingularCovariance, match=reason):
+            project(tp)
+
 
 class TestSimulate:
     def test_reproducible(self):
@@ -259,19 +340,13 @@ class TestSimulate:
     @pytest.mark.parametrize("chunk", [None, 3 * 2 * 32 + 1])
     def test_chunks_equal_one_draw(self, monkeypatch, chunk):
         # replicate r is the r-th block of one stream, however the rows are
-        # chunked: three chunks of the default 1 << 20 draws (4832 AR rows of
-        # 217 draws, 16384 circulant rows of 64), or chunks of 193 draws (one
-        # AR row, the least a chunk holds, or three circulant rows)
-        f = RationalAR(alpha=np.array([0.5, -0.3]), sigma2=2.0)
+        # chunked: three chunks of the default 1 << 20 draws (16384 circulant
+        # rows of 64), or chunks of 193 draws (three rows); AR paths are
+        # checked over chunk sizes in TestARRecursion
         g = Tabulated(2.0 + np.cos(angular_grid(4096)))
         if chunk is not None:
             monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk)
-        n_ar, n_circ = (10, 10) if chunk else (12000, 40000)
-
-        rng = np.random.default_rng(4)
-        eps = rng.standard_normal((n_ar, 17 + 200))
-        ar = lfilter([np.sqrt(2.0)], [1.0, -0.5, 0.3], eps, axis=1)[:, 200:]
-        assert np.array_equal(simulate(f, 17, n_ar, seed=4), ar)
+        n_circ = 10 if chunk else 40000
 
         # 2 (17 - 1) = 32 points embed r(0..16); replicate r takes 2 * 32 draws
         r = covariances(g, 16, grid_size=DEFAULT_GRID).real
@@ -282,7 +357,7 @@ class TestSimulate:
         assert np.array_equal(simulate(g, 17, n_circ, seed=4), circ.real[:, :17])
 
     def test_prefix_of_a_longer_run(self, monkeypatch):
-        monkeypatch.setattr(oracle, "CHUNK_VALUES", 3 * (20 + 200))
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", 3 * 20)
         full = simulate(EX_DENSITY, length=20, n_replicates=11, seed=8)
         for j in (1, 3, 4, 10):
             assert np.array_equal(full[:j], simulate(EX_DENSITY, length=20, n_replicates=j, seed=8))
@@ -305,30 +380,77 @@ def stationary_alpha(draw):
     return np.real(-np.poly(np.array(roots))[1:])
 
 
+def filter_state(alpha, y0):
+    """lfiltic's initial state of lfilter([s], [1, -alpha]) after the outputs
+    y0 = y(0..p-1), z_k = sum_(j > k) alpha_j y(p + k - j), summed
+    as lfilter accumulates it (z_k = alpha_(k+1) y(p-1) + z_(k+1) one step
+    earlier). lfiltic sums the other way round, and a recursion with roots
+    near the unit circle amplifies that rounding: four roots near -0.99 put
+    the paths 8.7e-13 apart."""
+    p = len(alpha)
+    state = []
+    for k in range(p):
+        acc = alpha[p - 1] * y0[k]
+        for j in range(p - 1, k, -1):
+            acc = alpha[j - 1] * y0[p + k - j] + acc
+        state.append(acc)
+    return np.array(state)
+
+
 class TestARRecursion:
     @settings(max_examples=150, deadline=None)
     @given(alpha=stationary_alpha(), sigma2=st.floats(0.1, 10.0), length=st.integers(1, 40),
-           n=st.integers(1, 7), chunk=st.sampled_from([1, 250, 997, 1 << 20]),
+           n=st.integers(1, 7), chunk=st.sampled_from([1, 250, 997]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_lfilter(self, alpha, sigma2, length, n, chunk, seed):
-        # the recursion adds in lfilter's order, so the paths are the same
-        # bits for every chunk size (a chunk of 1 or 250 draws holds one row)
+        # after its drawn initial state y(0..p-1) a path is lfilter's
+        # recursion started from that state, driven by the rest of its block
+        # of draws, to 1e-13 relative; and a row does not depend on the chunk
+        # it is drawn in (a chunk of 1 or 250 draws holds one row)
         f = RationalAR(alpha=alpha, sigma2=sigma2)
-        warmup = max(200, 20 * alpha.size)
-        top = np.max(np.abs(np.roots(np.concatenate(([1.0], -alpha)))))
-        if top ** (2 * warmup) > 1e-16:
-            # the warm-up would leave the paths short of stationary: such a
-            # density goes to circulant embedding, stubbed out here
-            with mock.patch.object(oracle, "_circulant_sampler",
-                                   side_effect=EmbeddingNotPSD("embedded")):
-                with pytest.raises(EmbeddingNotPSD, match="embedded"):
-                    simulate(f, length, n, seed=seed)
-            return
-        eps = np.random.default_rng(seed).standard_normal((n, length + warmup))
-        expected = lfilter([np.sqrt(sigma2)], np.concatenate(([1.0], -alpha)), eps,
-                           axis=1)[:, warmup:]
+        paths = simulate(f, length, n, seed=seed)
         with mock.patch.object(oracle, "CHUNK_VALUES", chunk):
-            assert np.array_equal(simulate(f, length, n, seed=seed), expected)
+            assert np.array_equal(simulate(f, length, n, seed=seed), paths)
+        p = alpha.size
+        if length <= p:
+            return
+        eps = np.random.default_rng(seed).standard_normal((n, length))
+        b, a = [np.sqrt(sigma2)], np.concatenate(([1.0], -alpha))
+        expected = np.array([lfilter(b, a, e[p:], zi=filter_state(alpha, y[:p]))[0]
+                             if p else lfilter(b, a, e) for e, y in zip(eps, paths)])
+        assert np.max(np.abs(paths[:, p:] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("alpha", [[0.5], [0.6, -0.3, 0.1], [0.99, -0.99 ** 2],
+                                       [1.89, -0.891], [1.98, -0.9801]])
+    def test_initial_state_is_the_cholesky_draw(self, alpha):
+        # y(0..p-1) = L e(0..p-1), L the Cholesky factor of the Yule-Walker
+        # covariances (solved densely here; 1e-8 covers its conditioning)
+        f = RationalAR(alpha=alpha, sigma2=2.0)
+        p = len(alpha)
+        paths = simulate(f, 30, 50, seed=12)
+        eps = np.random.default_rng(12).standard_normal((50, 30))
+        r = yule_walker(alpha, 2.0)
+        chol = np.linalg.cholesky(scipy.linalg.toeplitz(r[:p]))
+        assert np.max(np.abs(paths[:, :p] - eps[:, :p] @ chol.T)) <= 1e-8 * np.sqrt(r[0])
+
+    @pytest.mark.parametrize("alpha", [[], [0.995], [-0.9], [0.6, -0.3, 0.1],
+                                       [0.99, -0.99 ** 2], [1.98, -0.9801]])
+    def test_stationary_from_the_first_step(self, alpha):
+        # the variance at t = 0 and t = length - 1 is r(0) within z <= 5
+        f = RationalAR(alpha=alpha, sigma2=2.0)
+        r0 = yule_walker(alpha, 2.0)[0]
+        paths = simulate(f, 41, 20000, seed=13)
+        for t in (0, 40):
+            squares = paths[:, t] ** 2
+            z = (np.mean(squares) - r0) / (np.std(squares, ddof=1) / np.sqrt(squares.size))
+            assert abs(z) <= 5
+
+    def test_near_unit_double_root_draws(self):
+        # a double root at 0.99: the circulant path refused this density
+        # (NonPositiveDensity, min f / max f = 6.4e-10 on the grid); the
+        # recursion needs no grid
+        paths = simulate(RationalAR(alpha=[1.98, -0.9801]), 41, 4, seed=14)
+        assert paths.shape == (4, 41) and np.isfinite(paths).all()
 
 
 def embedding_sizes(monkeypatch):
@@ -368,18 +490,21 @@ class TestEmbedding:
         assert sizes == [32, 64, 128]
 
     def test_near_unit_root_is_stationary(self):
-        # a 200-step warm-up would leave var x(0) at 0.86 of r(0) for this
-        # AR(1), so its paths are embedded (standard error of the ratio 0.007)
+        # a 200-step warm-up from zero would leave var x(0) at 0.86 of r(0)
+        # for this AR(1); the recursion starts in its stationary state
+        # (standard error of the ratio 0.007)
         f = RationalAR(alpha=0.995)
         x0 = simulate(f, length=2, n_replicates=40000, seed=11)[:, 0]
         assert abs(np.var(x0) / covariance(f, 0).real - 1) < 0.035
 
     def test_near_unit_ar2_can_be_refused(self):
         # roots 0.99 e^{+-i pi/3}: the covariance of a path of 41 decays too
-        # slowly for an embedding of 8 * 41 points
-        f = RationalAR(alpha=np.array([0.99, -0.99 ** 2]))
+        # slowly for an embedding of 8 * 41 points. The AR itself runs its
+        # recursion; its tabulated values go through the embedding
+        ar = RationalAR(alpha=np.array([0.99, -0.99 ** 2]))
+        assert simulate(ar, length=41, n_replicates=2).shape == (2, 41)
         with pytest.raises(EmbeddingNotPSD):
-            simulate(f, length=41, n_replicates=2)
+            simulate(Tabulated(ar.on_grid(4096)), length=41, n_replicates=2)
 
     def test_autocovariance_at_every_lag(self):
         # every lag the paths hold, through an embedding grown to 256 points
@@ -457,7 +582,7 @@ class TestEmpiricalMse:
             blocks = (rows[i:i + size] for i in range(0, n, size))
             assert empirical_mse(blocks, est, target, origin=10) == expected
         # streamed from the sampler in chunks of all rows, 3 rows and 1 row
-        for chunk in (None, 3 * (length + 200), 1):
+        for chunk in (None, 3 * length, 1):
             if chunk is not None:
                 monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk)
             chunks = simulate_chunks(f, length, n, seed=3)

@@ -122,13 +122,24 @@ class TestWeights:
             p = ObservationPattern(kind, N=2, M1=1, M2=3, T=T)
             for rho in (0.3, 0.97):
                 w = FunctionalWeights(geometric=(1.7, rho))
-                per_index = np.array([w(j) for j in missing_indices(p)])
+                per_index = np.array([complex(1.7 * rho ** abs(j)) for j in missing_indices(p)])
                 # one numpy power against Python's: equal to a few ulp
                 assert np.allclose(weight_vector(w, p), per_index, rtol=1e-15, atol=0.0)
 
     def test_bad_rho(self):
         with pytest.raises(InvalidParameters):
             FunctionalWeights(geometric=(1.0, 1.0))
+
+    @pytest.mark.parametrize("geometric", [("x", 0.5), (1.0, "x"), (None, 0.5), (1.0, None),
+                                           (1j, 0.5), (1.0,), 2.0])
+    def test_geometric_that_is_not_two_numbers_refused(self, geometric):
+        # float() raised ValueError or TypeError, outside GapInterpError
+        with pytest.raises(InvalidParameters, match="two numbers"):
+            FunctionalWeights(geometric=geometric)
+
+    def test_weights_are_not_callable(self):
+        # per-index access went with __call__: weights are read through on()
+        assert not callable(FunctionalWeights(geometric=(1.0, 0.5)))
 
     @pytest.mark.parametrize("C", [float("nan"), float("inf")])
     def test_scale_that_is_not_finite_refused(self, C):
@@ -312,21 +323,3 @@ class TestTailFraction:
         for f in (RationalAR(alpha=0.5), Tabulated(RationalAR(alpha=0.5).on_grid(4096))):
             sol = solve_truncated(p, w, f)
             assert sol.delta == 0.0 and not np.any(sol.c)
-
-
-def test_solve_path_makes_no_per_index_calls(monkeypatch):
-    calls = []
-    original = FunctionalWeights.__call__
-
-    def counting(self, j):
-        calls.append(j)
-        return original(self, j)
-
-    monkeypatch.setattr(FunctionalWeights, "__call__", counting)
-    f = RationalAR(alpha=np.array([0.3, -0.2]))
-    p6 = ObservationPattern("S6", N=2, M1=3, N1=40, M2=2, N2=30)
-    solve(p6, FunctionalWeights(values={j: 1.0 for j in missing_indices(p6)}), f)
-    for kind in ("S1", "S2", "S3"):
-        p = ObservationPattern(kind, N=1, M1=2, M2=3, T=1)
-        solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.9)), f)
-    assert calls == []
