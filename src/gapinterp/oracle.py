@@ -116,28 +116,30 @@ def project(tp: TimeDomainProblem) -> dict:
         raise SingularCovariance(f"Levinson solution x_0 = {x[0].real:.3e}, "
                                  f"residual |T x - e_0| = {residual:.3e} (at most 1e-6)")
     z = np.concatenate(([0], np.conj(x[:0:-1])))
-    fx, fxc, fz, fzc = (fwd(c, m)[:, None] for c in (x, np.conj(x), z, np.conj(z)))
+    fx, fz = (fwd(c, m)[:, None] for c in (x, z))
 
-    def inverse(v):  # T^-1 v; L(c)^H v = J L(conj c) J v for J the reversal
-        fv = fwd(v[::-1], m, axis=0)
-        xh, zh = (fwd(inv(fc * fv, m, axis=0)[:n][::-1], m, axis=0) for fc in (fxc, fzc))
-        return inv(fx * xh - fz * zh, m, axis=0)[:n] / x[0].real
+    def inverse(ux, uz):  # T^-1 v = (L(x) ux - L(z) uz) / x_0 for ux = L(x)^H v, uz = L(z)^H v
+        return inv(fx * fwd(ux, m, axis=0) - fz * fwd(uz, m, axis=0), m, axis=0)[:n] / x[0].real
 
     kk = np.setdiff1d(np.arange(n), obs - lo)
-    p_kk = np.empty((kk.size, kk.size), r.dtype)
+    p_kk = np.empty((kk.size, kk.size), r.dtype, order="F")
     step = max(1, CHUNK_VALUES // m)
     for s in range(0, kk.size, step):
-        unit = (np.arange(n)[:, None] == kk[s:s + step]).astype(float)  # columns e_k, k in K
-        p_kk[:, s:s + unit.shape[1]] = inverse(unit)[kk]
+        lag = kk[s:s + step] - np.arange(n)[:, None]  # L(c)^H e_k = conj c(k - l), l <= k
+        p_kk[:, s:s + lag.shape[1]] = inverse(*(np.where(lag >= 0, np.conj(c)[lag], 0)
+                                                for c in (x, z)))[kk]
     try:
-        chol = np.linalg.cholesky(p_kk)
+        chol = scipy.linalg.cholesky(p_kk, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"P_KK: {exc}") from exc
     y = scipy.linalg.solve_triangular(chol, a[kk], lower=True, check_finite=False)
     spread = np.zeros_like(a)
     spread[kk] = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C", check_finite=False)
+    # L(c)^H v = J L(conj c) J v, J the reversal
+    adjoints = (inv(fwd(np.conj(c), m)[:, None] * fwd(spread[::-1], m, axis=0), m, axis=0)[:n][::-1]
+                for c in (x, z))
     # an observed target keeps its own weight; (Re, Im) columns are joined
-    w = (a - inverse(spread))[obs - lo] @ ([1, 1j] if real else [1])
+    w = (a - inverse(*adjoints))[obs - lo] @ ([1, 1j] if real else [1])
     return {"weights": w, "mse": float(np.sum(np.abs(y) ** 2)), "target_variance": target_var}
 
 
