@@ -73,20 +73,20 @@ def project(tp: TimeDomainProblem) -> dict:
     """Linear projection of the target functional onto the observed values.
 
     The estimate sum_o w(o) xi(o) leaves an error orthogonal to every
-    observation, E conj(xi(o')) (A - estimate) = 0, which gives
-    R_OO w = R_OK a for R[i][j] = E conj(xi(s_i)) xi(t_j) = r(t_j - s_i).
-    Returns the observation weights, the mean-square error and a^H R_KK a.
+    observation: R_OO w = R_OK a, R[i][j] = E conj(xi(s_i)) xi(t_j) =
+    r(t_j - s_i). Returns w, the mean-square error and a^H R_KK a.
 
     R is the Toeplitz covariance T of the window of all the indices, K takes
     every unobserved point (weight 0 off the targets), and with P = T^-1 the
     error is the Schur complement a^H P_KK^-1 a, the weights -P_OK P_KK^-1 a.
-    One Levinson solve gives x = T^-1 e_0; the Gohberg-Semencul formula
+    One Levinson solve gives x = T^-1 e_0. By the Gohberg-Semencul formula
     T^-1 = (L(x) L(x)^H - L(z) L(z)^H) / x_0, z = (0, conj x_(n-1), ...,
-    conj x_1), L(v) lower-triangular Toeplitz with first column v, gives P at
-    K by FFT products, CHUNK_VALUES FFT entries at a time. Real covariances
-    (max |Im r| <= REAL_RTOL r(0)) are solved in real arithmetic. A Levinson
-    breakdown, an x_0 not positive and finite, |T x - e_0| > 1e-6 or a P_KK
-    not positive definite raises SingularCovariance.
+    conj x_1), L(v) lower-triangular Toeplitz with first column v, FFT
+    products give P at each run start of K (CHUNK_VALUES FFT entries at a
+    time), and P(i, j) = P(i-1, j-1) + (x_i conj x_j - z_i conj z_j) / x_0
+    the rest. Real covariances (max |Im r| <= REAL_RTOL r(0)) are solved in
+    real arithmetic. A Levinson breakdown, an x_0 not positive and finite,
+    |T x - e_0| > 1e-6 or a P_KK not positive definite: SingularCovariance.
     """
     obs = np.asarray(tp.observed_indices, dtype=int)  # empty when window = 0 sees none
     tgt = np.asarray(tp.target_indices, dtype=int)
@@ -101,9 +101,8 @@ def project(tp: TimeDomainProblem) -> dict:
         circulant = np.concatenate((np.conj(r), np.zeros(m - 2 * n + 1), r[:0:-1]))
         return inv(fwd(circulant)[:, None] * fwd(v, m, axis=0), m, axis=0)[:n]
 
-    a = np.zeros((n, 2 if real else 1), r.dtype)
-    a[tgt - lo] = np.column_stack((tp.target_weights.real, tp.target_weights.imag)) if real \
-        else tp.target_weights[:, None]
+    a = np.zeros((n, 2 if real else 1), r.dtype)  # real: (Re, Im) as two columns
+    a[tgt - lo] = np.asarray(tp.target_weights, complex)[:, None].view(r.dtype)
     target_var = float(np.vdot(a, toeplitz(a)).real)
     if not obs.size:
         return {"weights": np.zeros(0, complex), "mse": target_var, "target_variance": target_var}
@@ -113,21 +112,26 @@ def project(tp: TimeDomainProblem) -> dict:
         raise SingularCovariance(f"Levinson recursion: {exc}") from exc
     residual = np.linalg.norm(toeplitz(x[:, None]) - np.eye(n, 1))
     if not (0 < x[0].real < np.inf and residual <= 1e-6):
-        raise SingularCovariance(f"Levinson solution x_0 = {x[0].real:.3e}, "
-                                 f"residual |T x - e_0| = {residual:.3e} (at most 1e-6)")
+        raise SingularCovariance(f"Levinson x_0 = {x[0].real:.3e}, |T x - e_0| = {residual:.3e}")
     z = np.concatenate(([0], np.conj(x[:0:-1])))
-    fx, fz = (fwd(c, m)[:, None] for c in (x, z))
+    fx, fxc, fz, fzc = (fwd(c, m)[:, None] for c in (x, np.conj(x), z, np.conj(z)))
 
-    def inverse(ux, uz):  # T^-1 v = (L(x) ux - L(z) uz) / x_0 for ux = L(x)^H v, uz = L(z)^H v
-        return inv(fx * fwd(ux, m, axis=0) - fz * fwd(uz, m, axis=0), m, axis=0)[:n] / x[0].real
+    def inverse(v):  # T^-1 v; L(c)^H v = J L(conj c) J v for J the reversal
+        fv = fwd(v[::-1], m, axis=0)
+        xh, zh = (fwd(inv(fc * fv, m, axis=0)[:n][::-1], m, axis=0) for fc in (fxc, fzc))
+        return inv(fx * xh - fz * zh, m, axis=0)[:n] / x[0].real
 
     kk = np.setdiff1d(np.arange(n), obs - lo)
+    first = np.flatnonzero(np.diff(kk, prepend=-2) != 1)  # where the runs of K start
     p_kk = np.empty((kk.size, kk.size), r.dtype, order="F")
     step = max(1, CHUNK_VALUES // m)
-    for s in range(0, kk.size, step):
-        lag = kk[s:s + step] - np.arange(n)[:, None]  # L(c)^H e_k = conj c(k - l), l <= k
-        p_kk[:, s:s + lag.shape[1]] = inverse(*(np.where(lag >= 0, np.conj(c)[lag], 0)
-                                                for c in (x, z)))[kk]
+    for cols in np.array_split(first, np.arange(step, first.size, step)):
+        p_kk[:, cols] = inverse((np.arange(n)[:, None] == kk[cols]).astype(float))[kk]
+    p_kk[first] = p_kk[:, first].T.conj()
+    rest = np.setdiff1d(np.arange(kk.size), first)
+    xr, zr = np.conj(x[kk[rest]]) / x[0].real, np.conj(z[kk[rest]]) / x[0].real
+    for u in rest:
+        p_kk[u, rest] = p_kk[u - 1, rest - 1] + (x[kk[u]] * xr - z[kk[u]] * zr)
     try:
         chol = scipy.linalg.cholesky(p_kk, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -135,11 +139,8 @@ def project(tp: TimeDomainProblem) -> dict:
     y = scipy.linalg.solve_triangular(chol, a[kk], lower=True, check_finite=False)
     spread = np.zeros_like(a)
     spread[kk] = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C", check_finite=False)
-    # L(c)^H v = J L(conj c) J v, J the reversal
-    adjoints = (inv(fwd(np.conj(c), m)[:, None] * fwd(spread[::-1], m, axis=0), m, axis=0)[:n][::-1]
-                for c in (x, z))
     # an observed target keeps its own weight; (Re, Im) columns are joined
-    w = (a - inverse(*adjoints))[obs - lo] @ ([1, 1j] if real else [1])
+    w = (a - inverse(spread))[obs - lo] @ ([1, 1j] if real else [1])
     return {"weights": w, "mse": float(np.sum(np.abs(y) ** 2)), "target_variance": target_var}
 
 
@@ -211,11 +212,11 @@ def _ar_sampler(f: RationalAR, length: int):
     A path starts stationary: y(0..p-1) = L e, L the Cholesky factor of the
     Yule-Walker covariances [r(j - i)], is y(m) = sum_k a_m,k y(m - k) +
     sqrt(v_m) e(m) with the order-m predictors a_m and error variances v_m
-    that the Levinson step-down takes from alpha. From t = p on it is
-    lfilter's recursion y(t) = sum_k alpha_k y(t - k) + sqrt(sigma2) e(t).
-    Each step is one vector over a chunk's rows, summed in the direct form II
+    of the Levinson step-down of alpha; from t = p on it is lfilter's
+    y(t) = sum_k alpha_k y(t - k) + sqrt(sigma2) e(t). A step is one vector
+    over a chunk's rows (Python cost per step), summed in the direct form II
     transposed order ((a_m y(t-m) + a_(m-1) y(t-m+1)) + ...) + sqrt(v_m) e(t),
-    so a row does not depend on its chunk. The Python cost is per time step.
+    so a row does not depend on its chunk.
     """
     p = f.order
     coefs, var = [f.alpha.real], [f.sigma2]

@@ -227,12 +227,14 @@ class TestProjection:
     @pytest.mark.parametrize("name", list(SWEEP_DENSITIES))
     def test_sweep_against_dense_reference(self, name, window):
         # the Levinson and Gohberg-Semencul path agrees with the dense
-        # Cholesky solve to 1e-12 relative, times max f / min f where larger
+        # Cholesky solve to 1e-12 relative, times max f / min f where larger;
+        # the S3 cut has runs of 300 points filled along their diagonals
         f = SWEEP_DENSITIES[name]
         values = f.on_grid(DEFAULT_GRID)
         tol = 1e-12 * max(1.0, np.max(values) / np.min(values))
         rng = np.random.default_rng(window)
-        for pattern in (EX_PATTERN, ObservationPattern("S6", N=2, M1=3, N1=4, M2=3, N2=4)):
+        for pattern in (EX_PATTERN, ObservationPattern("S6", N=2, M1=3, N1=4, M2=3, N2=4),
+                        ObservationPattern("S3", N=2, M1=3, M2=2, T=300)):
             k = missing_indices(pattern)
             a = rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))
             tp = build_problem(pattern, FunctionalWeights(values=dict(zip(k, a))), f, window=window)
