@@ -102,7 +102,7 @@ def project(tp: TimeDomainProblem) -> dict:
         return inv(fwd(circulant)[:, None] * fwd(v, m, axis=0), m, axis=0)[:n]
 
     a = np.zeros((n, 2 if real else 1), r.dtype)  # real: (Re, Im) as two columns
-    a[tgt - lo] = np.ascontiguousarray(tp.target_weights, complex)[:, None].view(r.dtype)
+    a[tgt - lo] = np.ascontiguousarray(tp.target_weights, complex).reshape(-1, 1).view(r.dtype)
     target_var = float(np.vdot(a, toeplitz(a)).real)
     if not obs.size:
         return {"weights": np.zeros(0, complex), "mse": target_var, "target_variance": target_var}
