@@ -276,11 +276,11 @@ def cmd_simulate(config: dict, args) -> dict:
     if args.replicates < 2:  # the standard error of one replicate is infinite
         raise InvalidParameters(f"simulate needs at least 2 replicates, got {args.replicates}")
     sol, pattern = _oracle_problem(f, pattern, weights, args.grid)
-    est = oracle.estimate_weights_from_characteristic(sol, window=args.window)
+    est = oracle.estimate_weights_from_characteristic(sol)
     idx = patterns.missing_indices(pattern)
-    margin = max(abs(min(idx)), abs(max(idx))) + args.window
-    length = 2 * margin + 1
-    chunks = oracle.simulate_chunks(f, length=length, n_replicates=args.replicates,
+    # the paths hold exactly what A and its estimate read
+    lo, hi = min(*idx, *est), max(*idx, *est)
+    chunks = oracle.simulate_chunks(f, length=hi - lo + 1, n_replicates=args.replicates,
                                     seed=args.seed)
     n_dump = 100 if args.out and args.format in ("csv", "both") else 0
     dumped = []  # the first n_dump paths, for paths.csv
@@ -294,7 +294,7 @@ def cmd_simulate(config: dict, args) -> dict:
     target = dict(zip(idx, patterns.weight_vector(weights, pattern)))
     # each chunk is reduced to its errors as it is drawn: memory stays
     # O(CHUNK_VALUES + replicates)
-    em = oracle.empirical_mse(dumping(chunks), est, target, origin=margin)
+    em = oracle.empirical_mse(dumping(chunks), est, target, origin=-lo)
     gap = em["mean"] - sol.delta
     if em["stderr"] > 0:
         z_score = gap / em["stderr"]
@@ -310,7 +310,7 @@ def cmd_simulate(config: dict, args) -> dict:
     if n_dump:
         write_csv(
             os.path.join(args.out, "paths.csv"),
-            ["replicate"] + [f"t{t - margin}" for t in range(length)],
+            ["replicate"] + [f"t{t}" for t in range(lo, hi + 1)],
             [[r] + row for r, row in enumerate(dumped)],
         )
     return record
@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for artifacts")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
-    parser.add_argument("--window", type=int, default=500)
+    parser.add_argument("--window", type=int, default=500,
+                        help="verify's observation window: indices within this many of the gap")
     parser.add_argument("--replicates", type=int, default=10000)
     # accepted and ignored: saddle_check certifies without sampling members
     parser.add_argument("--samples", type=int, default=0, help=argparse.SUPPRESS)

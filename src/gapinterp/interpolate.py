@@ -25,7 +25,7 @@ the roots of 1/f, and doubled until the solved c and the weights are small
 enough at the block edges. The density changes only the loop's inputs: a
 RationalAR or InversePolynomial gives the exact 1/f, its roots and a grid
 that doubles until it holds K (2 max|j| < grid_size); a Tabulated density
-gives the grid quadrature of 1/f at each depth, no roots, and a deepest
+gives one grid quadrature of 1/f, cut to each depth, no roots, and a deepest
 depth, where the span of K reaches grid_size / 4.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -259,9 +259,10 @@ def solve_truncated(
     relative to max|c| max|a|, times a factor below
     (max f / min f) / (1 - radius^2). Both decay past the explicit weights
     like radius^s, radius = max(rho, |z|) over the roots z of 1/f inside the
-    unit circle, so D starts at decay(rtol / 10, radius^2) past them and
-    doubles until the shares of c and a at the q = max(p, 1) outermost
-    indices of each block, c_D and a_D, satisfy c_D max(c_D, a_D) <= rtol.
+    unit circle, so D starts at decay(rtol / 10, radius^2) past them (and
+    at least q) and doubles until the shares of c and a at the q outermost
+    indices of each block, c_D and a_D, satisfy c_D max(c_D, a_D) <= rtol;
+    q = max(p, 1), or for Tabulated the gcd below.
     The cut solution's edge understates the exact c there by about
     1 - radius^2 (measured: Delta within 1.5e-15 of a solve at depth 20000
     for alpha = rho = 0.995, where that factor is 1e-2), which the default
@@ -271,14 +272,18 @@ def solve_truncated(
     Only the loop's inputs depend on the density. When 1/f has degree p
     (RationalAR, InversePolynomial), b is its exact expansion, the roots are
     those of 1/f, and `grid_size` doubles as often as h needs
-    (2 max|j| < grid_size). Any other density (Tabulated) takes b from the
-    grid quadrature at each depth, as `solve` does, has no roots (D starts
-    from the weights' decay alone) and p = 0. Its quadrature holds a span of
-    K up to grid_size / 4, so D doubles at most to the deepest such depth,
-    which is tried once; NotConverged is raised there with that depth and
-    `grid_size` in its diagnostics. Explicit weights may reach at most
-    MAX_REACH indices into a block, and no further than that deepest depth
-    (InvalidParameters); a cut past MAX_DEPTH raises NotConverged.
+    (2 max|j| < grid_size). Any other density (Tabulated) takes b from one
+    grid quadrature at the lags up to grid_size / 4, cut to each depth (the
+    b `solve` takes there, bit for bit), has no roots (D starts from the
+    weights' decay alone) and p = 0. Its q is the gcd of the lags m with
+    |b(m)| > 1e-13 b(0): a 1/f on the multiples of q alone (the even lags,
+    say) splits K into q systems by index mod q, each with its own outermost
+    index. The quadrature holds a span of K up to grid_size / 4, so D doubles
+    at most to the deepest such depth, which is tried once; NotConverged is
+    raised there with that depth and `grid_size` in its diagnostics. Explicit
+    weights may reach at most MAX_REACH indices into a block, and no further
+    than that deepest depth (InvalidParameters); a cut past MAX_DEPTH raises
+    NotConverged.
     `convergence` is {"converged": True, "depth": D}.
     """
     if not pattern.is_infinite:
@@ -294,11 +299,17 @@ def solve_truncated(
         p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
         coeffs = inverse_fourier_coeffs(f, p, grid_size).resized
         root, deepest = _slowest_root(f), math.inf
+        q = max(p, 1)
     else:  # 4 * span <= grid_size, span = N + M1 + M2 + sides * D over the held blocks
         p, root = 0, 0.0
-        coeffs = partial(inverse_fourier_coeffs, f, grid_size=grid_size)
+        held = inverse_fourier_coeffs(f, grid_size // 4, grid_size)
+        coeffs = held.resized  # each depth's quadrature is a prefix of the same FFT
         deepest = (grid_size // 4 - pattern.N - (pattern.M1 if pattern.has_left else 0)
                    - (pattern.M2 if pattern.has_right else 0)) // sides
+        # a 1/f on the multiples of q alone splits each block into q systems,
+        # each with its own outermost index
+        mag = np.abs(held.values[held.half_length:])
+        q = math.gcd(*np.flatnonzero(mag > 1e-13 * mag[0]).tolist()) or 1
     C, rho = weights.geometric or (0.0, 0.0)
     radius = max(rho, root)
     reach = weights.reach(pattern)
@@ -309,8 +320,7 @@ def solve_truncated(
         raise InvalidParameters(f"a grid of {grid_size} points holds at most {deepest} indices "
                                 f"per infinite block; the weights need {max(reach, 1)}")
     # a tenth of rtol leaves room for the constants of the slowest mode
-    depth = max(reach, p, 1) + _decay(0.1 * rtol, radius ** 2)
-    q = max(p, 1)
+    depth = max(reach, q) + _decay(0.1 * rtol, radius ** 2)
     while True:
         depth = min(depth, deepest)
         if depth > MAX_DEPTH:  # also ends an edge that never passes (a NaN one)
@@ -324,7 +334,7 @@ def solve_truncated(
         # canonical order: central, then each held block with its outermost
         # q indices last
         ends = pattern.N + 1 + depth * np.arange(1, sides + 1)
-        edge = (ends[:, None] - np.arange(1, q + 1)).ravel()
+        edge = (ends[:, None] - np.arange(1, min(q, depth) + 1)).ravel()
         c_edge, a_edge = _edge_share(c, edge), _edge_share(a, edge)
         if c_edge * max(c_edge, a_edge) <= rtol:
             break

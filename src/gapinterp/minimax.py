@@ -153,7 +153,7 @@ class LeastFavourableResult:
     b0: FourierCoeffs
     h0_grid: np.ndarray
     delta0: float
-    validity: dict
+    validity: dict  # D0Minus closed form: {"factorization_ok": ...}; otherwise empty
     lagrange: dict
     solution: InterpolationSolution
     mechanism: str
@@ -235,13 +235,10 @@ def lf_d0minus(
     except (NotPositive, MaskViolation):
         factorization_ok = False
 
-    validity = {"closed_form_applicable": True, "positivity_ok": True,
-                "bounds_ok": True, "factorization_ok": factorization_ok}
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
     f0 = InversePolynomial(b0)
-    result = _result_from_density(
-        pattern, weights, f0, b0, validity, lagrange, "closed_form", grid_size
-    )
+    result = _result_from_density(pattern, weights, f0, b0, {"factorization_ok": factorization_ok},
+                                  lagrange, "closed_form", grid_size)
     expected = a_anchor ** 2 / cls.p
     if abs(result.delta0 - expected) > 1e-8 * max(expected, 1.0):
         raise NotConverged(
@@ -385,14 +382,11 @@ def lf_dW(
             f"solved inverse density dips to {np.min(inv_vals):.3e}; the structured "
             "stationary point is not a valid density for these inputs"
         )
-    degenerate = W >= span
-    validity = {"closed_form_applicable": True, "positivity_ok": True,
-                "bounds_ok": True, "degenerate": degenerate}
     lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
                 "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),
                 "newton_residual": residual}
-    return _result_from_density(pattern, weights, InversePolynomial(b0), b0, validity, lagrange,
-                                "degenerate" if degenerate else "newton", grid_size)
+    return _result_from_density(pattern, weights, InversePolynomial(b0), b0, {}, lagrange,
+                                "degenerate" if W >= span else "newton", grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +408,7 @@ def lf_dvu(
         b0 = FourierCoeffs(
             grid_fourier_coefficients(f_star.inverse_on_grid(grid_size), min(256, grid_size // 4))
         )
-        validity = {"closed_form_applicable": True, "positivity_ok": True,
-                    "bounds_ok": True, "pinned": True}
-        return _result_from_density(
-            pattern, weights, f_star, b0, validity, {}, "pinned", grid_size
-        )
+        return _result_from_density(pattern, weights, f_star, b0, {}, {}, "pinned", grid_size)
 
     try:
         base = lf_d0minus(pattern, weights, D0Minus(p=cls.p), grid_size=grid_size)
@@ -530,10 +520,8 @@ def numerical_lf(
             if step < 1e-16 * scale:
                 break
 
-    converged = pg_norm * step < PG_TOL * scale
-    diagnostics = {"iterations": it, "projected_gradient": pg_norm * step / scale,
-                   "converged": bool(converged)}
-    if not converged:
+    diagnostics = {"iterations": it, "projected_gradient": pg_norm * step / scale}
+    if not pg_norm * step < PG_TOL * scale:
         raise NotConverged("projected gradient ascent did not converge", diagnostics=diagnostics)
 
     f0 = Tabulated(1.0 / g)
@@ -542,9 +530,7 @@ def numerical_lf(
                 "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
     half = min(span + 64, G // 2 - 1)
     b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
-    validity = {"closed_form_applicable": False, "positivity_ok": True,
-                "bounds_ok": True, "degenerate": False}
-    return _result_from_density(pattern, weights, f0, b0, validity, lagrange,
+    return _result_from_density(pattern, weights, f0, b0, {}, lagrange,
                                 "numerical", G, diagnostics)
 
 

@@ -172,7 +172,9 @@ def simulate(
     The covariances come from the grid, so a density below 1e-9 of its
     maximum there raises NonPositiveDensity. A replicate takes 2m draws, the
     real and imaginary parts of the m-point FFT input, and each chunk is one
-    FFT along the rows.
+    FFT along the rows. `gapinterp simulate` draws paths over exactly the
+    indices A and its estimate read: K and the support of
+    `estimate_weights_from_characteristic`.
     """
     chunks = simulate_chunks(f, length, n_replicates, seed)  # checks n_replicates
     out = np.empty((n_replicates, length))
@@ -311,14 +313,11 @@ def _weighted_sum(paths: np.ndarray, wmap: dict, origin: int) -> tuple:
     return tuple(np.cumsum(x * part, axis=1)[:, -1] for part in (coefs.real, coefs.imag))
 
 
-def estimate_weights_from_characteristic(
-    solution,
-    window: int = 60,
-) -> dict:
-    """Observation weights of the solved estimate: the Fourier coefficients of
-    the spectral characteristic restricted to observed indices within the
-    window, without those at most 1e-12 of the largest of them."""
+def estimate_weights_from_characteristic(solution) -> dict:
+    """Observation weights of the solved estimate: every Fourier coefficient
+    h(j) of the spectral characteristic that the solution holds
+    (`solution.h_coeffs`) at an index j outside K. When 1/f has degree p these
+    are all the nonzero ones, on [min K - p, max K + p]; a Tabulated solution
+    holds K plus its held lags on each side."""
     missing = set(solution.indices)
-    kept = {j: v for j, v in solution.h_coeffs.items() if j not in missing and abs(j) <= window}
-    cut = 1e-12 * max(map(abs, kept.values()), default=0.0)
-    return {j: v for j, v in kept.items() if abs(v) > cut}
+    return {j: v for j, v in solution.h_coeffs.items() if j not in missing}

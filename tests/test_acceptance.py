@@ -241,7 +241,7 @@ class TestCriterion6:
             f = loop_sample_density(cls_d, res_d, rng, res_d.grid_size)
             d = solve(LF_PATTERN, LF_WEIGHTS, f, grid_size=res_d.grid_size).delta
             worst = max(worst, abs(d - res_d.delta0) / res_d.delta0)
-        degenerate_ok = res_d.validity["degenerate"] and worst < 1e-8
+        degenerate_ok = res_d.mechanism == "degenerate" and worst < 1e-8
 
         pattern = ObservationPattern("S5", N=0, M2=2, N2=1)
         weights = FunctionalWeights(values={0: 1.0, 3: 0.1})

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapinterp import cli, oracle
+from gapinterp import cli, densities, oracle
 
 
 EX_CONFIG = {
@@ -342,8 +342,7 @@ class TestSimulate:
         # alpha = 2 ran the explosive recursion: empirical_mse 2.15e116, z = 17.6
         config = {**EX_CONFIG, "density": {"type": "rational_ar", "alpha": [2.0]},
                   "weights": {"values": {"0": 0.1, "1": 1, "-3": 0.1, "-4": 0.1, "-5": 0.1}}}
-        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--seed", "7",
-                           "--window", "40")
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--seed", "7")
         assert code == 0
         assert math.isfinite(rec["empirical_mse"])
         assert abs(rec["z_score"]) <= 5.0
@@ -352,14 +351,14 @@ class TestSimulate:
         # the empirical error of the complex functional against its delta
         config = {**EX_CONFIG, "weights": {"values": {"0": [1, 0.5], "1": 1, "-3": [0, -1],
                                                       "-4": 0.3}}}
-        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--window", "40")
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000")
         assert code == 0
         assert abs(rec["z_score"]) <= 5.0
 
     def test_tiny_imaginary_weight(self, tmp_path):
         # taking the real part left an empirical error of exactly 0
         config = {**EX_CONFIG, "weights": {"values": {"-3": [0, 1.2e-38]}}}
-        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--window", "40")
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000")
         assert code == 0
         assert math.isfinite(rec["z_score"]) and rec["empirical_mse"] > 0
 
@@ -367,13 +366,12 @@ class TestSimulate:
         # an absolute cut-off on h dropped every weight of the estimate, so the
         # naive error (z = 7.25) was compared with the optimal one
         config = {**EX_CONFIG, "weights": {"values": {"-3": [0, 1.2e-38]}}}
-        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000", "--window", "40")
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "2000")
         assert code == 0
         assert abs(rec["z_score"]) <= 5.0
 
     def test_z_score_small(self, tmp_path):
-        code, rec, _ = run(tmp_path, "simulate", EX_CONFIG,
-                           "--replicates", "20000", "--window", "40")
+        code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", "20000")
         assert code == 0
         assert abs(rec["z_score"]) < 4.0
         assert rec["n_replicates"] == 20000
@@ -399,7 +397,7 @@ class TestSimulate:
         # every replicate estimates 0 by 0 exactly: stderr 0 and equal errors
         config = {**EX_CONFIG, "pattern": {"kind": "S4", "N": 0, "M1": 1, "N1": 1},
                   "weights": {"values": {"0": 0, "-2": 0}}}
-        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "50", "--window", "10")
+        code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "50")
         assert code == 0
         assert rec["stderr"] == 0.0 and rec["empirical_mse"] == rec["theoretical_mse"] == 0.0
         assert rec["z_score"] == 0.0
@@ -407,17 +405,39 @@ class TestSimulate:
     def test_zero_stderr_with_unequal_errors_is_numerical_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.oracle, "empirical_mse",
                             lambda *args, **kwargs: {"mean": 1.0, "stderr": 0.0, "n_replicates": 50})
-        code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", "50", "--window", "10")
+        code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", "50")
         assert code == 2
         assert rec["error"] == "NonFiniteValue"
 
     def test_paths_artifact(self, tmp_path):
         code, rec, out_dir = run(tmp_path, "simulate", EX_CONFIG,
-                                 "--replicates", "50", "--window", "10",
-                                 "--format", "both")
+                                 "--replicates", "50", "--format", "both")
         assert code == 0
         lines = (out_dir / "paths.csv").read_text().splitlines()
         assert len(lines) == 51  # header plus capped dump
+
+    def test_paths_span_the_target_and_its_estimate(self, tmp_path):
+        # AR(1) on S6: K and the observations within one lag of it, t-6..t7
+        pattern = {"kind": "S6", "N": 1, "M1": 2, "N1": 3, "M2": 2, "N2": 3}
+        config = {**EX_CONFIG, "pattern": pattern,
+                  "weights": {"values": {str(j): 1 for j in (-5, -4, -3, 0, 1, 4, 5, 6)}}}
+        code, rec, out_dir = run(tmp_path, "simulate", config, "--replicates", "50",
+                                 "--format", "both")
+        assert code == 0
+        header = (out_dir / "paths.csv").read_text().splitlines()[0].split(",")
+        assert header == ["replicate"] + [f"t{t}" for t in range(-6, 8)]
+
+    def test_window_does_not_cut_the_estimate(self, tmp_path):
+        # a tabulated MA(1), whose h reaches lags -69..65: --window 10 kept
+        # only |j| <= 10 of it, which read z = 27.6 against Delta = 0.2498
+        lam = densities.angular_grid(4096)
+        values = np.abs(1 - 0.9 * np.exp(-1j * lam)) ** 2
+        config = {**EX_CONFIG, "density": {"type": "tabulated", "values": values.tolist()}}
+        code, rec, _ = run(tmp_path, "simulate", config, "--window", "10",
+                           "--replicates", "4000", "--seed", "3")
+        assert code == 0
+        assert abs(rec["theoretical_mse"] - 0.2497802197802) < 1e-12
+        assert abs(rec["z_score"]) <= 5.0
 
     @pytest.mark.parametrize("replicates", ["1", "0"])
     def test_too_few_replicates_refused(self, tmp_path, monkeypatch, replicates):
@@ -431,27 +451,33 @@ class TestSimulate:
         config = {**EX_CONFIG, "weights": {"values": {"0": [1, 0.5], "1": 1, "-3": [0, -1],
                                                       "-4": 0.3}}}
         written = []
-        for label, chunk in (("default", None), ("rows", 7 * (2 * 15 + 1 + 200)), ("one", 1)):
+        # 7 paths of t-6..t2 per chunk, then one draw
+        for label, chunk in (("default", None), ("rows", 7 * 9), ("one", 1)):
             if chunk is not None:
                 monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk)
             (tmp_path / label).mkdir()
             code, rec, out_dir = run(tmp_path / label, "simulate", config, "--replicates", "300",
-                                     "--window", "10", "--format", "both")
+                                     "--format", "both")
             assert code == 0
             written.append((rec, (out_dir / "paths.csv").read_bytes()))
         assert written[0] == written[1] == written[2]
         assert written[0][1].count(b"\r\n") == 101  # header and the first 100 paths
 
     def test_memory_bounded_by_the_chunk(self, tmp_path):
-        # the 20000 paths of 1011 points alone would take 162 MB
+        # an S3 cut: the 20000 paths of t-495..t495 alone would take 159 MB
+        config = {"density": {"type": "rational_ar", "alpha": [0.5]},
+                  "pattern": {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+                  "weights": {"geometric": {"C": 1.0, "rho": 0.97}}}
         tracemalloc.start()
         try:
-            code, rec, _ = run(tmp_path, "simulate", EX_CONFIG, "--replicates", "20000",
-                               "--window", "500", "--format", "both")
+            code, rec, out_dir = run(tmp_path, "simulate", config, "--replicates", "20000",
+                                     "--format", "both")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0 and rec["n_replicates"] == 20000
+        width = len((out_dir / "paths.csv").read_text().splitlines()[0].split(",")) - 1
+        assert 20000 * width * 8 > 64 << 20  # so the bound below means something
         assert peak < 64 << 20
 
     def test_no_scipy_signal_import(self, tmp_path):
@@ -461,7 +487,7 @@ class TestSimulate:
         script = ("import json, sys\n"
                   "from gapinterp import cli\n"
                   "code = cli.main(['simulate', sys.argv[1], '--replicates', '50', "
-                  "'--window', '10', '--out', sys.argv[2]])\n"
+                  "'--out', sys.argv[2]])\n"
                   "print(json.dumps([code, sorted(m for m in sys.modules\n"
                   "    if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats']))]))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -473,8 +499,6 @@ class TestSimulate:
 
 def per_index_grid_rows(grid_size, *columns):
     """CSV rows built by indexing each numpy column per row."""
-    from gapinterp import densities
-
     lam = densities.angular_grid(grid_size)
     return [[lam[i]] + [col[i] for col in columns] for i in range(grid_size)]
 
@@ -489,12 +513,10 @@ COMPLEX_CONFIG = {
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         _, _, out_dir = run(tmp_path, "simulate", EX_CONFIG,
-                            "--replicates", "500", "--window", "20",
-                            "--seed", "3")
+                            "--replicates", "500", "--seed", "3")
         first = (out_dir / "result.json").read_bytes()
         _, _, out_dir = run(tmp_path, "simulate", EX_CONFIG,
-                            "--replicates", "500", "--window", "20",
-                            "--seed", "3")
+                            "--replicates", "500", "--seed", "3")
         assert (out_dir / "result.json").read_bytes() == first
 
     def test_no_partial_artifacts(self, tmp_path):

@@ -314,6 +314,28 @@ class TestTabulated:
         assert 4 * (max(sol.indices) - min(sol.indices)) <= grid
         assert abs(sol.delta - exact.delta) <= 1e-12 * f_grid.max() / f_grid.min() * exact.delta
 
+    @pytest.mark.parametrize("alpha, weights", [
+        ([0, 0.25], {0: 1.0}), ([0, 0.25], {-2: 1.0}), ([0, 0.25], {-3: 1.0}),
+        ([0, 0, 0.3], {0: 1.0}), ([0, 0, 0.3], {-2: 1.0}), ([0, 0, 0.3], {-3: 1.0}),
+    ])
+    def test_inverse_on_multiples_of_q(self, alpha, weights):
+        # 1/f on the even lags (or the multiples of 3) alone: each block splits
+        # into q systems, and the edge read one index, where c vanished at
+        # every other depth; the cut stopped at depth 2 or 3 with Delta
+        # 0.99634, 0.99634, 0.94118 for the AR's 1, 1.0625, 1 (and 0.99262,
+        # 0.91743, 0.99262 for 1, 1, 1.09)
+        p = ObservationPattern("S1", N=0, M1=1, T=1)
+        w = FunctionalWeights(values=weights)
+        f = RationalAR(alpha=np.array(alpha))
+        exact = solve_truncated(p, w, f)
+        f_grid = f.on_grid(2048)
+        sol = solve_truncated(p, w, Tabulated(f_grid), grid_size=2048)
+        assert abs(sol.delta - exact.delta) <= 1e-12 * f_grid.max() / f_grid.min() * exact.delta
+        # one quadrature cut to each depth is the one `solve` takes there
+        ref = solve(p.with_truncation(sol.convergence["depth"]), w, Tabulated(f_grid),
+                    grid_size=2048)
+        assert sol.c.tobytes() == ref.c.tobytes() and sol.delta == ref.delta
+
     def test_weights_deeper_than_25(self):
         # weights 32 deep into the right block: the cut starts past them,
         # on the quadrature as on the exact 1/f

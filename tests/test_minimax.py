@@ -135,7 +135,7 @@ class TestD0Minus:
         p = ObservationPattern("S2", N=0, M2=1, T=6)
         w = FunctionalWeights(geometric=(1.0, 0.25))
         res = lf_d0minus(p, w, D0Minus(p=1.0))
-        assert res.validity["positivity_ok"]
+        assert res.mechanism == "closed_form"
         assert abs(res.delta0 - 1.0) < 1e-8  # a(0)^2 / p
 
     def test_saddle_check_passes(self):
@@ -168,7 +168,6 @@ class TestDW:
         cls = DW(b_given=np.array([1.25, -0.5, 0.0]))  # W = 2 >= span = 2
         res = lf_dW(S5_SMALL, W_SMALL, cls)
         assert res.mechanism == "degenerate"
-        assert res.validity["degenerate"]
         rng = np.random.default_rng(3)
         for _ in range(10):
             f = loop_sample_density(cls, res, rng, res.grid_size)

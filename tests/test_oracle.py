@@ -18,6 +18,7 @@ from gapinterp.densities import (
     angular_grid,
     covariance,
     covariances,
+    grid_fourier_coefficients,
 )
 from gapinterp.errors import (
     EmbeddingNotPSD,
@@ -525,6 +526,22 @@ class TestEmpiricalMse:
         # for this density and gap only four observed neighbours carry weight
         _, est = self.solve_and_estimate()
         assert set(est) == {-6, -2, -1, 2}
+
+    @pytest.mark.parametrize("density", [RationalAR(alpha=0.5), RationalAR(alpha=[0.5, -0.3])],
+                             ids=["ar1", "ar2"])
+    def test_estimate_is_h_off_k(self, density):
+        # every h(j) off K, and nothing past them: the grid's h has no other lag
+        pattern = ObservationPattern("S6", N=1, M1=2, N1=3, M2=2, N2=3)
+        k = missing_indices(pattern)
+        sol = solve(pattern, FunctionalWeights(values={j: 1.0 for j in k}), density)
+        est = estimate_weights_from_characteristic(sol)
+        assert est == {j: v for j, v in sol.h_coeffs.items() if j not in k}
+        p = density.order
+        assert set(est) == set(range(min(k) - p, max(k) + p + 1)) - set(k)
+        lags = np.arange(-100, 101)
+        on_grid = grid_fourier_coefficients(sol.h_grid, 100)
+        held = np.array([est.get(int(j), 0.0) for j in lags])
+        assert np.max(np.abs(on_grid - held)) <= 1e-13 * np.max(np.abs(held))
 
     def test_empirical_matches_projection(self):
         sol, est = self.solve_and_estimate()
