@@ -433,9 +433,14 @@ class TestSimulate:
         lam = densities.angular_grid(4096)
         values = np.abs(1 - 0.9 * np.exp(-1j * lam)) ** 2
         config = {**EX_CONFIG, "density": {"type": "tabulated", "values": values.tolist()}}
-        code, rec, _ = run(tmp_path, "simulate", config, "--window", "10",
-                           "--replicates", "4000", "--seed", "3")
-        assert code == 0
+        records = []
+        for window in ("10", "500"):
+            (tmp_path / window).mkdir()
+            code, rec, _ = run(tmp_path / window, "simulate", config, "--window", window,
+                               "--replicates", "4000", "--seed", "3")
+            assert code == 0
+            records.append(rec)
+        assert records[0] == records[1]  # simulate reads no window
         assert abs(rec["theoretical_mse"] - 0.2497802197802) < 1e-12
         assert abs(rec["z_score"]) <= 5.0
 
