@@ -2,7 +2,6 @@
 sequences observed outside structured gap sets."""
 
 from .densities import (
-    Factorization,
     FourierCoeffs,
     InversePolynomial,
     RationalAR,
@@ -10,7 +9,6 @@ from .densities import (
     Tabulated,
     covariance,
     covariances,
-    factorize_inverse,
     inverse_fourier_coeffs,
     minimality_value,
 )
@@ -43,12 +41,12 @@ from .patterns import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "D0Minus", "DVU", "DW", "Factorization", "FourierCoeffs",
+    "D0Minus", "DVU", "DW", "FourierCoeffs",
     "FunctionalWeights", "GapInterpError", "InterpolationSolution",
     "InversePolynomial", "LeastFavourableResult", "NumericalError",
     "ObservationPattern", "RationalAR", "SpectralDensity", "Tabulated",
     "ValidationError", "build_problem", "covariance", "covariances",
-    "empirical_mse", "factorize_inverse", "inverse_fourier_coeffs",
+    "empirical_mse", "inverse_fourier_coeffs",
     "lf_d0minus", "lf_dW", "lf_dvu", "minimality_value", "missing_indices",
     "mse_of_characteristic", "numerical_lf", "project", "saddle_check",
     "simulate", "simulate_chunks", "solve", "solve_truncated", "weight_vector",

@@ -133,8 +133,11 @@ def load_config(path: str) -> dict:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -163,6 +166,13 @@ def write_csv(path: str, header: list, rows) -> None:
     _atomic_write(path, "\r\n".join(lines))
 
 
+def write_grid_csv(path: str, header: list, grid_size: int, *columns) -> None:
+    """Write the angular grid of grid_size points and the columns of values on it, the
+    bytes write_csv would write: each column is formatted whole, by repr of its floats."""
+    cells = [map(repr, col.tolist()) for col in (densities.angular_grid(grid_size), *columns)]
+    _atomic_write(path, "\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -171,11 +181,6 @@ def cmd_minimality(config: dict, args) -> dict:
     (f,) = parse_config(config, "density")
     value = densities.minimality_value(f, grid_size=args.grid)
     return {"value": value, "minimal": bool(np.isfinite(value))}
-
-
-def _grid_csv_rows(grid_size, *columns):
-    lam = densities.angular_grid(grid_size)
-    return zip(lam.tolist(), *(col.tolist() for col in columns))
 
 
 def cmd_interpolate(config: dict, args) -> dict:
@@ -191,11 +196,8 @@ def cmd_interpolate(config: dict, args) -> dict:
         "convergence": sol.convergence,
     }
     if args.out and args.format in ("csv", "both"):
-        write_csv(
-            os.path.join(args.out, "characteristic.csv"),
-            ["lambda", "h_re", "h_im"],
-            _grid_csv_rows(sol.grid_size, sol.h_grid.real, sol.h_grid.imag),
-        )
+        write_grid_csv(os.path.join(args.out, "characteristic.csv"), ["lambda", "h_re", "h_im"],
+                       sol.grid_size, sol.h_grid.real, sol.h_grid.imag)
     return record
 
 
@@ -213,20 +215,16 @@ def cmd_least_favourable(config: dict, args) -> dict:
                for m in range(-result.b0.half_length, result.b0.half_length + 1)
                if abs(result.b0[m]) > 0.0},
         "delta0": result.delta0,
-        "validity": result.validity,
         "lagrange": {k: v for k, v in result.lagrange.items()
                      if isinstance(v, (int, float, str, list))},
         "mechanism": result.mechanism,
         "saddle_report": report,
     }
     if args.out and args.format in ("csv", "both"):
-        f0_vals = result.f0.on_grid(result.grid_size)
-        write_csv(
-            os.path.join(args.out, "least_favourable.csv"),
-            ["lambda", "f0", "h0_re", "h0_im"],
-            _grid_csv_rows(result.grid_size, f0_vals,
-                           result.h0_grid.real, result.h0_grid.imag),
-        )
+        write_grid_csv(os.path.join(args.out, "least_favourable.csv"),
+                       ["lambda", "f0", "h0_re", "h0_im"], result.grid_size,
+                       result.f0.on_grid(result.grid_size), result.h0_grid.real,
+                       result.h0_grid.imag)
     return record
 
 

@@ -1,28 +1,23 @@
-"""Spectral densities on [-pi, pi], Fourier coefficients of 1/f, covariances,
-and spectral factorization of positive trigonometric polynomials.
+"""Spectral densities on [-pi, pi], Fourier coefficients of 1/f and covariances.
 
 All integrals carry the 1/(2*pi) normalization. Grid quadrature uses G uniform
 points lambda_g = -pi + 2*pi*g/G, which is exact for trigonometric polynomials
-of degree < G/2.
+of degree < G/2. The densities and coefficient sets are immutable, so each
+computes its values on a grid once per grid size and returns them read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import zgeev
 
-from .errors import (
-    InvalidParameters,
-    MaskViolation,
-    NonPositiveDensity,
-    NotPositive,
-)
+from .errors import InvalidParameters, NonPositiveDensity
 
 DEFAULT_GRID = 4096
 POSITIVITY_RTOL = 1e-9
-ROOT_PAIRING_TOL = 1e-8
 
 
 def angular_grid(n: int) -> np.ndarray:
@@ -87,6 +82,21 @@ def _causal_on_grid(d: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(spread.reshape(-1, n).sum(axis=0))
 
 
+def _per_grid(method):
+    """Keep the array method(self, grid_size) returns on the instance, one per grid size,
+    and return it read-only on every call; a call that raises keeps nothing."""
+    @functools.wraps(method)
+    def cached(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
+        memo = self.__dict__.setdefault("_grid_values", {})
+        key = (method, grid_size)
+        values = memo.get(key)
+        if values is None:
+            values = memo[key] = method(self, grid_size)
+            values.setflags(write=False)
+        return values
+    return cached
+
+
 def _fields_equal(self, other) -> bool:
     """Dataclass equality that compares array fields by value; fields with
     compare=False are left out."""
@@ -146,6 +156,7 @@ class FourierCoeffs:
         scale = max(np.max(np.abs(self.values)), 1.0)
         return bool(np.max(np.abs(self.values - np.conj(self.values[::-1]))) <= tol * scale)
 
+    @_per_grid
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
         return evaluate_trig_poly(self.values, grid_size, real=True)
@@ -166,6 +177,7 @@ class SpectralDensity:
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         raise NotImplementedError
 
+    @_per_grid
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         f = self.on_grid(grid_size)
         check_positive(f)
@@ -219,9 +231,11 @@ class RationalAR(SpectralDensity):
     def order(self) -> int:
         return self.alpha.size
 
+    @_per_grid
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         return self.sigma2 / self._phi_squared(grid_size)
 
+    @_per_grid
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         return self._phi_squared(grid_size) / self.sigma2
 
@@ -249,6 +263,7 @@ class InversePolynomial(SpectralDensity):
             raise InvalidParameters(f"b(0) = {b0} is too small for f = 1/(1/f) to be "
                                     f"a finite float")
 
+    @_per_grid
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """1/f by one real FFT of b; refused unless real and positive on the
         grid, and unless f = 1/(1/f) stays a finite float there."""
@@ -261,6 +276,7 @@ class InversePolynomial(SpectralDensity):
                                     f"f = 1/(1/f) to be a finite float")
         return inv
 
+    @_per_grid
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         return 1.0 / self.inverse_on_grid(grid_size)
 
@@ -281,6 +297,7 @@ class Tabulated(SpectralDensity):
             raise InvalidParameters("tabulated density needs finite nonnegative values")
         object.__setattr__(self, "values", vals)
 
+    @_per_grid
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         n = self.values.size
         if grid_size == n:
@@ -357,69 +374,3 @@ def covariances(f: SpectralDensity, max_lag: int, grid_size: int | None = None) 
     check_positive(vals)
     coeffs = grid_fourier_coefficients(vals, max_lag)
     return coeffs[max_lag::-1].copy()  # index n -> coefficient at e^{+in}
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """gamma_n, n = 0..L, with |sum gamma_n e^{-in lambda}|^2 equal to the
-    source trigonometric polynomial."""
-
-    gamma: np.ndarray
-
-    def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        """|sum gamma_n e^{-in lambda}|^2 on the grid, from one FFT (_causal_on_grid)."""
-        return np.abs(_causal_on_grid(self.gamma, grid_size)) ** 2
-
-
-def factorize_inverse(
-    b: FourierCoeffs,
-    mask: frozenset | set | None = None,
-    grid_size: int = DEFAULT_GRID,
-) -> Factorization:
-    """Fejer-Riesz factorization of the positive trig polynomial sum b(m)e^{im l}.
-
-    Roots of the associated polynomial are paired across the unit circle; the
-    inside roots define gamma up to a unimodular phase, fixed so gamma_0 > 0.
-    """
-    mask = frozenset(mask or ())
-    target = b.evaluate(grid_size)
-    if not b.is_real_on_grid(target, 1e-9):
-        raise NotPositive("trig polynomial is not real on the grid")
-    if np.min(target) <= POSITIVITY_RTOL * np.max(target):
-        raise NotPositive(f"trig polynomial dips to {np.min(target):.3e} on the grid")
-
-    half = b.half_length
-    scale = np.max(np.abs(b.values))
-    while half > 0 and abs(b[half]) <= 1e-14 * scale:
-        half -= 1
-    if half == 0:
-        gamma = np.array([np.sqrt(b[0].real)], dtype=complex)
-    else:
-        # q(z) = sum_m b(m) z^{m+half}; roots pair as (r, 1/conj(r))
-        poly = np.array([b[m] for m in range(half, -half - 1, -1)])  # descending powers
-        roots = np.roots(poly)
-        inside = roots[np.abs(roots) < 1.0 - ROOT_PAIRING_TOL]
-        if inside.size != half:
-            # fall back to magnitude ranking when roots sit close to the circle
-            inside = roots[np.argsort(np.abs(roots))][:half]
-        coeffs = np.array([1.0 + 0j])
-        for r in inside:
-            coeffs = np.convolve(coeffs, np.array([1.0, -r]))  # product of (1 - r w)
-        ratio = target / np.abs(_causal_on_grid(coeffs, grid_size)) ** 2
-        gamma = np.sqrt(np.mean(ratio)) * coeffs
-    # fix the unimodular phase
-    phase = gamma[np.argmax(np.abs(gamma))]
-    gamma = gamma * np.conj(phase / abs(phase))
-    if abs(gamma[0].imag) < 1e-12 * max(np.max(np.abs(gamma)), 1.0):
-        gamma = gamma.copy()
-        gamma[0] = gamma[0].real
-
-    fact = Factorization(gamma=gamma)
-    recon = fact.evaluate(grid_size)
-    err = np.max(np.abs(recon - target)) / np.max(np.abs(target))
-    if err > 1e-8:
-        raise NotPositive(f"factorization reconstruction error {err:.3e} exceeds 1e-8")
-    bad = [n for n in mask if n < gamma.size and abs(gamma[n]) > 1e-8 * max(np.max(np.abs(gamma)), 1.0)]
-    if bad:
-        raise MaskViolation(f"gamma indices {sorted(bad)} violate the zero mask")
-    return fact

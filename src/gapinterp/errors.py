@@ -54,14 +54,6 @@ class NonPositiveDensity(NumericalError):
     pass
 
 
-class NotPositive(NumericalError):
-    pass
-
-
-class MaskViolation(NumericalError):
-    pass
-
-
 class LagOutOfRange(NumericalError):
     pass
 

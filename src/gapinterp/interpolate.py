@@ -15,8 +15,8 @@ it in O(n p^2).
 The Fourier coefficients of h are the finite convolution
 h(j) = a(j) - sum_k c(k) b(j - k). They are exact whenever 1/f is a finite
 trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
-`h_coeffs` and the grid values `h_grid` on first access, not in `solve`;
-`h_grid` needs 2 max|j| < grid_size and raises InvalidParameters otherwise.
+`h_coeffs` and the grid values `a_grid` and `h_grid` on first access, not in
+`solve`; they need 2 max|j| < grid_size and raise InvalidParameters otherwise.
 
 Infinite gaps (S1-S3) go through `solve_truncated`, one loop for every
 density: the infinite blocks are cut at a depth D where the cut moves Delta
@@ -154,11 +154,15 @@ class InterpolationSolution:
         return dict(zip(range(first, first + conv.size), (a_spread - conv).tolist()))
 
     @cached_property
+    def a_grid(self) -> np.ndarray:
+        """A = sum a(j) e^{ij lambda} on the angular grid of grid_size points."""
+        return poly_on_grid(self.indices, self.a, self.grid_size)
+
+    @cached_property
     def h_grid(self) -> np.ndarray:
         """h = A - C / f on the angular grid of grid_size points."""
-        a_grid = poly_on_grid(self.indices, self.a, self.grid_size)
         c_grid = poly_on_grid(self.indices, self.c, self.grid_size)
-        return a_grid - c_grid / self.f.on_grid(self.grid_size)
+        return self.a_grid - c_grid / self.f.on_grid(self.grid_size)
 
 
 def poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:

@@ -41,18 +41,15 @@ from .densities import (
     Tabulated,
     angular_grid,
     evaluate_trig_poly,
-    factorize_inverse,
     grid_fourier_coefficients,
     minimality_value,
 )
 from .errors import (
     InfeasibleClass,
     InvalidParameters,
-    MaskViolation,
     NewtonNotConverged,
     NotConverged,
     NotCovered,
-    NotPositive,
     PositivityLost,
     WeightsNotPositive,
 )
@@ -60,7 +57,6 @@ from .interpolate import (
     InterpolationSolution,
     density_on_grid,
     error_value,
-    poly_on_grid,
     solve,
     solve_gram,
 )
@@ -153,7 +149,6 @@ class LeastFavourableResult:
     b0: FourierCoeffs
     h0_grid: np.ndarray
     delta0: float
-    validity: dict  # D0Minus closed form: {"factorization_ok": ...}; otherwise empty
     lagrange: dict
     solution: InterpolationSolution
     mechanism: str
@@ -188,13 +183,11 @@ def _real_positive_weights(weights: FunctionalWeights, pattern: ObservationPatte
     return a.real
 
 
-def _result_from_density(
-    pattern, weights, f0, b0, validity, lagrange, mechanism, grid_size, diagnostics=None
-):
+def _result_from_density(pattern, weights, f0, b0, lagrange, mechanism, grid_size,
+                         diagnostics=None):
     sol = solve(pattern, weights, f0, grid_size=grid_size)
     return LeastFavourableResult(
-        f0=f0, b0=b0, h0_grid=sol.h_grid, delta0=sol.delta,
-        validity=validity, lagrange=lagrange, solution=sol,
+        f0=f0, b0=b0, h0_grid=sol.h_grid, delta0=sol.delta, lagrange=lagrange, solution=sol,
         mechanism=mechanism, grid_size=grid_size,
         diagnostics=diagnostics or {},
     )
@@ -226,19 +219,9 @@ def lf_d0minus(
     if not np.min(inv_vals) > _FLOOR * np.max(inv_vals):
         raise PositivityLost("the anchored closed form is not a valid density for these weights",
                              diagnostics={"inv_min": float(np.min(inv_vals))})
-    # gamma of the one-sided factorization may live only on the anchor-relative lags of K
-    allowed = {abs(anchor - n) for n in idx}
-    mask = frozenset(n for n in range(b0.half_length + 1) if n not in allowed)
-    try:
-        factorize_inverse(b0, mask=mask, grid_size=grid_size)
-        factorization_ok = True
-    except (NotPositive, MaskViolation):
-        factorization_ok = False
-
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
     f0 = InversePolynomial(b0)
-    result = _result_from_density(pattern, weights, f0, b0, {"factorization_ok": factorization_ok},
-                                  lagrange, "closed_form", grid_size)
+    result = _result_from_density(pattern, weights, f0, b0, lagrange, "closed_form", grid_size)
     expected = a_anchor ** 2 / cls.p
     if abs(result.delta0 - expected) > 1e-8 * max(expected, 1.0):
         raise NotConverged(
@@ -385,7 +368,7 @@ def lf_dW(
     lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
                 "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),
                 "newton_residual": residual}
-    return _result_from_density(pattern, weights, InversePolynomial(b0), b0, {}, lagrange,
+    return _result_from_density(pattern, weights, InversePolynomial(b0), b0, lagrange,
                                 "degenerate" if W >= span else "newton", grid_size)
 
 
@@ -408,7 +391,7 @@ def lf_dvu(
         b0 = FourierCoeffs(
             grid_fourier_coefficients(f_star.inverse_on_grid(grid_size), min(256, grid_size // 4))
         )
-        return _result_from_density(pattern, weights, f_star, b0, {}, {}, "pinned", grid_size)
+        return _result_from_density(pattern, weights, f_star, b0, {}, "pinned", grid_size)
 
     try:
         base = lf_d0minus(pattern, weights, D0Minus(p=cls.p), grid_size=grid_size)
@@ -530,8 +513,7 @@ def numerical_lf(
                 "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
     half = min(span + 64, G // 2 - 1)
     b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
-    return _result_from_density(pattern, weights, f0, b0, {}, lagrange,
-                                "numerical", G, diagnostics)
+    return _result_from_density(pattern, weights, f0, b0, lagrange, "numerical", G, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +545,8 @@ def saddle_check(
     cls,
 ) -> dict:
     """Certify the saddle inequalities around (h0, f0) on the result's grid of
-    G points, with e = A - h0 and w = |e|^2. No member is drawn (n_samples 0).
+    G points, with e = A - h0 (A the solution's a_grid) and w = |e|^2. No member is
+    drawn (n_samples 0).
 
     Lower side: for dh on the observed lags, Delta(h0 + dh; f0) =
     Delta(h0; f0) + mean(|dh|^2 f0) - 2 Re sum_j conj(dh_j) r_j, with r the
@@ -599,7 +582,7 @@ def saddle_check(
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
         raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
-    e = poly_on_grid(idx, a, G) - result.h0_grid
+    e = result.solution.a_grid - result.h0_grid
     w = e.real ** 2 + e.imag ** 2
     f0 = density_on_grid(result.f0, G)
     r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G

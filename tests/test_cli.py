@@ -539,15 +539,18 @@ class TestDeterminism:
     ])
     def test_csv_bytes_match_per_index_rows(self, tmp_path, monkeypatch, command, config,
                                             extra, name):
+        def per_index_writer(path, header, grid_size, *columns):
+            cli.write_csv(path, header, per_index_grid_rows(grid_size, *columns))
+
         written = {}
-        for label in ("rows", "per_index"):
+        for label in ("columns", "per_index"):
             if label == "per_index":
-                monkeypatch.setattr(cli, "_grid_csv_rows", per_index_grid_rows)
+                monkeypatch.setattr(cli, "write_grid_csv", per_index_writer)
             (tmp_path / label).mkdir()
             code, _, out_dir = run(tmp_path / label, command, config, "--format", "both", *extra)
             assert code == 0
             written[label] = (out_dir / name).read_bytes()
-        assert written["rows"] == written["per_index"]
+        assert written["columns"] == written["per_index"]
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         header = ["replicate", "t-1", "t0", "t1", "t2"]

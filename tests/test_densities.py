@@ -1,4 +1,4 @@
-"""Spectral density representations, quadrature, and factorization."""
+"""Spectral density representations and quadrature."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapinterp.densities import (
-    Factorization,
     FourierCoeffs,
     InversePolynomial,
     RationalAR,
@@ -17,17 +16,11 @@ from gapinterp.densities import (
     covariance,
     covariances,
     evaluate_trig_poly,
-    factorize_inverse,
     grid_fourier_coefficients,
     inverse_fourier_coeffs,
     minimality_value,
 )
-from gapinterp.errors import (
-    InvalidParameters,
-    MaskViolation,
-    NonPositiveDensity,
-    NotPositive,
-)
+from gapinterp.errors import InvalidParameters, NonPositiveDensity
 from gapinterp.interpolate import solve
 from gapinterp.patterns import FunctionalWeights, ObservationPattern
 
@@ -310,56 +303,6 @@ class TestCausalOnGrid:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref), grid
             assert np.array_equal(f.on_grid(grid), 1.0 / got)
 
-    @pytest.mark.parametrize("grid", [1, 2, 5, 64, 2048])
-    def test_factorization_evaluate_matches_per_lag_loop(self, grid):
-        rng = np.random.default_rng(grid)
-        gamma = rng.normal(size=7) + 1j * rng.normal(size=7)
-        ref = np.abs(loop_causal_on_grid(gamma, grid)) ** 2
-        got = Factorization(gamma=gamma).evaluate(grid)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
-
-
-def loop_factorize_gamma(b, grid_size):
-    """gamma of factorize_inverse with its candidate factor summed one
-    full-grid exp per coefficient: the reference for the FFT evaluation."""
-    target = b.evaluate(grid_size)
-    half = b.half_length
-    scale = np.max(np.abs(b.values))
-    while half > 0 and abs(b[half]) <= 1e-14 * scale:
-        half -= 1
-    poly = np.array([b[m] for m in range(half, -half - 1, -1)])
-    roots = np.roots(poly)
-    inside = roots[np.abs(roots) < 1.0 - 1e-8]
-    if inside.size != half:
-        inside = roots[np.argsort(np.abs(roots))][:half]
-    coeffs = np.array([1.0 + 0j])
-    for r in inside:
-        coeffs = np.convolve(coeffs, np.array([1.0, -r]))
-    ratio = target / np.abs(loop_causal_on_grid(coeffs, grid_size)) ** 2
-    gamma = np.sqrt(np.mean(ratio)) * coeffs
-    phase = gamma[np.argmax(np.abs(gamma))]
-    gamma = gamma * np.conj(phase / abs(phase))
-    if abs(gamma[0].imag) < 1e-12 * max(np.max(np.abs(gamma)), 1.0):
-        gamma[0] = gamma[0].real
-    return gamma
-
-
-class TestFactorizeAgainstLoop:
-    @pytest.mark.parametrize("gamma_true, grid", [
-        ([1.0, -0.5], 4096),
-        ([1.0, 0.0, 0.45], 512),
-        ([1.0, 0.0, 0.0, 0.4 - 0.1j], 2048),
-        ([2.0, 0.3 + 0.2j, -0.5, 0.1j, 0.05], 64),
-        ([1.0, -(1 - 1e-4)], 4096),  # near the positivity floor of factorize_inverse
-    ])
-    def test_gamma_matches_per_lag_loop(self, gamma_true, grid):
-        gamma_true = np.asarray(gamma_true, dtype=complex)
-        b = FourierCoeffs(np.convolve(np.conj(gamma_true), gamma_true[::-1]))
-        got = factorize_inverse(b, grid_size=grid).gamma
-        ref = loop_factorize_gamma(b, grid)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
 
 class TestTabulated:
     def test_resample_trig_exact(self):
@@ -410,42 +353,44 @@ class TestTabulated:
                 minimality_value(f, grid_size=grid)
 
 
-class TestFactorization:
-    def test_ar1_coefficients(self):
-        b = FourierCoeffs.from_dict({0: 1.25, 1: -0.5, -1: -0.5})
-        fact = factorize_inverse(b)
-        gamma = fact.gamma / fact.gamma[0]
-        assert abs(gamma[0] - 1.0) < 1e-10
-        assert abs(gamma[1] + 0.5) < 1e-10
+TABLE = 1.5 + np.cos(angular_grid(64)) + 0.2 * np.sin(3 * angular_grid(64))
 
-    def test_identity(self):
-        fact = factorize_inverse(FourierCoeffs.from_dict({0: 1.0}))
-        assert fact.gamma.size == 1
-        assert abs(fact.gamma[0] - 1.0) < 1e-12
 
-    def test_sparse_with_mask(self):
-        b = FourierCoeffs.from_dict({0: 1.0, 2: 0.45, -2: 0.45})
-        fact = factorize_inverse(b, mask={1})
-        assert abs(fact.gamma[1]) < 1e-8
-        recon = fact.evaluate(4096)
-        target = b.evaluate(4096).real
-        assert np.max(np.abs(recon - target)) < 1e-8 * np.max(np.abs(target))
+class TestGridValuesPerInstance:
+    @pytest.mark.parametrize("make, method, grids", [
+        (lambda: RationalAR(alpha=np.array([0.5, -0.2]), sigma2=2.0), "on_grid", (4096, 64)),
+        (lambda: RationalAR(alpha=np.array([0.3 + 0.4j]), sigma2=2.0), "inverse_on_grid", (4096, 64)),
+        (lambda: InversePolynomial(FourierCoeffs.from_dict({0: 1.25, 1: -0.5, -1: -0.5})),
+         "on_grid", (4096, 64)),
+        (lambda: InversePolynomial(FourierCoeffs.from_dict({0: 1.25, 2: 0.3j, -2: -0.3j})),
+         "inverse_on_grid", (4096, 64)),
+        (lambda: Tabulated(TABLE), "on_grid", (64, 256)),  # same size, then resampled
+        (lambda: Tabulated(TABLE), "on_grid", (256, 32)),  # resampled up and down
+        (lambda: Tabulated(TABLE), "inverse_on_grid", (64, 256)),
+        (lambda: FourierCoeffs.from_dict({0: 2.0, 1: 0.5 - 0.1j, -1: 0.5 + 0.1j}), "evaluate",
+         (4096, 64)),
+    ], ids=["ar_on_grid", "ar_inverse", "invpoly_on_grid", "invpoly_inverse",
+            "tabulated_same_size", "tabulated_resampled", "tabulated_inverse", "coeffs_evaluate"])
+    def test_computed_once_per_grid_size_and_read_only(self, make, method, grids):
+        obj = make()
+        first = getattr(obj, method)(grids[0])
+        assert getattr(obj, method)(grids[0]) is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        other = getattr(obj, method)(grids[1])
+        assert other.shape == (grids[1],)
+        assert getattr(obj, method)(grids[0]) is first
+        # a fresh equal instance, asked for the grids in the other order
+        fresh = make()
+        assert np.array_equal(getattr(fresh, method)(grids[1]), other)
+        assert np.array_equal(getattr(fresh, method)(grids[0]), first)
 
-    def test_mask_violation(self):
-        b = FourierCoeffs.from_dict({0: 1.25, 1: -0.5, -1: -0.5})
-        with pytest.raises(MaskViolation):
-            factorize_inverse(b, mask={1})
+    def test_a_refused_grid_keeps_nothing(self):
+        # 1/f = 1 + 2 cos(2 lambda) dips to -1
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
+        for _ in range(2):
+            with pytest.raises(NonPositiveDensity):
+                f.inverse_on_grid(64)
+            with pytest.raises(NonPositiveDensity):
+                f.on_grid(64)
 
-    def test_not_positive(self):
-        with pytest.raises(NotPositive):
-            factorize_inverse(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(3)
-        gamma_true = np.array([1.0, 0.0, 0.0, 0.4 - 0.1j])
-        lam = angular_grid(2048)
-        poly = sum(g * np.exp(-1j * n * lam) for n, g in enumerate(gamma_true))
-        b = FourierCoeffs(grid_fourier_coefficients(np.abs(poly) ** 2, 3)).symmetrized()
-        fact = factorize_inverse(b, mask={1, 2})
-        recon = fact.evaluate(2048)
-        assert np.max(np.abs(recon - np.abs(poly) ** 2)) < 1e-8
