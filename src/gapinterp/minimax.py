@@ -24,7 +24,12 @@ a witness family for the second, and bounds the DVU supremum exactly by a
 vertex of its polytope, without sampling any member. No numerical maximizer
 runs over D0Minus or DW, since an ascent would stop at a value set by the
 grid and the floor on g. numerical_lf covers DVU only, whose bounds keep g in
-a box; lf_dvu calls it wherever the closed form does not apply.
+a box; lf_dvu calls it wherever the closed form does not apply. Since the
+error is convex in g, numerical_lf climbs from vertex to vertex of the DVU
+polytope, each the fractional knapsack that also gives saddle_check's vertex.
+Its start is the member lo + t (hi - lo) with mean p, and where the climb
+stops it restarts from the certificate's vertex while that raises the
+error. It ends at a local maximum; saddle_check's bracket is the guarantee.
 """
 
 from __future__ import annotations
@@ -68,8 +73,6 @@ from .patterns import (
 )
 
 OPT_GRID = 512
-PG_TOL = 1e-7
-MAX_ITERS = 10000
 _FLOOR = 1e-9
 
 
@@ -127,14 +130,18 @@ class DVU:
             raise InvalidParameters("p must be positive")
 
     def validate(self, grid_size: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
-        """The grid values (v, u) of the bounds, once checked: 0 < v <= u (a v that is zero
-        somewhere raises InvalidParameters) and p within the range of mean(1/f)."""
+        """The grid values (v, u) of the bounds, once checked: v > 0 on the grid (a v that is
+        zero somewhere raises InvalidParameters), v <= u at the nodes of each tabulated bound
+        (on the grid when neither is tabulated), and p within the range of mean(1/f). The
+        interpolant of a table rings between its nodes, so u is raised to v on the grid
+        wherever the two cross there."""
         v = self.v.on_grid(grid_size)
-        u = self.u.on_grid(grid_size)
         if not np.min(v) > 0:
             raise InvalidParameters(f"lower density must be positive, its minimum is {np.min(v):.3e}")
-        if np.any(v > u * (1 + 1e-12)):
+        nodes = {b.values.size for b in (self.v, self.u) if isinstance(b, Tabulated)} or {grid_size}
+        if any(np.any(self.v.on_grid(n) > self.u.on_grid(n) * (1 + 1e-12)) for n in nodes):
             raise InvalidParameters("lower density exceeds upper density")
+        u = np.maximum(self.u.on_grid(grid_size), v)
         lo, hi = float(np.mean(1.0 / u)), float(np.mean(1.0 / v))
         if not (lo - 1e-12 <= self.p <= hi + 1e-12):
             raise InfeasibleClass(
@@ -399,54 +406,39 @@ def lf_dvu(
         tol = 1e-12 * float(np.max(u))
         if np.all(f0_vals >= v - tol) and np.all(f0_vals <= u + tol):
             return replace(base, lagrange={**base.lagrange, "lower_active": [], "upper_active": []})
-    except (WeightsNotPositive, PositivityLost):  # no closed form for these weights
+    except (WeightsNotPositive, PositivityLost, NotCovered):  # no closed form here
         pass
     return numerical_lf(pattern, weights, cls)
 
 
 # ---------------------------------------------------------------------------
-# numerical maximizer
+# DVU vertices and the numerical maximizer
 # ---------------------------------------------------------------------------
 
-def _shift_clip(g: np.ndarray, lo, hi, p: float) -> np.ndarray:
-    """clip(g + s, lo, hi) for the shift s that gives it mean p; lo <= hi,
-    both finite, and mean(lo) <= p <= mean(hi).
+def _knapsack(gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float) -> np.ndarray:
+    """The g in {lo <= g <= hi, mean(g) = p} that maximizes -sum gain g, for lo <= hi
+    and mean(lo) <= p <= mean(hi): a fractional knapsack (Dantzig 1957). From g = hi,
+    points are lowered to lo in decreasing order of gain, the last one part of the
+    way, so g is a vertex of the class polytope."""
+    order = np.argsort(-gain, kind="stable")
+    cap = (hi - lo)[order]
+    need = min(max(float(np.sum(hi)) - p * hi.size, 0.0), float(np.sum(cap)))
+    drop = np.clip(need - (np.cumsum(cap) - cap), 0.0, cap)
+    g = np.empty_like(hi)
+    g[order] = np.where(drop >= cap, lo[order], hi[order] - drop)
+    return g
 
-    sum clip(g + s, lo, hi) is nondecreasing and piecewise linear in s, with
-    slope the number of entries strictly inside (lo, hi). A Newton step
-    s + (p G - sum) / n_free lands on the root of the piece it starts from,
-    so the root is exact once a step keeps the active set (Cominetti,
-    Mascarenhas & Silva 2014); a step from a flat piece, or out of the
-    bracket of the root, bisects instead.
-    """
-    target = p * g.size
-    dlo = lo - g
-    # the sum is sum(lo) <= target at the left end and >= target at the right
-    left = float(np.minimum.reduce(dlo))
-    right = (float(np.maximum.reduce(dlo)) + target
-             - float(np.add.reduce(np.broadcast_to(lo, g.shape))))
-    left, right = left - 1e-15 * abs(left), right + 1e-15 * abs(right)
-    s = min(max(p - float(np.add.reduce(g)) / g.size, left), right)
-    x = np.empty_like(g)
-    newton_from = None
-    for _ in range(200):
-        np.add(g, s, out=x)
-        above, below = x > lo, x < hi
-        np.minimum(np.maximum(x, lo, out=x), hi, out=x)
-        r = target - float(np.add.reduce(x))
-        counts = (np.count_nonzero(above), np.count_nonzero(below))
-        # membership moves one way with s, so equal counts mean the Newton
-        # step stayed on its piece
-        if r == 0.0 or counts == newton_from:
-            return x
-        left, right = (s, right) if r > 0 else (left, s)
-        n_free = np.count_nonzero(np.logical_and(above, below, out=above))
-        step = s + r / n_free if n_free else left
-        newton_from = counts if left < step < right else None
-        s = step if newton_from is not None else 0.5 * (left + right)
-        if not left < s < right:  # the bracket holds no float between its ends
-            return x
-    raise NotConverged("shift-clip projection did not converge", diagnostics={"shift": s})
+
+def _dvu_vertex(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float):
+    """Maximize the mean of the chord of w/g on [lo, hi] over lo <= g <= hi,
+    mean(g) = p. The chord w/hi + w (hi - g) / (lo hi) is linear in g, so this
+    is the _knapsack for gain w / (lo hi) = w u v. Returns the vertex g and the
+    chord's mean there, which bounds mean(w/g) over the class since the chord
+    lies above the convex w/g; the two agree at every point of the vertex but
+    the one off its bounds."""
+    gain = w / (lo * hi)
+    g = _knapsack(gain, lo, hi, p)
+    return g, (float(np.sum(w / hi)) + float(gain @ (hi - g))) / hi.size
 
 
 def numerical_lf(
@@ -454,18 +446,30 @@ def numerical_lf(
     weights: FunctionalWeights,
     cls: DVU,
 ) -> LeastFavourableResult:
-    """Maximize the interpolation error over DVU by projected gradient ascent
-    on the grid values of g = 1/f, on max(OPT_GRID, 4 span) points, until the
-    projected step is below PG_TOL mean(g) or for at most MAX_ITERS steps.
+    """Maximize the interpolation error over DVU by vertex ascent on the grid
+    values of g = 1/f, on max(OPT_GRID, 4 span) points.
 
-    The error Delta(g) = <B(g)^{-1} a, a> has gradient -|C(lambda_j)|^2 / G
-    with respect to g_j, where C carries the solved coefficients. Each step
-    is projected back onto the class by the exact shift and clip of
-    _shift_clip, and the ascent starts at the projected midpoint of the box
-    [1/u, 1/v]. Any other class raises NotCovered: the suprema over D0Minus
-    and DW are unbounded on the grid, and their closed forms are lf_d0minus
-    and lf_dW. The result lists in lagrange the grid points where f0 is
-    within 1e-6 max(u) of v (lower_active) or of u (upper_active).
+    The error Delta(g) = <B(g)^{-1} a, a> is convex in g, with gradient
+    -|C(lambda_j)|^2 / G with respect to g_j, where C carries the solved
+    coefficients. So Delta lies above its linearization at g, whose maximum
+    over the class polytope {lo <= g <= hi, mean(g) = p}, lo = 1/u and
+    hi = 1/v, is the vertex _knapsack(|C|^2, lo, hi, p). The ascent starts
+    at lo + t (hi - lo), with t in [0, 1] setting the mean to p (white noise
+    1/p for constant bounds), and moves to that vertex while one Gram solve
+    there finds Delta strictly larger. Where it stops it tries the vertex of
+    the saddle certificate, _knapsack(|C|^2 g^2 / (lo hi), lo, hi, p), and
+    climbs on from there if Delta is larger. Delta grows strictly at every
+    move among finitely many vertices, so the ascent ends, with no tolerance
+    and no step limit; diagnostics["iterations"] counts its Gram solves.
+
+    delta0 is a local maximum: maximizing a convex function over a polytope
+    is NP-hard in general. Its guarantee is saddle_check's minimax_bracket,
+    whose vertex_classical the certificate restart keeps at most delta0
+    to rounding.
+    Any other class raises NotCovered: the suprema over D0Minus and DW are
+    unbounded on the grid, and their closed forms are lf_d0minus and lf_dW.
+    The result lists in lagrange the grid points where f0 is within
+    1e-6 max(u) of v (lower_active) or of u (upper_active).
     """
     if not isinstance(cls, DVU):
         raise NotCovered(f"numerical_lf maximizes over DVU only, not {type(cls).__name__}")
@@ -475,37 +479,29 @@ def numerical_lf(
     G = max(OPT_GRID, 4 * span)
     v, u = cls.validate(G)
     lo, hi = 1.0 / u, 1.0 / v
-    g = _shift_clip(0.5 * (lo + hi), lo, hi, cls.p)
+    mean_lo = float(np.mean(lo))
+    t = (cls.p - mean_lo) / max(float(np.mean(hi)) - mean_lo, np.finfo(float).tiny)
+    g = lo + min(max(t, 0.0), 1.0) * (hi - lo)
 
     exps = np.exp(1j * np.outer(idx, angular_grid(G)))  # C(lambda) = c @ exps
 
-    def objective(gv):
-        b = FourierCoeffs(grid_fourier_coefficients(gv, span))
-        c = solve_gram(idx, a, b)
-        delta = float(np.real(np.sum(c * np.conj(a))))
-        grad = -np.abs(c @ exps) ** 2 / G
-        return delta, grad
+    def error_and_gain(gv):
+        c = solve_gram(idx, a, FourierCoeffs(grid_fourier_coefficients(gv, span)))
+        return error_value(c, a), np.abs(c @ exps) ** 2
 
-    delta, grad = objective(g)
-    step = 0.1 * max(np.mean(g), 1e-6) / max(float(np.max(np.abs(grad))), 1e-300)
-    scale = max(float(np.mean(g)), 1e-12)
-    for it in range(1, MAX_ITERS + 1):
-        g_trial = _shift_clip(g + step * grad, lo, hi, cls.p)
-        pg_norm = float(np.max(np.abs(g_trial - g))) / max(step, 1e-300)
-        if pg_norm * step < PG_TOL * scale:
-            break
-        delta_trial, grad_trial = objective(g_trial)
-        if delta_trial >= delta - 1e-14 * max(abs(delta), 1.0):
-            g, delta, grad = g_trial, delta_trial, grad_trial
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-16 * scale:
+    delta, gain = error_and_gain(g)
+    solves = 1
+    while True:
+        # the vertex of the linearization at g, then the certificate's vertex
+        for vertex_gain in (gain, gain * g ** 2 / (lo * hi)):
+            g_next = _knapsack(vertex_gain, lo, hi, cls.p)
+            delta_next, gain_next = error_and_gain(g_next)
+            solves += 1
+            if delta_next > delta:
                 break
-
-    diagnostics = {"iterations": it, "projected_gradient": pg_norm * step / scale}
-    if not pg_norm * step < PG_TOL * scale:
-        raise NotConverged("projected gradient ascent did not converge", diagnostics=diagnostics)
+        else:  # neither raises Delta: a local maximum
+            break
+        g, delta, gain = g_next, delta_next, gain_next
 
     f0 = Tabulated(1.0 / g)
     rtol = 1e-6 * float(np.max(u))
@@ -513,30 +509,13 @@ def numerical_lf(
                 "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
     half = min(span + 64, G // 2 - 1)
     b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
-    return _result_from_density(pattern, weights, f0, b0, lagrange, "numerical", G, diagnostics)
+    return _result_from_density(pattern, weights, f0, b0, lagrange, "numerical", G,
+                                {"iterations": solves})
 
 
 # ---------------------------------------------------------------------------
 # saddle certificates
 # ---------------------------------------------------------------------------
-
-def _dvu_vertex(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: float):
-    """Maximize the mean of the chord of w/g on [lo, hi] over lo <= g <= hi,
-    mean(g) = p. The chord is linear in g, so this is a fractional knapsack
-    (Dantzig 1957): from g = hi, lower points to lo in decreasing order of
-    w / (lo hi) = w u v, the last one part of the way. Returns the vertex g
-    and the chord's mean there, which bounds mean(w/g) over the class since
-    the chord lies above the convex w/g; the two agree at every point of the
-    vertex but the one off its bounds."""
-    gain = w / (lo * hi)
-    order = np.argsort(-gain, kind="stable")
-    cap = (hi - lo)[order]
-    need = min(max(float(np.sum(hi)) - p * hi.size, 0.0), float(np.sum(cap)))
-    drop = np.clip(need - (np.cumsum(cap) - cap), 0.0, cap)
-    g = np.empty_like(hi)
-    g[order] = np.where(drop >= cap, lo[order], hi[order] - drop)
-    return g, (float(np.sum(w / hi)) + float(gain[order] @ drop)) / hi.size
-
 
 def saddle_check(
     result: LeastFavourableResult,

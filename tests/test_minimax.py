@@ -2,13 +2,11 @@
 
 import dataclasses
 import itertools
-import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapinterp.densities import (
@@ -376,6 +374,36 @@ class TestDW:
         assert all(res.b0[m] == b_given[m] for m in range(W + 1))
 
 
+@st.composite
+def dvu_problems(draw):
+    """A small S4-S6 pattern, positive, negative or complex weights, and a
+    DVU class with constant (tabulated) or RationalAR bounds, v <= u."""
+    kind = draw(st.sampled_from(["S4", "S5", "S6"]))
+    dims = {"N": draw(st.integers(0, 2))}
+    if kind in ("S4", "S6"):
+        dims.update(M1=draw(st.integers(1, 3)), N1=draw(st.integers(0, 2)))
+    if kind in ("S5", "S6"):
+        dims.update(M2=draw(st.integers(1, 3)), N2=draw(st.integers(0, 2)))
+    pattern = ObservationPattern(kind, **dims)
+    sign = draw(st.sampled_from([1.0, -1.0, 1j]))
+    weights = FunctionalWeights(values={
+        j: draw(st.floats(0.1, 2.0)) * (sign if draw(st.booleans()) else 1.0)
+        for j in missing_indices(pattern)})
+    low = draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        v = Tabulated(np.full(16, low))
+        u = Tabulated(np.full(16, low * draw(st.floats(1.1, 20.0))))
+    else:
+        alpha, beta = draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))
+        v = RationalAR(alpha=alpha, sigma2=low * (1 - abs(alpha)) ** 2)  # max v = low
+        u = RationalAR(alpha=beta, sigma2=low * draw(st.floats(1.1, 20.0)) * (1 + abs(beta)) ** 2)
+    idx = missing_indices(pattern)
+    grid = max(512, 4 * (max(idx) - min(idx)))
+    top, bottom = (float(np.mean(b.inverse_on_grid(grid))) for b in (v, u))
+    p = bottom + draw(st.floats(0.0, 1.0)) * (top - bottom)
+    return pattern, weights, DVU(v=v, u=u, p=p)
+
+
 class TestDVU:
     def test_inactive_bounds_match_mean_constrained_form(self):
         cls = DVU(v=Tabulated(np.full(512, 0.05)), u=Tabulated(np.full(512, 20.0)),
@@ -454,6 +482,37 @@ class TestDVU:
         assert np.all(f0 >= 0.5 - 1e-9)
         assert np.all(f0 <= 1.2 + 1e-9)
 
+    def test_two_sided_infinite_goes_numerical(self):
+        # lf_d0minus's NotCovered escaped lf_dvu
+        pattern = ObservationPattern("S3", N=0, M1=2, M2=2, T=10)
+        cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        res = lf_dvu(pattern, FunctionalWeights(geometric=(1.0, 0.5)), cls)
+        assert res.mechanism == "numerical"
+        f0 = res.f0.on_grid(res.grid_size)
+        assert np.all(f0 >= 0.5 * (1 - 1e-12)) and np.all(f0 <= 1.2 * (1 + 1e-12))
+        assert abs(np.mean(1.0 / f0) - 1.0) <= 1e-12
+
+    def test_bounds_compared_at_their_nodes(self):
+        # the 4096-point interpolant of v rings up to 1.2032 next to the dip,
+        # above u, though v <= u at every tabulated node
+        v = np.ones(512)
+        v[7] = 0.05
+        cls = DVU(v=Tabulated(v), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        v_grid, u_grid = cls.validate(4096)
+        assert np.max(v_grid) > 1.2
+        assert np.array_equal(u_grid, np.maximum(cls.u.on_grid(4096), v_grid))
+        res = lf_dvu(S5_SMALL, W_SMALL, cls)
+        f0 = res.f0.on_grid(res.grid_size)
+        v_grid, u_grid = cls.validate(res.grid_size)
+        assert np.all(f0 >= v_grid * (1 - 1e-12)) and np.all(f0 <= u_grid * (1 + 1e-12))
+
+    def test_bounds_crossing_at_a_node(self):
+        v = np.ones(512)
+        v[7] = 1.3
+        cls = DVU(v=Tabulated(v), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        with pytest.raises(InvalidParameters, match="lower density exceeds upper density"):
+            lf_dvu(S5_SMALL, W_SMALL, cls)
+
     def test_validate_returns_the_checked_grid_values(self):
         cls = DVU(v=RationalAR(alpha=0.3, sigma2=0.5), u=Tabulated(np.full(64, 20.0)), p=1.0)
         v, u = cls.validate(256)
@@ -494,6 +553,24 @@ class TestNumerical:
         assert np.all(f0 <= 1.2 + 1e-9)
         assert res.lagrange["lower_active"] == np.flatnonzero(f0 <= 0.5 + 1.2e-6).tolist()
         assert res.lagrange["upper_active"] == np.flatnonzero(f0 >= 1.2 - 1.2e-6).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dvu_problems())
+    def test_vertex_ascent(self, problem):
+        pattern, weights, cls = problem
+        res = numerical_lf(pattern, weights, cls)
+        G = res.grid_size
+        v, u = cls.validate(G)
+        f0 = res.f0.on_grid(G)
+        assert np.all(f0 >= v * (1 - 1e-12)) and np.all(f0 <= u * (1 + 1e-12))
+        assert abs(np.mean(1.0 / f0) - cls.p) <= 1e-12 * cls.p
+        # the ascent starts at the member 1/g, g = 1/u + t (1/v - 1/u) with mean p
+        lo, hi = 1.0 / u, 1.0 / v
+        t = (cls.p - np.mean(lo)) / (np.mean(hi) - np.mean(lo))
+        start = solve(pattern, weights, Tabulated(1.0 / (lo + t * (hi - lo))), grid_size=G)
+        assert res.delta0 >= start.delta * (1 - 1e-12)
+        report = saddle_check(res, pattern, weights, cls)
+        assert report["vertex_classical"] <= res.delta0 * (1 + 1e-9)
 
     def test_sampled_members_stay_in_class(self):
         cls = D0Minus(p=1.0)
@@ -776,7 +853,7 @@ class TestSaddleBatch:
         ("d0minus", "S6"): (0.7692307692307689, 0.7214752067716445, 2.0586022173425302,
                             7.519624774439876e-05),
         ("dvu", "S4"): (19.860513513660862, 19.857630558801745, 9.628807912601502),
-        ("dvu", "S5"): (1.3328619750405248, 1.332746318565404, 1.1661719449094865),
+        ("dvu", "S5"): (1.333798892337379, 1.333683507269937, 1.1665433235230347),
         ("dvu", "S6"): (22.035073216811945, 22.033600441797585, 10.417536498116235),
         ("dw", "S4"): (None, 0.25, 0.0, 3.650173611111112e-05),
         ("dw", "S5"): (None, 0.25, 0.0, 6.103515625e-05),
@@ -852,88 +929,3 @@ class TestDVUVertex:
                      - w[free] / g[free]) / G
         assert abs(bound - vertex - gap) <= 1e-12 * max(bound, 1e-300)
 
-
-def breakpoint_roots(g, lo, hi, p):
-    """The interval [s1, s2] of shifts s with sum clip(g + s, lo, hi) = p G,
-    in exact rational arithmetic: each entry is free between its breakpoints
-    lo - g and hi - g, and a sweep over the sorted breakpoints finds the
-    pieces that hold p G (s1 < s2 only on a flat piece)."""
-    events = sorted([(Fraction(l) - Fraction(x), 1) for l, x in zip(lo, g)]
-                    + [(Fraction(h) - Fraction(x), -1) for h, x in zip(hi, g) if np.isfinite(h)])
-    target = Fraction(p) * g.size
-    value = sum(Fraction(l) for l in lo)  # every entry at lo, left of every breakpoint
-    prev, slope, first = events[0][0], 0, None
-    for point, change in events + [(None, 0)]:
-        if point is None or point > prev:
-            if value == target and first is None:
-                first = prev
-            if slope > 0 and first is not None:
-                return first, prev
-            if slope > 0 and (point is None or value + slope * (point - prev) > target):
-                root = prev + (target - value) / slope
-                return root, root
-            if point is None:  # flat past every breakpoint: every entry at hi
-                return first, math.inf
-            value += slope * (point - prev)
-            prev = point
-        slope += change
-
-
-@st.composite
-def shift_clip_problems(draw):
-    size = draw(st.integers(8, 4096))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scale = 10.0 ** draw(st.integers(-3, 3))
-    g = scale * rng.normal(size=size) * draw(st.sampled_from([0.1, 1.0, 10.0]))
-    lo = scale * rng.uniform(-1.0, 1.0, size)
-    if draw(st.booleans()):  # one floor for every entry, as D0Minus projects
-        lo[:] = lo[0]
-    hi = lo + scale * rng.exponential(size=size)
-    pinned = rng.random(size) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
-    hi[pinned] = lo[pinned]
-    unbounded = draw(st.sampled_from(["none", "some", "all"]))
-    if unbounded == "all":
-        hi[:] = np.inf
-    elif unbounded == "some":
-        hi[rng.random(size) < 0.5] = np.inf
-    t = draw(st.floats(0.0, 1.0))
-    top = float(np.mean(hi)) if np.all(np.isfinite(hi)) else float(np.mean(lo)) + 3 * scale
-    p = float(np.mean(lo)) + t * (top - float(np.mean(lo)))
-    # mean lo <= p <= mean hi exactly, not only in rounded means
-    while Fraction(p) * size < sum(Fraction(l) for l in lo):
-        p = np.nextafter(p, np.inf)
-    while np.all(np.isfinite(hi)) and Fraction(p) * size > sum(Fraction(h) for h in hi):
-        p = np.nextafter(p, -np.inf)
-    # with every entry pinned, p G may fall between two floats
-    assume(Fraction(p) * size >= sum(Fraction(l) for l in lo))
-    return g, lo, hi, float(p)
-
-
-class TestShiftClip:
-    @settings(max_examples=60, deadline=None)
-    @given(shift_clip_problems())
-    def test_matches_the_breakpoint_root(self, problem):
-        g, lo, hi, p = problem
-        out = minimax._shift_clip(g, lo, hi, p)
-        first, last = (float(v) for v in breakpoint_roots(g, lo, hi, p))
-        # out is clip(g + s') for one s' within tol of a root s: clipped
-        # entries sit on their bounds and free ones share the shift s'
-        assert np.all((lo <= out) & (out <= hi))
-        free = (out > lo) & (out < hi)
-        shift = out[free] - g[free]
-        s = min(max(float(np.median(shift)) if free.any() else first, first), last)
-        # on top of 1e-13 relative, s carries the rounding of the G-term sum
-        # (pairwise: log2(G) eps sum|x|) and of p G, shared by the k free
-        # entries; with k = 1 that alone reaches ~1e-13
-        eps = np.finfo(float).eps
-        rounding = eps * (np.log2(g.size) * np.sum(np.abs(out)) + abs(p) * g.size)
-        tol = 1e-13 * (abs(s) + float(np.max(np.abs(g)))) + rounding / max(shift.size, 1)
-        assert np.all(np.abs(shift - s) <= tol)
-        assert np.all(np.abs(out - np.clip(g + s, lo, hi)) <= tol)
-        # the mean holds p to rounding, plus the rounding of s and g + s that
-        # each free entry carries
-        finite = np.concatenate([np.abs(lo), np.abs(hi[np.isfinite(hi)]), np.abs(out)])
-        shift_rounding = eps * shift.size * (abs(s) + float(np.max(np.abs(g)))) / g.size
-        assert abs(np.mean(out) - p) <= 8 * eps * np.max(finite) + shift_rounding
-        if np.all(lo == lo[0]):
-            assert np.array_equal(minimax._shift_clip(g, float(lo[0]), hi, p), out)
