@@ -333,22 +333,24 @@ def inverse_fourier_coeffs(
     half_length: int,
     grid_size: int = DEFAULT_GRID,
 ) -> FourierCoeffs:
-    """Fourier coefficients b(m) = (1/2pi) int e^{-im lambda} / f dlambda,
-    m = -half_length..half_length.
+    """Fourier coefficients b(m) = (1/2pi) int e^{-im lambda} / f dlambda.
 
-    RationalAR and InversePolynomial inputs give their exact finite
-    expansion, cut or padded with zeros to half_length; an InversePolynomial
-    is first refused unless 1/f is real and positive on the grid. Tabulated
-    inputs go through FFT quadrature and need grid_size >= 4 * half_length.
+    RationalAR and InversePolynomial inputs give their exact finite expansion
+    of degree p, padded with zeros to max(half_length, p) and never cut; an
+    InversePolynomial is first refused unless 1/f is real and positive on the
+    grid. Tabulated inputs give the FFT quadrature at the lags up to
+    half_length and need grid_size >= 4 * half_length.
     """
     if isinstance(f, RationalAR):
-        return f.exact_inverse_coeffs().resized(half_length)
-    if isinstance(f, InversePolynomial):
+        exact = f.exact_inverse_coeffs()
+    elif isinstance(f, InversePolynomial):
         f.inverse_on_grid(grid_size)
-        return f.inv_coeffs.resized(half_length)
-    if grid_size < 4 * half_length:
+        exact = f.inv_coeffs
+    elif grid_size < 4 * half_length:
         raise InvalidParameters("grid_size must be at least 4 * half_length")
-    return FourierCoeffs(grid_fourier_coefficients(f.inverse_on_grid(grid_size), half_length))
+    else:
+        return FourierCoeffs(grid_fourier_coefficients(f.inverse_on_grid(grid_size), half_length))
+    return exact.resized(max(half_length, exact.half_length))
 
 
 def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float:

@@ -12,9 +12,9 @@ matrix of half-bandwidth at most p when 1/f has degree p (RationalAR,
 InversePolynomial; p = n - 1 for Tabulated), and one banded Cholesky solves
 it in O(n p^2).
 
-The Fourier coefficients of h are the finite convolution
-h(j) = a(j) - sum_k c(k) b(j - k). They are exact whenever 1/f is a finite
-trigonometric polynomial (RationalAR, InversePolynomial). A solution computes
+A solution holds all of a finite-degree 1/f, and the Fourier coefficients of
+h are then the exact convolution h(j) = a(j) - sum_k c(k) b(j - k); those of
+a Tabulated h come from one FFT of h on the grid. A solution computes
 `h_coeffs` and the grid values `a_grid` and `h_grid` on first access, not in
 `solve`; they need 2 max|j| < grid_size and raise InvalidParameters otherwise.
 
@@ -59,9 +59,6 @@ from .errors import (
 )
 from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 
-# lags of 1/f held beyond the gap span: for Tabulated input h_coeffs covers
-# [min K - 64, max K + 64]
-CHARACTERISTIC_MARGIN = 64
 # the exact path cuts an infinite block where the cut moves Delta by about
 # TAIL_RTOL relative (times max f / min f), far below rounding
 TAIL_RTOL = 1e-17
@@ -117,8 +114,8 @@ def _degree(b: FourierCoeffs) -> int:
 @dataclass(frozen=True)
 class InterpolationSolution:
     """Solved coefficients c and error delta for the density f, whose 1/f has
-    the Fourier coefficients b (lags -L..L). The spectral characteristic is
-    derived from these fields on first access."""
+    the Fourier coefficients b (`inverse_fourier_coeffs` at the span of K).
+    The spectral characteristic is derived from these fields on first access."""
 
     indices: tuple
     c: np.ndarray
@@ -135,23 +132,35 @@ class InterpolationSolution:
 
     @cached_property
     def h_coeffs(self) -> dict:
-        """h(j) = a(j) - sum_k c(k) b(j - k), with b cut to its support
-        [-p, p], p the largest lag with b(p) != 0. When p < L, 1/f is a
-        trigonometric polynomial of degree p and the lags [min K - p, max K + p]
-        hold every nonzero h(j). When p = L (Tabulated), only the lags
-        [max K - L, min K + L], where every b(j - k) is held, are returned."""
+        """h(j) = a(j) - sum_k c(k) b(j - k), one convolution, when 1/f has
+        degree p (RationalAR, InversePolynomial): b holds all of it, and the
+        lags [min K - p, max K + p] every nonzero h(j). For Tabulated, h(j)
+        comes from one FFT of `h_grid` over the grid_size lags centred on K,
+        kept from the first to the last above the rounding of h = A - C/f,
+        2^-52 max |C/f|; h on K, which vanishes to rounding, is read off the
+        same FFT."""
         idx = np.asarray(self.indices)
-        lo, hi, half = int(idx.min()), int(idx.max()), self.b.half_length
-        p = _degree(self.b)
-        c_spread = np.zeros(hi - lo + 1, dtype=complex)
-        c_spread[idx - lo] = self.c
-        conv = np.convolve(c_spread, self.b.values[half - p: half + p + 1])
-        cut = hi - lo if p == half else 0
-        conv = conv[cut: conv.size - cut]
-        first = lo - p + cut
-        a_spread = np.zeros_like(conv)
-        a_spread[idx - first] = self.a
-        return dict(zip(range(first, first + conv.size), (a_spread - conv).tolist()))
+        lo, hi = int(idx.min()), int(idx.max())
+        if isinstance(self.f, (RationalAR, InversePolynomial)):
+            half, p = self.b.half_length, _degree(self.b)
+            c_spread = np.zeros(hi - lo + 1, dtype=complex)
+            c_spread[idx - lo] = self.c
+            conv = np.convolve(c_spread, self.b.values[half - p: half + p + 1])
+            first = lo - p
+            a_spread = np.zeros_like(conv)
+            a_spread[idx - first] = self.a
+            h = a_spread - conv
+        else:  # e^{-ij lambda_g} = (-1)^j e^{-2 pi i j g / G} on the grid from -pi
+            G = self.grid_size
+            first = (lo + hi) // 2 - G // 2
+            lags = np.arange(first, first + G)
+            h = np.where(lags % 2, -1.0, 1.0) * np.fft.fft(self.h_grid)[lags % G] / G
+            rounding = 2.0 ** -52 * np.abs(self.a_grid - self.h_grid).max()  # of A - C/f
+            kept = np.flatnonzero(np.abs(h) > rounding)
+            if not kept.size:  # h = 0: zero weights
+                return {}
+            h, first = h[kept[0]: kept[-1] + 1], first + int(kept[0])
+        return dict(zip(range(first, first + h.size), h.tolist()))
 
     @cached_property
     def a_grid(self) -> np.ndarray:
@@ -185,20 +194,17 @@ def solve(
     central, left, right = blocks = pattern.blocks()
     idx = [*central, *left, *right]
     a = weights.on(idx)
-    b = inverse_fourier_coeffs(f, _half_length(blocks, grid_size), grid_size)
+    b = inverse_fourier_coeffs(f, _span(blocks), grid_size)
     c = solve_gram(idx, a, b)
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
     )
 
 
-def _half_length(blocks, grid_size: int) -> int:
-    """Lags of 1/f a solution holds: the span of K, read off the pattern's
-    (central, left, right) blocks, plus a margin, capped at a quarter of the
-    grid unless the span itself is larger."""
+def _span(blocks) -> int:
+    """max K - min K, the largest lag the Gram reads, from the pattern's blocks."""
     central, left, right = blocks
-    max_lag = max((right[-1] if right else central[-1]) - (left[-1] if left else 0), 1)
-    return max(min(max_lag + CHARACTERISTIC_MARGIN, grid_size // 4), max_lag)
+    return (right[-1] if right else central[-1]) - (left[-1] if left else 0)
 
 
 def error_value(c: np.ndarray, a: np.ndarray) -> float:
@@ -274,21 +280,21 @@ def solve_truncated(
     over the cut K, and h vanishes on K to rounding.
 
     Only the loop's inputs depend on the density. When 1/f has degree p
-    (RationalAR, InversePolynomial), b is its exact expansion, the roots are
-    those of 1/f, and `grid_size` doubles as often as h needs
+    (RationalAR, InversePolynomial), b is its whole exact expansion, the
+    roots are those of 1/f, and `grid_size` doubles as often as h needs
     (2 max|j| < grid_size). Any other density (Tabulated) takes b from one
-    grid quadrature at the lags up to grid_size / 4, cut to each depth (the
-    b `solve` takes there, bit for bit), has no roots (D starts from the
-    weights' decay alone) and p = 0. Its q is the gcd of the lags m with
-    |b(m)| > 1e-13 b(0): a 1/f on the multiples of q alone (the even lags,
-    say) splits K into q systems by index mod q, each with its own outermost
-    index. The quadrature holds a span of K up to grid_size / 4, so D doubles
-    at most to the deepest such depth, which is tried once; NotConverged is
-    raised there with that depth and `grid_size` in its diagnostics. Explicit
-    weights may reach at most MAX_REACH indices into a block, and no further
-    than that deepest depth (InvalidParameters); a cut past MAX_DEPTH raises
-    NotConverged.
-    `convergence` is {"converged": True, "depth": D}.
+    grid quadrature at the lags up to grid_size / 4, cut to the span of each
+    depth's K (the b `solve` takes there, bit for bit), has no roots (D
+    starts from the weights' decay alone) and p = 0. Its q is the gcd of the
+    lags m with |b(m)| > 1e-13 b(0): a 1/f on the multiples of q alone (the
+    even lags, say) splits K into q systems by index mod q, each with its own
+    outermost index. The quadrature holds a span of K up to grid_size / 4, so
+    D doubles at most to the deepest such depth, which is tried once;
+    NotConverged is raised there with that depth and `grid_size` in its
+    diagnostics. Explicit weights may reach at most MAX_REACH indices into a
+    block, and no further than that deepest depth (InvalidParameters); a cut
+    past MAX_DEPTH raises NotConverged.
+    `convergence` is {"depth": D}.
     """
     if not pattern.is_infinite:
         raise InvalidParameters("solve_truncated applies to infinite patterns only")
@@ -298,16 +304,14 @@ def solve_truncated(
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     sides = pattern.has_left + pattern.has_right
     if isinstance(f, (RationalAR, InversePolynomial)):
-        # b(m) vanishes past the nominal degree p; an InversePolynomial's 1/f is
+        # all of 1/f, of nominal degree p; an InversePolynomial's 1/f is
         # checked here, once per solve and before its roots are sought
-        p = f.order if isinstance(f, RationalAR) else f.inv_coeffs.half_length
-        coeffs = inverse_fourier_coeffs(f, p, grid_size).resized
-        root, deepest = _slowest_root(f), math.inf
+        held = inverse_fourier_coeffs(f, 0, grid_size)
+        p, root, deepest = held.half_length, _slowest_root(f), math.inf
         q = max(p, 1)
     else:  # 4 * span <= grid_size, span = N + M1 + M2 + sides * D over the held blocks
-        p, root = 0, 0.0
-        held = inverse_fourier_coeffs(f, grid_size // 4, grid_size)
-        coeffs = held.resized  # each depth's quadrature is a prefix of the same FFT
+        # each depth's quadrature is a prefix of the same FFT
+        p, root, held = 0, 0.0, inverse_fourier_coeffs(f, grid_size // 4, grid_size)
         deepest = (grid_size // 4 - pattern.N - (pattern.M1 if pattern.has_left else 0)
                    - (pattern.M2 if pattern.has_right else 0)) // sides
         # a 1/f on the multiples of q alone splits each block into q systems,
@@ -333,7 +337,7 @@ def solve_truncated(
         central, left, right = blocks = pattern.with_truncation(depth).blocks()
         idx = [*central, *left, *right]
         a = weights.on(idx)
-        b = coeffs(_half_length(blocks, grid_size))
+        b = held.resized(max(_span(blocks), p))
         c = solve_gram(idx, a, b)
         # canonical order: central, then each held block with its outermost
         # q indices last
@@ -352,7 +356,7 @@ def solve_truncated(
         grid_size *= 2
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
-        b=b, convergence={"converged": True, "depth": depth},
+        b=b, convergence={"depth": depth},
     )
 
 

@@ -190,11 +190,11 @@ def _real_positive_weights(weights: FunctionalWeights, pattern: ObservationPatte
     return a.real
 
 
-def _result_from_density(pattern, weights, f0, b0, lagrange, mechanism, grid_size,
+def _result_from_density(pattern, weights, f0, lagrange, mechanism, grid_size,
                          diagnostics=None):
     sol = solve(pattern, weights, f0, grid_size=grid_size)
     return LeastFavourableResult(
-        f0=f0, b0=b0, h0_grid=sol.h_grid, delta0=sol.delta, lagrange=lagrange, solution=sol,
+        f0=f0, b0=sol.b, h0_grid=sol.h_grid, delta0=sol.delta, lagrange=lagrange, solution=sol,
         mechanism=mechanism, grid_size=grid_size,
         diagnostics=diagnostics or {},
     )
@@ -228,7 +228,7 @@ def lf_d0minus(
                              diagnostics={"inv_min": float(np.min(inv_vals))})
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
     f0 = InversePolynomial(b0)
-    result = _result_from_density(pattern, weights, f0, b0, lagrange, "closed_form", grid_size)
+    result = _result_from_density(pattern, weights, f0, lagrange, "closed_form", grid_size)
     expected = a_anchor ** 2 / cls.p
     if abs(result.delta0 - expected) > 1e-8 * max(expected, 1.0):
         raise NotConverged(
@@ -375,7 +375,7 @@ def lf_dW(
     lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
                 "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),
                 "newton_residual": residual}
-    return _result_from_density(pattern, weights, InversePolynomial(b0), b0, lagrange,
+    return _result_from_density(pattern, weights, InversePolynomial(b0), lagrange,
                                 "degenerate" if W >= span else "newton", grid_size)
 
 
@@ -392,13 +392,9 @@ def lf_dvu(
     v, u = cls.validate(grid_size)
 
     if np.max(np.abs(u - v)) <= 1e-12 * np.max(u):  # pinned: the class holds v alone
-        f_star = cls.v
-        if abs(minimality_value(f_star, grid_size) - cls.p) > 1e-8 * cls.p:
+        if abs(minimality_value(cls.v, grid_size) - cls.p) > 1e-8 * cls.p:
             raise InfeasibleClass("pinned class does not meet the inverse-mean constraint")
-        b0 = FourierCoeffs(
-            grid_fourier_coefficients(f_star.inverse_on_grid(grid_size), min(256, grid_size // 4))
-        )
-        return _result_from_density(pattern, weights, f_star, b0, {}, "pinned", grid_size)
+        return _result_from_density(pattern, weights, cls.v, {}, "pinned", grid_size)
 
     try:
         base = lf_d0minus(pattern, weights, D0Minus(p=cls.p), grid_size=grid_size)
@@ -507,9 +503,7 @@ def numerical_lf(
     rtol = 1e-6 * float(np.max(u))
     lagrange = {"lower_active": np.flatnonzero(f0.values <= v + rtol).tolist(),
                 "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
-    half = min(span + 64, G // 2 - 1)
-    b0 = FourierCoeffs(grid_fourier_coefficients(g, half))
-    return _result_from_density(pattern, weights, f0, b0, lagrange, "numerical", G,
+    return _result_from_density(pattern, weights, f0, lagrange, "numerical", G,
                                 {"iterations": solves})
 
 

@@ -47,7 +47,6 @@ def build_problem(
     weights: FunctionalWeights,
     f: SpectralDensity,
     window: int = 500,
-    grid_size: int | None = None,
 ) -> TimeDomainProblem:
     """Covariance data for the projection of the target functional onto the
     observations within +-window of the gap region; window >= 0."""
@@ -59,8 +58,7 @@ def build_problem(
     hi = max(k_idx) + window
     observed = tuple(t for t in range(lo, hi + 1) if t not in missing)
     max_lag = hi - lo
-    g = grid_size if grid_size is not None else max(DEFAULT_GRID, 4 * (max_lag + 1))
-    r = covariances(f, max_lag, grid_size=g)
+    r = covariances(f, max_lag, grid_size=max(DEFAULT_GRID, 4 * (max_lag + 1)))
     return TimeDomainProblem(
         target_indices=tuple(k_idx),
         target_weights=weight_vector(weights, pattern),
@@ -317,7 +315,7 @@ def estimate_weights_from_characteristic(solution) -> dict:
     """Observation weights of the solved estimate: every Fourier coefficient
     h(j) of the spectral characteristic that the solution holds
     (`solution.h_coeffs`) at an index j outside K. When 1/f has degree p these
-    are all the nonzero ones, on [min K - p, max K + p]; a Tabulated solution
-    holds K plus its held lags on each side."""
+    are all the nonzero ones, on [min K - p, max K + p]; for a Tabulated one,
+    those of the grid FFT, whose error on the grid is Delta to rounding."""
     missing = set(solution.indices)
     return {j: v for j, v in solution.h_coeffs.items() if j not in missing}

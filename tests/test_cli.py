@@ -96,7 +96,7 @@ class TestInterpolate:
         }
         code, rec, _ = run(tmp_path, "interpolate", config)
         assert code == 0
-        assert rec["convergence"]["converged"] is True
+        assert list(rec["convergence"]) == ["depth"] and rec["convergence"]["depth"] >= 1
 
     def test_slow_decay_grows_the_grid(self, tmp_path):
         # at rho = 0.99 the cut lies about 2000 indices out, so the default

@@ -144,14 +144,14 @@ class TestInverseCoefficients:
 
     def test_nonpositive_rejected(self):
         f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
-        for half_length in (1, 4):  # 1 cuts the degree-2 coefficients, 4 pads them
+        for half_length in (1, 4):  # below and past the degree 2
             with pytest.raises(NonPositiveDensity):
                 inverse_fourier_coeffs(f, half_length=half_length)
 
     @pytest.mark.parametrize("degree", [3, 100])
     def test_nonpositive_refused_by_solve(self, degree):
-        # 1 + 1.2 cos(degree lambda) dips to -0.2; at degree 100 the span 6
-        # of K cuts the coefficients
+        # 1 + 1.2 cos(degree lambda) dips to -0.2, at degree 100 too, far
+        # past the span 6 of K
         f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, degree: 0.6, -degree: 0.6}))
         with pytest.raises(NonPositiveDensity):
             solve(ObservationPattern("S4", N=1, M1=2, N1=3), FunctionalWeights({0: 1, 1: 1}), f)
@@ -163,10 +163,11 @@ class TestInverseCoefficients:
 
     @pytest.mark.parametrize("half_length", [0, 1, 2, 5])
     def test_ar_cut_or_padded(self, half_length):
+        # padded to half_length, never cut below the degree 2: b holds all of 1/f
         exact = RationalAR(alpha=np.array([0.3, 0.2])).exact_inverse_coeffs()
         b = inverse_fourier_coeffs(RationalAR(alpha=np.array([0.3, 0.2])), half_length)
-        assert b.half_length == half_length
-        assert all(b[m] == exact[m] for m in range(-half_length, half_length + 1))
+        assert b.half_length == max(half_length, 2)
+        assert all(b[m] == exact[m] for m in range(-b.half_length, b.half_length + 1))
 
 
 class TestMinimality:

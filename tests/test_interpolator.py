@@ -285,7 +285,7 @@ class TestSolveTruncated:
         p = ObservationPattern("S2", N=1, M2=1, T=1)
         w = FunctionalWeights(geometric=(1.0, 0.5))
         sol = solve_truncated(p, w, f)
-        assert sol.convergence == {"converged": True, "depth": 31}
+        assert sol.convergence == {"depth": 31}
         deeper = solve(p.with_truncation(2 * 31), w, f)
         assert abs(sol.delta - deeper.delta) <= 1e-15 * sol.delta
         exact = solve_truncated(p, w, RationalAR(alpha=0.5))
@@ -356,7 +356,7 @@ class TestSolveTruncated:
         tried = depths_tried(monkeypatch, p)
         sol = solve_truncated(p, w, tabulated_ar(0.95, grid), grid_size=grid)
         assert tried() == [31, 62, 124, 248, 496]
-        assert sol.convergence == {"converged": True, "depth": 496}
+        assert sol.convergence == {"depth": 496}
         monkeypatch.undo()
         f = RationalAR(alpha=0.95)
         exact = solve_truncated(p, w, f)
@@ -464,10 +464,51 @@ class TestCharacteristic:
         for j in set(h) & set(reference):
             assert abs(h[j] - reference[j]) <= tol
         lo, hi = min(idx), max(idx)
-        reach = 64 if degree is None else degree
-        assert set(range(lo - reach, hi + reach + 1)) <= set(h)
-        if degree is not None:
+        if degree is None:
+            # the grid FFT's lags, from the first to the last above the
+            # rounding of A - C/f: they hold K, and nothing left out of the
+            # window is larger than rounding
+            assert set(h) == set(range(min(h), max(h) + 1)) >= set(idx)
+            assert len(h) <= sol.grid_size
+            assert all(abs(v) <= tol for j, v in reference.items() if j not in h)
+        else:
+            assert set(range(lo - degree, hi + degree + 1)) <= set(h)
             assert all(lo - degree <= j <= hi + degree for j, v in h.items() if v != 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["S4", "S5", "S6"]),
+        inverse_poly=st.booleans(),
+        N=st.integers(0, 4), M1=st.integers(1, 6), N1=st.integers(0, 8),
+        M2=st.integers(1, 6), N2=st.integers(0, 8), extra=st.integers(65, 200),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_polynomial_support_past_the_span(self, kind, inverse_poly, N, M1, N1, M2, N2,
+                                              extra, seed):
+        # a degree p beyond span(K) + 64: b holds all of 1/f, and h(j) is
+        # nonzero exactly on [min K - p, max K + p]
+        rng = np.random.default_rng(seed)
+        left = {"M1": M1, "N1": N1} if kind in ("S4", "S6") else {}
+        right = {"M2": M2, "N2": N2} if kind in ("S5", "S6") else {}
+        pattern = ObservationPattern(kind, N=N, **left, **right)
+        idx = missing_indices(pattern)
+        lo, hi = min(idx), max(idx)
+        p = hi - lo + extra
+        if inverse_poly:
+            f = InversePolynomial(FourierCoeffs.from_dict(
+                {0: 2.0, 1: -0.5, -1: -0.5, p: 0.4, -p: 0.4}))
+        else:
+            alpha = np.zeros(p)
+            alpha[0] = rng.uniform(-0.4, 0.4)
+            alpha[-1] = rng.choice([-1, 1]) * rng.uniform(0.1, 0.5)
+            f = RationalAR(alpha=alpha)
+        w = FunctionalWeights(values={j: complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
+                                      for j in idx})
+        sol = solve(pattern, w, f)
+        assert sol.b.half_length == p
+        h = sol.h_coeffs
+        assert sorted(h) == list(range(lo - p, hi + p + 1))
+        assert h[lo - p] != 0 and h[hi + p] != 0
 
     def test_replace_recomputes_from_c(self):
         f = RationalAR(alpha=np.array([0.3 + 0.2j, -0.1]))

@@ -13,6 +13,8 @@ from scipy.signal import lfilter
 from gapinterp import oracle
 from gapinterp.densities import (
     DEFAULT_GRID,
+    FourierCoeffs,
+    InversePolynomial,
     RationalAR,
     Tabulated,
     angular_grid,
@@ -26,7 +28,7 @@ from gapinterp.errors import (
     InvalidParameters,
     SingularCovariance,
 )
-from gapinterp.interpolate import solve
+from gapinterp.interpolate import solve, solve_truncated
 from gapinterp.oracle import (
     TimeDomainProblem,
     build_problem,
@@ -616,3 +618,61 @@ class TestEmpiricalMse:
         assert abs(em["mean"] - np.mean(errors)) <= 1e-12 * np.mean(errors)
         stderr = np.std(errors, ddof=1) / np.sqrt(500)
         assert abs(em["stderr"] - stderr) <= 1e-12 * stderr
+
+
+def estimate_grid_error(sol):
+    """(1/2pi) int |A - H|^2 f on the solution's grid, H the characteristic
+    of the estimate: each weight h(j) at its lag j mod G (e^{ij lambda_g}
+    depends on j mod G only), one inverse FFT."""
+    G = sol.grid_size
+    spread = np.zeros(G, dtype=complex)
+    for j, v in estimate_weights_from_characteristic(sol).items():
+        spread[j % G] += (-1) ** (j % 2) * v
+    h = G * np.fft.ifft(spread)
+    return float(np.mean(np.abs(sol.a_grid - h) ** 2 * sol.f.on_grid(G)))
+
+
+class TestEstimateReproducesDelta:
+    """The estimate the solution reports is optimal: its error on the grid is
+    Delta, for every density type."""
+
+    S4_ONES = (EX_PATTERN, EX_WEIGHTS)
+    CASES = {
+        "ar1": (*S4_ONES, EX_DENSITY),
+        "ar2_complex": (ObservationPattern("S6", N=1, M1=2, N1=2, M2=1, N2=3),
+                        FunctionalWeights(values={0: 1.0, 1: 0.5j, -3: 0.3, -4: 1 - 1j, 3: 0.2,
+                                                  5: -0.4}),
+                        RationalAR(alpha=np.array([0.3 + 0.2j, -0.1]))),
+        "inverse_poly": (ObservationPattern("S5", N=0, M2=1, N2=2),
+                         FunctionalWeights(values={0: 1.0, 2: 0.2, 3: -0.5}),
+                         InversePolynomial(FourierCoeffs.from_dict(
+                             {0: 2.0, 1: -0.6, -1: -0.6, 3: 0.2, -3: 0.2}))),
+        # a polynomial past the span of K plus 64 lags
+        "ar80": (ObservationPattern("S4", N=0, M1=1, N1=1),
+                 FunctionalWeights(values={0: 1.0, -2: 0.5}),
+                 RationalAR(alpha=np.r_[np.zeros(79), 0.5])),
+        "tabulated_ar1": (*S4_ONES, Tabulated(RationalAR(alpha=0.5).on_grid(DEFAULT_GRID))),
+        # 1/f decays like 0.99^|m|: h reaches far past K
+        "tabulated_ma1": (*S4_ONES, Tabulated(
+            np.abs(1 - 0.99 * np.exp(-1j * angular_grid(DEFAULT_GRID))) ** 2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_grid_error_is_delta(self, case):
+        pattern, weights, f = self.CASES[case]
+        sol = solve(pattern, weights, f)
+        assert abs(estimate_grid_error(sol) - sol.delta) <= 1e-10 * sol.delta
+
+    def test_truncated_tabulated(self):
+        f = Tabulated(RationalAR(alpha=0.5).on_grid(DEFAULT_GRID))
+        pattern = ObservationPattern("S3", N=1, M1=2, M2=1, T=1)
+        sol = solve_truncated(pattern, FunctionalWeights(geometric=(1.0, 0.6)), f)
+        assert abs(estimate_grid_error(sol) - sol.delta) <= 1e-10 * sol.delta
+
+    def test_table_of_an_ar1_keeps_its_exact_support(self):
+        # h vanishes past [min K - 1, max K + 1] for an AR(1); the FFT of the
+        # table's h keeps no lag beyond
+        f = Tabulated(RationalAR(alpha=0.5).on_grid(DEFAULT_GRID))
+        sol = solve(EX_PATTERN, EX_WEIGHTS, f)
+        assert set(estimate_weights_from_characteristic(sol)) == {-6, -2, -1, 2}
+        assert min(sol.h_coeffs) == -6 and max(sol.h_coeffs) == 2

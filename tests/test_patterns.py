@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapinterp.densities import DEFAULT_GRID, RationalAR, Tabulated, inverse_fourier_coeffs
+from gapinterp.densities import RationalAR, Tabulated
 from gapinterp.errors import InvalidParameters, SupportMismatch
 from gapinterp.interpolate import (
-    CHARACTERISTIC_MARGIN,
     error_value,
     solve,
     solve_gram,
@@ -224,10 +223,11 @@ class TestWeightGather:
         assert np.array_equal(vec, np.zeros(len(missing_indices(p))))
 
 
-def reference_half_length(k, grid_size):
-    """The lags of 1/f a solution holds, from Python's max and min over K."""
-    span = max(max(k) - min(k), 1)
-    return max(min(span + CHARACTERISTIC_MARGIN, grid_size // 4), span)
+def reference_half_length(k, degree):
+    """The lags of 1/f a solution holds when 1/f has degree p: the span of K,
+    from Python's max and min over K, or p if that is larger, whatever the
+    grid."""
+    return max(max(k) - min(k), degree)
 
 
 class TestLargeGather:
@@ -251,10 +251,10 @@ class TestLargeGather:
 
         grid = 8192
         sol = solve(p, w, self.AR2, grid_size=grid)
-        b = inverse_fourier_coeffs(self.AR2, reference_half_length(k, grid), grid)
+        b = self.AR2.exact_inverse_coeffs().resized(reference_half_length(k, 2))
         c = solve_gram(k, expected, b)
         assert sol.indices == tuple(k)
-        assert sol.b.half_length == b.half_length
+        assert sol.b == b
         assert np.array_equal(sol.a, expected)
         assert np.array_equal(sol.c, c)
         assert sol.delta == error_value(c, expected)
@@ -273,11 +273,11 @@ class TestLargeGather:
         expected = (C * rho ** np.abs(np.array(k, dtype=float))).astype(complex)
         assert np.array_equal(weight_vector(FunctionalWeights(geometric=(C, rho)), cut),
                               expected)
-        # the cut is solved on the default grid, which the solution may then double
-        b = inverse_fourier_coeffs(f, 1).resized(reference_half_length(k, DEFAULT_GRID))
+        # b holds the span of the cut K, whatever grid the solution then takes
+        b = f.exact_inverse_coeffs().resized(reference_half_length(k, 1))
         c = solve_gram(k, expected, b)
         assert sol.indices == tuple(k)
-        assert sol.b.half_length == b.half_length
+        assert sol.b == b
         assert np.array_equal(sol.a, expected)
         assert np.array_equal(sol.c, c)
         assert sol.delta == error_value(c, expected)
