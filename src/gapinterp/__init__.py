@@ -7,7 +7,6 @@ from .densities import (
     RationalAR,
     SpectralDensity,
     Tabulated,
-    covariance,
     covariances,
     inverse_fourier_coeffs,
     minimality_value,
@@ -45,7 +44,7 @@ __all__ = [
     "FunctionalWeights", "GapInterpError", "InterpolationSolution",
     "InversePolynomial", "LeastFavourableResult", "NumericalError",
     "ObservationPattern", "RationalAR", "SpectralDensity", "Tabulated",
-    "ValidationError", "build_problem", "covariance", "covariances",
+    "ValidationError", "build_problem", "covariances",
     "empirical_mse", "inverse_fourier_coeffs",
     "lf_d0minus", "lf_dW", "lf_dvu", "minimality_value", "missing_indices",
     "mse_of_characteristic", "numerical_lf", "project", "saddle_check",

@@ -157,19 +157,12 @@ def write_json(path: str | None, record: dict) -> None:
         _atomic_write(path, text + "\n")
 
 
-def write_csv(path: str, header: list, rows) -> None:
-    """Write the header and rows of numbers as csv.writer's default dialect
-    would: comma-separated str() of each value (the shortest repr of a float,
-    numpy scalars included), lines ending in CRLF."""
-    fmt = ",".join(["%s"] * len(header))
-    lines = [",".join(header), *(fmt % tuple(row) for row in rows), ""]
-    _atomic_write(path, "\r\n".join(lines))
-
-
-def write_grid_csv(path: str, header: list, grid_size: int, *columns) -> None:
-    """Write the angular grid of grid_size points and the columns of values on it, the
-    bytes write_csv would write: each column is formatted whole, by repr of its floats."""
-    cells = [map(repr, col.tolist()) for col in (densities.angular_grid(grid_size), *columns)]
+def write_csv(path: str, header: list, *columns) -> None:
+    """Write the header and the rows of the numpy columns as csv.writer's default
+    dialect would: comma-separated, lines ending in CRLF. Each column is formatted
+    whole, by repr of its .tolist(): the shortest repr of each float (on numpy 2,
+    repr of a numpy float is not that)."""
+    cells = [map(repr, col.tolist()) for col in columns]
     _atomic_write(path, "\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
@@ -196,8 +189,8 @@ def cmd_interpolate(config: dict, args) -> dict:
         "convergence": sol.convergence,
     }
     if args.out and args.format in ("csv", "both"):
-        write_grid_csv(os.path.join(args.out, "characteristic.csv"), ["lambda", "h_re", "h_im"],
-                       sol.grid_size, sol.h_grid.real, sol.h_grid.imag)
+        write_csv(os.path.join(args.out, "characteristic.csv"), ["lambda", "h_re", "h_im"],
+                  densities.angular_grid(sol.grid_size), sol.h_grid.real, sol.h_grid.imag)
     return record
 
 
@@ -221,10 +214,9 @@ def cmd_least_favourable(config: dict, args) -> dict:
         "saddle_report": report,
     }
     if args.out and args.format in ("csv", "both"):
-        write_grid_csv(os.path.join(args.out, "least_favourable.csv"),
-                       ["lambda", "f0", "h0_re", "h0_im"], result.grid_size,
-                       result.f0.on_grid(result.grid_size), result.h0_grid.real,
-                       result.h0_grid.imag)
+        write_csv(os.path.join(args.out, "least_favourable.csv"),
+                  ["lambda", "f0", "h0_re", "h0_im"], densities.angular_grid(result.grid_size),
+                  result.f0.on_grid(result.grid_size), result.h0_grid.real, result.h0_grid.imag)
     return record
 
 
@@ -306,11 +298,9 @@ def cmd_simulate(config: dict, args) -> dict:
         "z_score": z_score,
     }
     if n_dump:
-        write_csv(
-            os.path.join(args.out, "paths.csv"),
-            ["replicate"] + [f"t{t}" for t in range(lo, hi + 1)],
-            [[r] + row for r, row in enumerate(dumped)],
-        )
+        write_csv(os.path.join(args.out, "paths.csv"),
+                  ["replicate"] + [f"t{t}" for t in range(lo, hi + 1)],
+                  np.arange(len(dumped)), *np.array(dumped).T)
     return record
 
 

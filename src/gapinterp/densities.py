@@ -29,52 +29,49 @@ def angular_grid(n: int) -> np.ndarray:
 
 def grid_fourier_coefficients(values: np.ndarray, max_lag: int) -> np.ndarray:
     """Quadrature values of (1/2pi) * integral of values(lambda) e^{-im lambda}
-    for m = -max_lag .. max_lag, computed by FFT on the angular grid along the
-    last axis (one row of coefficients per row of values).
+    for m = -max_lag .. max_lag, computed by FFT of the values of one function
+    on the angular grid of values.size points.
 
     Real values go through one real FFT, which gives the lags m >= 0; the
     lags m < 0 are their conjugates, so the result is exactly Hermitian,
     b(-m) = conj(b(m)). Complex values go through the full FFT."""
     values = np.asarray(values)
-    n = values.shape[-1]
+    n = values.size
     if 2 * max_lag >= n:
         raise InvalidParameters(f"grid of {n} points resolves lags < {n // 2}, got {max_lag}")
     # phase factor e^{i m pi} from the grid starting at -pi; only the kept
     # lags are divided by n
     if np.iscomplexobj(values):
         m = np.arange(-max_lag, max_lag + 1)
-        spec = np.fft.fft(values, axis=-1)
-        return np.where(m % 2 == 0, 1.0, -1.0) * spec[..., m % n] / n
+        return np.where(m % 2 == 0, 1.0, -1.0) * np.fft.fft(values)[m % n] / n
     m = np.arange(max_lag + 1)
-    right = np.where(m % 2 == 0, 1.0, -1.0) * np.fft.rfft(values, axis=-1)[..., : max_lag + 1] / n
-    return np.concatenate((np.conj(right[..., :0:-1]), right), axis=-1)
+    right = np.where(m % 2 == 0, 1.0, -1.0) * np.fft.rfft(values)[: max_lag + 1] / n
+    return np.concatenate((np.conj(right[:0:-1]), right))
 
 
 def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.ndarray:
     """Evaluate sum_m c(m) e^{im lambda} on the angular grid of n points.
 
-    coeffs is indexed m = -L..L along the last axis, L = (coeffs.shape[-1]-1)//2;
-    each row of coefficients gives one row of grid values; real=True keeps their real part.
+    coeffs holds c(m), m = -L..L, L = (coeffs.size - 1) // 2, and 2L < n;
+    real=True keeps the real part of the values, from one real inverse FFT.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    half = (coeffs.shape[-1] - 1) // 2
+    half = (coeffs.size - 1) // 2
     if 2 * half >= n:
         raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
     if real:  # twice the Hermitian part (c(m) + conj c(-m)) / 2, m >= 0, to one real inverse FFT
-        right = coeffs[..., half:] + np.conj(coeffs[..., half::-1])
-        return 0.5 * n * np.fft.irfft((-1.0) ** np.arange(half + 1) * right, n, axis=-1)
+        right = coeffs[half:] + np.conj(coeffs[half::-1])
+        return 0.5 * n * np.fft.irfft((-1.0) ** np.arange(half + 1) * right, n)
     m = np.arange(-half, half + 1)
-    spread = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
-    spread[..., m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
-    return n * np.fft.ifft(spread, axis=-1)
+    spread = np.zeros(n, dtype=complex)
+    spread[m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
+    return n * np.fft.ifft(spread)
 
 
 def _causal_on_grid(d: np.ndarray, n: int) -> np.ndarray:
     """sum_{k=0}^{L} d_k e^{-ik lambda} on the angular grid of n >= 1 points by one FFT:
     e^{-ik lambda_g} = (-1)^k e^{-2 pi i k g / n}, so the signed d_k are summed mod n,
     which keeps the values exact for any degree L on any grid."""
-    if n < 1:
-        raise InvalidParameters(f"a grid needs at least one point, got {n}")
     d = np.asarray(d, dtype=complex)
     spread = np.zeros(-(-d.size // n) * n, dtype=complex)
     spread[: d.size] = d
@@ -84,9 +81,12 @@ def _causal_on_grid(d: np.ndarray, n: int) -> np.ndarray:
 
 def _per_grid(method):
     """Keep the array method(self, grid_size) returns on the instance, one per grid size,
-    and return it read-only on every call; a call that raises keeps nothing."""
+    and return it read-only on every call; a call that raises keeps nothing, and a grid
+    of fewer than one point raises InvalidParameters before method runs."""
     @functools.wraps(method)
     def cached(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
+        if grid_size < 1:
+            raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
         memo = self.__dict__.setdefault("_grid_values", {})
         key = (method, grid_size)
         values = memo.get(key)
@@ -120,9 +120,9 @@ class FourierCoeffs:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_dict(cls, entries: dict[int, complex], half_length: int | None = None) -> "FourierCoeffs":
-        lags = [abs(int(m)) for m in entries]
-        half = half_length if half_length is not None else (max(lags) if lags else 0)
+    def from_dict(cls, entries: dict[int, complex]) -> "FourierCoeffs":
+        """b(m) = entries[m] at the lags up to the largest |m| given, zero elsewhere."""
+        half = max((abs(int(m)) for m in entries), default=0)
         vals = np.zeros(2 * half + 1, dtype=complex)
         for m, v in entries.items():
             vals[int(m) + half] = v
@@ -152,23 +152,24 @@ class FourierCoeffs:
         zeros = np.zeros(extra, dtype=complex)
         return FourierCoeffs(np.concatenate((zeros, self.values, zeros)))
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
+        """Whether max |b(m) - conj b(-m)| <= 1e-10 max(max |b|, 1)."""
         scale = max(np.max(np.abs(self.values)), 1.0)
-        return bool(np.max(np.abs(self.values - np.conj(self.values[::-1]))) <= tol * scale)
+        return bool(np.max(np.abs(self.values - np.conj(self.values[::-1]))) <= 1e-10 * scale)
 
     @_per_grid
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
         return evaluate_trig_poly(self.values, grid_size, real=True)
 
-    def is_real_on_grid(self, values: np.ndarray, rtol: float) -> bool:
-        """Whether the imaginary part left out of `values` is within rtol max(max |value|, 1):
+    def is_real_on_grid(self, values: np.ndarray) -> bool:
+        """Whether the imaginary part left out of `values` is within 1e-10 max(max |value|, 1):
         it is at most sum |b(m) - conj b(-m)| / 2, and evaluated only when that bound is not."""
         skew = np.sum(np.abs(self.values - np.conj(self.values[::-1])))
-        if skew <= 2.0 * rtol * max(np.max(np.abs(values)), 1.0):
+        if skew <= 2e-10 * max(np.max(np.abs(values)), 1.0):
             return True
         full = evaluate_trig_poly(self.values, values.size)
-        return bool(np.max(np.abs(full.imag)) <= rtol * max(np.max(np.abs(full)), 1.0))
+        return bool(np.max(np.abs(full.imag)) <= 1e-10 * max(np.max(np.abs(full)), 1.0))
 
 
 class SpectralDensity:
@@ -268,7 +269,7 @@ class InversePolynomial(SpectralDensity):
         """1/f by one real FFT of b; refused unless real and positive on the
         grid, and unless f = 1/(1/f) stays a finite float there."""
         inv = self.inv_coeffs.evaluate(grid_size)
-        if not self.inv_coeffs.is_real_on_grid(inv, 1e-10):
+        if not self.inv_coeffs.is_real_on_grid(inv):
             raise InvalidParameters("inverse polynomial is not real on the grid")
         check_positive(inv)
         if inv.min() < 1.0 / np.finfo(float).max:
@@ -302,8 +303,6 @@ class Tabulated(SpectralDensity):
         n = self.values.size
         if grid_size == n:
             return self.values.copy()
-        if grid_size < 1:
-            raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
         half = min((n - 1) // 2, (grid_size - 1) // 2)
         coeffs = grid_fourier_coefficients(self.values, half)
         if n % 2 == 0 and grid_size > n:
@@ -314,15 +313,11 @@ class Tabulated(SpectralDensity):
         return evaluate_trig_poly(coeffs, grid_size, real=True)
 
 
-def check_positive(values: np.ndarray, rtol: float = POSITIVITY_RTOL) -> None:
-    """Raise NonPositiveDensity unless every row of values (along the last
-    axis) is strictly positive relative to its maximum; a row holding NaN
-    fails."""
-    top = values.max(axis=-1)
-    low = values.min(axis=-1)
-    bad = ~((top > 0) & (low > rtol * top))
-    if np.count_nonzero(bad):  # the message names the first failing row
-        low, top = np.ravel(low)[bad.argmax()], np.ravel(top)[bad.argmax()]
+def check_positive(values: np.ndarray) -> None:
+    """Raise NonPositiveDensity unless the grid values of one density are strictly
+    positive relative to their maximum, min > POSITIVITY_RTOL max; NaN fails."""
+    top, low = values.max(), values.min()
+    if not (top > 0 and low > POSITIVITY_RTOL * top):
         raise NonPositiveDensity(
             f"density not strictly positive on grid (min {low:.3e}, max {top:.3e})"
         )
@@ -360,18 +355,12 @@ def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float
     return float(np.mean(np.real(inv)))
 
 
-def covariance(f: SpectralDensity, lag: int, grid_size: int = DEFAULT_GRID) -> complex:
-    """r(n) = (1/2pi) int e^{in lambda} f(lambda) dlambda by grid quadrature."""
-    if abs(lag) > grid_size // 4:
-        raise InvalidParameters("lag too large for the grid")
-    vals = f.on_grid(grid_size)
-    check_positive(vals)
-    return complex(grid_fourier_coefficients(vals, abs(lag))[-lag + abs(lag)])
-
-
-def covariances(f: SpectralDensity, max_lag: int, grid_size: int | None = None) -> np.ndarray:
-    """r(n) for n = 0..max_lag (r(-n) = conj r(n))."""
-    g = grid_size if grid_size is not None else max(DEFAULT_GRID, 8 * max_lag)
+def covariances(f: SpectralDensity, max_lag: int) -> np.ndarray:
+    """r(n) = (1/2pi) int e^{in lambda} f(lambda) dlambda for n = 0..max_lag (r(-n) =
+    conj r(n)), by quadrature on the least power of two >= max(DEFAULT_GRID, 4 (max_lag + 1))
+    points: DEFAULT_GRID up to max_lag = DEFAULT_GRID / 4 - 1. f must be strictly positive
+    there (check_positive)."""
+    g = 1 << (max(DEFAULT_GRID, 4 * (max_lag + 1)) - 1).bit_length()
     vals = f.on_grid(g)
     check_positive(vals)
     coeffs = grid_fourier_coefficients(vals, max_lag)

@@ -136,9 +136,9 @@ class InterpolationSolution:
         degree p (RationalAR, InversePolynomial): b holds all of it, and the
         lags [min K - p, max K + p] every nonzero h(j). For Tabulated, h(j)
         comes from one FFT of `h_grid` over the grid_size lags centred on K,
-        kept from the first to the last above the rounding of h = A - C/f,
-        2^-52 max |C/f|; h on K, which vanishes to rounding, is read off the
-        same FFT."""
+        kept from the first to the last above the rounding of C/f,
+        2^-52 sum |c(k)| max(1/f); h on K, which vanishes to rounding, is
+        read off the same FFT."""
         idx = np.asarray(self.indices)
         lo, hi = int(idx.min()), int(idx.max())
         if isinstance(self.f, (RationalAR, InversePolynomial)):
@@ -155,7 +155,7 @@ class InterpolationSolution:
             first = (lo + hi) // 2 - G // 2
             lags = np.arange(first, first + G)
             h = np.where(lags % 2, -1.0, 1.0) * np.fft.fft(self.h_grid)[lags % G] / G
-            rounding = 2.0 ** -52 * np.abs(self.a_grid - self.h_grid).max()  # of A - C/f
+            rounding = 2.0 ** -52 * np.abs(self.c).sum() * self.f.inverse_on_grid(G).max()
             kept = np.flatnonzero(np.abs(h) > rounding)
             if not kept.size:  # h = 0: zero weights
                 return {}
@@ -175,6 +175,8 @@ class InterpolationSolution:
 
 
 def poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
+    """sum_j coeffs_j e^{ij lambda} over the indices j on the angular grid of grid_size
+    points, by one inverse FFT (evaluate_trig_poly); needs 2 max|j| < grid_size."""
     idx = np.asarray(indices, dtype=int)
     half = int(np.abs(idx).max()) if idx.size else 0
     spread = np.zeros(2 * half + 1, dtype=complex)

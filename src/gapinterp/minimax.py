@@ -40,6 +40,7 @@ import numpy as np
 
 from .densities import (
     DEFAULT_GRID,
+    POSITIVITY_RTOL,
     FourierCoeffs,
     InversePolynomial,
     SpectralDensity,
@@ -62,6 +63,7 @@ from .interpolate import (
     InterpolationSolution,
     density_on_grid,
     error_value,
+    poly_on_grid,
     solve,
     solve_gram,
 )
@@ -73,7 +75,6 @@ from .patterns import (
 )
 
 OPT_GRID = 512
-_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def lf_d0minus(
                                   for n, a_n in zip(idx, a) for sign in (1, -1)})
 
     inv_vals = b0.evaluate(grid_size)
-    if not np.min(inv_vals) > _FLOOR * np.max(inv_vals):
+    if not np.min(inv_vals) > POSITIVITY_RTOL * np.max(inv_vals):
         raise PositivityLost("the anchored closed form is not a valid density for these weights",
                              diagnostics={"inv_min": float(np.min(inv_vals))})
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
@@ -367,7 +368,7 @@ def lf_dW(
 
     b0 = FourierCoeffs(vals.astype(complex))
     inv_vals = b0.evaluate(grid_size)
-    if np.min(inv_vals) <= _FLOOR * np.max(inv_vals):
+    if np.min(inv_vals) <= POSITIVITY_RTOL * np.max(inv_vals):
         raise PositivityLost(
             f"solved inverse density dips to {np.min(inv_vals):.3e}; the structured "
             "stationary point is not a valid density for these inputs"
@@ -447,9 +448,10 @@ def numerical_lf(
 
     The error Delta(g) = <B(g)^{-1} a, a> is convex in g, with gradient
     -|C(lambda_j)|^2 / G with respect to g_j, where C carries the solved
-    coefficients. So Delta lies above its linearization at g, whose maximum
-    over the class polytope {lo <= g <= hi, mean(g) = p}, lo = 1/u and
-    hi = 1/v, is the vertex _knapsack(|C|^2, lo, hi, p). The ascent starts
+    coefficients, on the grid by one inverse FFT (poly_on_grid). So Delta
+    lies above its linearization at g, whose maximum over the class polytope
+    {lo <= g <= hi, mean(g) = p}, lo = 1/u and hi = 1/v, is the vertex
+    _knapsack(|C|^2, lo, hi, p). The ascent starts
     at lo + t (hi - lo), with t in [0, 1] setting the mean to p (white noise
     1/p for constant bounds), and moves to that vertex while one Gram solve
     there finds Delta strictly larger. Where it stops it tries the vertex of
@@ -479,11 +481,9 @@ def numerical_lf(
     t = (cls.p - mean_lo) / max(float(np.mean(hi)) - mean_lo, np.finfo(float).tiny)
     g = lo + min(max(t, 0.0), 1.0) * (hi - lo)
 
-    exps = np.exp(1j * np.outer(idx, angular_grid(G)))  # C(lambda) = c @ exps
-
     def error_and_gain(gv):
         c = solve_gram(idx, a, FourierCoeffs(grid_fourier_coefficients(gv, span)))
-        return error_value(c, a), np.abs(c @ exps) ** 2
+        return error_value(c, a), np.abs(poly_on_grid(idx, c, G)) ** 2
 
     delta, gain = error_and_gain(g)
     solves = 1

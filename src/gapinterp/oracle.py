@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densities import DEFAULT_GRID, RationalAR, SpectralDensity, covariances
+from .densities import RationalAR, SpectralDensity, covariances
 from .errors import (
     EmbeddingNotPSD,
     IndexOutOfPath,
@@ -49,7 +49,9 @@ def build_problem(
     window: int = 500,
 ) -> TimeDomainProblem:
     """Covariance data for the projection of the target functional onto the
-    observations within +-window of the gap region; window >= 0."""
+    observations within +-window of the gap region; window >= 0. r holds
+    `covariances(f, max_lag)` over the lags max_lag of the whole window, the
+    quadrature on DEFAULT_GRID points while max_lag < DEFAULT_GRID / 4."""
     if window < 0:
         raise InvalidParameters(f"window must be non-negative, got {window}")
     k_idx = missing_indices(pattern)
@@ -58,7 +60,7 @@ def build_problem(
     hi = max(k_idx) + window
     observed = tuple(t for t in range(lo, hi + 1) if t not in missing)
     max_lag = hi - lo
-    r = covariances(f, max_lag, grid_size=max(DEFAULT_GRID, 4 * (max_lag + 1)))
+    r = covariances(f, max_lag)
     return TimeDomainProblem(
         target_indices=tuple(k_idx),
         target_weights=weight_vector(weights, pattern),
@@ -245,10 +247,11 @@ def _ar_sampler(f: RationalAR, length: int):
 
 def _circulant_sampler(f: SpectralDensity, length: int):
     """draw(rng, rows) giving rows circulant-embedding paths, and the draws
-    per path."""
+    per path. Each embedding size m reads `covariances(f, m // 2)`, the
+    quadrature on max(DEFAULT_GRID, 4 m) points."""
     m = 1 << max(2 * length - 3, 0).bit_length()  # the least power of two >= 2 (length - 1)
     while True:
-        r = covariances(f, m // 2, grid_size=max(DEFAULT_GRID, 4 * m))
+        r = covariances(f, m // 2)
         if np.max(np.abs(r.imag)) > 1e-10 * max(float(np.max(np.abs(r))), 1e-300):
             raise InvalidParameters("real-path simulation requires a real covariance sequence")
         eig = np.fft.fft(np.concatenate((r.real, r.real[-2:0:-1]))).real

@@ -13,7 +13,6 @@ from gapinterp.densities import (
     Tabulated,
     angular_grid,
     check_positive,
-    covariance,
     covariances,
     evaluate_trig_poly,
     grid_fourier_coefficients,
@@ -50,41 +49,29 @@ class TestGridQuadrature:
         with pytest.raises(InvalidParameters):
             grid_fourier_coefficients(np.ones(16), 8)
 
-    def test_positivity_checked_per_row(self):
-        rows = np.ones((3, 16))
-        check_positive(rows)
-        rows[1, 5] = 1e-12  # positive, but not relative to the row maximum
+    def test_positivity_relative_to_the_maximum(self):
+        values = np.ones(16)
+        check_positive(values)
+        values[5] = 1e-12  # positive, but not relative to the maximum
         with pytest.raises(NonPositiveDensity, match="min 1.000e-12, max 1.000e"):
-            check_positive(rows)
+            check_positive(values)
 
     @pytest.mark.parametrize("where", [0, 5])
     def test_nan_row_fails_positivity(self, where):
-        # (top <= 0) | (low <= rtol * top) is False for a NaN row
-        rows = np.ones((3, 16))
-        rows[1, where] = np.nan
+        # top > 0 and low > rtol * top are both False for NaN values
+        values = np.ones(16)
+        values[where] = np.nan
         with pytest.raises(NonPositiveDensity):
-            check_positive(rows)
-        with pytest.raises(NonPositiveDensity):
-            check_positive(rows[1])
+            check_positive(values)
 
-    @pytest.mark.parametrize("shape", [(4096,), (32, 4096), (3, 64)])
+    @pytest.mark.parametrize("shape", [(4096,), (64,), (1023,)])
     def test_real_input_matches_the_complex_path(self, shape):
         values = np.random.default_rng(8).uniform(0.05, 20.0, size=shape)
         real = grid_fourier_coefficients(values, 20)
         full = grid_fourier_coefficients(values.astype(complex), 20)
         assert np.max(np.abs(real - full)) <= 1e-15 * np.max(np.abs(full))
         # exactly Hermitian: b(-m) = conj(b(m)) to the bit
-        assert np.array_equal(real, np.conj(real[..., ::-1]))
-
-    def test_rows_match_one_dimensional_calls(self):
-        rng = np.random.default_rng(4)
-        values = rng.uniform(0.5, 2.0, size=(3, 64))
-        coeffs = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
-        batch_coeffs = grid_fourier_coefficients(values, 5)
-        batch_values = evaluate_trig_poly(coeffs, 64)
-        for k in range(3):
-            assert np.array_equal(batch_coeffs[k], grid_fourier_coefficients(values[k], 5))
-            assert np.array_equal(batch_values[k], evaluate_trig_poly(coeffs[k], 64))
+        assert np.array_equal(real, np.conj(real[::-1]))
 
 
 class TestFourierCoeffs:
@@ -187,28 +174,21 @@ class TestMinimality:
 
 class TestCovariance:
     def test_white_noise(self):
-        f = Tabulated(np.ones(512))
-        assert abs(covariance(f, 0, grid_size=512) - 1.0) < 1e-13
-        assert abs(covariance(f, 3, grid_size=512)) < 1e-13
+        r = covariances(Tabulated(np.ones(512)), 3)
+        assert abs(r[0] - 1.0) < 1e-13
+        assert abs(r[3]) < 1e-13
 
     def test_ar1_geometric(self):
         f = RationalAR(alpha=0.5)
         for n in range(6):
             expected = 0.5 ** n / 0.75
-            assert abs(covariance(f, n) - expected) < 1e-10
-        assert abs(covariance(f, -2) - np.conj(covariance(f, 2))) < 1e-14
+            assert abs(covariances(f, n)[n] - expected) < 1e-10
 
     def test_shifted_cosine(self):
         lam = angular_grid(4096)
         f = Tabulated(2.0 + np.cos(lam))
-        assert abs(covariance(f, 1) - 0.5) < 1e-12
-        assert abs(covariance(f, 0) - 2.0) < 1e-12
-
-    def test_vector_form_matches_scalar(self):
-        f = RationalAR(alpha=np.array([0.4, -0.2]))
-        r = covariances(f, 5)
-        for n in range(6):
-            assert abs(r[n] - covariance(f, n)) < 1e-10
+        assert abs(covariances(f, 1)[1] - 0.5) < 1e-12
+        assert abs(covariances(f, 0)[0] - 2.0) < 1e-12
 
     def test_matches_adaptive_quadrature(self):
         f = RationalAR(alpha=0.5)
@@ -218,7 +198,17 @@ class TestCovariance:
 
         for n in range(4):
             oracle = np.conj(quad_coefficient(fval, n))  # r(n) uses e^{+inl}
-            assert abs(covariance(f, n) - oracle) < 1e-8
+            assert abs(covariances(f, n)[n] - oracle) < 1e-8
+
+    @pytest.mark.parametrize("max_lag, grid", [
+        (0, 4096), (1, 4096), (700, 4096), (1023, 4096), (1024, 8192), (1500, 8192),
+        (2047, 8192), (2048, 16384), (5000, 32768)])
+    def test_grid_rule(self, max_lag, grid):
+        # bit for bit the quadrature on the least power of two >= max(4096,
+        # 4 (max_lag + 1)) points
+        f = RationalAR(alpha=np.array([0.4 + 0.3j, -0.2]))
+        expected = grid_fourier_coefficients(f.on_grid(grid), max_lag)[max_lag::-1]
+        assert np.array_equal(covariances(f, max_lag), expected)
 
 
 class TestParseval:

@@ -13,7 +13,6 @@ from gapinterp.densities import (
     RationalAR,
     Tabulated,
     angular_grid,
-    covariance,
     evaluate_trig_poly,
     grid_fourier_coefficients,
     inverse_fourier_coeffs,
@@ -90,7 +89,7 @@ class TestBuildGram:
 
     def test_white_noise_identity(self):
         p = ObservationPattern("S6", N=1, M1=2, N1=2, M2=1, N2=2)
-        b = FourierCoeffs.from_dict({0: 1.0}, half_length=10)
+        b = FourierCoeffs.from_dict({0: 1.0}).resized(10)
         g = build_gram(p, b)
         assert np.allclose(g, np.eye(len(missing_indices(p))))
 
@@ -393,7 +392,7 @@ class TestSolveGram:
         assert np.linalg.norm(shuffled - sol.c[perm]) <= 1e-12 * np.linalg.norm(dense)
 
     def test_indefinite_raises(self):
-        b = FourierCoeffs.from_dict({0: 1.0, 1: 1.0, -1: 1.0}, half_length=2)
+        b = FourierCoeffs.from_dict({0: 1.0, 1: 1.0, -1: 1.0}).resized(2)
         with pytest.raises(NotPositiveDefinite):
             solve_gram([0, 1, 2], np.ones(3, dtype=complex), b)
 
@@ -466,7 +465,7 @@ class TestCharacteristic:
         lo, hi = min(idx), max(idx)
         if degree is None:
             # the grid FFT's lags, from the first to the last above the
-            # rounding of A - C/f: they hold K, and nothing left out of the
+            # rounding of C/f: they hold K, and nothing left out of the
             # window is larger than rounding
             assert set(h) == set(range(min(h), max(h) + 1)) >= set(idx)
             assert len(h) <= sol.grid_size

@@ -18,7 +18,6 @@ from gapinterp.densities import (
     RationalAR,
     Tabulated,
     angular_grid,
-    covariance,
     covariances,
     grid_fourier_coefficients,
 )
@@ -252,7 +251,7 @@ class TestProjection:
         # out with weight 0, and an observed target is its own estimate, as
         # in the dense solve over the observed points
         rng = np.random.default_rng(7)
-        r = covariances(RationalAR(alpha=[0.6, -0.3]), 60, grid_size=DEFAULT_GRID)
+        r = covariances(RationalAR(alpha=[0.6, -0.3]), 60)
         for k in range(20):
             points = rng.permutation(61)
             first = 4 + k % 2  # the fifth target is observed in every other draw
@@ -299,7 +298,7 @@ class TestSimulate:
             emp = np.mean(paths[:, 10] * paths[:, 10 + lag])
             prods = paths[:, 10] * paths[:, 10 + lag]
             se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
-            truth = covariance(EX_DENSITY, lag).real
+            truth = covariances(EX_DENSITY, lag)[lag].real
             assert abs(emp - truth) < 4 * se
 
     def test_circulant_autocovariance(self):
@@ -309,7 +308,7 @@ class TestSimulate:
         for lag in (0, 1, 2):
             prods = paths[:, 5] * paths[:, 5 + lag]
             se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
-            truth = covariance(f, lag).real
+            truth = covariances(f, lag)[lag].real
             assert abs(np.mean(prods) - truth) < 4 * se
 
     def test_non_causal_ar_autocovariance(self, monkeypatch):
@@ -322,7 +321,7 @@ class TestSimulate:
         for lag, truth in ((0, 1 / 1.56), (1, -1 / 1.56 / 1.6), (2, 1 / 1.56 / 2.56)):
             prods = paths[:, 5] * paths[:, 5 + lag]
             se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
-            assert abs(truth - covariance(f, lag).real) < 1e-12
+            assert abs(truth - covariances(f, lag)[lag].real) < 1e-12
             assert abs(np.mean(prods) - truth) < 4 * se
 
     def test_order_zero_ar(self):
@@ -354,7 +353,7 @@ class TestSimulate:
         n_circ = 10 if chunk else 40000
 
         # 2 (17 - 1) = 32 points embed r(0..16); replicate r takes 2 * 32 draws
-        r = covariances(g, 16, grid_size=DEFAULT_GRID).real
+        r = covariances(g, 16).real
         eig = np.fft.fft(np.concatenate((r, r[15:0:-1]))).real
         rng = np.random.default_rng(4)
         z = rng.standard_normal((n_circ, 2, 32))
@@ -458,9 +457,9 @@ def embedding_sizes(monkeypatch):
     sizes = []
     lookup = oracle.covariances
 
-    def recording(f, max_lag, grid_size=None):
+    def recording(f, max_lag):
         sizes.append(2 * max_lag)
-        return lookup(f, max_lag, grid_size=grid_size)
+        return lookup(f, max_lag)
 
     monkeypatch.setattr(oracle, "covariances", recording)
     return sizes
@@ -495,7 +494,7 @@ class TestEmbedding:
         # (standard error of the ratio 0.007)
         f = RationalAR(alpha=0.995)
         x0 = simulate(f, length=2, n_replicates=40000, seed=11)[:, 0]
-        assert abs(np.var(x0) / covariance(f, 0).real - 1) < 0.035
+        assert abs(np.var(x0) / covariances(f, 0)[0].real - 1) < 0.035
 
     def test_near_unit_ar2_can_be_refused(self):
         # roots 0.99 e^{+-i pi/3}: the covariance of a path of 41 decays too
@@ -513,7 +512,7 @@ class TestEmbedding:
         for lag in range(length):
             prods = paths[:, 0] * paths[:, lag]
             se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
-            truth = covariance(SLOW, lag).real
+            truth = covariances(SLOW, lag)[lag].real
             assert abs(np.mean(prods) - truth) < 4 * se
 
 
@@ -676,3 +675,16 @@ class TestEstimateReproducesDelta:
         sol = solve(EX_PATTERN, EX_WEIGHTS, f)
         assert set(estimate_weights_from_characteristic(sol)) == {-6, -2, -1, 2}
         assert min(sol.h_coeffs) == -6 and max(sol.h_coeffs) == 2
+
+    def test_table_of_an_ar2_ends_near_k(self):
+        # h vanishes past [min K - 2, max K + 2] for an AR(2): the cut at the
+        # rounding of C/f keeps none of the FFT's rounding noise past it
+        f = Tabulated(RationalAR(alpha=[1.4986253, -0.5611668], sigma2=0.5536295)
+                      .on_grid(DEFAULT_GRID))
+        pattern = ObservationPattern("S4", N=1, M1=2, N1=7)
+        weights = FunctionalWeights(values={
+            -9: 0.97 - 0.06j, -8: 0.54 + 0.31j, -7: 0.46 + 0.42j, -6: 1.84 - 0.11j,
+            -5: 1.62 - 0.82j, -4: 0.26 + 0.79j, -3: 0.27 + 0.6j, 0: 1.4 + 0.07j, 1: 1.86 + 0.93j})
+        sol = solve(pattern, weights, f)
+        assert -13 <= min(sol.h_coeffs) and max(sol.h_coeffs) <= 5  # K is [-9, 1]
+        assert abs(estimate_grid_error(sol) - sol.delta) <= 1e-10 * sol.delta
