@@ -4,11 +4,16 @@ All integrals carry the 1/(2*pi) normalization. Grid quadrature uses G uniform
 points lambda_g = -pi + 2*pi*g/G, which is exact for trigonometric polynomials
 of degree < G/2. The densities and coefficient sets are immutable, so each
 computes its values on a grid once per grid size and returns them read-only.
+The constructors hold their arrays read-only, copying one only when it is the
+caller's own writable array.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -18,6 +23,8 @@ from .errors import InvalidParameters, NonPositiveDensity
 
 DEFAULT_GRID = 4096
 POSITIVITY_RTOL = 1e-9
+# below this, f = 1/(1/f) is past the largest float
+_INVERSE_FLOOR = 1.0 / sys.float_info.max
 
 
 def angular_grid(n: int) -> np.ndarray:
@@ -53,19 +60,22 @@ def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.nda
     """Evaluate sum_m c(m) e^{im lambda} on the angular grid of n points.
 
     coeffs holds c(m), m = -L..L, L = (coeffs.size - 1) // 2, and 2L < n;
-    real=True keeps the real part of the values, from one real inverse FFT.
+    real=True keeps the real part of the values, from one real inverse FFT. The
+    phases and scale ride on the short coefficient vector, and the inverse FFT
+    is unscaled (norm="forward"), so the grid is written once.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     half = (coeffs.size - 1) // 2
     if 2 * half >= n:
         raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
-    if real:  # twice the Hermitian part (c(m) + conj c(-m)) / 2, m >= 0, to one real inverse FFT
-        right = coeffs[half:] + np.conj(coeffs[half::-1])
-        return 0.5 * n * np.fft.irfft((-1.0) ** np.arange(half + 1) * right, n)
+    if real:  # the Hermitian part (c(m) + conj c(-m)) / 2, m >= 0, to one real inverse FFT
+        right = 0.5 * (coeffs[half:] + np.conj(coeffs[half::-1]))
+        right[1::2] *= -1.0
+        return np.fft.irfft(right, n, norm="forward")
     m = np.arange(-half, half + 1)
     spread = np.zeros(n, dtype=complex)
     spread[m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
-    return n * np.fft.ifft(spread)
+    return np.fft.ifft(spread, norm="forward")
 
 
 def _causal_on_grid(d: np.ndarray, n: int) -> np.ndarray:
@@ -97,6 +107,32 @@ def _per_grid(method):
     return cached
 
 
+def _private(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype. When np.asarray returns the caller's own
+    writable array, it is copied, so that no later edit of it reaches the instance; a
+    fresh array, or one already read-only, is kept as it is."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        if arr is values:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A fresh array, marked read-only so that a constructor keeps it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _last_nonzero(values: np.ndarray) -> int:
+    """The largest k with values[k] != 0 (0 when there is none)."""
+    if values[-1]:  # the usual case, read without a scan
+        return values.size - 1
+    support = np.flatnonzero(values)
+    return int(support[-1]) if support.size else 0
+
+
 def _fields_equal(self, other) -> bool:
     """Dataclass equality that compares array fields by value; fields with
     compare=False are left out."""
@@ -108,16 +144,20 @@ def _fields_equal(self, other) -> bool:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Hermitian-symmetric coefficients b(m), m = -L..L, of a real function."""
+    """Hermitian-symmetric coefficients b(m), m = -L..L, of a real function. degree is
+    the largest lag p with b(p) != 0 (0 for none), found from values when not given."""
 
     values: np.ndarray  # complex, length 2L+1, entry k holds b(k - L)
+    degree: int | None = field(default=None, compare=False, repr=False)
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _private(self.values, complex)
         if vals.ndim != 1 or vals.size % 2 == 0:
             raise InvalidParameters("coefficient array must have odd length (m = -L..L)")
         object.__setattr__(self, "values", vals)
+        if self.degree is None:
+            object.__setattr__(self, "degree", _last_nonzero(vals[vals.size // 2:]))
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FourierCoeffs":
@@ -126,7 +166,7 @@ class FourierCoeffs:
         vals = np.zeros(2 * half + 1, dtype=complex)
         for m, v in entries.items():
             vals[int(m) + half] = v
-        return cls(vals)
+        return cls(_frozen(vals))
 
     @property
     def half_length(self) -> int:
@@ -140,17 +180,18 @@ class FourierCoeffs:
     def symmetrized(self) -> "FourierCoeffs":
         """Enforce b(-m) = conj(b(m)) by Hermitian averaging."""
         sym = 0.5 * (self.values + np.conj(self.values[::-1]))
-        return FourierCoeffs(sym)
+        return FourierCoeffs(_frozen(sym))
 
     def resized(self, half_length: int) -> "FourierCoeffs":
         """b at the lags -half_length..half_length: cut, or padded with zeros."""
         extra = half_length - self.half_length
         if extra < 0:
-            return FourierCoeffs(self.values[-extra: extra])
+            kept = self.degree if self.degree <= half_length else None
+            return FourierCoeffs(self.values[-extra: extra], kept)
         if extra == 0:
             return self
         zeros = np.zeros(extra, dtype=complex)
-        return FourierCoeffs(np.concatenate((zeros, self.values, zeros)))
+        return FourierCoeffs(_frozen(np.concatenate((zeros, self.values, zeros))), self.degree)
 
     def is_hermitian(self) -> bool:
         """Whether max |b(m) - conj b(-m)| <= 1e-10 max(max |b|, 1)."""
@@ -162,13 +203,14 @@ class FourierCoeffs:
         """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
         return evaluate_trig_poly(self.values, grid_size, real=True)
 
-    def is_real_on_grid(self, values: np.ndarray) -> bool:
-        """Whether the imaginary part left out of `values` is within 1e-10 max(max |value|, 1):
-        it is at most sum |b(m) - conj b(-m)| / 2, and evaluated only when that bound is not."""
+    def is_real_on_grid(self, peak: float, grid_size: int) -> bool:
+        """Whether the imaginary part left out of `evaluate(grid_size)`, whose largest |value|
+        is peak, is within 1e-10 max(peak, 1): it is at most sum |b(m) - conj b(-m)| / 2, and
+        evaluated only when that bound is not."""
         skew = np.sum(np.abs(self.values - np.conj(self.values[::-1])))
-        if skew <= 2e-10 * max(np.max(np.abs(values)), 1.0):
+        if skew <= 2e-10 * max(peak, 1.0):
             return True
-        full = evaluate_trig_poly(self.values, values.size)
+        full = evaluate_trig_poly(self.values, grid_size)
         return bool(np.max(np.abs(full.imag)) <= 1e-10 * max(np.max(np.abs(full)), 1.0))
 
 
@@ -199,17 +241,21 @@ class RationalAR(SpectralDensity):
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
+        alpha = np.atleast_1d(_private(self.alpha, complex))
         object.__setattr__(self, "alpha", alpha)
-        if not 0 < self.sigma2 < np.inf:  # refuses nan
+        if not 0 < self.sigma2 < math.inf:  # refuses nan
             raise InvalidParameters(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not np.isfinite(alpha).all():
+        if alpha.ndim != 1:
+            raise InvalidParameters(f"alpha must be one-dimensional, got shape {alpha.shape}")
+        coeffs = alpha.tolist()  # the scalar tests below run on Python numbers
+        if not all(map(cmath.isfinite, coeffs)):
             raise InvalidParameters("AR polynomial roots cannot be computed: "
                                     "Array must not contain infs or NaNs")
         # 1/f = |phi|^2 / sigma2 <= (1 + sum |alpha_k|)^2 / sigma2 must stay a finite
         # float (a subnormal sigma2 overflows it); compared in logs, which cannot overflow
-        bound = 1.0 + float(np.abs(alpha).sum())
-        if 2.0 * np.log(bound) - np.log(self.sigma2) >= np.log(np.finfo(float).max):
+        # (math.hypot gives inf where abs of a complex would raise)
+        bound = 1.0 + sum(math.hypot(a.real, a.imag) for a in coeffs)
+        if 2.0 * math.log(bound) - math.log(self.sigma2) >= math.log(sys.float_info.max):
             raise InvalidParameters(f"sigma2 = {self.sigma2} is too small for 1/f to be "
                                     f"a finite float")
         companion = np.eye(max(alpha.size, 1), k=-1, dtype=complex)  # [[0]] for white noise
@@ -221,7 +267,7 @@ class RationalAR(SpectralDensity):
         for z in w.tolist():
             size = abs(z)
             z = z.conjugate() / (size or 1.0)  # r/|r|; w = 0 (alpha_p = 0) passes both tests
-            phi = 1.0 - sum(a * z ** k for k, a in enumerate(alpha.tolist(), 1))
+            phi = 1.0 - sum(a * z ** k for k, a in enumerate(coeffs, 1))
             if abs(1.0 - size) < 1e-8 * size or abs(phi) < 1e-8:
                 raise InvalidParameters("AR polynomial has a (near-)root on the unit circle")
 
@@ -240,11 +286,17 @@ class RationalAR(SpectralDensity):
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         return self._phi_squared(grid_size) / self.sigma2
 
-    def exact_inverse_coeffs(self) -> FourierCoeffs:
+    def exact_inverse_coeffs(self, half_length: int = 0) -> FourierCoeffs:
         """Finite expansion of 1/f: b(m) = (1/sigma2) sum_j d_j conj(d_{j+m})
-        with d = (1, -alpha_1, ..., -alpha_p), one convolution."""
+        with d = (1, -alpha_1, ..., -alpha_p), one convolution, held at the lags
+        up to max(half_length, p) and zero past p."""
+        p = self.alpha.size
+        half = max(half_length, p)
         d = np.concatenate(([1.0 + 0j], -self.alpha))
-        return FourierCoeffs(np.convolve(np.conj(d), d[::-1]) / self.sigma2)
+        b = np.convolve(np.conj(d), d[::-1]) / self.sigma2
+        vals = np.zeros(2 * half + 1, dtype=complex)
+        vals[half - p: half + p + 1] = b
+        return FourierCoeffs(_frozen(vals), _last_nonzero(b[p:]))
 
 
 @dataclass(frozen=True)
@@ -260,20 +312,22 @@ class InversePolynomial(SpectralDensity):
         # b(0) is the mean of 1/f, so max f >= 1/b(0): past the float range when b(0) is
         # below 1/max float (b(0) <= 0 and NaN are left to the positivity check on the grid)
         b0 = self.inv_coeffs[0].real
-        if 0 < b0 < 1.0 / np.finfo(float).max:
+        if 0 < b0 < _INVERSE_FLOOR:
             raise InvalidParameters(f"b(0) = {b0} is too small for f = 1/(1/f) to be "
                                     f"a finite float")
 
     @_per_grid
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """1/f by one real FFT of b; refused unless real and positive on the
-        grid, and unless f = 1/(1/f) stays a finite float there."""
+        grid, and unless f = 1/(1/f) stays a finite float there. The three
+        tests, in that order, read the extremes of the values, found once."""
         inv = self.inv_coeffs.evaluate(grid_size)
-        if not self.inv_coeffs.is_real_on_grid(inv):
+        top, low = inv.max(), inv.min()
+        if not self.inv_coeffs.is_real_on_grid(max(top, -low), grid_size):
             raise InvalidParameters("inverse polynomial is not real on the grid")
-        check_positive(inv)
-        if inv.min() < 1.0 / np.finfo(float).max:
-            raise InvalidParameters(f"1/f falls to {inv.min()} on the grid, too small for "
+        _check_extremes(top, low)
+        if low < _INVERSE_FLOOR:
+            raise InvalidParameters(f"1/f falls to {low} on the grid, too small for "
                                     f"f = 1/(1/f) to be a finite float")
         return inv
 
@@ -291,7 +345,7 @@ class Tabulated(SpectralDensity):
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _private(self.values, float)
         if vals.ndim != 1 or vals.size < 4:
             raise InvalidParameters("tabulated density needs at least 4 grid values")
         if not (vals.min() >= 0 and vals.max() < np.inf):  # NaN fails both
@@ -302,7 +356,7 @@ class Tabulated(SpectralDensity):
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         n = self.values.size
         if grid_size == n:
-            return self.values.copy()
+            return self.values
         half = min((n - 1) // 2, (grid_size - 1) // 2)
         coeffs = grid_fourier_coefficients(self.values, half)
         if n % 2 == 0 and grid_size > n:
@@ -316,7 +370,11 @@ class Tabulated(SpectralDensity):
 def check_positive(values: np.ndarray) -> None:
     """Raise NonPositiveDensity unless the grid values of one density are strictly
     positive relative to their maximum, min > POSITIVITY_RTOL max; NaN fails."""
-    top, low = values.max(), values.min()
+    _check_extremes(values.max(), values.min())
+
+
+def _check_extremes(top: float, low: float) -> None:
+    """check_positive's rule on the maximum and minimum of the values."""
     if not (top > 0 and low > POSITIVITY_RTOL * top):
         raise NonPositiveDensity(
             f"density not strictly positive on grid (min {low:.3e}, max {top:.3e})"
@@ -337,15 +395,14 @@ def inverse_fourier_coeffs(
     half_length and need grid_size >= 4 * half_length.
     """
     if isinstance(f, RationalAR):
-        exact = f.exact_inverse_coeffs()
-    elif isinstance(f, InversePolynomial):
+        return f.exact_inverse_coeffs(half_length)
+    if isinstance(f, InversePolynomial):
         f.inverse_on_grid(grid_size)
-        exact = f.inv_coeffs
-    elif grid_size < 4 * half_length:
+        return f.inv_coeffs.resized(max(half_length, f.inv_coeffs.half_length))
+    if grid_size < 4 * half_length:
         raise InvalidParameters("grid_size must be at least 4 * half_length")
-    else:
-        return FourierCoeffs(grid_fourier_coefficients(f.inverse_on_grid(grid_size), half_length))
-    return exact.resized(max(half_length, exact.half_length))
+    return FourierCoeffs(_frozen(grid_fourier_coefficients(f.inverse_on_grid(grid_size),
+                                                           half_length)))
 
 
 def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float:

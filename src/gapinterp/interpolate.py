@@ -76,8 +76,8 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     sorted indices, and return c in the order of `indices`.
 
     Sorted distinct integers satisfy |u - v| <= |t_u - t_v|, so the
-    half-bandwidth is at most p, the largest lag with b(p) != 0, and the solve
-    costs O(n p^2). A failed factorization raises NotPositiveDefinite.
+    half-bandwidth is at most p = b.degree, the largest lag with b(p) != 0, and
+    the solve costs O(n p^2). A failed factorization raises NotPositiveDefinite.
     """
     t = np.fromiter(indices, int, count=len(indices))
     order = np.argsort(t)
@@ -85,7 +85,7 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     n, half = t.size, b.half_length
     if t[-1] - t[0] > half:
         raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
-    u = min(_degree(b), n - 1)
+    u = min(b.degree, n - 1)
     # lower band ab[k, j] = B[j + k, j]; LAPACK reads no entry past row n - 1,
     # so clipping those rows into range only fills the unread corner
     rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
@@ -103,12 +103,6 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     c = np.empty_like(c_sorted)
     c[order] = c_sorted
     return c
-
-
-def _degree(b: FourierCoeffs) -> int:
-    """The largest lag p with b(p) != 0."""
-    support = np.flatnonzero(b.values[b.half_length:])
-    return int(support[-1]) if support.size else 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class InterpolationSolution:
         idx = np.asarray(self.indices)
         lo, hi = int(idx.min()), int(idx.max())
         if isinstance(self.f, (RationalAR, InversePolynomial)):
-            half, p = self.b.half_length, _degree(self.b)
+            half, p = self.b.half_length, self.b.degree
             c_spread = np.zeros(hi - lo + 1, dtype=complex)
             c_spread[idx - lo] = self.c
             conv = np.convolve(c_spread, self.b.values[half - p: half + p + 1])

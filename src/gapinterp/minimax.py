@@ -46,7 +46,7 @@ from .densities import (
     SpectralDensity,
     Tabulated,
     angular_grid,
-    evaluate_trig_poly,
+    check_positive,
     grid_fourier_coefficients,
     minimality_value,
 )
@@ -54,6 +54,7 @@ from .errors import (
     InfeasibleClass,
     InvalidParameters,
     NewtonNotConverged,
+    NonPositiveDensity,
     NotConverged,
     NotCovered,
     PositivityLost,
@@ -103,11 +104,12 @@ class DW:
         object.__setattr__(self, "b_given", b)
         if b.size < 1 or b[0] <= 0:
             raise InvalidParameters("moment sequence must start with b(0) > 0")
-        # strict positivity of the sequence: the associated trig polynomial
-        # must be positive on the grid
-        vals = evaluate_trig_poly(self.inverse_poly().values, max(DEFAULT_GRID, 8 * b.size)).real
-        if np.min(vals) <= 0:
-            raise InvalidParameters("moment sequence is not strictly positive")
+        # strict positivity of the sequence: the associated trig polynomial,
+        # evaluated real, must pass the positivity rule of every density
+        try:
+            check_positive(self.inverse_poly().evaluate(max(DEFAULT_GRID, 8 * b.size)))
+        except NonPositiveDensity:
+            raise InvalidParameters("moment sequence is not strictly positive") from None
 
     @property
     def W(self) -> int:

@@ -157,6 +157,56 @@ class TestInverseCoefficients:
         assert all(b[m] == exact[m] for m in range(-b.half_length, b.half_length + 1))
 
 
+    @pytest.mark.parametrize("alpha, degree", [
+        ([0.3, 0.2], 2), ([0.3, 0.0], 1), ([0.0, 0.0], 0), ([0.5 + 0.2j], 1)])
+    @pytest.mark.parametrize("half_length", [0, 1, 2, 7])
+    def test_ar_built_at_its_length(self, alpha, degree, half_length):
+        # one array at the padded length, bit for bit the short expansion padded
+        f = RationalAR(alpha=np.array(alpha))
+        b = f.exact_inverse_coeffs(half_length)
+        padded = f.exact_inverse_coeffs().resized(max(half_length, f.order))
+        assert np.array_equal(b.values, padded.values)
+        assert b.degree == degree == FourierCoeffs(b.values).degree
+
+
+class TestDegree:
+    @pytest.mark.parametrize("half_length, degree", [(0, 0), (2, 0), (3, 3), (5, 3)])
+    def test_kept_through_resizing(self, half_length, degree):
+        b = FourierCoeffs.from_dict({0: 2.0, 3: 0.1, -3: 0.1})
+        assert b.degree == 3
+        assert b.resized(half_length).degree == degree
+
+    def test_zero_coefficients(self):
+        assert FourierCoeffs(np.zeros(7)).degree == 0
+
+
+class TestCallerArrays:
+    def test_edited_table_keeps_its_grids_consistent(self):
+        # the caller's array was kept: after the edit on_grid(128) returned the
+        # old values and on_grid(256) the new ones
+        arr = 1.5 + np.cos(angular_grid(64))
+        f = Tabulated(arr)
+        first = f.on_grid(128)
+        arr[:] = 1.0
+        assert np.max(np.abs(f.on_grid(256)[::2] - first)) <= 1e-14
+        assert np.array_equal(f.values, 1.5 + np.cos(angular_grid(64)))
+
+    @pytest.mark.parametrize("make, name, dtype", [
+        (lambda v: RationalAR(alpha=v), "alpha", complex),
+        (FourierCoeffs, "values", complex),
+        (Tabulated, "values", float),
+    ], ids=["ar", "coeffs", "tabulated"])
+    def test_writable_array_copied_read_only_array_kept(self, make, name, dtype):
+        arr = np.array([0.2, 1.0, 0.2, 1.5, 0.3], dtype=dtype)
+        held = getattr(make(arr), name)
+        assert held is not arr and not held.flags.writeable
+        arr[0] = 0.1
+        assert held[0] == 0.2
+        arr.setflags(write=False)
+        assert getattr(make(arr), name) is arr
+        assert getattr(make(arr.tolist()), name).flags.writeable is False
+
+
 class TestMinimality:
     def test_white_noise(self):
         assert abs(minimality_value(Tabulated(np.ones(512)), grid_size=512) - 1.0) < 1e-14

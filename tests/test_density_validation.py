@@ -1,14 +1,17 @@
 """Validity checks of finite-degree densities against the references they
 replace: the unit-root test of RationalAR against np.roots, the real
 evaluation of 1/f against the real part of the complex one, the "not real on
-the grid" refusals against the complex imaginary part, and Delta against the
-elementwise inner product. Each reference is kept here, independent of the
-library code it checks."""
+the grid" refusals against the complex imaginary part, Delta against the
+elementwise inner product, and the constructor and grid checks of
+InversePolynomial and RationalAR against the rules as they were written on
+numpy arrays. Each reference is kept here, independent of the library code it
+checks."""
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from gapinterp.errors import (
     GapInterpError,
     InvalidParameters,
     NonFiniteSolution,
+    NonPositiveDensity,
     NotPositiveDefinite,
     NumericalError,
 )
@@ -116,6 +120,12 @@ class TestUnitRootDecision:
     def test_non_finite_refused(self, alpha):
         with pytest.raises(InvalidParameters):
             RationalAR(alpha=np.array(alpha))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2)])
+    def test_alpha_of_more_dimensions_refused(self, shape):
+        # a ValueError or TypeError escaped from the companion matrix or the root tests
+        with pytest.raises(InvalidParameters, match="one-dimensional"):
+            RationalAR(alpha=np.full(shape, 0.1))
 
     def test_failed_eigensolve_refused(self, monkeypatch):
         monkeypatch.setattr(densities, "zgeev", lambda *args, **kwargs: (np.zeros(1), None, None, 1))
@@ -396,3 +406,179 @@ def test_exact_inverse_coeffs_match_termwise_sum():
         expected, scale = inverse_coeffs_reference(f.alpha, f.sigma2)
         got = f.exact_inverse_coeffs().values
         assert np.max(np.abs(got - expected)) <= 8 * np.finfo(float).eps * scale
+
+
+# --- the checks as they were, against the checks as they are ------------------
+#
+# InversePolynomial reads the extremes of its grid values once, and RationalAR
+# runs its finiteness and overflow tests on Python scalars. The references below
+# are the rules as they were written before, step by step on numpy arrays; each
+# input must be accepted or refused as they decide, with the same exception type.
+# Inputs whose statistic lies within rounding of a threshold are skipped, since
+# the two sides may round there apart.
+
+FLOAT_MAX = np.finfo(float).max
+
+
+def inverse_polynomial_reference(b, grid):
+    """The constructor's Hermitian and b(0) tests, then the three tests on
+    0.5 G irfft(...), each with passes of its own: not real on the grid
+    (InvalidParameters), positivity relative to the maximum (NonPositiveDensity),
+    1/f below 1 / max float (InvalidParameters). Returns the values or (type,
+    message prefix), and each grid statistic as a ratio to its threshold."""
+    ratios = []
+    if not np.max(np.abs(b - np.conj(b[::-1]))) <= 1e-10 * max(np.max(np.abs(b)), 1.0):
+        return (InvalidParameters, "inverse-polynomial coefficients"), ratios
+    half = (b.size - 1) // 2
+    if 0 < b[half].real < 1.0 / FLOAT_MAX:
+        return (InvalidParameters, "b(0) ="), ratios
+    right = b[half:] + np.conj(b[half::-1])
+    inv = 0.5 * grid * np.fft.irfft((-1.0) ** np.arange(half + 1) * right, grid)
+    skew = np.sum(np.abs(b - np.conj(b[::-1])))
+    level = 2e-10 * max(np.max(np.abs(inv)), 1.0)
+    ratios.append(skew / level)
+    if not skew <= level:
+        m = np.arange(-half, half + 1)
+        spread = np.zeros(grid, dtype=complex)
+        spread[m % grid] = np.where(m % 2 == 0, 1.0, -1.0) * b
+        full = grid * np.fft.ifft(spread)
+        level = 1e-10 * max(np.max(np.abs(full)), 1.0)
+        ratios.append(np.max(np.abs(full.imag)) / level)
+        if not np.max(np.abs(full.imag)) <= level:
+            return (InvalidParameters, "inverse polynomial is not real"), ratios
+    top, low = inv.max(), inv.min()
+    if top > 0:
+        ratios.append(low / (1e-9 * top))
+    if not (top > 0 and low > 1e-9 * top):
+        return (NonPositiveDensity, "density not strictly positive"), ratios
+    ratios.append(inv.min() * FLOAT_MAX)
+    if inv.min() < 1.0 / FLOAT_MAX:
+        return (InvalidParameters, "1/f falls to"), ratios
+    return inv, ratios
+
+
+def grid_values(b, grid):
+    """sum b(m) e^{im lambda} on the grid, real part, by direct summation."""
+    half = (b.size - 1) // 2
+    lam = angular_grid(grid)
+    return np.real(np.exp(1j * np.outer(lam, np.arange(-half, half + 1))) @ b)
+
+
+@st.composite
+def inverse_polynomials(draw):
+    """Hermitian b of degree <= 4 whose minimum on the grid sits near 1e-9 of
+    its maximum (on either side), elsewhere, or, scaled, near 1 / max float;
+    then, optionally, skewed by an anti-Hermitian part near the 1e-10 level of
+    the realness test. Returns b and the grid."""
+    grid = draw(st.sampled_from([64, 100, 4096]))
+    q = draw(st.integers(0, 4))
+    parts = st.floats(-1.0, 1.0)
+    upper = np.array([complex(draw(parts), draw(parts)) for _ in range(q)])
+    b = np.concatenate((np.conj(upper[::-1]), [0.0], upper)).astype(complex)
+    g = grid_values(b, grid)
+    ratio = draw(st.sampled_from([1e-9 * k for k in (0.5, 0.99, 0.9999, 1.0001, 1.01, 2.0)])
+                 | st.floats(-20.0, 0.9))
+    # shift b(0) so that min = ratio * max on the grid
+    b[q] = (ratio * g.max() - g.min()) / (1.0 - ratio) if q else draw(st.floats(-1.0, 2.0))
+    scale = draw(st.sampled_from(["unit", "tiny", "floor"]))
+    g_min = grid_values(b, grid).min()
+    if scale == "tiny":
+        b *= 1e-300
+    elif scale == "floor" and g_min > 0:  # the minimum near 1 / max float
+        b *= draw(st.floats(0.25, 4.0)) / FLOAT_MAX / g_min
+    skew = draw(st.sampled_from([0.0, 1e-13, 1e-11, 2e-11, 3e-11, 1e-10]))
+    if skew and q:
+        k = np.array([complex(draw(parts), draw(parts)) for _ in range(2 * q + 1)])
+        k = 0.5 * (k - np.conj(k[::-1]))
+        b = b + skew * max(np.max(np.abs(b)), 1.0) * k
+    return b, grid
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=inverse_polynomials())
+def test_inverse_polynomial_checks_decide_as_before(case):
+    b, grid = case
+    with np.errstate(all="ignore"):
+        expected, ratios = inverse_polynomial_reference(b, grid)
+    assume(all(not abs(r - 1.0) < 1e-5 for r in ratios))
+    try:
+        got = InversePolynomial(FourierCoeffs(b)).inverse_on_grid(grid)
+    except GapInterpError as exc:
+        assert isinstance(expected, tuple), f"refused {exc!r}, accepted before"
+        assert type(exc) is expected[0] and str(exc).startswith(expected[1])
+        return
+    assert not isinstance(expected, tuple), f"accepted, refused before with {expected}"
+    # equal on grids of 2^k points; elsewhere, and where the old 1/G scaling
+    # fell into the subnormals, within rounding
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected)) + grid * 5e-324
+
+
+def rational_ar_reference(alpha, sigma2):
+    """RationalAR's constructor as it was: finiteness by np.isfinite, the
+    overflow bound 2 log(1 + sum |alpha_k|) - log sigma2 >= log(max float) by
+    numpy reductions and logs, then the unit-root tests on the ?geev
+    eigenvalues. Returns None (accepted) or (type, message prefix), and how far
+    the overflow bound lies from its threshold (None when not reached)."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    if not 0 < sigma2 < np.inf:
+        return (InvalidParameters, "sigma2 must be positive"), None
+    if not np.isfinite(alpha).all():
+        return (InvalidParameters, "AR polynomial roots cannot be computed"), None
+    bound = 1.0 + float(np.abs(alpha).sum())
+    gap = 2.0 * np.log(bound) - np.log(sigma2) - np.log(FLOAT_MAX)
+    if gap >= 0:
+        return (InvalidParameters, f"sigma2 = {sigma2}"), gap
+    companion = np.eye(max(alpha.size, 1), k=-1, dtype=complex)
+    companion[0, :alpha.size] = alpha
+    w, _, _, info = scipy.linalg.lapack.zgeev(companion, compute_vl=0, compute_vr=0)
+    if info:
+        return (InvalidParameters, "AR polynomial roots cannot be computed"), gap
+    for z in w.tolist():
+        size = abs(z)
+        z = z.conjugate() / (size or 1.0)
+        phi = 1.0 - sum(a * z ** k for k, a in enumerate(alpha.tolist(), 1))
+        if abs(1.0 - size) < 1e-8 * size or abs(phi) < 1e-8:
+            return (InvalidParameters, "AR polynomial has a (near-)root"), gap
+    return None, gap
+
+
+special = st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e300, 1.7e308])
+edge_alpha = ar_alpha() | st.lists(
+    st.builds(complex, special | st.floats(-2.0, 2.0), st.just(0.0) | special | st.floats(-2.0, 2.0)),
+    min_size=1, max_size=4).map(np.array)
+sigma2s = {
+    "subnormal": st.floats(5e-324, 2.2250738585072014e-308),
+    "tiny": st.floats(1e-310, 1e-300),
+    "normal": st.floats(0.1, 10.0),
+    "special": st.sampled_from([np.nan, np.inf, 0.0, -1.0, 5e-324]),
+}
+
+
+@st.composite
+def rational_ar_inputs(draw):
+    """alpha with near-unit roots or NaN, infinite, subnormal or huge entries,
+    and sigma2 subnormal, tiny, normal, not positive and finite, or near the
+    overflow bound, t (1 + sum |alpha_k|)^2 / max float."""
+    alpha = draw(edge_alpha)
+    kind = draw(st.sampled_from([*sigma2s, "bound", "bound", "bound"]))
+    if kind != "bound":
+        return alpha, draw(sigma2s[kind])
+    with np.errstate(all="ignore"):
+        bound = 1.0 + np.abs(alpha).sum()
+        return alpha, float(draw(st.floats(0.5, 2.0)) * bound / FLOAT_MAX * bound)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=rational_ar_inputs())
+def test_rational_ar_checks_decide_as_before(case):
+    alpha, sigma2 = case
+    with np.errstate(all="ignore"):
+        expected, gap = rational_ar_reference(alpha, sigma2)
+    assume(gap is None or not abs(gap) < 1e-12 * np.log(FLOAT_MAX))
+    try:
+        RationalAR(alpha=alpha, sigma2=sigma2)
+    except GapInterpError as exc:
+        assert expected is not None, f"refused {exc!r}, accepted before"
+        assert type(exc) is expected[0] and str(exc).startswith(expected[1])
+        return
+    assert expected is None, f"accepted, refused before with {expected}"

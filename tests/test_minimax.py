@@ -259,6 +259,14 @@ class TestDW:
         with pytest.raises(InvalidParameters):
             DW(b_given=np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("b_given", [[1.0, -(1 - 1e-12) / 2], [np.nan], [1.0, np.nan]],
+                             ids=["dip", "nan", "nan_moment"])
+    def test_moments_held_to_the_density_positivity_rule(self, b_given):
+        # 1 - (1 - 1e-12) cos(lambda) dips to 1e-12 at lambda = 0, below 1e-9 of
+        # its maximum; it, and NaN moments, passed the old test min > 0
+        with pytest.raises(InvalidParameters, match="not strictly positive"):
+            DW(b_given=np.array(b_given))
+
     def test_structurally_singular_geometry_refused(self):
         # K = {0, 1, -6}, anchor 1, W = 0: lags 1 and 6 are unknown, but the
         # rows outside the support (0 and -6) sit 1 and 7 from the support
