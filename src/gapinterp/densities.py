@@ -108,12 +108,13 @@ def _per_grid(method):
 
 
 def _private(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype. When np.asarray returns the caller's own
-    writable array, it is copied, so that no later edit of it reaches the instance; a
-    fresh array, or one already read-only, is kept as it is."""
+    """values as a read-only array of dtype. A writable array that np.asarray did not
+    make afresh (the caller's own array, or a view of the caller's memory: a slice, an
+    ndarray subclass, a buffer) is copied, so that no later edit of it reaches the
+    instance; a fresh array, or one already read-only, is kept as it is."""
     arr = np.asarray(values, dtype=dtype)
     if arr.flags.writeable:
-        if arr is values:
+        if arr is values or not arr.flags.owndata:
             arr = arr.copy()
         arr.setflags(write=False)
     return arr
@@ -144,11 +145,9 @@ def _fields_equal(self, other) -> bool:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Hermitian-symmetric coefficients b(m), m = -L..L, of a real function. degree is
-    the largest lag p with b(p) != 0 (0 for none), found from values when not given."""
+    """Hermitian-symmetric coefficients b(m), m = -L..L, of a real function."""
 
     values: np.ndarray  # complex, length 2L+1, entry k holds b(k - L)
-    degree: int | None = field(default=None, compare=False, repr=False)
     __eq__ = _fields_equal
 
     def __post_init__(self):
@@ -156,8 +155,18 @@ class FourierCoeffs:
         if vals.ndim != 1 or vals.size % 2 == 0:
             raise InvalidParameters("coefficient array must have odd length (m = -L..L)")
         object.__setattr__(self, "values", vals)
-        if self.degree is None:
-            object.__setattr__(self, "degree", _last_nonzero(vals[vals.size // 2:]))
+
+    @classmethod
+    def _of_degree(cls, values: np.ndarray, degree: int) -> "FourierCoeffs":
+        """cls(values) for a builder that knows its degree, which is then not scanned for."""
+        coeffs = cls(values)
+        coeffs.__dict__["degree"] = degree
+        return coeffs
+
+    @functools.cached_property
+    def degree(self) -> int:
+        """The largest lag p with b(p) != 0 (0 for none)."""
+        return _last_nonzero(self.values[self.half_length:])
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FourierCoeffs":
@@ -186,12 +195,12 @@ class FourierCoeffs:
         """b at the lags -half_length..half_length: cut, or padded with zeros."""
         extra = half_length - self.half_length
         if extra < 0:
-            kept = self.degree if self.degree <= half_length else None
-            return FourierCoeffs(self.values[-extra: extra], kept)
+            return FourierCoeffs(self.values[-extra: extra])
         if extra == 0:
             return self
         zeros = np.zeros(extra, dtype=complex)
-        return FourierCoeffs(_frozen(np.concatenate((zeros, self.values, zeros))), self.degree)
+        return FourierCoeffs._of_degree(_frozen(np.concatenate((zeros, self.values, zeros))),
+                                        self.degree)
 
     def is_hermitian(self) -> bool:
         """Whether max |b(m) - conj b(-m)| <= 1e-10 max(max |b|, 1)."""
@@ -296,7 +305,7 @@ class RationalAR(SpectralDensity):
         b = np.convolve(np.conj(d), d[::-1]) / self.sigma2
         vals = np.zeros(2 * half + 1, dtype=complex)
         vals[half - p: half + p + 1] = b
-        return FourierCoeffs(_frozen(vals), _last_nonzero(b[p:]))
+        return FourierCoeffs._of_degree(_frozen(vals), _last_nonzero(b[p:]))
 
 
 @dataclass(frozen=True)

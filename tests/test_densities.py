@@ -179,6 +179,19 @@ class TestDegree:
     def test_zero_coefficients(self):
         assert FourierCoeffs(np.zeros(7)).degree == 0
 
+    def test_read_from_values_only(self):
+        # not a constructor option: a given degree could disagree with the values
+        vals = np.array([0.1, 0.0, 0.0, 2.0, 0.0, 0.0, 0.1])
+        with pytest.raises(TypeError):
+            FourierCoeffs(vals, 0)
+        b = FourierCoeffs(vals)
+        assert b.degree == 3
+        assert "degree" not in repr(b) and b == FourierCoeffs(vals)
+
+
+class _Subclass(np.ndarray):
+    """An ndarray subclass, of which np.asarray returns a base-class view."""
+
 
 class TestCallerArrays:
     def test_edited_table_keeps_its_grids_consistent(self):
@@ -205,6 +218,24 @@ class TestCallerArrays:
         arr.setflags(write=False)
         assert getattr(make(arr), name) is arr
         assert getattr(make(arr.tolist()), name).flags.writeable is False
+
+    @pytest.mark.parametrize("make, name, dtype", [
+        (lambda v: RationalAR(alpha=v), "alpha", complex),
+        (FourierCoeffs, "values", complex),
+        (Tabulated, "values", float),
+    ], ids=["ar", "coeffs", "tabulated"])
+    @pytest.mark.parametrize("wrap", [
+        lambda a: a[1:6], np.ma.masked_array, memoryview, lambda a: a.view(_Subclass),
+    ], ids=["slice", "masked", "memoryview", "subclass"])
+    def test_view_of_caller_memory_copied(self, make, name, dtype, wrap):
+        # np.asarray gives a view of the caller's writable memory, not the object passed
+        arr = np.array([0.2, 1.0, 0.2, 1.5, 0.3, 0.1, 0.2], dtype=dtype)
+        held = getattr(make(wrap(arr)), name)
+        before = held.copy()
+        assert not held.flags.writeable and not np.shares_memory(held, arr)
+        arr[:] = 0.05
+        assert np.array_equal(held, before)
+        assert arr.flags.writeable  # the caller's memory is left writable
 
 
 class TestMinimality:
