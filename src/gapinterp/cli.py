@@ -202,7 +202,7 @@ def cmd_least_favourable(config: dict, args) -> dict:
         result = minimax.lf_dW(f_pattern, weights, cls, grid_size=args.grid)
     else:
         result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid)
-    report = minimax.saddle_check(result, f_pattern, weights, cls)
+    report = minimax.saddle_check(result, cls)
     record = {
         "b0": {str(m): _complex_out(result.b0[m])
                for m in range(-result.b0.half_length, result.b0.half_length + 1)
@@ -265,9 +265,9 @@ def cmd_simulate(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     if args.replicates < 2:  # the standard error of one replicate is infinite
         raise InvalidParameters(f"simulate needs at least 2 replicates, got {args.replicates}")
-    sol, pattern = _oracle_problem(f, pattern, weights, args.grid)
+    sol, _ = _oracle_problem(f, pattern, weights, args.grid)
     est = oracle.estimate_weights_from_characteristic(sol)
-    idx = patterns.missing_indices(pattern)
+    idx = sol.indices
     # the paths hold exactly what A and its estimate read
     lo, hi = min(*idx, *est), max(*idx, *est)
     chunks = oracle.simulate_chunks(f, length=hi - lo + 1, n_replicates=args.replicates,
@@ -281,7 +281,7 @@ def cmd_simulate(config: dict, args) -> dict:
             yield rows
 
     # the complex functional, whose error sol.delta is
-    target = dict(zip(idx, patterns.weight_vector(weights, pattern)))
+    target = dict(zip(idx, sol.a))
     # each chunk is reduced to its errors as it is drawn: memory stays
     # O(CHUNK_VALUES + replicates)
     em = oracle.empirical_mse(dumping(chunks), est, target, origin=-lo)

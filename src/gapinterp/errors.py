@@ -28,10 +28,6 @@ class SupportMismatch(ValidationError):
     pass
 
 
-class GridMismatch(ValidationError):
-    pass
-
-
 class IndexOutOfPath(ValidationError):
     pass
 
@@ -67,10 +63,6 @@ class NonFiniteSolution(NumericalError):
 
 
 class NotConverged(NumericalError):
-    pass
-
-
-class NewtonNotConverged(NotConverged):
     pass
 
 

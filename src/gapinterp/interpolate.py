@@ -45,12 +45,10 @@ from .densities import (
     InversePolynomial,
     RationalAR,
     SpectralDensity,
-    Tabulated,
     evaluate_trig_poly,
     inverse_fourier_coeffs,
 )
 from .errors import (
-    GridMismatch,
     InvalidParameters,
     LagOutOfRange,
     NonFiniteSolution,
@@ -227,27 +225,13 @@ def mse_of_characteristic(
     weights: FunctionalWeights,
     f: SpectralDensity,
 ) -> float:
-    """Delta(h; f) = (1/2pi) int |A - h|^2 f dlambda for an arbitrary pair."""
+    """Delta(h; f) = (1/2pi) int |A - h|^2 f dlambda for an arbitrary pair on the grid
+    of h_grid, with f read there by on_grid as `solve` reads it."""
     grid_size = h_grid.size
-    f_grid = density_on_grid(f, grid_size)
     idx = missing_indices(pattern)
     a = weights.on(idx)
     a_grid = poly_on_grid(idx, a, grid_size)
-    return float(np.mean(np.abs(a_grid - h_grid) ** 2 * f_grid))
-
-
-def density_on_grid(f: SpectralDensity, grid_size: int) -> np.ndarray:
-    """Values of f on the grid of a characteristic; a Tabulated density finer
-    than that grid is refused rather than downsampled."""
-    if isinstance(f, Tabulated) and f.values.size > grid_size:
-        raise GridMismatch(
-            "tabulated density is finer than the characteristic grid; "
-            "downsampling would alias"
-        )
-    f_grid = f.on_grid(grid_size)
-    if f_grid.size != grid_size:
-        raise GridMismatch("density grid does not match the characteristic grid")
-    return f_grid
+    return float(np.mean(np.abs(a_grid - h_grid) ** 2 * f.on_grid(grid_size)))
 
 
 def solve_truncated(

@@ -40,7 +40,6 @@ import numpy as np
 
 from .densities import (
     DEFAULT_GRID,
-    POSITIVITY_RTOL,
     FourierCoeffs,
     InversePolynomial,
     SpectralDensity,
@@ -53,7 +52,6 @@ from .densities import (
 from .errors import (
     InfeasibleClass,
     InvalidParameters,
-    NewtonNotConverged,
     NonPositiveDensity,
     NotConverged,
     NotCovered,
@@ -62,7 +60,6 @@ from .errors import (
 )
 from .interpolate import (
     InterpolationSolution,
-    density_on_grid,
     error_value,
     poly_on_grid,
     solve,
@@ -104,6 +101,8 @@ class DW:
         object.__setattr__(self, "b_given", b)
         if b.size < 1 or b[0] <= 0:
             raise InvalidParameters("moment sequence must start with b(0) > 0")
+        if not np.all(np.isfinite(b)):  # refused before the polynomial is evaluated
+            raise InvalidParameters("moment sequence is not strictly positive: not all finite")
         # strict positivity of the sequence: the associated trig polynomial,
         # evaluated real, must pass the positivity rule of every density
         try:
@@ -193,6 +192,19 @@ def _real_positive_weights(weights: FunctionalWeights, pattern: ObservationPatte
     return a.real
 
 
+def _closed_form_density(b0: FourierCoeffs, grid_size: int, refusal: str) -> InversePolynomial:
+    """The density whose 1/f is b0, held to the positivity rule of every density on the
+    grid: a 1/f that fails it raises PositivityLost(refusal), with its minimum as
+    diagnostics["inv_min"]."""
+    f0 = InversePolynomial(b0)
+    try:
+        f0.inverse_on_grid(grid_size)
+    except NonPositiveDensity:
+        inv_min = float(b0.evaluate(grid_size).min())  # kept by the check that failed
+        raise PositivityLost(refusal, diagnostics={"inv_min": inv_min}) from None
+    return f0
+
+
 def _result_from_density(pattern, weights, f0, lagrange, mechanism, grid_size,
                          diagnostics=None):
     sol = solve(pattern, weights, f0, grid_size=grid_size)
@@ -224,13 +236,9 @@ def lf_d0minus(
     a_anchor = float(a[idx.index(anchor)])
     b0 = FourierCoeffs.from_dict({sign * (anchor - n): cls.p * a_n / a_anchor
                                   for n, a_n in zip(idx, a) for sign in (1, -1)})
-
-    inv_vals = b0.evaluate(grid_size)
-    if not np.min(inv_vals) > POSITIVITY_RTOL * np.max(inv_vals):
-        raise PositivityLost("the anchored closed form is not a valid density for these weights",
-                             diagnostics={"inv_min": float(np.min(inv_vals))})
+    f0 = _closed_form_density(b0, grid_size, "the anchored closed form is not a valid density "
+                                             "for these weights")
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
-    f0 = InversePolynomial(b0)
     result = _result_from_density(pattern, weights, f0, lagrange, "closed_form", grid_size)
     expected = a_anchor ** 2 / cls.p
     if abs(result.delta0 - expected) > 1e-8 * max(expected, 1.0):
@@ -329,8 +337,8 @@ def lf_dW(
     the same for every member of the class); otherwise the mechanism is `newton`.
     lagrange["newton_residual"] is max|B c - a| / max|a|; a singular block or a
     residual that is not at most 1e-10 (NaN when moments near the underflow
-    overflow c) raises NewtonNotConverged, and a 1/f that is not positive on
-    the grid raises PositivityLost."""
+    overflow c) raises NotConverged, and a 1/f that is not positive on the grid
+    raises PositivityLost (_closed_form_density)."""
     if pattern.kind not in ("S4", "S5", "S6"):
         raise NotCovered("moment-constrained analysis is implemented for finite gap patterns")
     if pattern.kind in ("S4", "S6") and pattern.M1 < pattern.N:
@@ -361,24 +369,19 @@ def lf_dW(
             np.add.at(hits, (np.arange(dist.shape[0])[:, None], dist), c)
             x = np.linalg.solve(hits[:, unknown_lags], a[~on] - B[np.ix_(~on, on)] @ c)
         except np.linalg.LinAlgError as exc:
-            raise NewtonNotConverged("singular coefficient system") from exc
+            raise NotConverged("singular coefficient system") from exc
         vals[half + unknown_lags] = vals[half - unknown_lags] = x
         residual = float(np.max(np.abs(vals[lags[:, on]] @ c - a))) / scale
     if not residual <= 1e-10:
-        raise NewtonNotConverged(f"coefficient system residual {residual:.3e} above 1e-10",
-                                 diagnostics={"residual": residual} if np.isfinite(residual) else {})
+        raise NotConverged(f"coefficient system residual {residual:.3e} above 1e-10",
+                           diagnostics={"residual": residual} if np.isfinite(residual) else {})
 
-    b0 = FourierCoeffs(vals.astype(complex))
-    inv_vals = b0.evaluate(grid_size)
-    if np.min(inv_vals) <= POSITIVITY_RTOL * np.max(inv_vals):
-        raise PositivityLost(
-            f"solved inverse density dips to {np.min(inv_vals):.3e}; the structured "
-            "stationary point is not a valid density for these inputs"
-        )
+    f0 = _closed_form_density(FourierCoeffs(vals.astype(complex)), grid_size, "the structured "
+                              "stationary point is not a valid density for these inputs")
     lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
                 "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),
                 "newton_residual": residual}
-    return _result_from_density(pattern, weights, InversePolynomial(b0), lagrange,
+    return _result_from_density(pattern, weights, f0, lagrange,
                                 "degenerate" if W >= span else "newton", grid_size)
 
 
@@ -513,15 +516,11 @@ def numerical_lf(
 # saddle certificates
 # ---------------------------------------------------------------------------
 
-def saddle_check(
-    result: LeastFavourableResult,
-    pattern: ObservationPattern,
-    weights: FunctionalWeights,
-    cls,
-) -> dict:
-    """Certify the saddle inequalities around (h0, f0) on the result's grid of
-    G points, with e = A - h0 (A the solution's a_grid) and w = |e|^2. No member is
-    drawn (n_samples 0).
+def saddle_check(result: LeastFavourableResult, cls) -> dict:
+    """Certify the saddle inequalities around (h0, f0) on the result's grid of G
+    points for the problem it solved: K, a and A (a_grid) from result.solution, f0
+    by on_grid(G) as the solve read it. e = A - h0, w = |e|^2; no member is drawn
+    (n_samples 0).
 
     Lower side: for dh on the observed lags, Delta(h0 + dh; f0) =
     Delta(h0; f0) + mean(|dh|^2 f0) - 2 Re sum_j conj(dh_j) r_j, with r the
@@ -551,15 +550,15 @@ def saddle_check(
     """
     G = result.grid_size
     delta0 = result.delta0
-    idx = missing_indices(pattern)
-    a = weight_vector(weights, pattern)
+    sol = result.solution
+    idx, a = sol.indices, sol.a
     span = max(max(idx) - min(idx), 1)
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
         raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
-    e = result.solution.a_grid - result.h0_grid
+    e = sol.a_grid - result.h0_grid
     w = e.real ** 2 + e.imag ** 2
-    f0 = density_on_grid(result.f0, G)
+    f0 = result.f0.on_grid(G)
     r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G
     r[np.mod(idx, G)] = 0.0
     lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)), float(np.finfo(float).tiny)))

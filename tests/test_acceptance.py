@@ -221,7 +221,7 @@ class TestCriterion5:
         cls = D0Minus(p=1.0)
         res = lf_d0minus(LF_PATTERN, LF_WEIGHTS, cls)
         exact_mean = res.b0[0] == 1.0
-        rep = saddle_check(res, LF_PATTERN, LF_WEIGHTS, cls)
+        rep = saddle_check(res, cls)
         # the error of f0 from the independent time-domain projection
         proj = project(build_problem(LF_PATTERN, LF_WEIGHTS, res.f0, window=60))["mse"]
         rel = abs(proj - res.delta0) / res.delta0

@@ -19,7 +19,6 @@ from gapinterp.densities import (
 )
 from gapinterp import interpolate
 from gapinterp.errors import (
-    GridMismatch,
     InvalidParameters,
     LagOutOfRange,
     NotConverged,
@@ -236,12 +235,16 @@ class TestSolve:
             best2 = solve(p, w, f2).delta
             assert mse_of_characteristic(h1, p, w, f2) >= best2 - 1e-10
 
-    def test_grid_mismatch(self):
+    def test_table_finer_than_grid_read_as_solve_reads_it(self):
+        # a 1024-value table on a 512-point grid: solve and mse_of_characteristic
+        # both keep its lags below 256, so the characteristic attains delta
         p = ObservationPattern("S5", N=0, M2=1, N2=1)
         w = ones_weights(p)
-        f = Tabulated(np.ones(1024))
-        with pytest.raises(GridMismatch):
-            mse_of_characteristic(np.zeros(512, dtype=complex), p, w, f)
+        lam = angular_grid(1024)
+        f = Tabulated(1.5 + np.cos(lam) + 0.4 * np.cos(300 * lam))  # lag 300 is past 256
+        sol = solve(p, w, f, grid_size=512)
+        value = mse_of_characteristic(sol.h_grid, p, w, f)
+        assert abs(value - sol.delta) <= 1e-12 * sol.delta
 
     def test_s6_with_empty_right_matches_s4(self):
         f = RationalAR(alpha=np.array([0.4]))

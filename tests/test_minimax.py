@@ -138,7 +138,7 @@ class TestD0Minus:
 
     def test_saddle_check_passes(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        report = saddle_check(res, S5_SMALL, W_SMALL, D0Minus(p=1.0))
+        report = saddle_check(res, D0Minus(p=1.0))
         assert report["all_pass"]
         assert report["upper_set"] == "sub_family" and report["upper_pass"]
         # the sub-family supremum is Delta(h0; f0) = delta0, attained at f0
@@ -148,7 +148,7 @@ class TestD0Minus:
     def test_saddle_check_rejects_corrupted_characteristic(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
-        report = saddle_check(bad, S5_SMALL, W_SMALL, D0Minus(p=1.0))
+        report = saddle_check(bad, D0Minus(p=1.0))
         assert not report["all_pass"]
         assert not report["lower_pass"] and report["lower_residual"] > 0.1
 
@@ -254,6 +254,22 @@ class TestDW:
         w = FunctionalWeights(values={0: 1.0, 3: 1.0})
         with pytest.raises(PositivityLost):
             lf_dW(p, w, DW(b_given=np.array([1.25, -0.5])))
+
+    def test_positivity_lost_carries_inv_min(self):
+        # the same inputs: 1/f0 dips below zero, and the error says how far
+        p = ObservationPattern("S5", N=0, M2=2, N2=1)
+        w = FunctionalWeights(values={0: 1.0, 3: 1.0})
+        with pytest.raises(PositivityLost, match="structured stationary point") as info:
+            lf_dW(p, w, DW(b_given=np.array([1.25, -0.5])))
+        assert info.value.diagnostics["inv_min"] < 0
+
+    @pytest.mark.parametrize("b_given", [[np.inf], [2.0, np.inf], [1.0, np.nan]],
+                             ids=["inf", "inf_moment", "nan_moment"])
+    def test_non_finite_moments_refused_before_evaluation(self, b_given):
+        # an infinite moment reached the grid evaluation, whose complex product
+        # emitted a RuntimeWarning (an error under this suite) before any refusal
+        with pytest.raises(InvalidParameters, match="not all finite"):
+            DW(b_given=np.array(b_given))
 
     def test_nonpositive_moments_rejected_at_construction(self):
         with pytest.raises(InvalidParameters):
@@ -577,7 +593,7 @@ class TestNumerical:
         t = (cls.p - np.mean(lo)) / (np.mean(hi) - np.mean(lo))
         start = solve(pattern, weights, Tabulated(1.0 / (lo + t * (hi - lo))), grid_size=G)
         assert res.delta0 >= start.delta * (1 - 1e-12)
-        report = saddle_check(res, pattern, weights, cls)
+        report = saddle_check(res, cls)
         assert report["vertex_classical"] <= res.delta0 * (1 + 1e-9)
 
     def test_sampled_members_stay_in_class(self):
@@ -597,7 +613,7 @@ class TestNumerical:
         idx = missing_indices(pattern)
         for grid in (0, -3, 4 * (max(idx) - min(idx)) - 1):
             with pytest.raises(InvalidParameters, match="too coarse"):
-                saddle_check(dataclasses.replace(res, grid_size=grid), pattern, weights, cls)
+                saddle_check(dataclasses.replace(res, grid_size=grid), cls)
 
 
 def loop_members(result, pattern, weights, cls, n_samples, seed):
@@ -675,7 +691,7 @@ class TestSaddleBatch:
     def test_matches_per_sample_loop(self, family, kind, seed, raise_delta0):
         pattern, weights, cls, res = saddle_problem(kind, family)
         res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
-        report = saddle_check(res, pattern, weights, cls)
+        report = saddle_check(res, cls)
         upper, classical, lower = loop_members(res, pattern, weights, cls, 40, seed)
         tol = 1e-8 * max(res.delta0, 1.0)
         # D0Minus members are drawn from the sub-family, so every sampled
@@ -710,7 +726,7 @@ class TestSaddleBatch:
     @pytest.mark.parametrize("family", ["d0minus", "dw"])
     def test_witness_stays_in_class(self, family, kind, t_frac):
         pattern, weights, cls, res = saddle_problem(kind, family)
-        witness = saddle_check(res, pattern, weights, cls)["witness"]
+        witness = saddle_check(res, cls)["witness"]
         t = t_frac * witness["t_max"]
         g = witness_member(res, witness, t)
         assert np.min(g) > 0
@@ -730,10 +746,10 @@ class TestSaddleBatch:
     @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
     def test_zeroed_characteristic_fails_lower_side(self, family):
         pattern, weights, cls, res = saddle_problem("S6", family)
-        report = saddle_check(res, pattern, weights, cls)
+        report = saddle_check(res, cls)
         assert report["lower_residual"] <= 1e-10
         bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
-        report = saddle_check(bad, pattern, weights, cls)
+        report = saddle_check(bad, cls)
         assert report["lower_residual"] > 1e-3
         assert not report["lower_pass"] and not report["all_pass"]
         # a perturbation of the zero characteristic that the residual points
@@ -763,7 +779,7 @@ class TestSaddleBatch:
         chunks = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: chunks.append(m.shape) or cholesky(m))
-        report = saddle_check(res, pattern, weights, cls)
+        report = saddle_check(res, cls)
         monkeypatch.undo()
         assert chunks == []
         upper, classical, lower = loop_members(res, pattern, weights, cls, 40, 2)
@@ -791,7 +807,7 @@ class TestSaddleBatch:
         else:
             pattern, weights, cls, res = saddle_problem("S6", "d0minus")
             max_lag = res.b0.half_length + 2
-        witness = saddle_check(res, pattern, weights, cls)["witness"]
+        witness = saddle_check(res, cls)["witness"]
         assert witness["m"] == 1
         t = 0.5 * witness["t_max"]
         ref = res.b0.resized(max_lag).values.copy()
@@ -806,10 +822,21 @@ class TestSaddleBatch:
         f = RationalAR(alpha=0.5)
         cls = DVU(v=f, u=f, p=minimality_value(f))
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
-        report = saddle_check(res, S5_SMALL, W_SMALL, cls)
+        report = saddle_check(res, cls)
         assert abs(report["upper_bound"] - res.delta0) <= 1e-12 * res.delta0
         assert report["minimax_bracket"][0] == res.delta0
         assert report["all_pass"]
+
+    def test_pinned_table_finer_than_grid_passes(self):
+        # bounds tabulated on 8192 points, solved and certified on the default
+        # 4096: both read the table by on_grid, so the certificate checks the
+        # problem the solve answered
+        lam = angular_grid(8192)
+        f = Tabulated(1.5 + np.cos(lam))
+        cls = DVU(v=f, u=f, p=float(np.mean(1.0 / f.values)))
+        res = lf_dvu(S5_SMALL, W_SMALL, cls)
+        assert res.mechanism == "pinned"
+        assert saddle_check(res, cls)["all_pass"]
 
     def test_no_per_sample_calls(self, monkeypatch):
         # no solve or grid pass per member; DVU takes one FFT and one Gram
@@ -827,7 +854,7 @@ class TestSaddleBatch:
         for family in ("dvu", "dw", "d0minus"):
             pattern, weights, cls, res = saddle_problem("S5", family)
             calls.clear()
-            report = saddle_check(res, pattern, weights, cls)
+            report = saddle_check(res, cls)
             assert report["n_samples"] == 0
             assert calls == (["grid_fourier_coefficients", "solve_gram"] if family == "dvu" else [])
 
@@ -836,7 +863,7 @@ class TestSaddleBatch:
         # lags up to 20 on 32 points: none of the observed ones folds onto K
         pattern, weights, cls, _ = saddle_problem("S6", "d0minus")
         res = lf_d0minus(pattern, weights, cls, grid_size=grid)
-        assert saddle_check(res, pattern, weights, cls)["lower_residual"] <= 1e-10
+        assert saddle_check(res, cls)["lower_residual"] <= 1e-10
         rng = np.random.default_rng(grid)
         observed = np.setdiff1d(np.arange(-20, 21), missing_indices(pattern))
         lags = np.stack([rng.choice(observed, size=5, replace=False) for _ in range(6)])
@@ -871,7 +898,7 @@ class TestSaddleBatch:
     @pytest.mark.parametrize("family, kind", sorted(PINNED))
     def test_reports_pinned(self, family, kind):
         pattern, weights, cls, res = saddle_problem(kind, family)
-        report = saddle_check(res, pattern, weights, cls)
+        report = saddle_check(res, cls)
         assert res.grid_size == (512 if (family, kind) == ("dvu", "S5") else 4096)
         bound, *rest = self.PINNED[family, kind]
         assert report.pop("lower_residual") <= 1e-15
