@@ -27,9 +27,7 @@ from .errors import (
     ValidationError,
 )
 
-# `verify` and `simulate` cut S1-S3 where the cut moves the error by about this much
-VERIFY_RTOL = 1e-12
-# and refuse a cut deeper than this, per block: their oracles are dense in |K|
+# the deepest cut per block the dense oracles take, and the widest window verify projects on
 ORACLE_MAX_DEPTH = 6400
 
 
@@ -176,12 +174,15 @@ def cmd_minimality(config: dict, args) -> dict:
     return {"value": value, "minimal": bool(np.isfinite(value))}
 
 
+def _solve(f, pattern, weights, grid_size):
+    """The solution `interpolate` reports and `verify` and `simulate` check."""
+    solver = interpolate.solve_truncated if pattern.is_infinite else interpolate.solve
+    return solver(pattern, weights, f, grid_size=grid_size)
+
+
 def cmd_interpolate(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
-    if pattern.is_infinite:
-        sol = interpolate.solve_truncated(pattern, weights, f, grid_size=args.grid)
-    else:
-        sol = interpolate.solve(pattern, weights, f, grid_size=args.grid)
+    sol = _solve(f, pattern, weights, args.grid)
     record = {
         "indices": list(sol.indices),
         "c": [_complex_out(v) for v in sol.c],
@@ -221,41 +222,39 @@ def cmd_least_favourable(config: dict, args) -> dict:
 
 
 def _oracle_problem(f, pattern, weights, grid_size):
-    """The solution a time-domain oracle (`verify`, `simulate`) checks, and the
-    pattern the oracle works on. The oracles are dense in |K|, so S1-S3 are
-    cut where the cut moves Delta by about VERIFY_RTOL, far inside their
-    tolerances; the cut solution's h vanishes on its own K, and the oracle
-    observes everything past it."""
-    if not pattern.is_infinite:
-        return interpolate.solve(pattern, weights, f, grid_size=grid_size), pattern
-    sol = interpolate.solve_truncated(pattern, weights, f, grid_size=grid_size,
-                                      rtol=VERIFY_RTOL)
-    depth = sol.convergence["depth"]
+    """`_solve`'s solution, which a time-domain oracle (`verify`, `simulate`) checks,
+    and the pattern the oracle works on: on S1-S3, cut at the solution's own depth,
+    where its h vanishes, with everything past it observed. The oracles are dense
+    in |K|: a depth past ORACLE_MAX_DEPTH raises NotConverged."""
+    sol = _solve(f, pattern, weights, grid_size)
+    depth = sol.convergence.get("depth", 0)  # 0 for S4-S6
     if depth > ORACLE_MAX_DEPTH:
         raise NotConverged(f"the oracle would need depth {depth}, past the "
                            f"{ORACLE_MAX_DEPTH} it supports", diagnostics={"depth": depth})
-    return sol, pattern.with_truncation(depth)
+    return sol, pattern.with_truncation(depth) if pattern.is_infinite else pattern
 
 
 def cmd_verify(config: dict, args) -> dict:
     f, pattern, weights = parse_config(config, "density", "pattern", "weights")
     sol, pattern = _oracle_problem(f, pattern, weights, args.grid)
-    window = args.window
-    tp = oracle.build_problem(pattern, weights, f, window=window)
-    proj = oracle.project(tp)
-    rel = abs(sol.delta - proj["mse"]) / max(abs(proj["mse"]), 1e-300)
-    checks = [
-        {"name": "spectral_vs_projection", "spectral": sol.delta,
-         "projection": proj["mse"], "relative_error": rel, "pass": bool(rel < 1e-6)},
-    ]
+    # the error cannot rise with the window, which doubles from 128 until two agree to 1e-9
+    window, last, mse = 64, math.nan, math.nan
+    while not abs(mse - last) <= 1e-9 * abs(mse):
+        window *= 2
+        if window > ORACLE_MAX_DEPTH:
+            raise NotConverged(f"the projection would need window {window}, past the "
+                               f"{ORACLE_MAX_DEPTH} it supports", diagnostics={"window": window})
+        last, mse = mse, oracle.project(oracle.build_problem(pattern, weights, f, window))["mse"]
+    rel = abs(sol.delta - mse) / max(abs(mse), 1e-300)
     gap_cap = max(abs(sol.h_coeffs.get(j, 0.0)) for j in sol.indices)
     top = float(np.max(np.abs(sol.a)))
     norm_a = top * float(np.linalg.norm(sol.a / top)) if top > 0 else 0.0  # no underflow
-    checks.append({
-        "name": "characteristic_vanishes_on_gaps",
-        "max_gap_coefficient": gap_cap,
-        "pass": bool(gap_cap <= 1e-8 * norm_a),
-    })
+    checks = [
+        {"name": "spectral_vs_projection", "spectral": sol.delta, "projection": mse,
+         "relative_error": rel, "window": window, "pass": bool(rel < 1e-6)},
+        {"name": "characteristic_vanishes_on_gaps", "max_gap_coefficient": gap_cap,
+         "pass": bool(gap_cap <= 1e-8 * norm_a)},
+    ]
     for row in checks:
         print(f"{row['name']}: {'PASS' if row['pass'] else 'FAIL'}", file=sys.stderr)
     return {"checks": checks, "all_pass": all(r["pass"] for r in checks)}
@@ -269,7 +268,7 @@ def cmd_simulate(config: dict, args) -> dict:
     est = oracle.estimate_weights_from_characteristic(sol)
     idx = sol.indices
     # the paths hold exactly what A and its estimate read
-    lo, hi = min(*idx, *est), max(*idx, *est)
+    lo, hi = min([*idx, *est]), max([*idx, *est])
     chunks = oracle.simulate_chunks(f, length=hi - lo + 1, n_replicates=args.replicates,
                                     seed=args.seed)
     n_dump = 100 if args.out and args.format in ("csv", "both") else 0
@@ -328,10 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for artifacts")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
-    parser.add_argument("--window", type=int, default=500,
-                        help="verify's observation window: indices within this many of the gap")
     parser.add_argument("--replicates", type=int, default=10000)
-    # accepted and ignored: saddle_check certifies without sampling members
+    # accepted and ignored: verify sizes its own window, saddle_check samples no members
+    parser.add_argument("--window", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--samples", type=int, default=0, help=argparse.SUPPRESS)
     return parser
 

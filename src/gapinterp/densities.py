@@ -68,8 +68,8 @@ def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.nda
     half = (coeffs.size - 1) // 2
     if 2 * half >= n:
         raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
-    if real:  # the Hermitian part (c(m) + conj c(-m)) / 2, m >= 0, to one real inverse FFT
-        right = 0.5 * (coeffs[half:] + np.conj(coeffs[half::-1]))
+    if real:  # the Hermitian part c(m) / 2 + conj c(-m) / 2 (no overflow), m >= 0, to one irfft
+        right = 0.5 * coeffs[half:] + 0.5 * np.conj(coeffs[half::-1])
         right[1::2] *= -1.0
         return np.fft.irfft(right, n, norm="forward")
     m = np.arange(-half, half + 1)
@@ -417,8 +417,9 @@ def inverse_fourier_coeffs(
 def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float:
     """(1/2pi) int 1/f dlambda, the quantity whose finiteness permits
     nontrivial interpolation error."""
-    inv = f.inverse_on_grid(grid_size)
-    return float(np.mean(np.real(inv)))
+    inv = np.real(f.inverse_on_grid(grid_size))
+    scale = float(1 << (inv.size - 1).bit_length())  # a power of two >= G: exact, no overflow
+    return float(np.mean(inv / scale) * scale)
 
 
 def covariances(f: SpectralDensity, max_lag: int) -> np.ndarray:

@@ -239,24 +239,24 @@ def solve_truncated(
     weights: FunctionalWeights,
     f: SpectralDensity,
     grid_size: int = DEFAULT_GRID,
-    rtol: float = TAIL_RTOL,
 ) -> InterpolationSolution:
     """Solve an infinite-pattern problem (S1-S3), cut where the cut moves
-    Delta by about rtol (max f / min f) relative, whatever the density.
+    Delta by about TAIL_RTOL (max f / min f) relative, whatever the density:
+    the solution `gapinterp interpolate` reports and `verify` and `simulate` check.
 
     Cutting the blocks at depth D moves Delta by <w, a_w - B_wK c> over the
     dropped tail w of the exact c, that is by about c(D) (a(D) + c(D))
     relative to max|c| max|a|, times a factor below
     (max f / min f) / (1 - radius^2). Both decay past the explicit weights
     like radius^s, radius = max(rho, |z|) over the roots z of 1/f inside the
-    unit circle, so D starts at decay(rtol / 10, radius^2) past them (and
+    unit circle, so D starts at decay(TAIL_RTOL / 10, radius^2) past them (and
     at least q) and doubles until the shares of c and a at the q outermost
-    indices of each block, c_D and a_D, satisfy c_D max(c_D, a_D) <= rtol;
+    indices of each block, c_D and a_D, satisfy c_D max(c_D, a_D) <= TAIL_RTOL;
     q = max(p, 1), or for Tabulated the gcd below.
     The cut solution's edge understates the exact c there by about
     1 - radius^2 (measured: Delta within 1.5e-15 of a solve at depth 20000
-    for alpha = rho = 0.995, where that factor is 1e-2), which the default
-    rtol, well below rounding, absorbs. Each depth is one banded Cholesky
+    for alpha = rho = 0.995, where that factor is 1e-2), which TAIL_RTOL,
+    well below rounding, absorbs. Each depth is one banded Cholesky
     over the cut K, and h vanishes on K to rounding.
 
     Only the loop's inputs depend on the density. When 1/f has degree p
@@ -278,8 +278,6 @@ def solve_truncated(
     """
     if not pattern.is_infinite:
         raise InvalidParameters("solve_truncated applies to infinite patterns only")
-    if not 0 < rtol < 1:
-        raise InvalidParameters(f"rtol must lie in (0, 1), got {rtol}")
     if grid_size < 1:  # the grid doubling below would never end
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     sides = pattern.has_left + pattern.has_right
@@ -307,8 +305,8 @@ def solve_truncated(
     if max(reach, 1) > deepest:
         raise InvalidParameters(f"a grid of {grid_size} points holds at most {deepest} indices "
                                 f"per infinite block; the weights need {max(reach, 1)}")
-    # a tenth of rtol leaves room for the constants of the slowest mode
-    depth = max(reach, q) + _decay(0.1 * rtol, radius ** 2)
+    # a tenth of TAIL_RTOL leaves room for the constants of the slowest mode
+    depth = max(reach, q) + _decay(0.1 * TAIL_RTOL, radius ** 2)
     while True:
         depth = min(depth, deepest)
         if depth > MAX_DEPTH:  # also ends an edge that never passes (a NaN one)
@@ -324,7 +322,7 @@ def solve_truncated(
         ends = pattern.N + 1 + depth * np.arange(1, sides + 1)
         edge = (ends[:, None] - np.arange(1, min(q, depth) + 1)).ravel()
         c_edge, a_edge = _edge_share(c, edge), _edge_share(a, edge)
-        if c_edge * max(c_edge, a_edge) <= rtol:
+        if c_edge * max(c_edge, a_edge) <= TAIL_RTOL:
             break
         if depth == deepest:
             raise NotConverged(f"the cut has not converged at depth {depth}, the deepest a "

@@ -103,6 +103,9 @@ class DW:
             raise InvalidParameters("moment sequence must start with b(0) > 0")
         if not np.all(np.isfinite(b)):  # refused before the polynomial is evaluated
             raise InvalidParameters("moment sequence is not strictly positive: not all finite")
+        if np.max(np.abs(b)) > np.finfo(float).max / (2 * b.size):
+            raise InvalidParameters("moment sequence too large: its polynomial, up to "
+                                    "(2W + 1) max|b(m)|, could overflow")
         # strict positivity of the sequence: the associated trig polynomial,
         # evaluated real, must pass the positivity rule of every density
         try:
@@ -505,9 +508,9 @@ def numerical_lf(
         g, delta, gain = g_next, delta_next, gain_next
 
     f0 = Tabulated(1.0 / g)
-    rtol = 1e-6 * float(np.max(u))
-    lagrange = {"lower_active": np.flatnonzero(f0.values <= v + rtol).tolist(),
-                "upper_active": np.flatnonzero(f0.values >= u - rtol).tolist()}
+    slack = 1e-6 * float(np.max(u))
+    lagrange = {"lower_active": np.flatnonzero(f0.values <= v + slack).tolist(),
+                "upper_active": np.flatnonzero(f0.values >= u - slack).tolist()}
     return _result_from_density(pattern, weights, f0, lagrange, "numerical", G,
                                 {"iterations": solves})
 

@@ -59,6 +59,15 @@ class TestMinimality:
         assert abs(rec["value"] - 1.25) < 1e-10
         assert rec["minimal"] is True
 
+    def test_mean_near_the_float_range(self, tmp_path):
+        # 1/f = 8.99e307 on each of 16 points: their sum overflowed, a
+        # RuntimeWarning (an error under this suite) with no record written
+        config = {"density": {"type": "rational_ar", "alpha": [0.0],
+                              "sigma2": 1.1125369292536007e-308}}
+        code, rec, _ = run(tmp_path, "minimality", config, "--grid", "16")
+        assert code == 0
+        assert rec["value"] == 1 / 1.1125369292536007e-308 and rec["minimal"] is True
+
     def test_unit_root_is_validation_error(self, tmp_path):
         config = {"density": {"type": "rational_ar", "alpha": [1.0]}}
         code, rec, _ = run(tmp_path, "minimality", config)
@@ -275,7 +284,6 @@ class TestFailureRecords:
         ("simulate", EX_CONFIG, ("--seed", "-1", "--replicates", "10")),
         ("least-favourable", LF_CONFIG, ("--seed", "-1")),
         ("least-favourable", DVU_CONFIG, ("--seed", "-1", "--samples", "5")),
-        ("verify", EX_CONFIG, ("--window", "-5")),
         ("least-favourable", DVU_CONFIG, ("--grid", "0")),
         ("least-favourable", DVU_CONFIG, ("--grid", "-8")),
         ("minimality", {"density": {"type": "tabulated", "values": [1.0] * 8}}, ("--grid", "0")),
@@ -283,7 +291,7 @@ class TestFailureRecords:
         ("interpolate", EX_CONFIG, ("--grid", "-8")),
         ("interpolate", {**EX_CONFIG, "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
                          "weights": {"values": {"0": 1}}}, ("--grid", "0")),
-    ], ids=["simulate_seed", "lf_seed", "dvu_seed", "verify_window", "dvu_grid_0", "dvu_grid_-8",
+    ], ids=["simulate_seed", "lf_seed", "dvu_seed", "dvu_grid_0", "dvu_grid_-8",
             "tabulated_grid_0", "ar_grid_-8", "solve_grid_-8", "exact_tail_grid_0"])
     def test_bad_integer_flag_is_validation_error(self, tmp_path, command, config, extra):
         code, rec, _ = run(tmp_path, command, config, *extra)
@@ -312,6 +320,33 @@ class TestVerify:
         assert code == 0
         assert rec["all_pass"] is True
 
+    @pytest.mark.parametrize("pattern", [
+        {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+        {"kind": "S2", "N": 0, "M2": 1, "T": 1},
+        {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+    ], ids=["S1", "S2", "S3"])
+    def test_infinite_pattern_checks_the_reported_delta(self, tmp_path, pattern):
+        # verify solved again with a looser cut: its spectral Delta was within
+        # 1e-12 of the one interpolate reports, not that Delta
+        config = {"density": {"type": "rational_ar", "alpha": [0.5]}, "pattern": pattern,
+                  "weights": {"geometric": {"C": 1.0, "rho": 0.9}}}
+        code, interp, _ = run(tmp_path, "interpolate", config)
+        assert code == 0
+        code, rec, _ = run(tmp_path, "verify", config)
+        assert code == 0 and rec["all_pass"] is True
+        assert rec["checks"][0]["spectral"] == interp["delta"]
+
+    def test_window_grows_until_the_projection_settles(self, tmp_path):
+        # a tabulated MA(1) at 0.99, whose estimate reaches far from the gap:
+        # a fixed window of 500 read a projection 8.2e-5 above Delta and failed
+        lam = densities.angular_grid(4096)
+        values = np.abs(1 - 0.99 * np.exp(-1j * lam)) ** 2
+        config = {**EX_CONFIG, "density": {"type": "tabulated", "values": values.tolist()}}
+        code, rec, _ = run(tmp_path, "verify", config)
+        assert code == 0
+        assert rec["all_pass"] is True
+        assert rec["checks"][0]["window"] >= 2048
+
     def test_projection_past_the_supported_depth_refused(self, tmp_path):
         # a root at 0.9995 decays so slowly that the dense projection would
         # need more than 6400 indices per block: a record, not a MemoryError
@@ -324,6 +359,17 @@ class TestVerify:
         assert code == 2
         assert rec["error"] == "NotConverged"
         assert rec["diagnostics"]["depth"] > 6400
+
+    def test_projection_past_the_supported_window_refused(self, tmp_path):
+        # a tabulated MA(1) at 0.999: the projection still moves at window
+        # 4096, and the next doubling passes the 6400 the oracle supports
+        lam = densities.angular_grid(4096)
+        values = np.abs(1 - 0.999 * np.exp(-1j * lam)) ** 2
+        config = {**EX_CONFIG, "density": {"type": "tabulated", "values": values.tolist()}}
+        code, rec, _ = run(tmp_path, "verify", config)
+        assert code == 2
+        assert rec["error"] == "NotConverged"
+        assert rec["diagnostics"]["window"] > 6400
 
     def test_tiny_weight_norm_does_not_underflow(self, tmp_path, capsys):
         # |a|^2 = 7e-514 underflows to 0, so the unscaled norm failed the check
@@ -390,8 +436,25 @@ class TestSimulate:
         assert code == 0
         code, rec, _ = run(tmp_path, "simulate", config, "--replicates", "4000")
         assert code == 0
-        assert abs(rec["theoretical_mse"] - interp["delta"]) <= 1e-12 * interp["delta"]
+        assert rec["theoretical_mse"] == interp["delta"]
         assert abs(rec["z_score"]) <= 4.0
+
+    @pytest.mark.parametrize("density", [
+        {"type": "rational_ar", "alpha": [0.0]},
+        {"type": "tabulated", "values": [1.0] * 64},
+    ], ids=["white_noise", "constant_table"])
+    def test_single_target_with_empty_estimate(self, tmp_path, density):
+        # white noise: K = {0} is estimated by 0, and min(*idx, *est) was
+        # min(0), a TypeError traceback with no record written
+        config = {"density": density, "pattern": {"kind": "S4", "N": 0, "M1": 1, "N1": 0},
+                  "weights": {"values": {"0": 1}}}
+        code, rec, out_dir = run(tmp_path, "simulate", config, "--replicates", "50",
+                                 "--format", "both")
+        assert code == 0
+        assert abs(rec["theoretical_mse"] - 1.0) <= 1e-12
+        assert abs(rec["z_score"]) <= 5.0
+        header = (out_dir / "paths.csv").read_text().splitlines()[0].split(",")
+        assert header == ["replicate", "t0"]
 
     def test_zero_weights(self, tmp_path):
         # every replicate estimates 0 by 0 exactly: stderr 0 and equal errors

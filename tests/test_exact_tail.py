@@ -244,21 +244,6 @@ class TestPathChoice:
         assert np.array_equal(sol.c, ref.c) and sol.delta == ref.delta
         assert sol.grid_size == 4096
 
-    def test_looser_rtol_cuts_shallower(self):
-        p = ObservationPattern("S3", N=1, M1=2, M2=1, T=1)
-        w = FunctionalWeights(geometric=(1.0, 0.97))
-        f = RationalAR(alpha=0.5)
-        tight, loose = solve_truncated(p, w, f), solve_truncated(p, w, f, rtol=1e-12)
-        assert loose.convergence["depth"] < tight.convergence["depth"]
-        assert abs(loose.delta - tight.delta) <= 1e-10 * tight.delta
-
-    @pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0])
-    def test_rtol_outside_the_unit_interval_refused(self, rtol):
-        p = ObservationPattern("S2", N=1, M2=3, T=1)
-        with pytest.raises(InvalidParameters):
-            solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)), RationalAR(alpha=0.5),
-                            rtol=rtol)
-
     def test_weights_on_observed_indices_refused(self):
         p = ObservationPattern("S2", N=1, M2=3, T=1)  # 2..4 observed
         with pytest.raises(SupportMismatch):

@@ -69,6 +69,14 @@ class TestD0Minus:
         assert res.mechanism == "closed_form"
         assert abs(res.delta0 - anchor ** 2 / p_val) < 1e-10 * anchor ** 2 / p_val
 
+    def test_mean_near_the_float_range(self):
+        # 1/f0 = 1e308 (1 + 0.4 cos 2 lambda): the sum c(m) + conj c(-m) of its
+        # Hermitian part overflowed on the grid, a RuntimeWarning (an error under
+        # this suite), and with warnings off PositivityLost for a valid density
+        res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1e308))
+        assert res.mechanism == "closed_form"
+        assert res.delta0 == 1e-308
+
     def test_support_and_symmetry(self):
         p = ObservationPattern("S5", N=1, M2=1, N2=1)  # K = {0, 1, 3}
         w = FunctionalWeights(values={0: 1.0, 1: 0.3, 3: 0.1})
@@ -270,6 +278,12 @@ class TestDW:
         # emitted a RuntimeWarning (an error under this suite) before any refusal
         with pytest.raises(InvalidParameters, match="not all finite"):
             DW(b_given=np.array(b_given))
+
+    def test_moments_past_the_float_range_refused_before_evaluation(self):
+        # 1e308 + 1.8e308 cos(lambda) overflowed in the grid evaluation, a
+        # RuntimeWarning (an error under this suite) before any refusal
+        with pytest.raises(InvalidParameters, match="too large"):
+            DW(b_given=np.array([1e308, 9e307]))
 
     def test_nonpositive_moments_rejected_at_construction(self):
         with pytest.raises(InvalidParameters):
