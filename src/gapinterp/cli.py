@@ -57,9 +57,7 @@ def parse_density(spec: dict) -> densities.SpectralDensity:
         return densities.RationalAR(alpha=np.array(alpha), sigma2=float(spec.get("sigma2", 1.0)))
     if kind == "inverse_poly":
         entries = {int(m): _complex_in(v) for m, v in spec["coeffs"].items()}
-        return densities.InversePolynomial(
-            densities.FourierCoeffs.from_dict(entries).symmetrized()
-        )
+        return densities.InversePolynomial(densities.FourierCoeffs.from_dict(entries))
     if kind == "tabulated":
         return densities.Tabulated(np.asarray(spec["values"], dtype=float))
     raise ValidationError(f"unknown density type {kind!r}")

@@ -186,11 +186,6 @@ class FourierCoeffs:
             return 0.0 + 0.0j
         return complex(self.values[m + self.half_length])
 
-    def symmetrized(self) -> "FourierCoeffs":
-        """Enforce b(-m) = conj(b(m)) by Hermitian averaging."""
-        sym = 0.5 * (self.values + np.conj(self.values[::-1]))
-        return FourierCoeffs(_frozen(sym))
-
     def resized(self, half_length: int) -> "FourierCoeffs":
         """b at the lags -half_length..half_length: cut, or padded with zeros."""
         extra = half_length - self.half_length
@@ -202,25 +197,10 @@ class FourierCoeffs:
         return FourierCoeffs._of_degree(_frozen(np.concatenate((zeros, self.values, zeros))),
                                         self.degree)
 
-    def is_hermitian(self) -> bool:
-        """Whether max |b(m) - conj b(-m)| <= 1e-10 max(max |b|, 1)."""
-        scale = max(np.max(np.abs(self.values)), 1.0)
-        return bool(np.max(np.abs(self.values - np.conj(self.values[::-1]))) <= 1e-10 * scale)
-
     @_per_grid
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
         return evaluate_trig_poly(self.values, grid_size, real=True)
-
-    def is_real_on_grid(self, peak: float, grid_size: int) -> bool:
-        """Whether the imaginary part left out of `evaluate(grid_size)`, whose largest |value|
-        is peak, is within 1e-10 max(peak, 1): it is at most sum |b(m) - conj b(-m)| / 2, and
-        evaluated only when that bound is not."""
-        skew = np.sum(np.abs(self.values - np.conj(self.values[::-1])))
-        if skew <= 2e-10 * max(peak, 1.0):
-            return True
-        full = evaluate_trig_poly(self.values, grid_size)
-        return bool(np.max(np.abs(full.imag)) <= 1e-10 * max(np.max(np.abs(full)), 1.0))
 
 
 class SpectralDensity:
@@ -310,14 +290,23 @@ class RationalAR(SpectralDensity):
 
 @dataclass(frozen=True)
 class InversePolynomial(SpectralDensity):
-    """1/f(lambda) = sum_m b(m) e^{im lambda} with finite Hermitian b."""
+    """1/f(lambda) = sum_m b(m) e^{im lambda} with finite Hermitian b. A b with max |b(m) -
+    conj b(-m)| <= 1e-10 max(max |b|, 1) is held as its Hermitian part, b(m) - (b(m) - conj b(-m))
+    / 2 at m >= 0 mirrored to -m, so that 1/f is real on every grid; a Hermitian b is kept."""
 
     inv_coeffs: FourierCoeffs
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        if not self.inv_coeffs.is_hermitian():
+        b = self.inv_coeffs.values
+        skew = b - b[::-1].conj()
+        dev = abs(skew).max()
+        if not dev <= 1e-10 * max(abs(b).max(), 1.0):  # NaN fails
             raise InvalidParameters("inverse-polynomial coefficients must be Hermitian")
+        if dev:
+            right = b[b.size // 2:] - 0.5 * skew[b.size // 2:]
+            object.__setattr__(self, "inv_coeffs", FourierCoeffs(
+                _frozen(np.concatenate((np.conj(right[:0:-1]), right)))))
         # b(0) is the mean of 1/f, so max f >= 1/b(0): past the float range when b(0) is
         # below 1/max float (b(0) <= 0 and NaN are left to the positivity check on the grid)
         b0 = self.inv_coeffs[0].real
@@ -327,13 +316,11 @@ class InversePolynomial(SpectralDensity):
 
     @_per_grid
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        """1/f by one real FFT of b; refused unless real and positive on the
-        grid, and unless f = 1/(1/f) stays a finite float there. The three
-        tests, in that order, read the extremes of the values, found once."""
+        """1/f by one real FFT of b; refused unless positive on the grid, and
+        unless f = 1/(1/f) stays a finite float there. Both tests read the
+        extremes of the values, found once."""
         inv = self.inv_coeffs.evaluate(grid_size)
         top, low = inv.max(), inv.min()
-        if not self.inv_coeffs.is_real_on_grid(max(top, -low), grid_size):
-            raise InvalidParameters("inverse polynomial is not real on the grid")
         _check_extremes(top, low)
         if low < _INVERSE_FLOOR:
             raise InvalidParameters(f"1/f falls to {low} on the grid, too small for "
@@ -399,9 +386,9 @@ def inverse_fourier_coeffs(
 
     RationalAR and InversePolynomial inputs give their exact finite expansion
     of degree p, padded with zeros to max(half_length, p) and never cut; an
-    InversePolynomial is first refused unless 1/f is real and positive on the
-    grid. Tabulated inputs give the FFT quadrature at the lags up to
-    half_length and need grid_size >= 4 * half_length.
+    InversePolynomial is first refused unless 1/f is positive on the grid.
+    Tabulated inputs give the FFT quadrature at the lags up to half_length
+    and need grid_size >= 4 * half_length.
     """
     if isinstance(f, RationalAR):
         return f.exact_inverse_coeffs(half_length)

@@ -45,7 +45,6 @@ from .densities import (
     SpectralDensity,
     Tabulated,
     angular_grid,
-    check_positive,
     grid_fourier_coefficients,
     minimality_value,
 )
@@ -106,10 +105,9 @@ class DW:
         if np.max(np.abs(b)) > np.finfo(float).max / (2 * b.size):
             raise InvalidParameters("moment sequence too large: its polynomial, up to "
                                     "(2W + 1) max|b(m)|, could overflow")
-        # strict positivity of the sequence: the associated trig polynomial,
-        # evaluated real, must pass the positivity rule of every density
+        # strict positivity of the sequence: its polynomial must be a valid 1/f
         try:
-            check_positive(self.inverse_poly().evaluate(max(DEFAULT_GRID, 8 * b.size)))
+            InversePolynomial(self.inverse_poly()).inverse_on_grid(max(DEFAULT_GRID, 8 * b.size))
         except NonPositiveDensity:
             raise InvalidParameters("moment sequence is not strictly positive") from None
 
@@ -357,9 +355,8 @@ def lf_dW(
     idx, on, unknown_lags, dist = _dw_structure(pattern, W)
     span = int(idx.max() - idx.min())
     half = max(span, W)
-    vals = np.zeros(2 * half + 1)  # b0(-half..half): given moments, zero elsewhere
-    m = np.arange(-W, W + 1)
-    vals[m + half] = cls.b_given[np.abs(m)]
+    # b0(-half..half): given moments, zero elsewhere
+    vals = cls.inverse_poly().resized(half).values.real.copy()
     lags = np.subtract.outer(idx, idx) + half
     B = vals[lags]
     # hits[u, l]: the sum of c over the support indices at distance l from row u

@@ -4,7 +4,7 @@ A pattern describes which time indices are *missing*: a central block {0..N},
 optionally a left block ending at -M1-1, optionally a right block starting at
 N+M2+1. Kinds S1-S3 have (one or two) infinite missing tails; a pattern
 holds them to a depth T (`with_truncation`), which `solve_truncated` sets,
-for every density, to where the cut tail is negligible.
+for every density, to where the cut tail is negligible (T may be left out).
 
 The missing set K is always emitted in the canonical order
 
@@ -59,7 +59,7 @@ class ObservationPattern:
             if self.M2 is None or self.M2 < 1:
                 raise InvalidParameters(f"{self.kind} requires M2 >= 1")
         if self.is_infinite:
-            if self.T is None or self.T < 1:
+            if self.T is not None and self.T < 1:
                 raise InvalidParameters(f"{self.kind} requires a truncation depth T >= 1")
         else:
             # zero-length side blocks are allowed to express degenerate
@@ -92,7 +92,10 @@ class ObservationPattern:
         return self.T if self.is_infinite else self.N2
 
     def blocks(self) -> tuple[range, range, range]:
-        """(central, left, right) index blocks in canonical internal order."""
+        """(central, left, right) index blocks in canonical internal order; S1-S3 need T."""
+        if self.is_infinite and self.T is None:
+            raise InvalidParameters(f"{self.kind} has no truncation depth T: cut it with "
+                                    f"with_truncation, or solve it with solve_truncated")
         left = -self.M1 - 1 if self.has_left else 0
         right = self.N + self.M2 + 1 if self.has_right else 0
         return (range(self.N + 1), range(left, left - self.left_depth(), -1),

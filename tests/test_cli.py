@@ -97,10 +97,33 @@ class TestInterpolate:
         assert lines[0] == "lambda,h_re,h_im"
         assert len(lines) == 4097
 
+    def test_csv_only_writes_no_result_json(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = cli.main(["interpolate", write_config(tmp_path, EX_CONFIG), "--out",
+                         str(out_dir), "--format", "csv"])
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["characteristic.csv"]
+        assert abs(strict_json(capsys.readouterr().out)["delta"] - 412 / 51) < 1e-9
+
+    def test_inverse_poly_coefficients_taken_as_given(self, tmp_path):
+        # 1/f of AR(1) 0.5 is 1.25 - 0.5 e^{i lambda} - 0.5 e^{-i lambda}; the
+        # one-sided {0: 1.25, 1: -0.5} is not Hermitian, and is refused
+        config = {"pattern": {"kind": "S4", "N": 1, "M1": 1, "N1": 0},
+                  "weights": {"values": {"0": 1, "1": 1}}}
+        _, ar, _ = run(tmp_path, "interpolate",
+                       {**config, "density": {"type": "rational_ar", "alpha": [0.5]}})
+        two_sided = {"type": "inverse_poly", "coeffs": {"-1": -0.5, "0": 1.25, "1": -0.5}}
+        code, rec, _ = run(tmp_path, "interpolate", {**config, "density": two_sided})
+        assert code == 0 and abs(rec["delta"] - ar["delta"]) <= 1e-15 * ar["delta"]
+        one_sided = {"type": "inverse_poly", "coeffs": {"0": 1.25, "1": -0.5}}
+        code, rec, _ = run(tmp_path, "interpolate", {**config, "density": one_sided})
+        assert code == 1 and rec["category"] == "validation"
+        assert rec["message"] == "inverse-polynomial coefficients must be Hermitian"
+
     def test_infinite_pattern(self, tmp_path):
         config = {
             "density": {"type": "rational_ar", "alpha": [0.5]},
-            "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+            "pattern": {"kind": "S1", "N": 0, "M1": 1},
             "weights": {"geometric": {"C": 1.0, "rho": 0.5}},
         }
         code, rec, _ = run(tmp_path, "interpolate", config)
@@ -112,7 +135,7 @@ class TestInterpolate:
         # grid of 4096 points cannot hold h; the solution doubles it
         config = {
             "density": {"type": "rational_ar", "alpha": [0.5]},
-            "pattern": {"kind": "S3", "N": 2, "M1": 2, "M2": 3, "T": 1},
+            "pattern": {"kind": "S3", "N": 2, "M1": 2, "M2": 3},
             "weights": {"geometric": {"C": 1.0, "rho": 0.99}},
         }
         code, rec, out_dir = run(tmp_path, "interpolate", config, "--format", "both")
@@ -129,7 +152,7 @@ class TestInterpolate:
         config = {
             "density": {"type": "tabulated",
                         "values": (1.0 / np.abs(1 - 0.5 * np.exp(-1j * lam)) ** 2).tolist()},
-            "pattern": {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+            "pattern": {"kind": "S3", "N": 0, "M1": 1, "M2": 1},
             "weights": {"geometric": {"C": 1.0, "rho": 0.97}},
         }
         code, rec, _ = run(tmp_path, "interpolate", config)
@@ -289,7 +312,7 @@ class TestFailureRecords:
         ("minimality", {"density": {"type": "tabulated", "values": [1.0] * 8}}, ("--grid", "0")),
         ("minimality", {"density": {"type": "rational_ar", "alpha": [0.5]}}, ("--grid", "-8")),
         ("interpolate", EX_CONFIG, ("--grid", "-8")),
-        ("interpolate", {**EX_CONFIG, "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+        ("interpolate", {**EX_CONFIG, "pattern": {"kind": "S1", "N": 0, "M1": 1},
                          "weights": {"values": {"0": 1}}}, ("--grid", "0")),
     ], ids=["simulate_seed", "lf_seed", "dvu_seed", "dvu_grid_0", "dvu_grid_-8",
             "tabulated_grid_0", "ar_grid_-8", "solve_grid_-8", "exact_tail_grid_0"])
@@ -313,7 +336,7 @@ class TestVerify:
     def test_infinite_pattern_passes(self, tmp_path, capsys):
         config = {
             "density": {"type": "rational_ar", "alpha": [0.5]},
-            "pattern": {"kind": "S3", "N": 1, "M1": 2, "M2": 1, "T": 1},
+            "pattern": {"kind": "S3", "N": 1, "M1": 2, "M2": 1},
             "weights": {"geometric": {"C": 1.0, "rho": 0.97}},
         }
         code, rec, _ = run(tmp_path, "verify", config, "--window", "80")
@@ -321,9 +344,9 @@ class TestVerify:
         assert rec["all_pass"] is True
 
     @pytest.mark.parametrize("pattern", [
-        {"kind": "S1", "N": 0, "M1": 1, "T": 1},
-        {"kind": "S2", "N": 0, "M2": 1, "T": 1},
-        {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+        {"kind": "S1", "N": 0, "M1": 1},
+        {"kind": "S2", "N": 0, "M2": 1},
+        {"kind": "S3", "N": 0, "M1": 1, "M2": 1},
     ], ids=["S1", "S2", "S3"])
     def test_infinite_pattern_checks_the_reported_delta(self, tmp_path, pattern):
         # verify solved again with a looser cut: its spectral Delta was within
@@ -352,7 +375,7 @@ class TestVerify:
         # need more than 6400 indices per block: a record, not a MemoryError
         config = {
             "density": {"type": "rational_ar", "alpha": [0.9995]},
-            "pattern": {"kind": "S2", "N": 0, "M2": 1, "T": 1},
+            "pattern": {"kind": "S2", "N": 0, "M2": 1},
             "weights": {"geometric": {"C": 1.0, "rho": 0.5}},
         }
         code, rec, _ = run(tmp_path, "verify", config)
@@ -375,7 +398,7 @@ class TestVerify:
         # |a|^2 = 7e-514 underflows to 0, so the unscaled norm failed the check
         config = {
             "density": {"type": "rational_ar", "alpha": [0.5]},
-            "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+            "pattern": {"kind": "S1", "N": 0, "M1": 1},
             "weights": {"values": {"-2": [0, 2.7e-257]}},
         }
         code, rec, _ = run(tmp_path, "verify", config)
@@ -423,9 +446,9 @@ class TestSimulate:
         assert rec["n_replicates"] == 20000
 
     @pytest.mark.parametrize("pattern", [
-        {"kind": "S1", "N": 0, "M1": 1, "T": 1},
-        {"kind": "S2", "N": 0, "M2": 1, "T": 1},
-        {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+        {"kind": "S1", "N": 0, "M1": 1},
+        {"kind": "S2", "N": 0, "M2": 1},
+        {"kind": "S3", "N": 0, "M1": 1, "M2": 1},
     ], ids=["S1", "S2", "S3"])
     def test_infinite_pattern_answers_the_infinite_problem(self, tmp_path, pattern):
         # simulate solved the config's own cut T = 1: theoretical_mse 1.32488
@@ -534,7 +557,7 @@ class TestSimulate:
     def test_memory_bounded_by_the_chunk(self, tmp_path):
         # an S3 cut: the 20000 paths of t-495..t495 alone would take 159 MB
         config = {"density": {"type": "rational_ar", "alpha": [0.5]},
-                  "pattern": {"kind": "S3", "N": 0, "M1": 1, "M2": 1, "T": 1},
+                  "pattern": {"kind": "S3", "N": 0, "M1": 1, "M2": 1},
                   "weights": {"geometric": {"C": 1.0, "rho": 0.97}}}
         tracemalloc.start()
         try:

@@ -15,6 +15,14 @@ positive = st.integers(1, 3)
 number = st.floats(-1.5, 1.5, allow_subnormal=False)
 complex_value = st.one_of(number, st.tuples(number, number).map(list))
 
+
+def hermitian(coeffs):
+    """The drawn b(m), m >= 0, with b(-m) = conj b(m) next to each."""
+    mirror = {f"-{m}": [v[0], -v[1]] if isinstance(v, list) else v
+              for m, v in coeffs.items() if m != "0"}
+    return {**coeffs, **mirror}
+
+
 densities = st.one_of(
     st.fixed_dictionaries({"type": st.just("rational_ar"),
                            "alpha": st.lists(complex_value, min_size=1, max_size=2)},
@@ -22,7 +30,8 @@ densities = st.one_of(
     st.fixed_dictionaries({"type": st.just("inverse_poly"),
                            "coeffs": st.fixed_dictionaries({"0": st.floats(0.5, 3.0)},
                                                            optional={"1": complex_value,
-                                                                     "2": complex_value})}),
+                                                                     "2": complex_value}
+                                                           ).map(hermitian)}),
     st.fixed_dictionaries({"type": st.just("tabulated"),
                            "values": st.lists(st.floats(0.0, 3.0), min_size=4, max_size=16)}),
 )

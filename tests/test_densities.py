@@ -80,17 +80,11 @@ class TestFourierCoeffs:
         assert b[0] == 1.25
         assert b[1] == -0.5
         assert b[7] == 0.0
-        assert b.is_hermitian()
+        assert np.array_equal(b.values, np.conj(b.values[::-1]))
 
     def test_even_length_rejected(self):
         with pytest.raises(InvalidParameters):
             FourierCoeffs(np.ones(4))
-
-    def test_symmetrized(self):
-        b = FourierCoeffs(np.array([-0.4, 1.0, -0.6], dtype=complex))
-        s = b.symmetrized()
-        assert s.is_hermitian()
-        assert abs(s[1] - (-0.5)) < 1e-15
 
 
 class TestInverseCoefficients:
@@ -128,6 +122,10 @@ class TestInverseCoefficients:
         b = FourierCoeffs.from_dict({0: 2.0, 1: 0.3 - 0.2j, -1: 0.3 + 0.2j})
         back = inverse_fourier_coeffs(InversePolynomial(b), half_length=1)
         assert np.allclose(back.values, b.values, atol=1e-12)
+
+    def test_tabulated_grid_too_coarse_refused(self):
+        with pytest.raises(InvalidParameters, match="at least 4 \\* half_length"):
+            inverse_fourier_coeffs(Tabulated([1.0] * 64), half_length=20, grid_size=64)
 
     def test_nonpositive_rejected(self):
         f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))

@@ -68,7 +68,7 @@ def positive_inverse_poly(gamma):
     b = np.array([np.sum(gamma[max(0, -m): q + 1 - max(0, m)] *
                          np.conj(gamma[max(0, m): q + 1 + min(0, m)]))
                   for m in range(-q, q + 1)])
-    return InversePolynomial(FourierCoeffs(b).symmetrized())
+    return InversePolynomial(FourierCoeffs(0.5 * (b + np.conj(b[::-1]))))
 
 
 complex_unit = st.tuples(st.floats(0.05, 0.9), st.floats(-np.pi, np.pi)).map(
@@ -243,6 +243,16 @@ class TestPathChoice:
         ref = solve(p.with_truncation(124), w, f)
         assert np.array_equal(sol.c, ref.c) and sol.delta == ref.delta
         assert sol.grid_size == 4096
+
+    def test_root_near_the_unit_circle_refused_past_max_depth(self):
+        # 1/f with a root at r = 0.9999 is positive (min / max 2.5e-9), and its
+        # tail needs 1 + 207223 indices, r^(2 D) < 1e-18
+        r = 0.9999
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 1 + r * r, 1: -r, -1: -r}))
+        p = ObservationPattern("S2", N=0, M2=1)
+        with pytest.raises(NotConverged) as info:
+            solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)), f)
+        assert info.value.diagnostics == {"depth": 207224}
 
     def test_weights_on_observed_indices_refused(self):
         p = ObservationPattern("S2", N=1, M2=3, T=1)  # 2..4 observed

@@ -69,7 +69,8 @@ def random_coeffs(rng, half):
     vals = np.abs(poly) ** 2
     from gapinterp.densities import grid_fourier_coefficients
 
-    return FourierCoeffs(grid_fourier_coefficients(vals, half)).symmetrized()
+    b = grid_fourier_coefficients(vals, half)
+    return FourierCoeffs(0.5 * (b + np.conj(b[::-1])))
 
 
 class TestBuildGram:

@@ -80,9 +80,21 @@ class TestMissingIndices:
         with pytest.raises(InvalidParameters):
             ObservationPattern("S4", N=0, M1=0, N1=1)
         with pytest.raises(InvalidParameters):
-            ObservationPattern("S1", N=0, M1=1)  # missing T
+            ObservationPattern("S1", N=0, M1=1, T=0)
         with pytest.raises(InvalidParameters):
             ObservationPattern("S9", N=0)
+
+    def test_infinite_pattern_without_depth(self):
+        # T may be left out where solve_truncated picks the cut; the blocks need it
+        p = ObservationPattern("S3", N=1, M1=2, M2=1)
+        w, f = FunctionalWeights(geometric=(1.0, 0.6)), RationalAR(alpha=np.array([0.5]))
+        for uncut in (missing_indices, lambda q: solve(q, w, f)):
+            with pytest.raises(InvalidParameters, match="with_truncation.*solve_truncated"):
+                uncut(p)
+        got = solve_truncated(p, w, f)
+        ref = solve_truncated(ObservationPattern("S3", N=1, M1=2, M2=1, T=1), w, f)
+        assert got.indices == ref.indices and got.delta == ref.delta
+        assert np.array_equal(got.c, ref.c) and np.array_equal(got.h_grid, ref.h_grid)
 
 
 class TestWeights:
