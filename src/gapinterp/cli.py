@@ -195,6 +195,9 @@ def cmd_interpolate(config: dict, args) -> dict:
 
 def cmd_least_favourable(config: dict, args) -> dict:
     f_pattern, weights, cls = parse_config(config, "pattern", "weights", "class")
+    if f_pattern.is_infinite and f_pattern.T is None:  # the class solvers read the cut blocks
+        raise InvalidParameters(f'least-favourable solves {f_pattern.kind} cut at a depth: '
+                                f'add "T" to the pattern')
     if isinstance(cls, minimax.D0Minus):
         result = minimax.lf_d0minus(f_pattern, weights, cls, grid_size=args.grid)
     elif isinstance(cls, minimax.DW):

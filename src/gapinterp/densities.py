@@ -56,37 +56,32 @@ def grid_fourier_coefficients(values: np.ndarray, max_lag: int) -> np.ndarray:
     return np.concatenate((np.conj(right[:0:-1]), right))
 
 
-def evaluate_trig_poly(coeffs: np.ndarray, n: int, real: bool = False) -> np.ndarray:
-    """Evaluate sum_m c(m) e^{im lambda} on the angular grid of n points.
-
-    coeffs holds c(m), m = -L..L, L = (coeffs.size - 1) // 2, and 2L < n;
-    real=True keeps the real part of the values, from one real inverse FFT. The
-    phases and scale ride on the short coefficient vector, and the inverse FFT
-    is unscaled (norm="forward"), so the grid is written once.
-    """
+def evaluate_trig_poly(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Real values of sum_m c(m) e^{im lambda} on the angular grid of n points, those of its
+    Hermitian part, by one unscaled real inverse FFT (norm="forward"); coeffs holds c(m),
+    m = -L..L, L = (coeffs.size - 1) // 2, and 2L < n. The phases and scale ride on the
+    short coefficient vector, so the grid is written once."""
     coeffs = np.asarray(coeffs, dtype=complex)
     half = (coeffs.size - 1) // 2
     if 2 * half >= n:
         raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
-    if real:  # the Hermitian part c(m) / 2 + conj c(-m) / 2 (no overflow), m >= 0, to one irfft
-        right = 0.5 * coeffs[half:] + 0.5 * np.conj(coeffs[half::-1])
-        right[1::2] *= -1.0
-        return np.fft.irfft(right, n, norm="forward")
-    m = np.arange(-half, half + 1)
-    spread = np.zeros(n, dtype=complex)
-    spread[m % n] = np.where(m % 2 == 0, 1.0, -1.0) * coeffs
+    # the Hermitian part c(m) / 2 + conj c(-m) / 2 (no overflow), m >= 0, to one irfft
+    right = 0.5 * coeffs[half:] + 0.5 * np.conj(coeffs[half::-1])
+    right[1::2] *= -1.0
+    return np.fft.irfft(right, n, norm="forward")
+
+
+def poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
+    """sum_j coeffs_j e^{ij lambda} over the integer lags j on the angular grid of
+    grid_size >= 1 points, exact for any lags: e^{ij lambda_g} = (-1)^j e^{2 pi i j g / G},
+    so the signed coefficients are summed at j mod G, colliding lags included, and one
+    unscaled inverse FFT gives the values."""
+    if grid_size < 1:
+        raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
+    idx = np.asarray(indices, dtype=int)
+    spread = np.zeros(grid_size, dtype=complex)
+    np.add.at(spread, idx % grid_size, np.where(idx % 2 == 0, 1.0, -1.0) * coeffs)
     return np.fft.ifft(spread, norm="forward")
-
-
-def _causal_on_grid(d: np.ndarray, n: int) -> np.ndarray:
-    """sum_{k=0}^{L} d_k e^{-ik lambda} on the angular grid of n >= 1 points by one FFT:
-    e^{-ik lambda_g} = (-1)^k e^{-2 pi i k g / n}, so the signed d_k are summed mod n,
-    which keeps the values exact for any degree L on any grid."""
-    d = np.asarray(d, dtype=complex)
-    spread = np.zeros(-(-d.size // n) * n, dtype=complex)
-    spread[: d.size] = d
-    spread[1::2] *= -1.0
-    return np.fft.fft(spread.reshape(-1, n).sum(axis=0))
 
 
 def _per_grid(method):
@@ -200,7 +195,7 @@ class FourierCoeffs:
     @_per_grid
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
-        return evaluate_trig_poly(self.values, grid_size, real=True)
+        return evaluate_trig_poly(self.values, grid_size)
 
 
 class SpectralDensity:
@@ -219,7 +214,7 @@ class SpectralDensity:
 @dataclass(frozen=True)
 class RationalAR(SpectralDensity):
     """f(lambda) = sigma2 / |phi(e^{-i lambda})|^2, on the grid from one FFT of the coefficients
-    of phi(z) = 1 - sum alpha_k z^k (_causal_on_grid); refused when a root r = 1/w of phi lies
+    of phi(z) = 1 - sum alpha_k z^k (poly_on_grid); refused when a root r = 1/w of phi lies
     within 1e-8 of the unit circle, w the eigenvalues of the monic companion of z^p - alpha_1
     z^(p-1) - ... - alpha_p (one ?geev). A root of multiplicity m is computed only to about
     eps^(1/m), so phi is also tested at r/|r| = conj(w)/|w|."""
@@ -260,8 +255,9 @@ class RationalAR(SpectralDensity):
             if abs(1.0 - size) < 1e-8 * size or abs(phi) < 1e-8:
                 raise InvalidParameters("AR polynomial has a (near-)root on the unit circle")
 
-    def _phi_squared(self, grid_size: int) -> np.ndarray:
-        return np.abs(_causal_on_grid(np.concatenate(([1.0], -self.alpha)), grid_size)) ** 2
+    def _phi_squared(self, grid_size: int) -> np.ndarray:  # |phi| = |sum conj(d_k) e^{ik lambda}|
+        conj_d = np.concatenate(([1.0], -np.conj(self.alpha)))
+        return np.abs(poly_on_grid(np.arange(conj_d.size), conj_d, grid_size)) ** 2
 
     @property
     def order(self) -> int:
@@ -360,7 +356,7 @@ class Tabulated(SpectralDensity):
             # grid_fourier_coefficients does not give: without it the nodes are not reproduced
             top = (-1) ** (n // 2) * np.fft.rfft(self.values)[n // 2].real / (2 * n)
             coeffs = np.concatenate(([top], coeffs, [top]))
-        return evaluate_trig_poly(coeffs, grid_size, real=True)
+        return evaluate_trig_poly(coeffs, grid_size)
 
 
 def check_positive(values: np.ndarray) -> None:

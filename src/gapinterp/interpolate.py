@@ -16,17 +16,17 @@ A solution holds all of a finite-degree 1/f, and the Fourier coefficients of
 h are then the exact convolution h(j) = a(j) - sum_k c(k) b(j - k); those of
 a Tabulated h come from one FFT of h on the grid. A solution computes
 `h_coeffs` and the grid values `a_grid` and `h_grid` on first access, not in
-`solve`; they need 2 max|j| < grid_size and raise InvalidParameters otherwise.
+`solve`. Every solution keeps the grid it is given, and its grid values are
+exact at the grid points for any span of K (`poly_on_grid`).
 
 Infinite gaps (S1-S3) go through `solve_truncated`, one loop for every
 density: the infinite blocks are cut at a depth D where the cut moves Delta
 by about TAIL_RTOL relative, started from the decay of the weights and of
 the roots of 1/f, and doubled until the solved c and the weights are small
 enough at the block edges. The density changes only the loop's inputs: a
-RationalAR or InversePolynomial gives the exact 1/f, its roots and a grid
-that doubles until it holds K (2 max|j| < grid_size); a Tabulated density
-gives one grid quadrature of 1/f, cut to each depth, no roots, and a deepest
-depth, where the span of K reaches grid_size / 4.
+RationalAR or InversePolynomial gives the exact 1/f and its roots; a
+Tabulated density gives one grid quadrature of 1/f, cut to each depth, no
+roots, and a deepest depth, where the span of K reaches grid_size / 4.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .densities import (
     InversePolynomial,
     RationalAR,
     SpectralDensity,
-    evaluate_trig_poly,
     inverse_fourier_coeffs,
+    poly_on_grid,
 )
 from .errors import (
     InvalidParameters,
@@ -107,7 +107,8 @@ def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
 class InterpolationSolution:
     """Solved coefficients c and error delta for the density f, whose 1/f has
     the Fourier coefficients b (`inverse_fourier_coeffs` at the span of K).
-    The spectral characteristic is derived from these fields on first access."""
+    The spectral characteristic is derived from these fields on first access,
+    on the grid of grid_size points as given, exact there for any span of K."""
 
     indices: tuple
     c: np.ndarray
@@ -164,16 +165,6 @@ class InterpolationSolution:
         """h = A - C / f on the angular grid of grid_size points."""
         c_grid = poly_on_grid(self.indices, self.c, self.grid_size)
         return self.a_grid - c_grid / self.f.on_grid(self.grid_size)
-
-
-def poly_on_grid(indices, coeffs, grid_size: int) -> np.ndarray:
-    """sum_j coeffs_j e^{ij lambda} over the indices j on the angular grid of grid_size
-    points, by one inverse FFT (evaluate_trig_poly); needs 2 max|j| < grid_size."""
-    idx = np.asarray(indices, dtype=int)
-    half = int(np.abs(idx).max()) if idx.size else 0
-    spread = np.zeros(2 * half + 1, dtype=complex)
-    spread[idx + half] += coeffs  # K holds no index twice
-    return evaluate_trig_poly(spread, grid_size)
 
 
 def solve(
@@ -261,10 +252,10 @@ def solve_truncated(
 
     Only the loop's inputs depend on the density. When 1/f has degree p
     (RationalAR, InversePolynomial), b is its whole exact expansion, the
-    roots are those of 1/f, and `grid_size` doubles as often as h needs
-    (2 max|j| < grid_size). Any other density (Tabulated) takes b from one
-    grid quadrature at the lags up to grid_size / 4, cut to the span of each
-    depth's K (the b `solve` takes there, bit for bit), has no roots (D
+    roots are those of 1/f, and h is exact on the `grid_size` points at any
+    depth. Any other density (Tabulated) takes b from one grid quadrature
+    at the lags up to grid_size / 4, cut to the span of each depth's K (the
+    b `solve` takes there, bit for bit), has no roots (D
     starts from the weights' decay alone) and p = 0. Its q is the gcd of the
     lags m with |b(m)| > 1e-13 b(0): a 1/f on the multiples of q alone (the
     even lags, say) splits K into q systems by index mod q, each with its own
@@ -278,7 +269,7 @@ def solve_truncated(
     """
     if not pattern.is_infinite:
         raise InvalidParameters("solve_truncated applies to infinite patterns only")
-    if grid_size < 1:  # the grid doubling below would never end
+    if grid_size < 1:  # as in solve: the solution's grid values need a grid
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     sides = pattern.has_left + pattern.has_right
     if isinstance(f, (RationalAR, InversePolynomial)):
@@ -329,9 +320,6 @@ def solve_truncated(
                                f"grid of {grid_size} points holds",
                                diagnostics={"depth": depth, "grid_size": grid_size})
         depth *= 2
-    extent = max(-left[-1] if left else 0, right[-1] if right else central[-1])
-    while 2 * extent >= grid_size:
-        grid_size *= 2
     return InterpolationSolution(
         indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
         b=b, convergence={"depth": depth},

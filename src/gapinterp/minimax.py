@@ -47,6 +47,7 @@ from .densities import (
     angular_grid,
     grid_fourier_coefficients,
     minimality_value,
+    poly_on_grid,
 )
 from .errors import (
     InfeasibleClass,
@@ -60,7 +61,6 @@ from .errors import (
 from .interpolate import (
     InterpolationSolution,
     error_value,
-    poly_on_grid,
     solve,
     solve_gram,
 )

@@ -130,20 +130,44 @@ class TestInterpolate:
         assert code == 0
         assert list(rec["convergence"]) == ["depth"] and rec["convergence"]["depth"] >= 1
 
-    def test_slow_decay_grows_the_grid(self, tmp_path):
-        # at rho = 0.99 the cut lies about 2000 indices out, so the default
-        # grid of 4096 points cannot hold h; the solution doubles it
+    def test_deep_cut_keeps_the_grid(self, tmp_path):
+        # at rho = 0.99 the cut lies 2063 indices out, past half the default
+        # grid of 4096 points; the solution doubled its grid to 8192. It keeps
+        # the grid, and each row holds h's exact value at its lambda
         config = {
             "density": {"type": "rational_ar", "alpha": [0.5]},
             "pattern": {"kind": "S3", "N": 2, "M1": 2, "M2": 3},
             "weights": {"geometric": {"C": 1.0, "rho": 0.99}},
         }
         code, rec, out_dir = run(tmp_path, "interpolate", config, "--format", "both")
+        assert code == 0 and rec["convergence"] == {"depth": 2063}
+        idx = np.array(rec["indices"])
+        c = np.array([complex(*v) if isinstance(v, list) else v for v in rec["c"]])
+        a = 0.99 ** np.abs(idx)
+        with open(out_dir / "characteristic.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["lambda", "h_re", "h_im"] and len(rows) == 4096
+        for g in range(0, 4096, 97):
+            lam, h_re, h_im = map(float, rows[g])
+            # e^{ij lambda_g} = (-1)^j e^{2 pi i (j g mod G) / G}, one exp per index
+            terms = np.where(idx % 2, -1.0, 1.0) * np.exp(2j * np.pi * (idx * g % 4096) / 4096)
+            h = np.sum(a * terms) - np.sum(c * terms) * abs(1 - 0.5 * np.exp(-1j * lam)) ** 2
+            assert abs(complex(h_re, h_im) - h) <= 1e-12 * abs(h), g
+
+    def test_wide_gap_keeps_the_grid(self, tmp_path):
+        # K spans [-2102, 2103], past half the 4096-point grid: --format both
+        # exited 1 ("grid of 4096 points cannot hold degree 2103") after the solve
+        config = {
+            "density": {"type": "rational_ar", "alpha": [0.5]},
+            "pattern": {"kind": "S6", "N": 1, "M1": 2, "N1": 2100, "M2": 2, "N2": 2100},
+            "weights": {"values": {"0": 1, "1": 1}},
+        }
+        code, rec, out_dir = run(tmp_path, "interpolate", config, "--format", "both")
         assert code == 0
-        extent = max(abs(j) for j in rec["indices"])
         rows = (out_dir / "characteristic.csv").read_text().splitlines()[1:]
-        assert len(rows) > 2 * extent
-        assert len(rows) & (len(rows) - 1) == 0 and len(rows) >= 4096
+        assert len(rows) == 4096
+        code, alone, _ = run(tmp_path, "interpolate", config, "--format", "json")
+        assert code == 0 and alone["delta"] == rec["delta"]
 
     def test_bad_truncation_is_numerical_error(self, tmp_path):
         # a tabulated density at rho = 0.97 needs a cut at D = 682, where the
@@ -230,6 +254,19 @@ class TestLeastFavourable:
         assert report["vertex_error"] > rec["delta0"] * (1 + 1e-3)
         assert report["vertex_error"] <= report["upper_bound"]
         assert report["all_pass"] is False
+
+    def test_infinite_pattern_without_depth_names_the_key(self, tmp_path):
+        # the refusal named with_truncation and solve_truncated, which a CLI
+        # user cannot call
+        config = {
+            "pattern": {"kind": "S3", "N": 0, "M1": 2, "M2": 2},
+            "weights": {"geometric": {"C": 1.0, "rho": 0.5}},
+            "class": {"type": "dvu", "v": {"type": "tabulated", "values": [0.5] * 512},
+                      "u": {"type": "tabulated", "values": [1.2] * 512}, "p": 1.0},
+        }
+        code, rec, _ = run(tmp_path, "least-favourable", config)
+        assert code == 1 and rec["category"] == "validation"
+        assert rec["message"] == 'least-favourable solves S3 cut at a depth: add "T" to the pattern'
 
     def test_zero_weights_saddle_report_is_strict_json(self, tmp_path):
         # with a = 0 the lower residual was divided by numpy's tiny, a numpy

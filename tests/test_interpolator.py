@@ -13,7 +13,6 @@ from gapinterp.densities import (
     RationalAR,
     Tabulated,
     angular_grid,
-    evaluate_trig_poly,
     grid_fourier_coefficients,
     inverse_fourier_coeffs,
 )
@@ -416,7 +415,7 @@ def grid_route(sol, f):
         spread = np.zeros(2 * half + 1, dtype=complex)
         for j, v in zip(sol.indices, values):
             spread[j + half] += v
-        return evaluate_trig_poly(spread, sol.grid_size)
+        return poly_on_grid(range(-half, half + 1), spread, sol.grid_size)
 
     h_grid = on_grid(sol.a) - on_grid(sol.c) / f.on_grid(sol.grid_size)
     window = min(2 * half + 64, sol.grid_size // 2 - 1)
@@ -559,19 +558,22 @@ class TestCharacteristic:
 
 
 def test_poly_on_grid_matches_per_index_loop():
+    # K = {-8..-4, 0..2, 4..7}: on 7 and 8 points lags collide mod G, and every
+    # grid of 16 points or fewer was refused (2 max|j| >= G)
     rng = np.random.default_rng(5)
     p = ObservationPattern("S6", N=2, M1=3, N1=5, M2=1, N2=4)
     idx = missing_indices(p)
     coeffs = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     coeffs[3] = complex(-0.0, -0.0)
-    half = max(abs(j) for j in idx)
-    spread = np.zeros(2 * half + 1, dtype=complex)
-    for j, v in zip(idx, coeffs):
-        spread[j + half] += v
-    expected = evaluate_trig_poly(spread, 256)
-    assert np.array_equal(poly_on_grid(idx, coeffs, 256), expected)
-    assert np.array_equal(poly_on_grid(tuple(idx), coeffs, 256), expected)
+    for grid in (7, 8, 16, 24, 256):
+        lam = angular_grid(grid)
+        expected = sum(v * np.exp(1j * j * lam) for j, v in zip(idx, coeffs))
+        got = poly_on_grid(idx, coeffs, grid)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.abs(coeffs).sum(), grid
+        assert np.array_equal(poly_on_grid(tuple(idx), coeffs, grid), got)
     assert np.array_equal(poly_on_grid([], np.zeros(0, dtype=complex), 64), np.zeros(64))
+    with pytest.raises(InvalidParameters):
+        poly_on_grid(idx, coeffs, 0)
 
 
 FINITE_DENSITIES = ["ar1_real", "ar1_complex", "ar2", "inverse_poly"]
