@@ -348,9 +348,9 @@ def main(argv=None) -> int:
         status = 1
     except NumericalError as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "category": "numerical"}
-        record["diagnostics"] = {
+        record["diagnostics"] = {  # a bound past the float range is left out
             k: v for k, v in exc.diagnostics.items()
-            if isinstance(v, (int, float, str, bool, list))
+            if isinstance(v, (int, str, bool, list)) or isinstance(v, float) and math.isfinite(v)
         }
         status = 2
     except GapInterpError as exc:

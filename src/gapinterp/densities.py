@@ -5,7 +5,8 @@ points lambda_g = -pi + 2*pi*g/G, which is exact for trigonometric polynomials
 of degree < G/2. The densities and coefficient sets are immutable, so each
 computes its values on a grid once per grid size and returns them read-only.
 The constructors hold their arrays read-only, copying one only when it is the
-caller's own writable array.
+caller's own writable array. A polynomial 1/f is judged once, on the whole circle,
+when it is built (certify_positive), and other densities where their grid values are read.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ DEFAULT_GRID = 4096
 POSITIVITY_RTOL = 1e-9
 # below this, f = 1/(1/f) is past the largest float
 _INVERSE_FLOOR = 1.0 / sys.float_info.max
+CERTIFY_MAX_GRID = 1 << 20
 
 
 def angular_grid(n: int) -> np.ndarray:
@@ -288,7 +290,8 @@ class RationalAR(SpectralDensity):
 class InversePolynomial(SpectralDensity):
     """1/f(lambda) = sum_m b(m) e^{im lambda} with finite Hermitian b. A b with max |b(m) -
     conj b(-m)| <= 1e-10 max(max |b|, 1) is held as its Hermitian part, b(m) - (b(m) - conj b(-m))
-    / 2 at m >= 0 mirrored to -m, so that 1/f is real on every grid; a Hermitian b is kept."""
+    / 2 at m >= 0 mirrored to -m, so that 1/f is real on every grid; a Hermitian b is kept.
+    The held b is then judged on the whole circle, with no grid (certify_positive)."""
 
     inv_coeffs: FourierCoeffs
     __eq__ = _fields_equal
@@ -303,25 +306,10 @@ class InversePolynomial(SpectralDensity):
             right = b[b.size // 2:] - 0.5 * skew[b.size // 2:]
             object.__setattr__(self, "inv_coeffs", FourierCoeffs(
                 _frozen(np.concatenate((np.conj(right[:0:-1]), right)))))
-        # b(0) is the mean of 1/f, so max f >= 1/b(0): past the float range when b(0) is
-        # below 1/max float (b(0) <= 0 and NaN are left to the positivity check on the grid)
-        b0 = self.inv_coeffs[0].real
-        if 0 < b0 < _INVERSE_FLOOR:
-            raise InvalidParameters(f"b(0) = {b0} is too small for f = 1/(1/f) to be "
-                                    f"a finite float")
+        certify_positive(self.inv_coeffs)
 
-    @_per_grid
     def inverse_on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        """1/f by one real FFT of b; refused unless positive on the grid, and
-        unless f = 1/(1/f) stays a finite float there. Both tests read the
-        extremes of the values, found once."""
-        inv = self.inv_coeffs.evaluate(grid_size)
-        top, low = inv.max(), inv.min()
-        _check_extremes(top, low)
-        if low < _INVERSE_FLOOR:
-            raise InvalidParameters(f"1/f falls to {low} on the grid, too small for "
-                                    f"f = 1/(1/f) to be a finite float")
-        return inv
+        return self.inv_coeffs.evaluate(grid_size)  # which keeps one array per grid size
 
     @_per_grid
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
@@ -362,15 +350,45 @@ class Tabulated(SpectralDensity):
 def check_positive(values: np.ndarray) -> None:
     """Raise NonPositiveDensity unless the grid values of one density are strictly
     positive relative to their maximum, min > POSITIVITY_RTOL max; NaN fails."""
-    _check_extremes(values.max(), values.min())
-
-
-def _check_extremes(top: float, low: float) -> None:
-    """check_positive's rule on the maximum and minimum of the values."""
+    top, low = values.max(), values.min()
     if not (top > 0 and low > POSITIVITY_RTOL * top):
         raise NonPositiveDensity(
             f"density not strictly positive on grid (min {low:.3e}, max {top:.3e})"
         )
+
+
+def certify_positive(b: FourierCoeffs) -> None:
+    """Decide min P > POSITIVITY_RTOL max P on the whole circle, for P = sum b(m) e^{im lambda}
+    with Hermitian b of degree p, scaled by 1 / max |b|. P lies within h |P'_g| + h^2 S (h = pi/G,
+    S = sum_{m>0} m^2 |b(m)|) of its value at the nearest of the G points 2 pi g / G (for even G,
+    the angular grid), found with P' by one real FFT. From the least power of two >= 4 (p + 1),
+    G grows 4-fold until the grid values break the rule or these bounds meet it, and past
+    CERTIFY_MAX_GRID P is refused undecided. A refusal's diagnostics are inv_lower_bound, inv_min,
+    inv_max and grid_size. A certified minimum below 1 / max float raises InvalidParameters."""
+    right = b.values[b.half_length: b.half_length + b.degree + 1]
+    scale = float(np.abs(right).max()) or 1.0  # b = 0 is refused below as P = 0
+    m = np.arange(right.size)
+    unit = right.real / scale + 1j * (right.imag / scale)  # by parts: complex/subnormal overflows
+    rows = np.array((unit, 1j * m * unit))
+    curvature = float(m * m @ np.abs(unit))
+    G = 1 << (4 * right.size - 1).bit_length()
+    while True:
+        values, slope = np.fft.irfft(rows, G, norm="forward")
+        reach = np.pi / G * np.abs(slope) + (np.pi / G) ** 2 * curvature
+        lower, upper = float((values - reach).min()), float((values + reach).max())
+        if lower > POSITIVITY_RTOL * upper:
+            break
+        low, top = float(values.min()), float(values.max())
+        refuted = not (top > 0 and low > POSITIVITY_RTOL * top)
+        if refuted or 4 * G > CERTIFY_MAX_GRID:
+            bracket = {"inv_lower_bound": lower * scale, "inv_min": low * scale,
+                       "inv_max": top * scale, "grid_size": G}
+            raise NonPositiveDensity(f"density not {'' if refuted else 'certified '}strictly "
+                                     f"positive on the circle: {bracket}", diagnostics=bracket)
+        G *= 4
+    if lower < _INVERSE_FLOOR / scale:
+        raise InvalidParameters(f"1/f is certified only above {lower * scale:.3e}, too small "
+                                f"for f = 1/(1/f) to be a finite float")
 
 
 def inverse_fourier_coeffs(
@@ -381,15 +399,14 @@ def inverse_fourier_coeffs(
     """Fourier coefficients b(m) = (1/2pi) int e^{-im lambda} / f dlambda.
 
     RationalAR and InversePolynomial inputs give their exact finite expansion
-    of degree p, padded with zeros to max(half_length, p) and never cut; an
-    InversePolynomial is first refused unless 1/f is positive on the grid.
-    Tabulated inputs give the FFT quadrature at the lags up to half_length
-    and need grid_size >= 4 * half_length.
+    of degree p, padded with zeros to max(half_length, p) and never cut, and
+    read no grid: an InversePolynomial was judged on the whole circle when it
+    was built. Tabulated inputs give the FFT quadrature at the lags up to
+    half_length and need grid_size >= 4 * half_length.
     """
     if isinstance(f, RationalAR):
         return f.exact_inverse_coeffs(half_length)
     if isinstance(f, InversePolynomial):
-        f.inverse_on_grid(grid_size)
         return f.inv_coeffs.resized(max(half_length, f.inv_coeffs.half_length))
     if grid_size < 4 * half_length:
         raise InvalidParameters("grid_size must be at least 4 * half_length")
@@ -398,8 +415,10 @@ def inverse_fourier_coeffs(
 
 
 def minimality_value(f: SpectralDensity, grid_size: int = DEFAULT_GRID) -> float:
-    """(1/2pi) int 1/f dlambda, the quantity whose finiteness permits
-    nontrivial interpolation error."""
+    """(1/2pi) int 1/f dlambda, the quantity whose finiteness permits nontrivial
+    interpolation error: b(0), exactly, for a finite-degree 1/f."""
+    if isinstance(f, (RationalAR, InversePolynomial)) and grid_size >= 1:  # else refused below
+        return inverse_fourier_coeffs(f, 0)[0].real
     inv = np.real(f.inverse_on_grid(grid_size))
     scale = float(1 << (inv.size - 1).bit_length())  # a power of two >= G: exact, no overflow
     return float(np.mean(inv / scale) * scale)

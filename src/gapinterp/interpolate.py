@@ -273,9 +273,9 @@ def solve_truncated(
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     sides = pattern.has_left + pattern.has_right
     if isinstance(f, (RationalAR, InversePolynomial)):
-        # all of 1/f, of nominal degree p; an InversePolynomial's 1/f is
-        # checked here, once per solve and before its roots are sought
-        held = inverse_fourier_coeffs(f, 0, grid_size)
+        # all of 1/f, of nominal degree p, read on no grid: an InversePolynomial's
+        # 1/f was certified positive on the whole circle when it was built
+        held = inverse_fourier_coeffs(f, 0)
         p, root, deepest = held.half_length, _slowest_root(f), math.inf
         q = max(p, 1)
     else:  # 4 * span <= grid_size, span = N + M1 + M2 + sides * D over the held blocks

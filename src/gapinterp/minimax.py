@@ -107,7 +107,7 @@ class DW:
                                     "(2W + 1) max|b(m)|, could overflow")
         # strict positivity of the sequence: its polynomial must be a valid 1/f
         try:
-            InversePolynomial(self.inverse_poly()).inverse_on_grid(max(DEFAULT_GRID, 8 * b.size))
+            InversePolynomial(self.inverse_poly())
         except NonPositiveDensity:
             raise InvalidParameters("moment sequence is not strictly positive") from None
 
@@ -193,17 +193,13 @@ def _real_positive_weights(weights: FunctionalWeights, pattern: ObservationPatte
     return a.real
 
 
-def _closed_form_density(b0: FourierCoeffs, grid_size: int, refusal: str) -> InversePolynomial:
-    """The density whose 1/f is b0, held to the positivity rule of every density on the
-    grid: a 1/f that fails it raises PositivityLost(refusal), with its minimum as
-    diagnostics["inv_min"]."""
-    f0 = InversePolynomial(b0)
+def _closed_form_density(b0: FourierCoeffs, refusal: str) -> InversePolynomial:
+    """InversePolynomial(b0), whose refusal (NonPositiveDensity) is raised as
+    PositivityLost(refusal) with the same bracket as diagnostics (inv_min among them)."""
     try:
-        f0.inverse_on_grid(grid_size)
-    except NonPositiveDensity:
-        inv_min = float(b0.evaluate(grid_size).min())  # kept by the check that failed
-        raise PositivityLost(refusal, diagnostics={"inv_min": inv_min}) from None
-    return f0
+        return InversePolynomial(b0)
+    except NonPositiveDensity as exc:
+        raise PositivityLost(refusal, diagnostics=exc.diagnostics) from None
 
 
 def _result_from_density(pattern, weights, f0, lagrange, mechanism, grid_size,
@@ -227,8 +223,8 @@ def lf_d0minus(
     grid_size: int = DEFAULT_GRID,
 ) -> LeastFavourableResult:
     """The anchored closed form (module docstring). Weights that are not real and positive
-    raise WeightsNotPositive, and a form whose 1/f is not positive on the grid raises
-    PositivityLost with the minimum of 1/f as diagnostics["inv_min"]."""
+    raise WeightsNotPositive, and a form whose 1/f is not positive on the circle raises
+    PositivityLost with the minimum of 1/f on the deciding grid as diagnostics["inv_min"]."""
     if pattern.kind == "S3":
         raise NotCovered("two-sided infinite gaps have no anchored closed form")
     a = _real_positive_weights(weights, pattern)
@@ -237,8 +233,8 @@ def lf_d0minus(
     a_anchor = float(a[idx.index(anchor)])
     b0 = FourierCoeffs.from_dict({sign * (anchor - n): cls.p * a_n / a_anchor
                                   for n, a_n in zip(idx, a) for sign in (1, -1)})
-    f0 = _closed_form_density(b0, grid_size, "the anchored closed form is not a valid density "
-                                             "for these weights")
+    f0 = _closed_form_density(b0, "the anchored closed form is not a valid density "
+                                  "for these weights")
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
     result = _result_from_density(pattern, weights, f0, lagrange, "closed_form", grid_size)
     expected = a_anchor ** 2 / cls.p
@@ -338,7 +334,7 @@ def lf_dW(
     the same for every member of the class); otherwise the mechanism is `newton`.
     lagrange["newton_residual"] is max|B c - a| / max|a|; a singular block or a
     residual that is not at most 1e-10 (NaN when moments near the underflow
-    overflow c) raises NotConverged, and a 1/f that is not positive on the grid
+    overflow c) raises NotConverged, and a 1/f that is not positive on the circle
     raises PositivityLost (_closed_form_density)."""
     if pattern.kind not in ("S4", "S5", "S6"):
         raise NotCovered("moment-constrained analysis is implemented for finite gap patterns")
@@ -376,7 +372,7 @@ def lf_dW(
         raise NotConverged(f"coefficient system residual {residual:.3e} above 1e-10",
                            diagnostics={"residual": residual} if np.isfinite(residual) else {})
 
-    f0 = _closed_form_density(FourierCoeffs(vals.astype(complex)), grid_size, "the structured "
+    f0 = _closed_form_density(FourierCoeffs(vals.astype(complex)), "the structured "
                               "stationary point is not a valid density for these inputs")
     lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
                 "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),

@@ -59,6 +59,13 @@ class TestMinimality:
         assert abs(rec["value"] - 1.25) < 1e-10
         assert rec["minimal"] is True
 
+    def test_ar1_on_one_point(self, tmp_path):
+        # b(0) exactly: the mean of 1/f over one point read 1/f(-pi) = 2.25
+        config = {"density": {"type": "rational_ar", "alpha": [0.5]}}
+        code, rec, _ = run(tmp_path, "minimality", config, "--grid", "1")
+        assert code == 0
+        assert abs(rec["value"] - 1.25) < 1e-12
+
     def test_mean_near_the_float_range(self, tmp_path):
         # 1/f = 8.99e307 on each of 16 points: their sum overflowed, a
         # RuntimeWarning (an error under this suite) with no record written
@@ -306,6 +313,34 @@ class TestFailureRecords:
         assert rec["error"] == "PositivityLost"
         assert rec["category"] == "numerical"
         assert rec["diagnostics"]["inv_min"] < 0
+
+    @pytest.mark.parametrize("grid", ["4096", "8192"])
+    def test_off_grid_dip_refused_with_its_bracket(self, tmp_path, grid):
+        # 1/f = 1 - 2e-7 - cos(lambda - pi/4096) dips between the points of the
+        # 4096-point grid: interpolate exited 0 there with delta = 1.0000002
+        config = {
+            "density": {"type": "inverse_poly", "coeffs": {
+                "0": 0.9999998, "1": [-0.4999998529314411, 0.00038349515937135224],
+                "-1": [-0.4999998529314411, -0.00038349515937135224]}},
+            "pattern": {"kind": "S4", "N": 0, "M1": 1, "N1": 0},
+            "weights": {"values": {"0": 1}},
+        }
+        code, rec, _ = run(tmp_path, "interpolate", config, "--grid", grid)
+        assert code == 2
+        assert rec["error"] == "NonPositiveDensity"
+        d = rec["diagnostics"]
+        assert set(d) == {"inv_lower_bound", "inv_min", "inv_max", "grid_size"}
+        assert d["inv_lower_bound"] <= d["inv_min"] < 0 < d["inv_max"]
+
+    def test_bracket_past_the_float_range_left_out(self, tmp_path):
+        # 1/f = 1e308 (1 + 2 cos lambda) peaks at 3e308, past the largest float:
+        # the record keeps the finite ends of the bracket and stays strict JSON
+        config = {**EX_CONFIG, "density": {"type": "inverse_poly", "coeffs": {
+            "0": 1e308, "1": 1e308, "-1": 1e308}}}
+        code, rec, _ = run(tmp_path, "interpolate", config)
+        assert code == 2
+        assert rec["error"] == "NonPositiveDensity"
+        assert set(rec["diagnostics"]) == {"inv_lower_bound", "inv_min", "grid_size"}
 
     def test_non_finite_value_is_numerical_error(self, tmp_path, monkeypatch):
         # a command whose record holds an infinity, which JSON cannot hold

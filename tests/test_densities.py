@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapinterp.densities import (
+    CERTIFY_MAX_GRID,
     FourierCoeffs,
     InversePolynomial,
     RationalAR,
@@ -129,23 +130,26 @@ class TestInverseCoefficients:
             inverse_fourier_coeffs(Tabulated([1.0] * 64), half_length=20, grid_size=64)
 
     def test_nonpositive_rejected(self):
-        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
-        for half_length in (1, 4):  # below and past the degree 2
-            with pytest.raises(NonPositiveDensity):
-                inverse_fourier_coeffs(f, half_length=half_length)
+        # 1 + 2 cos(2 lambda) dips to -1: refused when built, before any lag is read
+        with pytest.raises(NonPositiveDensity):
+            InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
 
     @pytest.mark.parametrize("degree", [3, 100])
     def test_nonpositive_refused_by_solve(self, degree):
         # 1 + 1.2 cos(degree lambda) dips to -0.2, at degree 100 too, far
-        # past the span 6 of K
-        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, degree: 0.6, -degree: 0.6}))
+        # past the span 6 of K; the density a solve is given is refused as it is built
         with pytest.raises(NonPositiveDensity):
-            solve(ObservationPattern("S4", N=1, M1=2, N1=3), FunctionalWeights({0: 1, 1: 1}), f)
+            solve(ObservationPattern("S4", N=1, M1=2, N1=3), FunctionalWeights({0: 1, 1: 1}),
+                  InversePolynomial(FourierCoeffs.from_dict({0: 1.0, degree: 0.6, -degree: 0.6})))
 
     def test_degree_past_the_grid_refused(self):
+        # validity reads no grid: the coefficients are held whole on any grid,
+        # and only grid values that cannot hold the degree are refused
         f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
-        with pytest.raises(InvalidParameters):
-            inverse_fourier_coeffs(f, half_length=4, grid_size=64)
+        b = inverse_fourier_coeffs(f, half_length=4, grid_size=64)
+        assert b.half_length == 40 and b[40] == 0.1 and b[0] == 1.0
+        with pytest.raises(InvalidParameters, match="cannot hold degree 40"):
+            f.inverse_on_grid(64)
 
     @pytest.mark.parametrize("half_length", [0, 1, 2, 5])
     def test_ar_cut_or_padded(self, half_length):
@@ -166,6 +170,58 @@ class TestInverseCoefficients:
         padded = f.exact_inverse_coeffs().resized(max(half_length, f.order))
         assert np.array_equal(b.values, padded.values)
         assert b.degree == degree == FourierCoeffs(b.values).degree
+
+
+def off_grid_dip(eps):
+    """b of 1/f = 1 + eps - cos(lambda - pi/4096), whose minimum eps lies half a step
+    off the 4096-point grid, between its points."""
+    b1 = -0.5 * np.exp(-1j * np.pi / 4096)
+    return FourierCoeffs.from_dict({0: 1.0 + eps, 1: b1, -1: np.conj(b1)})
+
+
+DIP_PATTERN = ObservationPattern("S4", N=0, M1=1, N1=0)  # K = {0}: delta = 1 / b(0)
+DIP_WEIGHTS = FunctionalWeights({0: 1})
+
+
+class TestCertifiedPositivity:
+    @pytest.mark.parametrize("eps", [-1e-8, -2e-7])
+    def test_off_grid_dip_refused(self, eps):
+        # the 4096-point grid missed the dip: the density was accepted there, and
+        # refused at 8192 points
+        with pytest.raises(NonPositiveDensity) as info:
+            InversePolynomial(off_grid_dip(eps))
+        d = info.value.diagnostics
+        assert d["inv_lower_bound"] <= d["inv_min"] < 0 < d["inv_max"]
+        assert abs(d["inv_min"] - eps) < 1e-14  # the refusing grid holds the dip
+
+    @pytest.mark.parametrize("grid", [64, 4096, 8192, 16384])
+    @pytest.mark.parametrize("eps", [-1e-8, -2e-7])
+    def test_off_grid_dip_refused_by_solve_on_every_grid(self, eps, grid):
+        with pytest.raises(NonPositiveDensity):
+            solve(DIP_PATTERN, DIP_WEIGHTS, InversePolynomial(off_grid_dip(eps)), grid_size=grid)
+
+    def test_shallow_positive_dip_accepted_on_every_grid(self):
+        # min 1e-8 is 5e-9 of the maximum 2, above the rule's 1e-9
+        f = InversePolynomial(off_grid_dip(1e-8))
+        grids = (64, 4096, 8192, 16384)
+        (delta,) = {solve(DIP_PATTERN, DIP_WEIGHTS, f, grid_size=g).delta for g in grids}
+        assert abs(delta - 1.0 / (1.0 + 1e-8)) < 1e-15
+
+    def test_undecided_at_the_cap_refused(self):
+        # min 2.0000001e-9 of 1 + 2.0000001e-9 - cos(lambda) is above 1e-9 of the maximum by
+        # 1e-16, less than any grid up to CERTIFY_MAX_GRID can resolve: refused undecided
+        with pytest.raises(NonPositiveDensity, match="not certified strictly positive") as info:
+            InversePolynomial(FourierCoeffs.from_dict({0: 1 + 2.0000001e-9, 1: -0.5, -1: -0.5}))
+        d = info.value.diagnostics
+        assert d["inv_lower_bound"] < 1e-9 * d["inv_max"] < d["inv_min"]
+        assert CERTIFY_MAX_GRID // 4 < d["grid_size"] <= CERTIFY_MAX_GRID
+
+    @pytest.mark.parametrize("big", [1e308, 1.7e308])
+    def test_scale_does_not_overflow(self, big):
+        # the rule is decided on b / max |b|, with no warning (an error in this suite)
+        InversePolynomial(FourierCoeffs.from_dict({0: big, 1: big / 4, -1: big / 4}))
+        with pytest.raises(NonPositiveDensity, match="not strictly positive"):
+            InversePolynomial(FourierCoeffs.from_dict({0: big, 1: big, -1: big}))
 
 
 class TestDegree:
@@ -243,6 +299,14 @@ class TestMinimality:
 
     def test_ar1(self):
         assert abs(minimality_value(RationalAR(alpha=0.5)) - 1.25) < 1e-12
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4096])
+    def test_finite_degree_exact_on_any_grid(self, grid):
+        # b(0), where a mean over G <= p points aliased (2.25 for AR(1) 0.5 at G = 1),
+        # and an InversePolynomial of degree 2 was refused on G <= 4
+        assert abs(minimality_value(RationalAR(alpha=0.5), grid_size=grid) - 1.25) < 1e-12
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 2.0, 2: 0.5 - 0.5j, -2: 0.5 + 0.5j}))
+        assert minimality_value(f, grid_size=grid) == 2.0
 
     def test_shifted_cosine_vs_quadrature(self):
         lam = angular_grid(4096)
@@ -457,11 +521,13 @@ class TestGridValuesPerInstance:
         assert np.array_equal(getattr(fresh, method)(grids[0]), first)
 
     def test_a_refused_grid_keeps_nothing(self):
-        # 1/f = 1 + 2 cos(2 lambda) dips to -1
-        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 2: 1.0, -2: 1.0}))
+        # a grid of 64 points cannot hold degree 40: refused on every call, and the
+        # grid that can hold it is computed as on a fresh instance
+        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
         for _ in range(2):
-            with pytest.raises(NonPositiveDensity):
+            with pytest.raises(InvalidParameters):
                 f.inverse_on_grid(64)
-            with pytest.raises(NonPositiveDensity):
+            with pytest.raises(InvalidParameters):
                 f.on_grid(64)
-
+        fresh = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
+        assert np.array_equal(f.on_grid(128), fresh.on_grid(128))

@@ -17,6 +17,7 @@ from gapinterp.densities import (
     InversePolynomial,
     RationalAR,
     Tabulated,
+    certify_positive,
 )
 from gapinterp.errors import InvalidParameters, NotConverged, SupportMismatch
 from gapinterp.interpolate import solve, solve_truncated
@@ -112,17 +113,23 @@ class TestOneInverseCheck:
            gamma=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
                           min_size=1, max_size=3))
     def test_inverse_polynomial_checked_once_per_solve(self, pattern, rho, gamma):
-        f = positive_inverse_poly(np.array([2.0] + [complex(*z) for z in gamma]))
-        grids = []
-        check = InversePolynomial.inverse_on_grid
+        # certified once, when it is built; the solve reads 1/f on no grid
+        checks, grids = [], []
+        evaluate = InversePolynomial.inverse_on_grid
 
-        def counting(self, grid_size=DEFAULT_GRID):
+        def counting_check(b):
+            checks.append(b)
+            return certify_positive(b)
+
+        def counting_grid(self, grid_size=DEFAULT_GRID):
             grids.append(grid_size)
-            return check(self, grid_size)
+            return evaluate(self, grid_size)
 
-        with mock.patch.object(InversePolynomial, "inverse_on_grid", counting):
+        with mock.patch("gapinterp.densities.certify_positive", counting_check), \
+                mock.patch.object(InversePolynomial, "inverse_on_grid", counting_grid):
+            f = positive_inverse_poly(np.array([2.0] + [complex(*z) for z in gamma]))
             solve_truncated(pattern, FunctionalWeights(geometric=(1.0, rho)), f)
-        assert grids == [DEFAULT_GRID]
+        assert len(checks) == 1 and grids == []
 
 
 class TestAgainstDeepTruncation:

@@ -289,11 +289,14 @@ class TestDW:
         with pytest.raises(InvalidParameters):
             DW(b_given=np.array([1.0, 0.0, 1.0]))
 
-    @pytest.mark.parametrize("b_given", [[1.0, -(1 - 1e-12) / 2], [np.nan], [1.0, np.nan]],
-                             ids=["dip", "nan", "nan_moment"])
+    @pytest.mark.parametrize("b_given", [[1.0, -(1 - 1e-12) / 2], [np.nan], [1.0, np.nan],
+                                         [0.5012988350493625, 0.03604074152070618, 0.25]],
+                             ids=["dip", "nan", "nan_moment", "off_grid_dip"])
     def test_moments_held_to_the_density_positivity_rule(self, b_given):
         # 1 - (1 - 1e-12) cos(lambda) dips to 1e-12 at lambda = 0, below 1e-9 of
-        # its maximum; it, and NaN moments, passed the old test min > 0
+        # its maximum; it, and NaN moments, passed the old test min > 0. The last
+        # polynomial falls to -1e-7 between the points of the 4096-point grid,
+        # where it was accepted
         with pytest.raises(InvalidParameters, match="not strictly positive"):
             DW(b_given=np.array(b_given))
 
