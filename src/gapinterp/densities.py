@@ -59,14 +59,16 @@ def grid_fourier_coefficients(values: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def evaluate_trig_poly(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Real values of sum_m c(m) e^{im lambda} on the angular grid of n points, those of its
-    Hermitian part, by one unscaled real inverse FFT (norm="forward"); coeffs holds c(m),
-    m = -L..L, L = (coeffs.size - 1) // 2, and 2L < n. The phases and scale ride on the
-    short coefficient vector, so the grid is written once."""
+    """Real values of sum_m c(m) e^{im lambda} on the angular grid of n >= 1 points, those
+    of its Hermitian part, exact for any degree; coeffs holds c(m), m = -L..L,
+    L = (coeffs.size - 1) // 2. When 2L < n, one unscaled real inverse FFT (norm="forward")
+    gives them, the phases and scale riding on the short coefficient vector, so the grid is
+    written once; a longer polynomial has its lags summed at m mod n (poly_on_grid)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     half = (coeffs.size - 1) // 2
     if 2 * half >= n:
-        raise InvalidParameters(f"grid of {n} points cannot hold degree {half}")
+        hermitian = 0.5 * coeffs + 0.5 * np.conj(coeffs[::-1])
+        return poly_on_grid(np.arange(-half, half + 1), hermitian, n).real
     # the Hermitian part c(m) / 2 + conj c(-m) / 2 (no overflow), m >= 0, to one irfft
     right = 0.5 * coeffs[half:] + 0.5 * np.conj(coeffs[half::-1])
     right[1::2] *= -1.0
@@ -196,7 +198,8 @@ class FourierCoeffs:
 
     @_per_grid
     def evaluate(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part."""
+        """Real values of sum b(m) e^{im lambda} on the grid, those of its Hermitian part,
+        exact on any grid: a lag past it is summed at m mod grid_size."""
         return evaluate_trig_poly(self.values, grid_size)
 
 

@@ -10,7 +10,20 @@ B[u][v] = b(t_u - t_v), b = Fourier coefficients of 1/f. The error is
 Delta = <c, a> = sum_j c(j) conj(a(j)). Over the sorted gap set B is a band
 matrix of half-bandwidth at most p when 1/f has degree p (RationalAR,
 InversePolynomial; p = n - 1 for Tabulated), and one banded Cholesky solves
-it in O(n p^2).
+it in O(n p^2) arithmetic, which for a small p is not what a solve costs.
+Measured on one core (x86-64 Xeon, numpy 2.4, scipy 1.17, OpenBLAS), `solve`
+on S6 with an AR(2) 1/f and explicit weights costs about 28 us fixed (n = 8)
+and, below ARRAY_MIN = 128 indices, where K stays a tuple, the weights are
+gathered by dict lookups and the Gram takes LAPACK's complex routine, about
+0.26 us per index (n = 127: 59 us). From ARRAY_MIN on K is one int array and
+a real band with real weights takes the real routine: about 0.17 us per index
+with real weights, 0.18 us with complex ones and 0.09 us with geometric ones
+(n = 2000: about 375, 420 and 225 us, against 480, 465 and 365 us with K
+kept a tuple). At n = 2000 the Cholesky itself takes 95 us real and 152 us
+complex. The array path's fixed work (a sort and two sorted searches in the
+gather, the realness checks) pays for geometric weights from about 128
+indices and for explicit maps from about 250, whose keys and values are
+converted one by one on either path; ARRAY_MIN takes the first.
 
 A solution holds all of a finite-degree 1/f, and the Fourier coefficients of
 h are then the exact convolution h(j) = a(j) - sum_k c(k) b(j - k); those of
@@ -64,41 +77,61 @@ TAIL_RTOL = 1e-17
 MAX_DEPTH = 100_000
 # explicit weights may lie at most this many indices deep in an infinite block
 MAX_REACH = 6400
-# the Cholesky routines scipy.linalg.solveh_banded picks for complex input:
-# ?ptsv for a tridiagonal band, ?pbsv otherwise
+# from this many indices on, `solve` and `solve_truncated` hand K to the gather
+# and the Gram solve as one int array, and a real band and right-hand side go
+# to the real Cholesky routines; a smaller K keeps a tuple and the complex
+# ones (timed at |K| = 8 to 2000: see the module docstring)
+ARRAY_MIN = 128
+# the Cholesky routines scipy.linalg.solveh_banded picks: ?ptsv for a
+# tridiagonal band, ?pbsv otherwise, complex and real
 _PTSV, _PBSV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(1, dtype=complex),))
+_DPTSV, _DPBSV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(1),))
 
 
 def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     """Solve B c = a, B[u][v] = b(t_u - t_v), by a banded Cholesky over the
-    sorted indices, and return c in the order of `indices`.
+    sorted indices (a sequence or an int array), and return c in the order of
+    `indices`.
 
     Sorted distinct integers satisfy |u - v| <= |t_u - t_v|, so the
     half-bandwidth is at most p = b.degree, the largest lag with b(p) != 0, and
-    the solve costs O(n p^2). A failed factorization raises NotPositiveDefinite.
+    the arithmetic is O(n p^2). A list costs one np.fromiter, an int array
+    nothing; either is ordered by a stable sort, which runs in O(n) on the
+    sorted blocks of K. From ARRAY_MIN indices on, a band whose lags 0..p and a
+    right-hand side that are both exactly real go to LAPACK's real routine, in
+    about 0.6 of the complex one's time (an AR(2) band at n = 2000: 95 against
+    152 us); c then differs from the complex routine's by rounding. A failed
+    factorization raises NotPositiveDefinite.
     """
-    t = np.fromiter(indices, int, count=len(indices))
-    order = np.argsort(t)
+    n = len(indices)
+    t = (np.asarray(indices, dtype=int) if isinstance(indices, np.ndarray)
+         else np.fromiter(indices, int, count=n))
+    order = np.argsort(t, kind="stable")  # K's blocks are sorted runs
     t = t[order]
-    n, half = t.size, b.half_length
+    half = b.half_length
     if t[-1] - t[0] > half:
         raise LagOutOfRange(f"needed lag {t[-1] - t[0]} exceeds coefficient half-length {half}")
     u = min(b.degree, n - 1)
+    rhs = a[order]
+    # the band reads b at the lags 0..span, nonzero only up to b.degree
+    real = (n >= ARRAY_MIN and not b.values[half: half + b.degree + 1].imag.any()
+            and not rhs.imag.any())
+    values, rhs = (b.values.real, rhs.real) if real else (b.values, rhs)
     # lower band ab[k, j] = B[j + k, j]; LAPACK reads no entry past row n - 1,
     # so clipping those rows into range only fills the unread corner
     rows = np.minimum(np.arange(u + 1)[:, None] + np.arange(n), n - 1)
-    ab = b.values[t[rows] - t + half]
+    ab = values[t[rows] - t + half]
     # the routine scipy.linalg.solveh_banded would pick
     if u == 1:
-        _, _, c_sorted, info = _PTSV(ab[0].real, ab[1, :-1], a[order])
+        _, _, c_sorted, info = (_DPTSV if real else _PTSV)(ab[0].real, ab[1, :-1], rhs)
     else:
-        _, c_sorted, info = _PBSV(ab, a[order], lower=1)
+        _, c_sorted, info = (_DPBSV if real else _PBSV)(ab, rhs, lower=1)
     if info > 0:
         raise NotPositiveDefinite(
             f"coefficient matrix is not positive definite: {info}th leading minor "
             "not positive definite"
         )
-    c = np.empty_like(c_sorted)
+    c = np.empty(n, dtype=complex)
     c[order] = c_sorted
     return c
 
@@ -176,14 +209,24 @@ def solve(
     """Solve B c = a for the coefficients and the error."""
     if grid_size < 1:  # a finite-degree 1/f needs no grid until h is asked for
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
-    central, left, right = blocks = pattern.blocks()
-    idx = [*central, *left, *right]
-    a = weights.on(idx)
+    blocks = pattern.blocks()
+    indices, k = _gap_set(blocks)
+    a = weights.on(k)
     b = inverse_fourier_coeffs(f, _span(blocks), grid_size)
-    c = solve_gram(idx, a, b)
+    c = solve_gram(k, a, b)
     return InterpolationSolution(
-        indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
+        indices=indices, c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
     )
+
+
+def _gap_set(blocks) -> tuple:
+    """K in canonical order from the pattern's blocks, as the solution's tuple and
+    as the gather and the Gram solve read it: that tuple below ARRAY_MIN indices,
+    one int array built from the blocks' ranges from ARRAY_MIN on."""
+    indices = (*blocks[0], *blocks[1], *blocks[2])
+    if len(indices) < ARRAY_MIN:
+        return indices, indices
+    return indices, np.concatenate([np.arange(r.start, r.stop, r.step) for r in blocks])
 
 
 def _span(blocks) -> int:
@@ -204,10 +247,12 @@ def error_value(c: np.ndarray, a: np.ndarray) -> float:
         raise NonFiniteSolution(
             f"the error value is not finite ({bad} of {c.size} coefficients are not)",
             diagnostics={"non_finite": bad, "unknowns": c.size})
-    scale = max(float(np.max(np.abs(a))) ** 2 * a.size, 1e-300)
-    if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
-        raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
-    return float(inner.real)
+    # the bound is at least 1e-10 |inner|, so the scale is read only past that
+    if abs(inner.imag) > 1e-10 * abs(inner):
+        scale = max(float(np.max(np.abs(a))) ** 2 * a.size, 1e-300)
+        if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
+            raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
+    return inner.real
 
 
 def mse_of_characteristic(
@@ -303,11 +348,11 @@ def solve_truncated(
         if depth > MAX_DEPTH:  # also ends an edge that never passes (a NaN one)
             raise NotConverged(f"the tail needs more than {MAX_DEPTH} indices per block",
                                diagnostics={"depth": depth})
-        central, left, right = blocks = pattern.with_truncation(depth).blocks()
-        idx = [*central, *left, *right]
-        a = weights.on(idx)
+        blocks = pattern.with_truncation(depth).blocks()
+        indices, k = _gap_set(blocks)
+        a = weights.on(k)
         b = held.resized(max(_span(blocks), p))
-        c = solve_gram(idx, a, b)
+        c = solve_gram(k, a, b)
         # canonical order: central, then each held block with its outermost
         # q indices last
         ends = pattern.N + 1 + depth * np.arange(1, sides + 1)
@@ -321,7 +366,7 @@ def solve_truncated(
                                diagnostics={"depth": depth, "grid_size": grid_size})
         depth *= 2
     return InterpolationSolution(
-        indices=tuple(idx), c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
+        indices=indices, c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
         b=b, convergence={"depth": depth},
     )
 

@@ -176,6 +176,24 @@ class TestInterpolate:
         code, alone, _ = run(tmp_path, "interpolate", config, "--format", "json")
         assert code == 0 and alone["delta"] == rec["delta"]
 
+    def test_degree_past_the_grid_writes_the_grid(self, tmp_path):
+        # 1/f of degree 40 on a 64-point grid: --format csv exited 1 ("grid of 64
+        # points cannot hold degree 40") where --format json exited 0
+        config = {
+            "density": {"type": "inverse_poly", "coeffs": {"0": 1, "40": 0.1, "-40": 0.1}},
+            "pattern": {"kind": "S4", "N": 1, "M1": 2, "N1": 3},
+            "weights": {"values": {"0": 0.1, "1": 1, "-3": 0.1, "-4": 0.1, "-5": 0.1}},
+        }
+        code, alone, _ = run(tmp_path, "interpolate", config, "--grid", "64", "--format", "json")
+        assert code == 0
+        for fmt in ("csv", "both"):
+            code, rec, out_dir = run(tmp_path, "interpolate", config, "--grid", "64",
+                                     "--format", fmt)
+            assert code == 0 and rec["delta"] == alone["delta"]
+            with open(out_dir / "characteristic.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["lambda", "h_re", "h_im"] and len(rows) == 64
+
     def test_bad_truncation_is_numerical_error(self, tmp_path):
         # a tabulated density at rho = 0.97 needs a cut at D = 682, where the
         # span of K outgrows the quadrature of the 4096-point grid (D = 511)

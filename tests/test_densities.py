@@ -142,14 +142,17 @@ class TestInverseCoefficients:
             solve(ObservationPattern("S4", N=1, M1=2, N1=3), FunctionalWeights({0: 1, 1: 1}),
                   InversePolynomial(FourierCoeffs.from_dict({0: 1.0, degree: 0.6, -degree: 0.6})))
 
-    def test_degree_past_the_grid_refused(self):
-        # validity reads no grid: the coefficients are held whole on any grid,
-        # and only grid values that cannot hold the degree are refused
+    def test_degree_past_the_grid_folds(self):
+        # validity reads no grid: the coefficients are held whole on any grid, and
+        # the grid values are exact on any grid, lag 40 summed at 40 mod G
         f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
         b = inverse_fourier_coeffs(f, half_length=4, grid_size=64)
         assert b.half_length == 40 and b[40] == 0.1 and b[0] == 1.0
-        with pytest.raises(InvalidParameters, match="cannot hold degree 40"):
-            f.inverse_on_grid(64)
+        for grid in (1, 2, 3, 7, 40, 64, 80, 81, 128):
+            exact = 1.0 + 0.2 * np.cos(40 * angular_grid(grid))
+            assert np.allclose(f.inverse_on_grid(grid), exact, rtol=0, atol=1e-14), grid
+            assert np.allclose(f.on_grid(grid), 1.0 / exact, rtol=0, atol=1e-14), grid
+            assert np.allclose(f.inv_coeffs.evaluate(grid), exact, rtol=0, atol=1e-14), grid
 
     @pytest.mark.parametrize("half_length", [0, 1, 2, 5])
     def test_ar_cut_or_padded(self, half_length):
@@ -521,13 +524,14 @@ class TestGridValuesPerInstance:
         assert np.array_equal(getattr(fresh, method)(grids[0]), first)
 
     def test_a_refused_grid_keeps_nothing(self):
-        # a grid of 64 points cannot hold degree 40: refused on every call, and the
-        # grid that can hold it is computed as on a fresh instance
-        f = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
+        # a table with a zero has no 1/f on its own grid: refused on every call, and
+        # its values there, and on another grid, are as on a fresh instance
+        table = np.append(np.linspace(1.0, 2.0, 63), 0.0)
+        f = Tabulated(table)
         for _ in range(2):
-            with pytest.raises(InvalidParameters):
+            with pytest.raises(NonPositiveDensity):
                 f.inverse_on_grid(64)
-            with pytest.raises(InvalidParameters):
-                f.on_grid(64)
-        fresh = InversePolynomial(FourierCoeffs.from_dict({0: 1.0, 40: 0.1, -40: 0.1}))
+        assert f.__dict__["_grid_values"].keys() == {(Tabulated.on_grid.__wrapped__, 64)}
+        fresh = Tabulated(table)
+        assert np.array_equal(f.on_grid(64), fresh.on_grid(64))
         assert np.array_equal(f.on_grid(128), fresh.on_grid(128))

@@ -405,6 +405,128 @@ class TestSolveGram:
             solve_gram([0, 2], np.ones(2, dtype=complex), b)
 
 
+def spy_routines(monkeypatch):
+    """Count the calls of the real and the complex banded Cholesky routines."""
+    calls = {"real": 0, "complex": 0}
+    for name, kind in (("_DPBSV", "real"), ("_DPTSV", "real"),
+                       ("_PBSV", "complex"), ("_PTSV", "complex")):
+        def spy(*args, _routine=getattr(interpolate, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(interpolate, name, spy)
+    return calls
+
+
+def real_band(p, rng):
+    """Real Hermitian b of degree p whose trig polynomial is positive."""
+    gamma = np.concatenate(([2.0], rng.uniform(-0.5, 0.5, size=p)))
+    b = np.convolve(gamma, gamma[::-1])
+    return FourierCoeffs(b)
+
+
+class TestRealRoutine:
+    """From ARRAY_MIN indices on, a real band and right-hand side go to the real
+    routine; the complex one solves every other system."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 200])
+    def test_real_matches_complex(self, monkeypatch, p, offset):
+        rng = np.random.default_rng(10 * p + offset)
+        n = interpolate.ARRAY_MIN + offset
+        idx = rng.permutation(n) - n // 3
+        b = real_band(p, rng).resized(n)
+        a = rng.uniform(0.2, 2.0, size=n).astype(complex)
+        calls = spy_routines(monkeypatch)
+        c = solve_gram(idx, a, b)
+        assert calls == {"real": int(offset >= 0), "complex": int(offset < 0)}
+        monkeypatch.setattr(interpolate, "ARRAY_MIN", 10 ** 9)
+        c_complex = solve_gram(idx, a, b)
+        assert calls["complex"] == 1 + int(offset < 0)
+        assert c.dtype == complex
+        assert np.linalg.norm(c - c_complex) <= 1e-13 * np.linalg.norm(c_complex)
+        # a list of the same indices takes the same routine and gives the same c
+        monkeypatch.undo()
+        assert np.array_equal(solve_gram(idx.tolist(), a, b), c)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_complex_rhs_stays_complex(self, monkeypatch, p):
+        rng = np.random.default_rng(p)
+        n = interpolate.ARRAY_MIN + 5
+        b = real_band(p, rng).resized(n)
+        a = rng.uniform(0.2, 2.0, size=n) + 1e-3j
+        calls = spy_routines(monkeypatch)
+        c = solve_gram(np.arange(n), a, b)
+        assert calls == {"real": 0, "complex": 1}
+        dense = np.linalg.solve(b.values[np.subtract.outer(np.arange(n), np.arange(n)) + n], a)
+        assert np.linalg.norm(c - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("rhs", ["real", "complex"])
+    def test_indefinite_raises(self, monkeypatch, p, rhs):
+        # 1 + 1.8 cos(lambda) + ... dips below 0, so the Toeplitz band is indefinite
+        b = FourierCoeffs.from_dict({0: 1.0, **{m: 0.9 for m in range(-p, p + 1) if m}})
+        n = interpolate.ARRAY_MIN + 3
+        a = np.ones(n, dtype=complex) * (1.0 if rhs == "real" else 1.0 + 1j)
+        calls = spy_routines(monkeypatch)
+        with pytest.raises(NotPositiveDefinite, match="leading minor not positive definite"):
+            solve_gram(np.arange(n), a, b.resized(n))
+        assert calls[rhs] == 1 and sum(calls.values()) == 1
+
+    def test_a_complex_band_stays_complex(self, monkeypatch):
+        n = interpolate.ARRAY_MIN + 1
+        b = FourierCoeffs.from_dict({0: 1.25, 1: -0.5j, -1: 0.5j}).resized(n)
+        calls = spy_routines(monkeypatch)
+        solve_gram(np.arange(n), np.ones(n, dtype=complex), b)
+        assert calls == {"real": 0, "complex": 1}
+
+
+class TestAtTheCrossover:
+    """`solve` and `solve_truncated` hand K to the gather and the Gram solve as a
+    tuple below ARRAY_MIN indices and as an int array from it on: the same
+    indices, and the same delta to rounding, on either side."""
+
+    AR2 = RationalAR(alpha=np.array([0.3, -0.2]), sigma2=1.3)
+
+    @pytest.mark.parametrize("weights", ["real", "complex", "geometric"])
+    @pytest.mark.parametrize("below", [1, 0])
+    def test_solve(self, monkeypatch, weights, below):
+        n = interpolate.ARRAY_MIN - below
+        p = ObservationPattern("S6", N=3, M1=5, N1=(n - 4) // 2, M2=4, N2=n - 4 - (n - 4) // 2)
+        idx = missing_indices(p)
+        assert len(idx) == n
+        rng = np.random.default_rng(n)
+        imag = 1.0 if weights == "complex" else 0.0
+        w = (FunctionalWeights(geometric=(1.3, 0.9)) if weights == "geometric" else
+             FunctionalWeights(values={j: complex(rng.uniform(0.2, 2.0), imag * rng.uniform(-1, 1))
+                                       for j in idx}))
+        calls = spy_routines(monkeypatch)
+        sol = solve(p, w, self.AR2)
+        assert calls["real"] == int(not below and weights != "complex")
+        assert sol.indices == tuple(idx) and all(type(j) is int for j in sol.indices)
+        for other in (1, 10 ** 9):  # the array path, and the tuple path, at every size
+            monkeypatch.setattr(interpolate, "ARRAY_MIN", other)
+            again = solve(p, w, self.AR2)
+            assert again.indices == sol.indices
+            assert np.array_equal(again.a, sol.a)
+            assert abs(again.delta - sol.delta) <= 1e-14 * sol.delta
+            assert np.linalg.norm(again.c - sol.c) <= 1e-13 * np.linalg.norm(sol.c)
+
+    @pytest.mark.parametrize("below", [1, 0])
+    def test_solve_truncated(self, monkeypatch, below):
+        # the crossover put just above, or at, the size of the converged cut
+        p = ObservationPattern("S3", N=1, M1=2, M2=3, T=1)
+        w = FunctionalWeights(geometric=(1.7, 0.5))
+        first = solve_truncated(p, w, self.AR2)
+        n = len(first.indices)
+        monkeypatch.setattr(interpolate, "ARRAY_MIN", n + below)
+        sol = solve_truncated(p, w, self.AR2)
+        cut = solve(p.with_truncation(sol.convergence["depth"]), w, self.AR2)
+        assert sol.convergence == first.convergence
+        assert sol.indices == cut.indices == first.indices
+        assert sol.delta == cut.delta and np.array_equal(sol.c, cut.c)
+        assert abs(sol.delta - first.delta) <= 1e-14 * first.delta
+
+
 def grid_route(sol, f):
     """The characteristic by the grid-and-FFT route: h = A - C/f on the grid
     of sol.grid_size points, then its Fourier coefficients by FFT on the lag

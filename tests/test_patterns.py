@@ -222,17 +222,67 @@ class TestWeightGather:
             with pytest.raises(SupportMismatch) as got:
                 w.check_support(k)
             assert str(got.value) == str(exc)
+            with pytest.raises(SupportMismatch) as got:  # K as an int array
+                w.on(np.array(k))
+            assert str(got.value) == str(exc)
         else:
             w.check_support(k)
             vec = weight_vector(w, p)
             assert vec.dtype == complex
             assert np.array_equal(vec, expected)
+            assert np.array_equal(w.on(np.array(k)), expected)
+            # K in any order, with repeated indices, reads the same weights
+            shuffled = np.array(k)[rng.integers(0, len(k), size=2 * len(k))]
+            shuffled = np.concatenate((shuffled, k))
+            assert np.array_equal(w.on(shuffled), w.on(shuffled.tolist()))
 
     def test_empty_map(self):
         p = ObservationPattern("S6", N=1, M1=2, N1=3, M2=1, N2=2)
         vec = weight_vector(FunctionalWeights(values={}), p)
         assert vec.dtype == complex
         assert np.array_equal(vec, np.zeros(len(missing_indices(p))))
+        arr = FunctionalWeights(values={}).on(np.array(missing_indices(p)))
+        assert arr.dtype == complex and np.array_equal(arr, vec)
+
+
+class TestArrayGather:
+    """on() with K as an int array, as `solve` passes a large K, against K as a list."""
+
+    def test_repeated_indices(self):
+        w = FunctionalWeights(values={0: 1 + 1j, 3: 2.0, -4: -0.5j})
+        k = [3, 0, 3, -4, 0, 0, 7, 3]
+        a = w.on(np.array(k))
+        assert a.dtype == complex
+        assert np.array_equal(a, w.on(k))
+        assert np.array_equal(a, [2, 1 + 1j, 2, -0.5j, 1 + 1j, 1 + 1j, 0, 2])
+
+    def test_empty_k(self):
+        empty = np.array([], dtype=int)
+        for w in (FunctionalWeights(values={}), FunctionalWeights(geometric=(1.0, 0.5))):
+            a = w.on(empty)
+            assert a.dtype == complex and a.shape == (0,)
+        with pytest.raises(SupportMismatch) as got:
+            FunctionalWeights(values={2: 1.0, -1: 1.0}).on(empty)
+        assert str(got.value) == "weights at indices [-1, 2] lie outside the missing set"
+
+    def test_keys_outside_k(self):
+        w = FunctionalWeights(values={9: 1.0, 0: 1.0, -7: 2.0, 4.0: 1.0, np.int64(-2): 3.0})
+        k = [0, 1, -3, -4, -5]
+        with pytest.raises(SupportMismatch) as listed:
+            w.on(k)
+        with pytest.raises(SupportMismatch) as arrayed:
+            w.on(np.array(k))
+        assert str(arrayed.value) == str(listed.value)
+        assert str(arrayed.value) == "weights at indices [-7, -2, 4, 9] lie outside the missing set"
+
+    @pytest.mark.parametrize("bad, match", [("x", "malformed string"), ([1.0], "not a number"),
+                                            (float("nan"), "finite"), (None, "finite"),
+                                            (complex(1.0, float("inf")), "finite")])
+    def test_values_refused(self, bad, match):
+        w = FunctionalWeights(values={0: 1.0, 2: bad})
+        for k in ([0, 1, 2], np.array([0, 1, 2])):
+            with pytest.raises(InvalidParameters, match=match):
+                w.on(k)
 
 
 def reference_half_length(k, degree):
@@ -260,6 +310,7 @@ class TestLargeGather:
         w = FunctionalWeights(values=values)
         expected = per_index_weight_vector(values, p)
         assert np.array_equal(weight_vector(w, p), expected)
+        assert np.array_equal(w.on(np.array(k)), expected)
 
         grid = 8192
         sol = solve(p, w, self.AR2, grid_size=grid)
@@ -285,6 +336,7 @@ class TestLargeGather:
         expected = (C * rho ** np.abs(np.array(k, dtype=float))).astype(complex)
         assert np.array_equal(weight_vector(FunctionalWeights(geometric=(C, rho)), cut),
                               expected)
+        assert np.array_equal(FunctionalWeights(geometric=(C, rho)).on(np.array(k)), expected)
         # b holds the span of the cut K, whatever grid the solution then takes
         b = f.exact_inverse_coeffs().resized(reference_half_length(k, 1))
         c = solve_gram(k, expected, b)
@@ -303,6 +355,8 @@ class TestLargeGather:
         with pytest.raises(InvalidParameters, match="malformed string"):
             weight_vector(w, p)
         with pytest.raises(InvalidParameters, match="malformed string"):
+            w.on(np.array(missing_indices(p)))
+        with pytest.raises(InvalidParameters, match="malformed string"):
             solve(p, w, self.AR2)
         with pytest.raises(InvalidParameters, match="not a number"):
             weight_vector(FunctionalWeights(values={0: 1.0, 2: [1.0]}), p)
@@ -311,6 +365,8 @@ class TestLargeGather:
             w = FunctionalWeights(values={0: 1.0, 2: bad})
             with pytest.raises(InvalidParameters, match="finite"):
                 weight_vector(w, p)
+            with pytest.raises(InvalidParameters, match="finite"):
+                w.on(np.array(missing_indices(p)))
         # values complex() accepts give complex() of themselves
         w = FunctionalWeights(values={0: "1+2j", np.int64(2): np.float64(0.5)})
         assert np.array_equal(weight_vector(w, p), [1 + 2j, 0.5 + 0j])
