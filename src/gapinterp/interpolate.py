@@ -12,18 +12,18 @@ matrix of half-bandwidth at most p when 1/f has degree p (RationalAR,
 InversePolynomial; p = n - 1 for Tabulated), and one banded Cholesky solves
 it in O(n p^2) arithmetic, which for a small p is not what a solve costs.
 Measured on one core (x86-64 Xeon, numpy 2.4, scipy 1.17, OpenBLAS), `solve`
-on S6 with an AR(2) 1/f and explicit weights costs about 28 us fixed (n = 8)
-and, below ARRAY_MIN = 128 indices, where K stays a tuple, the weights are
-gathered by dict lookups and the Gram takes LAPACK's complex routine, about
-0.26 us per index (n = 127: 59 us). From ARRAY_MIN on K is one int array and
-a real band with real weights takes the real routine: about 0.17 us per index
-with real weights, 0.18 us with complex ones and 0.09 us with geometric ones
-(n = 2000: about 375, 420 and 225 us, against 480, 465 and 365 us with K
-kept a tuple). At n = 2000 the Cholesky itself takes 95 us real and 152 us
-complex. The array path's fixed work (a sort and two sorted searches in the
-gather, the realness checks) pays for geometric weights from about 128
-indices and for explicit maps from about 250, whose keys and values are
-converted one by one on either path; ARRAY_MIN takes the first.
+on S6 with an AR(2) 1/f and explicit weights costs about 26 us fixed and,
+below ARRAY_MIN = 128 indices, where K stays a tuple and the Gram takes
+LAPACK's complex routine, about 0.23 us per index (n = 128: 57 us). An
+explicit map is gathered by dict lookups at every size. From ARRAY_MIN on the
+Gram reads K as one int array and a real band with real weights takes the
+real routine: about 0.17 us per index with real weights, 0.20 us with complex
+ones and 0.08 us with geometric ones, which read the array too (n = 2000:
+about 380, 435 and 190 us, against 490, 460 and 360 us with K kept a tuple).
+At n = 2000 the Cholesky itself takes 95 us real and 152 us complex. The
+array path's fixed work (building the array, the realness checks) pays from
+about 100 to 128 indices for real and for geometric weights; complex weights,
+which stay on the complex routine, break even up to about 400.
 
 A solution holds all of a finite-degree 1/f, and the Fourier coefficients of
 h are then the exact convolution h(j) = a(j) - sum_k c(k) b(j - k); those of
@@ -77,10 +77,10 @@ TAIL_RTOL = 1e-17
 MAX_DEPTH = 100_000
 # explicit weights may lie at most this many indices deep in an infinite block
 MAX_REACH = 6400
-# from this many indices on, `solve` and `solve_truncated` hand K to the gather
-# and the Gram solve as one int array, and a real band and right-hand side go
-# to the real Cholesky routines; a smaller K keeps a tuple and the complex
-# ones (timed at |K| = 8 to 2000: see the module docstring)
+# from this many indices on, `solve` and `solve_truncated` hand K to the Gram
+# solve (and to a geometric profile) as one int array, and a real band and
+# right-hand side go to the real Cholesky routines; a smaller K keeps a tuple
+# and the complex ones (timed at |K| = 32 to 2000: see the module docstring)
 ARRAY_MIN = 128
 # the Cholesky routines scipy.linalg.solveh_banded picks: ?ptsv for a
 # tridiagonal band, ?pbsv otherwise, complex and real
@@ -210,8 +210,7 @@ def solve(
     if grid_size < 1:  # a finite-degree 1/f needs no grid until h is asked for
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     blocks = pattern.blocks()
-    indices, k = _gap_set(blocks)
-    a = weights.on(k)
+    indices, k, a = _gap_set(blocks, weights)
     b = inverse_fourier_coeffs(f, _span(blocks), grid_size)
     c = solve_gram(k, a, b)
     return InterpolationSolution(
@@ -219,14 +218,17 @@ def solve(
     )
 
 
-def _gap_set(blocks) -> tuple:
+def _gap_set(blocks, weights: FunctionalWeights) -> tuple:
     """K in canonical order from the pattern's blocks, as the solution's tuple and
-    as the gather and the Gram solve read it: that tuple below ARRAY_MIN indices,
-    one int array built from the blocks' ranges from ARRAY_MIN on."""
+    as the Gram solve reads it (that tuple below ARRAY_MIN indices, one int array
+    built from the blocks' ranges from ARRAY_MIN on), and the weights on K. An
+    explicit map is gathered on the tuple, by dict lookups; a geometric profile
+    reads the array."""
     indices = (*blocks[0], *blocks[1], *blocks[2])
     if len(indices) < ARRAY_MIN:
-        return indices, indices
-    return indices, np.concatenate([np.arange(r.start, r.stop, r.step) for r in blocks])
+        return indices, indices, weights.on(indices)
+    k = np.concatenate([np.arange(r.start, r.stop, r.step) for r in blocks])
+    return indices, k, weights.on(indices if weights.geometric is None else k)
 
 
 def _span(blocks) -> int:
@@ -252,7 +254,7 @@ def error_value(c: np.ndarray, a: np.ndarray) -> float:
         scale = max(float(np.max(np.abs(a))) ** 2 * a.size, 1e-300)
         if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
             raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
-    return inner.real
+    return inner.real  # a Python float: inner is a Python complex
 
 
 def mse_of_characteristic(
@@ -349,8 +351,7 @@ def solve_truncated(
             raise NotConverged(f"the tail needs more than {MAX_DEPTH} indices per block",
                                diagnostics={"depth": depth})
         blocks = pattern.with_truncation(depth).blocks()
-        indices, k = _gap_set(blocks)
-        a = weights.on(k)
+        indices, k, a = _gap_set(blocks, weights)
         b = held.resized(max(_span(blocks), p))
         c = solve_gram(k, a, b)
         # canonical order: central, then each held block with its outermost

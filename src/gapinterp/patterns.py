@@ -14,13 +14,10 @@ which matches the stacked coefficient-vector layout used by the Gram systems.
 Each block is a `range` (step -1 on the left). An explicit map is kept as the
 caller gave it, after one `dict()` copy: its keys pass through `int()` only
 when some key is not an `int`, and its values become complex, and are
-checked, only where `on()` gathers them. `on()` takes K as a sequence or as
-one int array. A sequence (`weight_vector`, and `solve` on a small K) is
-checked with one set difference and gathered with one `dict.get` per index.
-An array (`solve` on a large K) is gathered in numpy: the keys and the values
-are converted once per call with `np.fromiter`, and both the support check and
-the gather are sorted searches in K. No Python then runs per index of K; what
-runs per weight is numpy's conversion of its key and its value.
+checked, only where `on()` gathers them. `on()` checks an explicit map
+against K with one set difference and gathers it with one `dict.get` per
+index; a geometric profile is computed in numpy on K, read without a
+conversion when K is an int array (`solve` on a large K).
 """
 
 from __future__ import annotations
@@ -190,41 +187,14 @@ class FunctionalWeights:
             t = (indices.astype(float) if isinstance(indices, np.ndarray)
                  else np.fromiter(indices, float, len(indices)))
             return (c * rho ** np.abs(t)).astype(complex)
-        if isinstance(indices, np.ndarray):
-            a = self._gather(indices)
-        else:
-            self.check_support(indices)
-            try:
-                a = np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
-                                count=len(indices))
-            except (TypeError, ValueError) as exc:
-                raise InvalidParameters(f"a weight value is not a number: {exc}") from None
-        if not np.isfinite(a).all():  # NaN, inf, or a None that numpy read as NaN
-            raise InvalidParameters(f"weight values must be finite, got {a[~np.isfinite(a)][0]}")
-        return a
-
-    def _gather(self, indices: np.ndarray) -> np.ndarray:
-        """on() for K as an int array: each key is found in the sorted K, and each
-        index of K, repeated ones too, reads the value at its first sorted copy."""
-        keys = np.fromiter(self._values, int, count=len(self._values))
-        order = np.argsort(indices, kind="stable")
-        ordered = indices[order]
-        at = np.searchsorted(ordered, keys)
-        found = (ordered.take(at, mode="clip") == keys if ordered.size
-                 else np.zeros(keys.size, dtype=bool))
-        if not found.all():
-            outside = np.sort(keys[~found]).tolist()
-            raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
+        self.check_support(indices)
         try:
-            values = np.fromiter(self._values.values(), complex, count=keys.size)
+            a = np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
+                            count=len(indices))
         except (TypeError, ValueError) as exc:
             raise InvalidParameters(f"a weight value is not a number: {exc}") from None
-        a_sorted = np.zeros(ordered.size, dtype=complex)
-        a_sorted[at] = values
-        if (ordered[1:] == ordered[:-1]).any():
-            a_sorted = a_sorted[np.searchsorted(ordered, ordered)]
-        a = np.empty_like(a_sorted)
-        a[order] = a_sorted
+        if not np.isfinite(a).all():  # NaN, inf, or a None that numpy read as NaN
+            raise InvalidParameters(f"weight values must be finite, got {a[~np.isfinite(a)][0]}")
         return a
 
 

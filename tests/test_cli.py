@@ -217,6 +217,18 @@ class TestInterpolate:
         assert rec["category"] == "validation"
 
 
+    def test_key_past_int64_on_a_large_gap_rejected(self, tmp_path):
+        # |K| = 204, past interpolate.ARRAY_MIN: a key no int64 holds lies
+        # outside K and is refused like any other, with a record
+        config = dict(EX_CONFIG)
+        config["pattern"] = {"kind": "S4", "N": 3, "M1": 2, "N1": 200}
+        config["weights"] = {"values": {"0": 1, "99999999999999999999": 1}}
+        code, rec, _ = run(tmp_path, "interpolate", config)
+        assert code == 1
+        assert rec["category"] == "validation" and rec["error"] == "SupportMismatch"
+        assert "[99999999999999999999]" in rec["message"]
+
+
 class TestLeastFavourable:
     def test_d0minus(self, tmp_path):
         code, rec, out_dir = run(tmp_path, "least-favourable", LF_CONFIG,

@@ -481,9 +481,9 @@ class TestRealRoutine:
 
 
 class TestAtTheCrossover:
-    """`solve` and `solve_truncated` hand K to the gather and the Gram solve as a
-    tuple below ARRAY_MIN indices and as an int array from it on: the same
-    indices, and the same delta to rounding, on either side."""
+    """`solve` and `solve_truncated` hand K to the Gram solve (and to a geometric
+    profile) as a tuple below ARRAY_MIN indices and as an int array from it on:
+    the same indices, and the same delta to rounding, on either side."""
 
     AR2 = RationalAR(alpha=np.array([0.3, -0.2]), sigma2=1.3)
 
@@ -503,10 +503,11 @@ class TestAtTheCrossover:
         sol = solve(p, w, self.AR2)
         assert calls["real"] == int(not below and weights != "complex")
         assert sol.indices == tuple(idx) and all(type(j) is int for j in sol.indices)
+        assert type(sol.delta) is float
         for other in (1, 10 ** 9):  # the array path, and the tuple path, at every size
             monkeypatch.setattr(interpolate, "ARRAY_MIN", other)
             again = solve(p, w, self.AR2)
-            assert again.indices == sol.indices
+            assert again.indices == sol.indices and type(again.delta) is float
             assert np.array_equal(again.a, sol.a)
             assert abs(again.delta - sol.delta) <= 1e-14 * sol.delta
             assert np.linalg.norm(again.c - sol.c) <= 1e-13 * np.linalg.norm(sol.c)

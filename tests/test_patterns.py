@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapinterp import interpolate
 from gapinterp.densities import RationalAR, Tabulated
 from gapinterp.errors import InvalidParameters, SupportMismatch
 from gapinterp.interpolate import (
@@ -246,7 +247,7 @@ class TestWeightGather:
 
 
 class TestArrayGather:
-    """on() with K as an int array, as `solve` passes a large K, against K as a list."""
+    """on() with K as an int array reads the weights it reads on K as a list."""
 
     def test_repeated_indices(self):
         w = FunctionalWeights(values={0: 1 + 1j, 3: 2.0, -4: -0.5j})
@@ -274,6 +275,22 @@ class TestArrayGather:
             w.on(np.array(k))
         assert str(arrayed.value) == str(listed.value)
         assert str(arrayed.value) == "weights at indices [-7, -2, 4, 9] lie outside the missing set"
+
+    def test_keys_past_int64_outside_a_large_k(self):
+        # a key no int64 holds lies outside K, on every form of K, in solve too
+        p = ObservationPattern("S4", N=3, M1=2, N1=200)
+        k = missing_indices(p)
+        assert len(k) >= interpolate.ARRAY_MIN
+        w = FunctionalWeights(values={0: 1.0, 10 ** 30: 1.0, -10 ** 30: 2.0})
+        message = ("weights at indices [-1000000000000000000000000000000, "
+                   "1000000000000000000000000000000] lie outside the missing set")
+        for form in (k, tuple(k), np.array(k)):
+            with pytest.raises(SupportMismatch) as got:
+                w.on(form)
+            assert str(got.value) == message
+        with pytest.raises(SupportMismatch) as got:
+            solve(p, w, RationalAR(alpha=0.5))
+        assert str(got.value) == message
 
     @pytest.mark.parametrize("bad, match", [("x", "malformed string"), ([1.0], "not a number"),
                                             (float("nan"), "finite"), (None, "finite"),
