@@ -36,10 +36,12 @@ Infinite gaps (S1-S3) go through `solve_truncated`, one loop for every
 density: the infinite blocks are cut at a depth D where the cut moves Delta
 by about TAIL_RTOL relative, started from the decay of the weights and of
 the roots of 1/f, and doubled until the solved c and the weights are small
-enough at the block edges. The density changes only the loop's inputs: a
-RationalAR or InversePolynomial gives the exact 1/f and its roots; a
-Tabulated density gives one grid quadrature of 1/f, cut to each depth, no
-roots, and a deepest depth, where the span of K reaches grid_size / 4.
+enough at the block edges, up to one deepest depth, which also bounds the
+explicit weights; each depth is solved as `solve` solves a finite pattern.
+The density changes only the loop's inputs: a RationalAR or
+InversePolynomial gives the exact 1/f, its roots and the deepest depth
+MAX_DEPTH; a Tabulated density gives one grid quadrature of 1/f, cut to each
+depth, no roots, and a deepest depth no larger, where K spans grid_size / 4.
 """
 
 from __future__ import annotations
@@ -73,10 +75,9 @@ from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 # the exact path cuts an infinite block where the cut moves Delta by about
 # TAIL_RTOL relative (times max f / min f), far below rounding
 TAIL_RTOL = 1e-17
-# the deepest cut per block: decays slower than 0.9998 per step are refused
+# the deepest cut per block, and the deepest explicit weight: a decay slower
+# than about 0.9998 per step is refused after a solve at this depth
 MAX_DEPTH = 100_000
-# explicit weights may lie at most this many indices deep in an infinite block
-MAX_REACH = 6400
 # from this many indices on, `solve` and `solve_truncated` hand K to the Gram
 # solve (and to a geometric profile) as one int array, and a real band and
 # right-hand side go to the real Cholesky routines; a smaller K keeps a tuple
@@ -207,15 +208,20 @@ def solve(
     grid_size: int = DEFAULT_GRID,
 ) -> InterpolationSolution:
     """Solve B c = a for the coefficients and the error."""
+    blocks = pattern.blocks()
+    return _solved(blocks, weights, f, inverse_fourier_coeffs(f, _span(blocks), grid_size),
+                   grid_size)
+
+
+def _solved(blocks, weights: FunctionalWeights, f: SpectralDensity, b: FourierCoeffs,
+            grid_size: int, **convergence) -> InterpolationSolution:
+    """The solution over the gap set of the blocks, with b holding 1/f at their span."""
     if grid_size < 1:  # a finite-degree 1/f needs no grid until h is asked for
         raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
-    blocks = pattern.blocks()
     indices, k, a = _gap_set(blocks, weights)
-    b = inverse_fourier_coeffs(f, _span(blocks), grid_size)
     c = solve_gram(k, a, b)
-    return InterpolationSolution(
-        indices=indices, c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f, b=b,
-    )
+    return InterpolationSolution(indices=indices, c=c, a=a, delta=error_value(c, a),
+                                 grid_size=grid_size, f=f, b=b, convergence=convergence)
 
 
 def _gap_set(blocks, weights: FunctionalWeights) -> tuple:
@@ -302,74 +308,59 @@ def solve_truncated(
     roots are those of 1/f, and h is exact on the `grid_size` points at any
     depth. Any other density (Tabulated) takes b from one grid quadrature
     at the lags up to grid_size / 4, cut to the span of each depth's K (the
-    b `solve` takes there, bit for bit), has no roots (D
-    starts from the weights' decay alone) and p = 0. Its q is the gcd of the
-    lags m with |b(m)| > 1e-13 b(0): a 1/f on the multiples of q alone (the
-    even lags, say) splits K into q systems by index mod q, each with its own
-    outermost index. The quadrature holds a span of K up to grid_size / 4, so
-    D doubles at most to the deepest such depth, which is tried once;
-    NotConverged is raised there with that depth and `grid_size` in its
-    diagnostics. Explicit weights may reach at most MAX_REACH indices into a
-    block, and no further than that deepest depth (InvalidParameters); a cut
-    past MAX_DEPTH raises NotConverged.
-    `convergence` is {"depth": D}.
+    b `solve` takes there, bit for bit), has no roots (D starts from the
+    weights' decay alone) and p = 0. Its q is the gcd of the lags m with
+    |b(m)| > 1e-13 b(0): a 1/f on the multiples of q alone (the even lags,
+    say) splits K into q systems by index mod q, each with its own outermost
+    index. D doubles at most to one deepest depth, MAX_DEPTH, or for
+    Tabulated the least of that and the depth whose span reaches
+    grid_size / 4. That depth is solved once, and then NotConverged is raised
+    with it and `grid_size` in its diagnostics; explicit weights deeper are
+    refused (InvalidParameters). Each depth is built as `solve` builds its
+    solution, with `convergence` {"depth": D}.
     """
     if not pattern.is_infinite:
         raise InvalidParameters("solve_truncated applies to infinite patterns only")
-    if grid_size < 1:  # as in solve: the solution's grid values need a grid
-        raise InvalidParameters(f"a grid needs at least one point, got {grid_size}")
     sides = pattern.has_left + pattern.has_right
     if isinstance(f, (RationalAR, InversePolynomial)):
         # all of 1/f, of nominal degree p, read on no grid: an InversePolynomial's
         # 1/f was certified positive on the whole circle when it was built
         held = inverse_fourier_coeffs(f, 0)
-        p, root, deepest = held.half_length, _slowest_root(f), math.inf
+        p, root, deepest = held.half_length, _slowest_root(f), MAX_DEPTH
         q = max(p, 1)
     else:  # 4 * span <= grid_size, span = N + M1 + M2 + sides * D over the held blocks
         # each depth's quadrature is a prefix of the same FFT
         p, root, held = 0, 0.0, inverse_fourier_coeffs(f, grid_size // 4, grid_size)
-        deepest = (grid_size // 4 - pattern.N - (pattern.M1 if pattern.has_left else 0)
-                   - (pattern.M2 if pattern.has_right else 0)) // sides
+        fixed = (pattern.N + (pattern.M1 if pattern.has_left else 0)
+                 + (pattern.M2 if pattern.has_right else 0))
+        deepest = min(MAX_DEPTH, (grid_size // 4 - fixed) // sides)
         # a 1/f on the multiples of q alone splits each block into q systems,
         # each with its own outermost index
         mag = np.abs(held.values[held.half_length:])
         q = math.gcd(*np.flatnonzero(mag > 1e-13 * mag[0]).tolist()) or 1
-    C, rho = weights.geometric or (0.0, 0.0)
-    radius = max(rho, root)
+    _, rho = weights.geometric or (0.0, 0.0)
     reach = weights.reach(pattern)
-    if reach > MAX_REACH:
-        raise InvalidParameters(f"explicit weights reach {reach} indices into an infinite "
-                                f"block; at most {MAX_REACH} are supported")
     if max(reach, 1) > deepest:
-        raise InvalidParameters(f"a grid of {grid_size} points holds at most {deepest} indices "
-                                f"per infinite block; the weights need {max(reach, 1)}")
+        raise InvalidParameters(f"the cut holds at most {deepest} indices per infinite block; "
+                                f"the weights need {max(reach, 1)}")
     # a tenth of TAIL_RTOL leaves room for the constants of the slowest mode
-    depth = max(reach, q) + _decay(0.1 * TAIL_RTOL, radius ** 2)
+    depth = max(reach, q) + _decay(0.1 * TAIL_RTOL, max(rho, root) ** 2)
     while True:
         depth = min(depth, deepest)
-        if depth > MAX_DEPTH:  # also ends an edge that never passes (a NaN one)
-            raise NotConverged(f"the tail needs more than {MAX_DEPTH} indices per block",
-                               diagnostics={"depth": depth})
         blocks = pattern.with_truncation(depth).blocks()
-        indices, k, a = _gap_set(blocks, weights)
-        b = held.resized(max(_span(blocks), p))
-        c = solve_gram(k, a, b)
+        sol = _solved(blocks, weights, f, held.resized(max(_span(blocks), p)), grid_size,
+                      depth=depth)
         # canonical order: central, then each held block with its outermost
         # q indices last
         ends = pattern.N + 1 + depth * np.arange(1, sides + 1)
         edge = (ends[:, None] - np.arange(1, min(q, depth) + 1)).ravel()
-        c_edge, a_edge = _edge_share(c, edge), _edge_share(a, edge)
+        c_edge, a_edge = _edge_share(sol.c, edge), _edge_share(sol.a, edge)
         if c_edge * max(c_edge, a_edge) <= TAIL_RTOL:
-            break
+            return sol
         if depth == deepest:
-            raise NotConverged(f"the cut has not converged at depth {depth}, the deepest a "
-                               f"grid of {grid_size} points holds",
+            raise NotConverged(f"the cut has not converged at depth {depth}, the deepest it takes",
                                diagnostics={"depth": depth, "grid_size": grid_size})
         depth *= 2
-    return InterpolationSolution(
-        indices=indices, c=c, a=a, delta=error_value(c, a), grid_size=grid_size, f=f,
-        b=b, convergence={"depth": depth},
-    )
 
 
 def _slowest_root(f: SpectralDensity) -> float:
@@ -399,11 +390,11 @@ def _edge_share(v: np.ndarray, edge: np.ndarray) -> float:
     return float(np.max(np.abs(v[edge]))) / top if top > 0 else 0.0
 
 
-def _decay(level: float, radius: float) -> int:
-    """Steps after which radius^s falls below level (1 for radius 0, past
-    MAX_DEPTH for radius 1, which a root on the unit circle would give)."""
+def _decay(level: float, radius: float) -> int | float:
+    """Steps after which radius^s falls below level (1 for radius 0, inf for
+    radius 1, which neither rho < 1 nor a validated root gives)."""
     if radius <= 0:
         return 1
     if radius >= 1:
-        return MAX_DEPTH + 1
+        return math.inf
     return math.ceil(math.log(level) / math.log(radius))

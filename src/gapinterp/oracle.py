@@ -84,16 +84,18 @@ def project(tp: TimeDomainProblem) -> dict:
     conj x_1), L(v) lower-triangular Toeplitz with first column v, FFT
     products give P at each run start of K (CHUNK_VALUES FFT entries at a
     time), and P(i, j) = P(i-1, j-1) + (x_i conj x_j - z_i conj z_j) / x_0
-    the rest. Real covariances (max |Im r| <= REAL_RTOL r(0)) are solved in
-    real arithmetic. A Levinson breakdown, an x_0 not positive and finite,
-    |T x - e_0| > 1e-6 or a P_KK not positive definite: SingularCovariance.
+    the rest, all on T / r(0), which leaves w unchanged. Real covariances
+    (max |Im r| <= REAL_RTOL r(0)) are solved in real arithmetic. A Levinson
+    breakdown, an x_0 not positive and finite, |T x - e_0| > 1e-6 or a P_KK
+    not positive definite: SingularCovariance.
     """
     obs = np.asarray(tp.observed_indices, dtype=int)  # empty when window = 0 sees none
     tgt = np.asarray(tp.target_indices, dtype=int)
-    real = np.max(np.abs(tp.r.imag)) <= REAL_RTOL * tp.r[0].real
+    scale = tp.r[0].real
+    real = np.max(np.abs(tp.r.imag)) <= REAL_RTOL * scale
     lo = min(tgt.min(), obs.min(initial=tgt.min()))
     n = int(max(tgt.max(), obs.max(initial=tgt.max())) - lo + 1)
-    r = (tp.r.real if real else tp.r)[:n]
+    r = (tp.r.real if real else tp.r)[:n] / scale  # r(0) = 1: T^-1 carries no 1 / r(0)
     m = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2 n - 1
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
 
@@ -103,7 +105,7 @@ def project(tp: TimeDomainProblem) -> dict:
 
     a = np.zeros((n, 2 if real else 1), r.dtype)  # real: (Re, Im) as two columns
     a[tgt - lo] = np.ascontiguousarray(tp.target_weights, complex).reshape(-1, 1).view(r.dtype)
-    target_var = float(np.vdot(a, toeplitz(a)).real)
+    target_var = float(np.vdot(a, toeplitz(a)).real) * scale
     if not obs.size:
         return {"weights": np.zeros(0, complex), "mse": target_var, "target_variance": target_var}
     try:
@@ -141,7 +143,8 @@ def project(tp: TimeDomainProblem) -> dict:
     spread[kk] = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C", check_finite=False)
     # an observed target keeps its own weight; (Re, Im) columns are joined
     w = (a - inverse(spread))[obs - lo] @ ([1, 1j] if real else [1])
-    return {"weights": w, "mse": float(np.sum(np.abs(y) ** 2)), "target_variance": target_var}
+    return {"weights": w, "mse": float(np.sum(np.abs(y) ** 2)) * scale,
+            "target_variance": target_var}
 
 
 def simulate(

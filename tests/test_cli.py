@@ -329,12 +329,20 @@ class TestFailureRecords:
         {**EX_CONFIG, "pattern": 5},                                            # TypeError
         {**EX_CONFIG, "weights": {"values": [1, 1, 1, 1, 1]}},                  # AttributeError
         [EX_CONFIG],                                                            # not an object
+        {**EX_CONFIG, "density": {"type": "rational_ar", "alpha": [[0.5, 0, 1]]}},  # 3-item pair
+        {**EX_CONFIG, "density": {"type": "arma", "alpha": [0.5]}},              # unknown type
     ])
     def test_bad_config_is_validation_error(self, tmp_path, config):
         code, rec, _ = run(tmp_path, "interpolate", config)
         assert code == 1
         assert rec["error"] == "ValidationError"
         assert rec["category"] == "validation"
+
+    def test_unknown_class_is_validation_error(self, tmp_path):
+        code, rec, _ = run(tmp_path, "least-favourable",
+                           {**LF_CONFIG, "class": {"type": "dx", "p": 1.0}})
+        assert code == 1
+        assert rec["error"] == "ValidationError" and "unknown uncertainty class" in rec["message"]
 
     def test_invalid_closed_form_is_numerical_error(self, tmp_path):
         config = {**EX_CONFIG, "class": {"type": "d0minus", "p": 1.0}}  # all-ones S4
@@ -495,6 +503,21 @@ class TestVerify:
         assert code == 2
         assert rec["error"] == "NotConverged"
         assert rec["diagnostics"]["window"] > 6400
+
+    @pytest.mark.parametrize("C", [0.0, 1.0])
+    def test_tiny_covariances_pass(self, tmp_path, C):
+        # covariances near 3e-162: the projection's inverse Toeplitz overflowed
+        # (a RuntimeWarning, an error here) or, with warnings ignored, its
+        # window never settled (NotConverged at window 8192)
+        config = {
+            "density": {"type": "rational_ar", "alpha": [0.0], "sigma2": 3.224097605899893e-162},
+            "pattern": {"kind": "S1", "N": 0, "M1": 1, "T": 1},
+            "weights": {"geometric": {"C": C, "rho": 0.5}},
+        }
+        code, rec, _ = run(tmp_path, "verify", config, "--grid", "16")
+        assert code == 0 and rec["all_pass"] is True
+        check = rec["checks"][0]
+        assert check["spectral"] == pytest.approx(check["projection"], rel=1e-12, abs=0)
 
     def test_tiny_weight_norm_does_not_underflow(self, tmp_path, capsys):
         # |a|^2 = 7e-514 underflows to 0, so the unscaled norm failed the check

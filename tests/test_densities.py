@@ -474,6 +474,10 @@ class TestTabulated:
         with pytest.raises(InvalidParameters):
             Tabulated(np.array([1.0, -0.1, 1.0, 1.0]))
 
+    def test_fewer_than_four_values_rejected(self):
+        with pytest.raises(InvalidParameters, match="at least 4 grid values"):
+            Tabulated(np.ones(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         # a NaN passed the old `min < 0` test, and solve then returned delta = nan
@@ -484,6 +488,8 @@ class TestTabulated:
 
     @pytest.mark.parametrize("grid", [0, -8])
     def test_nonpositive_grid_rejected(self, grid):
+        with pytest.raises(InvalidParameters, match="at least one point"):
+            angular_grid(grid)
         for f in (Tabulated(np.ones(8)), RationalAR(alpha=0.5)):
             with pytest.raises(InvalidParameters):
                 f.on_grid(grid)

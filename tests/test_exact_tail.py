@@ -251,15 +251,27 @@ class TestPathChoice:
         assert np.array_equal(sol.c, ref.c) and sol.delta == ref.delta
         assert sol.grid_size == 4096
 
-    def test_root_near_the_unit_circle_refused_past_max_depth(self):
+    def test_root_near_the_unit_circle_refused_past_max_depth(self, monkeypatch):
         # 1/f with a root at r = 0.9999 is positive (min / max 2.5e-9), and its
-        # tail needs 1 + 207223 indices, r^(2 D) < 1e-18
+        # tail needs 1 + 207223 indices, r^(2 D) < 1e-18: the cut is solved once
+        # at MAX_DEPTH, the deepest it takes, and refused there
         r = 0.9999
         f = InversePolynomial(FourierCoeffs.from_dict({0: 1 + r * r, 1: -r, -1: -r}))
         p = ObservationPattern("S2", N=0, M2=1)
+        cuts = []
+        gram = interpolate.solve_gram
+        monkeypatch.setattr(interpolate, "solve_gram",
+                            lambda idx, a, b: cuts.append(len(idx)) or gram(idx, a, b))
         with pytest.raises(NotConverged) as info:
             solve_truncated(p, FunctionalWeights(geometric=(1.0, 0.5)), f)
-        assert info.value.diagnostics == {"depth": 207224}
+        assert cuts == [1 + interpolate.MAX_DEPTH]
+        assert info.value.diagnostics == {"depth": interpolate.MAX_DEPTH,
+                                          "grid_size": DEFAULT_GRID}
+
+    def test_finite_pattern_refused(self):
+        with pytest.raises(InvalidParameters, match="infinite patterns only"):
+            solve_truncated(ObservationPattern("S4", N=0, M1=1, N1=1),
+                            FunctionalWeights(values={0: 1.0}), RationalAR(alpha=0.5))
 
     def test_weights_on_observed_indices_refused(self):
         p = ObservationPattern("S2", N=1, M2=3, T=1)  # 2..4 observed
@@ -267,12 +279,18 @@ class TestPathChoice:
             solve_truncated(p, FunctionalWeights(values={0: 1.0, 3: 1.0}), RationalAR(alpha=0.5))
 
     def test_weights_deeper_than_the_schedule_refused(self):
-        # index 5 + 6400 is 6400 deep into the right block, one more is refused
-        p = ObservationPattern("S2", N=1, M2=3, T=1)
+        # index 5 + 9999 is 10000 deep into the right block: solved, and the
+        # solve at the depth it reports; one past MAX_DEPTH is refused
+        p = ObservationPattern("S2", N=1, M2=3)
         f = RationalAR(alpha=0.5)
-        solve_truncated(p, FunctionalWeights(values={0: 1.0, 5 + 6399: 1.0}), f)
-        with pytest.raises(InvalidParameters):
-            solve_truncated(p, FunctionalWeights(values={0: 1.0, 5 + 6400: 1.0}), f)
+        w = FunctionalWeights(values={0: 1.0, 5 + 9999: 1.0})
+        sol = solve_truncated(p, w, f)
+        ref = solve(p.with_truncation(sol.convergence["depth"]), w, f)
+        assert sol.indices == ref.indices and np.array_equal(sol.c, ref.c)
+        assert sol.delta == ref.delta
+        deepest = FunctionalWeights(values={0: 1.0, 5 + interpolate.MAX_DEPTH: 1.0})
+        with pytest.raises(InvalidParameters, match=f"at most {interpolate.MAX_DEPTH}"):
+            solve_truncated(p, deepest, f)
 
 
 tabulated_roots = st.one_of(

@@ -24,6 +24,7 @@ from gapinterp.errors import (
     NotPositiveDefinite,
 )
 from gapinterp.interpolate import (
+    error_value,
     mse_of_characteristic,
     poly_on_grid,
     solve,
@@ -398,6 +399,11 @@ class TestSolveGram:
         b = FourierCoeffs.from_dict({0: 1.0, 1: 1.0, -1: 1.0}).resized(2)
         with pytest.raises(NotPositiveDefinite):
             solve_gram([0, 1, 2], np.ones(3, dtype=complex), b)
+
+    def test_imaginary_error_value_raises(self):
+        # <c, a> of a Hermitian positive definite B is real: an imaginary part is not
+        with pytest.raises(NotPositiveDefinite, match="imaginary part"):
+            error_value(np.array([1j]), np.array([1.0]))
 
     def test_lag_out_of_range(self):
         b = FourierCoeffs.from_dict({0: 1.25, 1: -0.5, -1: -0.5})

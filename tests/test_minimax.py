@@ -153,6 +153,19 @@ class TestD0Minus:
         assert abs(report["upper_bound"] - res.delta0) <= 1e-12 * res.delta0
         assert report["lower_residual"] <= 1e-15
 
+    def test_saddle_check_refuses_an_unknown_class(self):
+        res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
+        with pytest.raises(InvalidParameters, match="unsupported class object"):
+            saddle_check(res, object())
+
+    @pytest.mark.parametrize("make", [
+        D0Minus, lambda p: DVU(v=Tabulated(np.full(64, 0.5)), u=Tabulated(np.full(64, 2.0)), p=p),
+    ], ids=["d0minus", "dvu"])
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_nonpositive_p_refused(self, make, p):
+        with pytest.raises(InvalidParameters, match="p must be positive"):
+            make(p)
+
     def test_saddle_check_rejects_corrupted_characteristic(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
@@ -240,6 +253,8 @@ class TestDW:
         w = FunctionalWeights(values={j: 1.0 for j in missing_indices(p)})
         with pytest.raises(NotCovered):
             lf_dW(p, w, DW(b_given=np.array([1.25, -0.5, 0.0, 0.0])))  # W = 3
+        with pytest.raises(NotCovered, match="real weights only"):
+            lf_dW(S5_SMALL, FunctionalWeights(values={0: 1.0, 2: 0.2j}), DW(b_given=[1.0]))
 
     def test_standing_condition_gates(self):
         p = ObservationPattern("S4", N=2, M1=1, N1=1)  # M1 < N

@@ -209,6 +209,17 @@ class TestProjection:
         assert abs(proj["mse"] - reference_projection(tp)[1]) <= 1e-12 * proj["mse"]
         assert abs(solve(p, w, f).delta - proj["mse"]) < 1e-8 * proj["mse"]
 
+    def test_weights_do_not_depend_on_the_scale(self):
+        # covariances near 1e-160 made T^-1 near 1e160, and its FFT products
+        # overflowed; scaled to r(0) = 1, the errors scale by sigma^2
+        p = ObservationPattern("S4", N=1, M1=2, N1=3)
+        one, tiny = (project(build_problem(p, EX_WEIGHTS, RationalAR(alpha=0.5, sigma2=s), 40))
+                     for s in (1.0, 1e-160))
+        for key in ("mse", "target_variance"):
+            assert abs(tiny[key] - 1e-160 * one[key]) <= 1e-12 * 1e-160 * one[key]
+        top = np.max(np.abs(one["weights"]))
+        assert np.max(np.abs(tiny["weights"] - one["weights"])) <= 1e-12 * top
+
     def test_no_observations(self):
         # window 0 around a gap without inner observations sees nothing; the
         # empty index tuple became a float array that could not index r
@@ -335,6 +346,8 @@ class TestSimulate:
             simulate(EX_DENSITY, length=0)
         with pytest.raises(InvalidParameters):
             simulate(EX_DENSITY, length=10, n_replicates=0)
+        with pytest.raises(InvalidParameters, match="real covariance sequence"):
+            simulate(RationalAR(alpha=0.5 * np.exp(0.7j)), length=10)
 
     def test_negative_seed_refused(self):
         # default_rng raised numpy's ValueError, which the CLI did not record

@@ -84,6 +84,13 @@ class TestMissingIndices:
             ObservationPattern("S1", N=0, M1=1, T=0)
         with pytest.raises(InvalidParameters):
             ObservationPattern("S9", N=0)
+        for kind, params, match in [("S2", {}, "S2 requires M2 >= 1"),
+                                    ("S4", {"M1": 1, "N1": -1}, "S4 requires N1 >= 0"),
+                                    ("S5", {"M2": 1, "N2": -1}, "S5 requires N2 >= 0")]:
+            with pytest.raises(InvalidParameters, match=match):
+                ObservationPattern(kind, N=0, **params)
+        with pytest.raises(InvalidParameters, match="S4 has no truncation depth"):
+            ObservationPattern("S4", N=0, M1=1, N1=1).with_truncation(3)
 
     def test_infinite_pattern_without_depth(self):
         # T may be left out where solve_truncated picks the cut; the blocks need it
