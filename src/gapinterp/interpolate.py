@@ -11,19 +11,27 @@ Delta = <c, a> = sum_j c(j) conj(a(j)). Over the sorted gap set B is a band
 matrix of half-bandwidth at most p when 1/f has degree p (RationalAR,
 InversePolynomial; p = n - 1 for Tabulated), and one banded Cholesky solves
 it in O(n p^2) arithmetic, which for a small p is not what a solve costs.
-Measured on one core (x86-64 Xeon, numpy 2.4, scipy 1.17, OpenBLAS), `solve`
-on S6 with an AR(2) 1/f and explicit weights costs about 26 us fixed and,
-below ARRAY_MIN = 128 indices, where K stays a tuple and the Gram takes
-LAPACK's complex routine, about 0.23 us per index (n = 128: 57 us). An
-explicit map is gathered by dict lookups at every size. From ARRAY_MIN on the
-Gram reads K as one int array and a real band with real weights takes the
-real routine: about 0.17 us per index with real weights, 0.20 us with complex
-ones and 0.08 us with geometric ones, which read the array too (n = 2000:
-about 380, 435 and 190 us, against 490, 460 and 360 us with K kept a tuple).
-At n = 2000 the Cholesky itself takes 95 us real and 152 us complex. The
-array path's fixed work (building the array, the realness checks) pays from
-about 100 to 128 indices for real and for geometric weights; complex weights,
-which stay on the complex routine, break even up to about 400.
+Measured on one core (x86-64 Xeon, Python 3.11, numpy 2.4, scipy 1.17,
+OpenBLAS; best of 31 runs, thread CPU time), `solve` on S6 with an AR(2) 1/f
+and explicit weights takes about 31 us at n = 32 and 43 us at n = 96, 0.19 us
+per index, below ARRAY_MIN = 128 indices, where K stays a tuple and the Gram
+takes LAPACK's complex routine. From ARRAY_MIN on the Gram reads K as one int
+array and a real band with real weights takes the real routine: about 0.14 us
+per index with real weights, 0.16 us with complex ones and 0.08 us with
+geometric ones, which read the array too (n = 2000: about 305, 355 and
+203 us, against 375, 380 and 330 us with K kept a tuple). At n = 2000 the
+Cholesky itself takes 86 us real and 137 us complex. The array path's fixed
+work (building the array, the realness checks) pays from about 100 indices
+for geometric weights and about 170 for real ones, which are within 2.5 us
+of the tuple path from 96 to 192; complex weights, which stay on the complex
+routine, break even at about 450 to 500.
+
+An explicit map is gathered on the tuple of K at every size, by
+`FunctionalWeights.on_gap_set`: a map that holds exactly K is read with one
+dict lookup per index, and building the weights, building K and gathering
+take 15, 40 and 146 us at n = 128, 512 and 2000 (a geometric profile: 9, 16
+and 49 us); a map of any other size is first given int keys and checked
+with a set difference, 26, 77 and 290 us.
 
 A solution holds all of a finite-degree 1/f, and the Fourier coefficients of
 h are then the exact convolution h(j) = a(j) - sum_k c(k) b(j - k); those of
@@ -228,13 +236,13 @@ def _gap_set(blocks, weights: FunctionalWeights) -> tuple:
     """K in canonical order from the pattern's blocks, as the solution's tuple and
     as the Gram solve reads it (that tuple below ARRAY_MIN indices, one int array
     built from the blocks' ranges from ARRAY_MIN on), and the weights on K. An
-    explicit map is gathered on the tuple, by dict lookups; a geometric profile
-    reads the array."""
+    explicit map is gathered on the tuple, by dict lookups (`on_gap_set`); a
+    geometric profile reads the array."""
     indices = (*blocks[0], *blocks[1], *blocks[2])
     if len(indices) < ARRAY_MIN:
-        return indices, indices, weights.on(indices)
+        return indices, indices, weights.on_gap_set(indices)
     k = np.concatenate([np.arange(r.start, r.stop, r.step) for r in blocks])
-    return indices, k, weights.on(indices if weights.geometric is None else k)
+    return indices, k, weights.on_gap_set(indices if weights.geometric is None else k)
 
 
 def _span(blocks) -> int:
@@ -273,7 +281,7 @@ def mse_of_characteristic(
     of h_grid, with f read there by on_grid as `solve` reads it."""
     grid_size = h_grid.size
     idx = missing_indices(pattern)
-    a = weights.on(idx)
+    a = weights.on_gap_set(idx)
     a_grid = poly_on_grid(idx, a, grid_size)
     return float(np.mean(np.abs(a_grid - h_grid) ** 2 * f.on_grid(grid_size)))
 

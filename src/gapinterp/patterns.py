@@ -12,12 +12,14 @@ The missing set K is always emitted in the canonical order
 
 which matches the stacked coefficient-vector layout used by the Gram systems.
 Each block is a `range` (step -1 on the left). An explicit map is kept as the
-caller gave it, after one `dict()` copy: its keys pass through `int()` only
-when some key is not an `int`, and its values become complex, and are
-checked, only where `on()` gathers them. `on()` checks an explicit map
-against K with one set difference and gathers it with one `dict.get` per
-index; a geometric profile is computed in numpy on K, read without a
-conversion when K is an int array (`solve` on a large K).
+caller gave it, after one `dict()` copy; its values become complex, and are
+checked, only where they are gathered. `on_gap_set()` gathers K as `blocks()`
+gives it: a map of exactly |K| keys is read with one lookup per index, and
+when every lookup hits, its keys are exactly K. Any other map, and `on()` on
+any indices, takes the general path: the keys are made ints once, on first
+use, the map is checked against K with one set difference and gathered
+with one `dict.get` per index. A geometric profile is computed in numpy on K,
+read without a conversion when K is an int array (`solve` on a large K).
 """
 
 from __future__ import annotations
@@ -121,26 +123,31 @@ class FunctionalWeights:
     Either an explicit index->value map, or a geometric profile
     a(j) = C * rho^{|j|} for the infinite kinds.
 
-    Construction keeps one `dict()` copy of the map. Its keys go through
-    `int()` (2.0 and np.int64(2) mean 2) only when some key is not an `int`;
-    its values are not converted: `on()` (and so `weight_vector` and `solve`)
-    turns them into complex numbers as it gathers them, with the values
-    `complex()` would give. A value numpy cannot convert (the string "x") or
-    that is not finite (NaN, inf, and None, which numpy reads as NaN) raises
-    InvalidParameters there, not here. A geometric (C, rho) that is not two
-    numbers with C finite and 0 < rho < 1 is refused at construction.
+    Construction keeps one `dict()` copy of the map and refuses, with
+    InvalidParameters, an argument `dict()` cannot read (5, "ab"). Neither
+    its keys nor its values are looked at there. A key is a number equal to
+    an integer (2.0, np.int64(2) and 2+0j mean 2). The keys are made ints
+    once, where the general gather, the support check or `reach` first needs
+    them, and a key that is not such a number ("x", "2", None, 1.5, NaN) is
+    refused with InvalidParameters at that first read. `on_gap_set()` on a
+    map whose keys are exactly K needs no int keys and never makes them.
+    The values are turned into complex numbers as they are gathered, with
+    the values `complex()` would give; a value numpy cannot convert (the
+    string "x") or that is not finite (NaN, inf, and None, which numpy reads
+    as NaN) raises InvalidParameters there. A geometric (C, rho) that is not
+    two numbers with C finite and 0 < rho < 1 is refused at construction.
     """
 
     def __init__(self, values: Mapping[int, complex] | None = None,
                  geometric: tuple[float, float] | None = None):
         if (values is None) == (geometric is None):
             raise InvalidParameters("provide exactly one of values or geometric")
-        self._values = self._geometric = None
+        self._values = self._geometric = self._ints = None
         if values is not None:
-            values = dict(values)
-            if not {int}.issuperset(map(type, values)):
-                values = dict(zip(map(int, values), values.values()))
-            self._values = values
+            try:
+                self._values = dict(values)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameters(f"weights must map indices to values: {exc}") from None
         else:
             try:
                 c, rho = map(float, geometric)
@@ -157,24 +164,31 @@ class FunctionalWeights:
         """(C, rho) of a geometric profile; None for an explicit map."""
         return self._geometric
 
+    def _int_keyed(self) -> dict:
+        """The explicit map with int keys, made on first use and kept."""
+        if self._ints is None:
+            self._ints = _int_keys(self._values)
+        return self._ints
+
     def reach(self, pattern: ObservationPattern) -> int:
         """The smallest depth T at which the side blocks of an infinite
         pattern hold every explicit weight index that lies in them (0 for a
         geometric profile or an empty map)."""
         if not self._values:
             return 0
+        values = self._int_keyed()
         reach = 0
         if pattern.has_left:  # index j <= -M1-1 sits at depth -M1 - j
-            reach = max(reach, -pattern.M1 - min(self._values))
+            reach = max(reach, -pattern.M1 - min(values))
         if pattern.has_right:  # index j >= N+M2+1 sits at depth j - N - M2
-            reach = max(reach, max(self._values) - pattern.N - pattern.M2)
+            reach = max(reach, max(values) - pattern.N - pattern.M2)
         return reach
 
     def check_support(self, indices) -> None:
         """Refuse explicit weights at indices outside the missing set K."""
         if self._values is None:
             return
-        outside = sorted(self._values.keys() - indices)
+        outside = sorted(self._int_keyed().keys() - indices)
         if outside:
             raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
 
@@ -189,16 +203,58 @@ class FunctionalWeights:
             return (c * rho ** np.abs(t)).astype(complex)
         self.check_support(indices)
         try:
-            a = np.fromiter(map(self._values.get, indices, repeat(0j)), complex,
+            a = np.fromiter(map(self._int_keyed().get, indices, repeat(0j)), complex,
                             count=len(indices))
         except (TypeError, ValueError) as exc:
             raise InvalidParameters(f"a weight value is not a number: {exc}") from None
-        if not np.isfinite(a).all():  # NaN, inf, or a None that numpy read as NaN
-            raise InvalidParameters(f"weight values must be finite, got {a[~np.isfinite(a)][0]}")
-        return a
+        return _finite(a)
+
+    def on_gap_set(self, indices) -> np.ndarray:
+        """`on(indices)` for indices that hold each index once, as K from
+        `blocks()` does. A map of exactly len(indices) keys is read with one
+        lookup per index; when every lookup hits, each hits its own key, so
+        the keys are exactly the indices and nothing lies outside them. A
+        miss, a value numpy refuses, or a map of another size goes to `on()`,
+        which refuses what it refuses, in its order."""
+        values = self._values
+        if values is not None and len(values) == len(indices):
+            try:
+                a = np.fromiter(map(values.__getitem__, indices), complex, count=len(indices))
+            except (KeyError, TypeError, ValueError):
+                pass
+            else:
+                return _finite(a)
+        return self.on(indices)
+
+
+def _int_keys(values: dict) -> dict:
+    """values with each key made an int; a key that is not a number equal to
+    an integer raises InvalidParameters."""
+    if {int}.issuperset(map(type, values)):
+        return values
+    keys = []
+    for key in values:
+        # a number equal to an integer hashes as the integer does, so the
+        # lookups of on_gap_set() find it too; "2", None, NaN, 1.5 are refused
+        try:
+            j = int(key.real)
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            j = None
+        if j is None or j != key:
+            raise InvalidParameters(f"weight index {key!r} is not an integer")
+        keys.append(j)
+    return dict(zip(keys, values.values()))
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, refused unless every value is finite (NaN, inf, or a None that numpy
+    read as NaN raise InvalidParameters)."""
+    if not np.isfinite(a).all():
+        raise InvalidParameters(f"weight values must be finite, got {a[~np.isfinite(a)][0]}")
+    return a
 
 
 def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
     """Weights stacked in the canonical order of missing_indices(pattern)."""
-    return weights.on(missing_indices(pattern))
+    return weights.on_gap_set(missing_indices(pattern))
 

@@ -228,6 +228,21 @@ class TestInterpolate:
         assert rec["category"] == "validation" and rec["error"] == "SupportMismatch"
         assert "[99999999999999999999]" in rec["message"]
 
+    def test_as_many_weights_as_k_with_one_outside_rejected(self, tmp_path):
+        # |K| = 144 weights, one of them at the observed 4 and none at -3: as
+        # many keys as K holds is not an exact cover, and the record says so
+        config = dict(EX_CONFIG)
+        config["pattern"] = {"kind": "S6", "N": 3, "M1": 2, "N1": 70, "M2": 2, "N2": 70}
+        k = [*range(4), *range(-3, -73, -1), *range(6, 76)]
+        values = {str(j): 1 for j in k if j != -3}
+        values["4"] = 1
+        assert len(values) == len(k) == 144
+        config["weights"] = {"values": values}
+        code, rec, _ = run(tmp_path, "interpolate", config)
+        assert code == 1
+        assert rec == {"category": "validation", "error": "SupportMismatch",
+                       "message": "weights at indices [4] lie outside the missing set"}
+
 
 class TestLeastFavourable:
     def test_d0minus(self, tmp_path):

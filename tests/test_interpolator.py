@@ -61,12 +61,14 @@ def ones_weights(pattern):
 
 
 def random_coeffs(rng, half):
-    """A Hermitian coefficient sequence whose trig polynomial is positive."""
+    """A Hermitian coefficient sequence whose trig polynomial is positive: |poly|^2
+    lifted by a tenth of its mean, so a root of poly near the circle cannot take
+    its minimum below the POSITIVITY_RTOL that densities refuse."""
     gamma = rng.normal(size=half + 1) + 1j * rng.normal(size=half + 1)
     gamma[0] = abs(gamma[0]) + 1.0
     lam = angular_grid(2048)
     poly = sum(g * np.exp(-1j * n * lam) for n, g in enumerate(gamma))
-    vals = np.abs(poly) ** 2
+    vals = np.abs(poly) ** 2 + 0.1 * float(np.sum(np.abs(gamma) ** 2))
     from gapinterp.densities import grid_fourier_coefficients
 
     b = grid_fourier_coefficients(vals, half)

@@ -177,6 +177,47 @@ class TestWeights:
         vec = weight_vector(w, p)
         assert vec[0] == 1 + 2j
 
+    @pytest.mark.parametrize("values", [5, [1, 2], "ab", [(0, 1, 2)], 1.5])
+    def test_values_that_are_not_a_map_refused(self, values):
+        # dict() raised TypeError or ValueError, outside GapInterpError
+        with pytest.raises(InvalidParameters, match="map indices to values"):
+            FunctionalWeights(values=values)
+
+    @pytest.mark.parametrize("key", ["x", None, 1.5, float("inf"), float("nan"), 1j, 2 + 1j,
+                                     "2", (2,)])
+    def test_keys_that_are_not_integers_refused_at_first_read(self, key):
+        # construction keeps the keys as given; every read that needs int keys
+        # refuses them, where int() raised or truncated 1.5 to 1
+        w = FunctionalWeights(values={0: 1.0, key: 2.0})
+        finite = ObservationPattern("S5", N=0, M2=1, N2=1)
+        infinite = ObservationPattern("S2", N=0, M2=1)
+        k = missing_indices(finite)
+        reads = (lambda: weight_vector(w, finite), lambda: w.on(k),
+                 lambda: w.on(np.array(k)), lambda: w.check_support(k),
+                 lambda: w.reach(infinite), lambda: solve(finite, w, RationalAR(alpha=0.5)),
+                 lambda: solve_truncated(infinite, w, RationalAR(alpha=0.5)))
+        for read in reads:
+            with pytest.raises(InvalidParameters, match="is not an integer"):
+                read()
+
+    def test_key_that_is_not_integral_no_longer_truncated(self):
+        # {1.5: 2.0, 1: 3.0} read as {1: 3.0}; it holds |K| keys, so the
+        # one-lookup gather tries it first, misses at 0, and the general path refuses
+        p = ObservationPattern("S5", N=1, M2=1, N2=0)
+        assert missing_indices(p) == [0, 1]
+        w = FunctionalWeights(values={1.5: 2.0, 1: 3.0})
+        with pytest.raises(InvalidParameters, match="1.5 is not an integer"):
+            weight_vector(w, p)
+
+    def test_integral_keys_of_other_types_accepted(self):
+        p = ObservationPattern("S5", N=1, M2=1, N2=0)
+        for values in ({np.float64(1.0): 3.0}, {True: 3.0}, {1 + 0j: 3.0},
+                       {np.complex128(0): 0.0, 1.0: 3.0}):
+            w = FunctionalWeights(values=values)
+            assert w.reach(ObservationPattern("S2", N=0, M2=1)) == 0
+            assert np.array_equal(w.on([0, 1]), [0, 3])
+            assert np.array_equal(weight_vector(w, p), [0, 3])
+
 
 def per_index_missing(p):
     """K built one index at a time: central, left descending, right ascending."""
@@ -309,6 +350,42 @@ class TestArrayGather:
                 w.on(k)
 
 
+class TestExactCoverGather:
+    """As many keys as K is not enough for the one-lookup gather: a map that
+    misses an index of K, and public on() on repeated indices, are checked
+    against K as before."""
+
+    AR2 = RationalAR(alpha=np.array([0.3, -0.2]), sigma2=1.3)
+
+    def test_size_of_k_with_a_key_outside_and_an_index_missing(self):
+        p = ObservationPattern("S6", N=3, M1=2, N1=70, M2=2, N2=70)
+        k = per_index_missing(p)
+        values = {j: 1.0 + j for j in k if j != -3}
+        values[4] = 2.0  # 4 is observed
+        assert len(values) == len(k) >= interpolate.ARRAY_MIN
+        with pytest.raises(SupportMismatch) as reference:
+            per_index_weight_vector(values, p)
+        assert str(reference.value) == "weights at indices [4] lie outside the missing set"
+        w = FunctionalWeights(values=values)
+        bad_value = FunctionalWeights(values={**values, 0: "x"})  # the support check comes first
+        reads = (lambda: weight_vector(w, p), lambda: w.on_gap_set(tuple(k)),
+                 lambda: w.on(k), lambda: solve(p, w, self.AR2),
+                 lambda: weight_vector(bad_value, p))
+        for read in reads:
+            with pytest.raises(SupportMismatch) as got:
+                read()
+            assert str(got.value) == str(reference.value)
+
+    def test_repeated_indices_on_public_on(self):
+        # [0, 0] has as many entries as the map has keys, and both lookups
+        # hit: on() still checks the support and finds 3 outside
+        w = FunctionalWeights(values={0: 1, 3: 2})
+        for k in ([0, 0], (0, 0), np.array([0, 0])):
+            with pytest.raises(SupportMismatch) as got:
+                w.on(k)
+            assert str(got.value) == "weights at indices [3] lie outside the missing set"
+
+
 def reference_half_length(k, degree):
     """The lags of 1/f a solution holds when 1/f has degree p: the span of K,
     from Python's max and min over K, or p if that is larger, whatever the
@@ -331,13 +408,16 @@ class TestLargeGather:
         order = rng.permutation(len(k))
         values = {convert(k[i]): complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
                   for i in order}
+        zero = convert(k[1234])
+        values[zero] = 0j
         w = FunctionalWeights(values=values)
         expected = per_index_weight_vector(values, p)
         assert np.array_equal(weight_vector(w, p), expected)
-        assert np.array_equal(w.on(np.array(k)), expected)
 
         grid = 8192
         sol = solve(p, w, self.AR2, grid_size=grid)
+        # the map holds exactly K: one lookup per index, no int keys made
+        assert w._ints is None
         b = self.AR2.exact_inverse_coeffs().resized(reference_half_length(k, 2))
         c = solve_gram(k, expected, b)
         assert sol.indices == tuple(k)
@@ -345,6 +425,13 @@ class TestLargeGather:
         assert np.array_equal(sol.a, expected)
         assert np.array_equal(sol.c, c)
         assert sol.delta == error_value(c, expected)
+        # the general path: public on(), and the map less its zero weight
+        assert np.array_equal(w.on(np.array(k)), expected)
+        assert w._ints is not None
+        less = FunctionalWeights(values={j: v for j, v in values.items() if j != zero})
+        general = solve(p, less, self.AR2, grid_size=grid)
+        assert np.array_equal(general.a, sol.a) and np.array_equal(general.c, sol.c)
+        assert general.delta == sol.delta
 
     @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
     def test_geometric_at_depth_682(self, kind):
