@@ -248,13 +248,11 @@ def cmd_verify(config: dict, args) -> dict:
         last, mse = mse, oracle.project(oracle.build_problem(pattern, weights, f, window))["mse"]
     rel = abs(sol.delta - mse) / max(abs(mse), 1e-300)
     gap_cap = max(abs(sol.h_coeffs.get(j, 0.0)) for j in sol.indices)
-    top = float(np.max(np.abs(sol.a)))
-    norm_a = top * float(np.linalg.norm(sol.a / top)) if top > 0 else 0.0  # no underflow
     checks = [
         {"name": "spectral_vs_projection", "spectral": sol.delta, "projection": mse,
          "relative_error": rel, "window": window, "pass": bool(rel < 1e-6)},
         {"name": "characteristic_vanishes_on_gaps", "max_gap_coefficient": gap_cap,
-         "pass": bool(gap_cap <= 1e-8 * norm_a)},
+         "pass": bool(gap_cap <= 1e-8 * interpolate.scaled_norm(sol.a))},
     ]
     for row in checks:
         print(f"{row['name']}: {'PASS' if row['pass'] else 'FAIL'}", file=sys.stderr)

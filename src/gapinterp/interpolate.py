@@ -14,17 +14,20 @@ it in O(n p^2) arithmetic, which for a small p is not what a solve costs.
 Measured on one core (x86-64 Xeon, Python 3.11, numpy 2.4, scipy 1.17,
 OpenBLAS; best of 31 runs, thread CPU time), `solve` on S6 with an AR(2) 1/f
 and explicit weights takes about 31 us at n = 32 and 43 us at n = 96, 0.19 us
-per index, below ARRAY_MIN = 128 indices, where K stays a tuple and the Gram
-takes LAPACK's complex routine. From ARRAY_MIN on the Gram reads K as one int
-array and a real band with real weights takes the real routine: about 0.14 us
-per index with real weights, 0.16 us with complex ones and 0.08 us with
-geometric ones, which read the array too (n = 2000: about 305, 355 and
-203 us, against 375, 380 and 330 us with K kept a tuple). At n = 2000 the
-Cholesky itself takes 86 us real and 137 us complex. The array path's fixed
-work (building the array, the realness checks) pays from about 100 indices
-for geometric weights and about 170 for real ones, which are within 2.5 us
-of the tuple path from 96 to 192; complex weights, which stay on the complex
-routine, break even at about 450 to 500.
+per index, below ARRAY_MIN = 128 indices, where `_gap_set` makes K's int
+array with one np.fromiter of K's tuple and the Gram takes LAPACK's complex
+routine. From ARRAY_MIN on `_gap_set` builds the array from the blocks' ranges
+and a real band with real weights takes the real routine: about 0.14 us per
+index with real weights, 0.16 us with complex ones and 0.08 us with geometric
+ones, which read the array too (n = 2000: about 305, 355 and 203 us, against
+375, 380 and 330 us on the path below ARRAY_MIN). At n = 2000 the Cholesky
+itself takes 86 us real and 137 us complex. The large path's fixed work
+(building the array from the ranges, the realness checks) pays from about 100
+indices for geometric weights and about 170 for real ones, which are within
+2.5 us of the small path from 96 to 192; complex weights, which stay on the
+complex routine, break even at about 450 to 500. `_gap_set` is the only place
+that chooses K's form; `solve` and `solve_truncated` hand its int array to the
+Gram solve and to a geometric profile.
 
 An explicit map is gathered on the tuple of K at every size, by
 `FunctionalWeights.on_gap_set`: a map that holds exactly K is read with one
@@ -86,10 +89,10 @@ TAIL_RTOL = 1e-17
 # the deepest cut per block, and the deepest explicit weight: a decay slower
 # than about 0.9998 per step is refused after a solve at this depth
 MAX_DEPTH = 100_000
-# from this many indices on, `solve` and `solve_truncated` hand K to the Gram
-# solve (and to a geometric profile) as one int array, and a real band and
-# right-hand side go to the real Cholesky routines; a smaller K keeps a tuple
-# and the complex ones (timed at |K| = 32 to 2000: see the module docstring)
+# from this many indices on, `_gap_set` builds K's int array from the blocks'
+# ranges, not from K's tuple, and a real band and right-hand side go to the
+# real Cholesky routines; a smaller K keeps the complex ones (timed at
+# |K| = 32 to 2000: see the module docstring)
 ARRAY_MIN = 128
 # the Cholesky routines scipy.linalg.solveh_banded picks: ?ptsv for a
 # tridiagonal band, ?pbsv otherwise, complex and real
@@ -99,22 +102,22 @@ _DPTSV, _DPBSV = scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(1),))
 
 def solve_gram(indices, a: np.ndarray, b: FourierCoeffs) -> np.ndarray:
     """Solve B c = a, B[u][v] = b(t_u - t_v), by a banded Cholesky over the
-    sorted indices (a sequence or an int array), and return c in the order of
-    `indices`.
+    sorted indices (an int array, a list or a tuple), and return c in the order
+    of `indices`.
 
     Sorted distinct integers satisfy |u - v| <= |t_u - t_v|, so the
     half-bandwidth is at most p = b.degree, the largest lag with b(p) != 0, and
-    the arithmetic is O(n p^2). A list costs one np.fromiter, an int array
-    nothing; either is ordered by a stable sort, which runs in O(n) on the
+    the arithmetic is O(n p^2). The indices are read with one np.asarray, which
+    costs nothing on the int array `solve` passes (`_gap_set`) and converts a
+    list or tuple, and ordered by a stable sort, which runs in O(n) on the
     sorted blocks of K. From ARRAY_MIN indices on, a band whose lags 0..p and a
     right-hand side that are both exactly real go to LAPACK's real routine, in
     about 0.6 of the complex one's time (an AR(2) band at n = 2000: 95 against
     152 us); c then differs from the complex routine's by rounding. A failed
     factorization raises NotPositiveDefinite.
     """
-    n = len(indices)
-    t = (np.asarray(indices, dtype=int) if isinstance(indices, np.ndarray)
-         else np.fromiter(indices, int, count=n))
+    t = np.asarray(indices, dtype=int)
+    n = t.size
     order = np.argsort(t, kind="stable")  # K's blocks are sorted runs
     t = t[order]
     half = b.half_length
@@ -234,14 +237,14 @@ def _solved(blocks, weights: FunctionalWeights, f: SpectralDensity, b: FourierCo
 
 def _gap_set(blocks, weights: FunctionalWeights) -> tuple:
     """K in canonical order from the pattern's blocks, as the solution's tuple and
-    as the Gram solve reads it (that tuple below ARRAY_MIN indices, one int array
-    built from the blocks' ranges from ARRAY_MIN on), and the weights on K. An
-    explicit map is gathered on the tuple, by dict lookups (`on_gap_set`); a
-    geometric profile reads the array."""
+    as the int array the Gram solve reads, and the weights on K. This is the one
+    place K's form is chosen: below ARRAY_MIN indices the array is one
+    np.fromiter of the tuple, from ARRAY_MIN on one concatenation of the
+    blocks' ranges. An explicit map is gathered on the tuple, by dict lookups
+    (`on_gap_set`); a geometric profile reads the array."""
     indices = (*blocks[0], *blocks[1], *blocks[2])
-    if len(indices) < ARRAY_MIN:
-        return indices, indices, weights.on_gap_set(indices)
-    k = np.concatenate([np.arange(r.start, r.stop, r.step) for r in blocks])
+    k = (np.fromiter(indices, int, count=len(indices)) if len(indices) < ARRAY_MIN
+         else np.concatenate([np.arange(r.start, r.stop, r.step) for r in blocks]))
     return indices, k, weights.on_gap_set(indices if weights.geometric is None else k)
 
 
@@ -269,6 +272,16 @@ def error_value(c: np.ndarray, a: np.ndarray) -> float:
         if abs(inner.imag) > 1e-10 * max(abs(inner), scale):
             raise NotPositiveDefinite(f"error inner product has imaginary part {inner.imag:.3e}")
     return inner.real  # a Python float: inner is a Python complex
+
+
+def scaled_norm(a: np.ndarray) -> float:
+    """||a||_2, taken on a divided by the largest power of two not above
+    max|a|, so that it does not underflow where the squares of a do (below
+    about 1e-154); 0 for a = 0. The scaling is exact, so wherever
+    np.linalg.norm(a) neither underflows nor overflows the two agree to the bit."""
+    top = float(np.max(np.abs(a)))
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return scale * float(np.linalg.norm(a / scale)) if top > 0 else 0.0
 
 
 def mse_of_characteristic(

@@ -61,6 +61,7 @@ from .errors import (
 from .interpolate import (
     InterpolationSolution,
     error_value,
+    scaled_norm,
     solve,
     solve_gram,
 )
@@ -68,7 +69,6 @@ from .patterns import (
     FunctionalWeights,
     ObservationPattern,
     missing_indices,
-    weight_vector,
 )
 
 OPT_GRID = 512
@@ -172,25 +172,34 @@ class LeastFavourableResult:
 
 def anchor_index(pattern: ObservationPattern) -> int:
     """Extreme missing index at which the stationary coefficient vector
-    concentrates: the largest for patterns with a left gap block, the
-    smallest for purely right-sided ones."""
-    idx = missing_indices(pattern)
+    concentrates, read from the pattern's fields without building K: the
+    smallest, 0, for purely right-sided patterns (S2, S5); for those with a
+    left gap block the largest, N for S1 and S4 (the end of the central
+    block) and N + M2 + N2 for S6, or N when its right block is empty. S3,
+    two-sided and infinite, raises NotCovered with or without T."""
     if pattern.kind in ("S2", "S5"):
-        return min(idx)
-    if pattern.kind in ("S1", "S4"):
-        return max(i for i in idx if i <= pattern.N)  # = N
-    if pattern.kind == "S6":
-        return max(idx)
+        return 0
+    if pattern.kind == "S6" and pattern.N2:
+        return pattern.N + pattern.M2 + pattern.N2
+    if pattern.kind in ("S1", "S4", "S6"):
+        return pattern.N
     raise NotCovered(f"no anchored closed form for pattern kind {pattern.kind}")
 
 
-def _real_positive_weights(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
-    a = weight_vector(weights, pattern)
+def _real(a: np.ndarray, refusal: Exception) -> np.ndarray:
+    """The real parts of the weights a; an imaginary part above
+    1e-14 max(max|a|, 1) raises `refusal`."""
     if np.max(np.abs(a.imag)) > 1e-14 * max(float(np.max(np.abs(a))), 1.0):
-        raise WeightsNotPositive("closed form requires real weights")
-    if np.min(a.real) <= 0:
-        raise WeightsNotPositive("closed form requires strictly positive weights")
+        raise refusal
     return a.real
+
+
+def _member_error(g: np.ndarray, k: np.ndarray, a: np.ndarray, span: int) -> tuple:
+    """The classical error of the grid member 1/g for K = k (an int array) and
+    the weights a: the grid Fourier coefficients of g up to the lag span, one
+    Gram solve and its error value. Returns the error and the solved c."""
+    c = solve_gram(k, a, FourierCoeffs(grid_fourier_coefficients(g, span)))
+    return error_value(c, a), c
 
 
 def _closed_form_density(b0: FourierCoeffs, refusal: str) -> InversePolynomial:
@@ -227,8 +236,10 @@ def lf_d0minus(
     PositivityLost with the minimum of 1/f on the deciding grid as diagnostics["inv_min"]."""
     if pattern.kind == "S3":
         raise NotCovered("two-sided infinite gaps have no anchored closed form")
-    a = _real_positive_weights(weights, pattern)
     idx = missing_indices(pattern)
+    a = _real(weights.on_gap_set(idx), WeightsNotPositive("closed form requires real weights"))
+    if np.min(a) <= 0:
+        raise WeightsNotPositive("closed form requires strictly positive weights")
     anchor = anchor_index(pattern)
     a_anchor = float(a[idx.index(anchor)])
     b0 = FourierCoeffs.from_dict({sign * (anchor - n): cls.p * a_n / a_anchor
@@ -250,9 +261,9 @@ def lf_d0minus(
 # DW: moment-constrained class
 # ---------------------------------------------------------------------------
 
-def _dw_structure(pattern: ObservationPattern, W: int):
-    """Split K for the moment-constrained class: the support of the stationary
-    coefficient vector and the unknown coefficient lags of 1/f.
+def _dw_structure(idx: np.ndarray, anchor: int, W: int):
+    """Split K, the int array idx, for the moment-constrained class: the support
+    of the stationary coefficient vector and the unknown coefficient lags of 1/f.
 
     The coefficient vector must concentrate on missing indices within W of
     the anchor (so that the squared coefficient polynomial has degree <= W),
@@ -262,11 +273,10 @@ def _dw_structure(pattern: ObservationPattern, W: int):
     distances to the support indices hold fewer unknown lags than there are
     rows (_hall_violation; an unknown lag at no such distance, a zero column,
     is one case).
-    Returns K, the support mask, the unknown lags and the distances from the
+    Returns the support mask, the unknown lags and the distances from the
     rows outside the support to the support indices.
     """
-    idx = np.asarray(missing_indices(pattern))
-    on_support = np.abs(idx - anchor_index(pattern)) <= W
+    on_support = np.abs(idx - anchor) <= W
     k_abs = np.unique(np.abs(idx))
     unknown_lags = k_abs[k_abs > W]
     n_p = int(np.count_nonzero(on_support))
@@ -285,7 +295,7 @@ def _dw_structure(pattern: ObservationPattern, W: int):
             f"the equations at indices {idx[~on_support][rows].tolist()} hold only the "
             f"unknown lags {lags}) for this gap geometry"
         )
-    return idx, on_support, unknown_lags, dist
+    return on_support, unknown_lags, dist
 
 
 def _hall_violation(adjacency) -> tuple[list, list]:
@@ -342,13 +352,11 @@ def lf_dW(
         raise NotCovered("analysis requires the left gap offset M1 >= N")
     if pattern.kind == "S6" and pattern.N + pattern.M2 < pattern.M1 + pattern.N1:
         raise NotCovered("analysis requires N + M2 >= M1 + N1")
-    a_vec = weight_vector(weights, pattern)
-    if np.max(np.abs(a_vec.imag)) > 1e-14 * max(float(np.max(np.abs(a_vec))), 1.0):
-        raise NotCovered("moment-constrained solver handles real weights only")
-    a = a_vec.real
-
-    W = cls.W
-    idx, on, unknown_lags, dist = _dw_structure(pattern, W)
+    k = missing_indices(pattern)
+    a = _real(weights.on_gap_set(k),
+              NotCovered("moment-constrained solver handles real weights only"))
+    idx, W = np.asarray(k), cls.W
+    on, unknown_lags, dist = _dw_structure(idx, anchor_index(pattern), W)
     span = int(idx.max() - idx.min())
     half = max(span, W)
     # b0(-half..half): given moments, zero elsewhere
@@ -473,8 +481,9 @@ def numerical_lf(
     if not isinstance(cls, DVU):
         raise NotCovered(f"numerical_lf maximizes over DVU only, not {type(cls).__name__}")
     idx = missing_indices(pattern)
-    a = weight_vector(weights, pattern)
-    span = (max(idx) - min(idx)) if idx else 0
+    a = weights.on_gap_set(idx)
+    k = np.asarray(idx)
+    span = int(k.max() - k.min())
     G = max(OPT_GRID, 4 * span)
     v, u = cls.validate(G)
     lo, hi = 1.0 / u, 1.0 / v
@@ -483,8 +492,8 @@ def numerical_lf(
     g = lo + min(max(t, 0.0), 1.0) * (hi - lo)
 
     def error_and_gain(gv):
-        c = solve_gram(idx, a, FourierCoeffs(grid_fourier_coefficients(gv, span)))
-        return error_value(c, a), np.abs(poly_on_grid(idx, c, G)) ** 2
+        delta, c = _member_error(gv, k, a, span)
+        return delta, np.abs(poly_on_grid(k, c, G)) ** 2
 
     delta, gain = error_and_gain(g)
     solves = 1
@@ -547,8 +556,8 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
     G = result.grid_size
     delta0 = result.delta0
     sol = result.solution
-    idx, a = sol.indices, sol.a
-    span = max(max(idx) - min(idx), 1)
+    k, a = np.asarray(sol.indices), sol.a
+    span = max(int(k.max() - k.min()), 1)
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
         raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
@@ -556,15 +565,14 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
     w = e.real ** 2 + e.imag ** 2
     f0 = result.f0.on_grid(G)
     r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G
-    r[np.mod(idx, G)] = 0.0
-    lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)), float(np.finfo(float).tiny)))
+    r[np.mod(k, G)] = 0.0
+    lower_residual = float(np.max(r)) / (G * max(scaled_norm(a), float(np.finfo(float).tiny)))
     report = {"n_samples": 0, "lower_residual": lower_residual,
               "lower_pass": lower_residual <= 1e-10}
     if isinstance(cls, DVU):
         v, u = cls.validate(G)
         g, bound = _dvu_vertex(w, 1.0 / u, 1.0 / v, cls.p)
-        b = FourierCoeffs(grid_fourier_coefficients(g, span))
-        classical = error_value(solve_gram(idx, a, b), a)
+        classical, _ = _member_error(g, k, a, span)
         report.update(upper_set="class", class_bounded=True, upper_bound=bound,
                       vertex_error=float(np.mean(w / g)), vertex_classical=classical,
                       minimax_bracket=[max(delta0, classical), bound])

@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameters,
     SingularCovariance,
 )
-from .patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
+from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 
 # project solves in real arithmetic when max |Im r| <= REAL_RTOL r(0)
 REAL_RTOL = 1e-13
@@ -63,7 +63,7 @@ def build_problem(
     r = covariances(f, max_lag)
     return TimeDomainProblem(
         target_indices=tuple(k_idx),
-        target_weights=weight_vector(weights, pattern),
+        target_weights=weights.on_gap_set(k_idx),
         observed_indices=observed,
         r=r,
     )

@@ -19,7 +19,8 @@ when every lookup hits, its keys are exactly K. Any other map, and `on()` on
 any indices, takes the general path: the keys are made ints once, on first
 use, the map is checked against K with one set difference and gathered
 with one `dict.get` per index. A geometric profile is computed in numpy on K,
-read without a conversion when K is an int array (`solve` on a large K).
+read with one np.asarray: `solve` hands it the int array of K that
+`interpolate._gap_set` builds, at every size.
 """
 
 from __future__ import annotations
@@ -193,14 +194,13 @@ class FunctionalWeights:
             raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
 
     def on(self, indices) -> np.ndarray:
-        """The weights at the indices of K, a sequence or an int array, after the
-        support check; an explicit value that is not a finite number raises
-        InvalidParameters."""
+        """The weights at the indices of K, an int array, a list or a tuple, after
+        the support check; an explicit value that is not a finite number raises
+        InvalidParameters. A geometric profile reads the indices with one
+        np.asarray."""
         if self._geometric is not None:
             c, rho = self._geometric
-            t = (indices.astype(float) if isinstance(indices, np.ndarray)
-                 else np.fromiter(indices, float, len(indices)))
-            return (c * rho ** np.abs(t)).astype(complex)
+            return (c * rho ** np.abs(np.asarray(indices, dtype=float))).astype(complex)
         self.check_support(indices)
         try:
             a = np.fromiter(map(self._int_keyed().get, indices, repeat(0j)), complex,
@@ -255,6 +255,7 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 
 def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
-    """Weights stacked in the canonical order of missing_indices(pattern)."""
+    """Weights stacked in the canonical order of missing_indices(pattern). The
+    package's own callers build K once and gather on it (`on_gap_set`)."""
     return weights.on_gap_set(missing_indices(pattern))
 

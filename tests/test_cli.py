@@ -320,6 +320,20 @@ class TestLeastFavourable:
         assert code == 1 and rec["category"] == "validation"
         assert rec["message"] == 'least-favourable solves S3 cut at a depth: add "T" to the pattern'
 
+    def test_tiny_weights_pass_the_lower_side(self, tmp_path):
+        # ||a||_2 of weights near 1e-170 underflowed to 0, and the lower
+        # residual, relative to it, read 5e120
+        config = {
+            "pattern": {"kind": "S4", "N": 1, "M1": 2, "N1": 1},
+            "weights": {"values": {"0": 1e-170, "1": 1e-171, "-3": 1e-171}},
+            "class": {"type": "dvu", "v": {"type": "tabulated", "values": [0.5] * 64},
+                      "u": {"type": "tabulated", "values": [2.0] * 64}, "p": 1.0},
+        }
+        code, rec, _ = run(tmp_path, "least-favourable", config)
+        assert code == 0 and rec["mechanism"] == "numerical"
+        assert rec["saddle_report"]["lower_residual"] <= 1e-10
+        assert rec["saddle_report"]["lower_pass"] is True
+
     def test_zero_weights_saddle_report_is_strict_json(self, tmp_path):
         # with a = 0 the lower residual was divided by numpy's tiny, a numpy
         # float, whose comparison gave a numpy bool that json could not write

@@ -452,9 +452,14 @@ class TestRealRoutine:
         assert calls["complex"] == 1 + int(offset < 0)
         assert c.dtype == complex
         assert np.linalg.norm(c - c_complex) <= 1e-13 * np.linalg.norm(c_complex)
-        # a list of the same indices takes the same routine and gives the same c
+        # a list, a tuple and the int array of the same indices take the same
+        # routine and give the same c, and a geometric profile the same weights
         monkeypatch.undo()
-        assert np.array_equal(solve_gram(idx.tolist(), a, b), c)
+        geometric = FunctionalWeights(geometric=(1.5, 0.97))
+        a_geometric = geometric.on(idx)
+        for same in (idx.tolist(), tuple(idx.tolist()), idx.copy()):
+            assert np.array_equal(solve_gram(same, a, b), c)
+            assert np.array_equal(geometric.on(same), a_geometric)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_complex_rhs_stays_complex(self, monkeypatch, p):

@@ -38,6 +38,7 @@ from gapinterp.minimax import (
     numerical_lf,
     saddle_check,
 )
+from gapinterp.oracle import build_problem
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
 
 from class_members import loop_sample_density
@@ -53,6 +54,48 @@ class TestAnchor:
         assert anchor_index(ObservationPattern("S4", N=1, M1=2, N1=3)) == 1
         assert anchor_index(ObservationPattern("S6", N=1, M1=1, N1=1, M2=2, N2=2)) == 5
         assert anchor_index(ObservationPattern("S2", N=0, M2=1, T=3)) == 0
+        # read from the fields: an uncut S1 needs no T, and an S6 whose right
+        # block is empty anchors at the end of the central block
+        assert anchor_index(ObservationPattern("S1", N=2, M1=1)) == 2
+        assert anchor_index(ObservationPattern("S1", N=2, M1=1, T=4)) == 2
+        assert anchor_index(ObservationPattern("S6", N=2, M1=1, N1=3, M2=2, N2=0)) == 2
+        for T in (None, 3):
+            with pytest.raises(NotCovered):
+                anchor_index(ObservationPattern("S3", N=0, M1=1, M2=1, T=T))
+        # the largest index of K with a left block, the smallest without
+        for N, M, D in itertools.product(range(3), (1, 3), range(3)):
+            for pattern in (ObservationPattern("S1", N=N, M1=M, T=D + 1),
+                            ObservationPattern("S2", N=N, M2=M, T=D + 1),
+                            ObservationPattern("S4", N=N, M1=M, N1=D),
+                            ObservationPattern("S5", N=N, M2=M, N2=D),
+                            ObservationPattern("S6", N=N, M1=M, N1=D, M2=M + 1, N2=D)):
+                idx = missing_indices(pattern)
+                assert anchor_index(pattern) == (min(idx) if pattern.kind in ("S2", "S5")
+                                                 else max(idx))
+
+
+class TestOneGapSetRead:
+    """Each entry point builds K once and hands it to what it calls; `solve`
+    builds its own."""
+
+    @pytest.mark.parametrize("entry, reads", [("lf_d0minus", 2), ("lf_dW", 2),
+                                              ("numerical_lf", 2), ("build_problem", 1)])
+    def test_reads_of_k(self, monkeypatch, entry, reads):
+        calls = []
+        original = ObservationPattern.blocks
+
+        def counted(self):
+            calls.append(self.kind)
+            return original(self)
+
+        monkeypatch.setattr(ObservationPattern, "blocks", counted)
+        box = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        run = {"lf_d0minus": lambda: lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0)),
+               "lf_dW": lambda: lf_dW(S5_SMALL, W_SMALL, DW(b_given=np.array([1.25, -0.5, 0.0]))),
+               "numerical_lf": lambda: numerical_lf(S5_SMALL, W_SMALL, box),
+               "build_problem": lambda: build_problem(S5_SMALL, W_SMALL, RationalAR(alpha=[0.5]), 8)}
+        run[entry]()
+        assert calls == ["S5"] * reads
 
 
 class TestD0Minus:
@@ -889,6 +932,23 @@ class TestSaddleBatch:
             report = saddle_check(res, cls)
             assert report["n_samples"] == 0
             assert calls == (["grid_fourier_coefficients", "solve_gram"] if family == "dvu" else [])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    @pytest.mark.parametrize("family", ["dw", "dvu"])
+    def test_lower_side_at_any_weight_scale(self, family, scale):
+        # the residual is relative to ||a||_2, which np.linalg.norm gave as 0
+        # for weights whose squares underflow, near 1e-170 a residual of 5e120
+        pattern = ObservationPattern("S4", N=1, M1=2, N1=1)  # K = {0, 1, -3}
+        weights = FunctionalWeights(values={0: scale, 1: 0.1 * scale, -3: 0.1 * scale})
+        if family == "dw":
+            cls = DW(b_given=np.array([1.25, -0.5, 0.0, 0.0, 0.0]))
+            res = lf_dW(pattern, weights, cls)
+        else:
+            cls = DVU(v=Tabulated(np.full(64, 0.5)), u=Tabulated(np.full(64, 2.0)), p=1.0)
+            res = lf_dvu(pattern, weights, cls)
+        report = saddle_check(res, cls)
+        assert report["lower_residual"] <= 1e-10
+        assert report["lower_pass"] is True
 
     @pytest.mark.parametrize("grid", [32, 4096])
     def test_perturbation_scores(self, grid):
