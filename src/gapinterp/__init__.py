@@ -29,13 +29,8 @@ from .minimax import (
     numerical_lf,
     saddle_check,
 )
-from .oracle import build_problem, empirical_mse, project, simulate, simulate_chunks
-from .patterns import (
-    FunctionalWeights,
-    ObservationPattern,
-    missing_indices,
-    weight_vector,
-)
+from .oracle import build_problem, empirical_mse, project, simulate_chunks
+from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 
 __version__ = "0.1.0"
 
@@ -48,5 +43,5 @@ __all__ = [
     "empirical_mse", "inverse_fourier_coeffs",
     "lf_d0minus", "lf_dW", "lf_dvu", "minimality_value", "missing_indices",
     "mse_of_characteristic", "numerical_lf", "project", "saddle_check",
-    "simulate", "simulate_chunks", "solve", "solve_truncated", "weight_vector",
+    "simulate_chunks", "solve", "solve_truncated",
 ]

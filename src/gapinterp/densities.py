@@ -292,8 +292,9 @@ class RationalAR(SpectralDensity):
 @dataclass(frozen=True)
 class InversePolynomial(SpectralDensity):
     """1/f(lambda) = sum_m b(m) e^{im lambda} with finite Hermitian b. A b with max |b(m) -
-    conj b(-m)| <= 1e-10 max(max |b|, 1) is held as its Hermitian part, b(m) - (b(m) - conj b(-m))
-    / 2 at m >= 0 mirrored to -m, so that 1/f is real on every grid; a Hermitian b is kept.
+    conj b(-m)| <= 1e-10 max |b|, in whatever units, is held as its Hermitian part, b(m) -
+    (b(m) - conj b(-m)) / 2 at m >= 0 mirrored to -m, so that 1/f is real on every grid; a
+    Hermitian b is kept.
     The held b is then judged on the whole circle, with no grid (certify_positive)."""
 
     inv_coeffs: FourierCoeffs
@@ -303,7 +304,7 @@ class InversePolynomial(SpectralDensity):
         b = self.inv_coeffs.values
         skew = b - b[::-1].conj()
         dev = abs(skew).max()
-        if not dev <= 1e-10 * max(abs(b).max(), 1.0):  # NaN fails
+        if not dev <= 1e-10 * abs(b).max():  # NaN fails
             raise InvalidParameters("inverse-polynomial coefficients must be Hermitian")
         if dev:
             right = b[b.size // 2:] - 0.5 * skew[b.size // 2:]

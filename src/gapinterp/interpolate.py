@@ -164,10 +164,6 @@ class InterpolationSolution:
     b: FourierCoeffs
     convergence: dict = field(default_factory=dict)
 
-    def coefficient(self, j: int) -> complex:
-        pos = self.indices.index(j)
-        return complex(self.c[pos])
-
     @cached_property
     def h_coeffs(self) -> dict:
         """h(j) = a(j) - sum_k c(k) b(j - k), one convolution, when 1/f has
@@ -259,12 +255,14 @@ def error_value(c: np.ndarray, a: np.ndarray) -> float:
     definite, so an imaginary part beyond rounding raises NotPositiveDefinite.
     A Delta that is not finite raises NonFiniteSolution; it is whenever some
     c(j) is (a 1/f near the float underflow overflows c), since a 0 * inf
-    term is NaN."""
+    term is NaN, and when the sum overflows though every c(j) is finite (large
+    weights), which its message then says."""
     inner = complex(np.vdot(a, c))
     if not cmath.isfinite(inner):
         bad = int(np.count_nonzero(~np.isfinite(c)))
         raise NonFiniteSolution(
-            f"the error value is not finite ({bad} of {c.size} coefficients are not)",
+            f"the error value is not finite ({bad} of {c.size} coefficients are not)" if bad
+            else f"the error value overflowed, though all {c.size} coefficients are finite",
             diagnostics={"non_finite": bad, "unknowns": c.size})
     # the bound is at least 1e-10 |inner|, so the scale is read only past that
     if abs(inner.imag) > 1e-10 * abs(inner):
@@ -274,14 +272,20 @@ def error_value(c: np.ndarray, a: np.ndarray) -> float:
     return inner.real  # a Python float: inner is a Python complex
 
 
-def scaled_norm(a: np.ndarray) -> float:
-    """||a||_2, taken on a divided by the largest power of two not above
-    max|a|, so that it does not underflow where the squares of a do (below
-    about 1e-154); 0 for a = 0. The scaling is exact, so wherever
-    np.linalg.norm(a) neither underflows nor overflows the two agree to the bit."""
+def power_of_two(a: np.ndarray) -> float:
+    """The largest power of two not above max|a| (1 for a = 0). Dividing a by it
+    is exact and brings max|a| into [1, 2), so that the squares of a neither
+    underflow (below about 1e-154) nor overflow."""
     top = float(np.max(np.abs(a)))
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    return scale * float(np.linalg.norm(a / scale)) if top > 0 else 0.0
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0 else 1.0
+
+
+def scaled_norm(a: np.ndarray) -> float:
+    """||a||_2, taken on a / power_of_two(a), so that it does not underflow
+    where the squares of a do; 0 for a = 0. The scaling is exact, so wherever
+    np.linalg.norm(a) neither underflows nor overflows the two agree to the bit."""
+    unit = power_of_two(a)
+    return unit * float(np.linalg.norm(a / unit))
 
 
 def mse_of_characteristic(

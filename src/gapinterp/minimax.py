@@ -61,7 +61,7 @@ from .errors import (
 from .interpolate import (
     InterpolationSolution,
     error_value,
-    scaled_norm,
+    power_of_two,
     solve,
     solve_gram,
 )
@@ -135,7 +135,8 @@ class DVU:
     def validate(self, grid_size: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
         """The grid values (v, u) of the bounds, once checked: v > 0 on the grid (a v that is
         zero somewhere raises InvalidParameters), v <= u at the nodes of each tabulated bound
-        (on the grid when neither is tabulated), and p within the range of mean(1/f). The
+        (on the grid when neither is tabulated), and p within 1e-12 relative of the range of
+        mean(1/f), so that the decision does not depend on the units of f. The
         interpolant of a table rings between its nodes, so u is raised to v on the grid
         wherever the two cross there."""
         v = self.v.on_grid(grid_size)
@@ -146,7 +147,7 @@ class DVU:
             raise InvalidParameters("lower density exceeds upper density")
         u = np.maximum(self.u.on_grid(grid_size), v)
         lo, hi = float(np.mean(1.0 / u)), float(np.mean(1.0 / v))
-        if not (lo - 1e-12 <= self.p <= hi + 1e-12):
+        if not (lo * (1 - 1e-12) <= self.p <= hi * (1 + 1e-12)):
             raise InfeasibleClass(
                 f"p={self.p} outside the attainable inverse-mean range [{lo:.6g}, {hi:.6g}]"
             )
@@ -187,9 +188,9 @@ def anchor_index(pattern: ObservationPattern) -> int:
 
 
 def _real(a: np.ndarray, refusal: Exception) -> np.ndarray:
-    """The real parts of the weights a; an imaginary part above
-    1e-14 max(max|a|, 1) raises `refusal`."""
-    if np.max(np.abs(a.imag)) > 1e-14 * max(float(np.max(np.abs(a))), 1.0):
+    """The real parts of the weights a; an imaginary part above 1e-14 max|a|,
+    whatever the units of a, raises `refusal`."""
+    if np.max(np.abs(a.imag)) > 1e-14 * float(np.max(np.abs(a))):
         raise refusal
     return a.real
 
@@ -249,7 +250,7 @@ def lf_d0minus(
     lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
     result = _result_from_density(pattern, weights, f0, lagrange, "closed_form", grid_size)
     expected = a_anchor ** 2 / cls.p
-    if abs(result.delta0 - expected) > 1e-8 * max(expected, 1.0):
+    if abs(result.delta0 - expected) > 1e-8 * expected:
         raise NotConverged(
             "closed-form error value disagrees with the solved system",
             diagnostics={"delta_solved": result.delta0, "delta_formula": expected},
@@ -530,7 +531,8 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
     Lower side: for dh on the observed lags, Delta(h0 + dh; f0) =
     Delta(h0; f0) + mean(|dh|^2 f0) - 2 Re sum_j conj(dh_j) r_j, with r the
     grid Fourier coefficients of e f0. lower_residual = max_{j not in K}
-    |r_j| / ||a||_2, from one FFT, passes at 1e-10.
+    |r_j| / ||a||_2, from one FFT, has the units of f0 and passes at
+    1e-10 max f0.
 
     Upper side: sup_f Delta(h0; f) = sup mean(w f) is at most upper_bound.
     - D0Minus, sub-family 1/f >= 1/f0: mean(w f0), attained at f0, by
@@ -548,50 +550,60 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
       error is at least growth / (t_max - t), growth = w(lambda*) / G
       (class_bounded is None if growth is 0).
 
-    upper_pass is upper_bound <= delta0 + 1e-8 max(delta0, 1): it covers the
-    sub-family for D0Minus and the whole class for DVU and DW (which never
-    passes). all_pass is upper_pass and lower_pass. A grid of fewer than
-    4 span(K) points raises InvalidParameters.
+    upper_pass is upper_bound <= delta0 (1 + 1e-8): it covers the sub-family
+    for D0Minus and the whole class for DVU and DW (which never passes).
+    all_pass is upper_pass and lower_pass. Every number is taken on e, a and
+    c divided by the power of two of max|a| (power_of_two, exact), so that no
+    decision depends on the units of the weights, even where their squares
+    underflow; the report gives the numbers in the caller's units. A grid of
+    fewer than 4 span(K) points raises InvalidParameters.
     """
     G = result.grid_size
-    delta0 = result.delta0
     sol = result.solution
-    k, a = np.asarray(sol.indices), sol.a
+    k = np.asarray(sol.indices)
     span = max(int(k.max() - k.min()), 1)
     if 4 * span > G:
         # the quadrature guard of inverse_fourier_coeffs for tabulated densities
         raise InvalidParameters(f"grid of {G} points is too coarse for gap span {span}")
-    e = sol.a_grid - result.h0_grid
+    unit = power_of_two(sol.a)
+
+    def caller(x):  # a scaled error in the caller's units
+        return x * unit * unit
+
+    a, delta0 = sol.a / unit, result.delta0 / unit / unit
+    e = (sol.a_grid - result.h0_grid) / unit
     w = e.real ** 2 + e.imag ** 2
     f0 = result.f0.on_grid(G)
     r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G
     r[np.mod(k, G)] = 0.0
-    lower_residual = float(np.max(r)) / (G * max(scaled_norm(a), float(np.finfo(float).tiny)))
+    lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)),
+                                                 float(np.finfo(float).tiny)))
     report = {"n_samples": 0, "lower_residual": lower_residual,
-              "lower_pass": lower_residual <= 1e-10}
+              "lower_pass": lower_residual <= 1e-10 * float(np.max(f0))}
     if isinstance(cls, DVU):
         v, u = cls.validate(G)
         g, bound = _dvu_vertex(w, 1.0 / u, 1.0 / v, cls.p)
         classical, _ = _member_error(g, k, a, span)
-        report.update(upper_set="class", class_bounded=True, upper_bound=bound,
-                      vertex_error=float(np.mean(w / g)), vertex_classical=classical,
-                      minimax_bracket=[max(delta0, classical), bound])
+        report.update(upper_set="class", class_bounded=True, upper_bound=caller(bound),
+                      vertex_error=caller(float(np.mean(w / g))),
+                      vertex_classical=caller(classical),
+                      minimax_bracket=[max(result.delta0, caller(classical)), caller(bound)])
     elif isinstance(cls, (D0Minus, DW)):
         g0 = 1.0 / f0
         j = int(np.argmin(g0))
         growth = float(w[j]) / G
         sub_family = isinstance(cls, D0Minus)
+        bound = float(np.mean(w * f0)) if sub_family else None
         report.update(
             upper_set="sub_family" if sub_family else "class",
             class_bounded=False if growth > 0 else None,
-            upper_bound=float(np.mean(w * f0)) if sub_family else None,
+            upper_bound=caller(bound) if sub_family else None,
             witness={"m": 1 if sub_family else cls.W + 1, "lambda": float(angular_grid(G)[j]),
-                     "t_max": float(g0[j]), "growth": growth},
+                     "t_max": float(g0[j]), "growth": caller(growth)},
         )
     else:
         raise InvalidParameters(f"unsupported class {type(cls).__name__}")
-    bound = report["upper_bound"]
     # plain bools and floats only: the report is written as strict JSON
-    report["upper_pass"] = bound is not None and bool(bound <= delta0 + 1e-8 * max(delta0, 1.0))
+    report["upper_pass"] = bound is not None and bool(bound <= delta0 * (1 + 1e-8))
     report["all_pass"] = report["upper_pass"] and report["lower_pass"]
     return report

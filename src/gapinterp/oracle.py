@@ -5,8 +5,9 @@ Nothing here touches the spectral-characteristic machinery, so agreement with
 the frequency-domain solver is a genuine cross-check rather than a tautology.
 The projection error is a Schur complement of the inverse Toeplitz covariance,
 from one Levinson solve and FFT products (real arithmetic for real covariances),
-and simulation draws every replicate from one random stream, CHUNK_VALUES
-draws at a time, which `empirical_mse` reduces chunk by chunk as they come.
+and `simulate_chunks` draws every replicate from one random stream, in blocks
+of at most CHUNK_VALUES draws, which `empirical_mse` reduces block by block
+as they come.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .patterns import FunctionalWeights, ObservationPattern, missing_indices
 
 # project solves in real arithmetic when max |Im r| <= REAL_RTOL r(0)
 REAL_RTOL = 1e-13
-# normal draws generated at a time by simulate
+# normal draws generated at a time by simulate_chunks
 CHUNK_VALUES = 1 << 20
 
 
@@ -147,14 +148,17 @@ def project(tp: TimeDomainProblem) -> dict:
             "target_variance": target_var}
 
 
-def simulate(
+def simulate_chunks(
     f: SpectralDensity,
     length: int,
     n_replicates: int = 1,
     seed: int = 0,
-) -> np.ndarray:
-    """Real Gaussian stationary paths with spectral density f, one per row:
-    the blocks of simulate_chunks(f, length, n_replicates, seed) stacked.
+):
+    """Real Gaussian stationary paths with spectral density f, one per row, as
+    an iterator of consecutive blocks of rows of at most CHUNK_VALUES draws
+    each (one row when a row takes more), each drawn when it is asked for.
+    Memory stays O(CHUNK_VALUES) whatever n_replicates is; the arguments are
+    checked and the sampler is built before this returns.
 
     All normal draws come from the one stream np.random.default_rng(seed):
     replicate r is the r-th block of consecutive draws, so the first j rows
@@ -178,26 +182,6 @@ def simulate(
     FFT along the rows. `gapinterp simulate` draws paths over exactly the
     indices A and its estimate read: K and the support of
     `estimate_weights_from_characteristic`.
-    """
-    chunks = simulate_chunks(f, length, n_replicates, seed)  # checks n_replicates
-    out = np.empty((n_replicates, length))
-    start = 0
-    for rows in chunks:
-        out[start:start + len(rows)] = rows
-        start += len(rows)
-    return out
-
-
-def simulate_chunks(
-    f: SpectralDensity,
-    length: int,
-    n_replicates: int = 1,
-    seed: int = 0,
-):
-    """The rows of `simulate` as an iterator of consecutive blocks of at most
-    CHUNK_VALUES draws each (one row when a row takes more), each drawn when
-    it is asked for. Memory stays O(CHUNK_VALUES) whatever n_replicates is;
-    the arguments are checked and the sampler is built before this returns.
     """
     if length < 1 or n_replicates < 1:
         raise InvalidParameters("length and n_replicates must be positive")

@@ -84,25 +84,17 @@ class ObservationPattern:
     def is_infinite(self) -> bool:
         return self.kind in INFINITE_KINDS
 
-    def left_depth(self) -> int:
-        if not self.has_left:
-            return 0
-        return self.T if self.is_infinite else self.N1
-
-    def right_depth(self) -> int:
-        if not self.has_right:
-            return 0
-        return self.T if self.is_infinite else self.N2
-
     def blocks(self) -> tuple[range, range, range]:
-        """(central, left, right) index blocks in canonical internal order; S1-S3 need T."""
+        """(central, left, right) index blocks in canonical internal order; S1-S3 need T,
+        which is then the depth of each side block, N1 and N2 the depths otherwise."""
         if self.is_infinite and self.T is None:
             raise InvalidParameters(f"{self.kind} has no truncation depth T: cut it with "
                                     f"with_truncation, or solve it with solve_truncated")
-        left = -self.M1 - 1 if self.has_left else 0
-        right = self.N + self.M2 + 1 if self.has_right else 0
-        return (range(self.N + 1), range(left, left - self.left_depth(), -1),
-                range(right, right + self.right_depth()))
+        n_left, n_right = (self.T, self.T) if self.is_infinite else (self.N1, self.N2)
+        left = range(-self.M1 - 1, -self.M1 - 1 - n_left, -1) if self.has_left else range(0)
+        right = (range(self.N + self.M2 + 1, self.N + self.M2 + 1 + n_right)
+                 if self.has_right else range(0))
+        return range(self.N + 1), left, right
 
     def with_truncation(self, T: int) -> "ObservationPattern":
         if not self.is_infinite:
@@ -252,10 +244,3 @@ def _finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidParameters(f"weight values must be finite, got {a[~np.isfinite(a)][0]}")
     return a
-
-
-def weight_vector(weights: FunctionalWeights, pattern: ObservationPattern) -> np.ndarray:
-    """Weights stacked in the canonical order of missing_indices(pattern). The
-    package's own callers build K once and gather on it (`on_gap_set`)."""
-    return weights.on_gap_set(missing_indices(pattern))
-

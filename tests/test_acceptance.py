@@ -33,7 +33,7 @@ from gapinterp.oracle import (
     empirical_mse,
     estimate_weights_from_characteristic,
     project,
-    simulate,
+    simulate_chunks,
 )
 from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
 
@@ -147,7 +147,7 @@ class TestCriterion1:
         sol = solve(S4, FunctionalWeights(values={j: 1.0 for j in [0, 1, -3, -4, -5]}),
                     RationalAR(alpha=0.5))
         assert abs(sol.delta - 412 / 51) < 1e-12
-        assert abs(sol.coefficient(-4) - 36 / 17) < 1e-12
+        assert abs(sol.c[sol.indices.index(-4)] - 36 / 17) < 1e-12
 
 
 class TestCriterion2:
@@ -194,7 +194,7 @@ class TestCriterion3:
         est = {j: v.real for j, v in
                estimate_weights_from_characteristic(sol).items()}
         margin = 60
-        paths = simulate(f, length=2 * margin + 1, n_replicates=100000, seed=17)
+        paths = simulate_chunks(f, length=2 * margin + 1, n_replicates=100000, seed=17)
         target = {j: 1.0 for j in [0, 1, -3, -4, -5]}
         em = empirical_mse(paths, est, target, origin=margin)
         elapsed = time.perf_counter() - start

@@ -249,6 +249,14 @@ class TestHermitianPart:
             assert np.max(np.abs(f.inverse_on_grid(256) - ref)) <= 1e-15 * np.max(np.abs(ref))
         assert built > 0
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -40])
+    def test_skew_judged_in_the_units_of_b(self, scale):
+        # b(-1) = 0.3 against b(1) = 0.1: the skew was allowed up to
+        # 1e-10 max(max|b|, 1), so at 2^-40 it was held as 0.2 on both sides
+        b = FourierCoeffs(scale * np.array([0.1, 0.3, 2.0, 0.1, 0.1], dtype=complex))
+        with pytest.raises(InvalidParameters, match="Hermitian"):
+            InversePolynomial(b)
+
     def test_hermitian_input_kept(self):
         b = FourierCoeffs.from_dict({0: 1.25, 1: -0.5 + 0.1j, -1: -0.5 - 0.1j})
         assert InversePolynomial(b).inv_coeffs is b
@@ -343,9 +351,20 @@ def test_solve_with_overflowing_error_refused():
     # each coefficient is finite, their inner product with the weights is not
     f = InversePolynomial(FourierCoeffs([1e-290]))
     weights = FunctionalWeights(values={0: 1e10, 2: 1e10})
-    with pytest.raises(NonFiniteSolution) as info:
+    with pytest.raises(NonFiniteSolution, match="overflowed") as info:
         solve(TINY_PATTERN, weights, f)
     assert info.value.diagnostics == {"non_finite": 0, "unknowns": 2}
+
+
+def test_overflowing_error_says_so():
+    # large weights over AR(1) 0.5: c is finite and Delta overflows, which the
+    # message gave as "0 of 3 coefficients are not" finite
+    pattern = ObservationPattern("S4", N=1, M1=2, N1=1)  # K = {0, 1, -3}
+    weights = FunctionalWeights(values={0: 1e170, 1: 1e169, -3: 1e169})
+    with pytest.raises(NonFiniteSolution) as info:
+        solve(pattern, weights, RationalAR(alpha=0.5))
+    assert str(info.value) == "the error value overflowed, though all 3 coefficients are finite"
+    assert info.value.diagnostics == {"non_finite": 0, "unknowns": 3}
 
 
 def test_solve_near_the_underflow_still_finite():
@@ -428,7 +447,7 @@ def whole_circle_reference(b, values):
     """The Hermitian test as written, then the positivity rule on the reference
     values of b's Hermitian part with the margin above: (type, message prefix) for
     a refusal, None for acceptance, "close" within the margin."""
-    if not np.max(np.abs(b - np.conj(b[::-1]))) <= 1e-10 * max(np.max(np.abs(b)), 1.0):
+    if not np.max(np.abs(b - np.conj(b[::-1]))) <= 1e-10 * np.max(np.abs(b)):
         return InvalidParameters, "inverse-polynomial coefficients"
     half = (b.size - 1) // 2
     size = np.abs(b[half:])
@@ -467,11 +486,11 @@ def whole_circle_polynomials(draw):
     assume(not 0 < np.max(np.abs(b)) < 1e-280)
     values = (values + b[q].real / scale) * scale
     skew = draw(st.sampled_from([0.0, 1e-13, 1e-11, 2e-11, 3e-11, 1e-10]))
-    # the skew's level is max(max |b|, 1): below max |b| = 1 it would swamp b (1e-290, say)
-    if skew and q and np.max(np.abs(b)) >= 1.0:
+    # the skew's level is max |b|, at every scale
+    if skew and q:
         k = np.array([complex(draw(parts), draw(parts)) for _ in range(2 * q + 1)])
         k = 0.5 * (k - np.conj(k[::-1]))
-        b = b + skew * max(np.max(np.abs(b)), 1.0) * k
+        b = b + skew * np.max(np.abs(b)) * k
     return b, values
 
 

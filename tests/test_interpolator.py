@@ -144,11 +144,11 @@ class TestSolve:
         f = RationalAR(alpha=0.5)
         p = ObservationPattern("S4", N=1, M1=2, N1=3)
         sol = solve(p, ones_weights(p), f)
-        assert abs(sol.coefficient(0) - 4 / 3) < 1e-12
-        assert abs(sol.coefficient(1) - 4 / 3) < 1e-12
-        assert abs(sol.coefficient(-3) - 28 / 17) < 1e-12
-        assert abs(sol.coefficient(-4) - 36 / 17) < 1e-12
-        assert abs(sol.coefficient(-5) - 28 / 17) < 1e-12
+        assert abs(sol.c[sol.indices.index(0)] - 4 / 3) < 1e-12
+        assert abs(sol.c[sol.indices.index(1)] - 4 / 3) < 1e-12
+        assert abs(sol.c[sol.indices.index(-3)] - 28 / 17) < 1e-12
+        assert abs(sol.c[sol.indices.index(-4)] - 36 / 17) < 1e-12
+        assert abs(sol.c[sol.indices.index(-5)] - 28 / 17) < 1e-12
         assert abs(sol.delta - 412 / 51) < 1e-12
 
     def test_white_noise(self):

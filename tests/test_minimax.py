@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapinterp.densities import (
+    FourierCoeffs,
     InversePolynomial,
     RationalAR,
     Tabulated,
@@ -39,7 +40,7 @@ from gapinterp.minimax import (
     saddle_check,
 )
 from gapinterp.oracle import build_problem
-from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices, weight_vector
+from gapinterp.patterns import FunctionalWeights, ObservationPattern, missing_indices
 
 from class_members import loop_sample_density
 
@@ -119,6 +120,19 @@ class TestD0Minus:
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1e308))
         assert res.mechanism == "closed_form"
         assert res.delta0 == 1e-308
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
+    def test_complex_weights_refused_at_any_scale(self, scale):
+        # the realness test allowed |Im a| up to 1e-14 max(max|a|, 1): at 1e-20
+        # the closed form ran on the real parts, its solve on the complex weights
+        # gave delta0 = 1.2525 s^2 against the formula's 1.0 s^2, and the
+        # self-check's slack of 1e-8 max(expected, 1) let that through
+        pattern = ObservationPattern("S5", N=0, M2=2, N2=1)  # K = {0, 3}
+        weights = FunctionalWeights(values={0: scale * (1 + 0.5j), 3: 0.1 * scale})
+        with pytest.raises(WeightsNotPositive, match="real weights"):
+            lf_d0minus(pattern, weights, D0Minus(p=1.0))
+        with pytest.raises(NotCovered, match="real weights"):
+            lf_dW(pattern, weights, DW(b_given=np.array([1.25, -0.5, 0.0, 0.0])))
 
     def test_support_and_symmetry(self):
         p = ObservationPattern("S5", N=1, M2=1, N2=1)  # K = {0, 1, 3}
@@ -551,6 +565,22 @@ class TestDVU:
         with pytest.raises(InfeasibleClass):
             lf_dvu(S5_SMALL, W_SMALL, cls)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 40])
+    def test_infeasible_p_in_any_units(self, scale):
+        # p = 1.5 times the largest attainable mean(1/f): the range was widened
+        # by 1e-12 absolute, which at bounds of 2^40 let p = 3 2^-40 through to a
+        # numerical result
+        pattern = ObservationPattern("S6", N=1, M1=2, N1=2, M2=2, N2=2)
+        weights = FunctionalWeights(values={j: 0.5 for j in missing_indices(pattern)})
+        cls = DVU(v=Tabulated(np.full(512, 0.5 * scale)), u=Tabulated(np.full(512, 1.2 * scale)),
+                  p=3.0 / scale)
+        with pytest.raises(InfeasibleClass, match="attainable"):
+            lf_dvu(pattern, weights, cls)
+        # within 1e-12 relative of the range's ends p is accepted
+        for end in (1 / 1.2, 2.0):
+            for p in (end * (1 - 5e-13), end * (1 + 5e-13)):
+                lf_dvu(pattern, weights, dataclasses.replace(cls, p=p / scale))
+
     @pytest.mark.parametrize("zeros", [slice(None), slice(0, 256), slice(7, 8)],
                              ids=["all", "half", "one"])
     def test_lower_bound_zero_somewhere_refused(self, zeros):
@@ -709,7 +739,7 @@ def loop_members(result, pattern, weights, cls, n_samples, seed):
     reach = max(abs(min(idx)), abs(max(idx))) + 10
     observed = [j for j in range(-reach, reach + 1) if j not in idx]
     lam = angular_grid(G)
-    scale = np.sqrt(float(np.sum(np.abs(weight_vector(weights, pattern)) ** 2)))
+    scale = np.sqrt(float(np.sum(np.abs(weights.on_gap_set(missing_indices(pattern))) ** 2)))
     lower = []
     for _ in range(min(n_samples, 50)):
         picks = rng.choice(observed, size=min(5, len(observed)), replace=False)
@@ -830,7 +860,7 @@ class TestSaddleBatch:
         # a perturbation of the zero characteristic that the residual points
         # to does lower the error under f0
         lam = angular_grid(res.grid_size)
-        e = poly_on_grid(missing_indices(pattern), weight_vector(weights, pattern),
+        e = poly_on_grid(missing_indices(pattern), weights.on_gap_set(missing_indices(pattern)),
                          res.grid_size)
         r = grid_fourier_coefficients(e * res.f0.on_grid(res.grid_size), 20)
         lags = np.arange(-20, 21)
@@ -950,6 +980,47 @@ class TestSaddleBatch:
         assert report["lower_residual"] <= 1e-10
         assert report["lower_pass"] is True
 
+    @pytest.mark.parametrize("family", ["d0minus", "dw"])
+    def test_lower_side_in_any_units_of_f(self, family):
+        # r, the Fourier coefficients of e f0, has the units of f; it passed at
+        # 1e-10 whatever they were, so the same saddle point given in units
+        # 2^40 larger failed its lower side with a residual near 1e-5
+        pattern = ObservationPattern("S4", N=1, M1=2, N1=1)  # K = {0, 1, -3}
+        weights = FunctionalWeights(values={0: 0.1, 1: 1.0, -3: 0.1})
+        residuals = []
+        for t in (2.0 ** -40, 1.0, 2.0 ** 40):
+            if family == "dw":
+                cls = DW(b_given=np.array([1.25, -0.5, 0.0, 0.0, 0.0]) / t)
+                res = lf_dW(pattern, weights, cls)
+            else:
+                cls = D0Minus(p=1.0 / t)
+                res = lf_d0minus(pattern, weights, cls)
+            report = saddle_check(res, cls)
+            assert report["lower_pass"] is True
+            residuals.append(report["lower_residual"] / t)
+        assert residuals[0] == residuals[1] == residuals[2]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-170])
+    def test_upper_side_at_any_weight_scale(self, scale):
+        # the vertex bound lies 0.8% above delta0 at every scale, but the slack
+        # was 1e-8 max(delta0, 1), absolute below delta0 = 1: upper_pass held at
+        # 1e-5, and at 1e-170, where the squares of the weights underflow and
+        # delta0, the bound and the bracket read 0.0, on 0 <= 0
+        pattern = ObservationPattern("S6", N=1, M1=2, N1=2, M2=2, N2=2)
+        k = missing_indices(pattern)
+        a = np.random.default_rng(0).uniform(0.2, 1.0, len(k))
+        weights = FunctionalWeights(values=dict(zip(k, scale * a)))
+        cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
+        res = lf_dvu(pattern, weights, cls)
+        report = saddle_check(res, cls)
+        assert report["lower_pass"] is True
+        assert report["upper_pass"] is False and report["all_pass"] is False
+        if scale > 1e-100:  # the report keeps the caller's units
+            assert report["upper_bound"] / scale ** 2 == pytest.approx(2.8380096833, rel=1e-9)
+            assert res.delta0 / scale ** 2 == pytest.approx(2.8157739756, rel=1e-9)
+        else:
+            assert report["upper_bound"] == res.delta0 == 0.0
+
     @pytest.mark.parametrize("grid", [32, 4096])
     def test_perturbation_scores(self, grid):
         # lags up to 20 on 32 points: none of the observed ones folds onto K
@@ -1056,3 +1127,132 @@ class TestDVUVertex:
                      - w[free] / g[free]) / G
         assert abs(bound - vertex - gap) <= 1e-12 * max(bound, 1e-300)
 
+
+
+# --- scale equivariance -------------------------------------------------------
+#
+# Delta(s a; t f) = s^2 t Delta(a; f), and a power of two s = 2^j, t = 2^(2m)
+# scales every step of a solve exactly (t's square root too), so each decision
+# must be the one taken at s = t = 1 and each error must be its value times s^2 t.
+
+
+@st.composite
+def scalable_problems(draw):
+    """A small S4-S6 pattern (N <= 2, side blocks <= 3), weights on K that are
+    positive, mixed in sign, or complex with an imaginary part far above
+    rounding, a RationalAR, InversePolynomial (perhaps skewed off Hermitian by
+    far less or far more than 1e-10 max|b|) or Tabulated density, and the three
+    classes, their p sometimes 1.5 times outside DVU's attainable range.
+    Returns pattern, weights(s) and problem(t), which maps each entry point's
+    name to the entry point and a maker of its input for a density scaled by t."""
+    kind = draw(st.sampled_from(["S4", "S5", "S6"]))
+    dims = {"N": draw(st.integers(0, 2))}
+    if kind in ("S4", "S6"):
+        dims.update(M1=draw(st.integers(1, 3)), N1=draw(st.integers(0, 3)))
+    if kind in ("S5", "S6"):
+        dims.update(M2=draw(st.integers(1, 3)), N2=draw(st.integers(0, 3)))
+    pattern = ObservationPattern(kind, **dims)
+    idx = missing_indices(pattern)
+    anchor = anchor_index(pattern)
+    style = draw(st.sampled_from(["positive", "mixed", "complex"]))
+    values = {}
+    for j in idx:
+        x = draw(st.floats(0.1, 2.0)) * (4.0 if j == anchor else 1.0)
+        if style == "mixed" and draw(st.booleans()):
+            x = -x
+        if style == "complex" and draw(st.booleans()):
+            x = x * (1 + 0.5j)
+        values[j] = x
+
+    density = draw(st.sampled_from(["ar", "inverse_poly", "tabulated"]))
+    rho, beta = draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))
+    alpha = [rho, draw(st.floats(-0.2, 0.2))]
+    d = np.array([1.0, -rho, draw(st.floats(-0.3, 0.3))])
+    b = np.correlate(d, d, "full").astype(complex)
+    b[2] += 0.1
+    b += draw(st.sampled_from([0.0, 1e-12, 1e-3])) * np.abs(b).max() * np.array(
+        [1j, 0.5, 0.0, -0.5, 1j])  # anti-Hermitian
+    table = 1.0 / np.abs(1 - rho * np.exp(-1j * angular_grid(256))) ** 2 + 0.2
+
+    def make_f(t):
+        if density == "ar":
+            return RationalAR(alpha=alpha, sigma2=t)
+        if density == "inverse_poly":
+            return InversePolynomial(FourierCoeffs(b / t))
+        return Tabulated(table * t)
+
+    b_given = np.array([1 + rho ** 2, -rho] + [0.0] * draw(st.integers(0, 3)))
+    low, ratio, constant = draw(st.floats(0.05, 1.0)), draw(st.floats(1.1, 20.0)), draw(st.booleans())
+
+    def bounds(t):
+        if constant:
+            return Tabulated(np.full(16, low * t)), Tabulated(np.full(16, low * ratio * t))
+        return (RationalAR(alpha=rho, sigma2=low * (1 - abs(rho)) ** 2 * t),
+                RationalAR(alpha=beta, sigma2=low * ratio * (1 + abs(beta)) ** 2 * t))
+
+    top, bottom = (float(np.mean(f.inverse_on_grid(4096))) for f in bounds(1.0))
+    share = draw(st.floats(0.0, 1.0))
+    if draw(st.integers(0, 3)) == 0:
+        share = draw(st.sampled_from([-0.5, 1.5]))
+    p_dvu = bottom + share * (top - bottom)
+    p_d0 = draw(st.floats(0.2, 5.0))
+
+    def problem(t):
+        return {"solve": (solve, lambda: make_f(t)),
+                "d0minus": (lf_d0minus, lambda: D0Minus(p=p_d0 / t)),
+                "dw": (lf_dW, lambda: DW(b_given=b_given / t)),
+                "dvu": (lf_dvu, lambda: DVU(*bounds(t), p=p_dvu / t))}
+
+    def weights(s):
+        return FunctionalWeights(values={j: s * x for j, x in values.items()})
+
+    return pattern, weights, problem
+
+
+def scaled_outcomes(pattern, weights, problem, j, m):
+    """Each entry point's decisions, and its errors divided by 2^(2j + 2m), for the
+    weights scaled by 2^j and the density by 2^(2m)."""
+    s, t = 2.0 ** j, 2.0 ** (2 * m)
+    w = weights(s)
+    out = {}
+    for name, (call, make_input) in problem(t).items():
+        try:
+            given = make_input()
+            res = call(pattern, w, given)
+            if name == "solve":
+                out[name] = (), {"delta": res.delta}
+                continue
+            report = saddle_check(res, given)
+        except GapInterpError as exc:
+            out[name] = type(exc).__name__, {}
+            continue
+        bracket = report.get("minimax_bracket")
+        out[name] = ((res.mechanism, report["lower_pass"], report["upper_pass"],
+                      report["all_pass"]),
+                     {"delta0": res.delta0, "upper_bound": report["upper_bound"],
+                      "bracket": None if bracket is None else tuple(bracket)})
+    factor = s * s * t
+    return {name: (decisions, {key: None if x is None else np.array(x) / factor
+                               for key, x in numbers.items()})
+            for name, (decisions, numbers) in out.items()}
+
+
+class TestScaleEquivariance:
+    @settings(max_examples=40, deadline=None)
+    @given(scalable_problems())
+    def test_decisions_and_errors_follow_the_scale(self, case):
+        pattern, weights, problem = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = scaled_outcomes(pattern, weights, problem, 0, 0)
+            for j, m in itertools.product((-60, 0, 60), (-20, 0, 20)):
+                if j == m == 0:
+                    continue
+                got = scaled_outcomes(pattern, weights, problem, j, m)
+                for name, (decisions, numbers) in ref.items():
+                    assert got[name][0] == decisions, (name, j, m)
+                    for key, x in numbers.items():
+                        y = got[name][1][key]
+                        assert (x is None) == (y is None), (name, key, j, m)
+                        if x is not None:
+                            assert np.all(np.abs(y - x) <= 1e-12 * np.abs(x)), (name, key, j, m)

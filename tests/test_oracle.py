@@ -34,15 +34,18 @@ from gapinterp.oracle import (
     empirical_mse,
     estimate_weights_from_characteristic,
     project,
-    simulate,
     simulate_chunks,
 )
 from gapinterp.patterns import (
     FunctionalWeights,
     ObservationPattern,
     missing_indices,
-    weight_vector,
 )
+
+
+def draw_rows(f, length, n_replicates=1, seed=0):
+    """The blocks of rows simulate_chunks draws, stacked into one array."""
+    return np.concatenate(list(simulate_chunks(f, length, n_replicates, seed)))
 
 
 EX_PATTERN = ObservationPattern("S4", N=1, M1=2, N1=3)
@@ -292,19 +295,19 @@ class TestProjection:
 
 class TestSimulate:
     def test_reproducible(self):
-        a = simulate(EX_DENSITY, length=64, n_replicates=4, seed=42)
-        b = simulate(EX_DENSITY, length=64, n_replicates=4, seed=42)
+        a = draw_rows(EX_DENSITY, length=64, n_replicates=4, seed=42)
+        b = draw_rows(EX_DENSITY, length=64, n_replicates=4, seed=42)
         assert np.array_equal(a, b)
-        c = simulate(EX_DENSITY, length=64, n_replicates=4, seed=43)
+        c = draw_rows(EX_DENSITY, length=64, n_replicates=4, seed=43)
         assert not np.array_equal(a, c)
 
     def test_replicates_independent_of_batch(self):
-        both = simulate(EX_DENSITY, length=32, n_replicates=2, seed=5)
-        first = simulate(EX_DENSITY, length=32, n_replicates=1, seed=5)
+        both = draw_rows(EX_DENSITY, length=32, n_replicates=2, seed=5)
+        first = draw_rows(EX_DENSITY, length=32, n_replicates=1, seed=5)
         assert np.array_equal(both[0], first[0])
 
     def test_ar_autocovariance(self):
-        paths = simulate(EX_DENSITY, length=64, n_replicates=40000, seed=1)
+        paths = draw_rows(EX_DENSITY, length=64, n_replicates=40000, seed=1)
         for lag in (0, 1, 3):
             emp = np.mean(paths[:, 10] * paths[:, 10 + lag])
             prods = paths[:, 10] * paths[:, 10 + lag]
@@ -315,7 +318,7 @@ class TestSimulate:
     def test_circulant_autocovariance(self):
         lam = angular_grid(4096)
         f = Tabulated(2.0 + np.cos(lam))
-        paths = simulate(f, length=32, n_replicates=40000, seed=2)
+        paths = draw_rows(f, length=32, n_replicates=40000, seed=2)
         for lag in (0, 1, 2):
             prods = paths[:, 5] * paths[:, 5 + lag]
             se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
@@ -327,7 +330,7 @@ class TestSimulate:
         # through circulant embedding, with r(0) = 1/(1.6^2 - 1) and r(1) = -r(0)/1.6
         sizes = embedding_sizes(monkeypatch)
         f = RationalAR(alpha=[-1.6])
-        paths = simulate(f, length=16, n_replicates=40000, seed=4)
+        paths = draw_rows(f, length=16, n_replicates=40000, seed=4)
         assert sizes == [32]
         for lag, truth in ((0, 1 / 1.56), (1, -1 / 1.56 / 1.6), (2, 1 / 1.56 / 2.56)):
             prods = paths[:, 5] * paths[:, 5 + lag]
@@ -337,22 +340,22 @@ class TestSimulate:
 
     def test_order_zero_ar(self):
         # alpha = [] raised numpy's ValueError from the routing test, with no CLI record
-        paths = simulate(RationalAR(alpha=[], sigma2=2.0), length=4, n_replicates=20000, seed=6)
+        paths = draw_rows(RationalAR(alpha=[], sigma2=2.0), length=4, n_replicates=20000, seed=6)
         se = np.std(paths[:, 1] ** 2, ddof=1) / np.sqrt(paths.shape[0])
         assert abs(np.mean(paths[:, 1] ** 2) - 2.0) < 4 * se
 
     def test_bad_arguments(self):
         with pytest.raises(InvalidParameters):
-            simulate(EX_DENSITY, length=0)
+            draw_rows(EX_DENSITY, length=0)
         with pytest.raises(InvalidParameters):
-            simulate(EX_DENSITY, length=10, n_replicates=0)
+            draw_rows(EX_DENSITY, length=10, n_replicates=0)
         with pytest.raises(InvalidParameters, match="real covariance sequence"):
-            simulate(RationalAR(alpha=0.5 * np.exp(0.7j)), length=10)
+            draw_rows(RationalAR(alpha=0.5 * np.exp(0.7j)), length=10)
 
     def test_negative_seed_refused(self):
         # default_rng raised numpy's ValueError, which the CLI did not record
         with pytest.raises(InvalidParameters, match="seed"):
-            simulate(EX_DENSITY, length=10, seed=-1)
+            draw_rows(EX_DENSITY, length=10, seed=-1)
 
     @pytest.mark.parametrize("chunk", [None, 3 * 2 * 32 + 1])
     def test_chunks_equal_one_draw(self, monkeypatch, chunk):
@@ -371,13 +374,13 @@ class TestSimulate:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((n_circ, 2, 32))
         circ = np.fft.fft(np.sqrt(np.maximum(eig, 0) / 32) * (z[:, 0] + 1j * z[:, 1]), axis=1)
-        assert np.array_equal(simulate(g, 17, n_circ, seed=4), circ.real[:, :17])
+        assert np.array_equal(draw_rows(g, 17, n_circ, seed=4), circ.real[:, :17])
 
     def test_prefix_of_a_longer_run(self, monkeypatch):
         monkeypatch.setattr(oracle, "CHUNK_VALUES", 3 * 20)
-        full = simulate(EX_DENSITY, length=20, n_replicates=11, seed=8)
+        full = draw_rows(EX_DENSITY, length=20, n_replicates=11, seed=8)
         for j in (1, 3, 4, 10):
-            assert np.array_equal(full[:j], simulate(EX_DENSITY, length=20, n_replicates=j, seed=8))
+            assert np.array_equal(full[:j], draw_rows(EX_DENSITY, length=20, n_replicates=j, seed=8))
 
 
 @st.composite
@@ -425,9 +428,9 @@ class TestARRecursion:
         # of draws, to 1e-13 relative; and a row does not depend on the chunk
         # it is drawn in (a chunk of 1 or 250 draws holds one row)
         f = RationalAR(alpha=alpha, sigma2=sigma2)
-        paths = simulate(f, length, n, seed=seed)
+        paths = draw_rows(f, length, n, seed=seed)
         with mock.patch.object(oracle, "CHUNK_VALUES", chunk):
-            assert np.array_equal(simulate(f, length, n, seed=seed), paths)
+            assert np.array_equal(draw_rows(f, length, n, seed=seed), paths)
         p = alpha.size
         if length <= p:
             return
@@ -444,7 +447,7 @@ class TestARRecursion:
         # covariances (solved densely here; 1e-8 covers its conditioning)
         f = RationalAR(alpha=alpha, sigma2=2.0)
         p = len(alpha)
-        paths = simulate(f, 30, 50, seed=12)
+        paths = draw_rows(f, 30, 50, seed=12)
         eps = np.random.default_rng(12).standard_normal((50, 30))
         r = yule_walker(alpha, 2.0)
         chol = np.linalg.cholesky(scipy.linalg.toeplitz(r[:p]))
@@ -458,7 +461,7 @@ class TestARRecursion:
         # (NonPositiveDensity: min f / max f = 6.4e-10 on the grid)
         f = RationalAR(alpha=alpha, sigma2=2.0)
         r0 = yule_walker(alpha, 2.0)[0]
-        paths = simulate(f, 41, 20000, seed=13)
+        paths = draw_rows(f, 41, 20000, seed=13)
         for t in (0, 40):
             squares = paths[:, t] ** 2
             z = (np.mean(squares) - r0) / (np.std(squares, ddof=1) / np.sqrt(squares.size))
@@ -485,12 +488,12 @@ SLOW = Tabulated(RationalAR(alpha=np.array([2 * 0.95 * np.cos(0.3), -0.95 ** 2])
 class TestEmbedding:
     def test_fast_decay_uses_the_smallest_size(self, monkeypatch):
         sizes = embedding_sizes(monkeypatch)
-        simulate(Tabulated(2.0 + np.cos(angular_grid(4096))), length=40, n_replicates=2)
+        draw_rows(Tabulated(2.0 + np.cos(angular_grid(4096))), length=40, n_replicates=2)
         assert sizes == [128]  # the least power of two >= 2 (40 - 1)
 
     def test_grows_from_the_smallest_size(self, monkeypatch):
         sizes = embedding_sizes(monkeypatch)
-        simulate(SLOW, length=20, n_replicates=2)
+        draw_rows(SLOW, length=20, n_replicates=2)
         assert sizes == [64, 128, 256]  # 256: the least power of two >= 8 * 20
 
     def test_refused_past_eight_times_the_length(self, monkeypatch):
@@ -498,7 +501,7 @@ class TestEmbedding:
         # negative eigenvalue
         sizes = embedding_sizes(monkeypatch)
         with pytest.raises(EmbeddingNotPSD, match="size 128"):
-            simulate(SLOW, length=10, n_replicates=2)
+            draw_rows(SLOW, length=10, n_replicates=2)
         assert sizes == [32, 64, 128]
 
     def test_near_unit_root_is_stationary(self):
@@ -506,7 +509,7 @@ class TestEmbedding:
         # for this AR(1); the recursion starts in its stationary state
         # (standard error of the ratio 0.007)
         f = RationalAR(alpha=0.995)
-        x0 = simulate(f, length=2, n_replicates=40000, seed=11)[:, 0]
+        x0 = draw_rows(f, length=2, n_replicates=40000, seed=11)[:, 0]
         assert abs(np.var(x0) / covariances(f, 0)[0].real - 1) < 0.035
 
     def test_near_unit_ar2_can_be_refused(self):
@@ -514,14 +517,14 @@ class TestEmbedding:
         # slowly for an embedding of 8 * 41 points. The AR itself runs its
         # recursion; its tabulated values go through the embedding
         ar = RationalAR(alpha=np.array([0.99, -0.99 ** 2]))
-        assert simulate(ar, length=41, n_replicates=2).shape == (2, 41)
+        assert draw_rows(ar, length=41, n_replicates=2).shape == (2, 41)
         with pytest.raises(EmbeddingNotPSD):
-            simulate(Tabulated(ar.on_grid(4096)), length=41, n_replicates=2)
+            draw_rows(Tabulated(ar.on_grid(4096)), length=41, n_replicates=2)
 
     def test_autocovariance_at_every_lag(self):
         # every lag the paths hold, through an embedding grown to 256 points
         length = 20
-        paths = simulate(SLOW, length=length, n_replicates=40000, seed=3)
+        paths = draw_rows(SLOW, length=length, n_replicates=40000, seed=3)
         for lag in range(length):
             prods = paths[:, 0] * paths[:, lag]
             se = np.std(prods, ddof=1) / np.sqrt(paths.shape[0])
@@ -560,7 +563,7 @@ class TestEmpiricalMse:
     def test_empirical_matches_projection(self):
         sol, est = self.solve_and_estimate()
         margin = 40
-        paths = simulate(EX_DENSITY, length=2 * margin + 1,
+        paths = draw_rows(EX_DENSITY, length=2 * margin + 1,
                          n_replicates=60000, seed=9)
         target = {j: 1.0 for j in missing_indices(EX_PATTERN)}
         em = empirical_mse(paths, est, target, origin=margin)
@@ -570,7 +573,7 @@ class TestEmpiricalMse:
     def test_perturbed_weights_do_worse(self):
         sol, est = self.solve_and_estimate()
         margin = 40
-        paths = simulate(EX_DENSITY, length=2 * margin + 1,
+        paths = draw_rows(EX_DENSITY, length=2 * margin + 1,
                          n_replicates=60000, seed=10)
         target = {j: 1.0 for j in missing_indices(EX_PATTERN)}
         base = empirical_mse(paths, est, target, origin=margin)["mean"]
@@ -580,7 +583,7 @@ class TestEmpiricalMse:
         assert perturbed > base
 
     def test_index_out_of_path(self):
-        paths = simulate(EX_DENSITY, length=11, n_replicates=2, seed=0)
+        paths = draw_rows(EX_DENSITY, length=11, n_replicates=2, seed=0)
         with pytest.raises(IndexOutOfPath):
             empirical_mse(paths, {100: 1.0}, {0: 1.0}, origin=5)
 
@@ -602,7 +605,7 @@ class TestEmpiricalMse:
     def test_errors_do_not_depend_on_the_blocks(self, monkeypatch):
         f, est, target = self.blocked_problem()
         length, n = 21, 60
-        rows = simulate(f, length, n, seed=3)
+        rows = draw_rows(f, length, n, seed=3)
         errors = np.array([empirical_mse(row, est, target, origin=10)["mean"] for row in rows])
         expected = {"mean": float(np.mean(errors)), "n_replicates": n,
                     "stderr": float(np.std(errors, ddof=1) / np.sqrt(n))}
@@ -620,7 +623,7 @@ class TestEmpiricalMse:
         # the matrix-product form of the errors sums in another order: the
         # two agree to rounding
         f, est, target = self.blocked_problem()
-        paths = simulate(f, 21, 500, seed=4)
+        paths = draw_rows(f, 21, 500, seed=4)
 
         def combination(wmap):
             return paths[:, [10 + j for j in wmap]] @ np.array(list(wmap.values()))

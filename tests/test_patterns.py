@@ -19,7 +19,6 @@ from gapinterp.patterns import (
     FunctionalWeights,
     ObservationPattern,
     missing_indices,
-    weight_vector,
 )
 
 
@@ -109,28 +108,28 @@ class TestWeights:
     def test_vector_all_ones(self):
         p = ObservationPattern("S4", N=1, M1=3, N1=3)
         w = FunctionalWeights(values={j: 1.0 for j in [0, 1, -4, -5, -6]})
-        assert np.allclose(weight_vector(w, p), np.ones(5))
+        assert np.allclose(w.on_gap_set(missing_indices(p)), np.ones(5))
 
     def test_vector_dyadic(self):
         p = ObservationPattern("S5", N=0, M2=1, N2=2)
         w = FunctionalWeights(values={0: 1.0, 2: 0.25, 3: 0.125})
-        assert np.allclose(weight_vector(w, p), [1.0, 0.25, 0.125])
+        assert np.allclose(w.on_gap_set(missing_indices(p)), [1.0, 0.25, 0.125])
 
     def test_support_mismatch(self):
         p = ObservationPattern("S5", N=0, M2=1, N2=2)
         w = FunctionalWeights(values={0: 1.0, 1: 1.0})  # index 1 is observed
         with pytest.raises(SupportMismatch):
-            weight_vector(w, p)
+            w.on_gap_set(missing_indices(p))
 
     def test_zeros_inside_support_allowed(self):
         p = ObservationPattern("S5", N=0, M2=1, N2=2)
         w = FunctionalWeights(values={0: 1.0, 2: 0.0})
-        assert np.allclose(weight_vector(w, p), [1.0, 0.0, 0.0])
+        assert np.allclose(w.on_gap_set(missing_indices(p)), [1.0, 0.0, 0.0])
 
     def test_geometric_truncated(self):
         p = ObservationPattern("S1", N=0, M1=1, T=50)
         w = FunctionalWeights(geometric=(1.0, 0.5))
-        vec = weight_vector(w, p)
+        vec = w.on_gap_set(missing_indices(p))
         assert vec.size == 51
         assert abs(vec[0] - 1.0) < 1e-15
         assert abs(vec[1] - 0.5 ** 2) < 1e-15  # index -2
@@ -143,7 +142,8 @@ class TestWeights:
                 w = FunctionalWeights(geometric=(1.7, rho))
                 per_index = np.array([complex(1.7 * rho ** abs(j)) for j in missing_indices(p)])
                 # one numpy power against Python's: equal to a few ulp
-                assert np.allclose(weight_vector(w, p), per_index, rtol=1e-15, atol=0.0)
+                assert np.allclose(w.on_gap_set(missing_indices(p)), per_index,
+                                   rtol=1e-15, atol=0.0)
 
     def test_bad_rho(self):
         with pytest.raises(InvalidParameters):
@@ -174,7 +174,7 @@ class TestWeights:
     def test_complex_values(self):
         p = ObservationPattern("S5", N=0, M2=1, N2=1)
         w = FunctionalWeights(values={0: 1 + 2j, 2: [3, 4][0]})
-        vec = weight_vector(w, p)
+        vec = w.on_gap_set(missing_indices(p))
         assert vec[0] == 1 + 2j
 
     @pytest.mark.parametrize("values", [5, [1, 2], "ab", [(0, 1, 2)], 1.5])
@@ -192,7 +192,7 @@ class TestWeights:
         finite = ObservationPattern("S5", N=0, M2=1, N2=1)
         infinite = ObservationPattern("S2", N=0, M2=1)
         k = missing_indices(finite)
-        reads = (lambda: weight_vector(w, finite), lambda: w.on(k),
+        reads = (lambda: w.on_gap_set(missing_indices(finite)), lambda: w.on(k),
                  lambda: w.on(np.array(k)), lambda: w.check_support(k),
                  lambda: w.reach(infinite), lambda: solve(finite, w, RationalAR(alpha=0.5)),
                  lambda: solve_truncated(infinite, w, RationalAR(alpha=0.5)))
@@ -207,7 +207,7 @@ class TestWeights:
         assert missing_indices(p) == [0, 1]
         w = FunctionalWeights(values={1.5: 2.0, 1: 3.0})
         with pytest.raises(InvalidParameters, match="1.5 is not an integer"):
-            weight_vector(w, p)
+            w.on_gap_set(missing_indices(p))
 
     def test_integral_keys_of_other_types_accepted(self):
         p = ObservationPattern("S5", N=1, M2=1, N2=0)
@@ -216,13 +216,14 @@ class TestWeights:
             w = FunctionalWeights(values=values)
             assert w.reach(ObservationPattern("S2", N=0, M2=1)) == 0
             assert np.array_equal(w.on([0, 1]), [0, 3])
-            assert np.array_equal(weight_vector(w, p), [0, 3])
+            assert np.array_equal(w.on_gap_set(missing_indices(p)), [0, 3])
 
 
 def per_index_missing(p):
     """K built one index at a time: central, left descending, right ascending."""
-    left = [-p.M1 - 1 - i for i in range(p.left_depth())] if p.has_left else []
-    right = [p.N + p.M2 + 1 + i for i in range(p.right_depth())] if p.has_right else []
+    left = [-p.M1 - 1 - i for i in range(p.T if p.is_infinite else p.N1)] if p.has_left else []
+    right = ([p.N + p.M2 + 1 + i for i in range(p.T if p.is_infinite else p.N2)]
+             if p.has_right else [])
     return list(range(p.N + 1)) + left + right
 
 
@@ -266,7 +267,7 @@ class TestWeightGather:
             expected = per_index_weight_vector(values, p)
         except SupportMismatch as exc:
             with pytest.raises(SupportMismatch) as got:
-                weight_vector(w, p)
+                w.on_gap_set(missing_indices(p))
             assert str(got.value) == str(exc)
             with pytest.raises(SupportMismatch) as got:
                 w.check_support(k)
@@ -276,7 +277,7 @@ class TestWeightGather:
             assert str(got.value) == str(exc)
         else:
             w.check_support(k)
-            vec = weight_vector(w, p)
+            vec = w.on_gap_set(missing_indices(p))
             assert vec.dtype == complex
             assert np.array_equal(vec, expected)
             assert np.array_equal(w.on(np.array(k)), expected)
@@ -287,7 +288,7 @@ class TestWeightGather:
 
     def test_empty_map(self):
         p = ObservationPattern("S6", N=1, M1=2, N1=3, M2=1, N2=2)
-        vec = weight_vector(FunctionalWeights(values={}), p)
+        vec = FunctionalWeights(values={}).on_gap_set(missing_indices(p))
         assert vec.dtype == complex
         assert np.array_equal(vec, np.zeros(len(missing_indices(p))))
         arr = FunctionalWeights(values={}).on(np.array(missing_indices(p)))
@@ -368,9 +369,9 @@ class TestExactCoverGather:
         assert str(reference.value) == "weights at indices [4] lie outside the missing set"
         w = FunctionalWeights(values=values)
         bad_value = FunctionalWeights(values={**values, 0: "x"})  # the support check comes first
-        reads = (lambda: weight_vector(w, p), lambda: w.on_gap_set(tuple(k)),
+        reads = (lambda: w.on_gap_set(missing_indices(p)), lambda: w.on_gap_set(tuple(k)),
                  lambda: w.on(k), lambda: solve(p, w, self.AR2),
-                 lambda: weight_vector(bad_value, p))
+                 lambda: bad_value.on_gap_set(missing_indices(p)))
         for read in reads:
             with pytest.raises(SupportMismatch) as got:
                 read()
@@ -412,7 +413,7 @@ class TestLargeGather:
         values[zero] = 0j
         w = FunctionalWeights(values=values)
         expected = per_index_weight_vector(values, p)
-        assert np.array_equal(weight_vector(w, p), expected)
+        assert np.array_equal(w.on_gap_set(missing_indices(p)), expected)
 
         grid = 8192
         sol = solve(p, w, self.AR2, grid_size=grid)
@@ -445,8 +446,8 @@ class TestLargeGather:
         k = per_index_missing(cut)
         # the expression the gather used before it took K through np.fromiter
         expected = (C * rho ** np.abs(np.array(k, dtype=float))).astype(complex)
-        assert np.array_equal(weight_vector(FunctionalWeights(geometric=(C, rho)), cut),
-                              expected)
+        assert np.array_equal(
+            FunctionalWeights(geometric=(C, rho)).on_gap_set(missing_indices(cut)), expected)
         assert np.array_equal(FunctionalWeights(geometric=(C, rho)).on(np.array(k)), expected)
         # b holds the span of the cut K, whatever grid the solution then takes
         b = f.exact_inverse_coeffs().resized(reference_half_length(k, 1))
@@ -460,27 +461,27 @@ class TestLargeGather:
     def test_values_are_converted_where_they_are_gathered(self):
         # construction keeps the values as given; the gather in on() makes
         # them complex, so a string complex() refuses is refused there, with
-        # InvalidParameters, by weight_vector and by solve alike
+        # InvalidParameters, by on_gap_set and by solve alike
         p = ObservationPattern("S5", N=0, M2=1, N2=1)
         w = FunctionalWeights(values={0: 1.0, 2: "x"})
         with pytest.raises(InvalidParameters, match="malformed string"):
-            weight_vector(w, p)
+            w.on_gap_set(missing_indices(p))
         with pytest.raises(InvalidParameters, match="malformed string"):
             w.on(np.array(missing_indices(p)))
         with pytest.raises(InvalidParameters, match="malformed string"):
             solve(p, w, self.AR2)
         with pytest.raises(InvalidParameters, match="not a number"):
-            weight_vector(FunctionalWeights(values={0: 1.0, 2: [1.0]}), p)
+            FunctionalWeights(values={0: 1.0, 2: [1.0]}).on_gap_set(missing_indices(p))
         # numpy reads None as NaN: refused with the other values that are not finite
         for bad in (None, float("nan"), float("inf"), complex(1.0, float("nan"))):
             w = FunctionalWeights(values={0: 1.0, 2: bad})
             with pytest.raises(InvalidParameters, match="finite"):
-                weight_vector(w, p)
+                w.on_gap_set(missing_indices(p))
             with pytest.raises(InvalidParameters, match="finite"):
                 w.on(np.array(missing_indices(p)))
         # values complex() accepts give complex() of themselves
         w = FunctionalWeights(values={0: "1+2j", np.int64(2): np.float64(0.5)})
-        assert np.array_equal(weight_vector(w, p), [1 + 2j, 0.5 + 0j])
+        assert np.array_equal(w.on_gap_set(missing_indices(p)), [1 + 2j, 0.5 + 0j])
 
 
 def test_nan_weight_refused_before_any_solve():
