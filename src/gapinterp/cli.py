@@ -64,15 +64,8 @@ def parse_density(spec: dict) -> densities.SpectralDensity:
 
 
 def parse_pattern(spec: dict) -> patterns.ObservationPattern:
-    return patterns.ObservationPattern(
-        kind=spec["kind"],
-        N=int(spec.get("N", 0)),
-        M1=int(spec["M1"]) if "M1" in spec else None,
-        M2=int(spec["M2"]) if "M2" in spec else None,
-        N1=int(spec["N1"]) if "N1" in spec else None,
-        N2=int(spec["N2"]) if "N2" in spec else None,
-        T=int(spec["T"]) if "T" in spec else None,
-    )
+    return patterns.ObservationPattern(spec["kind"], spec.get("N", 0),
+                                       **{k: spec.get(k) for k in ("M1", "M2", "N1", "N2", "T")})
 
 
 def parse_weights(spec: dict) -> patterns.FunctionalWeights:
@@ -205,11 +198,11 @@ def cmd_least_favourable(config: dict, args) -> dict:
     else:
         result = minimax.lf_dvu(f_pattern, weights, cls, grid_size=args.grid)
     report = minimax.saddle_check(result, cls)
+    sol = result.solution
     record = {
-        "b0": {str(m): _complex_out(result.b0[m])
-               for m in range(-result.b0.half_length, result.b0.half_length + 1)
-               if abs(result.b0[m]) > 0.0},
-        "delta0": result.delta0,
+        "b0": {str(m): _complex_out(sol.b[m])
+               for m in range(-sol.b.half_length, sol.b.half_length + 1) if abs(sol.b[m]) > 0.0},
+        "delta0": sol.delta,
         "lagrange": {k: v for k, v in result.lagrange.items()
                      if isinstance(v, (int, float, str, list))},
         "mechanism": result.mechanism,
@@ -217,8 +210,8 @@ def cmd_least_favourable(config: dict, args) -> dict:
     }
     if args.out and args.format in ("csv", "both"):
         write_csv(os.path.join(args.out, "least_favourable.csv"),
-                  ["lambda", "f0", "h0_re", "h0_im"], densities.angular_grid(result.grid_size),
-                  result.f0.on_grid(result.grid_size), result.h0_grid.real, result.h0_grid.imag)
+                  ["lambda", "f0", "h0_re", "h0_im"], densities.angular_grid(sol.grid_size),
+                  sol.f.on_grid(sol.grid_size), sol.h_grid.real, sol.h_grid.imag)
     return record
 
 

@@ -110,8 +110,12 @@ def _private(values, dtype) -> np.ndarray:
     """values as a read-only array of dtype. A writable array that np.asarray did not
     make afresh (the caller's own array, or a view of the caller's memory: a slice, an
     ndarray subclass, a buffer) is copied, so that no later edit of it reaches the
-    instance; a fresh array, or one already read-only, is kept as it is."""
-    arr = np.asarray(values, dtype=dtype)
+    instance; a fresh array, or one already read-only, is kept as it is. values that
+    numpy cannot convert to dtype raise InvalidParameters."""
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameters(f"values must be numbers: {exc}") from None
     if arr.flags.writeable:
         if arr is values or not arr.flags.owndata:
             arr = arr.copy()
@@ -263,10 +267,6 @@ class RationalAR(SpectralDensity):
     def _phi_squared(self, grid_size: int) -> np.ndarray:  # |phi| = |sum conj(d_k) e^{ik lambda}|
         conj_d = np.concatenate(([1.0], -np.conj(self.alpha)))
         return np.abs(poly_on_grid(np.arange(conj_d.size), conj_d, grid_size)) ** 2
-
-    @property
-    def order(self) -> int:
-        return self.alpha.size
 
     @_per_grid
     def on_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:

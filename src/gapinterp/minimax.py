@@ -85,8 +85,8 @@ class D0Minus:
     p: float
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise InvalidParameters("p must be positive")
+        if not 0 < self.p < np.inf:  # refuses nan
+            raise InvalidParameters(f"p must be positive and finite, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ class DW:
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b_given, dtype=float))
         object.__setattr__(self, "b_given", b)
+        if b.ndim != 1:
+            raise InvalidParameters(f"moment sequence must be one-dimensional, got shape {b.shape}")
         if b.size < 1 or b[0] <= 0:
             raise InvalidParameters("moment sequence must start with b(0) > 0")
         if not np.all(np.isfinite(b)):  # refused before the polynomial is evaluated
@@ -129,8 +131,8 @@ class DVU:
     p: float
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise InvalidParameters("p must be positive")
+        if not 0 < self.p < np.inf:  # refuses nan
+            raise InvalidParameters(f"p must be positive and finite, got {self.p}")
 
     def validate(self, grid_size: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
         """The grid values (v, u) of the bounds, once checked: v > 0 on the grid (a v that is
@@ -156,14 +158,15 @@ class DVU:
 
 @dataclass(frozen=True)
 class LeastFavourableResult:
-    f0: SpectralDensity
-    b0: FourierCoeffs
-    h0_grid: np.ndarray
-    delta0: float
-    lagrange: dict
+    """The classical solution under the least favourable density f0, and how f0
+    was found. Every number of the saddle point is read from the solution: f0
+    is solution.f, the Fourier coefficients b0 of 1/f0 solution.b, delta0
+    solution.delta and h0 = A - C/f0 solution.h_grid, on the grid of
+    solution.grid_size points."""
+
     solution: InterpolationSolution
     mechanism: str
-    grid_size: int
+    lagrange: dict
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -212,16 +215,6 @@ def _closed_form_density(b0: FourierCoeffs, refusal: str) -> InversePolynomial:
         raise PositivityLost(refusal, diagnostics=exc.diagnostics) from None
 
 
-def _result_from_density(pattern, weights, f0, lagrange, mechanism, grid_size,
-                         diagnostics=None):
-    sol = solve(pattern, weights, f0, grid_size=grid_size)
-    return LeastFavourableResult(
-        f0=f0, b0=sol.b, h0_grid=sol.h_grid, delta0=sol.delta, lagrange=lagrange, solution=sol,
-        mechanism=mechanism, grid_size=grid_size,
-        diagnostics=diagnostics or {},
-    )
-
-
 # ---------------------------------------------------------------------------
 # D0Minus closed form
 # ---------------------------------------------------------------------------
@@ -235,27 +228,24 @@ def lf_d0minus(
     """The anchored closed form (module docstring). Weights that are not real and positive
     raise WeightsNotPositive, and a form whose 1/f is not positive on the circle raises
     PositivityLost with the minimum of 1/f on the deciding grid as diagnostics["inv_min"]."""
-    if pattern.kind == "S3":
-        raise NotCovered("two-sided infinite gaps have no anchored closed form")
+    anchor = anchor_index(pattern)
     idx = missing_indices(pattern)
     a = _real(weights.on_gap_set(idx), WeightsNotPositive("closed form requires real weights"))
     if np.min(a) <= 0:
         raise WeightsNotPositive("closed form requires strictly positive weights")
-    anchor = anchor_index(pattern)
     a_anchor = float(a[idx.index(anchor)])
     b0 = FourierCoeffs.from_dict({sign * (anchor - n): cls.p * a_n / a_anchor
                                   for n, a_n in zip(idx, a) for sign in (1, -1)})
     f0 = _closed_form_density(b0, "the anchored closed form is not a valid density "
                                   "for these weights")
-    lagrange = {"alpha": a_anchor / cls.p, "anchor": anchor}
-    result = _result_from_density(pattern, weights, f0, lagrange, "closed_form", grid_size)
+    sol = solve(pattern, weights, f0, grid_size=grid_size)
     expected = a_anchor ** 2 / cls.p
-    if abs(result.delta0 - expected) > 1e-8 * expected:
+    if abs(sol.delta - expected) > 1e-8 * expected:
         raise NotConverged(
             "closed-form error value disagrees with the solved system",
-            diagnostics={"delta_solved": result.delta0, "delta_formula": expected},
+            diagnostics={"delta_solved": sol.delta, "delta_formula": expected},
         )
-    return result
+    return LeastFavourableResult(sol, "closed_form", {"alpha": a_anchor / cls.p, "anchor": anchor})
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +376,8 @@ def lf_dW(
     lagrange = {"p": dict(zip(idx[on].tolist(), c.tolist())),
                 "solved_lags": dict(zip(unknown_lags.tolist(), x.tolist())),
                 "newton_residual": residual}
-    return _result_from_density(pattern, weights, f0, lagrange,
-                                "degenerate" if W >= span else "newton", grid_size)
+    return LeastFavourableResult(solve(pattern, weights, f0, grid_size=grid_size),
+                                 "degenerate" if W >= span else "newton", lagrange)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +395,12 @@ def lf_dvu(
     if np.max(np.abs(u - v)) <= 1e-12 * np.max(u):  # pinned: the class holds v alone
         if abs(minimality_value(cls.v, grid_size) - cls.p) > 1e-8 * cls.p:
             raise InfeasibleClass("pinned class does not meet the inverse-mean constraint")
-        return _result_from_density(pattern, weights, cls.v, {}, "pinned", grid_size)
+        return LeastFavourableResult(solve(pattern, weights, cls.v, grid_size=grid_size),
+                                     "pinned", {})
 
     try:
         base = lf_d0minus(pattern, weights, D0Minus(p=cls.p), grid_size=grid_size)
-        f0_vals = base.f0.on_grid(grid_size)
+        f0_vals = base.solution.f.on_grid(grid_size)
         tol = 1e-12 * float(np.max(u))
         if np.all(f0_vals >= v - tol) and np.all(f0_vals <= u + tol):
             return replace(base, lagrange={**base.lagrange, "lower_active": [], "upper_active": []})
@@ -468,7 +459,10 @@ def numerical_lf(
     the saddle certificate, _knapsack(|C|^2 g^2 / (lo hi), lo, hi, p), and
     climbs on from there if Delta is larger. Delta grows strictly at every
     move among finitely many vertices, so the ascent ends, with no tolerance
-    and no step limit; diagnostics["iterations"] counts its Gram solves.
+    and no step limit; diagnostics["iterations"] counts its Gram solves. It
+    climbs on a divided by power_of_two(a), which is exact, so no move depends
+    on the units of the weights, even where their Gram errors would
+    underflow; the result is the solve of the caller's weights under f0.
 
     delta0 is a local maximum: maximizing a convex function over a polytope
     is NP-hard in general. Its guarantee is saddle_check's minimax_bracket,
@@ -483,6 +477,7 @@ def numerical_lf(
         raise NotCovered(f"numerical_lf maximizes over DVU only, not {type(cls).__name__}")
     idx = missing_indices(pattern)
     a = weights.on_gap_set(idx)
+    a = a / power_of_two(a)
     k = np.asarray(idx)
     span = int(k.max() - k.min())
     G = max(OPT_GRID, 4 * span)
@@ -514,8 +509,8 @@ def numerical_lf(
     slack = 1e-6 * float(np.max(u))
     lagrange = {"lower_active": np.flatnonzero(f0.values <= v + slack).tolist(),
                 "upper_active": np.flatnonzero(f0.values >= u - slack).tolist()}
-    return _result_from_density(pattern, weights, f0, lagrange, "numerical", G,
-                                {"iterations": solves})
+    return LeastFavourableResult(solve(pattern, weights, f0, grid_size=G), "numerical",
+                                 lagrange, {"iterations": solves})
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +518,11 @@ def numerical_lf(
 # ---------------------------------------------------------------------------
 
 def saddle_check(result: LeastFavourableResult, cls) -> dict:
-    """Certify the saddle inequalities around (h0, f0) on the result's grid of G
-    points for the problem it solved: K, a and A (a_grid) from result.solution, f0
-    by on_grid(G) as the solve read it. e = A - h0, w = |e|^2; no member is drawn
-    (n_samples 0).
+    """Certify the saddle inequalities around (h0, f0) for the problem the result
+    solved, every number read from result.solution: K, a, A (a_grid), h0
+    (h_grid), delta0 (delta), and f0 (f) by on_grid(G) on its grid of G =
+    grid_size points, as the solve read it. e = A - h0, w = |e|^2; no member
+    is drawn (n_samples 0).
 
     Lower side: for dh on the observed lags, Delta(h0 + dh; f0) =
     Delta(h0; f0) + mean(|dh|^2 f0) - 2 Re sum_j conj(dh_j) r_j, with r the
@@ -558,8 +554,8 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
     underflow; the report gives the numbers in the caller's units. A grid of
     fewer than 4 span(K) points raises InvalidParameters.
     """
-    G = result.grid_size
     sol = result.solution
+    G = sol.grid_size
     k = np.asarray(sol.indices)
     span = max(int(k.max() - k.min()), 1)
     if 4 * span > G:
@@ -570,10 +566,10 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
     def caller(x):  # a scaled error in the caller's units
         return x * unit * unit
 
-    a, delta0 = sol.a / unit, result.delta0 / unit / unit
-    e = (sol.a_grid - result.h0_grid) / unit
+    a, delta0 = sol.a / unit, sol.delta / unit / unit
+    e = (sol.a_grid - sol.h_grid) / unit
     w = e.real ** 2 + e.imag ** 2
-    f0 = result.f0.on_grid(G)
+    f0 = sol.f.on_grid(G)
     r = np.abs(np.fft.fft(e * f0))  # G |r_j| at the lags j mod G
     r[np.mod(k, G)] = 0.0
     lower_residual = float(np.max(r)) / (G * max(float(np.linalg.norm(a)),
@@ -587,7 +583,7 @@ def saddle_check(result: LeastFavourableResult, cls) -> dict:
         report.update(upper_set="class", class_bounded=True, upper_bound=caller(bound),
                       vertex_error=caller(float(np.mean(w / g))),
                       vertex_classical=caller(classical),
-                      minimax_bracket=[max(result.delta0, caller(classical)), caller(bound)])
+                      minimax_bracket=[max(sol.delta, caller(classical)), caller(bound)])
     elif isinstance(cls, (D0Minus, DW)):
         g0 = 1.0 / f0
         j = int(np.argmin(g0))

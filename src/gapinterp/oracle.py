@@ -207,7 +207,7 @@ def _ar_sampler(f: RationalAR, length: int):
     transposed order ((a_m y(t-m) + a_(m-1) y(t-m+1)) + ...) + sqrt(v_m) e(t),
     so a row does not depend on its chunk.
     """
-    p = f.order
+    p = f.alpha.size
     coefs, var = [f.alpha.real], [f.sigma2]
     for _ in range(p):  # step down from order m to m - 1
         a, k = coefs[0][:-1], coefs[0][-1]  # |k| < 1 for every root inside the circle

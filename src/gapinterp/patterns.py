@@ -11,6 +11,9 @@ The missing set K is always emitted in the canonical order
     central {0..N}, left {-M1-1, -M1-2, ...}, right {N+M2+1, N+M2+2, ...},
 
 which matches the stacked coefficient-vector layout used by the Gram systems.
+The sizes N, M1, M2, N1, N2 and T follow the rule of the weight keys: each is
+a number equal to an integer, held as an int (3.0 and np.int64(3) are 3), and
+anything else raises InvalidParameters.
 Each block is a `range` (step -1 on the left). An explicit map is kept as the
 caller gave it, after one `dict()` copy; its values become complex, and are
 checked, only where they are gathered. `on_gap_set()` gathers K as `blocks()`
@@ -53,6 +56,11 @@ class ObservationPattern:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameters(f"unknown pattern kind {self.kind!r}")
+        sizes = (self.N, self.M1, self.M2, self.N1, self.N2, self.T)
+        if self.N is None or not {int, type(None)}.issuperset(map(type, sizes)):
+            for name, size in zip(("N", "M1", "M2", "N1", "N2", "T"), sizes):
+                if size is not None or name == "N":
+                    object.__setattr__(self, name, _integer(size, f"pattern size {name}"))
         if self.N < 0:
             raise InvalidParameters("N must be >= 0")
         if self.has_left:
@@ -177,23 +185,17 @@ class FunctionalWeights:
             reach = max(reach, max(values) - pattern.N - pattern.M2)
         return reach
 
-    def check_support(self, indices) -> None:
-        """Refuse explicit weights at indices outside the missing set K."""
-        if self._values is None:
-            return
-        outside = sorted(self._int_keyed().keys() - indices)
-        if outside:
-            raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
-
     def on(self, indices) -> np.ndarray:
-        """The weights at the indices of K, an int array, a list or a tuple, after
-        the support check; an explicit value that is not a finite number raises
-        InvalidParameters. A geometric profile reads the indices with one
-        np.asarray."""
+        """The weights at the indices of K, an int array, a list or a tuple.
+        Explicit weights at indices outside them raise SupportMismatch, and an
+        explicit value that is not a finite number raises InvalidParameters. A
+        geometric profile reads the indices with one np.asarray."""
         if self._geometric is not None:
             c, rho = self._geometric
             return (c * rho ** np.abs(np.asarray(indices, dtype=float))).astype(complex)
-        self.check_support(indices)
+        outside = sorted(self._int_keyed().keys() - indices)
+        if outside:
+            raise SupportMismatch(f"weights at indices {outside} lie outside the missing set")
         try:
             a = np.fromiter(map(self._int_keyed().get, indices, repeat(0j)), complex,
                             count=len(indices))
@@ -219,23 +221,25 @@ class FunctionalWeights:
         return self.on(indices)
 
 
+def _integer(x, name: str) -> int:
+    """x as an int, for a number equal to an integer (3.0, np.int64(3) and
+    3+0j give 3); anything else ("3", None, NaN, 1.5) raises
+    InvalidParameters. Such a number hashes as the integer does, so a weight
+    key of this kind is found by the lookups of on_gap_set() too."""
+    try:
+        j = int(x.real)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        j = None
+    if j is None or j != x:
+        raise InvalidParameters(f"{name} {x!r} is not an integer")
+    return j
+
+
 def _int_keys(values: dict) -> dict:
-    """values with each key made an int; a key that is not a number equal to
-    an integer raises InvalidParameters."""
+    """values with each key made an int by _integer."""
     if {int}.issuperset(map(type, values)):
         return values
-    keys = []
-    for key in values:
-        # a number equal to an integer hashes as the integer does, so the
-        # lookups of on_gap_set() find it too; "2", None, NaN, 1.5 are refused
-        try:
-            j = int(key.real)
-        except (AttributeError, TypeError, ValueError, OverflowError):
-            j = None
-        if j is None or j != key:
-            raise InvalidParameters(f"weight index {key!r} is not an integer")
-        keys.append(j)
-    return dict(zip(keys, values.values()))
+    return {_integer(key, "weight index"): value for key, value in values.items()}
 
 
 def _finite(a: np.ndarray) -> np.ndarray:

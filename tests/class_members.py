@@ -32,7 +32,7 @@ def loop_sample_density(cls, result, rng, G):
     from rng around the least-favourable result."""
     lam = angular_grid(G)
     if isinstance(cls, D0Minus):
-        base = result.f0.inverse_on_grid(G)
+        base = result.solution.f.inverse_on_grid(G)
         deg = rng.integers(1, 6)
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         poly = np.zeros(G, dtype=complex)

@@ -220,14 +220,14 @@ class TestCriterion5:
     def test_mean_constrained_class(self):
         cls = D0Minus(p=1.0)
         res = lf_d0minus(LF_PATTERN, LF_WEIGHTS, cls)
-        exact_mean = res.b0[0] == 1.0
+        exact_mean = res.solution.b[0] == 1.0
         rep = saddle_check(res, cls)
         # the error of f0 from the independent time-domain projection
-        proj = project(build_problem(LF_PATTERN, LF_WEIGHTS, res.f0, window=60))["mse"]
-        rel = abs(proj - res.delta0) / res.delta0
+        proj = project(build_problem(LF_PATTERN, LF_WEIGHTS, res.solution.f, window=60))["mse"]
+        rel = abs(proj - res.solution.delta) / res.solution.delta
         ok = exact_mean and rep["all_pass"] and rel <= 1e-8
         report(5, ok, f"saddle: sub-family bound {rep['upper_bound']:.6g} against delta0 "
-                      f"{res.delta0:.6g}, lower residual {rep['lower_residual']:.1e}, "
+                      f"{res.solution.delta:.6g}, lower residual {rep['lower_residual']:.1e}, "
                       f"projection gap {rel:.2e}")
 
 
@@ -238,9 +238,9 @@ class TestCriterion6:
         rng = np.random.default_rng(6)
         worst = 0.0
         for _ in range(20):
-            f = loop_sample_density(cls_d, res_d, rng, res_d.grid_size)
-            d = solve(LF_PATTERN, LF_WEIGHTS, f, grid_size=res_d.grid_size).delta
-            worst = max(worst, abs(d - res_d.delta0) / res_d.delta0)
+            f = loop_sample_density(cls_d, res_d, rng, res_d.solution.grid_size)
+            d = solve(LF_PATTERN, LF_WEIGHTS, f, grid_size=res_d.solution.grid_size).delta
+            worst = max(worst, abs(d - res_d.solution.delta) / res_d.solution.delta)
         degenerate_ok = res_d.mechanism == "degenerate" and worst < 1e-8
 
         pattern = ObservationPattern("S5", N=0, M2=2, N2=1)
@@ -248,7 +248,7 @@ class TestCriterion6:
         cls_n = DW(b_given=np.array([1.25, -0.5]))
         res_n = lf_dW(pattern, weights, cls_n)
         resid = res_n.lagrange["newton_residual"]
-        inv_grid = res_n.f0.inverse_on_grid(4096)
+        inv_grid = res_n.solution.f.inverse_on_grid(4096)
         moments = grid_fourier_coefficients(inv_grid, 1).real
         moment_err = max(abs(moments[1] - 1.25), abs(moments[2] + 0.5))
         newton_ok = resid < 1e-10 and moment_err < 1e-9
@@ -263,22 +263,22 @@ class TestCriterion7:
                    u=Tabulated(np.full(512, 20.0)), p=1.0)
         res_wide = lf_dvu(LF_PATTERN, LF_WEIGHTS, wide)
         base = lf_d0minus(LF_PATTERN, LF_WEIGHTS, D0Minus(p=1.0))
-        inactive_ok = abs(res_wide.delta0 - base.delta0) <= 1e-12
+        inactive_ok = abs(res_wide.solution.delta - base.solution.delta) <= 1e-12
 
         tight = DVU(v=Tabulated(np.full(512, 0.5)),
                     u=Tabulated(np.full(512, 1.2)), p=1.0)
         res_t = lf_dvu(LF_PATTERN, LF_WEIGHTS, tight)
-        f0 = res_t.f0.on_grid(res_t.grid_size)
+        f0 = res_t.solution.f.on_grid(res_t.solution.grid_size)
         bounds_ok = bool(np.all(f0 >= 0.5 - 1e-9) and np.all(f0 <= 1.2 + 1e-9))
         rng = np.random.default_rng(7)
         dominated = 0
         for _ in range(100):
-            f = loop_sample_density(tight, res_t, rng, res_t.grid_size)
-            d = solve(LF_PATTERN, LF_WEIGHTS, f, grid_size=res_t.grid_size).delta
-            if d <= res_t.delta0 * (1 + 1e-6):
+            f = loop_sample_density(tight, res_t, rng, res_t.solution.grid_size)
+            d = solve(LF_PATTERN, LF_WEIGHTS, f, grid_size=res_t.solution.grid_size).delta
+            if d <= res_t.solution.delta * (1 + 1e-6):
                 dominated += 1
         ok = inactive_ok and bounds_ok and dominated == 100
-        report(7, ok, f"inactive gap {abs(res_wide.delta0 - base.delta0):.2e}, "
+        report(7, ok, f"inactive gap {abs(res_wide.solution.delta - base.solution.delta):.2e}, "
                       f"dominated {dominated}/100")
 
 

@@ -334,6 +334,23 @@ class TestLeastFavourable:
         assert rec["saddle_report"]["lower_residual"] <= 1e-10
         assert rec["saddle_report"]["lower_pass"] is True
 
+    def test_tiny_weights_climb_as_at_unit_scale(self, tmp_path):
+        # the vertex ascent ran on the caller's weights: near 1e-170 every
+        # Gram error underflowed and it stopped at its start, with no point
+        # on either bound, where its twin at 1e170 times the weights has 170
+        # and 341
+        tiny = {"0": 1e-170, "1": 1e-171, "-3": 1e-171}
+        config = {
+            "pattern": {"kind": "S4", "N": 1, "M1": 2, "N1": 1},
+            "class": {"type": "dvu", "v": {"type": "tabulated", "values": [0.5] * 64},
+                      "u": {"type": "tabulated", "values": [2.0] * 64}, "p": 1.0},
+        }
+        records = [run(tmp_path, "least-favourable", {**config, "weights": {"values": values}})[1]
+                   for values in (tiny, {j: v * 1e170 for j, v in tiny.items()})]
+        assert records[0]["lagrange"] == records[1]["lagrange"]
+        assert len(records[0]["lagrange"]["lower_active"]) == 170
+        assert len(records[0]["lagrange"]["upper_active"]) == 341
+
     def test_zero_weights_saddle_report_is_strict_json(self, tmp_path):
         # with a = 0 the lower residual was divided by numpy's tiny, a numpy
         # float, whose comparison gave a numpy bool that json could not write
@@ -366,6 +383,17 @@ class TestFailureRecords:
         assert code == 1
         assert rec["error"] == "ValidationError"
         assert rec["category"] == "validation"
+
+    def test_pattern_size_that_is_not_an_integer_refused(self, tmp_path):
+        # parse_pattern truncated 1.5 to 1 and the run exited 0
+        config = {**EX_CONFIG, "pattern": {**EX_CONFIG["pattern"], "N": 1.5}}
+        code, rec, _ = run(tmp_path, "interpolate", config)
+        assert code == 1
+        assert rec["error"] == "InvalidParameters" and rec["category"] == "validation"
+        # an integral float is the integer
+        code, rec, _ = run(tmp_path, "interpolate",
+                           {**EX_CONFIG, "pattern": {**EX_CONFIG["pattern"], "N1": 3.0}})
+        assert code == 0 and rec == run(tmp_path, "interpolate", EX_CONFIG)[1]
 
     def test_unknown_class_is_validation_error(self, tmp_path):
         code, rec, _ = run(tmp_path, "least-favourable",

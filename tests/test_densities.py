@@ -170,7 +170,7 @@ class TestInverseCoefficients:
         # one array at the padded length, bit for bit the short expansion padded
         f = RationalAR(alpha=np.array(alpha))
         b = f.exact_inverse_coeffs(half_length)
-        padded = f.exact_inverse_coeffs().resized(max(half_length, f.order))
+        padded = f.exact_inverse_coeffs().resized(max(half_length, f.alpha.size))
         assert np.array_equal(b.values, padded.values)
         assert b.degree == degree == FourierCoeffs(b.values).degree
 

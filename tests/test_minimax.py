@@ -102,7 +102,7 @@ class TestOneGapSetRead:
 class TestD0Minus:
     def test_mean_constraint_exact(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        assert res.b0[0] == 1.0  # exact, not approximate
+        assert res.solution.b[0] == 1.0  # exact, not approximate
 
     def test_mean_constraint_off_by_rounding(self):
         # b0(0) = p a(n*) / a(n*) rounds away from p in the last bit here
@@ -111,7 +111,7 @@ class TestD0Minus:
         w = FunctionalWeights(values={0: anchor, 2: 0.6})
         res = lf_d0minus(S5_SMALL, w, D0Minus(p=p_val))
         assert res.mechanism == "closed_form"
-        assert abs(res.delta0 - anchor ** 2 / p_val) < 1e-10 * anchor ** 2 / p_val
+        assert abs(res.solution.delta - anchor ** 2 / p_val) < 1e-10 * anchor ** 2 / p_val
 
     def test_mean_near_the_float_range(self):
         # 1/f0 = 1e308 (1 + 0.4 cos 2 lambda): the sum c(m) + conj c(-m) of its
@@ -119,7 +119,7 @@ class TestD0Minus:
         # this suite), and with warnings off PositivityLost for a valid density
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1e308))
         assert res.mechanism == "closed_form"
-        assert res.delta0 == 1e-308
+        assert res.solution.delta == 1e-308
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
     def test_complex_weights_refused_at_any_scale(self, scale):
@@ -138,7 +138,7 @@ class TestD0Minus:
         p = ObservationPattern("S5", N=1, M2=1, N2=1)  # K = {0, 1, 3}
         w = FunctionalWeights(values={0: 1.0, 1: 0.3, 3: 0.1})
         res = lf_d0minus(p, w, D0Minus(p=2.0))
-        b0 = res.b0
+        b0 = res.solution.b
         nonzero = {m for m in range(-b0.half_length, b0.half_length + 1)
                    if abs(b0[m]) > 0}
         assert nonzero == {0, 1, -1, 3, -3}
@@ -148,7 +148,7 @@ class TestD0Minus:
     def test_error_value_formula(self):
         for p_val in (0.5, 1.0, 3.0):
             res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=p_val))
-            assert abs(res.delta0 - 1.0 / p_val) < 1e-10 / p_val
+            assert abs(res.solution.delta - 1.0 / p_val) < 1e-10 / p_val
 
     def test_coefficients_concentrate_at_anchor(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
@@ -159,15 +159,15 @@ class TestD0Minus:
     def test_density_scales_inversely_with_p(self):
         r1 = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         r2 = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=2.0))
-        f1 = r1.f0.on_grid(512)
-        f2 = r2.f0.on_grid(512)
+        f1 = r1.solution.f.on_grid(512)
+        f2 = r2.solution.f.on_grid(512)
         assert np.allclose(f2, f1 / 2.0, atol=1e-12)
-        assert abs(r2.delta0 - r1.delta0 / 2.0) < 1e-10
+        assert abs(r2.solution.delta - r1.solution.delta / 2.0) < 1e-10
 
     def test_characteristic_mse_attains_delta0(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        val = mse_of_characteristic(res.h0_grid, S5_SMALL, W_SMALL, res.f0)
-        assert abs(val - res.delta0) < 1e-8 * res.delta0
+        val = mse_of_characteristic(res.solution.h_grid, S5_SMALL, W_SMALL, res.solution.f)
+        assert abs(val - res.solution.delta) < 1e-8 * res.solution.delta
 
     def test_positivity_failure_flagged(self):
         # a half-empty result with delta0 = nan was returned
@@ -199,7 +199,7 @@ class TestD0Minus:
         w = FunctionalWeights(geometric=(1.0, 0.25))
         res = lf_d0minus(p, w, D0Minus(p=1.0))
         assert res.mechanism == "closed_form"
-        assert abs(res.delta0 - 1.0) < 1e-8  # a(0)^2 / p
+        assert abs(res.solution.delta - 1.0) < 1e-8  # a(0)^2 / p
 
     def test_saddle_check_passes(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
@@ -207,7 +207,7 @@ class TestD0Minus:
         assert report["all_pass"]
         assert report["upper_set"] == "sub_family" and report["upper_pass"]
         # the sub-family supremum is Delta(h0; f0) = delta0, attained at f0
-        assert abs(report["upper_bound"] - res.delta0) <= 1e-12 * res.delta0
+        assert abs(report["upper_bound"] - res.solution.delta) <= 1e-12 * res.solution.delta
         assert report["lower_residual"] <= 1e-15
 
     def test_saddle_check_refuses_an_unknown_class(self):
@@ -225,7 +225,11 @@ class TestD0Minus:
 
     def test_saddle_check_rejects_corrupted_characteristic(self):
         res = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
-        bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
+        # no library call builds a result whose h0 is not its solution's:
+        # the zero h0 goes into the h_grid cache of a copy of the solution
+        sol = dataclasses.replace(res.solution)
+        vars(sol)["h_grid"] = np.zeros_like(res.solution.h_grid)
+        bad = dataclasses.replace(res, solution=sol)
         report = saddle_check(bad, D0Minus(p=1.0))
         assert not report["all_pass"]
         assert not report["lower_pass"] and report["lower_residual"] > 0.1
@@ -246,15 +250,15 @@ class TestDW:
         assert res.mechanism == "degenerate"
         rng = np.random.default_rng(3)
         for _ in range(10):
-            f = loop_sample_density(cls, res, rng, res.grid_size)
-            d = solve(S5_SMALL, W_SMALL, f, grid_size=res.grid_size).delta
-            assert abs(d - res.delta0) < 1e-8 * res.delta0
+            f = loop_sample_density(cls, res, rng, res.solution.grid_size)
+            d = solve(S5_SMALL, W_SMALL, f, grid_size=res.solution.grid_size).delta
+            assert abs(d - res.solution.delta) < 1e-8 * res.solution.delta
 
     def test_degenerate_matches_direct_solve(self):
         cls = DW(b_given=np.array([1.25, -0.5, 0.0]))
         res = lf_dW(S5_SMALL, W_SMALL, cls)
         direct = solve(S5_SMALL, W_SMALL, InversePolynomial(cls.inverse_poly()))
-        assert abs(res.delta0 - direct.delta) < 1e-12
+        assert abs(res.solution.delta - direct.delta) < 1e-12
 
     def test_newton_solves_moment_structure(self):
         p = ObservationPattern("S5", N=0, M2=2, N2=1)  # K = {0, 3}
@@ -264,12 +268,12 @@ class TestDW:
         assert res.mechanism == "newton"
         assert res.lagrange["newton_residual"] < 1e-10
         # prescribed moments are reproduced exactly by the solved density
-        assert abs(res.b0[0] - 1.25) < 1e-12
-        assert abs(res.b0[1] + 0.5) < 1e-12
+        assert abs(res.solution.b[0] - 1.25) < 1e-12
+        assert abs(res.solution.b[1] + 0.5) < 1e-12
         # the only free lag is 3; lag 2 is structurally zero
-        assert abs(res.b0[2]) == 0.0
+        assert abs(res.solution.b[2]) == 0.0
         assert 3 in res.lagrange["solved_lags"]
-        vals = res.f0.inverse_on_grid(4096)
+        vals = res.solution.f.inverse_on_grid(4096)
         assert np.min(vals) > 0
 
     def test_newton_point_is_stationary(self):
@@ -279,31 +283,31 @@ class TestDW:
         w = FunctionalWeights(values={0: 1.0, 3: 0.1})
         cls = DW(b_given=np.array([1.25, -0.5]))
         res = lf_dW(p, w, cls)
-        G = res.grid_size
+        G = res.solution.grid_size
         lam = angular_grid(G)
-        g0 = res.f0.inverse_on_grid(G)
+        g0 = res.solution.f.inverse_on_grid(G)
         # lag 3 is the only free coefficient lag that enters the system
         direction = np.cos(3 * lam)
 
         def excess(t):
             f = Tabulated(1.0 / (g0 + t * direction))
-            return solve(p, w, f, grid_size=G).delta - res.delta0
+            return solve(p, w, f, grid_size=G).delta - res.solution.delta
 
         e1, e2 = excess(0.02), excess(0.01)
-        assert 0 < abs(e1) < 1e-2 * res.delta0
+        assert 0 < abs(e1) < 1e-2 * res.solution.delta
         assert abs(e1) / abs(e2) > 2.5  # quadratic, not linear
         # directions at lags outside the system leave the error untouched
         f_other = Tabulated(1.0 / (g0 + 0.02 * np.cos(2 * lam)))
-        assert abs(solve(p, w, f_other, grid_size=G).delta - res.delta0) < 1e-12
+        assert abs(solve(p, w, f_other, grid_size=G).delta - res.solution.delta) < 1e-12
 
     def test_w0_reduces_to_mean_constrained_form(self):
         p = ObservationPattern("S5", N=1, M2=1, N2=1)  # K = {0, 1, 3}
         w = FunctionalWeights(values={0: 1.0, 1: 0.2, 3: 0.1})
         res_w = lf_dW(p, w, DW(b_given=np.array([2.0])))
         res_p = lf_d0minus(p, w, D0Minus(p=2.0))
-        assert abs(res_w.delta0 - res_p.delta0) < 1e-9
+        assert abs(res_w.solution.delta - res_p.solution.delta) < 1e-9
         for m in range(4):
-            assert abs(res_w.b0[m] - res_p.b0[m]) < 1e-9
+            assert abs(res_w.solution.b[m] - res_p.solution.b[m]) < 1e-9
 
     def test_uncovered_geometry_refused(self):
         p = ObservationPattern("S4", N=1, M1=2, N1=3)  # K = {0,1,-3,-4,-5}
@@ -454,10 +458,10 @@ class TestDW:
             res = lf_dW(ObservationPattern(**pattern), FunctionalWeights(values=weights),
                         DW(b_given=np.array(b_given)))
             assert res.mechanism == mechanism
-            assert abs(res.delta0 - delta0) <= 1e-14 * delta0
+            assert abs(res.solution.delta - delta0) <= 1e-14 * delta0
             half = len(b0) - 1
-            assert res.b0.half_length == half
-            got = np.array([res.b0[m] for m in range(-half, half + 1)])
+            assert res.solution.b.half_length == half
+            got = np.array([res.solution.b[m] for m in range(-half, half + 1)])
             want = np.array(b0[:0:-1] + b0)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -484,7 +488,7 @@ class TestDW:
         W = b_given.size - 1
         assert (res.mechanism == "degenerate") == (W >= max(idx) - min(idx))
         assert res.lagrange["newton_residual"] <= 1e-10
-        assert all(res.b0[m] == b_given[m] for m in range(W + 1))
+        assert all(res.solution.b[m] == b_given[m] for m in range(W + 1))
 
 
 @st.composite
@@ -524,7 +528,7 @@ class TestDVU:
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
         base = lf_d0minus(S5_SMALL, W_SMALL, D0Minus(p=1.0))
         assert res.mechanism == "closed_form"
-        assert abs(res.delta0 - base.delta0) < 1e-12
+        assert abs(res.solution.delta - base.solution.delta) < 1e-12
         assert res.lagrange["lower_active"] == []
         assert res.lagrange["upper_active"] == []
 
@@ -534,30 +538,30 @@ class TestDVU:
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
         assert res.mechanism == "pinned"
         direct = solve(S5_SMALL, W_SMALL, f)
-        assert abs(res.delta0 - direct.delta) < 1e-10
+        assert abs(res.solution.delta - direct.delta) < 1e-10
 
     def test_active_upper_bound(self):
         cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)),
                   p=1.0)
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
         assert res.mechanism == "numerical"
-        f0 = res.f0.on_grid(res.grid_size)
+        f0 = res.solution.f.on_grid(res.solution.grid_size)
         assert np.all(f0 >= 0.5 - 1e-9)
         assert np.all(f0 <= 1.2 + 1e-9)
         assert abs(np.mean(1.0 / f0) - 1.0) < 1e-9
         assert len(res.lagrange["upper_active"]) > 0
         rng = np.random.default_rng(5)
         for _ in range(40):
-            f = loop_sample_density(cls, res, rng, res.grid_size)
-            d = solve(S5_SMALL, W_SMALL, f, grid_size=res.grid_size).delta
-            assert d <= res.delta0 * (1 + 1e-6)
+            f = loop_sample_density(cls, res, rng, res.solution.grid_size)
+            d = solve(S5_SMALL, W_SMALL, f, grid_size=res.solution.grid_size).delta
+            assert d <= res.solution.delta * (1 + 1e-6)
 
     def test_forced_white_noise(self):
         # f <= 1 with mean(1/f) = 1 forces f identically one
         cls = DVU(v=Tabulated(np.full(512, 0.1)), u=Tabulated(np.full(512, 1.0)),
                   p=1.0)
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
-        assert abs(res.delta0 - 1.04) < 1e-8  # sum of squared weights
+        assert abs(res.solution.delta - 1.04) < 1e-8  # sum of squared weights
 
     def test_infeasible_p(self):
         cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.0)),
@@ -606,8 +610,8 @@ class TestDVU:
                                             for j in missing_indices(pattern)})
         res = lf_dvu(pattern, weights, cls)
         assert res.mechanism == "numerical"
-        assert res.delta0 == numerical_lf(pattern, weights, cls).delta0
-        f0 = res.f0.on_grid(res.grid_size)
+        assert res.solution.delta == numerical_lf(pattern, weights, cls).solution.delta
+        f0 = res.solution.f.on_grid(res.solution.grid_size)
         assert np.all(f0 >= 0.5 - 1e-9)
         assert np.all(f0 <= 1.2 + 1e-9)
 
@@ -617,7 +621,7 @@ class TestDVU:
         cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)), p=1.0)
         res = lf_dvu(pattern, FunctionalWeights(geometric=(1.0, 0.5)), cls)
         assert res.mechanism == "numerical"
-        f0 = res.f0.on_grid(res.grid_size)
+        f0 = res.solution.f.on_grid(res.solution.grid_size)
         assert np.all(f0 >= 0.5 * (1 - 1e-12)) and np.all(f0 <= 1.2 * (1 + 1e-12))
         assert abs(np.mean(1.0 / f0) - 1.0) <= 1e-12
 
@@ -631,8 +635,8 @@ class TestDVU:
         assert np.max(v_grid) > 1.2
         assert np.array_equal(u_grid, np.maximum(cls.u.on_grid(4096), v_grid))
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
-        f0 = res.f0.on_grid(res.grid_size)
-        v_grid, u_grid = cls.validate(res.grid_size)
+        f0 = res.solution.f.on_grid(res.solution.grid_size)
+        v_grid, u_grid = cls.validate(res.solution.grid_size)
         assert np.all(f0 >= v_grid * (1 - 1e-12)) and np.all(f0 <= u_grid * (1 + 1e-12))
 
     def test_bounds_crossing_at_a_node(self):
@@ -663,6 +667,26 @@ class TestDVU:
 
 
 class TestNumerical:
+    @pytest.mark.parametrize("scale", [1e150, 1e-170])
+    def test_ascent_does_not_depend_on_weight_scale(self, scale):
+        # the ascent ran on the caller's weights: at 1e-170 every Gram error
+        # underflowed, and it stopped after 3 solves at its white-noise start
+        pattern = ObservationPattern("S4", N=1, M1=2, N1=1)
+        cls = DVU(v=Tabulated(np.full(64, 0.5)), u=Tabulated(np.full(64, 2.0)), p=1.0)
+
+        def climb(s):
+            weights = FunctionalWeights(values={0: s, 1: 0.1 * s, -3: 0.1 * s})
+            return numerical_lf(pattern, weights, cls)
+
+        ref, res = climb(1.0), climb(scale)
+        assert ref.diagnostics["iterations"] == res.diagnostics["iterations"] == 12
+        assert len(ref.lagrange["lower_active"]) == 170
+        assert len(ref.lagrange["upper_active"]) == 341
+        assert res.lagrange == ref.lagrange
+        assert np.array_equal(res.solution.f.values, ref.solution.f.values)
+        # the result solves the caller's weights
+        assert np.array_equal(res.solution.a, [scale, 0.1 * scale, 0.1 * scale])
+
     def test_d0minus_not_covered(self):
         # the D0Minus supremum is unbounded on the grid; the closed form is lf_d0minus
         with pytest.raises(NotCovered, match="DVU only"):
@@ -677,7 +701,7 @@ class TestNumerical:
         cls = DVU(v=Tabulated(np.full(512, 0.5)), u=Tabulated(np.full(512, 1.2)),
                   p=1.0)
         res = numerical_lf(S5_SMALL, W_SMALL, cls)
-        f0 = res.f0.on_grid(res.grid_size)
+        f0 = res.solution.f.on_grid(res.solution.grid_size)
         assert np.all(f0 >= 0.5 - 1e-9)
         assert np.all(f0 <= 1.2 + 1e-9)
         assert res.lagrange["lower_active"] == np.flatnonzero(f0 <= 0.5 + 1.2e-6).tolist()
@@ -688,26 +712,26 @@ class TestNumerical:
     def test_vertex_ascent(self, problem):
         pattern, weights, cls = problem
         res = numerical_lf(pattern, weights, cls)
-        G = res.grid_size
+        G = res.solution.grid_size
         v, u = cls.validate(G)
-        f0 = res.f0.on_grid(G)
+        f0 = res.solution.f.on_grid(G)
         assert np.all(f0 >= v * (1 - 1e-12)) and np.all(f0 <= u * (1 + 1e-12))
         assert abs(np.mean(1.0 / f0) - cls.p) <= 1e-12 * cls.p
         # the ascent starts at the member 1/g, g = 1/u + t (1/v - 1/u) with mean p
         lo, hi = 1.0 / u, 1.0 / v
         t = (cls.p - np.mean(lo)) / (np.mean(hi) - np.mean(lo))
         start = solve(pattern, weights, Tabulated(1.0 / (lo + t * (hi - lo))), grid_size=G)
-        assert res.delta0 >= start.delta * (1 - 1e-12)
+        assert res.solution.delta >= start.delta * (1 - 1e-12)
         report = saddle_check(res, cls)
-        assert report["vertex_classical"] <= res.delta0 * (1 + 1e-9)
+        assert report["vertex_classical"] <= res.solution.delta * (1 + 1e-9)
 
     def test_sampled_members_stay_in_class(self):
         cls = D0Minus(p=1.0)
         res = lf_d0minus(S5_SMALL, W_SMALL, cls)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            f = loop_sample_density(cls, res, rng, res.grid_size)
-            g = f.inverse_on_grid(res.grid_size)
+            f = loop_sample_density(cls, res, rng, res.solution.grid_size)
+            g = f.inverse_on_grid(res.solution.grid_size)
             assert np.mean(g) >= 1.0 - 1e-10
 
     @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
@@ -718,7 +742,8 @@ class TestNumerical:
         idx = missing_indices(pattern)
         for grid in (0, -3, 4 * (max(idx) - min(idx)) - 1):
             with pytest.raises(InvalidParameters, match="too coarse"):
-                saddle_check(dataclasses.replace(res, grid_size=grid), cls)
+                saddle_check(dataclasses.replace(
+                    res, solution=dataclasses.replace(res.solution, grid_size=grid)), cls)
 
 
 def loop_members(result, pattern, weights, cls, n_samples, seed):
@@ -729,11 +754,12 @@ def loop_members(result, pattern, weights, cls, n_samples, seed):
     coefficients at observed lags within max|K| + 10 and grid rms
     0.1 ||a||, Delta(h0 + dh; f0). Returns the three arrays."""
     rng = np.random.default_rng(seed)
-    G = result.grid_size
+    sol = result.solution
+    G = sol.grid_size
     upper, classical = [], []
     for _ in range(n_samples):
         f = loop_sample_density(cls, result, rng, G)
-        upper.append(mse_of_characteristic(result.h0_grid, pattern, weights, f))
+        upper.append(mse_of_characteristic(sol.h_grid, pattern, weights, f))
         classical.append(solve(pattern, weights, f, grid_size=G).delta)
     idx = set(missing_indices(pattern))
     reach = max(abs(min(idx)), abs(max(idx))) + 10
@@ -747,15 +773,16 @@ def loop_members(result, pattern, weights, cls, n_samples, seed):
         for j in picks:
             dh += (rng.normal() + 1j * rng.normal()) * np.exp(1j * j * lam)
         dh *= 0.1 * scale / max(float(np.sqrt(np.mean(np.abs(dh) ** 2))), 1e-300)  # grid rms
-        lower.append(mse_of_characteristic(result.h0_grid + dh, pattern, weights, result.f0))
+        lower.append(mse_of_characteristic(sol.h_grid + dh, pattern, weights, sol.f))
     return np.array(upper), np.array(classical), np.array(lower)
 
 
 def witness_member(result, witness, t):
     """g0 - t cos(m (lambda - lambda*)) on the result's grid, from a report's witness."""
-    G = result.grid_size
+    G = result.solution.grid_size
     lam = angular_grid(G)
-    return result.f0.inverse_on_grid(G) - t * np.cos(witness["m"] * (lam - witness["lambda"]))
+    g0 = result.solution.f.inverse_on_grid(G)
+    return g0 - t * np.cos(witness["m"] * (lam - witness["lambda"]))
 
 
 SADDLE_PATTERNS = {
@@ -795,13 +822,14 @@ class TestSaddleBatch:
     @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
     def test_matches_per_sample_loop(self, family, kind, seed, raise_delta0):
         pattern, weights, cls, res = saddle_problem(kind, family)
-        res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
+        res = dataclasses.replace(res, solution=dataclasses.replace(
+            res.solution, delta=res.solution.delta * raise_delta0))
         report = saddle_check(res, cls)
         upper, classical, lower = loop_members(res, pattern, weights, cls, 40, seed)
-        tol = 1e-8 * max(res.delta0, 1.0)
+        tol = 1e-8 * max(res.solution.delta, 1.0)
         # D0Minus members are drawn from the sub-family, so every sampled
         # member lies in the set that upper_pass covers
-        if np.any(upper > res.delta0 + tol):
+        if np.any(upper > res.solution.delta + tol):
             assert not report["upper_pass"]
         bound = report["upper_bound"]
         if bound is not None:
@@ -819,10 +847,10 @@ class TestSaddleBatch:
             t = witness["t_max"] - witness["growth"] / (2 * np.max(upper))
             assert 0 < t < witness["t_max"]
             f = Tabulated(1.0 / witness_member(res, witness, t))
-            reached = mse_of_characteristic(res.h0_grid, pattern, weights, f)
+            reached = mse_of_characteristic(res.solution.h_grid, pattern, weights, f)
             assert reached >= 2 * np.max(upper) * (1 - 1e-12)
         # the lower side: no perturbation of h0 lowers Delta(h0; f0)
-        base = mse_of_characteristic(res.h0_grid, pattern, weights, res.f0)
+        base = mse_of_characteristic(res.solution.h_grid, pattern, weights, res.solution.f)
         assert report["lower_pass"]
         assert np.min(lower) >= base * (1 - 1e-12)
 
@@ -843,32 +871,37 @@ class TestSaddleBatch:
             moments = grid_fourier_coefficients(g, cls.W)[cls.W:]
             assert np.max(np.abs(moments - cls.b_given)) <= 1e-12 * np.max(np.abs(cls.b_given))
         # the error under the witness is at least growth / (t_max - t)
-        value = mse_of_characteristic(res.h0_grid, pattern, weights, Tabulated(1.0 / g))
+        value = mse_of_characteristic(res.solution.h_grid, pattern, weights, Tabulated(1.0 / g))
         assert value >= witness["growth"] / (witness["t_max"] - t) * (1 - 1e-12)
         if t_frac > 0.9:
-            assert value > res.delta0
+            assert value > res.solution.delta
 
     @pytest.mark.parametrize("family", ["d0minus", "dw", "dvu"])
     def test_zeroed_characteristic_fails_lower_side(self, family):
         pattern, weights, cls, res = saddle_problem("S6", family)
         report = saddle_check(res, cls)
         assert report["lower_residual"] <= 1e-10
-        bad = dataclasses.replace(res, h0_grid=np.zeros_like(res.h0_grid))
+        # no library call builds a result whose h0 is not its solution's:
+        # the zero h0 goes into the h_grid cache of a copy of the solution
+        sol = dataclasses.replace(res.solution)
+        vars(sol)["h_grid"] = np.zeros_like(res.solution.h_grid)
+        bad = dataclasses.replace(res, solution=sol)
         report = saddle_check(bad, cls)
         assert report["lower_residual"] > 1e-3
         assert not report["lower_pass"] and not report["all_pass"]
         # a perturbation of the zero characteristic that the residual points
         # to does lower the error under f0
-        lam = angular_grid(res.grid_size)
+        lam = angular_grid(res.solution.grid_size)
         e = poly_on_grid(missing_indices(pattern), weights.on_gap_set(missing_indices(pattern)),
-                         res.grid_size)
-        r = grid_fourier_coefficients(e * res.f0.on_grid(res.grid_size), 20)
+                         res.solution.grid_size)
+        r = grid_fourier_coefficients(e * res.solution.f.on_grid(res.solution.grid_size), 20)
         lags = np.arange(-20, 21)
         off = ~np.isin(lags, missing_indices(pattern))
         j = lags[off][np.argmax(np.abs(r[off]))]
-        step = r[lags == j][0] / np.mean(res.f0.on_grid(res.grid_size))
-        better = mse_of_characteristic(0.5 * step * np.exp(1j * j * lam), pattern, weights, res.f0)
-        assert better < mse_of_characteristic(bad.h0_grid, pattern, weights, res.f0)
+        step = r[lags == j][0] / np.mean(res.solution.f.on_grid(res.solution.grid_size))
+        better = mse_of_characteristic(0.5 * step * np.exp(1j * j * lam), pattern, weights,
+                                       res.solution.f)
+        assert better < mse_of_characteristic(bad.solution.h_grid, pattern, weights, res.solution.f)
 
     @pytest.mark.parametrize("raise_delta0", [1.0, 1.003])
     def test_split_stack_matches_per_sample_loop(self, raise_delta0, monkeypatch):
@@ -880,7 +913,8 @@ class TestSaddleBatch:
         weights = FunctionalWeights(values={j: 1.0 if j == anchor else 0.01 for j in idx})
         cls = D0Minus(p=1.3)
         res = lf_d0minus(pattern, weights, cls, grid_size=512)
-        res = dataclasses.replace(res, delta0=res.delta0 * raise_delta0)
+        res = dataclasses.replace(res, solution=dataclasses.replace(
+            res.solution, delta=res.solution.delta * raise_delta0))
         chunks = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: chunks.append(m.shape) or cholesky(m))
@@ -890,7 +924,7 @@ class TestSaddleBatch:
         upper, classical, lower = loop_members(res, pattern, weights, cls, 40, 2)
         # the sub-family bound is Delta(h0; f0), attained at f0, so it passes
         # at delta0 and above, and no sampled member of the sub-family exceeds it
-        base = mse_of_characteristic(res.h0_grid, pattern, weights, res.f0)
+        base = mse_of_characteristic(res.solution.h_grid, pattern, weights, res.solution.f)
         assert abs(report["upper_bound"] - base) <= 1e-12 * base
         assert report["upper_pass"] and report["lower_pass"] and report["all_pass"]
         assert np.max(upper) <= report["upper_bound"] * (1 + 1e-12)
@@ -911,11 +945,11 @@ class TestSaddleBatch:
             max_lag = (grid - 1) // 2
         else:
             pattern, weights, cls, res = saddle_problem("S6", "d0minus")
-            max_lag = res.b0.half_length + 2
+            max_lag = res.solution.b.half_length + 2
         witness = saddle_check(res, cls)["witness"]
         assert witness["m"] == 1
         t = 0.5 * witness["t_max"]
-        ref = res.b0.resized(max_lag).values.copy()
+        ref = res.solution.b.resized(max_lag).values.copy()
         ref[max_lag + 1] -= 0.5 * t * np.exp(-1j * witness["lambda"])
         ref[max_lag - 1] -= 0.5 * t * np.exp(1j * witness["lambda"])
         got = grid_fourier_coefficients(witness_member(res, witness, t), max_lag)
@@ -928,8 +962,8 @@ class TestSaddleBatch:
         cls = DVU(v=f, u=f, p=minimality_value(f))
         res = lf_dvu(S5_SMALL, W_SMALL, cls)
         report = saddle_check(res, cls)
-        assert abs(report["upper_bound"] - res.delta0) <= 1e-12 * res.delta0
-        assert report["minimax_bracket"][0] == res.delta0
+        assert abs(report["upper_bound"] - res.solution.delta) <= 1e-12 * res.solution.delta
+        assert report["minimax_bracket"][0] == res.solution.delta
         assert report["all_pass"]
 
     def test_pinned_table_finer_than_grid_passes(self):
@@ -1017,9 +1051,9 @@ class TestSaddleBatch:
         assert report["upper_pass"] is False and report["all_pass"] is False
         if scale > 1e-100:  # the report keeps the caller's units
             assert report["upper_bound"] / scale ** 2 == pytest.approx(2.8380096833, rel=1e-9)
-            assert res.delta0 / scale ** 2 == pytest.approx(2.8157739756, rel=1e-9)
+            assert res.solution.delta / scale ** 2 == pytest.approx(2.8157739756, rel=1e-9)
         else:
-            assert report["upper_bound"] == res.delta0 == 0.0
+            assert report["upper_bound"] == res.solution.delta == 0.0
 
     @pytest.mark.parametrize("grid", [32, 4096])
     def test_perturbation_scores(self, grid):
@@ -1032,11 +1066,12 @@ class TestSaddleBatch:
         lags = np.stack([rng.choice(observed, size=5, replace=False) for _ in range(6)])
         coeffs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
         lam = angular_grid(grid)
-        f0 = res.f0.on_grid(grid)
-        base = mse_of_characteristic(res.h0_grid, pattern, weights, res.f0)
+        f0 = res.solution.f.on_grid(grid)
+        base = mse_of_characteristic(res.solution.h_grid, pattern, weights, res.solution.f)
         for lag_row, c_row in zip(lags, coeffs):
             dh = np.exp(1j * np.outer(lam, lag_row)) @ c_row
-            score = mse_of_characteristic(res.h0_grid + dh, pattern, weights, res.f0)
+            score = mse_of_characteristic(res.solution.h_grid + dh, pattern, weights,
+                                          res.solution.f)
             # r vanishes off K, so the cross term is gone
             assert abs(score - base - np.mean(np.abs(dh) ** 2 * f0)) <= 1e-12 * score
 
@@ -1062,7 +1097,7 @@ class TestSaddleBatch:
     def test_reports_pinned(self, family, kind):
         pattern, weights, cls, res = saddle_problem(kind, family)
         report = saddle_check(res, cls)
-        assert res.grid_size == (512 if (family, kind) == ("dvu", "S5") else 4096)
+        assert res.solution.grid_size == (512 if (family, kind) == ("dvu", "S5") else 4096)
         bound, *rest = self.PINNED[family, kind]
         assert report.pop("lower_residual") <= 1e-15
         got = report.pop("upper_bound")
@@ -1075,7 +1110,7 @@ class TestSaddleBatch:
             assert abs(report.pop("vertex_error") - vertex_error) <= 1e-12 * vertex_error
             assert abs(report.pop("vertex_classical") - vertex_classical) <= 1e-12 * vertex_classical
             low, high = report.pop("minimax_bracket")
-            assert low == max(res.delta0, vertex_classical) and high == got
+            assert low == max(res.solution.delta, vertex_classical) and high == got
             assert report == {"n_samples": 0, "lower_pass": True, "upper_set": "class",
                               "class_bounded": True, "upper_pass": False, "all_pass": False}
         else:
@@ -1229,7 +1264,7 @@ def scaled_outcomes(pattern, weights, problem, j, m):
         bracket = report.get("minimax_bracket")
         out[name] = ((res.mechanism, report["lower_pass"], report["upper_pass"],
                       report["all_pass"]),
-                     {"delta0": res.delta0, "upper_bound": report["upper_bound"],
+                     {"delta0": res.solution.delta, "upper_bound": report["upper_bound"],
                       "bracket": None if bracket is None else tuple(bracket)})
     factor = s * s * t
     return {name: (decisions, {key: None if x is None else np.array(x) / factor

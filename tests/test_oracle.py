@@ -553,7 +553,7 @@ class TestEmpiricalMse:
         sol = solve(pattern, FunctionalWeights(values={j: 1.0 for j in k}), density)
         est = estimate_weights_from_characteristic(sol)
         assert est == {j: v for j, v in sol.h_coeffs.items() if j not in k}
-        p = density.order
+        p = density.alpha.size
         assert set(est) == set(range(min(k) - p, max(k) + p + 1)) - set(k)
         lags = np.arange(-100, 101)
         on_grid = grid_fourier_coefficients(sol.h_grid, 100)

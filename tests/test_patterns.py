@@ -91,6 +91,35 @@ class TestMissingIndices:
         with pytest.raises(InvalidParameters, match="S4 has no truncation depth"):
             ObservationPattern("S4", N=0, M1=1, N1=1).with_truncation(3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("N", 1.5), ("N", "1"), ("N", None), ("N", float("nan")), ("M1", "2"), ("M1", 2.5),
+        ("N1", 3.5), ("N1", 3 + 1j), ("N1", [3])])
+    def test_sizes_that_are_not_integers_refused(self, field, value):
+        # N1=3.5 constructed and solve raised a bare TypeError; N="1" raised
+        # one in __post_init__
+        sizes = {"N": 1, "M1": 2, "N1": 3, field: value}
+        with pytest.raises(InvalidParameters, match=f"pattern size {field} .* is not an integer"):
+            ObservationPattern("S4", **sizes)
+
+    def test_depth_that_is_not_an_integer_refused(self):
+        # T=2.5 constructed and solve raised a bare TypeError
+        with pytest.raises(InvalidParameters, match="pattern size T 2.5 is not an integer"):
+            ObservationPattern("S1", N=0, M1=1, T=2.5)
+        with pytest.raises(InvalidParameters, match="pattern size T 2.5 is not an integer"):
+            ObservationPattern("S1", N=0, M1=1).with_truncation(2.5)
+
+    @pytest.mark.parametrize("value", [3.0, np.int64(3), np.float64(3.0), 3 + 0j])
+    def test_integral_sizes_held_as_ints(self, value):
+        # N1=3.0 constructed and solve raised a bare TypeError from range()
+        p = ObservationPattern("S6", N=value, M1=value, N1=value, M2=value, N2=value)
+        ref = ObservationPattern("S6", N=3, M1=3, N1=3, M2=3, N2=3)
+        assert p == ref
+        assert all(type(getattr(p, name)) is int for name in ("N", "M1", "N1", "M2", "N2"))
+        w, f = FunctionalWeights(values={0: 1.0, -4: 0.5}), RationalAR(alpha=np.array([0.5]))
+        assert solve(p, w, f).delta == solve(ref, w, f).delta
+        cut = ObservationPattern("S1", N=1, M1=2, T=value)
+        assert cut == ObservationPattern("S1", N=1, M1=2, T=3) and type(cut.T) is int
+
     def test_infinite_pattern_without_depth(self):
         # T may be left out where solve_truncated picks the cut; the blocks need it
         p = ObservationPattern("S3", N=1, M1=2, M2=1)
@@ -193,7 +222,7 @@ class TestWeights:
         infinite = ObservationPattern("S2", N=0, M2=1)
         k = missing_indices(finite)
         reads = (lambda: w.on_gap_set(missing_indices(finite)), lambda: w.on(k),
-                 lambda: w.on(np.array(k)), lambda: w.check_support(k),
+                 lambda: w.on(np.array(k)), lambda: w.on(tuple(k)),
                  lambda: w.reach(infinite), lambda: solve(finite, w, RationalAR(alpha=0.5)),
                  lambda: solve_truncated(infinite, w, RationalAR(alpha=0.5)))
         for read in reads:
@@ -269,14 +298,14 @@ class TestWeightGather:
             with pytest.raises(SupportMismatch) as got:
                 w.on_gap_set(missing_indices(p))
             assert str(got.value) == str(exc)
-            with pytest.raises(SupportMismatch) as got:
-                w.check_support(k)
+            with pytest.raises(SupportMismatch) as got:  # K as a list
+                w.on(k)
             assert str(got.value) == str(exc)
             with pytest.raises(SupportMismatch) as got:  # K as an int array
                 w.on(np.array(k))
             assert str(got.value) == str(exc)
         else:
-            w.check_support(k)
+            assert np.array_equal(w.on(k), expected)
             vec = w.on_gap_set(missing_indices(p))
             assert vec.dtype == complex
             assert np.array_equal(vec, expected)
